@@ -15,7 +15,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
+
+import numpy as np
 
 from .convolution import (DEFAULT_BUDGET, ConvAlgebra, SubsetAlgebra,
                           is_lattice_morphism, iso_phi,
@@ -27,7 +30,7 @@ from .structures import (JOIN, MEET, RelStructure, build_structure,
                          disjoint_union, from_group, full_structure,
                          is_p_morphism, signature)
 from .terms import (Bot, Equation, Join, Meet, Neg, RelOp, Top, Var,
-                    check_equation, describe_element)
+                    _chunks, _grid, _samples, check_equation, describe_element)
 
 
 @dataclass
@@ -59,6 +62,10 @@ def _chain2() -> FiniteLattice:
 
 def _z2_structure() -> RelStructure:
     return from_group([[0, 1], [1, 0]])
+
+
+def _labels(lat: FiniteLattice, row) -> list[str]:
+    return [lat.labels[v] for v in row]
 
 
 def _describe_assignment(algebra, env: dict) -> dict:
@@ -93,6 +100,16 @@ def _eq_verdicts(algebra, equations, mode="auto", samples=None, seed=0,
 
 
 # -- operator laws (additivity / multiplicativity) ---------------------------
+
+
+def _subset_folds(table, unit, values):
+    """Row m: ``unit`` folded through ``table`` with values[j] for each set
+    bit j of m, in increasing j.  A DP over subset masks: the rows for masks
+    with top bit j extend those below 2**j by one fold."""
+    out = unit[None, :]
+    for v in values:
+        out = np.concatenate([out, table[out, v]])
+    return out
 
 
 def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
@@ -145,43 +162,49 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
     if spec.arity >= 1 and algebra.space_size() <= 16:
         carrier = algebra.carrier_list(cap)
         q = len(carrier)
+        rows = np.array([f.values for f in carrier]).reshape(q, -1)
         est = (2 ** q) * spec.arity * (q ** (spec.arity - 1))
-        fold = algebra.join if additive else algebra.meet
-        start = algebra.bot() if additive else algebra.top()
-        rng = random.Random(seed)
+        fold = algebra.lattice.join_np if additive else algebra.lattice.meet_np
+        start = (algebra.bot() if additive else algebra.top())._np
+        folded = _subset_folds(fold, start, rows)
+
+        @cache
+        def broken(k, fixed):
+            """Per subset mask, whether the law fails with the other
+            arguments fixed to the carrier elements ``fixed``."""
+            others = [rows[j] for j in fixed]
+
+            def at_k(x):
+                return algebra._eval(i, others[:k] + [x] + others[k:])
+            rhs = _subset_folds(fold, start, at_k(rows))
+            return np.concatenate([(at_k(folded[a:b]) != rhs[a:b]).any(axis=-1)
+                                   for a, b in _chunks(2 ** q, algebra)])
+
         if est <= cap:
-            subset_iter = ((k, fixed, mask)
-                           for k in range(spec.arity)
-                           for fixed in product(carrier, repeat=spec.arity - 1)
-                           for mask in range(2 ** q))
+            groups = ((k, fixed, np.arange(2 ** q))
+                      for k in range(spec.arity)
+                      for fixed in product(range(q), repeat=spec.arity - 1))
             stats["subset_scan"] = "exhaustive"
         else:
             count = min(2000, cap)
-            subset_iter = ((rng.randrange(spec.arity),
-                            tuple(carrier[rng.randrange(q)]
-                                  for _ in range(spec.arity - 1)),
-                            rng.randrange(2 ** q))
-                           for _ in range(count))
+            rng = random.Random(seed)
+            groups = [(rng.randrange(spec.arity),
+                       tuple(rng.randrange(q) for _ in range(spec.arity - 1)),
+                       [rng.randrange(2 ** q)])
+                      for _ in range(count)]
             stats["subset_scan"] = "sampled"
         checked = 0
-        for k, fixed, mask in subset_iter:
-            subset = [carrier[j] for j in range(q) if mask >> j & 1]
-            folded = start
-            for s in subset:
-                folded = fold(folded, s)
-            args = list(fixed[:k]) + [folded] + list(fixed[k:])
-            lhs = algebra.op(spec.name, args)
-            rhs = start
-            for s in subset:
-                args_s = list(fixed[:k]) + [s] + list(fixed[k:])
-                rhs = fold(rhs, algebra.op(spec.name, args_s))
-            checked += 1
-            if lhs != rhs:
+        for k, fixed, masks in groups:
+            bad = np.flatnonzero(broken(k, fixed)[masks])
+            if bad.size:
+                checked += int(bad[0]) + 1
+                mask = int(masks[bad[0]])
                 failures.append({
                     "law": f"subset@{k}",
-                    "subset": [f.labels() for f in subset],
-                    "fixed": [f.labels() for f in fixed]})
+                    "subset": [carrier[j].labels() for j in range(q) if mask >> j & 1],
+                    "fixed": [carrier[j].labels() for j in fixed]})
                 break
+            checked += len(masks)
         stats["subset_instances"] = checked
     elif spec.arity == 0:
         stats["note"] = "nullary operation, laws hold vacuously"
@@ -222,51 +245,47 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         return Report("finite-support", name, "pass",
                       stats={"note": "nullary operation, no arguments"})
 
-    q = algebra.space_size()
-    total = q ** spec.arity
     rng = random.Random(seed)
-    if total <= cap:
-        tuples = product(algebra.carrier_list(cap), repeat=spec.arity)
+    if algebra.space_size() ** spec.arity <= cap:
+        total, grid = _grid(algebra, spec.arity, cap)
         checked_mode = "exhaustive"
     else:
-        count = min(2000, cap)
-        tuples = (tuple(algebra.random_element(rng) for _ in range(spec.arity))
-                  for _ in range(count))
-        checked_mode = "sampled"
+        total, grid, checked_mode = min(2000, cap), None, "sampled"
 
+    # Candidates for a seeded comparand below (join) or above (meet) a value.
+    sides = [np.flatnonzero(lat.leq[:, v] if joinish else lat.leq[v]).tolist()
+             for v in range(lat.size)]
     fill = lat.bottom if joinish else lat.top
-    fold = algebra.join if joinish else algebra.meet
+    fold = lat.join_np if joinish else lat.meet_np
     witness = None
-    checked = 0
-    for args in tuples:
-        checked += 1
-        lhs = algebra.op(spec.name, args)
-        rhs = algebra.bot() if joinish else algebra.top()
-        for points in product(range(n_car), repeat=spec.arity):
-            deltas = []
-            for arg, x in zip(args, points):
-                vals = [fill] * n_car
-                vals[x] = arg.values[x]
-                deltas.append(algebra.function(vals))
-            rhs = fold(rhs, algebra.op(spec.name, deltas))
-        if lhs != rhs:
-            witness = {"args": [a.labels() for a in args],
-                       "output": lhs.labels(), "delta_fold": rhs.labels()}
-            break
-        bent = []
-        for arg in args:
-            if joinish:
-                vals = [rng.choice([c for c in range(lat.size) if lat.leq[c, v]])
-                        for v in arg.values]
+    checked = total
+    for start, stop in _chunks(total, algebra):
+        # Per tuple, the draws one loop makes: the tuple when sampled, then
+        # a comparand for each argument.
+        tuples = (zip(*(a.tolist() for a in grid(start, stop))) if grid else
+                  ([algebra._draw(rng) for _ in range(spec.arity)]
+                   for _ in range(start, stop)))
+        drawn = [(t, [[rng.choice(sides[v]) for v in a] for a in t]) for t in tuples]
+        args = [np.array(col) for col in zip(*(t for t, _ in drawn))]
+        bent = [np.array(col) for col in zip(*(b for _, b in drawn))]
+        lhs = algebra._eval(i, args)
+        rhs = np.full_like(lhs, fill)
+        points = np.arange(n_car)
+        for xs in product(range(n_car), repeat=spec.arity):
+            deltas = [np.where(points == x, a, fill) for a, x in zip(args, xs)]
+            rhs = fold[rhs, algebra._eval(i, deltas)]
+        out = algebra._eval(i, bent)
+        sided = (lat.leq[out, lhs] if joinish else lat.leq[lhs, out]).all(axis=-1)
+        unfolded = (lhs != rhs).any(axis=-1)
+        bad = np.flatnonzero(unfolded | ~sided)
+        if bad.size:
+            j = int(bad[0])
+            checked = start + j + 1
+            witness = {"args": [_labels(lat, a[j]) for a in args]}
+            if unfolded[j]:
+                witness.update(output=_labels(lat, lhs[j]), delta_fold=_labels(lat, rhs[j]))
             else:
-                vals = [rng.choice([c for c in range(lat.size) if lat.leq[v, c]])
-                        for v in arg.values]
-            bent.append(algebra.function(vals))
-        out = algebra.op(spec.name, bent)
-        sided = algebra.le(out, lhs) if joinish else algebra.le(lhs, out)
-        if not sided:
-            witness = {"args": [a.labels() for a in args],
-                       "comparand": [b.labels() for b in bent]}
+                witness["comparand"] = [_labels(lat, b[j]) for b in bent]
             break
     status = "pass" if witness is None else "fail"
     return Report("finite-support", name, status, witness=witness,
@@ -543,29 +562,35 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     failures, stats = _eq_verdicts(algebra, equations, mode=mode,
                                    samples=samples, seed=seed, budget=budget)
 
+    star = group.relation("*")
+    converse = group.relation("conv")
+
     def triple_agreement(first_uses_negneg: bool):
         """Scan the three-way equivalence of De Morgan's inequalities."""
         cap = DEFAULT_BUDGET if budget is None else budget
         if samples is None and algebra.space_size() ** 3 <= cap:
-            triples = product(algebra.carrier_list(cap), repeat=3)
+            total, triples = _grid(algebra, 3, cap)
             how = "exhaustive"
         else:
-            rng = random.Random(seed)
-            count = samples if samples is not None else 10_000
-            triples = ((algebra.random_element(rng), algebra.random_element(rng),
-                        algebra.random_element(rng)) for _ in range(count))
+            total = samples if samples is not None else 10_000
+            triples = _samples(algebra, 3, random.Random(seed))
             how = "sampled"
-        for fa, fb, fc in triples:
-            nc = algebra.neg(fc)
-            bound = algebra.neg(nc) if first_uses_negneg else fc
-            one = algebra.le(algebra.op("*", (fa, fb)), bound)
-            two = algebra.le(algebra.op("*", (algebra.op("conv", (fa,)), nc)),
-                             algebra.neg(fb))
-            three = algebra.le(algebra.op("*", (nc, algebra.op("conv", (fb,)))),
-                               algebra.neg(fa))
-            if not one == two == three:
-                return {"a": fa.labels(), "b": fb.labels(), "c": fc.labels(),
-                        "bounds": [one, two, three]}, how
+        leq = lat.leq
+        for start, stop in _chunks(total, algebra):
+            fa, fb, fc = triples(start, stop)
+            nc = algebra._neg(fc)
+            bound = algebra._neg(nc) if first_uses_negneg else fc
+            one = leq[algebra._eval(star, [fa, fb]), bound].all(axis=-1)
+            two = leq[algebra._eval(star, [algebra._eval(converse, [fa]), nc]),
+                      algebra._neg(fb)].all(axis=-1)
+            three = leq[algebra._eval(star, [nc, algebra._eval(converse, [fb])]),
+                        algebra._neg(fa)].all(axis=-1)
+            bad = np.flatnonzero((one != two) | (two != three))
+            if bad.size:
+                j = int(bad[0])
+                return {"a": _labels(lat, fa[j]), "b": _labels(lat, fb[j]),
+                        "c": _labels(lat, fc[j]),
+                        "bounds": [bool(one[j]), bool(two[j]), bool(three[j])]}, how
         return None, how
 
     witness8p, how8p = triple_agreement(first_uses_negneg=True)
@@ -692,6 +717,7 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     are only required to transfer validity downward (valid in L^X implies
     valid over subsets).
     """
+    lattices = list(lattices)
     name = instance or f"|X|={structure.carrier_size},pool={len(pool)}"
     base = ConvAlgebra(_chain2(), structure)
     subsets = SubsetAlgebra(structure)
@@ -728,7 +754,7 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     status = "pass" if not failures else "fail"
     return Report("equation-transfer", name, status,
                   witness=failures[0] if failures else None,
-                  stats={"assignments": tried, "lattices": len(list(lattices)),
+                  stats={"assignments": tried, "lattices": len(lattices),
                          "equations": len(pool)})
 
 

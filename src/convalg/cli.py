@@ -5,9 +5,11 @@ Subcommands: ``lattice check FILE``, ``structure check FILE``, ``eval``,
 expected a catalog name works too (optionally prefixed ``catalog:``).
 Reports are JSON lines with sorted keys, so identical invocations produce
 byte-identical output; exit status is 0 for pass/valid, 1 for a check
-failure or counterexample (witness printed), 2 for usage errors.  The
-environment variable CONVALG_BUDGET overrides the default evaluation
-budget of 10^6.
+failure or counterexample (witness printed), 2 for usage errors and
+invalid input elsewhere.  ``lattice check`` and ``structure check`` report
+an invalid document as a result, ``{"status": "invalid", ...}``, and exit
+with 1.  The environment variable CONVALG_BUDGET overrides the default
+evaluation budget of 10^6.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ a1(x1) /\\ ... /\\ an(xn); the dual (meet) convolution swaps joins and meets.
 Empty joins are bottom and empty meets are top throughout, which also fixes
 the nullary conventions.
 
-Single applications are vectorized: meets of up to 62-element lattices are
-folded through the meet table with fancy indexing and joins are reduced as
-bitwise ANDs of up-set masks (the up-set of a join is the intersection of
-the up-sets).  Larger lattices fall back to plain table folds.
+Operations act on batches: N functions as an (N, |X|) array of element
+indices.  A convolution meets the argument values of each relation tuple
+through the meet table and folds the tuples ending at each point through
+the join table, for every lattice size; single applications are batches of
+one.  The subset algebra uses boolean relational images instead and shares
+no code with that kernel, so it stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .lattice import FiniteLattice
 from .structures import JOIN, MEET, RelStructure, is_p_morphism
 
 DEFAULT_BUDGET = 1_000_000
-_MEMO_CAP = 300_000
-_INTERN_CAP = 100_000
 
 
 class LFunction:
@@ -84,43 +84,36 @@ class ConvAlgebra:
         self.lattice = lattice
         self.structure = structure
         self.ordered = ordered
-        self._rel = [self._compile_relation(i) for i in range(len(structure.signature))]
-        if structure.order is not None:
-            xs, ys = np.where(structure.order)
-            self._order_pairs = (xs, ys)
-        else:
-            self._order_pairs = None
-        self._intern: dict = {}
-        self._memo: dict = {}
+        self._rel = [self._relation_tables(i) for i in range(len(structure.signature))]
+        self._order_pairs = (None if structure.order is None
+                             else np.where(structure.order))
         self._carrier: list[LFunction] | None = None
-        self._bot = self._lf((lattice.bottom,) * structure.carrier_size)
-        self._top = self._lf((lattice.top,) * structure.carrier_size)
+        self._bot = LFunction((lattice.bottom,) * structure.carrier_size, lattice)
+        self._top = LFunction((lattice.top,) * structure.carrier_size, lattice)
 
-    def _compile_relation(self, i: int):
+    def _relation_tables(self, i: int):
+        """(spec, cols, slots, count) for relation ``i``: ``cols[k]`` holds
+        the k-th input point of each tuple, row x of ``slots`` the tuples
+        ending at x, padded with ``count``, the index of the unit column."""
         spec = self.structure.signature.rel_specs[i]
-        tuples = sorted(self.structure.relations[i], key=lambda t: (t[-1],) + t[:-1])
-        if spec.arity == 0:
-            present = np.array(sorted(t[0] for t in tuples), dtype=np.int64)
-            return {"spec": spec, "present": present}
-        outs = np.array([t[-1] for t in tuples], dtype=np.int64)
-        cols = np.array([t[:-1] for t in tuples], dtype=np.int64).reshape(len(tuples), spec.arity)
-        seg = np.flatnonzero(np.diff(outs, prepend=outs[0] - 1 if len(outs) else 0)) \
-            if len(outs) else np.array([], dtype=np.int64)
-        return {"spec": spec, "outs": outs, "cols": cols,
-                "seg": seg, "present": outs[seg] if len(outs) else outs}
+        tuples = list(self.structure.relations[i])
+        preds = [[k for k, t in enumerate(tuples) if t[-1] == x]
+                 for x in range(self.structure.carrier_size)]
+        width = max(1, *map(len, preds))
+        slots = np.array([p + [len(tuples)] * (width - len(p)) for p in preds],
+                         dtype=np.intp)
+        cols = [np.array([t[k] for t in tuples], dtype=np.intp)
+                for k in range(spec.arity)]
+        return spec, cols, slots, len(tuples)
 
     # -- element plumbing ----------------------------------------------------
 
-    def _lf(self, values: tuple) -> LFunction:
-        found = self._intern.get(values)
-        if found is None:
-            found = LFunction(values, self.lattice)
-            if len(self._intern) < _INTERN_CAP:
-                self._intern[values] = found
-        return found
-
     def function(self, values: Iterable[int]) -> LFunction:
-        return self._lf(tuple(int(v) for v in values))
+        f = LFunction(values, self.lattice)
+        if len(f.values) != self.structure.carrier_size:
+            raise UnknownElement(f"{len(f.values)} values for a carrier of "
+                                 f"{self.structure.carrier_size} points")
+        return f
 
     def bot(self) -> LFunction:
         return self._bot
@@ -128,15 +121,25 @@ class ConvAlgebra:
     def top(self) -> LFunction:
         return self._top
 
-    def _check_arg(self, a: LFunction):
-        if a.lattice != self.lattice or len(a.values) != self.structure.carrier_size:
+    def _row(self, a: LFunction) -> np.ndarray:
+        """The value array of an element, which must live in this algebra."""
+        if ((a.lattice is not self.lattice and a.lattice != self.lattice)
+                or len(a.values) != self.structure.carrier_size):
             raise UnknownElement("function does not live in this algebra")
+        return a._np
+
+    def _element(self, row) -> LFunction:
+        return LFunction(row, self.lattice)
 
     def is_order_preserving(self, a: LFunction) -> bool:
+        return self._monotone(a._np)
+
+    def _monotone(self, values) -> bool:
         if self._order_pairs is None:
             return True
         xs, ys = self._order_pairs
-        return bool(self.lattice.leq[a._np[xs], a._np[ys]].all())
+        values = np.asarray(values)
+        return bool(self.lattice.leq[values[xs], values[ys]].all())
 
     def space_size(self) -> int:
         return self.lattice.size ** self.structure.carrier_size
@@ -152,10 +155,9 @@ class ConvAlgebra:
             raise BudgetExceeded(self.space_size(), cap)
         for values in product(range(self.lattice.size),
                               repeat=self.structure.carrier_size):
-            f = self._lf(values)
-            if self.ordered and not self.is_order_preserving(f):
+            if self.ordered and not self._monotone(values):
                 continue
-            yield f
+            yield LFunction(values, self.lattice)
 
     def carrier_list(self, budget: int | None = None) -> list[LFunction]:
         if self._carrier is None:
@@ -167,57 +169,57 @@ class ConvAlgebra:
             return self.space_size()
         return len(self.carrier_list(budget))
 
-    def random_element(self, rng) -> LFunction:
+    def _enumeration(self, budget: int | None = None):
+        """(count, decode): decode maps positions in the ``elements()``
+        order, as an integer array, to the value rows found there."""
         if self.ordered:
-            carrier = self.carrier_list()
-            return carrier[rng.randrange(len(carrier))]
-        k = self.lattice.size
-        return self._lf(tuple(rng.randrange(k)
-                              for _ in range(self.structure.carrier_size)))
+            rows = np.array([f.values for f in self.carrier_list(budget)])
+            return len(rows), rows.reshape(len(rows), -1).__getitem__
+        size, n = self.lattice.size, self.structure.carrier_size
+
+        def decode(idx):
+            radix = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+            return idx[:, None] // radix % size
+        return self.space_size(), decode
+
+    def _draw(self, rng) -> tuple:
+        """Values of a uniform random carrier element; an ordered algebra
+        draws functions until one is order preserving."""
+        k, n = self.lattice.size, self.structure.carrier_size
+        while True:
+            values = tuple(rng.randrange(k) for _ in range(n))
+            if not self.ordered or self._monotone(values):
+                return values
+
+    def random_element(self, rng) -> LFunction:
+        return LFunction(self._draw(rng), self.lattice)
 
     # -- pointwise lattice structure ------------------------------------------
-    # Results are memoized alongside relation applications (negative keys),
-    # which keeps exhaustive equation checks close to dictionary speed.
+    # The underscored forms act on value arrays of any batch shape.
+
+    def _meet(self, x, y):
+        return self.lattice.meet_np[x, y]
+
+    def _join(self, x, y):
+        return self.lattice.join_np[x, y]
+
+    def _neg(self, x):
+        return self.lattice.heyting_table()[x, self.lattice.bottom]
+
+    def _imp(self, x, y):
+        return self.lattice.heyting_table()[x, y]
 
     def meet(self, a: LFunction, b: LFunction) -> LFunction:
-        key = (-1, a, b)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._lf(tuple(self.lattice.meet_np[a._np, b._np].tolist()))
-            if len(self._memo) < _MEMO_CAP:
-                self._memo[key] = hit
-        return hit
+        return self._element(self._meet(a._np, b._np))
 
     def join(self, a: LFunction, b: LFunction) -> LFunction:
-        key = (-2, a, b)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._lf(tuple(self.lattice.join_np[a._np, b._np].tolist()))
-            if len(self._memo) < _MEMO_CAP:
-                self._memo[key] = hit
-        return hit
+        return self._element(self._join(a._np, b._np))
 
     def neg(self, a: LFunction) -> LFunction:
-        key = (-3, a)
-        hit = self._memo.get(key)
-        if hit is None:
-            lat = self.lattice
-            hit = self._lf(tuple(lat.heyting_implies(v, lat.bottom)
-                                 for v in a.values))
-            if len(self._memo) < _MEMO_CAP:
-                self._memo[key] = hit
-        return hit
+        return self._element(self._neg(a._np))
 
     def imp(self, a: LFunction, b: LFunction) -> LFunction:
-        key = (-4, a, b)
-        hit = self._memo.get(key)
-        if hit is None:
-            lat = self.lattice
-            hit = self._lf(tuple(lat.heyting_implies(x, y)
-                                 for x, y in zip(a.values, b.values)))
-            if len(self._memo) < _MEMO_CAP:
-                self._memo[key] = hit
-        return hit
+        return self._element(self._imp(a._np, b._np))
 
     def le(self, a: LFunction, b: LFunction) -> bool:
         return a.le(b)
@@ -227,81 +229,56 @@ class ConvAlgebra:
     def conv(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Join convolution of relation ``rel`` applied to ``args``."""
         i = self.structure.relation(rel)
-        if self._rel[i]["spec"].mode != JOIN:
-            raise WrongMode(f"relation {self._rel[i]['spec'].name!r} is meet-convolved")
-        return self._apply(i, tuple(args))
+        if self._rel[i][0].mode != JOIN:
+            raise WrongMode(f"relation {self._rel[i][0].name!r} is meet-convolved")
+        return self._apply(i, args)
 
     def dual_conv(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Meet convolution of relation ``rel`` applied to ``args``."""
         i = self.structure.relation(rel)
-        if self._rel[i]["spec"].mode != MEET:
-            raise WrongMode(f"relation {self._rel[i]['spec'].name!r} is join-convolved")
-        return self._apply(i, tuple(args))
+        if self._rel[i][0].mode != MEET:
+            raise WrongMode(f"relation {self._rel[i][0].name!r} is join-convolved")
+        return self._apply(i, args)
 
     def op(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Apply a relation's operation, dispatching on its declared mode."""
-        return self._apply(self.structure.relation(rel), tuple(args))
+        return self._apply(self.structure.relation(rel), args)
 
     def op_resolver(self, name):
         """Pre-resolve a relation name to a one-argument applier."""
         i = self.structure.relation(name)
         return lambda args: self._apply(i, args)
 
-    def _apply(self, i: int, args: tuple) -> LFunction:
-        info = self._rel[i]
-        spec = info["spec"]
+    def _apply(self, i: int, args: Sequence[LFunction]) -> LFunction:
+        return self._element(self._eval(i, [self._row(a) for a in args]))
+
+    def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
+        """Relation ``i`` applied to value arrays of shape (N, |X|).
+
+        Arguments broadcast against each other like numpy arrays, so a
+        single function may be passed as shape (|X|,).
+        """
+        spec, cols, slots, count = self._rel[i]
         if len(args) != spec.arity:
             raise ArityMismatch(
                 f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
-        for a in args:
-            self._check_arg(a)
-        key = (i, args)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(info, spec, args)
-        if len(self._memo) < _MEMO_CAP:
-            self._memo[key] = out
-        return out
-
-    def _eval(self, info, spec, args: tuple) -> LFunction:
         lat = self.lattice
-        n_car = self.structure.carrier_size
-        unit = lat.bottom if spec.mode == JOIN else lat.top
-        if spec.arity == 0:
-            mark = lat.top if spec.mode == JOIN else lat.bottom
-            vals = [unit] * n_car
-            for x in info["present"].tolist():
-                vals[x] = mark
-            return self._lf(tuple(vals))
-        outs = info["outs"]
-        if len(outs) == 0:
-            return self._lf((unit,) * n_car)
-        cols = info["cols"]
-        inner = lat.meet_np if spec.mode == JOIN else lat.join_np
-        vals = args[0]._np[cols[:, 0]]
-        for k in range(1, spec.arity):
-            vals = inner[vals, args[k]._np[cols[:, k]]]
-        if lat.upmask is not None:
-            if spec.mode == JOIN:
-                masks = lat.upmask[vals]
-                reduced = np.bitwise_and.reduceat(masks, info["seg"])
-                idx = np.searchsorted(lat._up_sorted, reduced)
-                elems = lat._up_perm[idx]
-            else:
-                masks = lat.downmask[vals]
-                reduced = np.bitwise_and.reduceat(masks, info["seg"])
-                idx = np.searchsorted(lat._down_sorted, reduced)
-                elems = lat._down_perm[idx]
-            res = np.full(n_car, unit, dtype=np.int64)
-            res[info["present"]] = elems
-            return self._lf(tuple(res.tolist()))
-        # Fallback fold for lattices too large for 62-bit masks.
-        outer = lat.join_table if spec.mode == JOIN else lat.meet_table
-        res = [unit] * n_car
-        for v, x in zip(vals.tolist(), outs.tolist()):
-            res[x] = outer[res[x]][v]
-        return self._lf(tuple(res))
+        if spec.mode == JOIN:
+            inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
+        else:
+            inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
+        if args:
+            vals = args[0][..., cols[0]]
+            for a, c in zip(args[1:], cols[1:]):
+                vals = inner[vals, a[..., c]]
+        else:  # every tuple contributes the empty inner fold
+            vals = np.full(count, mark, dtype=np.int64)
+        vals = np.concatenate(
+            [vals, np.full(vals.shape[:-1] + (1,), unit, dtype=vals.dtype)], axis=-1)
+        out = vals[..., slots[:, 0]]
+        for j in range(1, slots.shape[1]):
+            out = outer[out, vals[..., slots[:, j]]]
+        return out
 
 
 class SubsetAlgebra:
@@ -309,17 +286,19 @@ class SubsetAlgebra:
 
     Join relations act by relational image; meet relations by the dual
     image (x is in the output iff every predecessor tuple meets the
-    arguments somewhere).
+    arguments somewhere).  Batched values are boolean arrays of shape
+    (N, |X|), one subset per row.
     """
 
     def __init__(self, structure: RelStructure):
         self.structure = structure
-        self._full = frozenset(range(structure.carrier_size))
-        self._preds = [
-            {x: [t[:-1] for t in rel if t[-1] == x]
-             for x in range(structure.carrier_size)}
-            for rel in structure.relations
-        ]
+        n = structure.carrier_size
+        self._full = frozenset(range(n))
+        # Per relation: the input points of each tuple, and its output as a row.
+        self._images = []
+        for spec, rel in zip(structure.signature.rel_specs, structure.relations):
+            tuples = np.array(sorted(rel), dtype=np.intp).reshape(len(rel), spec.arity + 1)
+            self._images.append((tuples[:, :-1].T, tuples[:, -1:] == np.arange(n)))
 
     def bot(self) -> frozenset:
         return frozenset()
@@ -333,6 +312,9 @@ class SubsetAlgebra:
     def join(self, a: frozenset, b: frozenset) -> frozenset:
         return a | b
 
+    # The same operators meet and join boolean arrays of rows.
+    _meet, _join = meet, join
+
     def neg(self, a: frozenset) -> frozenset:
         return self._full - a
 
@@ -341,6 +323,18 @@ class SubsetAlgebra:
 
     def le(self, a: frozenset, b: frozenset) -> bool:
         return a <= b
+
+    def _row(self, a: frozenset) -> np.ndarray:
+        return np.isin(np.arange(self.structure.carrier_size), list(a))
+
+    def _element(self, row) -> frozenset:
+        return frozenset(x for x, bit in enumerate(row) if bit)
+
+    def _neg(self, x):
+        return ~x
+
+    def _imp(self, x, y):
+        return ~x | y
 
     def space_size(self) -> int:
         return 2 ** self.structure.carrier_size
@@ -359,35 +353,43 @@ class SubsetAlgebra:
     def carrier_list(self, budget: int | None = None) -> list[frozenset]:
         return list(self.elements(budget))
 
-    def random_element(self, rng) -> frozenset:
+    def _enumeration(self, budget: int | None = None):
+        """(count, decode), as for ConvAlgebra: position m is the subset
+        whose members are the set bits of m."""
+        bits = np.arange(self.structure.carrier_size)
+        return self.space_size(), lambda idx: (idx[:, None] >> bits & 1).astype(bool)
+
+    def _draw(self, rng) -> tuple:
         mask = rng.randrange(self.space_size())
-        return frozenset(i for i in range(self.structure.carrier_size)
-                         if mask >> i & 1)
+        return tuple(bool(mask >> i & 1) for i in range(self.structure.carrier_size))
+
+    def random_element(self, rng) -> frozenset:
+        return self._element(self._draw(rng))
 
     def op(self, rel, args: Sequence[frozenset]) -> frozenset:
-        return self._apply(self.structure.relation(rel), tuple(args))
+        return self._apply(self.structure.relation(rel), args)
 
     def op_resolver(self, name):
         """Pre-resolve a relation name to a one-argument applier."""
         i = self.structure.relation(name)
         return lambda args: self._apply(i, args)
 
-    def _apply(self, i: int, args: tuple) -> frozenset:
+    def _apply(self, i: int, args: Sequence[frozenset]) -> frozenset:
+        return self._element(self._eval(i, [self._row(a) for a in args]))
+
+    def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
+        """Relational image of boolean argument arrays of shape (N, |X|)."""
         spec = self.structure.signature.rel_specs[i]
         if len(args) != spec.arity:
             raise ArityMismatch(
                 f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
-        preds = self._preds[i]
-        out = set()
-        if spec.mode == JOIN:
-            for x, ts in preds.items():
-                if any(all(t[j] in args[j] for j in range(spec.arity)) for t in ts):
-                    out.add(x)
-        else:
-            for x, ts in preds.items():
-                if all(any(t[j] in args[j] for j in range(spec.arity)) for t in ts):
-                    out.add(x)
-        return frozenset(out)
+        cols, into = self._images[i]
+        # hit[.., t]: tuple t meets every argument (join) or misses them all (meet)
+        hit = np.ones(len(into), dtype=bool)
+        for a, c in zip(args, cols):
+            hit = hit & (a[..., c] if spec.mode == JOIN else ~a[..., c])
+        reached = hit @ into
+        return reached if spec.mode == JOIN else ~reached
 
 
 # -- canonical isomorphisms ---------------------------------------------------

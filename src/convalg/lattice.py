@@ -63,20 +63,8 @@ class FiniteLattice:
         self.is_distributive = self._scan_distributive()
         self.is_boolean = self.is_distributive and self._scan_complemented()
         self.factors = factors
-        self._imp_table = None
+        self._imp_np = None
         self._hash = hash((self.labels, leq.tobytes()))
-        # Bitmask caches used by the vectorized convolution engine.
-        if n <= 62:
-            weights = 1 << np.arange(n, dtype=np.int64)
-            self.upmask = (leq * weights[None, :]).sum(axis=1)
-            self.downmask = (leq * weights[:, None]).sum(axis=0)
-            self._up_sorted = np.sort(self.upmask)
-            self._up_perm = np.argsort(self.upmask)
-            self._down_sorted = np.sort(self.downmask)
-            self._down_perm = np.argsort(self.downmask)
-        else:
-            self.upmask = None
-            self.downmask = None
         self.meet_np = np.array(self.meet_table, dtype=np.int64)
         self.join_np = np.array(self.join_table, dtype=np.int64)
         self.meet_np.flags.writeable = False
@@ -188,22 +176,26 @@ class FiniteLattice:
 
     # -- Heyting structure ---------------------------------------------------
 
-    def heyting_implies(self, a: int, b: int) -> int:
-        """Relative pseudocomplement: the largest c with a /\\ c <= b."""
+    def heyting_table(self) -> np.ndarray:
+        """Read-only table of the relative pseudocomplement, ``[a, b]`` = a -> b."""
         if not self.is_distributive:
             raise NotHeyting("relative pseudocomplement needs a distributive lattice")
-        a = self.check_element(a)
-        b = self.check_element(b)
-        if self._imp_table is None:
+        if self._imp_np is None:
             n = self.size
             meet = self.meet_table
             leq = self.leq
-            self._imp_table = tuple(
-                tuple(self.join(c for c in range(n) if leq[meet[x][c], y])
-                      for y in range(n))
-                for x in range(n)
-            )
-        return self._imp_table[a][b]
+            table = np.array(
+                [[self.join(c for c in range(n) if leq[meet[x][c], y])
+                  for y in range(n)]
+                 for x in range(n)], dtype=np.int64)
+            table.flags.writeable = False
+            self._imp_np = table
+        return self._imp_np
+
+    def heyting_implies(self, a: int, b: int) -> int:
+        """Relative pseudocomplement: the largest c with a /\\ c <= b."""
+        table = self.heyting_table()
+        return int(table[self.check_element(a), self.check_element(b)])
 
     def pseudocomplement(self, a: int) -> int:
         return self.heyting_implies(a, self.bottom)

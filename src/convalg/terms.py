@@ -6,8 +6,12 @@ Grammar (s-expressions): atoms are variable names, keywords ``bot`` and
 spelling of a bare variable; the printer always emits the bare form.
 
 Terms evaluate over a convolution algebra, a subset algebra, or a bare
-lattice.  Equations are decided by exhaustive enumeration of assignments
-in a documented order, or by seeded sampling; the least counterexample in
+lattice, which is treated as L^1 over a one-point structure with no
+relations.  One evaluator serves single evaluations and equation checks: it
+walks the term once per batch of assignments, each variable bound to an
+array of value rows, and calls the algebra's batched operations.
+Equations are decided by exhaustive enumeration of assignments in a
+documented order, or by seeded sampling; the least counterexample in
 enumeration order is reported, so failures are reproducible.
 """
 
@@ -15,14 +19,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
+
+import numpy as np
 
 from .convolution import DEFAULT_BUDGET, ConvAlgebra, SubsetAlgebra
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
 from .lattice import FiniteLattice
-from .structures import Signature
+from .structures import RelStructure, Signature
 
 
 @dataclass(frozen=True)
@@ -221,134 +226,97 @@ def parse_equation(doc, sig: Signature | None = None) -> Equation:
 # -- evaluation ---------------------------------------------------------------
 
 
-class _LatticeView:
-    """Adapter letting a bare lattice act as an algebra without operations."""
-
-    def __init__(self, lat: FiniteLattice):
-        self.lattice = lat
-
-    def bot(self):
-        return self.lattice.bottom
-
-    def top(self):
-        return self.lattice.top
-
-    def meet(self, a, b):
-        return self.lattice.meet_table[a][b]
-
-    def join(self, a, b):
-        return self.lattice.join_table[a][b]
-
-    def neg(self, a):
-        return self.lattice.pseudocomplement(a)
-
-    def imp(self, a, b):
-        return self.lattice.heyting_implies(a, b)
-
-    def le(self, a, b):
-        return bool(self.lattice.leq[a, b])
-
-    def op(self, name, args):
-        raise UnknownOperation(f"a bare lattice has no operation {name!r}")
-
-    def op_resolver(self, name):
-        raise UnknownOperation(f"a bare lattice has no operation {name!r}")
-
-    def elements(self, budget=None):
-        return iter(range(self.lattice.size))
-
-    def carrier_list(self, budget=None):
-        return list(range(self.lattice.size))
-
-    def carrier_count(self, budget=None):
-        return self.lattice.size
-
-    def random_element(self, rng):
-        return rng.randrange(self.lattice.size)
-
-
 Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 
+# Chunks of assignments are sized so that no intermediate array holds more
+# than _CHUNK_ENTRIES values.  The first chunk is small, so that an early
+# counterexample costs little; later chunks grow to that limit.
+_CHUNK_ENTRIES = 1 << 18
+_FIRST_ROWS = 64
 
-def _view(algebra):
-    return _LatticeView(algebra) if isinstance(algebra, FiniteLattice) else algebra
+
+def _batch_algebra(algebra):
+    """(batch algebra, element -> row, row -> element) for any algebra.
+
+    A bare lattice L is evaluated as L^1 over a one-point structure with an
+    empty signature; its elements stay lattice indices.
+    """
+    if isinstance(algebra, FiniteLattice):
+        point = ConvAlgebra(algebra, RelStructure(1, Signature(()), []))
+        return (point, lambda v: np.array([algebra.check_element(v)]),
+                lambda row: int(row[0]))
+    return algebra, algebra._row, algebra._element
 
 
 def _check_heyting(algebra):
     if isinstance(algebra, ConvAlgebra) and not algebra.lattice.is_distributive:
         raise NotHeyting("neg/imp need a distributive lattice")
-    if isinstance(algebra, _LatticeView) and not algebra.lattice.is_distributive:
-        raise NotHeyting("neg/imp need a distributive lattice")
 
 
-def eval_term(t: Term, algebra: Algebra, assignment: dict):
-    """Compositional evaluation; relation symbols dispatch by their mode."""
-    a = _view(algebra)
-    return _eval(t, a, assignment)
-
-
-def _eval(t: Term, a, env: dict):
+def _value(t: Term, alg, env: dict):
+    """Value array of ``t``; ``env`` maps variables to arrays of rows."""
     if isinstance(t, Var):
         try:
             return env[t.name]
         except KeyError:
             raise UnboundVariable(f"variable {t.name!r} is not assigned") from None
     if isinstance(t, Bot):
-        return a.bot()
+        return alg._row(alg.bot())
     if isinstance(t, Top):
-        return a.top()
+        return alg._row(alg.top())
     if isinstance(t, Meet):
-        return a.meet(_eval(t.lhs, a, env), _eval(t.rhs, a, env))
+        return alg._meet(_value(t.lhs, alg, env), _value(t.rhs, alg, env))
     if isinstance(t, Join):
-        return a.join(_eval(t.lhs, a, env), _eval(t.rhs, a, env))
+        return alg._join(_value(t.lhs, alg, env), _value(t.rhs, alg, env))
     if isinstance(t, Neg):
-        _check_heyting(a)
-        return a.neg(_eval(t.arg, a, env))
+        _check_heyting(alg)
+        return alg._neg(_value(t.arg, alg, env))
     if isinstance(t, Imp):
-        _check_heyting(a)
-        return a.imp(_eval(t.lhs, a, env), _eval(t.rhs, a, env))
-    return a.op(t.name, tuple(_eval(x, a, env) for x in t.args))
+        _check_heyting(alg)
+        return alg._imp(_value(t.lhs, alg, env), _value(t.rhs, alg, env))
+    return alg._eval(alg.structure.relation(t.name),
+                     [_value(x, alg, env) for x in t.args])
 
 
-def _compile(t: Term, a, pos: dict):
-    """Compile a term to a closure over a positional assignment tuple.
+def eval_term(t: Term, algebra: Algebra, assignment: dict):
+    """Compositional evaluation; relation symbols dispatch by their mode."""
+    alg, to_row, to_element = _batch_algebra(algebra)
+    env = {name: to_row(v) for name, v in assignment.items()}
+    return to_element(_value(t, alg, env))
 
-    Used by the exhaustive/sampled checkers, where per-assignment dispatch
-    would dominate; `eval_term` keeps the plain recursive route.
-    """
-    if isinstance(t, Var):
-        i = pos[t.name]
-        return lambda env: env[i]
-    if isinstance(t, Bot):
-        c = a.bot()
-        return lambda env: c
-    if isinstance(t, Top):
-        c = a.top()
-        return lambda env: c
-    if isinstance(t, (Meet, Join, Imp)):
-        if isinstance(t, Imp):
-            _check_heyting(a)
-        fn = {Meet: a.meet, Join: a.join, Imp: a.imp}[type(t)]
-        left = _compile(t.lhs, a, pos)
-        right = _compile(t.rhs, a, pos)
-        return lambda env: fn(left(env), right(env))
-    if isinstance(t, Neg):
-        _check_heyting(a)
-        fn = a.neg
-        sub = _compile(t.arg, a, pos)
-        return lambda env: fn(sub(env))
-    call = a.op_resolver(t.name)
-    subs = tuple(_compile(x, a, pos) for x in t.args)
-    if not subs:
-        c = call(())
-        return lambda env: c
-    if len(subs) == 1:
-        s0, = subs
-        return lambda env: call((s0(env),))
-    if len(subs) == 2:
-        s0, s1 = subs
-        return lambda env: call((s0(env), s1(env)))
-    return lambda env: call(tuple(s(env) for s in subs))
+
+def _chunks(total: int, alg):
+    """Bounds (start, stop) covering range(total) in order: a small first
+    chunk, then growing ones of at most _CHUNK_ENTRIES values per array."""
+    widest = alg.structure.carrier_size + max(map(len, alg.structure.relations),
+                                              default=0)
+    start, rows = 0, _FIRST_ROWS
+    while start < total:
+        stop = min(total, start + rows)
+        yield start, stop
+        start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // widest))
+
+
+def _grid(alg, k: int, budget: int):
+    """(total, rows): ``rows(start, stop)`` gives one array of value rows
+    per position for k-tuples start..stop-1 in ``itertools.product`` order."""
+    count, decode = alg._enumeration(budget) if k else (1, None)
+
+    def rows(start, stop):
+        idx, digits = np.arange(start, stop), []
+        for _ in range(k):
+            idx, digit = np.divmod(idx, count)
+            digits.append(decode(digit))
+        return digits[::-1]
+    return count ** k, rows
+
+
+def _samples(alg, k: int, rng):
+    """``rows`` as for _grid, over consecutive random k-tuples from ``rng``."""
+    def rows(start, stop):
+        combos = [[alg._draw(rng) for _ in range(k)] for _ in range(start, stop)]
+        return [np.array([c[j] for c in combos]) for j in range(k)]
+    return rows
 
 
 # -- validity checking ---------------------------------------------------------
@@ -410,36 +378,44 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     larger than the budget; mode 'sample' draws ``samples`` assignments
     from a generator seeded with ``seed``; mode 'auto' picks exhaustive
     when affordable and otherwise samples.  Sampling is sound (reported
-    counterexamples are real) but not complete.
+    counterexamples are real) but not complete.  Ordered algebras are
+    sampled by drawing functions and rejecting the non-monotone ones, so
+    sampling never enumerates their carrier.
+
+    Both sides are evaluated over chunks of assignments at once: the
+    exhaustive grid in ``itertools.product`` order of the carrier (so the
+    first mismatch is the least counterexample), or the samples in the
+    order they are drawn.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
-    a = _view(algebra)
+    alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
-    total = a.carrier_count(cap) ** len(names)
-    pos = {name: k for k, name in enumerate(names)}
-    lhs = _compile(eq.lhs, a, pos)
-    rhs = _compile(eq.rhs, a, pos)
-
     if mode == "auto":
-        mode = "exhaustive" if total <= cap else "sample"
+        try:
+            total = alg.carrier_count(cap) ** len(names) if names else 1
+        except BudgetExceeded:  # an ordered carrier too large to enumerate
+            total = None
+        mode = "exhaustive" if total is not None and total <= cap else "sample"
     if mode == "exhaustive":
+        total, rows = _grid(alg, len(names), cap)
         if total > cap:
             raise BudgetExceeded(total, cap)
-        carrier = a.carrier_list(cap)
-        tried = 0
-        for combo in product(carrier, repeat=len(names)):
-            tried += 1
-            if lhs(combo) != rhs(combo):
-                return Verdict("counterexample", assignment=dict(zip(names, combo)),
-                               tried=tried, budget=cap)
-        return Verdict("valid_exhaustive", tried=tried, budget=cap)
-    if mode == "sample":
-        n = samples if samples is not None else min(cap, 10_000)
-        rng = random.Random(seed)
-        for k in range(n):
-            combo = tuple(a.random_element(rng) for _ in names)
-            if lhs(combo) != rhs(combo):
-                return Verdict("counterexample", assignment=dict(zip(names, combo)),
-                               tried=k + 1, samples=n, seed=seed, budget=cap)
-        return Verdict("valid_sampled", tried=n, samples=n, seed=seed, budget=cap)
-    raise ValueError(f"unknown mode {mode!r}")
+        sampling = {}
+    elif mode == "sample":
+        total = samples if samples is not None else min(cap, 10_000)
+        rows = _samples(alg, len(names), random.Random(seed))
+        sampling = {"samples": total, "seed": seed}
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    for start, stop in _chunks(total, alg):
+        env = dict(zip(names, rows(start, stop)))
+        differ = np.any(_value(eq.lhs, alg, env) != _value(eq.rhs, alg, env), axis=-1)
+        hits = np.flatnonzero(np.broadcast_to(differ, (stop - start,)))
+        if hits.size:
+            j = int(hits[0])
+            return Verdict("counterexample",
+                           assignment={k: to_element(v[j]) for k, v in env.items()},
+                           tried=start + j + 1, budget=cap, **sampling)
+    status = "valid_sampled" if sampling else "valid_exhaustive"
+    return Verdict(status, tried=total, budget=cap, **sampling)

@@ -197,6 +197,14 @@ def test_equation_transfer_distributive_and_one_way():
     assert r.status == "pass"
 
 
+def test_equation_transfer_counts_generator_input():
+    z2 = cyclic_group(2)
+    pool = default_equation_pool(z2.signature)
+    r = check_equation_transfer((lat for lat in [chain(3), n5()]), z2, pool)
+    assert r.status == "pass"
+    assert r.stats["lattices"] == 2
+
+
 def test_equation_transfer_rejects_heyting_terms():
     z2 = cyclic_group(2)
     with pytest.raises(NotHeyting):

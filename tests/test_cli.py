@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,14 @@ def test_eval_subcommand(capsys):
                     "--assign", '{"x": ["1", "2"], "y": ["2", "1"]}')
     assert code == 0
     assert lines(out)[0]["result"] == ["1", "2"]
+
+
+def test_eval_rejects_literal_of_wrong_length(capsys):
+    code, out = run(capsys, "eval", "--lattice", "chain3", "--structure", "Z2",
+                    "--term", "(meet x y)",
+                    "--assign", '{"x": ["2"], "y": ["1", "2"]}')
+    assert code == 2
+    assert lines(out)[0]["error"] == "UnknownElement"
 
 
 def test_lattice_check_file_and_catalog(capsys, tmp_path):
@@ -157,3 +166,13 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     path.write_text("{not json")
     code, out = run(capsys, "lattice", "check", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
+    # The report stream recorded before the batched evaluation core landed.
+    monkeypatch.delenv("CONVALG_BUDGET", raising=False)
+    code, out = run(capsys, "suite", "run", "paper-core", "--seed", str(seed))
+    assert code == 0
+    pinned = Path(__file__).parent / "data" / f"paper-core-seed{seed}.txt"
+    assert out.encode() == pinned.read_bytes()

@@ -2,16 +2,19 @@
 
 The oracle below evaluates the defining formulas directly: it walks the
 relation tuples, computes meets/joins by scanning the order matrix, and
-never touches the precomputed tables, bitmask machinery, or memo caches of
-the implementation under test.
+never touches the precomputed tables or the batched kernel of the
+implementation under test.
 """
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from convalg.catalog import boolean, chain, structure_pool
+from convalg.catalog import boolean, chain, m3, n5, structure_pool
 from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra,
                                  delta_decompose, enumerate_functions,
                                  is_lattice_morphism, iso_phi, iso_phi_inv,
@@ -23,6 +26,8 @@ from convalg.errors import (ArityMismatch, BudgetExceeded, NotAMorphism,
                             UnknownElement, WrongMode)
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
                                 full_structure, signature)
+from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
+                           Var, check_equation, eval_term)
 
 
 def chain3():
@@ -69,9 +74,8 @@ def oracle_conv(lat, structure, i, arg_values, mode):
 
 
 def test_large_lattice_fallback_matches_oracle():
-    # 64 elements exceed the bitmask width, forcing the plain fold path.
+    # A 64-element lattice, larger than any the suites use.
     lat = boolean(6)
-    assert lat.upmask is None
     rng = random.Random(11)
     structure = z2()
     algebra = ConvAlgebra(lat, structure)
@@ -105,6 +109,148 @@ def test_conv_ops_match_oracle_across_pool():
                     want = oracle_conv(lat, structure, i,
                                        [a.values for a in args], spec.mode)
                     assert got.values == want, (name, spec.name, args)
+
+
+# -- random terms against the oracles -------------------------------------------
+
+
+def oracle_imp(lat, a, b):
+    """Largest c with a /\\ c <= b, found by scanning."""
+    return oracle_lub_set(lat, [c for c in range(lat.size)
+                                if lat.leq[oracle_glb_set(lat, [a, c]), b]])
+
+
+def oracle_term(t, lat, structure, env):
+    """Definition-level value of a term; env maps variables to value tuples."""
+    n = structure.carrier_size
+
+    def pointwise(f, *parts):
+        return tuple(f(*vals) for vals in zip(*parts))
+
+    def sub(u):
+        return oracle_term(u, lat, structure, env)
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Bot):
+        return (oracle_glb_set(lat, range(lat.size)),) * n
+    if isinstance(t, Top):
+        return (oracle_lub_set(lat, range(lat.size)),) * n
+    if isinstance(t, Meet):
+        return pointwise(lambda a, b: oracle_glb_set(lat, [a, b]), sub(t.lhs), sub(t.rhs))
+    if isinstance(t, Join):
+        return pointwise(lambda a, b: oracle_lub_set(lat, [a, b]), sub(t.lhs), sub(t.rhs))
+    if isinstance(t, Neg):
+        bottom = oracle_glb_set(lat, range(lat.size))
+        return pointwise(lambda a: oracle_imp(lat, a, bottom), sub(t.arg))
+    if isinstance(t, Imp):
+        return pointwise(lambda a, b: oracle_imp(lat, a, b), sub(t.lhs), sub(t.rhs))
+    i = structure.signature.index(t.name)
+    return oracle_conv(lat, structure, i, [sub(u) for u in t.args],
+                       structure.signature.rel_specs[i].mode)
+
+
+@lru_cache(maxsize=None)
+def catalog_lattices():
+    small = (chain(2), chain(3), chain(4), boolean(2), m3(), n5(),
+             chain(2).product(chain(3)))
+    return small, (boolean(3), chain(3).product(chain(3))), (boolean(6), chain(70))
+
+
+@st.composite
+def lattices(draw):
+    small, parents, large = catalog_lattices()
+    kind = draw(st.sampled_from(["small"] * 6 + ["sublattice"] * 3 + ["large"]))
+    if kind == "small":
+        return draw(st.sampled_from(small))
+    if kind == "large":
+        return draw(st.sampled_from(large))
+    parent = draw(st.sampled_from(parents))
+    gens = draw(st.lists(st.integers(0, parent.size - 1), max_size=3))
+    return parent.generated_sublattice(gens)[0]
+
+
+@st.composite
+def structures(draw):
+    n = draw(st.integers(1, 3))
+    specs, rels = [], []
+    for k in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(0, 2))
+        specs.append((f"r{k}", arity, draw(st.sampled_from([JOIN, MEET]))))
+        point = st.integers(0, n - 1)
+        rels.append(draw(st.sets(st.tuples(*[point] * (arity + 1)), max_size=6)))
+    return build_structure(n, signature(*specs), rels)
+
+
+def terms(specs, heyting: bool):
+    leaves = st.sampled_from([Var("x"), Var("y"), Bot(), Top()])
+
+    def extend(sub):
+        forms = [st.builds(Meet, sub, sub), st.builds(Join, sub, sub)]
+        for spec in specs:
+            forms.append(st.tuples(*[sub] * spec.arity)
+                         .map(lambda args, name=spec.name: RelOp(name, args)))
+        if heyting:
+            forms += [st.builds(Neg, sub), st.builds(Imp, sub, sub)]
+        return st.one_of(forms)
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_batched_evaluation_matches_oracles(data):
+    """Random lattices, structures (arities 0-2, both modes) and terms
+    (with neg/imp over distributive lattices): single evaluations match the
+    definition-level oracle and, over two elements, the subset algebra via
+    iso_phi; exhaustive and sampled verdicts match a loop over the oracle."""
+    lat = data.draw(lattices())
+    structure = data.draw(structures())
+    algebra = ConvAlgebra(lat, structure)
+    term = terms(structure.signature.rel_specs, lat.is_distributive)
+    eq = Equation(data.draw(term), data.draw(term))
+    names = eq.variables()
+    n = structure.carrier_size
+    value = st.tuples(*[st.integers(0, lat.size - 1)] * n)
+
+    for _ in range(2):
+        env = {"x": data.draw(value), "y": data.draw(value)}
+        funcs = {k: algebra.function(v) for k, v in env.items()}
+        got = eval_term(eq.lhs, algebra, funcs)
+        assert got.values == oracle_term(eq.lhs, lat, structure, env)
+        if lat.size == 2:
+            subsets = {k: iso_phi(f) for k, f in funcs.items()}
+            assert eval_term(eq.lhs, SubsetAlgebra(structure), subsets) == iso_phi(got)
+
+    def first_difference(combos):
+        for k, combo in enumerate(combos):
+            env = dict(zip(names, combo))
+            if oracle_term(eq.lhs, lat, structure, env) != \
+                    oracle_term(eq.rhs, lat, structure, env):
+                return k + 1, {name: algebra.function(v) for name, v in env.items()}
+        return None
+
+    def agrees(verdict, expect, valid_status, count):
+        if expect is None:
+            return (verdict.status, verdict.tried) == (valid_status, count)
+        return (verdict.status, verdict.tried, verdict.assignment) == \
+            ("counterexample",) + expect
+
+    total = (lat.size ** n) ** len(names)
+    if lat.size <= 8 and total <= 100:
+        carrier = [f.values for f in algebra.carrier_list()]
+        verdict = check_equation(eq, algebra, mode="exhaustive")
+        assert agrees(verdict, first_difference(product(carrier, repeat=len(names))),
+                      "valid_exhaustive", total)
+        if lat.size == 2:
+            subsets = check_equation(eq, SubsetAlgebra(structure), mode="exhaustive")
+            assert subsets.is_valid == verdict.is_valid
+
+    seed = data.draw(st.integers(0, 2 ** 16))
+    verdict = check_equation(eq, algebra, mode="sample", samples=12, seed=seed)
+    rng = random.Random(seed)
+    draws = [[tuple(rng.randrange(lat.size) for _ in range(n)) for _ in names]
+             for _ in range(12)]
+    assert agrees(verdict, first_difference(draws), "valid_sampled", 12)
 
 
 # -- pinned examples --------------------------------------------------------------

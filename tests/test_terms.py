@@ -1,7 +1,5 @@
 """Parser, evaluator, and equation checking."""
 
-import random
-
 import pytest
 
 from convalg.catalog import boolean, chain
@@ -13,7 +11,7 @@ from convalg.lattice import build_lattice
 from convalg.structures import build_structure, from_group, signature
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
                            Var, check_equation, eval_term, parse_equation,
-                           parse_term, to_sexpr, _compile, _view)
+                           parse_term, to_sexpr)
 
 
 def z2():
@@ -142,39 +140,6 @@ def test_eval_neg_requires_distributive():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         eval_term(parse_term("(meet x y)"), chain(2), {"x": 0})
-
-
-def test_compiled_and_interpreted_agree_on_random_terms():
-    rng = random.Random(3)
-    lat = chain(3)
-    algebra = ConvAlgebra(lat, z2())
-    names = ["x", "y"]
-    ops = [s.name for s in z2().signature.rel_specs]
-    spec_by_name = {s.name: s for s in z2().signature.rel_specs}
-
-    def random_term(depth):
-        if depth == 0:
-            return rng.choice([Var(rng.choice(names)), Bot(), Top()])
-        kind = rng.randrange(4)
-        if kind == 0:
-            return Meet(random_term(depth - 1), random_term(depth - 1))
-        if kind == 1:
-            return Join(random_term(depth - 1), random_term(depth - 1))
-        if kind == 2:
-            name = rng.choice(ops)
-            return RelOp(name, tuple(random_term(depth - 1)
-                                     for _ in range(spec_by_name[name].arity)))
-        return Neg(random_term(depth - 1))
-
-    view = _view(algebra)
-    for _ in range(60):
-        t = random_term(3)
-        pos = {n: i for i, n in enumerate(names)}
-        compiled = _compile(t, view, pos)
-        for _ in range(5):
-            combo = tuple(algebra.random_element(rng) for _ in names)
-            env = dict(zip(names, combo))
-            assert compiled(combo) == eval_term(t, algebra, env)
 
 
 # -- equation checking ----------------------------------------------------------------
@@ -312,3 +277,23 @@ def test_ordered_carrier_restricts_variables():
     eq = Equation(Var("x"), Var("x"))
     v = check_equation(eq, algebra)
     assert v.tried == 3  # only the order-preserving functions
+
+
+def test_ordered_algebra_samples_over_budget():
+    # 4**3 = 64 functions exceed the budget of 63, so both auto and sample
+    # mode draw functions and keep the order-preserving ones.
+    full = {(a, b) for a in range(3) for b in range(3)}
+    s = build_structure(3, signature(("f", 1, "join")), [full],
+                        order_pairs=[(0, 1), (1, 2)])
+    algebra = ConvAlgebra(chain(4), s, ordered=True)
+    law = parse_equation({"lhs": "(meet x (join x (op f x)))", "rhs": "x"},
+                         s.signature)
+    for mode in ("auto", "sample"):
+        v = check_equation(law, algebra, mode=mode, budget=63, seed=5)
+        assert v.status == "valid_sampled" and v.tried == 63
+    wrong = parse_equation({"lhs": "(op f x)", "rhs": "x"}, s.signature)
+    v = check_equation(wrong, algebra, budget=63, seed=5)
+    assert v.status == "counterexample"
+    assert algebra.is_order_preserving(v.assignment["x"])
+    with pytest.raises(BudgetExceeded):
+        check_equation(law, algebra, mode="exhaustive", budget=63)
