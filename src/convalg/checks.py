@@ -102,13 +102,14 @@ def _eq_verdicts(algebra, equations, mode="auto", samples=None, seed=0,
 # -- operator laws (additivity / multiplicativity) ---------------------------
 
 
-def _subset_folds(table, unit, values):
-    """Row m: ``unit`` folded through ``table`` with values[j] for each set
-    bit j of m, in increasing j.  A DP over subset masks: the rows for masks
-    with top bit j extend those below 2**j by one fold."""
-    out = unit[None, :]
-    for v in values:
-        out = np.concatenate([out, table[out, v]])
+def _subset_folds(table, unit, codes):
+    """Entry m: the code ``unit`` folded through the code table ``table``
+    with codes[j] for each set bit j of m, in increasing j.  A DP over
+    subset masks: the entries for masks with top bit j extend those below
+    2**j by one fold."""
+    out = np.array([unit])
+    for c in codes:
+        out = np.concatenate([out, table[out, c]])
     return out
 
 
@@ -121,7 +122,8 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
     checked over all assignments; on a finite lattice those two together
     give complete additivity.  When the whole function space has at most
     16 elements an explicit scan over argument subsets is run as well
-    (budget permitting), as a direct reading of the complete law.
+    (budget permitting), as a direct reading of the complete law; it folds
+    element codes through the algebra's code tables.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
     i = algebra.structure.relation(rel)
@@ -161,24 +163,21 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
     # Direct scan over joins/meets of argument subsets for tiny spaces.
     if spec.arity >= 1 and algebra.space_size() <= 16:
         carrier = algebra.carrier_list(cap)
-        q = len(carrier)
-        rows = np.array([f.values for f in carrier]).reshape(q, -1)
+        codes = algebra.carrier_codes(cap)
+        q = len(codes)
         est = (2 ** q) * spec.arity * (q ** (spec.arity - 1))
-        fold = algebra.lattice.join_np if additive else algebra.lattice.meet_np
-        start = (algebra.bot() if additive else algebra.top())._np
-        folded = _subset_folds(fold, start, rows)
+        fold = algebra._table("join" if additive else "meet")
+        start = algebra._encode((algebra.bot() if additive else algebra.top())._np)
+        folded = _subset_folds(fold, start, codes)
+        table = algebra._table(i)
 
         @cache
         def broken(k, fixed):
             """Per subset mask, whether the law fails with the other
             arguments fixed to the carrier elements ``fixed``."""
-            others = [rows[j] for j in fixed]
-
-            def at_k(x):
-                return algebra._eval(i, others[:k] + [x] + others[k:])
-            rhs = _subset_folds(fold, start, at_k(rows))
-            return np.concatenate([(at_k(folded[a:b]) != rhs[a:b]).any(axis=-1)
-                                   for a, b in _chunks(2 ** q, algebra)])
+            at = [codes[j] for j in fixed]
+            at_k = table[tuple(at[:k] + [slice(None)] + at[k:])]
+            return at_k[folded] != _subset_folds(fold, start, at_k[codes])
 
         if est <= cap:
             groups = ((k, fixed, np.arange(2 ** q))
@@ -620,87 +619,87 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
 def check_residuation(lat: FiniteLattice, group: RelStructure,
                       budget: int | None = None,
                       instance: str | None = None) -> Report:
-    """Brute-force residuals of the convolved product and their laws.
+    """Residuals of the convolved product and their laws, over code tables.
 
     a\\b is the join of {c : a;c <= b} and b/a the join of {c : c;a <= b};
-    the checker verifies the residuation law, the description of the
-    residuals at the complement of the unit, the double-negation identity,
-    and that collapsing to the identity happens exactly for Boolean lattices.
+    both are computed for every pair at once, as a join-fold over the
+    carrier masked by the product table and the pointwise order of codes.
+    The checker verifies the residuation law (one comparison over all
+    triples), the description of the residuals at the complement of the
+    unit, the double-negation identity, and that collapsing to the identity
+    happens exactly for Boolean lattices.  The first failure in carrier
+    order is reported, with the number of elements that passed before it.
     """
     if not lat.is_distributive:
         raise NotHeyting("residuation checks use the pseudocomplement")
     _expect_group_signature(group)
     algebra = ConvAlgebra(lat, group)
     name = instance or f"|L|={lat.size},|G|={group.carrier_size}"
-    carrier = algebra.carrier_list(budget)
-    unit = algebra.op("id", ())
-    zero_prime = algebra.neg(unit)
+    codes = algebra.carrier_codes(budget)
+    rows = algebra._decode(codes)
+    leq = lat.leq[rows[:, None], rows[None, :]].all(axis=-1)
+    product_table = algebra._table(group.relation("*"))
+    join, neg = algebra._table("join"), algebra._table("neg")
+    converse = algebra._table(group.relation("conv"))
+    unit = algebra._table(group.relation("id"))[()]
+    zero_prime = neg[unit]
 
-    def rdiv(x, y):  # x \ y
-        out = algebra.bot()
-        for cand in carrier:
-            if algebra.le(algebra.op("*", (x, cand)), y):
-                out = algebra.join(out, cand)
-        return out
+    def labels(code):
+        return _labels(lat, algebra._decode(np.asarray(code)))
 
-    def ldiv(y, x):  # y / x
-        out = algebra.bot()
-        for cand in carrier:
-            if algebra.le(algebra.op("*", (cand, x)), y):
-                out = algebra.join(out, cand)
-        return out
+    def residuals(products):
+        """fits[x, y, c]: products[x, c] <= y; and the join of those c."""
+        fits = leq[products[:, None, :], codes[:, None]]
+        out = np.full(fits.shape[:2], algebra._encode(algebra.bot()._np))
+        for c in codes:
+            out = np.where(fits[..., c], join[out, c], out)
+        return fits, out
 
-    checked = 0
-    for fa in carrier:
-        over = rdiv(fa, zero_prime)
-        under = ldiv(zero_prime, fa)
-        neg_conv = algebra.neg(algebra.op("conv", (fa,)))
-        if not (over == neg_conv == under):
-            return Report("residuation", name, "fail",
-                          witness={"law": "residual-at-unit-complement",
-                                   "a": fa.labels(),
-                                   "a\\0'": over.labels(), "0'/a": under.labels(),
-                                   "neg(conv(a))": neg_conv.labels()},
-                          stats={"checked": checked})
-        nn = algebra.neg(algebra.neg(fa))
-        left = rdiv(ldiv(zero_prime, fa), zero_prime)
-        right = ldiv(zero_prime, rdiv(fa, zero_prime))
-        if not (left == nn == right):
-            return Report("residuation", name, "fail",
-                          witness={"law": "double-negation",
-                                   "a": fa.labels(), "(0'/a)\\0'": left.labels(),
-                                   "negneg": nn.labels()},
-                          stats={"checked": checked})
-        if rdiv(unit, fa) != fa:  # unit law: 1' \ a = a
-            return Report("residuation", name, "fail",
-                          witness={"law": "unit", "a": fa.labels()},
-                          stats={"checked": checked})
-        checked += 1
+    fits, over = residuals(product_table)  # over[a, b] = a\\b
+    _, under = residuals(product_table.T)  # under[a, b] = b/a
+    neg_conv = neg[converse]
+    nn = neg[neg]
+    left = over[under[:, zero_prime], zero_prime]
+    right = under[over[:, zero_prime], zero_prime]
+    at_complement = (over[:, zero_prime] == neg_conv) & (neg_conv == under[:, zero_prime])
+    double_negation = (left == nn) & (nn == right)
+    bad = np.flatnonzero(~(at_complement & double_negation & (over[unit] == codes)))
+    if bad.size:
+        a = int(bad[0])
+        if not at_complement[a]:
+            witness = {"law": "residual-at-unit-complement", "a": labels(a),
+                       "a\\0'": labels(over[a, zero_prime]),
+                       "0'/a": labels(under[a, zero_prime]),
+                       "neg(conv(a))": labels(neg_conv[a])}
+        elif not double_negation[a]:
+            witness = {"law": "double-negation", "a": labels(a),
+                       "(0'/a)\\0'": labels(left[a]), "negneg": labels(nn[a])}
+        else:  # unit law: 1' \\ a = a
+            witness = {"law": "unit", "a": labels(a)}
+        return Report("residuation", name, "fail", witness=witness,
+                      stats={"checked": a})
 
-    collapse_witness = next(
-        (fa for fa in carrier
-         if rdiv(ldiv(zero_prime, fa), zero_prime) != fa), None)
-    collapses = collapse_witness is None
+    checked = len(codes)
+    uncollapsed = np.flatnonzero(left != codes)
+    collapses = not uncollapsed.size
     if collapses != lat.is_boolean:
         return Report("residuation", name, "fail",
                       witness={"law": "gbi-collapse", "collapses": collapses,
                                "boolean": lat.is_boolean},
                       stats={"checked": checked})
 
-    for fa in carrier:
-        for fb in carrier:
-            target = rdiv(fa, fb)
-            for fc in carrier:
-                if algebra.le(algebra.op("*", (fa, fc)), fb) != algebra.le(fc, target):
-                    return Report("residuation", name, "fail",
-                                  witness={"law": "residuation",
-                                           "a": fa.labels(), "b": fb.labels(),
-                                           "c": fc.labels()},
-                                  stats={"checked": checked})
-    stats = {"elements": len(carrier), "collapses_to_identity": collapses,
+    # a;c <= b iff c <= a\\b, for every triple (a, b, c)
+    broken = np.flatnonzero(fits != leq[codes, over[..., None]])
+    if broken.size:
+        a, b, c = np.unravel_index(broken[0], fits.shape)
+        return Report("residuation", name, "fail",
+                      witness={"law": "residuation", "a": labels(a),
+                               "b": labels(b), "c": labels(c)},
+                      stats={"checked": checked})
+    stats = {"elements": checked, "collapses_to_identity": collapses,
              "boolean": lat.is_boolean}
-    if collapse_witness is not None:
-        stats["collapse_witness"] = collapse_witness.labels()
+    if not collapses:
+        stats["collapse_witness"] = labels(uncollapsed[0])
     return Report("residuation", name, "pass", stats=stats)
 
 

@@ -191,9 +191,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = _budget(args)
     try:
+        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
+            args.budget = _budget(args)
         return args.func(args)
     except ConvalgError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})

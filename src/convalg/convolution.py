@@ -12,10 +12,20 @@ through the meet table and folds the tuples ending at each point through
 the join table, for every lattice size; single applications are batches of
 one.  The subset algebra uses boolean relational images instead and shares
 no code with that kernel, so it stays an independent check of it.
+
+Each function also has an integer code, its mixed-radix index
+``sum v_i * |L|^(n-1-i)``, which is its position in the unordered
+``elements()`` order.  A ConvAlgebra tabulates its operations over codes
+on first use (meet, join, neg and imp, and one table of ``q^arity``
+entries per relation, where q = |L|^|X|), building each table with the
+kernel above, and keeps them; ``coded()`` is the same batched interface
+over codes, used where a check needs more assignments than the tables
+have entries.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -28,6 +38,9 @@ from .lattice import FiniteLattice
 from .structures import JOIN, MEET, RelStructure, is_p_morphism
 
 DEFAULT_BUDGET = 1_000_000
+
+# No intermediate array of a batch holds more than this many values.
+_CHUNK_ENTRIES = 1 << 18
 
 
 class LFunction:
@@ -88,6 +101,12 @@ class ConvAlgebra:
         self._order_pairs = (None if structure.order is None
                              else np.where(structure.order))
         self._carrier: list[LFunction] | None = None
+        n = structure.carrier_size
+        # The widest row of a batch: a relation's gathered tuples plus a unit.
+        self._width = n + max(map(len, structure.relations), default=0)
+        self._radix = lattice.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._tables: dict = {}
+        self._coded: _Coded | None = None
         self._bot = LFunction((lattice.bottom,) * structure.carrier_size, lattice)
         self._top = LFunction((lattice.top,) * structure.carrier_size, lattice)
 
@@ -141,8 +160,19 @@ class ConvAlgebra:
         values = np.asarray(values)
         return bool(self.lattice.leq[values[xs], values[ys]].all())
 
+    def _monotone_rows(self, rows: np.ndarray):
+        """Per value row of ``rows`` (shape (N, |X|)), whether it is order
+        preserving; the structure must carry an order."""
+        xs, ys = self._order_pairs
+        return self.lattice.leq[rows[:, xs], rows[:, ys]].all(axis=-1)
+
     def space_size(self) -> int:
         return self.lattice.size ** self.structure.carrier_size
+
+    def _check_budget(self, budget: int | None) -> None:
+        cap = DEFAULT_BUDGET if budget is None else budget
+        if self.space_size() > cap:
+            raise BudgetExceeded(self.space_size(), cap)
 
     def elements(self, budget: int | None = None):
         """All carrier elements in lexicographic, carrier-index-major order.
@@ -150,9 +180,7 @@ class ConvAlgebra:
         The order on lattice elements is their build index; when the
         algebra is ordered only order-preserving functions are yielded.
         """
-        cap = DEFAULT_BUDGET if budget is None else budget
-        if self.space_size() > cap:
-            raise BudgetExceeded(self.space_size(), cap)
+        self._check_budget(budget)
         for values in product(range(self.lattice.size),
                               repeat=self.structure.carrier_size):
             if self.ordered and not self._monotone(values):
@@ -160,6 +188,9 @@ class ConvAlgebra:
             yield LFunction(values, self.lattice)
 
     def carrier_list(self, budget: int | None = None) -> list[LFunction]:
+        """The carrier in ``elements()`` order; built once, and the budget
+        is checked on every call."""
+        self._check_budget(budget)
         if self._carrier is None:
             self._carrier = list(self.elements(budget))
         return self._carrier
@@ -173,14 +204,63 @@ class ConvAlgebra:
         """(count, decode): decode maps positions in the ``elements()``
         order, as an integer array, to the value rows found there."""
         if self.ordered:
-            rows = np.array([f.values for f in self.carrier_list(budget)])
-            return len(rows), rows.reshape(len(rows), -1).__getitem__
-        size, n = self.lattice.size, self.structure.carrier_size
+            rows = self._decode(self.carrier_codes(budget))
+            return len(rows), rows.__getitem__
+        return self.space_size(), self._decode
 
-        def decode(idx):
-            radix = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-            return idx[:, None] // radix % size
-        return self.space_size(), decode
+    # -- integer codes ---------------------------------------------------------
+
+    def _encode(self, rows: np.ndarray) -> np.ndarray:
+        """Codes of value rows of shape (..., |X|)."""
+        return rows @ self._radix
+
+    def _decode(self, codes: np.ndarray) -> np.ndarray:
+        """Value rows, shape (..., |X|), of an array of codes."""
+        return codes[..., None] // self._radix % self.lattice.size
+
+    def carrier_codes(self, budget: int | None = None) -> np.ndarray:
+        """The codes of the carrier, in ``elements()`` order."""
+        if self.ordered:
+            rows = np.array([f.values for f in self.carrier_list(budget)])
+            return self._encode(rows.reshape(len(rows), -1))
+        self._check_budget(budget)
+        return np.arange(self.space_size())
+
+    def _table(self, key) -> np.ndarray:
+        """The code table of ``key``, one of "meet", "join", "neg", "imp"
+        or a relation index: entry [c1, .., ck] is the code of the result
+        on the arguments coded c1..ck.  Built on first use and kept."""
+        table = self._tables.get(key)
+        if table is None:
+            if isinstance(key, str):
+                arity, fn = {"meet": (2, self._meet), "join": (2, self._join),
+                             "neg": (1, self._neg), "imp": (2, self._imp)}[key]
+            else:
+                arity, fn = self._rel[key][0].arity, lambda *args: self._eval(key, args)
+            table = self._tables[key] = self._tabulate(arity, fn)
+        return table
+
+    def _tabulate(self, arity: int, fn) -> np.ndarray:
+        """``fn`` over every ``arity``-tuple of functions, as codes, built
+        in chunks of at most _CHUNK_ENTRIES values per array."""
+        q = self.space_size()
+        out = np.empty(q ** arity, dtype=np.min_scalar_type(q - 1))
+        step = max(1, _CHUNK_ENTRIES // self._width)
+        for start in range(0, q ** arity, step):
+            idx, args = np.arange(start, min(start + step, q ** arity)), []
+            for _ in range(arity):
+                idx, digit = np.divmod(idx, q)
+                args.append(self._decode(digit))
+            out[start:start + step] = self._encode(fn(*args[::-1]))
+        return out.reshape((q,) * arity)
+
+    def coded(self) -> "_Coded":
+        """This algebra's batched interface over codes."""
+        if self._coded is None:
+            self._coded = _Coded(self)
+        return self._coded
+
+    # -- random elements -----------------------------------------------------
 
     def _draw(self, rng) -> tuple:
         """Values of a uniform random carrier element; an ordered algebra
@@ -190,6 +270,38 @@ class ConvAlgebra:
             values = tuple(rng.randrange(k) for _ in range(n))
             if not self.ordered or self._monotone(values):
                 return values
+
+    def _draw_rows(self, rng, count: int) -> np.ndarray:
+        """``count`` value rows, the same as ``count`` calls of ``_draw``
+        would give, leaving ``rng`` in the same state.
+
+        ``randrange(k)`` keeps the top ``k.bit_length()`` bits of one 32-bit
+        word of the generator and rejects values >= k, so the words are
+        read in bulk from a copy of the generator, and the generator is
+        then advanced by exactly the words used.
+        """
+        k, n = self.lattice.size, self.structure.carrier_size
+        shift = 32 - k.bit_length()
+        probe = random.Random()
+        probe.setstate(rng.getstate())
+        words, more = np.empty(0, dtype=np.uint32), 2 * n * count + 64
+        while True:
+            words = np.concatenate([words, np.frombuffer(
+                probe.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")])
+            values = words >> shift
+            kept = np.flatnonzero(values < k)  # the word behind each value
+            whole = len(kept) // n * n
+            rows = values[kept[:whole]].reshape(-1, n)
+            ends = kept[n - 1:whole:n]  # the last word of each row
+            if self.ordered:
+                monotone = self._monotone_rows(rows)
+                rows, ends = rows[monotone], ends[monotone]
+            if len(rows) >= count:
+                break
+            more = len(words)
+        if count:
+            rng.getrandbits(32 * (int(ends[count - 1]) + 1))
+        return rows[:count].astype(np.int64)
 
     def random_element(self, rng) -> LFunction:
         return LFunction(self._draw(rng), self.lattice)
@@ -281,6 +393,55 @@ class ConvAlgebra:
         return out
 
 
+class _Coded:
+    """A ConvAlgebra's batched interface over codes.
+
+    A batch of N elements is an (N, 1) array of codes, so rows have width
+    one; every operation is a lookup in one of the algebra's code tables.
+    The positions of ``_enumeration`` are those of the algebra.
+    """
+
+    _width = 1
+
+    def __init__(self, algebra: ConvAlgebra):
+        self.algebra = algebra
+        self.lattice = algebra.lattice
+        self.structure = algebra.structure
+
+    def bot(self) -> LFunction:
+        return self.algebra.bot()
+
+    def top(self) -> LFunction:
+        return self.algebra.top()
+
+    def _row(self, a: LFunction) -> np.ndarray:
+        return self.algebra._encode(self.algebra._row(a))[None]
+
+    def _enumeration(self, budget: int | None = None):
+        codes = self.algebra.carrier_codes(budget)
+        return len(codes), lambda idx: codes[idx][:, None]
+
+    def _meet(self, x, y):
+        return self.algebra._table("meet")[x, y]
+
+    def _join(self, x, y):
+        return self.algebra._table("join")[x, y]
+
+    def _neg(self, x):
+        return self.algebra._table("neg")[x]
+
+    def _imp(self, x, y):
+        return self.algebra._table("imp")[x, y]
+
+    def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
+        spec = self.algebra._rel[i][0]
+        if len(args) != spec.arity:
+            raise ArityMismatch(
+                f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
+        table = self.algebra._table(i)
+        return table[tuple(args)] if args else table.reshape(1)
+
+
 class SubsetAlgebra:
     """The complex algebra: subsets of the carrier with relational images.
 
@@ -294,6 +455,7 @@ class SubsetAlgebra:
         self.structure = structure
         n = structure.carrier_size
         self._full = frozenset(range(n))
+        self._width = n + max(map(len, structure.relations), default=0)
         # Per relation: the input points of each tuple, and its output as a row.
         self._images = []
         for spec, rel in zip(structure.signature.rel_specs, structure.relations):
@@ -362,6 +524,11 @@ class SubsetAlgebra:
     def _draw(self, rng) -> tuple:
         mask = rng.randrange(self.space_size())
         return tuple(bool(mask >> i & 1) for i in range(self.structure.carrier_size))
+
+    def _draw_rows(self, rng, count: int) -> np.ndarray:
+        """``count`` rows of ``_draw``, as a boolean array."""
+        rows = [self._draw(rng) for _ in range(count)]
+        return np.array(rows, dtype=bool).reshape(count, self.structure.carrier_size)
 
     def random_element(self, rng) -> frozenset:
         return self._element(self._draw(rng))

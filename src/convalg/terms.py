@@ -13,6 +13,13 @@ array of value rows, and calls the algebra's batched operations.
 Equations are decided by exhaustive enumeration of assignments in a
 documented order, or by seeded sampling; the least counterexample in
 enumeration order is reported, so failures are reproducible.
+
+After its first chunk, an exhaustive check over a convolution algebra
+runs on integer codes and the algebra's code tables (see
+``convolution``) when every table the equation needs has fewer entries
+than the grid has assignments; the grid positions, and so the verdict,
+are the same either way.  Sampled checks
+draw value rows in bulk, bit-exactly as one ``randrange`` per point would.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from typing import Union
 
 import numpy as np
 
-from .convolution import DEFAULT_BUDGET, ConvAlgebra, SubsetAlgebra
+from .convolution import (_CHUNK_ENTRIES, DEFAULT_BUDGET, ConvAlgebra,
+                          SubsetAlgebra)
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
 from .lattice import FiniteLattice
@@ -231,7 +239,6 @@ Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 # Chunks of assignments are sized so that no intermediate array holds more
 # than _CHUNK_ENTRIES values.  The first chunk is small, so that an early
 # counterexample costs little; later chunks grow to that limit.
-_CHUNK_ENTRIES = 1 << 18
 _FIRST_ROWS = 64
 
 
@@ -249,7 +256,7 @@ def _batch_algebra(algebra):
 
 
 def _check_heyting(algebra):
-    if isinstance(algebra, ConvAlgebra) and not algebra.lattice.is_distributive:
+    if not isinstance(algebra, SubsetAlgebra) and not algebra.lattice.is_distributive:
         raise NotHeyting("neg/imp need a distributive lattice")
 
 
@@ -288,13 +295,11 @@ def eval_term(t: Term, algebra: Algebra, assignment: dict):
 def _chunks(total: int, alg):
     """Bounds (start, stop) covering range(total) in order: a small first
     chunk, then growing ones of at most _CHUNK_ENTRIES values per array."""
-    widest = alg.structure.carrier_size + max(map(len, alg.structure.relations),
-                                              default=0)
     start, rows = 0, _FIRST_ROWS
     while start < total:
         stop = min(total, start + rows)
         yield start, stop
-        start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // widest))
+        start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // alg._width))
 
 
 def _grid(alg, k: int, budget: int):
@@ -314,9 +319,36 @@ def _grid(alg, k: int, budget: int):
 def _samples(alg, k: int, rng):
     """``rows`` as for _grid, over consecutive random k-tuples from ``rng``."""
     def rows(start, stop):
-        combos = [[alg._draw(rng) for _ in range(k)] for _ in range(start, stop)]
-        return [np.array([c[j] for c in combos]) for j in range(k)]
+        drawn = alg._draw_rows(rng, (stop - start) * k)
+        return list(drawn.reshape(stop - start, k, alg.structure.carrier_size)
+                    .swapaxes(0, 1))
     return rows
+
+
+def _op_names(t: Term) -> set[str]:
+    if isinstance(t, (Var, Bot, Top)):
+        return set()
+    if isinstance(t, (Meet, Join, Imp)):
+        return _op_names(t.lhs) | _op_names(t.rhs)
+    if isinstance(t, Neg):
+        return _op_names(t.arg)
+    return {t.name}.union(*map(_op_names, t.args))
+
+
+def _tabled(alg, eq: Equation, total: int):
+    """The code interface of a convolution algebra when each code table
+    ``eq`` can need (q^2 entries for the lattice operations, q^arity for a
+    relation) has fewer entries than the ``total`` assignments, else None."""
+    if not isinstance(alg, ConvAlgebra):
+        return None
+    q = alg.space_size()
+    if q * q >= total:  # first, as it costs no walk over the terms
+        return None
+    arity = {s.name: s.arity for s in alg.structure.signature.rel_specs}
+    names = _op_names(eq.lhs) | _op_names(eq.rhs)
+    if any(q ** arity.get(name, 0) >= total for name in names):
+        return None
+    return alg.coded()
 
 
 # -- validity checking ---------------------------------------------------------
@@ -388,6 +420,10 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     order they are drawn.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
+    if cap < 1:
+        raise ValueError(f"budget must be at least 1, got {cap}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
     if mode == "auto":
@@ -409,6 +445,13 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
         raise ValueError(f"unknown mode {mode!r}")
 
     for start, stop in _chunks(total, alg):
+        if start == _FIRST_ROWS and not sampling and (coded := _tabled(alg, eq, total)):
+            # The grid outlasts its first chunk and outnumbers the code
+            # tables: the rest runs on codes, at the same positions.
+            _, rows = _grid(coded, len(names), cap)
+            to_element = lambda code, element=to_element: element(
+                coded.algebra._decode(code[0]))
+            alg = coded
         env = dict(zip(names, rows(start, stop)))
         differ = np.any(_value(eq.lhs, alg, env) != _value(eq.rhs, alg, env), axis=-1)
         hits = np.flatnonzero(np.broadcast_to(differ, (stop - start,)))

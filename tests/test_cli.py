@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from convalg import suites
 from convalg.cli import main
 
 
@@ -70,6 +71,21 @@ def test_env_budget_downgrades_to_sampling(capsys, assoc_eq, monkeypatch):
     doc = lines(out)[0]
     assert doc["status"] == "valid_sampled"
     assert doc["stats"]["budget"] == 100
+
+
+def test_invalid_env_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CONVALG_BUDGET", "abc")
+    code, out = run(capsys, "suite", "run", "quick")
+    assert code == 2
+    assert lines(out) == [{"error": "ValueError",
+                           "detail": "invalid literal for int() with base 10: 'abc'"}]
+
+
+def test_budget_below_one_is_usage_error(capsys, assoc_eq):
+    code, out = run(capsys, "eq", "check", "--lattice", "chain3",
+                    "--structure", "Z2", "--eq", assoc_eq, "--budget", "0")
+    assert code == 2
+    assert lines(out)[0]["error"] == "ValueError"
 
 
 def test_eval_subcommand(capsys):
@@ -170,9 +186,20 @@ def test_malformed_json_exits_two(capsys, tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
-    # The report stream recorded before the batched evaluation core landed.
+    # The report stream recorded before the batched evaluation core landed,
+    # and every inner checker report behind it (witnesses, assignment
+    # counts, scan modes), recorded before the code tables landed.
     monkeypatch.delenv("CONVALG_BUDGET", raising=False)
+    inner, original = [], suites._aggregate
+
+    def aggregate(name, instance, reports, extra_stats=None):
+        inner.extend(r.to_json() + "\n" for r in reports)
+        return original(name, instance, reports, extra_stats)
+    monkeypatch.setattr(suites, "_aggregate", aggregate)
     code, out = run(capsys, "suite", "run", "paper-core", "--seed", str(seed))
     assert code == 0
-    pinned = Path(__file__).parent / "data" / f"paper-core-seed{seed}.txt"
-    assert out.encode() == pinned.read_bytes()
+    data = Path(__file__).parent / "data"
+    assert out.encode() == (data / f"paper-core-seed{seed}.txt").read_bytes()
+    pinned = (data / f"paper-core-inner-seed{seed}.jsonl").read_text().splitlines(True)
+    assert len(inner) == len(pinned) == 322
+    assert inner == pinned

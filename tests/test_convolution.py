@@ -27,7 +27,7 @@ from convalg.errors import (ArityMismatch, BudgetExceeded, NotAMorphism,
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
                                 full_structure, signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, check_equation, eval_term)
+                           Var, check_equation, eval_term, parse_term)
 
 
 def chain3():
@@ -182,7 +182,7 @@ def structures(draw):
 
 
 def terms(specs, heyting: bool):
-    leaves = st.sampled_from([Var("x"), Var("y"), Bot(), Top()])
+    leaves = st.sampled_from([Var("x"), Var("y"), Var("z"), Bot(), Top()])
 
     def extend(sub):
         forms = [st.builds(Meet, sub, sub), st.builds(Join, sub, sub)]
@@ -202,7 +202,8 @@ def test_batched_evaluation_matches_oracles(data):
     """Random lattices, structures (arities 0-2, both modes) and terms
     (with neg/imp over distributive lattices): single evaluations match the
     definition-level oracle and, over two elements, the subset algebra via
-    iso_phi; exhaustive and sampled verdicts match a loop over the oracle."""
+    iso_phi; exhaustive and sampled verdicts match a loop over the oracle.
+    Grids past their first chunk and larger than q*q run on code tables."""
     lat = data.draw(lattices())
     structure = data.draw(structures())
     algebra = ConvAlgebra(lat, structure)
@@ -213,7 +214,7 @@ def test_batched_evaluation_matches_oracles(data):
     value = st.tuples(*[st.integers(0, lat.size - 1)] * n)
 
     for _ in range(2):
-        env = {"x": data.draw(value), "y": data.draw(value)}
+        env = {"x": data.draw(value), "y": data.draw(value), "z": data.draw(value)}
         funcs = {k: algebra.function(v) for k, v in env.items()}
         got = eval_term(eq.lhs, algebra, funcs)
         assert got.values == oracle_term(eq.lhs, lat, structure, env)
@@ -221,9 +222,9 @@ def test_batched_evaluation_matches_oracles(data):
             subsets = {k: iso_phi(f) for k, f in funcs.items()}
             assert eval_term(eq.lhs, SubsetAlgebra(structure), subsets) == iso_phi(got)
 
-    def first_difference(combos):
+    def first_difference(eq, combos):
         for k, combo in enumerate(combos):
-            env = dict(zip(names, combo))
+            env = dict(zip(eq.variables(), combo))
             if oracle_term(eq.lhs, lat, structure, env) != \
                     oracle_term(eq.rhs, lat, structure, env):
                 return k + 1, {name: algebra.function(v) for name, v in env.items()}
@@ -235,22 +236,29 @@ def test_batched_evaluation_matches_oracles(data):
         return (verdict.status, verdict.tried, verdict.assignment) == \
             ("counterexample",) + expect
 
-    total = (lat.size ** n) ** len(names)
-    if lat.size <= 8 and total <= 100:
-        carrier = [f.values for f in algebra.carrier_list()]
-        verdict = check_equation(eq, algebra, mode="exhaustive")
-        assert agrees(verdict, first_difference(product(carrier, repeat=len(names))),
-                      "valid_exhaustive", total)
-        if lat.size == 2:
-            subsets = check_equation(eq, SubsetAlgebra(structure), mode="exhaustive")
-            assert subsets.is_valid == verdict.is_valid
+    # Both sides met with x /\ y /\ z: a 3-variable law whose first
+    # counterexample, if any, has no bottom-valued variable, so it tends to
+    # lie past the first chunk, on the code-table path.
+    below = Meet(Var("x"), Meet(Var("y"), Var("z")))
+    guarded = Equation(Meet(eq.lhs, below), Meet(eq.rhs, below))
+    for law in (eq, guarded):
+        total = (lat.size ** n) ** len(law.variables())
+        if lat.size <= 8 and total <= 2000:
+            carrier = [f.values for f in algebra.carrier_list()]
+            verdict = check_equation(law, algebra, mode="exhaustive")
+            combos = product(carrier, repeat=len(law.variables()))
+            assert agrees(verdict, first_difference(law, combos),
+                          "valid_exhaustive", total)
+            if lat.size == 2:
+                subsets = check_equation(law, SubsetAlgebra(structure), mode="exhaustive")
+                assert subsets.is_valid == verdict.is_valid
 
     seed = data.draw(st.integers(0, 2 ** 16))
     verdict = check_equation(eq, algebra, mode="sample", samples=12, seed=seed)
     rng = random.Random(seed)
     draws = [[tuple(rng.randrange(lat.size) for _ in range(n)) for _ in names]
              for _ in range(12)]
-    assert agrees(verdict, first_difference(draws), "valid_sampled", 12)
+    assert agrees(verdict, first_difference(eq, draws), "valid_sampled", 12)
 
 
 # -- pinned examples --------------------------------------------------------------
@@ -516,6 +524,81 @@ def test_enumeration_budget():
     with pytest.raises(BudgetExceeded) as exc:
         list(enumerate_functions(algebra, budget=1000))
     assert exc.value.required == 4096
+
+
+def test_carrier_list_checks_budget_on_every_call():
+    algebra = ConvAlgebra(chain3(), full_structure(3))
+    assert len(algebra.carrier_list()) == 27
+    with pytest.raises(BudgetExceeded):
+        algebra.carrier_list(5)
+    with pytest.raises(BudgetExceeded):
+        algebra.carrier_codes(5)
+
+
+def test_codes_are_enumeration_positions_and_tables_match_ops():
+    algebra = ConvAlgebra(chain3(), z2())
+    carrier = algebra.carrier_list()
+    codes = algebra.carrier_codes()
+    assert codes.tolist() == list(range(len(carrier)))
+    assert [tuple(r) for r in algebra._decode(codes).tolist()] == [f.values for f in carrier]
+    star = algebra._table(z2().relation("*"))
+    meet, neg = algebra._table("meet"), algebra._table("neg")
+    for a, fa in zip(codes, carrier):
+        assert carrier[neg[a]] == algebra.neg(fa)
+        for b, fb in zip(codes, carrier):
+            assert carrier[star[a, b]] == algebra.op("*", (fa, fb))
+            assert carrier[meet[a, b]] == algebra.meet(fa, fb)
+    assert carrier[algebra._table(z2().relation("id"))[()]] == algebra.op("id", ())
+
+    s = build_structure(2, signature(("dia", 1, JOIN)),
+                        [{(0, 0), (0, 1), (1, 1)}], order_pairs=[(0, 1)])
+    ordered = ConvAlgebra(chain3(), s, ordered=True)
+    assert [tuple(r) for r in ordered._decode(ordered.carrier_codes()).tolist()] == \
+        [f.values for f in ordered.carrier_list()]
+
+
+@pytest.mark.parametrize("law, valid", [
+    ("(join (op dia (join x y)) z) = (join (join (op dia x) (op dia y)) z)", True),
+    # least counterexample at 109, past the first chunk; imp leaves the carrier
+    ("(imp (op dia (imp x z)) y) = (op dia y)", False),
+])
+def test_ordered_exhaustive_verdict_matches_a_loop(law, valid):
+    # 3 variables over the 6 monotone functions of chain3 on a 2-chain:
+    # 216 assignments outnumber the 81-entry code tables of all of L^X.
+    s = build_structure(2, signature(("dia", 1, JOIN)),
+                        [{(0, 0), (0, 1), (1, 1)}], order_pairs=[(0, 1)])
+    algebra = ConvAlgebra(chain3(), s, ordered=True)
+    lhs, rhs = law.split(" = ")
+    eq = Equation(parse_term(lhs, s.signature), parse_term(rhs, s.signature))
+    verdict = check_equation(eq, algebra, mode="exhaustive")
+    expect = ("valid_exhaustive", 216, None)
+    for k, combo in enumerate(product(algebra.carrier_list(), repeat=3)):
+        env = dict(zip("xyz", combo))
+        if eval_term(eq.lhs, algebra, env) != eval_term(eq.rhs, algebra, env):
+            expect = ("counterexample", k + 1, env)
+            break
+    assert (verdict.status, verdict.tried, verdict.assignment) == expect
+    assert verdict.is_valid == valid
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 70])
+@pytest.mark.parametrize("ordered", [False, True])
+def test_bulk_draws_match_a_randrange_loop(size, ordered):
+    lat = chain(size) if size != 64 else boolean(6)
+    s = build_structure(3, signature(("f", 1, JOIN)),
+                        [{(a, b) for a in range(3) for b in range(3)}],
+                        order_pairs=[(0, 1), (1, 2)] if ordered else None)
+    algebra = ConvAlgebra(lat, s, ordered=ordered)
+    for seed, count in [(0, 1), (1, 7), (2, 1000)]:
+        bulk, loop = random.Random(seed), random.Random(seed)
+        rows = algebra._draw_rows(bulk, count)
+        expect = []
+        while len(expect) < count:
+            values = tuple(loop.randrange(size) for _ in range(3))
+            if not ordered or all(lat.leq[a, b] for a, b in zip(values, values[1:])):
+                expect.append(values)
+        assert [tuple(r) for r in rows.tolist()] == expect
+        assert bulk.random() == loop.random()
 
 
 def test_delta_decompose_examples():

@@ -297,3 +297,14 @@ def test_ordered_algebra_samples_over_budget():
     assert algebra.is_order_preserving(v.assignment["x"])
     with pytest.raises(BudgetExceeded):
         check_equation(law, algebra, mode="exhaustive", budget=63)
+
+
+@pytest.mark.parametrize("options", [{"budget": 0}, {"budget": -5},
+                                     {"mode": "sample", "samples": 0},
+                                     {"mode": "exhaustive", "budget": 0}])
+def test_budget_and_samples_below_one_are_rejected(options):
+    # A false law must never come back "valid" from an empty check.
+    algebra = ConvAlgebra(chain(3), z2())
+    eq = Equation(Meet(Var("x"), Var("y")), Var("x"))
+    with pytest.raises(ValueError):
+        check_equation(eq, algebra, **options)
