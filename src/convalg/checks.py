@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 
 import numpy as np
@@ -162,8 +162,8 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
 
     # Direct scan over joins/meets of argument subsets for tiny spaces.
     if spec.arity >= 1 and algebra.space_size() <= 16:
-        carrier = algebra.carrier_list(cap)
         codes = algebra.carrier_codes(cap)
+        rows = algebra._decode(codes)
         q = len(codes)
         est = (2 ** q) * spec.arity * (q ** (spec.arity - 1))
         fold = algebra._table("join" if additive else "meet")
@@ -200,8 +200,9 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
                 mask = int(masks[bad[0]])
                 failures.append({
                     "law": f"subset@{k}",
-                    "subset": [carrier[j].labels() for j in range(q) if mask >> j & 1],
-                    "fixed": [carrier[j].labels() for j in fixed]})
+                    "subset": [_labels(algebra.lattice, rows[j])
+                               for j in range(q) if mask >> j & 1],
+                    "fixed": [_labels(algebra.lattice, rows[j]) for j in fixed]})
                 break
             checked += len(masks)
         stats["subset_instances"] = checked
@@ -390,16 +391,18 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
     algebra = ConvAlgebra(lat, structure)
     name = instance or f"n={n}"
 
-    for alpha in algebra.elements(budget):
-        dia = algebra.op("dia", (alpha,))
-        box = algebra.op("box", (alpha,))
-        cj = lat.join(alpha.values)
-        cm = lat.meet(alpha.values)
-        if set(dia.values) != {cj} or set(box.values) != {cm}:
-            return Report("monadic", name, "fail",
-                          witness={"alpha": alpha.labels(),
-                                   "dia": dia.labels(), "box": box.labels()},
-                          stats={})
+    codes = algebra.carrier_codes(budget)
+    for start, stop in _chunks(len(codes), algebra):
+        rows = algebra._decode(codes[start:stop])
+        dia = algebra._eval(structure.relation("dia"), [rows])
+        box = algebra._eval(structure.relation("box"), [rows])
+        cj = reduce(lambda acc, v: lat.join_np[acc, v], rows.T, np.full(len(rows), lat.bottom))
+        cm = reduce(lambda acc, v: lat.meet_np[acc, v], rows.T, np.full(len(rows), lat.top))
+        bad = np.flatnonzero(((dia != cj[:, None]) | (box != cm[:, None])).any(axis=-1))
+        if bad.size:
+            return Report("monadic", name, "fail", stats={}, witness={
+                "alpha": _labels(lat, rows[bad[0]]), "dia": _labels(lat, dia[bad[0]]),
+                "box": _labels(lat, box[bad[0]])})
 
     def dia(t):
         return RelOp("dia", (t,))
@@ -757,50 +760,89 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
                          "equations": len(pool)})
 
 
-# -- the subset-algebra isomorphism ---------------------------------------------
+# -- homomorphisms between algebras ------------------------------------------------
+
+
+def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
+    """Whether the map sending the element of an unordered ``dom`` coded c
+    to the value row ``images[c]`` of ``cod`` is a homomorphism.
+
+    The ``dom`` side is read from its code tables, the ``cod`` side is
+    computed by ``cod``'s own batched operations.  Bounds come first, then
+    meets and joins over pairs, then each relation over argument tuples,
+    in ``product`` order.  Returns (witness, checked, sides): the first
+    failure or None, the pairs and tuples compared up to it, and the value
+    rows of both sides of a failed operation.
+    """
+    q = dom.space_size()
+
+    def labels(code):
+        return _labels(dom.lattice, dom._decode(np.asarray(code)))
+
+    def same(x, y):
+        return (x == y).all(axis=-1)
+
+    def first_failure(arity, holds):
+        # The first code tuple where ``holds`` fails and its flat index.
+        for start, stop in _chunks(q ** arity, cod):
+            idx, codes = np.arange(start, stop), []
+            for _ in range(arity):
+                idx, digit = np.divmod(idx, q)
+                codes.insert(0, digit)
+            bad = np.flatnonzero(~np.broadcast_to(holds(*codes), idx.shape))
+            if bad.size:
+                return tuple(int(c[bad[0]]) for c in codes), start + int(bad[0])
+        return None, q ** arity
+
+    if not all(np.array_equal(images[dom._encode(dom._row(d))], cod._row(c))
+               for d, c in ((dom.bot(), cod.bot()), (dom.top(), cod.top()))):
+        return {"kind": "bounds"}, 0, None
+    meet, join = dom._table("meet"), dom._table("join")
+
+    def meets(a, b):
+        return same(images[meet[a, b]], cod._meet(images[a], images[b]))
+
+    pair, checked = first_failure(2, lambda a, b: meets(a, b) & same(
+        images[join[a, b]], cod._join(images[a], images[b])))
+    if pair is not None:
+        return ({"kind": "join" if meets(*pair) else "meet",
+                 "f": labels(pair[0]), "g": labels(pair[1])}, checked + 1, None)
+    for i, spec in enumerate(dom.structure.signature.rel_specs):
+        table, j = dom._table(i), cod.structure.relation(spec.name)
+
+        def sides(*args):
+            return images[table[args]], cod._eval(j, [images[c] for c in args])
+
+        args, count = first_failure(spec.arity, lambda *args: same(*sides(*args)))
+        checked += count
+        if args is not None:
+            return ({"kind": "operation", "relation": spec.name,
+                     "args": [labels(c) for c in args]}, checked + 1, sides(*args))
+    return None, checked, None
 
 
 def check_subset_isomorphism(structure: RelStructure,
                              instance: str | None = None) -> Report:
     """The top-set map is a bijective homomorphism from the two-element
-    convolution algebra onto the subset algebra, for every relation mode."""
+    convolution algebra onto the subset algebra, for every relation mode.
+    ``iso_phi`` is applied once per element, then the laws are compared
+    over all pairs and argument tuples at once (``checked`` counts them),
+    the subset side by the subset algebra's own relational images."""
     name = instance or repr(structure)
-    two = _chain2()
-    algebra = ConvAlgebra(two, structure)
+    algebra = ConvAlgebra(_chain2(), structure)
     subsets = SubsetAlgebra(structure)
-    funcs = algebra.carrier_list()
-    images = [iso_phi(f) for f in funcs]
-    if len(set(images)) != len(funcs) or set(images) != set(subsets.elements()):
+    images = [iso_phi(f) for f in algebra.elements()]
+    if len(set(images)) != len(images) or set(images) != set(subsets.elements()):
         return Report("subset-iso", name, "fail",
                       witness={"kind": "not a bijection"}, stats={})
-    checked = 0
-    if iso_phi(algebra.bot()) != subsets.bot() or iso_phi(algebra.top()) != subsets.top():
-        return Report("subset-iso", name, "fail",
-                      witness={"kind": "bounds"}, stats={})
-    for f in funcs:
-        for g in funcs:
-            checked += 1
-            if iso_phi(algebra.meet(f, g)) != subsets.meet(iso_phi(f), iso_phi(g)):
-                return Report("subset-iso", name, "fail",
-                              witness={"kind": "meet", "f": f.labels(),
-                                       "g": g.labels()}, stats={})
-            if iso_phi(algebra.join(f, g)) != subsets.join(iso_phi(f), iso_phi(g)):
-                return Report("subset-iso", name, "fail",
-                              witness={"kind": "join", "f": f.labels(),
-                                       "g": g.labels()}, stats={})
-    for spec in structure.signature.rel_specs:
-        for args in product(funcs, repeat=spec.arity):
-            checked += 1
-            lhs = iso_phi(algebra.op(spec.name, args))
-            rhs = subsets.op(spec.name, [iso_phi(a) for a in args])
-            if lhs != rhs:
-                return Report("subset-iso", name, "fail",
-                              witness={"kind": "operation", "relation": spec.name,
-                                       "args": [a.labels() for a in args],
-                                       "function_side": sorted(lhs),
-                                       "subset_side": sorted(rhs)},
-                              stats={"checked": checked})
-    return Report("subset-iso", name, "pass", stats={"checked": checked})
+    witness, checked, sides = _homomorphism_witness(
+        algebra, np.array([subsets._row(s) for s in images]), subsets)
+    if sides is not None:
+        witness["function_side"], witness["subset_side"] = (
+            np.flatnonzero(side).tolist() for side in sides)
+    failed_early = witness is not None and sides is None  # bounds, meet or join
+    return Report("subset-iso", name, "pass" if witness is None else "fail",
+                  witness=witness, stats={} if failed_early else {"checked": checked})
 
 
 # -- functorial behaviour ----------------------------------------------------------
@@ -815,26 +857,6 @@ def _reduct(structure: RelStructure, keep: list[str]) -> RelStructure:
                         [structure.relations[i] for i in idx], structure.order)
 
 
-def _commutes_with_ops(push, dom: ConvAlgebra, cod: ConvAlgebra):
-    """push: element of dom -> element of cod; verify it is a homomorphism."""
-    funcs = dom.carrier_list()
-    if push(dom.bot()) != cod.bot() or push(dom.top()) != cod.top():
-        return {"kind": "bounds"}
-    for f in funcs:
-        for g in funcs:
-            if push(dom.meet(f, g)) != cod.meet(push(f), push(g)):
-                return {"kind": "meet", "f": f.labels(), "g": g.labels()}
-            if push(dom.join(f, g)) != cod.join(push(f), push(g)):
-                return {"kind": "join", "f": f.labels(), "g": g.labels()}
-    for spec in dom.structure.signature.rel_specs:
-        for args in product(funcs, repeat=spec.arity):
-            if push(dom.op(spec.name, args)) != cod.op(spec.name,
-                                                       [push(a) for a in args]):
-                return {"kind": "operation", "relation": spec.name,
-                        "args": [a.labels() for a in args]}
-    return None
-
-
 def check_structural_isos(lattice: FiniteLattice | None = None,
                           instance: str | None = None) -> Report:
     """Functorial behaviour on fixed small instances.
@@ -844,7 +866,9 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
     validated lattice morphism lifting to a homomorphism that preserves
     and reflects one-one/onto; a p-morphism pulling back to a homomorphism
     preserving pointwise meets and joins; and order-preserving carriers
-    being closed under every operation.
+    being closed under every operation.  The public maps are applied once
+    per carrier element; each law is then one comparison over whole
+    carriers, and a failure names the first element that breaks it.
     """
     lat = lattice if lattice is not None else build_lattice(
         ["0", "m", "1"], [("0", "m"), ("m", "1")])
@@ -853,21 +877,21 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
     z2 = _z2_structure()
     subchecks = []
 
+    def values(functions):
+        return np.array([f.values for f in functions], dtype=np.int64)
+
     # Product lattice split (componentwise in the lattice coordinate).
     prod = two.product(two)
     ap = ConvAlgebra(prod, z2)
-    a1 = ConvAlgebra(two, z2)
-    a2 = ConvAlgebra(two, z2)
-    witness = None
-    for alpha in ap.carrier_list():
-        b, c = product_iso(alpha)
-        if product_iso_inv(b, c, prod) != alpha:
-            witness = {"kind": "split-merge", "alpha": alpha.labels()}
-            break
+    factor = ConvAlgebra(two, z2)  # both factors are two
+    carrier = ap.carrier_list()
+    split = [product_iso(alpha) for alpha in carrier]
+    merged = values(product_iso_inv(b, c, prod) for b, c in split)
+    bad = np.flatnonzero((merged != values(carrier)).any(axis=-1))
+    witness = {"kind": "split-merge", "alpha": carrier[bad[0]].labels()} if bad.size else None
     if witness is None:
-        first = lambda e: a1.function(product_iso(e)[0].values)
-        second = lambda e: a2.function(product_iso(e)[1].values)
-        witness = _commutes_with_ops(first, ap, a1) or _commutes_with_ops(second, ap, a2)
+        witness = (_homomorphism_witness(ap, values(b for b, _ in split), factor)[0]
+                   or _homomorphism_witness(ap, values(c for _, c in split), factor)[0])
     subchecks.append(("product-split", witness))
 
     # Disjoint union decomposes as a product of algebras.
@@ -883,13 +907,12 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
         witness = {"kind": "counting"}
     else:
         cut = fx.carrier_size
-        for alpha in au.carrier_list():
-            out = au.op("f", (alpha,))
-            left = ax.op("f", (ax.function(alpha.values[:cut]),))
-            right = ay.op("f", (ay.function(alpha.values[cut:]),))
-            if out.values != left.values + right.values:
-                witness = {"kind": "blockwise", "alpha": alpha.labels()}
-                break
+        rows = au._decode(au.carrier_codes())
+        blocks = np.concatenate([ax._eval(0, [rows[:, :cut]]), ay._eval(0, [rows[:, cut:]])],
+                                axis=-1)
+        bad = np.flatnonzero((au._eval(0, [rows]) != blocks).any(axis=-1))
+        if bad.size:
+            witness = {"kind": "blockwise", "alpha": _labels(lat, rows[bad[0]])}
     subchecks.append(("coproduct-to-product", witness))
 
     # Lattice morphism lift: chain3 -> chain2 collapsing the middle up.
@@ -900,8 +923,8 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
     if witness is None:
         dom = ConvAlgebra(chain3, z2)
         cod = ConvAlgebra(two, z2)
-        push = lambda e: cod.function(lift_lattice_morphism(phi, two, e).values)
-        witness = _commutes_with_ops(push, dom, cod)
+        images = values(lift_lattice_morphism(phi, two, e) for e in dom.elements())
+        witness = _homomorphism_witness(dom, images, cod)[0]
     subchecks.append(("morphism-lift", witness))
 
     # One-one/onto preservation and reflection for lifted morphisms.
@@ -922,9 +945,9 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
             break
         dom = ConvAlgebra(dom_lat, z2)
         cod = ConvAlgebra(cod_lat, z2)
-        images = [tuple(table[v] for v in f.values) for f in dom.carrier_list()]
-        lifted_inj = len(set(images)) == len(images)
-        lifted_surj = set(images) == {f.values for f in cod.carrier_list()}
+        images = np.unique(cod._encode(np.asarray(table)[dom._decode(dom.carrier_codes())]))
+        lifted_inj = len(images) == dom.space_size()
+        lifted_surj = np.array_equal(images, cod.carrier_codes())
         if lifted_inj != inj or lifted_surj != surj:
             witness = {"kind": "one-one/onto", "case": label,
                        "lifted_one_one": lifted_inj, "lifted_onto": lifted_surj}
@@ -941,49 +964,40 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
     if witness is None:
         src = ConvAlgebra(lat, z2r)
         dst = ConvAlgebra(lat, z4)
-        pull = lambda e: dst.function(pullback_pmorphism(p, z4, z2r, e,
-                                                         validate=False).values)
-        witness = _commutes_with_ops(pull, src, dst)
-        if witness is None:
-            images = [pull(f) for f in src.carrier_list()]
-            if len(set(images)) != len(images):
-                witness = {"kind": "onto p-morphism must pull back one-one"}
+        images = values(pullback_pmorphism(p, z4, z2r, e, validate=False)
+                        for e in src.elements())
+        witness = _homomorphism_witness(src, images, dst)[0]
+        if witness is None and len(np.unique(dst._encode(images))) != len(images):
+            witness = {"kind": "onto p-morphism must pull back one-one"}
     subchecks.append(("pmorphism-pullback", witness))
 
     # Ordered structures: operation images are order preserving and the
     # order-preserving carrier is closed under everything.
-    nabla = {(a, b) for a in range(2) for b in range(2)}
     up = {(0, 0), (0, 1), (1, 1)}
     down = {(0, 0), (1, 0), (1, 1)}
     ordered = build_structure(2, signature(("dia", 1, JOIN), ("box", 1, MEET)),
                               [up, down], order_pairs=[(0, 1)])
     plain = ConvAlgebra(lat, ordered)
     restricted = ConvAlgebra(lat, ordered, ordered=True)
+    rels = ("dia", "box")
     witness = None
-    for alpha in plain.carrier_list():
-        for rel in ("dia", "box"):
-            if not plain.is_order_preserving(plain.op(rel, (alpha,))):
-                witness = {"kind": "image-not-monotone", "relation": rel,
-                           "alpha": alpha.labels()}
-                break
-        if witness:
-            break
-    if witness is None:
-        carrier = set(restricted.carrier_list())
-        for alpha in carrier:
-            for beta in carrier:
-                if restricted.meet(alpha, beta) not in carrier \
-                        or restricted.join(alpha, beta) not in carrier:
-                    witness = {"kind": "carrier-not-closed"}
-                    break
-            if witness:
-                break
-        if witness is None:
-            for alpha in carrier:
-                for rel in ("dia", "box"):
-                    if restricted.op(rel, (alpha,)) not in carrier:
-                        witness = {"kind": "carrier-not-closed", "relation": rel}
-                        break
+    rows = plain._decode(plain.carrier_codes())
+    # [alpha, r]: whether the image of alpha under rels[r] is order preserving
+    bad = np.argwhere(~np.stack([plain._monotone_rows(plain._eval(r, [rows]))
+                                 for r in map(ordered.relation, rels)], axis=-1))
+    codes = restricted.carrier_codes()
+    pairs = np.ix_(codes, codes)
+    if len(bad):
+        witness = {"kind": "image-not-monotone", "relation": rels[bad[0][1]],
+                   "alpha": _labels(lat, rows[bad[0][0]])}
+    elif not all(np.isin(restricted._table(op)[pairs], codes).all() for op in ("meet", "join")):
+        witness = {"kind": "carrier-not-closed"}
+    else:
+        # [alpha, r]: whether rels[r] maps the carrier's alpha into the carrier
+        bad = np.argwhere(~np.stack([np.isin(restricted._table(r)[codes], codes)
+                                     for r in map(ordered.relation, rels)], axis=-1))
+        if len(bad):
+            witness = {"kind": "carrier-not-closed", "relation": rels[bad[0][1]]}
     subchecks.append(("ordered-closure", witness))
 
     failures = [{"subcheck": label, "witness": w}

@@ -15,18 +15,18 @@ no code with that kernel, so it stays an independent check of it.
 
 Each function also has an integer code, its mixed-radix index
 ``sum v_i * |L|^(n-1-i)``, which is its position in the unordered
-``elements()`` order.  A ConvAlgebra tabulates its operations over codes
-on first use (meet, join, neg and imp, and one table of ``q^arity``
-entries per relation, where q = |L|^|X|), building each table with the
-kernel above, and keeps them; ``coded()`` is the same batched interface
-over codes, used where a check needs more assignments than the tables
-have entries.
+``elements()`` order; a carrier is an array of codes, which
+``elements()`` decodes into LFunctions for input and output.  A
+ConvAlgebra tabulates its operations over codes on first use (meet,
+join, neg and imp, and one table of ``q^arity`` entries per relation,
+where q = |L|^|X|), building each table with the kernel above, and
+keeps them; ``coded()`` is the same batched interface over codes, used
+where a check needs more assignments than the tables have entries.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,7 +100,6 @@ class ConvAlgebra:
         self._rel = [self._relation_tables(i) for i in range(len(structure.signature))]
         self._order_pairs = (None if structure.order is None
                              else np.where(structure.order))
-        self._carrier: list[LFunction] | None = None
         n = structure.carrier_size
         # The widest row of a batch: a relation's gathered tuples plus a unit.
         self._width = n + max(map(len, structure.relations), default=0)
@@ -151,14 +150,7 @@ class ConvAlgebra:
         return LFunction(row, self.lattice)
 
     def is_order_preserving(self, a: LFunction) -> bool:
-        return self._monotone(a._np)
-
-    def _monotone(self, values) -> bool:
-        if self._order_pairs is None:
-            return True
-        xs, ys = self._order_pairs
-        values = np.asarray(values)
-        return bool(self.lattice.leq[values[xs], values[ys]].all())
+        return self._order_pairs is None or bool(self._monotone_rows(a._np[None])[0])
 
     def _monotone_rows(self, rows: np.ndarray):
         """Per value row of ``rows`` (shape (N, |X|)), whether it is order
@@ -179,26 +171,23 @@ class ConvAlgebra:
 
         The order on lattice elements is their build index; when the
         algebra is ordered only order-preserving functions are yielded.
+        Each is decoded from ``carrier_codes(budget)`` as it is yielded.
         """
-        self._check_budget(budget)
-        for values in product(range(self.lattice.size),
-                              repeat=self.structure.carrier_size):
-            if self.ordered and not self._monotone(values):
-                continue
-            yield LFunction(values, self.lattice)
+        codes = self.carrier_codes(budget)
+        step = max(1, _CHUNK_ENTRIES // max(1, self.structure.carrier_size))
+        for start in range(0, len(codes), step):
+            for values in self._decode(codes[start:start + step]).tolist():
+                yield LFunction(values, self.lattice)
 
     def carrier_list(self, budget: int | None = None) -> list[LFunction]:
-        """The carrier in ``elements()`` order; built once, and the budget
+        """The carrier in ``elements()`` order, as a fresh list; the budget
         is checked on every call."""
-        self._check_budget(budget)
-        if self._carrier is None:
-            self._carrier = list(self.elements(budget))
-        return self._carrier
+        return list(self.elements(budget))
 
     def carrier_count(self, budget: int | None = None) -> int:
         if not self.ordered:
             return self.space_size()
-        return len(self.carrier_list(budget))
+        return len(self.carrier_codes(budget))
 
     def _enumeration(self, budget: int | None = None):
         """(count, decode): decode maps positions in the ``elements()``
@@ -219,12 +208,17 @@ class ConvAlgebra:
         return codes[..., None] // self._radix % self.lattice.size
 
     def carrier_codes(self, budget: int | None = None) -> np.ndarray:
-        """The codes of the carrier, in ``elements()`` order."""
-        if self.ordered:
-            rows = np.array([f.values for f in self.carrier_list(budget)])
-            return self._encode(rows.reshape(len(rows), -1))
+        """The codes of the carrier in increasing, that is ``elements()``,
+        order; an ordered algebra filters all codes below the budget-checked
+        ``space_size()`` in chunks of at most _CHUNK_ENTRIES values."""
         self._check_budget(budget)
-        return np.arange(self.space_size())
+        codes = np.arange(self.space_size())
+        if not self.ordered:
+            return codes
+        width = 1 + self.structure.carrier_size + len(self._order_pairs[0])
+        step = max(1, _CHUNK_ENTRIES // width)
+        return np.concatenate([chunk[self._monotone_rows(self._decode(chunk))]
+                               for chunk in np.split(codes, range(step, len(codes), step))])
 
     def _table(self, key) -> np.ndarray:
         """The code table of ``key``, one of "meet", "join", "neg", "imp"
@@ -268,7 +262,7 @@ class ConvAlgebra:
         k, n = self.lattice.size, self.structure.carrier_size
         while True:
             values = tuple(rng.randrange(k) for _ in range(n))
-            if not self.ordered or self._monotone(values):
+            if not self.ordered or self._monotone_rows(np.array([values]))[0]:
                 return values
 
     def _draw_rows(self, rng, count: int) -> np.ndarray:

@@ -56,8 +56,10 @@ class FiniteLattice:
         leq = leq.copy()
         leq.flags.writeable = False
         self.leq = leq
-        self.meet_table = self._bound_table(leq, "lower")
-        self.join_table = self._bound_table(leq.T, "upper")
+        self.meet_np = self._bound_table(leq, "lower")
+        self.join_np = self._bound_table(leq.T, "upper")
+        self.meet_table = tuple(map(tuple, self.meet_np.tolist()))
+        self.join_table = tuple(map(tuple, self.join_np.tolist()))
         self.bottom = reduce(lambda a, b: self.meet_table[a][b], range(n), 0)
         self.top = reduce(lambda a, b: self.join_table[a][b], range(n), 0)
         self.is_distributive = self._scan_distributive()
@@ -65,10 +67,6 @@ class FiniteLattice:
         self.factors = factors
         self._imp_np = None
         self._hash = hash((self.labels, leq.tobytes()))
-        self.meet_np = np.array(self.meet_table, dtype=np.int64)
-        self.join_np = np.array(self.join_table, dtype=np.int64)
-        self.meet_np.flags.writeable = False
-        self.join_np.flags.writeable = False
 
     def _check_poset(self, leq: np.ndarray) -> None:
         n = self.size
@@ -83,50 +81,40 @@ class FiniteLattice:
         if ((~leq) & (leq @ leq)).any():
             raise NotAPoset("order is not transitive")
 
-    def _bound_table(self, below: np.ndarray, kind: str):
+    def _bound_table(self, below: np.ndarray, kind: str) -> np.ndarray:
         """Glb table when ``below[c, a]`` means c <= a (pass leq.T for lubs).
 
         The down-set of glb(a, b) is exactly the intersection of the
         down-sets of a and b, so the bound exists iff that intersection
-        is some element's down-set.
+        holds an element whose down-set is as large.  Rows are found one a
+        at a time, and a missing bound names the first such pair (a, b).
         """
         n = self.size
-        ids = {below[:, a].tobytes(): a for a in range(n)}
-        table = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                common = below[:, a] & below[:, b]
-                found = ids.get(common.tobytes())
-                if found is None:
-                    bound = "greatest lower" if kind == "lower" else "least upper"
-                    raise NotALattice(
-                        f"no {bound} bound for "
-                        f"({self.labels[a]}, {self.labels[b]})",
-                        pair=(self.labels[a], self.labels[b]),
-                    )
-                row.append(found)
-            table.append(tuple(row))
-        return tuple(table)
+        sizes = below.sum(axis=0)[:, None]
+        common = below.T.astype(np.int64) @ below  # [a, b]: how many c are below both
+        table = np.empty((n, n), dtype=np.int64)
+        for a, column in enumerate(below.T[:, :, None]):
+            table[a] = (column & below & (sizes == common[a])).argmax(axis=0)
+        found = below[table, np.arange(n)[:, None]] & below[table, np.arange(n)] \
+            & (sizes[table, 0] == common)
+        if not found.all():
+            a, b = np.argwhere(~found)[0]
+            what = "greatest lower" if kind == "lower" else "least upper"
+            raise NotALattice(
+                f"no {what} bound for ({self.labels[a]}, {self.labels[b]})",
+                pair=(self.labels[a], self.labels[b]),
+            )
+        table.flags.writeable = False
+        return table
 
     def _scan_distributive(self) -> bool:
-        n = self.size
-        meet = self.meet_table
-        join = self.join_table
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                        return False
-        return True
+        """Whether a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c), one a at a time."""
+        join = self.join_np
+        return not any((m[join] != join[m[:, None], m]).any() for m in self.meet_np)
 
     def _scan_complemented(self) -> bool:
-        n = self.size
-        return all(
-            any(self.meet_table[a][b] == self.bottom
-                and self.join_table[a][b] == self.top for b in range(n))
-            for a in range(n)
-        )
+        return bool(((self.meet_np == self.bottom)
+                     & (self.join_np == self.top)).any(axis=1).all())
 
     # -- basic queries -----------------------------------------------------
 

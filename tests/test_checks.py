@@ -4,11 +4,14 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from convalg import checks
 from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
                              n5, structure_pool, symmetric_group_3)
 from convalg.checks import (Report, _expect_group_signature,
+                            _homomorphism_witness,
                             check_closure_correspondence,
                             check_equation_transfer,
                             check_finitely_supported, check_monadic_axioms,
@@ -16,10 +19,12 @@ from convalg.checks import (Report, _expect_group_signature,
                             check_relation_algebra, check_residuation,
                             check_structural_isos, check_subset_isomorphism,
                             check_z2_associativity, default_equation_pool)
-from convalg.convolution import ConvAlgebra
+from convalg.convolution import (ConvAlgebra, SubsetAlgebra,
+                                 lift_lattice_morphism, product_iso,
+                                 pullback_pmorphism)
 from convalg.errors import NotHeyting, SignatureMismatch, WrongMode
 from convalg.structures import (JOIN, MEET, RelStructure, build_structure,
-                                full_structure, signature)
+                                from_group, full_structure, signature)
 from convalg.terms import Equation, Neg, Var, eval_term, parse_term
 
 
@@ -173,6 +178,43 @@ def test_monadic_axioms():
     assert check_monadic_axioms(boolean(2), 2).status == "pass"
     with pytest.raises(NotHeyting):
         check_monadic_axioms(n5(), 2)
+
+
+def reference_monadic_pointwise(lat, n):
+    """The monadic checker's pointwise check as a loop over the carrier:
+    the witness of the first element whose images are not the constants
+    at its join and meet, or None."""
+    algebra = ConvAlgebra(lat, checks.full_structure(n, extended=True))
+    for alpha in algebra.elements():
+        dia = algebra.op("dia", (alpha,))
+        box = algebra.op("box", (alpha,))
+        if set(dia.values) != {lat.join(alpha.values)} or \
+                set(box.values) != {lat.meet(alpha.values)}:
+            return {"alpha": alpha.labels(), "dia": dia.labels(), "box": box.labels()}
+    return None
+
+
+def test_monadic_pointwise_matches_the_loop_reference(monkeypatch):
+    # Random relations in place of the all-pairs frame break the pointwise
+    # description; 81 and 256 elements take more than one chunk.
+    rng = random.Random(2)
+    true_frame = checks.full_structure
+    outcomes = set()
+    for lat, n in [(chain(3), 2), (boolean(2), 2), (chain(3), 4), (boolean(2), 4)] * 3:
+        relations = [{(a, b) for a in range(n) for b in range(n) if rng.random() < 0.8}
+                     for _ in range(2)]
+        if rng.random() < 0.25:
+            relations = list(true_frame(n, extended=True).relations)
+        monkeypatch.setattr(checks, "full_structure", lambda n, extended, rels=relations:
+                            RelStructure(n, signature(("dia", 1, JOIN), ("box", 1, MEET)), rels))
+        r = check_monadic_axioms(lat, n)
+        expect = reference_monadic_pointwise(lat, n)
+        if expect is None:
+            assert r.witness is None or "alpha" not in r.witness
+        else:
+            assert (r.status, r.witness, r.stats) == ("fail", expect, {})
+        outcomes.add(expect is None)
+    assert outcomes == {True, False}
 
 
 def test_nabla_positive_direction():
@@ -371,6 +413,159 @@ def test_equation_transfer_rejects_heyting_terms():
 def test_subset_isomorphism_over_sample():
     for name, s in structure_pool()[:6]:
         assert check_subset_isomorphism(s, instance=name).status == "pass"
+
+
+def reference_subset_isomorphism(structure, instance=None):
+    """The subset-isomorphism checker written as loops over the carrier,
+    one element, pair and argument tuple at a time."""
+    name = instance or repr(structure)
+    algebra = ConvAlgebra(chain(2), structure)
+    subsets = SubsetAlgebra(structure)
+    iso_phi = checks.iso_phi  # looked up per call, so a patched map is used
+    funcs = algebra.carrier_list()
+    images = [iso_phi(f) for f in funcs]
+    if len(set(images)) != len(funcs) or set(images) != set(subsets.elements()):
+        return Report("subset-iso", name, "fail",
+                      witness={"kind": "not a bijection"}, stats={})
+    checked = 0
+    if iso_phi(algebra.bot()) != subsets.bot() or iso_phi(algebra.top()) != subsets.top():
+        return Report("subset-iso", name, "fail",
+                      witness={"kind": "bounds"}, stats={})
+    for f in funcs:
+        for g in funcs:
+            checked += 1
+            if iso_phi(algebra.meet(f, g)) != subsets.meet(iso_phi(f), iso_phi(g)):
+                return Report("subset-iso", name, "fail",
+                              witness={"kind": "meet", "f": f.labels(),
+                                       "g": g.labels()}, stats={})
+            if iso_phi(algebra.join(f, g)) != subsets.join(iso_phi(f), iso_phi(g)):
+                return Report("subset-iso", name, "fail",
+                              witness={"kind": "join", "f": f.labels(),
+                                       "g": g.labels()}, stats={})
+    for spec in structure.signature.rel_specs:
+        for args in product(funcs, repeat=spec.arity):
+            checked += 1
+            lhs = iso_phi(algebra.op(spec.name, args))
+            rhs = subsets.op(spec.name, [iso_phi(a) for a in args])
+            if lhs != rhs:
+                return Report("subset-iso", name, "fail",
+                              witness={"kind": "operation", "relation": spec.name,
+                                       "args": [a.labels() for a in args],
+                                       "function_side": sorted(lhs),
+                                       "subset_side": sorted(rhs)},
+                              stats={"checked": checked})
+    return Report("subset-iso", name, "pass", stats={"checked": checked})
+
+
+def test_subset_isomorphism_matches_the_loop_reference(monkeypatch):
+    # The true map, then maps that break each law: a point permutation is
+    # a Boolean isomorphism that commutes with the relations only when it
+    # is an automorphism of the structure, so it reaches the operations
+    # (nullary ones included); the others break bounds, meets, joins and
+    # bijectivity.
+    true_phi = checks.iso_phi
+
+    def permuted(f):
+        n = len(f.values)
+        return frozenset((x + 1) % n for x in true_phi(f))
+
+    def swapped(a, b):  # exchanges the images of two subsets
+        a, b = frozenset(a), frozenset(b)
+        return lambda f: {a: b, b: a}.get(true_phi(f), true_phi(f))
+
+    maps = {"true": true_phi, "permuted": permuted,
+            "swap-1-12": swapped({1}, {1, 2}), "swap-0-01": swapped({0}, {0, 1}),
+            "complement": lambda f: frozenset(range(len(f.values))) - true_phi(f),
+            "constant": lambda f: frozenset()}
+    outcomes = set()
+    for label, phi in maps.items():
+        monkeypatch.setattr(checks, "iso_phi", phi)
+        for name, s in structure_pool():
+            r = check_subset_isomorphism(s, instance=name)
+            assert r.to_dict() == reference_subset_isomorphism(s, instance=name).to_dict(), \
+                (label, name)
+            outcomes.add(r.witness["kind"] if r.witness else r.status)
+            if r.witness and r.witness["kind"] == "operation" and not r.witness["args"]:
+                outcomes.add("nullary operation")
+    assert outcomes == {"pass", "not a bijection", "bounds", "meet", "join",
+                        "operation", "nullary operation"}
+
+
+def reference_commutes_with_ops(push, dom, cod):
+    """push: element of dom -> element of cod; the homomorphism laws as
+    loops over dom's carrier, one pair and argument tuple at a time."""
+    funcs = dom.carrier_list()
+    if push(dom.bot()) != cod.bot() or push(dom.top()) != cod.top():
+        return {"kind": "bounds"}
+    for f in funcs:
+        for g in funcs:
+            if push(dom.meet(f, g)) != cod.meet(push(f), push(g)):
+                return {"kind": "meet", "f": f.labels(), "g": g.labels()}
+            if push(dom.join(f, g)) != cod.join(push(f), push(g)):
+                return {"kind": "join", "f": f.labels(), "g": g.labels()}
+    for spec in dom.structure.signature.rel_specs:
+        for args in product(funcs, repeat=spec.arity):
+            if push(dom.op(spec.name, args)) != cod.op(spec.name,
+                                                       [push(a) for a in args]):
+                return {"kind": "operation", "relation": spec.name,
+                        "args": [a.labels() for a in args]}
+    return None
+
+
+def _structural_maps():
+    """(dom, images, cod) for the maps structural-isos checks."""
+    two, z2 = chain(2), cyclic_group(2)
+    split = ConvAlgebra(two.product(two), z2)
+    z4 = from_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
+    z4r = RelStructure(4, signature(("*", 2, JOIN), ("conv", 1, JOIN)), z4.relations[:2])
+    z2r = RelStructure(2, z4r.signature, z2.relations[:2])
+    pull = ConvAlgebra(chain(3), z2r)
+    dom = ConvAlgebra(chain(3), z2)
+
+    def images(algebra, fn):
+        return np.array([fn(f).values for f in algebra.carrier_list()])
+
+    return [
+        (split, images(split, lambda f: product_iso(f)[0]), ConvAlgebra(two, z2)),
+        (split, images(split, lambda f: product_iso(f)[1]), ConvAlgebra(two, z2)),
+        (dom, images(dom, lambda f: lift_lattice_morphism([0, 1, 1], two, f)),
+         ConvAlgebra(two, z2)),
+        (pull, images(pull, lambda f: pullback_pmorphism([0, 1, 0, 1], z4r, z2r, f)),
+         ConvAlgebra(chain(3), z4r)),
+    ]
+
+
+def test_homomorphism_witness_matches_the_loop_reference():
+    # The structural-isos maps, then seeded corruptions: one image row
+    # replaced, or one relation of the codomain redrawn (nullary ones too).
+    rng = random.Random(0)
+    cases = _structural_maps()
+    for dom, images, cod in list(cases):
+        for _ in range(25):
+            bent = images.copy()
+            bent[rng.randrange(len(bent))] = [rng.randrange(cod.lattice.size)
+                                              for _ in range(bent.shape[1])]
+            cases.append((dom, bent, cod))
+    for lat in (chain(2), chain(3), m3()):
+        for _ in range(8):
+            s = cyclic_group(2)
+            relations = list(s.relations)
+            k = rng.randrange(len(relations))
+            width = s.signature.rel_specs[k].arity + 1
+            relations[k] = {t for t in product(range(2), repeat=width) if rng.random() < 0.5}
+            dom = ConvAlgebra(lat, s)
+            cod = ConvAlgebra(lat, RelStructure(2, s.signature, relations))
+            cases.append((dom, dom._decode(dom.carrier_codes()), cod))
+    kinds = set()
+    for dom, images, cod in cases:
+        def push(e, dom=dom, images=images, cod=cod):
+            return cod.function(images[dom._encode(e._np)])
+        got = _homomorphism_witness(dom, images, cod)[0]
+        assert got == reference_commutes_with_ops(push, dom, cod)
+        kinds.add(got["kind"] if got else None)
+        if got and got["kind"] == "operation" and not got["args"]:
+            kinds.add("nullary operation")
+    assert kinds == {None, "bounds", "meet", "join", "operation", "nullary operation"}
 
 
 def test_structural_isos_pass():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convalg import convolution
 from convalg.catalog import boolean, chain, m3, n5, structure_pool
 from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra,
                                  delta_decompose, enumerate_functions,
@@ -533,6 +534,33 @@ def test_carrier_list_checks_budget_on_every_call():
         algebra.carrier_list(5)
     with pytest.raises(BudgetExceeded):
         algebra.carrier_codes(5)
+
+
+def test_ordered_carrier_matches_a_loop_filter(monkeypatch):
+    # Random orders on 1-4 points over chain3 and M3; a small chunk limit
+    # makes the array filter run over several chunks.
+    monkeypatch.setattr(convolution, "_CHUNK_ENTRIES", 16)
+    rng = random.Random(5)
+    for _ in range(30):
+        lat, n = rng.choice([chain3(), m3()]), rng.randrange(1, 5)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+        perm = rng.sample(range(n), n)
+        s = build_structure(n, signature(("f", 1, JOIN)), [set()],
+                            order_pairs=[(perm[a], perm[b]) for a, b in pairs])
+        algebra = ConvAlgebra(lat, s, ordered=True)
+        expect = [v for v in product(range(lat.size), repeat=n)
+                  if all(lat.leq[v[x], v[y]] for x in range(n) for y in range(n)
+                         if s.order[x, y])]
+        codes = algebra.carrier_codes()
+        assert [tuple(r) for r in algebra._decode(codes).tolist()] == expect
+        assert [f.values for f in algebra.elements()] == expect
+        assert [f.values for f in algebra.carrier_list()] == expect
+        assert algebra.carrier_count() == len(expect)
+        small = lat.size ** n - 1
+        for call in (algebra.carrier_codes, algebra.carrier_list,
+                     lambda budget: list(algebra.elements(budget))):
+            with pytest.raises(BudgetExceeded):
+                call(small)
 
 
 def test_codes_are_enumeration_positions_and_tables_match_ops():

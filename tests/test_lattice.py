@@ -12,7 +12,8 @@ import pytest
 
 from convalg.errors import (NotALattice, NotAPoset, NotHeyting,
                             UnknownElement)
-from convalg.lattice import (build_lattice, derive, lattice_from_json,
+from convalg.lattice import (FiniteLattice, _transitive_closure,
+                             build_lattice, derive, lattice_from_json,
                              lattice_to_json)
 
 
@@ -127,6 +128,59 @@ def test_tables_match_oracle_on_pool():
             for b_ in range(lat.size):
                 assert lat.meet_table[a][b_] == oracle_glb(lat, [a, b_])
                 assert lat.join_table[a][b_] == oracle_lub(lat, [a, b_])
+
+
+def test_big_lattice_tables_and_flags_match_oracle():
+    # The tables of the largest catalog lattices against the order-matrix
+    # oracle, and their flags against a triple scan of those tables.
+    from convalg.catalog import boolean, chain
+    for lat, boolean_flag in ((boolean(6), True), (chain(70), False),
+                              (chain(8).product(chain(8)), False)):
+        n = lat.size
+        for a in range(n):
+            for b_ in range(n):
+                assert lat.meet_table[a][b_] == oracle_glb(lat, [a, b_])
+                assert lat.join_table[a][b_] == oracle_lub(lat, [a, b_])
+        meet, join = lat.meet_table, lat.join_table
+        assert lat.is_distributive == all(
+            meet[a][join[b_][c]] == join[meet[a][b_]][meet[a][c]]
+            for a in range(n) for b_ in range(n) for c in range(n))
+        assert lat.is_distributive and lat.is_boolean == boolean_flag
+        assert (lat.meet_np == np.array(meet)).all() and (lat.join_np == np.array(join)).all()
+
+
+def reference_missing_bound(labels, leq):
+    """(message, pair) of the first pair without a bound, glbs before lubs,
+    found by matching down-sets one pair at a time; None for a lattice."""
+    n = len(labels)
+    for below, what in ((leq, "greatest lower"), (leq.T, "least upper")):
+        ids = {below[:, a].tobytes() for a in range(n)}
+        for a in range(n):
+            for b in range(n):
+                if (below[:, a] & below[:, b]).tobytes() not in ids:
+                    return (f"no {what} bound for ({labels[a]}, {labels[b]})",
+                            (labels[a], labels[b]))
+    return None
+
+
+def test_missing_bound_names_the_pair_a_loop_finds():
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        labels = [f"e{i}" for i in range(n)]
+        rel = np.triu(rng.random((n, n)) < 0.35, 1)
+        perm = rng.permutation(n)
+        leq = _transitive_closure(rel)[np.ix_(perm, perm)]
+        expect = reference_missing_bound(labels, leq)
+        try:
+            FiniteLattice(labels, leq)
+            got = None
+        except NotALattice as exc:
+            got = (str(exc), exc.pair)
+        assert got == expect
+        outcomes.add(None if expect is None else expect[0].split()[1])
+    assert outcomes == {None, "greatest", "least"}
 
 
 def test_absorption_and_idempotence():
