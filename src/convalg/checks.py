@@ -30,7 +30,8 @@ from .structures import (JOIN, MEET, RelStructure, build_structure,
                          disjoint_union, from_group, full_structure,
                          is_p_morphism, signature)
 from .terms import (Bot, Equation, Join, Meet, Neg, RelOp, Top, Var,
-                    _chunks, _grid, _samples, check_equation, describe_element)
+                    _assignments, _first_failure, _grid, check_equation,
+                    describe_element)
 
 
 @dataclass
@@ -229,10 +230,10 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
     over all point combinations of the operation applied to one-point
     restrictions (value kept at one point, bottom elsewhere).  Meet
     convolutions obey the dual law with co-one-point restrictions (value
-    kept at one point, top elsewhere) and a meet.  A seeded sample of
-    tuples below (resp. above) the arguments is also checked to stay on
-    the right side of the output; on a finite carrier, where every
-    function has finite support, the general form reduces to that.
+    kept at one point, top elsewhere) and a meet.  Each argument is also
+    met (resp. joined) with a seeded random element, and the output there
+    must stay below (resp. above) the output; on a finite carrier, where
+    every function has finite support, the general form reduces to that.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
     i = algebra.structure.relation(rel)
@@ -245,51 +246,48 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         return Report("finite-support", name, "pass",
                       stats={"note": "nullary operation, no arguments"})
 
+    k = spec.arity
     rng = random.Random(seed)
-    if algebra.space_size() ** spec.arity <= cap:
-        total, grid = _grid(algebra, spec.arity, cap)
-        checked_mode = "exhaustive"
-    else:
-        total, grid, checked_mode = min(2000, cap), None, "sampled"
-
-    # Candidates for a seeded comparand below (join) or above (meet) a value.
-    sides = [np.flatnonzero(lat.leq[:, v] if joinish else lat.leq[v]).tolist()
-             for v in range(lat.size)]
+    total, rows, sampling = _assignments(algebra, k, "auto", cap, min(2000, cap), rng)
+    side = lat.meet_np if joinish else lat.join_np
     fill = lat.bottom if joinish else lat.top
     fold = lat.join_np if joinish else lat.meet_np
-    witness = None
-    checked = total
-    for start, stop in _chunks(total, algebra):
-        # Per tuple, the draws one loop makes: the tuple when sampled, then
-        # a comparand for each argument.
-        tuples = (zip(*(a.tolist() for a in grid(start, stop))) if grid else
-                  ([algebra._draw(rng) for _ in range(spec.arity)]
-                   for _ in range(start, stop)))
-        drawn = [(t, [[rng.choice(sides[v]) for v in a] for a in t]) for t in tuples]
-        args = [np.array(col) for col in zip(*(t for t, _ in drawn))]
-        bent = [np.array(col) for col in zip(*(b for _, b in drawn))]
+    points = np.arange(n_car)
+
+    def with_comparands(start, stop):
+        args = rows(start, stop)
+        drawn = algebra._draw_rows(rng, (stop - start) * k).reshape(stop - start, k, n_car)
+        return args + [side[a, r] for a, r in zip(args, drawn.swapaxes(0, 1))]
+
+    def outputs(args):
+        """The output on ``args`` and the fold of the outputs on their deltas."""
         lhs = algebra._eval(i, args)
         rhs = np.full_like(lhs, fill)
-        points = np.arange(n_car)
-        for xs in product(range(n_car), repeat=spec.arity):
+        for xs in product(range(n_car), repeat=k):
             deltas = [np.where(points == x, a, fill) for a, x in zip(args, xs)]
             rhs = fold[rhs, algebra._eval(i, deltas)]
-        out = algebra._eval(i, bent)
+        return lhs, rhs
+
+    def broken(*args_and_comparands):
+        lhs, rhs = outputs(args_and_comparands[:k])
+        out = algebra._eval(i, args_and_comparands[k:])
         sided = (lat.leq[out, lhs] if joinish else lat.leq[lhs, out]).all(axis=-1)
-        unfolded = (lhs != rhs).any(axis=-1)
-        bad = np.flatnonzero(unfolded | ~sided)
-        if bad.size:
-            j = int(bad[0])
-            checked = start + j + 1
-            witness = {"args": [_labels(lat, a[j]) for a in args]}
-            if unfolded[j]:
-                witness.update(output=_labels(lat, lhs[j]), delta_fold=_labels(lat, rhs[j]))
-            else:
-                witness["comparand"] = [_labels(lat, b[j]) for b in bent]
-            break
+        return (lhs != rhs).any(axis=-1) | ~sided
+
+    position, found = _first_failure(total, algebra, with_comparands, broken)
+    witness = None
+    if position is not None:
+        args, bent = found[:k], found[k:]
+        lhs, rhs = outputs(args)
+        witness = {"args": [_labels(lat, a) for a in args]}
+        if (lhs != rhs).any():
+            witness.update(output=_labels(lat, lhs), delta_fold=_labels(lat, rhs))
+        else:
+            witness["comparand"] = [_labels(lat, b) for b in bent]
     status = "pass" if witness is None else "fail"
     return Report("finite-support", name, status, witness=witness,
-                  stats={"tuples": checked, "mode": checked_mode,
+                  stats={"tuples": total if position is None else position + 1,
+                         "mode": "sampled" if sampling else "exhaustive",
                          "form": "delta-join" if joinish else "delta-meet"})
 
 
@@ -391,18 +389,23 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
     algebra = ConvAlgebra(lat, structure)
     name = instance or f"n={n}"
 
-    codes = algebra.carrier_codes(budget)
-    for start, stop in _chunks(len(codes), algebra):
-        rows = algebra._decode(codes[start:stop])
-        dia = algebra._eval(structure.relation("dia"), [rows])
-        box = algebra._eval(structure.relation("box"), [rows])
+    def images(rows):
+        return [algebra._eval(structure.relation(r), [rows]) for r in ("dia", "box")]
+
+    def broken(rows):
+        dia, box = images(rows)
         cj = reduce(lambda acc, v: lat.join_np[acc, v], rows.T, np.full(len(rows), lat.bottom))
         cm = reduce(lambda acc, v: lat.meet_np[acc, v], rows.T, np.full(len(rows), lat.top))
-        bad = np.flatnonzero(((dia != cj[:, None]) | (box != cm[:, None])).any(axis=-1))
-        if bad.size:
-            return Report("monadic", name, "fail", stats={}, witness={
-                "alpha": _labels(lat, rows[bad[0]]), "dia": _labels(lat, dia[bad[0]]),
-                "box": _labels(lat, box[bad[0]])})
+        return ((dia != cj[:, None]) | (box != cm[:, None])).any(axis=-1)
+
+    cap = DEFAULT_BUDGET if budget is None else budget
+    total, rows, _ = _assignments(algebra, 1, "exhaustive", cap)
+    position, found = _first_failure(total, algebra, rows, broken)
+    if position is not None:
+        alpha, = found
+        dia, box = images(alpha)
+        return Report("monadic", name, "fail", stats={}, witness={
+            "alpha": _labels(lat, alpha), "dia": _labels(lat, dia), "box": _labels(lat, box)})
 
     def dia(t):
         return RelOp("dia", (t,))
@@ -567,33 +570,31 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     star = group.relation("*")
     converse = group.relation("conv")
 
+    cap = DEFAULT_BUDGET if budget is None else budget
+
     def triple_agreement(first_uses_negneg: bool):
         """Scan the three-way equivalence of De Morgan's inequalities."""
-        cap = DEFAULT_BUDGET if budget is None else budget
-        if samples is None and algebra.space_size() ** 3 <= cap:
-            total, triples = _grid(algebra, 3, cap)
-            how = "exhaustive"
-        else:
-            total = samples if samples is not None else 10_000
-            triples = _samples(algebra, 3, random.Random(seed))
-            how = "sampled"
-        leq = lat.leq
-        for start, stop in _chunks(total, algebra):
-            fa, fb, fc = triples(start, stop)
+        def bounds(fa, fb, fc):
             nc = algebra._neg(fc)
             bound = algebra._neg(nc) if first_uses_negneg else fc
-            one = leq[algebra._eval(star, [fa, fb]), bound].all(axis=-1)
-            two = leq[algebra._eval(star, [algebra._eval(converse, [fa]), nc]),
-                      algebra._neg(fb)].all(axis=-1)
-            three = leq[algebra._eval(star, [nc, algebra._eval(converse, [fb])]),
-                        algebra._neg(fa)].all(axis=-1)
-            bad = np.flatnonzero((one != two) | (two != three))
-            if bad.size:
-                j = int(bad[0])
-                return {"a": _labels(lat, fa[j]), "b": _labels(lat, fb[j]),
-                        "c": _labels(lat, fc[j]),
-                        "bounds": [bool(one[j]), bool(two[j]), bool(three[j])]}, how
-        return None, how
+            return (lat.leq[algebra._eval(star, [fa, fb]), bound].all(axis=-1),
+                    lat.leq[algebra._eval(star, [algebra._eval(converse, [fa]), nc]),
+                            algebra._neg(fb)].all(axis=-1),
+                    lat.leq[algebra._eval(star, [nc, algebra._eval(converse, [fb])]),
+                            algebra._neg(fa)].all(axis=-1))
+
+        def broken(*triple):
+            one, two, three = bounds(*triple)
+            return (one != two) | (two != three)
+
+        total, triples, sampling = _assignments(algebra, 3, mode, cap, samples, seed)
+        how = "sampled" if sampling else "exhaustive"
+        position, found = _first_failure(total, algebra, triples, broken)
+        if position is None:
+            return None, how
+        return {"a": _labels(lat, found[0]), "b": _labels(lat, found[1]),
+                "c": _labels(lat, found[2]),
+                "bounds": [bool(x) for x in bounds(*found)]}, how
 
     witness8p, how8p = triple_agreement(first_uses_negneg=True)
     stats["de_morgan_scan"] = how8p
@@ -774,25 +775,21 @@ def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
     failure or None, the pairs and tuples compared up to it, and the value
     rows of both sides of a failed operation.
     """
-    q = dom.space_size()
-
     def labels(code):
         return _labels(dom.lattice, dom._decode(np.asarray(code)))
 
     def same(x, y):
         return (x == y).all(axis=-1)
 
+    coded, enumeration = dom.coded(), dom._enumeration()
+
     def first_failure(arity, holds):
-        # The first code tuple where ``holds`` fails and its flat index.
-        for start, stop in _chunks(q ** arity, cod):
-            idx, codes = np.arange(start, stop), []
-            for _ in range(arity):
-                idx, digit = np.divmod(idx, q)
-                codes.insert(0, digit)
-            bad = np.flatnonzero(~np.broadcast_to(holds(*codes), idx.shape))
-            if bad.size:
-                return tuple(int(c[bad[0]]) for c in codes), start + int(bad[0])
-        return None, q ** arity
+        # The first code tuple where ``holds`` fails and the tuples before it.
+        total, rows = _grid(coded, arity, enumeration)
+        position, codes = _first_failure(total, cod, rows, lambda *args: ~holds(*args))
+        if position is None:
+            return None, total
+        return tuple(int(c[0]) for c in codes), position
 
     if not all(np.array_equal(images[dom._encode(dom._row(d))], cod._row(c))
                for d, c in ((dom.bot(), cod.bot()), (dom.top(), cod.top()))):

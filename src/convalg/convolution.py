@@ -190,12 +190,12 @@ class ConvAlgebra:
         return len(self.carrier_codes(budget))
 
     def _enumeration(self, budget: int | None = None):
-        """(count, decode): decode maps positions in the ``elements()``
-        order, as an integer array, to the value rows found there."""
+        """(count, codes): the carrier's size, and a map from positions in
+        the ``elements()`` order, as an integer array, to codes."""
         if self.ordered:
-            rows = self._decode(self.carrier_codes(budget))
-            return len(rows), rows.__getitem__
-        return self.space_size(), self._decode
+            codes = self.carrier_codes(budget)
+            return len(codes), codes.__getitem__
+        return self.space_size(), lambda idx: idx
 
     # -- integer codes ---------------------------------------------------------
 
@@ -256,18 +256,11 @@ class ConvAlgebra:
 
     # -- random elements -----------------------------------------------------
 
-    def _draw(self, rng) -> tuple:
-        """Values of a uniform random carrier element; an ordered algebra
-        draws functions until one is order preserving."""
-        k, n = self.lattice.size, self.structure.carrier_size
-        while True:
-            values = tuple(rng.randrange(k) for _ in range(n))
-            if not self.ordered or self._monotone_rows(np.array([values]))[0]:
-                return values
-
     def _draw_rows(self, rng, count: int) -> np.ndarray:
-        """``count`` value rows, the same as ``count`` calls of ``_draw``
-        would give, leaving ``rng`` in the same state.
+        """``count`` uniform random carrier elements as value rows: the same
+        rows, leaving ``rng`` in the same state, as drawing one
+        ``rng.randrange(|L|)`` per point, row after row, and rejecting the
+        rows that are not order preserving when the algebra is ordered.
 
         ``randrange(k)`` keeps the top ``k.bit_length()`` bits of one 32-bit
         word of the generator and rejects values >= k, so the words are
@@ -298,7 +291,7 @@ class ConvAlgebra:
         return rows[:count].astype(np.int64)
 
     def random_element(self, rng) -> LFunction:
-        return LFunction(self._draw(rng), self.lattice)
+        return LFunction(self._draw_rows(rng, 1)[0], self.lattice)
 
     # -- pointwise lattice structure ------------------------------------------
     # The underscored forms act on value arrays of any batch shape.
@@ -392,7 +385,6 @@ class _Coded:
 
     A batch of N elements is an (N, 1) array of codes, so rows have width
     one; every operation is a lookup in one of the algebra's code tables.
-    The positions of ``_enumeration`` are those of the algebra.
     """
 
     _width = 1
@@ -411,9 +403,8 @@ class _Coded:
     def _row(self, a: LFunction) -> np.ndarray:
         return self.algebra._encode(self.algebra._row(a))[None]
 
-    def _enumeration(self, budget: int | None = None):
-        codes = self.algebra.carrier_codes(budget)
-        return len(codes), lambda idx: codes[idx][:, None]
+    def _decode(self, codes: np.ndarray) -> np.ndarray:
+        return codes[..., None]
 
     def _meet(self, x, y):
         return self.algebra._table("meet")[x, y]
@@ -495,9 +486,6 @@ class SubsetAlgebra:
     def space_size(self) -> int:
         return 2 ** self.structure.carrier_size
 
-    def carrier_count(self, budget: int | None = None) -> int:
-        return self.space_size()
-
     def elements(self, budget: int | None = None):
         cap = DEFAULT_BUDGET if budget is None else budget
         if self.space_size() > cap:
@@ -510,22 +498,22 @@ class SubsetAlgebra:
         return list(self.elements(budget))
 
     def _enumeration(self, budget: int | None = None):
-        """(count, decode), as for ConvAlgebra: position m is the subset
-        whose members are the set bits of m."""
-        bits = np.arange(self.structure.carrier_size)
-        return self.space_size(), lambda idx: (idx[:, None] >> bits & 1).astype(bool)
+        """(count, codes), as for ConvAlgebra: the code of the subset at
+        position m is m, whose set bits are its members."""
+        return self.space_size(), lambda idx: idx
 
-    def _draw(self, rng) -> tuple:
-        mask = rng.randrange(self.space_size())
-        return tuple(bool(mask >> i & 1) for i in range(self.structure.carrier_size))
+    def _decode(self, masks: np.ndarray) -> np.ndarray:
+        """Boolean rows of an array of subset codes."""
+        return (masks[..., None] >> np.arange(self.structure.carrier_size) & 1).astype(bool)
 
     def _draw_rows(self, rng, count: int) -> np.ndarray:
-        """``count`` rows of ``_draw``, as a boolean array."""
-        rows = [self._draw(rng) for _ in range(count)]
-        return np.array(rows, dtype=bool).reshape(count, self.structure.carrier_size)
+        """``count`` uniform random subsets as boolean rows, drawn as one
+        ``rng.randrange`` of their code each."""
+        q = self.space_size()
+        return self._decode(np.array([rng.randrange(q) for _ in range(count)], dtype=np.int64))
 
     def random_element(self, rng) -> frozenset:
-        return self._element(self._draw(rng))
+        return self._element(self._draw_rows(rng, 1)[0])
 
     def op(self, rel, args: Sequence[frozenset]) -> frozenset:
         return self._apply(self.structure.relation(rel), args)

@@ -169,13 +169,13 @@ class FiniteLattice:
         if not self.is_distributive:
             raise NotHeyting("relative pseudocomplement needs a distributive lattice")
         if self._imp_np is None:
-            n = self.size
-            meet = self.meet_table
-            leq = self.leq
-            table = np.array(
-                [[self.join(c for c in range(n) if leq[meet[x][c], y])
-                  for y in range(n)]
-                 for x in range(n)], dtype=np.int64)
+            # {c : a /\ c <= b} is a down-set, so a -> b, its greatest
+            # member, is the member whose down-set is as large; one a at a time.
+            sizes = self.leq.sum(axis=0)[:, None]
+            table = np.empty((self.size, self.size), dtype=np.int64)
+            for a, meets in enumerate(self.meet_np):
+                fits = self.leq[meets]  # [c, b]: a /\ c <= b
+                table[a] = (fits & (sizes == fits.sum(axis=0))).argmax(axis=0)
             table.flags.writeable = False
             self._imp_np = table
         return self._imp_np

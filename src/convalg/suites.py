@@ -45,32 +45,27 @@ def suite_subset_iso(budget=None, seed=0) -> Report:
     return _aggregate("suite:subset-iso", f"pool={len(reports)}", reports)
 
 
-def suite_operator_laws(budget=None, seed=0) -> Report:
+def _per_relation(suite: str, checker, budget, seed) -> Report:
+    """``checker`` on every relation of the structure pool, over chain2,
+    chain3 and boolean2."""
     lattices = [("chain2", catalog.chain(2)), ("chain3", catalog.chain(3)),
                 ("boolean2", catalog.boolean(2))]
     reports = []
     for lname, lat in lattices:
         for sname, s in catalog.structure_pool():
             algebra = ConvAlgebra(lat, s)
-            for spec in s.signature.rel_specs:
-                reports.append(check_operator(
-                    algebra, spec.name, budget=budget, seed=seed,
-                    instance=f"{lname}/{sname}/{spec.name}"))
-    return _aggregate("suite:operator-laws", f"checks={len(reports)}", reports)
+            reports += [checker(algebra, spec.name, budget=budget, seed=seed,
+                                instance=f"{lname}/{sname}/{spec.name}")
+                        for spec in s.signature.rel_specs]
+    return _aggregate(suite, f"checks={len(reports)}", reports)
+
+
+def suite_operator_laws(budget=None, seed=0) -> Report:
+    return _per_relation("suite:operator-laws", check_operator, budget, seed)
 
 
 def suite_finite_support(budget=None, seed=0) -> Report:
-    lattices = [("chain2", catalog.chain(2)), ("chain3", catalog.chain(3)),
-                ("boolean2", catalog.boolean(2))]
-    reports = []
-    for lname, lat in lattices:
-        for sname, s in catalog.structure_pool():
-            algebra = ConvAlgebra(lat, s)
-            for spec in s.signature.rel_specs:
-                reports.append(check_finitely_supported(
-                    algebra, spec.name, budget=budget, seed=seed,
-                    instance=f"{lname}/{sname}/{spec.name}"))
-    return _aggregate("suite:finite-support", f"checks={len(reports)}", reports)
+    return _per_relation("suite:finite-support", check_finitely_supported, budget, seed)
 
 
 def suite_equation_transfer(budget=None, seed=0) -> Report:

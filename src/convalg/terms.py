@@ -87,32 +87,27 @@ Term = Union[Var, Bot, Top, Meet, Join, RelOp, Neg, Imp]
 _KEYWORDS = {"bot", "top", "meet", "join", "op", "neg", "imp", "var"}
 
 
+def _subterms(t: Term):
+    """``t`` and every term below it."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        if isinstance(t, RelOp):
+            todo.extend(t.args)
+        elif isinstance(t, Neg):
+            todo.append(t.arg)
+        elif isinstance(t, (Meet, Join, Imp)):
+            todo += (t.lhs, t.rhs)
+
+
 def term_variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Bot, Top)):
-        return set()
-    if isinstance(t, (Meet, Join, Imp)):
-        return term_variables(t.lhs) | term_variables(t.rhs)
-    if isinstance(t, Neg):
-        return term_variables(t.arg)
-    out = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
+    return {s.name for s in _subterms(t) if isinstance(s, Var)}
 
 
 def uses_heyting(t: Term) -> bool:
     """True when the term leaves the negation-free fragment."""
-    if isinstance(t, (Neg,)):
-        return True
-    if isinstance(t, Imp):
-        return True
-    if isinstance(t, (Meet, Join)):
-        return uses_heyting(t.lhs) or uses_heyting(t.rhs)
-    if isinstance(t, RelOp):
-        return any(uses_heyting(a) for a in t.args)
-    return False
+    return any(isinstance(s, (Neg, Imp)) for s in _subterms(t))
 
 
 def to_sexpr(t: Term) -> str:
@@ -302,16 +297,17 @@ def _chunks(total: int, alg):
         start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // alg._width))
 
 
-def _grid(alg, k: int, budget: int):
-    """(total, rows): ``rows(start, stop)`` gives one array of value rows
-    per position for k-tuples start..stop-1 in ``itertools.product`` order."""
-    count, decode = alg._enumeration(budget) if k else (1, None)
+def _grid(alg, k: int, enumeration):
+    """(total, rows) over an ``_enumeration`` (count, codes): ``rows(start,
+    stop, into=alg)`` gives one array of ``into``'s rows per position for
+    k-tuples start..stop-1 in ``itertools.product`` order."""
+    count, codes = enumeration
 
-    def rows(start, stop):
+    def rows(start, stop, into=alg):
         idx, digits = np.arange(start, stop), []
         for _ in range(k):
             idx, digit = np.divmod(idx, count)
-            digits.append(decode(digit))
+            digits.append(into._decode(codes(digit)))
         return digits[::-1]
     return count ** k, rows
 
@@ -325,14 +321,44 @@ def _samples(alg, k: int, rng):
     return rows
 
 
-def _op_names(t: Term) -> set[str]:
-    if isinstance(t, (Var, Bot, Top)):
-        return set()
-    if isinstance(t, (Meet, Join, Imp)):
-        return _op_names(t.lhs) | _op_names(t.rhs)
-    if isinstance(t, Neg):
-        return _op_names(t.arg)
-    return {t.name}.union(*map(_op_names, t.args))
+def _assignments(alg, k: int, mode: str, cap: int, samples: int | None = None, seed=0):
+    """(total, rows, sampling) for the k-tuples a search tries: the
+    exhaustive grid of _grid when ``mode`` is 'exhaustive' (BudgetExceeded
+    beyond ``cap``), or 'auto' and it fits ``cap``; else ``samples`` tuples,
+    min(cap, 10_000) by default, drawn from ``seed``, a seed or a generator
+    the caller also draws from.  ``sampling`` is {} for the grid, else
+    {"samples": total, "seed": seed}.  The carrier is enumerated once.
+    """
+    if mode not in ("auto", "exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "sample":
+        try:
+            total, rows = _grid(alg, k, alg._enumeration(cap) if k else (1, None))
+        except BudgetExceeded:  # an ordered carrier too large to enumerate
+            if mode == "exhaustive":
+                raise
+        else:
+            if total <= cap:
+                return total, rows, {}
+            if mode == "exhaustive":
+                raise BudgetExceeded(total, cap)
+    total = samples if samples is not None else min(cap, 10_000)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return total, _samples(alg, k, rng), {"samples": total, "seed": seed}
+
+
+def _first_failure(total: int, alg, rows, broken):
+    """(position, rows) of the first of the tuples 0..total-1 of ``rows``
+    (as for _grid) at which the batched predicate ``broken`` holds, with one
+    row per tuple element; (None, None) when it holds at none.  Chunks are
+    sized for ``alg``'s rows."""
+    for start, stop in _chunks(total, alg):
+        args = rows(start, stop)
+        hits = np.flatnonzero(broken(*args))
+        if hits.size:
+            j = int(hits[0])
+            return start + j, [a[j] for a in args]
+    return None, None
 
 
 def _tabled(alg, eq: Equation, total: int):
@@ -345,7 +371,7 @@ def _tabled(alg, eq: Equation, total: int):
     if q * q >= total:  # first, as it costs no walk over the terms
         return None
     arity = {s.name: s.arity for s in alg.structure.signature.rel_specs}
-    names = _op_names(eq.lhs) | _op_names(eq.rhs)
+    names = {s.name for t in (eq.lhs, eq.rhs) for s in _subterms(t) if isinstance(s, RelOp)}
     if any(q ** arity.get(name, 0) >= total for name in names):
         return None
     return alg.coded()
@@ -426,39 +452,27 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
         raise ValueError(f"samples must be at least 1, got {samples}")
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
-    if mode == "auto":
-        try:
-            total = alg.carrier_count(cap) ** len(names) if names else 1
-        except BudgetExceeded:  # an ordered carrier too large to enumerate
-            total = None
-        mode = "exhaustive" if total is not None and total <= cap else "sample"
-    if mode == "exhaustive":
-        total, rows = _grid(alg, len(names), cap)
-        if total > cap:
-            raise BudgetExceeded(total, cap)
-        sampling = {}
-    elif mode == "sample":
-        total = samples if samples is not None else min(cap, 10_000)
-        rows = _samples(alg, len(names), random.Random(seed))
-        sampling = {"samples": total, "seed": seed}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    total, rows, sampling = _assignments(alg, len(names), mode, cap, samples, seed)
+    target = alg  # the interface the rows of the current chunk belong to
 
-    for start, stop in _chunks(total, alg):
+    def chunk_rows(start, stop):
+        nonlocal target, rows
         if start == _FIRST_ROWS and not sampling and (coded := _tabled(alg, eq, total)):
             # The grid outlasts its first chunk and outnumbers the code
             # tables: the rest runs on codes, at the same positions.
-            _, rows = _grid(coded, len(names), cap)
-            to_element = lambda code, element=to_element: element(
-                coded.algebra._decode(code[0]))
-            alg = coded
-        env = dict(zip(names, rows(start, stop)))
-        differ = np.any(_value(eq.lhs, alg, env) != _value(eq.rhs, alg, env), axis=-1)
-        hits = np.flatnonzero(np.broadcast_to(differ, (stop - start,)))
-        if hits.size:
-            j = int(hits[0])
-            return Verdict("counterexample",
-                           assignment={k: to_element(v[j]) for k, v in env.items()},
-                           tried=start + j + 1, budget=cap, **sampling)
-    status = "valid_sampled" if sampling else "valid_exhaustive"
-    return Verdict(status, tried=total, budget=cap, **sampling)
+            target, rows = coded, lambda start, stop, grid=rows: grid(start, stop, coded)
+        return rows(start, stop)
+
+    def broken(*values):
+        env = dict(zip(names, values))
+        return np.any(_value(eq.lhs, target, env) != _value(eq.rhs, target, env), axis=-1)
+
+    position, found = _first_failure(total, alg, chunk_rows, broken)
+    if position is None:
+        status = "valid_sampled" if sampling else "valid_exhaustive"
+        return Verdict(status, tried=total, budget=cap, **sampling)
+    if target is not alg:
+        found = [alg._decode(code[0]) for code in found]
+    return Verdict("counterexample",
+                   assignment={k: to_element(v) for k, v in zip(names, found)},
+                   tried=position + 1, budget=cap, **sampling)

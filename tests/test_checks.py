@@ -25,7 +25,7 @@ from convalg.convolution import (ConvAlgebra, SubsetAlgebra,
 from convalg.errors import NotHeyting, SignatureMismatch, WrongMode
 from convalg.structures import (JOIN, MEET, RelStructure, build_structure,
                                 from_group, full_structure, signature)
-from convalg.terms import Equation, Neg, Var, eval_term, parse_term
+from convalg.terms import Equation, Neg, Var, _chunks, eval_term, parse_term
 
 
 def test_operator_pass_and_mode_guard():
@@ -148,6 +148,85 @@ def test_finite_support_delta_pairs_example():
             acc = algebra.join(acc, algebra.op("*", (algebra.function(da),
                                                      algebra.function(db))))
     assert acc == out
+
+
+def reference_finitely_supported(algebra, rel, budget):
+    """(tuples, witness) of the finite-support checker at seed 0, as a loop
+    over argument tuples.  The draws are the checker's: per chunk of tuples,
+    the tuples when sampled, then one comparand element per argument."""
+    i = algebra.structure.relation(rel)
+    spec = algebra.structure.signature.rel_specs[i]
+    lat, n, k = algebra.lattice, algebra.structure.carrier_size, spec.arity
+    joinish = spec.mode == JOIN
+    fill, fold = (lat.bottom, lat.join) if joinish else (lat.top, lat.meet)
+    sampled = algebra.space_size() ** k > budget
+    total = min(2000, budget) if sampled else algebra.space_size() ** k
+    grid = None if sampled else list(product(algebra.carrier_list(), repeat=k))
+    rng = random.Random(0)
+    for start, stop in _chunks(total, algebra):
+        tuples = ([[algebra.random_element(rng) for _ in range(k)] for _ in range(start, stop)]
+                  if sampled else grid[start:stop])
+        drawn = [[algebra.random_element(rng) for _ in range(k)] for _ in tuples]
+        for position, args, draws in zip(range(start, stop), tuples, drawn):
+            out = algebra.op(rel, args)
+            outs = [algebra.op(rel, [algebra.function(
+                        [v if p == x else fill for p, v in enumerate(a.values)])
+                        for a, x in zip(args, xs)])
+                    for xs in product(range(n), repeat=k)]
+            folded = [fold([o.values[p] for o in outs]) for p in range(n)]
+            witness = {"args": [a.labels() for a in args]}
+            if list(out.values) != folded:
+                witness.update(output=out.labels(), delta_fold=[lat.labels[v] for v in folded])
+                return position + 1, witness
+            bent = [algebra.meet(a, r) if joinish else algebra.join(a, r)
+                    for a, r in zip(args, draws)]
+            there = algebra.op(rel, bent)
+            if not (there.le(out) if joinish else out.le(there)):
+                witness["comparand"] = [b.labels() for b in bent]
+                return position + 1, witness
+    return total, None
+
+
+def test_finite_support_witness_matches_the_loop_reference():
+    # Operations corrupted by a pointwise map of their argument values: one
+    # that moves the unit of the fold breaks the delta fold, a non-monotone
+    # one that keeps it breaks only the comparand check.  Budgets make some
+    # scans sampled, over one chunk or several.
+    rng = random.Random(4)
+    pool = dict(structure_pool())
+    kinds = set()
+    for lat in (chain(2), chain(3), boolean(2)) * 4:
+        for sname in ("frame2-succ", "frame3-cycle", "mixed2", "min3", "max3-meet",
+                      "z2-group"):
+            algebra = ConvAlgebra(lat, pool[sname])
+            spec = rng.choice([s for s in algebra.structure.signature.rel_specs if s.arity])
+            g = np.array([rng.randrange(lat.size) for _ in range(lat.size)])
+            if rng.random() < 0.6:
+                g[lat.bottom if spec.mode == JOIN else lat.top] = (
+                    lat.bottom if spec.mode == JOIN else lat.top)
+            algebra._eval = lambda i, args, algebra=algebra, g=g: \
+                ConvAlgebra._eval(algebra, i, [g[a] for a in args])
+            budget = rng.choice([50, 700, 10**6])
+            r = check_finitely_supported(algebra, spec.name, budget=budget)
+            tuples, witness = reference_finitely_supported(algebra, spec.name, budget)
+            assert (r.status, r.witness, r.stats["tuples"]) == (
+                "pass" if witness is None else "fail", witness, tuples)
+            kinds.add(witness and ("delta_fold" if "delta_fold" in witness else "comparand"))
+    assert kinds == {None, "delta_fold", "comparand"}
+
+
+def test_sampled_de_morgan_scans_keep_to_the_budget(monkeypatch):
+    # 9**3 triples exceed a budget of 100, so each De Morgan scan samples at
+    # most 100 triples; the original law fails within the first chunk of 64.
+    drawn = []
+    draw_rows = ConvAlgebra._draw_rows
+    monkeypatch.setattr(ConvAlgebra, "_draw_rows",
+                        lambda self, rng, count: drawn.append(count) or draw_rows(self, rng, count))
+    monkeypatch.setattr(checks, "_eq_verdicts", lambda *args, **kwargs: ([], {}))
+    r = check_relation_algebra(chain(3), cyclic_group(2), budget=100)
+    assert r.status == "pass" and r.stats["de_morgan_scan"] == "sampled"
+    assert r.stats["original_de_morgan_holds"] is False
+    assert sum(drawn) == 3 * (100 + 64)
 
 
 def test_closure_correspondence_cases():

@@ -132,7 +132,8 @@ def test_tables_match_oracle_on_pool():
 
 def test_big_lattice_tables_and_flags_match_oracle():
     # The tables of the largest catalog lattices against the order-matrix
-    # oracle, and their flags against a triple scan of those tables.
+    # oracle, their flags against a triple scan of those tables, and the
+    # relative pseudocomplement against the lub of {c : a /\ c <= b}.
     from convalg.catalog import boolean, chain
     for lat, boolean_flag in ((boolean(6), True), (chain(70), False),
                               (chain(8).product(chain(8)), False)):
@@ -147,6 +148,11 @@ def test_big_lattice_tables_and_flags_match_oracle():
             for a in range(n) for b_ in range(n) for c in range(n))
         assert lat.is_distributive and lat.is_boolean == boolean_flag
         assert (lat.meet_np == np.array(meet)).all() and (lat.join_np == np.array(join)).all()
+        imp = lat.heyting_table()
+        for a in range(n):
+            for b_ in range(n):
+                assert imp[a, b_] == oracle_lub(
+                    lat, [c for c in range(n) if lat.leq[meet[a][c], b_]])
 
 
 def reference_missing_bound(labels, leq):

@@ -299,6 +299,27 @@ def test_ordered_algebra_samples_over_budget():
         check_equation(law, algebra, mode="exhaustive", budget=63)
 
 
+def test_ordered_check_filters_the_carrier_once(monkeypatch):
+    # One exhaustive check enumerates the ordered carrier once: for the mode
+    # choice and the grid, and also when the grid moves on to code tables
+    # (20**3 assignments outnumber the 64**2 table entries).
+    full = {(a, b) for a in range(3) for b in range(3)}
+    s = build_structure(3, signature(("f", 1, "join")), [full],
+                        order_pairs=[(0, 1), (1, 2)])
+    algebra = ConvAlgebra(chain(4), s, ordered=True)
+    calls = []
+    carrier_codes = ConvAlgebra.carrier_codes
+    monkeypatch.setattr(ConvAlgebra, "carrier_codes", lambda self, budget=None:
+                        calls.append(budget) or carrier_codes(self, budget))
+    laws = [("(meet x (join x (op f x)))", "x", 20),
+            ("(op f (join x y))", "(join (op f x) (op f y))", 400),
+            ("(join (join x y) z)", "(join x (join y z))", 8000)]
+    for lhs, rhs, tried in laws:
+        calls.clear()
+        v = check_equation(parse_equation({"lhs": lhs, "rhs": rhs}, s.signature), algebra)
+        assert (v.status, v.tried, len(calls)) == ("valid_exhaustive", tried, 1)
+
+
 @pytest.mark.parametrize("options", [{"budget": 0}, {"budget": -5},
                                      {"mode": "sample", "samples": 0},
                                      {"mode": "exhaustive", "budget": 0}])
