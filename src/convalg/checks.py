@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -103,15 +103,55 @@ def _eq_verdicts(algebra, equations, mode="auto", samples=None, seed=0,
 # -- operator laws (additivity / multiplicativity) ---------------------------
 
 
-def _subset_folds(table, unit, codes):
-    """Entry m: the code ``unit`` folded through the code table ``table``
-    with codes[j] for each set bit j of m, in increasing j.  A DP over
-    subset masks: the entries for masks with top bit j extend those below
-    2**j by one fold."""
-    out = np.array([unit])
-    for c in codes:
-        out = np.concatenate([out, table[out, c]])
+def _masked_fold(table, unit, items, masks):
+    """``unit`` folded through the binary table ``table`` with items[j]
+    wherever masks[j] holds, in increasing j.  Items and masks broadcast
+    against each other after their first axis, which gives the shape of
+    the result."""
+    out = np.full(np.broadcast_shapes(np.shape(items)[1:], np.shape(masks)[1:]), unit)
+    for item, mask in zip(items, masks):
+        out = np.where(mask, table[out, item], out)
     return out
+
+
+def _complete_law(algebra: ConvAlgebra, i: int, cap: int):
+    """("exhaustive", witness) of the complete law of relation ``i`` over
+    its code table, or ("over budget", None), building no table, when that
+    takes more than ``cap`` lookups; the lattice must be distributive.
+
+    The carrier's join-irreducibles, j in J(L) on the up-set of x (just x
+    when unordered) and bottom elsewhere, are then join-prime, so argument
+    k is completely additive iff the value at every a, the other arguments
+    fixed, is the join of the values at the generators below a (bottom at
+    a = bottom).  Meet relations take the dual.  The witness is the first
+    failing (a, fixed) in code order, for the least such k.
+    """
+    lat, spec = algebra.lattice, algebra.structure.signature.rel_specs[i]
+    n, join = algebra.structure.carrier_size, spec.mode == JOIN
+    values, unit, fold = ((lat.irreducibles[0], lat.bottom, lat.join_np) if join
+                          else (lat.irreducibles[1], lat.top, lat.meet_np))
+    if algebra.space_size() ** spec.arity * len(values) * n > cap:
+        return "over budget", None
+    order = algebra.structure.order if algebra.ordered else np.eye(n, dtype=bool)
+    gens = np.where(order if join else order.T, values[:, None, None], unit).reshape(-1, n)
+    codes = algebra.carrier_codes(cap)
+    rows = algebra._decode(codes)
+    pairs = (gens[:, None], rows) if join else (rows, gens[:, None])
+    below = lat.leq[pairs].all(axis=-1)[..., None, None]  # [g, a]: g on a's side
+    gens = algebra._encode(gens)
+    others = (slice(None),) + np.ix_(*[codes] * (spec.arity - 1))
+    for k in range(spec.arity):
+        at_k = np.moveaxis(algebra._table(i), k, 0)
+        want = at_k[codes][others].reshape(len(codes), -1)
+        images = algebra._decode(at_k[gens][others].reshape(len(gens), 1, want.shape[1]))
+        got = algebra._encode(_masked_fold(fold, unit, images, below))
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            a, *fixed = np.unravel_index(bad[0], (len(codes),) * spec.arity)
+            return "exhaustive", {"law": f"irreducibles@{k}",
+                                  "arg": _labels(lat, rows[a]),
+                                  "fixed": [_labels(lat, rows[j]) for j in fixed]}
+    return "exhaustive", None
 
 
 def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
@@ -121,10 +161,10 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
 
     For each argument position the binary law and the empty-family law are
     checked over all assignments; on a finite lattice those two together
-    give complete additivity.  When the whole function space has at most
-    16 elements an explicit scan over argument subsets is run as well
-    (budget permitting), as a direct reading of the complete law; it folds
-    element codes through the algebra's code tables.
+    give complete additivity.  Over a distributive lattice the complete
+    law is also decided exhaustively from the join-irreducibles of the
+    carrier (see _complete_law), when that fits the budget; outside it
+    the binary and empty laws are the whole check.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
     i = algebra.structure.relation(rel)
@@ -138,77 +178,23 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
     hypothesis = algebra.lattice.is_distributive
 
     comb, unit = (Join, Bot()) if additive else (Meet, Top())
-    equations = []
-    for k in range(spec.arity):
-        others = [Var(f"z{j}") for j in range(spec.arity)]
-        lhs_args = list(others)
-        lhs_args[k] = comb(Var("x"), Var("y"))
-        one = list(others)
-        one[k] = Var("x")
-        two = list(others)
-        two[k] = Var("y")
-        equations.append((
-            f"binary@{k}",
-            Equation(RelOp(spec.name, tuple(lhs_args)),
-                     comb(RelOp(spec.name, tuple(one)), RelOp(spec.name, tuple(two)))),
-            True))
-        empty_args = list(others)
-        empty_args[k] = unit
-        equations.append((
-            f"empty@{k}",
-            Equation(RelOp(spec.name, tuple(empty_args)), unit),
-            True))
+
+    def at(k, arg):  # the operation with argument k set to ``arg``, z_j elsewhere
+        return RelOp(spec.name, tuple(arg if j == k else Var(f"z{j}")
+                                      for j in range(spec.arity)))
+    x, y = Var("x"), Var("y")
+    equations = [law for k in range(spec.arity) for law in (
+        (f"binary@{k}", Equation(at(k, comb(x, y)), comb(at(k, x), at(k, y))), True),
+        (f"empty@{k}", Equation(at(k, unit), unit), True))]
     failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=cap)
     stats["positions"] = spec.arity
 
-    # Direct scan over joins/meets of argument subsets for tiny spaces.
-    if spec.arity >= 1 and algebra.space_size() <= 16:
-        codes = algebra.carrier_codes(cap)
-        rows = algebra._decode(codes)
-        q = len(codes)
-        est = (2 ** q) * spec.arity * (q ** (spec.arity - 1))
-        fold = algebra._table("join" if additive else "meet")
-        start = algebra._encode((algebra.bot() if additive else algebra.top())._np)
-        folded = _subset_folds(fold, start, codes)
-        table = algebra._table(i)
-
-        @cache
-        def broken(k, fixed):
-            """Per subset mask, whether the law fails with the other
-            arguments fixed to the carrier elements ``fixed``."""
-            at = [codes[j] for j in fixed]
-            at_k = table[tuple(at[:k] + [slice(None)] + at[k:])]
-            return at_k[folded] != _subset_folds(fold, start, at_k[codes])
-
-        if est <= cap:
-            groups = ((k, fixed, np.arange(2 ** q))
-                      for k in range(spec.arity)
-                      for fixed in product(range(q), repeat=spec.arity - 1))
-            stats["subset_scan"] = "exhaustive"
-        else:
-            count = min(2000, cap)
-            rng = random.Random(seed)
-            groups = [(rng.randrange(spec.arity),
-                       tuple(rng.randrange(q) for _ in range(spec.arity - 1)),
-                       [rng.randrange(2 ** q)])
-                      for _ in range(count)]
-            stats["subset_scan"] = "sampled"
-        checked = 0
-        for k, fixed, masks in groups:
-            bad = np.flatnonzero(broken(k, fixed)[masks])
-            if bad.size:
-                checked += int(bad[0]) + 1
-                mask = int(masks[bad[0]])
-                failures.append({
-                    "law": f"subset@{k}",
-                    "subset": [_labels(algebra.lattice, rows[j])
-                               for j in range(q) if mask >> j & 1],
-                    "fixed": [_labels(algebra.lattice, rows[j]) for j in fixed]})
-                break
-            checked += len(masks)
-        stats["subset_instances"] = checked
-    elif spec.arity == 0:
+    if spec.arity == 0:
         stats["note"] = "nullary operation, laws hold vacuously"
+    elif hypothesis:
+        stats["complete_law"], witness = _complete_law(algebra, i, cap)
+        if witness is not None:
+            failures.append(witness)
 
     status = "pass" if not failures else "fail"
     if not hypothesis:
@@ -654,10 +640,8 @@ def check_residuation(lat: FiniteLattice, group: RelStructure,
     def residuals(products):
         """fits[x, y, c]: products[x, c] <= y; and the join of those c."""
         fits = leq[products[:, None, :], codes[:, None]]
-        out = np.full(fits.shape[:2], algebra._encode(algebra.bot()._np))
-        for c in codes:
-            out = np.where(fits[..., c], join[out, c], out)
-        return fits, out
+        bot = algebra._encode(algebra.bot()._np)
+        return fits, _masked_fold(join, bot, codes, np.moveaxis(fits, -1, 0))
 
     fits, over = residuals(product_table)  # over[a, b] = a\\b
     _, under = residuals(product_table.T)  # under[a, b] = b/a

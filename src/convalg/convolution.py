@@ -31,9 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (ArityMismatch, BudgetExceeded, NotAMorphism,
-                     NotAPMorphism, NotAProductLattice, NotTwoElement,
-                     UnknownElement, WrongMode)
+from .errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
+                     NotAMorphism, NotAPMorphism, NotAProductLattice,
+                     NotTwoElement, UnknownElement, WrongMode)
 from .lattice import FiniteLattice
 from .structures import JOIN, MEET, RelStructure, is_p_morphism
 
@@ -472,6 +472,7 @@ class SubsetAlgebra:
         return a <= b
 
     def _row(self, a: frozenset) -> np.ndarray:
+        _check_subset(a, self.structure.carrier_size)
         return np.isin(np.arange(self.structure.carrier_size), list(a))
 
     def _element(self, row) -> frozenset:
@@ -544,6 +545,11 @@ class SubsetAlgebra:
 # -- canonical isomorphisms ---------------------------------------------------
 
 
+def _check_subset(subset, carrier_size: int) -> None:
+    if not frozenset(range(carrier_size)).issuperset(subset):
+        raise IndexOutOfRange(f"{sorted(subset)} leaves the carrier 0..{carrier_size - 1}")
+
+
 def _require_two_element(lat: FiniteLattice):
     if lat.size != 2:
         raise NotTwoElement(f"lattice has {lat.size} elements, need exactly 2")
@@ -558,6 +564,7 @@ def iso_phi(alpha: LFunction) -> frozenset:
 
 def iso_phi_inv(subset: frozenset, lattice: FiniteLattice, carrier_size: int) -> LFunction:
     _require_two_element(lattice)
+    _check_subset(subset, carrier_size)
     return LFunction(
         [lattice.top if x in subset else lattice.bottom for x in range(carrier_size)],
         lattice)

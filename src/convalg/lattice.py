@@ -9,7 +9,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -161,6 +161,14 @@ class FiniteLattice:
         for a in elems:
             out = self.join_table[out][self.check_element(a)]
         return out
+
+    @cached_property
+    def irreducibles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(J, M): the elements with exactly one lower cover, and those with
+        exactly one upper cover, as increasing index arrays."""
+        below = self.leq & ~np.eye(self.size, dtype=bool)
+        covers = below & ~(below.astype(np.int64) @ below).astype(bool)
+        return tuple(np.flatnonzero(covers.sum(axis=k) == 1) for k in (0, 1))
 
     # -- Heyting structure ---------------------------------------------------
 

@@ -6,6 +6,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_convolution import lattices, structures
 
 from convalg import checks
 from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
@@ -57,68 +60,233 @@ def test_operator_observed_outside_hypotheses():
     assert "laws_hold" in r.stats
 
 
-def test_operator_subset_scan_runs_on_tiny_spaces():
-    algebra = ConvAlgebra(chain(2), cyclic_group(2))
-    r = check_operator(algebra, "*")
-    assert r.stats.get("subset_scan") == "exhaustive"
+def test_operator_decides_the_complete_law_exhaustively():
+    # boolean2 over Z2 used to be sampled, and chain3 over Z3 skipped.
+    for lat, s in ((chain(2), cyclic_group(2)), (boolean(2), cyclic_group(2)),
+                   (chain(3), cyclic_group(3))):
+        r = check_operator(ConvAlgebra(lat, s), "*")
+        assert (r.status, r.stats["complete_law"]) == ("pass", "exhaustive")
 
 
-def reference_subset_scan(algebra, rel, budget, seed):
-    """(subset_scan, subset_instances, stopped at a failure) of the
-    operator checker's subset scan, written as loops over the carrier and
-    its subsets."""
-    spec = algebra.structure.signature.rel_specs[algebra.structure.relation(rel)]
-    fold = algebra.join if spec.mode == JOIN else algebra.meet
-    unit = algebra.bot() if spec.mode == JOIN else algebra.top()
-    carrier = algebra.carrier_list(budget)
+def test_operator_certificate_never_runs_outside_distributive_lattices(monkeypatch):
+    # h(x, y) = x /\ y on one point is not binary additive over M3 or N5,
+    # yet over M3 the certificate alone passes: its "if" direction needs
+    # a distributive lattice.
+    s = build_structure(1, signature(("h", 2, JOIN)), [{(0, 0, 0)}])
+    assert checks._complete_law(ConvAlgebra(m3(), s), 0, 10 ** 6) == ("exhaustive", None)
+
+    def refuse(*args):
+        raise AssertionError("the certificate ran")
+    monkeypatch.setattr(checks, "_complete_law", refuse)
+    for lat in (m3(), n5()):
+        r = check_operator(ConvAlgebra(lat, s), "h")
+        assert (r.status, r.stats["laws_hold"]) == ("observed", False)
+        assert "complete_law" not in r.stats
+
+
+def test_operator_certificate_over_budget_builds_no_table():
+    # chain3 over Z2: 9**2 table entries times 4 generators, 324 lookups.
+    algebra = ConvAlgebra(chain(3), cyclic_group(2))
+    r = check_operator(algebra, "*", budget=323)
+    assert (r.status, r.stats["complete_law"]) == ("pass", "over budget")
+    assert algebra.structure.relation("*") not in algebra._tables
+    r = check_operator(algebra, "*", budget=324)
+    assert (r.status, r.stats["complete_law"]) == ("pass", "exhaustive")
+
+
+def loop_view(algebra, i):
+    """(carrier, at, fold, unit, labels) for relation ``i``, by loops: the
+    carrier as value tuples, the operation on value tuples as the code
+    table ``algebra._tables[i]`` reads, the pointwise join (meet for meet
+    relations) and its unit, and the labels of a value tuple."""
+    lat, n = algebra.lattice, algebra.structure.carrier_size
+    additive = algebra.structure.signature.rel_specs[i].mode == JOIN
+    pick = lat.join_table if additive else lat.meet_table
+    unit = (lat.bottom if additive else lat.top,) * n
+
+    def code(v):
+        c = 0
+        for x in v:
+            c = c * lat.size + x
+        return c
+
+    def at(args):
+        c = int(algebra._tables[i][tuple(code(a) for a in args)])
+        return tuple(c // lat.size ** (n - 1 - x) % lat.size for x in range(n))
+
+    def fold(u, v):
+        return tuple(pick[a][b] for a, b in zip(u, v))
+
+    carrier = [f.values for f in algebra.carrier_list()]
+    return carrier, at, fold, unit, lambda v: [lat.labels[x] for x in v]
+
+
+def reference_subset_scan(algebra, rel):
+    """Whether the operation, as its code table reads, sends the join (meet
+    for meet relations) of every subset of the carrier in each argument to
+    the join of the images, by loops over the carrier and its subsets."""
+    i = algebra.structure.relation(rel)
+    arity = algebra.structure.signature.rel_specs[i].arity
+    carrier, at, fold, unit, _ = loop_view(algebra, i)
     q = len(carrier)
-    if 2 ** q * spec.arity * q ** (spec.arity - 1) <= budget:
-        how = "exhaustive"
-        groups = [(k, fixed, range(2 ** q)) for k in range(spec.arity)
-                  for fixed in product(range(q), repeat=spec.arity - 1)]
-    else:
-        how = "sampled"
-        rng = random.Random(seed)
-        groups = [(rng.randrange(spec.arity),
-                   tuple(rng.randrange(q) for _ in range(spec.arity - 1)),
-                   [rng.randrange(2 ** q)]) for _ in range(min(2000, budget))]
-    checked = 0
-    for k, fixed, masks in groups:
-        def at_k(x):
-            args = [carrier[j] for j in fixed]
-            return algebra.op(rel, args[:k] + [x] + args[k:])
-        for mask in masks:
-            checked += 1
-            joined, images = unit, unit
-            for f in (carrier[j] for j in range(q) if mask >> j & 1):
-                joined, images = fold(joined, f), fold(images, at_k(f))
-            if at_k(joined) != images:
-                return how, checked, True
-    return how, checked, False
+    for k in range(arity):
+        for fixed in product(carrier, repeat=arity - 1):
+            for mask in range(2 ** q):
+                joined, images = unit, unit
+                for f in (carrier[j] for j in range(q) if mask >> j & 1):
+                    image = at(fixed[:k] + (f,) + fixed[k:])
+                    joined, images = fold(joined, f), fold(images, image)
+                if at(fixed[:k] + (joined,) + fixed[k:]) != images:
+                    return False
+    return True
 
 
-def test_operator_subset_scan_matches_the_loop_reference():
-    # Over M3 and N5 a binary convolution is not additive, so the scan
-    # stops at its first failing subset; budget 40 makes it sampled.
-    algebras = [ConvAlgebra(chain(2), cyclic_group(2))]
-    for lat in (m3(), n5(), chain(3), boolean(2)):
+def reference_additivity(algebra, i):
+    """Per argument k, the other arguments (as label lists, in product
+    order) at which the binary or the empty law fails, as the code table
+    reads, by loops over the carrier."""
+    arity = algebra.structure.signature.rel_specs[i].arity
+    carrier, at, fold, unit, labels = loop_view(algebra, i)
+    failing = {}
+    for k in range(arity):
+        for fixed in product(carrier, repeat=arity - 1):
+            def put(f):
+                return at(fixed[:k] + (f,) + fixed[k:])
+            if put(unit) != unit or any(put(fold(x, y)) != fold(put(x), put(y))
+                                        for x in carrier for y in carrier):
+                failing.setdefault(k, []).append([labels(f) for f in fixed])
+    return failing
+
+
+def reference_certificate(algebra, i):
+    """The certificate's witness by loops: the first (k, a, fixed) at which
+    the operation at a differs from the join of its values at the
+    join-irreducibles j.(up-set of x) of the carrier below a (meets,
+    meet-irreducibles on down-sets, above a, for meet relations), with
+    J(L) and M(L) found as the elements that are not the join (meet) of
+    the elements strictly below (above) them."""
+    lat, structure = algebra.lattice, algebra.structure
+    n, spec = structure.carrier_size, structure.signature.rel_specs[i]
+    additive = spec.mode == JOIN
+    carrier, at, fold, unit, labels = loop_view(algebra, i)
+
+    def side(u, w):  # u on the generator side of w
+        return lat.leq[u, w] if additive else lat.leq[w, u]
+    fold_all = lat.join if additive else lat.meet
+    values = [e for e in range(lat.size)
+              if fold_all(c for c in range(lat.size) if c != e and side(c, e)) != e]
+
+    def reach(x, y):  # y in the up-set (down-set) of x
+        if not algebra.ordered:
+            return x == y
+        return bool(structure.order[x, y] if additive else structure.order[y, x])
+    gens = [tuple(v if reach(x, y) else unit[0] for y in range(n))
+            for v in values for x in range(n)]
+    for k in range(spec.arity):
+        for a in carrier:
+            for fixed in product(carrier, repeat=spec.arity - 1):
+                def put(f):
+                    return at(fixed[:k] + (f,) + fixed[k:])
+                acc = unit
+                for g in gens:
+                    if all(side(u, w) for u, w in zip(g, a)):
+                        acc = fold(acc, put(g))
+                if put(a) != acc:
+                    return {"law": f"irreducibles@{k}", "arg": labels(a),
+                            "fixed": [labels(f) for f in fixed]}
+    return None
+
+
+def _corrupt(algebra, i, spots):
+    """Put a copy of relation ``i``'s code table in place, with the entry
+    at carrier positions ``args`` set to the carrier code at ``value``
+    for each (*args, value) of ``spots``."""
+    codes = algebra.carrier_codes()
+    table = algebra._table(i).copy()
+    for *args, value in spots:
+        table[tuple(codes[args])] = codes[value]
+    algebra._tables[i] = table
+
+
+def test_certificate_matches_the_subset_law_on_tiny_spaces():
+    ordered = build_structure(
+        2, signature(("f", 1, JOIN), ("g", 1, MEET), ("h", 2, JOIN)),
+        [{(0, 0), (0, 1), (1, 1)}, {(1, 1), (1, 0), (0, 0)},
+         {(0, 0, 0), (0, 0, 1), (1, 1, 1)}], order_pairs=[(0, 1)])
+    algebras = [ConvAlgebra(chain(2), cyclic_group(2)),
+                ConvAlgebra(chain(3), ordered, ordered=True)]
+    for lat in (chain(3), boolean(2)):
         for mode in (JOIN, MEET):
             algebras += [
                 ConvAlgebra(lat, build_structure(1, signature(("h", 2, mode)), [{(0, 0, 0)}])),
                 ConvAlgebra(lat, build_structure(1, signature(("f", 1, mode)), [{(0, 0)}]))]
-    stopped = set()
+    rng = random.Random(11)
+    verdicts = set()
     for algebra in algebras:
-        for spec in algebra.structure.signature.rel_specs:
+        for i, spec in enumerate(algebra.structure.signature.rel_specs):
             if not spec.arity:
                 continue
-            for budget in (10 ** 6, 40):
-                r = check_operator(algebra, spec.name, budget=budget, seed=3)
-                how, checked, failed = reference_subset_scan(algebra, spec.name,
-                                                             budget, seed=3)
-                assert (r.stats["subset_scan"], r.stats["subset_instances"]) == (how, checked)
-                if failed:
-                    stopped.add(how)
-    assert stopped == {"exhaustive", "sampled"}
+            q, clean = len(algebra.carrier_codes()), algebra._table(i).copy()
+            for _ in range(6):
+                algebra._tables[i] = clean
+                _corrupt(algebra, i, [[rng.randrange(q) for _ in range(spec.arity + 1)]
+                                      for _ in range(rng.randrange(4))])
+                how, witness = checks._complete_law(algebra, i, 10 ** 6)
+                assert how == "exhaustive"
+                assert (witness is None) == reference_subset_scan(algebra, spec.name)
+                verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+def _with_order(structure, pairs):
+    """``structure`` ordered by the order ``pairs`` generate, with each
+    join (meet) relation closed upward (downward) in its output."""
+    n = structure.carrier_size
+    order = build_structure(n, signature(), [], order_pairs=pairs).order
+    rels = [{t[:-1] + (y,) for t in rel for y in range(n)
+             if (order[t[-1], y] if spec.mode == JOIN else order[y, t[-1]])}
+            for spec, rel in zip(structure.signature.rel_specs, structure.relations)]
+    return build_structure(n, structure.signature, rels, order_pairs=pairs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(st.data())
+def test_certificate_matches_the_binary_and_empty_laws(data):
+    """Random distributive lattices and structures, half of them ordered,
+    with 0-3 corrupted carrier entries in a relation's code table: the
+    certificate passes iff the binary and empty laws hold over that table,
+    and its witness is the loop reference's, at the least argument with a
+    failure and at other arguments where those laws fail."""
+    lat = data.draw(lattices().filter(lambda lat: lat.is_distributive and lat.size <= 6))
+    structure = data.draw(structures())
+    n = structure.carrier_size
+    ordered = data.draw(st.booleans())
+    if ordered:
+        perm = data.draw(st.permutations(range(n)))
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                  .filter(lambda p: p[0] < p[1])))
+        structure = _with_order(structure, [(perm[a], perm[b]) for a, b in pairs])
+    algebra = ConvAlgebra(lat, structure, ordered=ordered)
+    q = len(algebra.carrier_codes())
+    small = [i for i, spec in enumerate(structure.signature.rel_specs)
+             if spec.arity and q ** (spec.arity + 1) <= 3000]
+    assume(small)
+    i = data.draw(st.sampled_from(small))
+    arity = structure.signature.rel_specs[i].arity
+    _corrupt(algebra, i, data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=arity + 1, max_size=arity + 1),
+        max_size=3)))
+
+    how, witness = checks._complete_law(algebra, i, 10 ** 6)
+    failing = reference_additivity(algebra, i)
+    assert how == "exhaustive"
+    assert (witness is None) == (not failing)
+    assert witness == reference_certificate(algebra, i)
+    if witness is not None:
+        k = int(witness["law"].split("@")[1])
+        assert k == min(failing) and witness["fixed"] in failing[k]
 
 
 def test_finite_support_pass_and_dual_form():

@@ -202,4 +202,9 @@ def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
     assert out.encode() == (data / f"paper-core-seed{seed}.txt").read_bytes()
     pinned = (data / f"paper-core-inner-seed{seed}.jsonl").read_text().splitlines(True)
     assert len(inner) == len(pinned) == 322
+    for k, (got, want) in enumerate(zip(inner, pinned)):
+        if got != want:
+            report = json.loads(want)
+            pytest.fail(f"inner report {k} ({report['checker']} {report['instance']}) "
+                        f"differs from the pin:\n  got:    {got}  pinned: {want}")
     assert inner == pinned

@@ -22,9 +22,9 @@ from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra,
                                  lfunction_from_labels, lift_lattice_morphism,
                                  product_iso, product_iso_inv,
                                  pullback_pmorphism)
-from convalg.errors import (ArityMismatch, BudgetExceeded, NotAMorphism,
-                            NotAPMorphism, NotAProductLattice, NotTwoElement,
-                            UnknownElement, WrongMode)
+from convalg.errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
+                            NotAMorphism, NotAPMorphism, NotAProductLattice,
+                            NotTwoElement, UnknownElement, WrongMode)
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
                                 full_structure, signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
@@ -356,6 +356,16 @@ def test_complex_join_mode_examples():
     assert s.op("id", ()) == frozenset({0})
 
 
+def test_complex_algebra_rejects_points_outside_the_carrier():
+    s = SubsetAlgebra(z2())
+    with pytest.raises(IndexOutOfRange):
+        eval_term(parse_term("(join x y)"), s, {"x": frozenset({7}), "y": frozenset()})
+    with pytest.raises(IndexOutOfRange):
+        s.op("*", [frozenset({9}), frozenset({0})])
+    with pytest.raises(IndexOutOfRange):
+        s.op("conv", [frozenset({-1})])
+
+
 def test_complex_meet_mode_nabla():
     structure = build_structure(2, signature(("g", 1, MEET)),
                                 [{(a, b) for a in range(2) for b in range(2)}])
@@ -374,6 +384,14 @@ def test_iso_phi_examples_and_round_trip():
     for f in algebra.carrier_list():
         back = iso_phi_inv(iso_phi(f), lat, 3)
         assert back.values == f.values
+
+
+def test_iso_phi_inv_rejects_points_outside_the_carrier():
+    with pytest.raises(IndexOutOfRange):
+        iso_phi_inv(frozenset({5}), chain(2), 2)
+    with pytest.raises(IndexOutOfRange):
+        iso_phi_inv(frozenset({-1}), chain(2), 2)
+    assert iso_phi_inv(frozenset({1}), chain(2), 2).values == (0, 1)
 
 
 def test_iso_phi_requires_two_elements():

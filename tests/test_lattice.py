@@ -130,6 +130,19 @@ def test_tables_match_oracle_on_pool():
                 assert lat.join_table[a][b_] == oracle_lub(lat, [a, b_])
 
 
+def test_irreducibles_match_oracle():
+    # j is join-irreducible iff it is not the lub of the elements strictly
+    # below it (the empty lub is bottom), dually for meet-irreducibles.
+    for lat in (build_lattice(["x"], []), chain3(), m3(), n5(), b2(),
+                n5().dual(), chain3().product(b2())):
+        elems = range(lat.size)
+        join = [e for e in elems
+                if oracle_lub(lat, [c for c in elems if c != e and lat.leq[c, e]]) != e]
+        meet = [e for e in elems
+                if oracle_glb(lat, [c for c in elems if c != e and lat.leq[e, c]]) != e]
+        assert [a.tolist() for a in lat.irreducibles] == [join, meet]
+
+
 def test_big_lattice_tables_and_flags_match_oracle():
     # The tables of the largest catalog lattices against the order-matrix
     # oracle, their flags against a triple scan of those tables, and the
