@@ -11,14 +11,17 @@ relations.  One evaluator serves single evaluations and equation checks: it
 walks the term once per batch of assignments, each variable bound to an
 array of value rows, and calls the algebra's batched operations.
 Equations are decided by exhaustive enumeration of assignments in a
-documented order, or by seeded sampling; the least counterexample in
-enumeration order is reported, so failures are reproducible.
+documented order, by enumerating the irreducible generators of L^X when
+the equation is linear in every variable (see _generators), or by seeded
+sampling; the least counterexample in enumeration order is reported, so
+failures are reproducible.
 
 After its first chunk, an exhaustive check over a convolution algebra
 runs on integer codes and the algebra's code tables (see
 ``convolution``) when every table the equation needs has fewer entries
 than the grid has assignments; the grid positions, and so the verdict,
-are the same either way.  Sampled checks
+are the same either way.  A check over the generators stays on value
+arrays.  Sampled checks
 draw value rows in bulk, bit-exactly as one ``randrange`` per point would.
 """
 
@@ -35,7 +38,7 @@ from .convolution import (_CHUNK_ENTRIES, DEFAULT_BUDGET, ConvAlgebra,
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
 from .lattice import FiniteLattice
-from .structures import RelStructure, Signature
+from .structures import JOIN, MEET, RelStructure, Signature
 
 
 @dataclass(frozen=True)
@@ -361,6 +364,62 @@ def _first_failure(total: int, alg, rows, broken):
     return None, None
 
 
+def _linear(t: Term, v: str, modes: dict, dual: bool) -> bool:
+    """Whether ``t`` preserves binary joins in the variable ``v`` (meets
+    when ``dual``), by the syntactic rule: a subterm without ``v`` and
+    ``v`` itself are linear; a join (meet) of linear terms is; so are a
+    meet (join) and a join-mode (meet-mode) relation when exactly one
+    argument holds ``v`` and it is linear.  The last two steps rest on L
+    being distributive."""
+    if isinstance(t, Var) or v not in term_variables(t):
+        return True
+    plus, times, mode = (Meet, Join, MEET) if dual else (Join, Meet, JOIN)
+    if isinstance(t, plus):
+        return _linear(t.lhs, v, modes, dual) and _linear(t.rhs, v, modes, dual)
+    if isinstance(t, times):
+        args = (t.lhs, t.rhs)
+    elif isinstance(t, RelOp) and modes.get(t.name) == mode:
+        args = t.args
+    else:
+        return False
+    holders = [a for a in args if v in term_variables(a)]
+    return len(holders) == 1 and _linear(holders[0], v, modes, dual)
+
+
+def _generators(alg, eq: Equation, names: list[str], cap: int):
+    """An enumeration (count, codes), as for _grid, of generators on which
+    ``eq`` holds iff it holds on all of L^X, or None.
+
+    When L is distributive every element of L^X is the join of the
+    ``j`` at one point ``x`` (bottom elsewhere) below it, j in J(L), and
+    the lattice operations and join-mode relations preserve binary joins
+    in each argument.  So an equation whose sides are join-linear in every
+    variable (see _linear) holds iff it holds on bottom and those elements;
+    dually for meet-linear sides with M(L), top and meet-mode relations.
+    The generators are listed by code.  None unless ``alg`` is an unordered
+    convolution algebra over a distributive lattice, ``eq`` has no neg or
+    imp and is linear, and the reduced grid fits ``cap``.
+    """
+    if (not isinstance(alg, ConvAlgebra) or alg.ordered
+            or not alg.lattice.is_distributive or eq.uses_heyting()):
+        return None
+    modes = {s.name: s.mode for s in alg.structure.signature.rel_specs}
+    for dual in (False, True):
+        if all(_linear(t, v, modes, dual) for t in (eq.lhs, eq.rhs) for v in names):
+            break
+    else:
+        return None
+    lat, n = alg.lattice, alg.structure.carrier_size
+    irreducibles, unit = lat.irreducibles[dual], (lat.top if dual else lat.bottom)
+    count = 1 + len(irreducibles) * n
+    if count ** len(names) > cap:
+        return None
+    points = np.repeat(np.arange(n), len(irreducibles))
+    rows = np.full((count, n), unit)
+    rows[np.arange(1, count), points] = np.tile(irreducibles, n)
+    return count, np.sort(alg._encode(rows)).__getitem__
+
+
 def _tabled(alg, eq: Equation, total: int):
     """The code interface of a convolution algebra when each code table
     ``eq`` can need (q^2 entries for the lattice operations, q^arity for a
@@ -386,6 +445,8 @@ class Verdict:
 
     status is one of valid_exhaustive, valid_sampled, counterexample.
     The assignment of a counterexample re-evaluates to distinct sides.
+    ``samples`` and ``seed`` are set when assignments were drawn, and
+    ``generators`` when the grid ran over the generators of _generators.
     """
 
     status: str
@@ -394,6 +455,7 @@ class Verdict:
     samples: int | None = None
     seed: int | None = None
     budget: int | None = None
+    generators: int | None = None
 
     @property
     def is_valid(self) -> bool:
@@ -403,7 +465,10 @@ class Verdict:
         out = {"status": self.status, "stats": {"assignments": self.tried}}
         if self.budget is not None:
             out["stats"]["budget"] = self.budget
-        if self.status == "valid_sampled":
+        if self.generators is not None:
+            out["stats"]["path"] = "irreducibles"
+            out["stats"]["generators"] = self.generators
+        if self.samples is not None:
             out["samples"] = self.samples
             out["seed"] = self.seed
         if self.assignment is not None:
@@ -435,15 +500,17 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     mode 'exhaustive' raises BudgetExceeded when the assignment space is
     larger than the budget; mode 'sample' draws ``samples`` assignments
     from a generator seeded with ``seed``; mode 'auto' picks exhaustive
-    when affordable and otherwise samples.  Sampling is sound (reported
-    counterexamples are real) but not complete.  Ordered algebras are
-    sampled by drawing functions and rejecting the non-monotone ones, so
-    sampling never enumerates their carrier.
+    when affordable, else the grid over the generators of _generators
+    when the equation qualifies and that grid fits the budget (an exact
+    verdict, with ``generators`` set), and otherwise samples.  Sampling
+    is sound (reported counterexamples are real) but not complete.
+    Ordered algebras are sampled by drawing functions and rejecting the
+    non-monotone ones, so sampling never enumerates their carrier.
 
     Both sides are evaluated over chunks of assignments at once: the
-    exhaustive grid in ``itertools.product`` order of the carrier (so the
-    first mismatch is the least counterexample), or the samples in the
-    order they are drawn.
+    exhaustive grid in ``itertools.product`` order of the carrier or of
+    the generators (so the first mismatch is the least counterexample in
+    that order), or the samples in the order they are drawn.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
     if cap < 1:
@@ -453,11 +520,16 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
     total, rows, sampling = _assignments(alg, len(names), mode, cap, samples, seed)
+    generators = None
+    if sampling and mode == "auto" and (enumeration := _generators(alg, eq, names, cap)):
+        generators, sampling = enumeration[0], {}
+        total, rows = _grid(alg, len(names), enumeration)
     target = alg  # the interface the rows of the current chunk belong to
 
     def chunk_rows(start, stop):
         nonlocal target, rows
-        if start == _FIRST_ROWS and not sampling and (coded := _tabled(alg, eq, total)):
+        if (start == _FIRST_ROWS and not sampling and generators is None
+                and (coded := _tabled(alg, eq, total))):
             # The grid outlasts its first chunk and outnumbers the code
             # tables: the rest runs on codes, at the same positions.
             target, rows = coded, lambda start, stop, grid=rows: grid(start, stop, coded)
@@ -470,9 +542,9 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     position, found = _first_failure(total, alg, chunk_rows, broken)
     if position is None:
         status = "valid_sampled" if sampling else "valid_exhaustive"
-        return Verdict(status, tried=total, budget=cap, **sampling)
+        return Verdict(status, tried=total, budget=cap, generators=generators, **sampling)
     if target is not alg:
         found = [alg._decode(code[0]) for code in found]
     return Verdict("counterexample",
                    assignment={k: to_element(v) for k, v in zip(names, found)},
-                   tried=position + 1, budget=cap, **sampling)
+                   tried=position + 1, budget=cap, generators=generators, **sampling)

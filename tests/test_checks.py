@@ -249,7 +249,7 @@ def _with_order(structure, pairs):
     return build_structure(n, structure.signature, rels, order_pairs=pairs)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+@settings(max_examples=80,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
                                  HealthCheck.data_too_large])
 @given(st.data())
@@ -520,6 +520,34 @@ def test_relation_algebra_sampled_mode():
                                samples=500, seed=0)
     assert r.status == "pass"
     assert r.stats["de_morgan_scan"] == "sampled"
+    assert r.stats["sampled_laws"] == 9 and "reduced_laws" not in r.stats
+
+
+def test_relation_algebra_reduces_the_additive_laws():
+    # Over chain3/S3 at a budget of 10,000: laws 1, 3 (both sides) 5 and
+    # 6 run over the 13 generators, laws 2 and 4 over the 729 elements,
+    # and law 7, which uses neg, is sampled.
+    r = check_relation_algebra(chain(3), symmetric_group_3(), budget=10_000)
+    assert r.status == "pass"
+    assert (r.stats["reduced_laws"], r.stats["sampled_laws"]) == (5, 1)
+    assert r.stats["assignments"] == 3 * 13 ** 3 + 2 * 13 ** 2 + 3 * 729 + 10_000
+    assert r.stats["de_morgan_scan"] == "sampled"
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(lattices().filter(lambda lat: lat.size <= 6))
+def test_z2_associativity_holds_iff_distributive(lat):
+    r = check_z2_associativity(lat)
+    assert r.status == "pass"
+    assert r.stats["associative"] == lat.is_distributive
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+@given(lattices().filter(lambda lat: lat.is_distributive and lat.size <= 6))
+def test_original_de_morgan_over_z2_holds_iff_boolean(lat):
+    r = check_relation_algebra(lat, cyclic_group(2))
+    assert r.status == "pass" and r.stats["de_morgan_scan"] == "exhaustive"
+    assert r.stats["original_de_morgan_holds"] == lat.is_boolean
 
 
 def test_relation_algebra_guards():

@@ -55,6 +55,19 @@ def test_eq_check_sample_mode_seeded(capsys, assoc_eq):
     assert doc["status"] == "valid_sampled" and doc["seed"] == 3
 
 
+def test_eq_check_sampled_counterexample_names_its_draws(capsys, tmp_path):
+    path = tmp_path / "comm.json"
+    path.write_text(json.dumps({"lhs": "(op * x y)", "rhs": "(op * y x)"}))
+    code, out = run(capsys, "eq", "check", "--lattice", "chain3",
+                    "--structure", "S3", "--eq", str(path),
+                    "--mode", "sample", "--samples", "50", "--seed", "3")
+    assert code == 1
+    doc = lines(out)[0]
+    assert doc["status"] == "counterexample"
+    assert (doc["samples"], doc["seed"]) == (50, 3)
+    assert "path" not in doc["stats"]
+
+
 def test_identical_invocations_are_byte_identical(capsys, assoc_eq):
     _, first = run(capsys, "eq", "check", "--lattice", "chain3",
                    "--structure", "Z2", "--eq", assoc_eq, "--mode", "exhaustive")

@@ -196,7 +196,7 @@ def terms(specs, heyting: bool):
     return st.recursive(leaves, extend, max_leaves=6)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+@settings(max_examples=100,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.data())
 def test_batched_evaluation_matches_oracles(data):

@@ -1,8 +1,15 @@
 """Parser, evaluator, and equation checking."""
 
-import pytest
+from itertools import product
 
-from convalg.catalog import boolean, chain
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_convolution import (lattices, oracle_glb_set, oracle_lub_set,
+                              oracle_term, structures, terms)
+
+from convalg.catalog import boolean, chain, m3, symmetric_group_3
 from convalg.convolution import ConvAlgebra, SubsetAlgebra
 from convalg.errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                             TermSyntaxError, UnboundVariable,
@@ -10,8 +17,8 @@ from convalg.errors import (ArityMismatch, BudgetExceeded, NotHeyting,
 from convalg.lattice import build_lattice
 from convalg.structures import build_structure, from_group, signature
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, check_equation, eval_term, parse_equation,
-                           parse_term, to_sexpr)
+                           Var, _generators, check_equation, eval_term,
+                           parse_equation, parse_term, to_sexpr)
 
 
 def z2():
@@ -329,3 +336,198 @@ def test_budget_and_samples_below_one_are_rejected(options):
     eq = Equation(Meet(Var("x"), Var("y")), Var("x"))
     with pytest.raises(ValueError):
         check_equation(eq, algebra, **options)
+
+
+# -- reduction to the irreducible generators ------------------------------------
+
+
+def mixed():
+    """Two points; join-mode f, r and meet-mode g, h, each relating every
+    tuple of points."""
+    sig = signature(("f", 1, "join"), ("g", 1, "meet"), ("r", 2, "join"), ("h", 2, "meet"))
+    pairs, triples = set(product(range(2), repeat=2)), set(product(range(2), repeat=3))
+    return build_structure(2, sig, [pairs, pairs, triples, triples])
+
+
+def family(algebra, eq):
+    """'join' or 'meet' for the generators the reduction picks, or None."""
+    enumeration = _generators(algebra, eq, eq.variables(), 10 ** 6)
+    if enumeration is None:
+        return None
+    count, codes = enumeration
+    rows = algebra._decode(codes(np.arange(count)))
+    return "join" if (rows == algebra.lattice.bottom).all(axis=-1).any() else "meet"
+
+
+@pytest.mark.parametrize("lhs, rhs, expect", [
+    ("(op r (op r x y) z)", "(op r x (op r y z))", "join"),
+    # c occurs twice on the right, in separate joinands: relation-algebra law 3
+    ("(op r (join a b) c)", "(join (op r a c) (op r b c))", "join"),
+    ("(meet x (op f y))", "(op f (meet y top))", "join"),
+    ("(join x top)", "top", "join"),
+    ("(op h (op h x y) z)", "(op h x (op h y z))", "meet"),
+    ("(op g (meet x y))", "(meet (op g x) (op g y))", "meet"),
+    ("(meet x x)", "x", "meet"),
+    ("(meet x (join x y))", "x", "meet"),
+    ("(op g x)", "bot", "meet"),
+    ("(meet x (op f x))", "bot", None),
+    ("(op r x x)", "x", None),
+    ("(op f (op g x))", "(op g (op f x))", None),
+    ("(neg x)", "(neg x)", None),
+    ("(imp x y)", "(imp x y)", None),
+])
+def test_reduction_gate_follows_the_linearity_rule(lhs, rhs, expect):
+    algebra = ConvAlgebra(chain(3), mixed())
+    eq = parse_equation({"lhs": lhs, "rhs": rhs}, algebra.structure.signature)
+    assert family(algebra, eq) == expect
+
+
+def test_reduction_decides_over_budget_laws_exactly():
+    # 729**3 assignments, 13**3 over bottom and the 2 * 6 generators.
+    algebra = ConvAlgebra(chain(3), symmetric_group_3())
+    sig = algebra.structure.signature
+    assoc = parse_equation({"lhs": "(op * (op * x y) z)",
+                            "rhs": "(op * x (op * y z))"}, sig)
+    v = check_equation(assoc, algebra, budget=10_000)
+    assert (v.status, v.tried, v.samples, v.generators) == ("valid_exhaustive", 2197, None, 13)
+    assert v.to_json()["stats"] == {"assignments": 2197, "budget": 10_000,
+                                    "path": "irreducibles", "generators": 13}
+    comm = parse_equation({"lhs": "(op * x y)", "rhs": "(op * y x)"}, sig)
+    v = check_equation(comm, algebra, budget=10_000)
+    assert v.status == "counterexample" and v.generators == 13
+    assert eval_term(comm.lhs, algebra, v.assignment) != eval_term(comm.rhs, algebra, v.assignment)
+    # A bare lattice runs as L^1: 8**3 assignments over boolean3, 4**3
+    # over bottom and its 3 atoms.
+    dist = parse_equation({"lhs": "(meet x (join y z))",
+                           "rhs": "(join (meet x y) (meet x z))"})
+    v = check_equation(dist, boolean(3), budget=100)
+    assert (v.status, v.tried, v.generators) == ("valid_exhaustive", 64, 4)
+
+
+def test_meet_linear_laws_reduce_on_meet_irreducibles():
+    # (op g x) = bot holds at bottom and at every join-irreducible on one
+    # point, but fails at top; the meet generators include top.
+    algebra = ConvAlgebra(chain(2), mixed())
+    eq = parse_equation({"lhs": "(op g x)", "rhs": "bot"}, algebra.structure.signature)
+    v = check_equation(eq, algebra, budget=3)
+    assert (v.status, v.generators) == ("counterexample", 3)
+    assert v.assignment == {"x": algebra.top()}
+
+
+def test_reduction_builds_no_code_tables():
+    # 5**4 reduced assignments outnumber the 16**2 entries of a table, so
+    # an ordinary grid of that size would move to code tables.
+    algebra = ConvAlgebra(boolean(2), z2())
+    eq = parse_equation({"lhs": "(op * (op * (op * x y) z) w)",
+                         "rhs": "(op * x (op * y (op * z w)))"}, z2().signature)
+    v = check_equation(eq, algebra, budget=1000)
+    assert (v.status, v.tried, v.generators) == ("valid_exhaustive", 625, 5)
+    assert algebra._tables == {}
+
+
+def _assoc(structure):
+    return parse_equation({"lhs": "(op * (op * x y) z)",
+                           "rhs": "(op * x (op * y z))"}, structure.signature)
+
+
+def _ordered_frame():
+    full = {(a, b) for a in range(3) for b in range(3)}
+    s = build_structure(3, signature(("f", 1, "join")), [full],
+                        order_pairs=[(0, 1), (1, 2)])
+    law = parse_equation({"lhs": "(op f (join x y))",
+                          "rhs": "(join (op f x) (op f y))"}, s.signature)
+    return ConvAlgebra(chain(4), s, ordered=True), law
+
+
+@pytest.mark.parametrize("case", [
+    # each reduced grid would fit its budget
+    lambda: (ConvAlgebra(m3(), z2()), _assoc(z2()), {"budget": 1000}),
+    lambda: (ConvAlgebra(n5(), z2()), _assoc(z2()), {"budget": 1000}),
+    lambda: _ordered_frame() + ({"budget": 100},),
+    lambda: (SubsetAlgebra(z2()), _assoc(z2()), {"budget": 30}),
+    # neg and imp of constants only, which the linearity rule alone admits
+    lambda: (ConvAlgebra(chain(3), z2()),
+             parse_equation({"lhs": "(join x (neg top))", "rhs": "x"}), {"budget": 5}),
+    lambda: (ConvAlgebra(chain(3), z2()),
+             parse_equation({"lhs": "(meet (op * x y) (imp top top))",
+                             "rhs": "(op * x y)"}, z2().signature), {"budget": 30}),
+    lambda: (ConvAlgebra(chain(2), mixed()),
+             parse_equation({"lhs": "(meet x (op f x))", "rhs": "bot"}, mixed().signature),
+             {"budget": 3}),
+    lambda: (ConvAlgebra(chain(3), symmetric_group_3()), _assoc(symmetric_group_3()),
+             {"mode": "sample", "budget": 10_000}),
+])
+def test_reduction_never_runs_outside_its_gate(case):
+    algebra, eq, options = case()
+    v = check_equation(eq, algebra, **options)
+    assert v.samples is not None
+    assert v.generators is None and "path" not in v.to_json()["stats"]
+
+
+def test_exhaustive_mode_never_reduces():
+    algebra = ConvAlgebra(chain(3), symmetric_group_3())
+    with pytest.raises(BudgetExceeded):
+        check_equation(_assoc(symmetric_group_3()), algebra, mode="exhaustive", budget=10_000)
+
+
+def reference_generators(lat, n, dual):
+    """Bottom and each join-irreducible j of L at one point (bottom elsewhere)
+    as value tuples, in code order; dually top and the meet-irreducibles.
+    An element is irreducible when the join of the elements strictly below
+    it (the meet of those strictly above) is not the element itself."""
+    size, leq = lat.size, lat.leq
+    if dual:
+        unit = oracle_lub_set(lat, range(size))
+        irreducible = [a for a in range(size) if oracle_glb_set(
+            lat, [b for b in range(size) if b != a and leq[a][b]]) != a]
+    else:
+        unit = oracle_glb_set(lat, range(size))
+        irreducible = [a for a in range(size) if oracle_lub_set(
+            lat, [b for b in range(size) if b != a and leq[b][a]]) != a]
+    rows = [(unit,) * n] + [tuple(j if y == x else unit for y in range(n))
+                            for x in range(n) for j in irreducible]
+    return sorted(rows)
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(st.data())
+def test_reduced_verdict_matches_the_grid(data):
+    """Random distributive lattices, structures and negation-free equations
+    that the reduction accepts at a budget one below the full grid: the
+    verdict's validity is the exhaustive grid's, it runs over the
+    generators of one of the two families by a loop, and a counterexample
+    is the first in their code order and has distinct sides."""
+    lat = data.draw(lattices().filter(lambda lat: lat.is_distributive and lat.size <= 6))
+    structure = data.draw(structures())
+    algebra = ConvAlgebra(lat, structure)
+    term = terms(structure.signature.rel_specs, False)
+    eq = Equation(data.draw(term), data.draw(term))
+    names = eq.variables()
+    total = algebra.space_size() ** len(names)
+    assume(2 <= total <= 50_000)
+    verdict = check_equation(eq, algebra, budget=total - 1)
+    assume(verdict.generators is not None)
+
+    full = check_equation(eq, algebra, mode="exhaustive")
+    assert verdict.is_valid == full.is_valid
+    assert verdict.samples is None and verdict.seed is None
+    n = structure.carrier_size
+    families = [reference_generators(lat, n, dual) for dual in (False, True)]
+    if verdict.is_valid:
+        assert verdict.status == "valid_exhaustive"
+        assert verdict.tried in [len(gens) ** len(names) for gens in families]
+        return
+    env = {k: f.values for k, f in verdict.assignment.items()}
+    assert oracle_term(eq.lhs, lat, structure, env) != oracle_term(eq.rhs, lat, structure, env)
+
+    def first_failure(gens):
+        combos = product(gens, repeat=len(names))
+        for k, combo in zip(range(verdict.tried), combos):
+            env = dict(zip(names, combo))
+            if oracle_term(eq.lhs, lat, structure, env) != \
+                    oracle_term(eq.rhs, lat, structure, env):
+                return k + 1, {name: algebra.function(v) for name, v in env.items()}
+        return None
+    assert (verdict.tried, verdict.assignment) in [first_failure(gens) for gens in families]
