@@ -80,16 +80,11 @@ def _eq_verdicts(algebra, equations, mode="auto", samples=None, seed=0,
     Returns (failures, stats) where a failure records the label and either
     the unexpected counterexample or the unexpected validity.
     """
-    failures = []
-    sampled = reduced = 0
-    tried = 0
+    failures, verdicts = [], []
     for label, eq, expect in equations:
         v = check_equation(eq, algebra, mode=mode, samples=samples, seed=seed,
                            budget=budget)
-        tried += v.tried
-        if v.status == "valid_sampled":
-            sampled += 1
-        reduced += v.generators is not None
+        verdicts.append(v)
         if expect is None:
             continue
         if expect and not v.is_valid:
@@ -98,10 +93,18 @@ def _eq_verdicts(algebra, equations, mode="auto", samples=None, seed=0,
         if not expect and v.is_valid:
             failures.append({"law": label, "equation": str(eq),
                              "unexpected": "valid"})
-    stats = {"assignments": tried, "sampled_laws": sampled}
+    return failures, {"assignments": sum(v.tried for v in verdicts), **_law_counts(verdicts)}
+
+
+def _law_counts(verdicts) -> dict:
+    """The stats counting ``sampled_laws``, the valid_sampled verdicts,
+    and ``reduced_laws``, those decided over the irreducible generators,
+    the latter only when there are any."""
+    stats = {"sampled_laws": sum(v.status == "valid_sampled" for v in verdicts)}
+    reduced = sum(v.generators is not None for v in verdicts)
     if reduced:
         stats["reduced_laws"] = reduced
-    return failures, stats
+    return stats
 
 
 # -- operator laws (additivity / multiplicativity) ---------------------------
@@ -132,12 +135,10 @@ def _complete_law(algebra: ConvAlgebra, i: int, cap: int):
     """
     lat, spec = algebra.lattice, algebra.structure.signature.rel_specs[i]
     n, join = algebra.structure.carrier_size, spec.mode == JOIN
-    values, unit, fold = ((lat.irreducibles[0], lat.bottom, lat.join_np) if join
-                          else (lat.irreducibles[1], lat.top, lat.meet_np))
-    if algebra.space_size() ** spec.arity * len(values) * n > cap:
+    unit, fold = (lat.bottom, lat.join_np) if join else (lat.top, lat.meet_np)
+    if algebra.space_size() ** spec.arity * len(lat.irreducibles[not join]) * n > cap:
         return "over budget", None
-    order = algebra.structure.order if algebra.ordered else np.eye(n, dtype=bool)
-    gens = np.where(order if join else order.T, values[:, None, None], unit).reshape(-1, n)
+    gens = algebra._generator_rows(dual=not join)
     codes = algebra.carrier_codes(cap)
     rows = algebra._decode(codes)
     pairs = (gens[:, None], rows) if join else (rows, gens[:, None])

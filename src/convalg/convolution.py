@@ -197,6 +197,17 @@ class ConvAlgebra:
             return len(codes), codes.__getitem__
         return self.space_size(), lambda idx: idx
 
+    def _generator_rows(self, dual: bool = False) -> np.ndarray:
+        """Value rows of the join-irreducibles of the carrier, by j then x:
+        j in J(L) on the up-set of the point x (just x when unordered) and
+        bottom elsewhere; dually M(L) on down-sets and top.  Over a
+        distributive L every element is the join (meet) of bottom (top)
+        and those below (above) it."""
+        lat, n = self.lattice, self.structure.carrier_size
+        values, unit = lat.irreducibles[dual], (lat.top if dual else lat.bottom)
+        order = self.structure.order if self.ordered else np.eye(n, dtype=bool)
+        return np.where(order.T if dual else order, values[:, None, None], unit).reshape(-1, n)
+
     # -- integer codes ---------------------------------------------------------
 
     def _encode(self, rows: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ from .checks import (Report, check_closure_correspondence,
                      check_operator, check_relation_algebra,
                      check_residuation, check_structural_isos,
                      check_subset_isomorphism, check_z2_associativity,
-                     default_equation_pool, _describe_assignment)
+                     default_equation_pool, _describe_assignment,
+                     _law_counts)
 from .convolution import ConvAlgebra, SubsetAlgebra
 from .errors import UnknownName
 from .structures import build_structure, signature
@@ -241,29 +242,24 @@ def suite_type2(budget=None, seed=0) -> Report:
         structure, _ = catalog.type2_structure(n, mixed=mixed)
         conv = ConvAlgebra(catalog.chain(n), structure)
         subsets = SubsetAlgebra(structure)
-        failures = []
+        failures, conv_verdicts = [], []
         tried = 0
-        sampled = reduced = 0
         for label, eq in type2_equation_pool():
             vc = check_equation(eq, conv, budget=cap, seed=seed)
             vs = check_equation(eq, subsets, budget=cap, seed=seed)
             tried += vc.tried + vs.tried
-            if vc.status == "valid_sampled":
-                sampled += 1
-            reduced += vc.generators is not None
+            conv_verdicts.append(vc)
             if vc.is_valid != vs.is_valid:
                 item = {"equation": label, "convolution": vc.status,
                         "subsets": vs.status}
                 if vc.assignment:
                     item["assignment"] = _describe_assignment(conv, vc.assignment)
                 failures.append(item)
-        stats = {"assignments": tried, "equations": len(type2_equation_pool()),
-                 "sampled_laws": sampled, "seed": seed}
-        if reduced:
-            stats["reduced_laws"] = reduced
         reports.append(Report(
             "type2-transfer", name, "pass" if not failures else "fail",
-            witness=failures[0] if failures else None, stats=stats))
+            witness=failures[0] if failures else None,
+            stats={"assignments": tried, "equations": len(type2_equation_pool()),
+                   **_law_counts(conv_verdicts), "seed": seed}))
     return _aggregate("suite:type2", "grids n=2,3 (plain and mixed)", reports)
 
 

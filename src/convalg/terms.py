@@ -21,8 +21,8 @@ runs on integer codes and the algebra's code tables (see
 ``convolution``) when every table the equation needs has fewer entries
 than the grid has assignments; the grid positions, and so the verdict,
 are the same either way.  A check over the generators stays on value
-arrays.  Sampled checks
-draw value rows in bulk, bit-exactly as one ``randrange`` per point would.
+rows and forms no codes.  Sampled checks draw value rows in bulk,
+bit-exactly as one ``randrange`` per point would.
 """
 
 from __future__ import annotations
@@ -300,17 +300,19 @@ def _chunks(total: int, alg):
         start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // alg._width))
 
 
-def _grid(alg, k: int, enumeration):
+def _grid(alg, k: int, enumeration, table=None):
     """(total, rows) over an ``_enumeration`` (count, codes): ``rows(start,
     stop, into=alg)`` gives one array of ``into``'s rows per position for
-    k-tuples start..stop-1 in ``itertools.product`` order."""
-    count, codes = enumeration
+    k-tuples start..stop-1 in ``itertools.product`` order.  Over an array
+    ``table`` of ``alg``'s value rows instead (``enumeration`` None), it
+    indexes them outright, so no code is formed."""
+    count, codes = enumeration if table is None else (len(table), None)
 
     def rows(start, stop, into=alg):
         idx, digits = np.arange(start, stop), []
         for _ in range(k):
             idx, digit = np.divmod(idx, count)
-            digits.append(into._decode(codes(digit)))
+            digits.append(into._decode(codes(digit)) if table is None else table[digit])
         return digits[::-1]
     return count ** k, rows
 
@@ -387,21 +389,23 @@ def _linear(t: Term, v: str, modes: dict, dual: bool) -> bool:
 
 
 def _generators(alg, eq: Equation, names: list[str], cap: int):
-    """An enumeration (count, codes), as for _grid, of generators on which
-    ``eq`` holds iff it holds on all of L^X, or None.
+    """The value rows, in code order, of generators on which ``eq`` holds
+    iff it holds on all of L^X, or None.
 
-    When L is distributive every element of L^X is the join of the
-    ``j`` at one point ``x`` (bottom elsewhere) below it, j in J(L), and
-    the lattice operations and join-mode relations preserve binary joins
-    in each argument.  So an equation whose sides are join-linear in every
-    variable (see _linear) holds iff it holds on bottom and those elements;
-    dually for meet-linear sides with M(L), top and meet-mode relations.
-    The generators are listed by code.  None unless ``alg`` is an unordered
-    convolution algebra over a distributive lattice, ``eq`` has no neg or
-    imp and is linear, and the reduced grid fits ``cap``.
+    When L is distributive every element of L^X is the join of bottom and
+    the ``j`` at one point ``x`` (bottom elsewhere) below it, j in J(L),
+    and the lattice operations and join-mode relations preserve binary
+    joins in each argument.  So an equation whose sides are join-linear in
+    every variable (see _linear) holds iff it holds on bottom and those
+    elements; dually for meet-linear sides with M(L), top and meet-mode
+    relations.  None unless ``alg`` is an unordered convolution algebra
+    over a distributive lattice, ``eq`` is linear, and the reduced grid
+    fits ``cap``.  Linearity excludes ``neg`` and ``imp`` of a variable.
+    The rows are sorted without codes, which need not fit in int64 when
+    the grid over L^X is far beyond ``cap``.
     """
     if (not isinstance(alg, ConvAlgebra) or alg.ordered
-            or not alg.lattice.is_distributive or eq.uses_heyting()):
+            or not alg.lattice.is_distributive):
         return None
     modes = {s.name: s.mode for s in alg.structure.signature.rel_specs}
     for dual in (False, True):
@@ -409,15 +413,12 @@ def _generators(alg, eq: Equation, names: list[str], cap: int):
             break
     else:
         return None
-    lat, n = alg.lattice, alg.structure.carrier_size
-    irreducibles, unit = lat.irreducibles[dual], (lat.top if dual else lat.bottom)
-    count = 1 + len(irreducibles) * n
-    if count ** len(names) > cap:
+    lat = alg.lattice
+    if (1 + len(lat.irreducibles[dual]) * alg.structure.carrier_size) ** len(names) > cap:
         return None
-    points = np.repeat(np.arange(n), len(irreducibles))
-    rows = np.full((count, n), unit)
-    rows[np.arange(1, count), points] = np.tile(irreducibles, n)
-    return count, np.sort(alg._encode(rows)).__getitem__
+    unit = np.full((1, alg.structure.carrier_size), lat.top if dual else lat.bottom)
+    rows = np.vstack([unit, alg._generator_rows(dual)])
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _tabled(alg, eq: Equation, total: int):
@@ -521,9 +522,9 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     names = eq.variables()
     total, rows, sampling = _assignments(alg, len(names), mode, cap, samples, seed)
     generators = None
-    if sampling and mode == "auto" and (enumeration := _generators(alg, eq, names, cap)):
-        generators, sampling = enumeration[0], {}
-        total, rows = _grid(alg, len(names), enumeration)
+    if sampling and mode == "auto" and (table := _generators(alg, eq, names, cap)) is not None:
+        generators, sampling = len(table), {}
+        total, rows = _grid(alg, len(names), None, table)
     target = alg  # the interface the rows of the current chunk belong to
 
     def chunk_rows(start, stop):
