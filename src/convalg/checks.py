@@ -5,9 +5,12 @@ finite witness on failure.  Checkers only assert laws under their
 hypotheses (typically a distributive lattice); outside them they run the
 same computation and report status "observed" without asserting.
 
+Checkers state laws; check_equation decides how each equation is checked.
 Budgets: a check is exhaustive when its assignment space fits the budget
-(default 10^6 evaluations) and otherwise falls back to seeded sampling,
-recording that downgrade in its stats.
+(default 10^6 evaluations), an equation may then run exactly over the
+irreducible generators, and otherwise the check falls back to seeded
+sampling, recording that downgrade in its stats.  A sampled validity
+proves nothing, so no checker reports "fail" on one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .convolution import (DEFAULT_BUDGET, ConvAlgebra, SubsetAlgebra,
                           is_lattice_morphism, iso_phi,
                           lift_lattice_morphism, product_iso,
                           product_iso_inv, pullback_pmorphism)
-from .errors import NotHeyting, SignatureMismatch, WrongMode
+from .errors import NotHeyting, SignatureMismatch
 from .lattice import FiniteLattice, build_lattice
 from .structures import (JOIN, MEET, RelStructure, build_structure,
                          disjoint_union, from_group, full_structure,
@@ -69,38 +72,28 @@ def _labels(lat: FiniteLattice, row) -> list[str]:
     return [lat.labels[v] for v in row]
 
 
-def _describe_assignment(algebra, env: dict) -> dict:
-    return {k: describe_element(algebra, v) for k, v in sorted(env.items())}
+def _describe_assignment(env: dict) -> dict:
+    return {k: describe_element(v) for k, v in sorted(env.items())}
 
 
-def _eq_verdicts(algebra, equations, mode="auto", samples=None, seed=0,
-                 budget=None):
-    """Run a list of (label, Equation, expected_valid|None) over an algebra.
+def _eq_verdicts(algebra, equations, seed=0, budget=None):
+    """Decide each law of a list of (label, Equation) over an algebra.
 
-    Returns (failures, stats) where a failure records the label and either
-    the unexpected counterexample or the unexpected validity.
+    Returns (failures, stats), a failure naming the law and its
+    counterexample.
     """
-    failures, verdicts = [], []
-    for label, eq, expect in equations:
-        v = check_equation(eq, algebra, mode=mode, samples=samples, seed=seed,
-                           budget=budget)
-        verdicts.append(v)
-        if expect is None:
-            continue
-        if expect and not v.is_valid:
-            failures.append({"law": label, "equation": str(eq),
-                             "assignment": _describe_assignment(algebra, v.assignment)})
-        if not expect and v.is_valid:
-            failures.append({"law": label, "equation": str(eq),
-                             "unexpected": "valid"})
+    verdicts = [check_equation(eq, algebra, seed=seed, budget=budget) for _, eq in equations]
+    failures = [{"law": label, "equation": str(eq),
+                 "assignment": _describe_assignment(v.assignment)}
+                for (label, eq), v in zip(equations, verdicts) if not v.is_valid]
     return failures, {"assignments": sum(v.tried for v in verdicts), **_law_counts(verdicts)}
 
 
 def _law_counts(verdicts) -> dict:
-    """The stats counting ``sampled_laws``, the valid_sampled verdicts,
-    and ``reduced_laws``, those decided over the irreducible generators,
-    the latter only when there are any."""
-    stats = {"sampled_laws": sum(v.status == "valid_sampled" for v in verdicts)}
+    """The stats counting ``sampled_laws``, the verdicts drawn from
+    samples, and ``reduced_laws``, those decided over the irreducible
+    generators, the latter only when there are any."""
+    stats = {"sampled_laws": sum(v.samples is not None for v in verdicts)}
     reduced = sum(v.generators is not None for v in verdicts)
     if reduced:
         stats["reduced_laws"] = reduced
@@ -159,9 +152,8 @@ def _complete_law(algebra: ConvAlgebra, i: int, cap: int):
     return "exhaustive", None
 
 
-def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
-                   budget: int | None = None, seed: int = 0,
-                   instance: str | None = None) -> Report:
+def check_operator(algebra: ConvAlgebra, rel, budget: int | None = None,
+                   seed: int = 0, instance: str | None = None) -> Report:
     """Additivity (join relations) or multiplicativity (meet relations).
 
     For each argument position the binary law and the empty-family law are
@@ -175,10 +167,6 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
     i = algebra.structure.relation(rel)
     spec = algebra.structure.signature.rel_specs[i]
     additive = spec.mode == JOIN
-    if mode is not None:
-        want = "additive" if additive else "multiplicative"
-        if mode != want:
-            raise WrongMode(f"relation {spec.name!r} supports only the {want} law")
     name = instance or f"{spec.name}:{spec.arity}{'+' if additive else '-'}"
     hypothesis = algebra.lattice.is_distributive
 
@@ -189,8 +177,8 @@ def check_operator(algebra: ConvAlgebra, rel, mode: str | None = None,
                                       for j in range(spec.arity)))
     x, y = Var("x"), Var("y")
     equations = [law for k in range(spec.arity) for law in (
-        (f"binary@{k}", Equation(at(k, comb(x, y)), comb(at(k, x), at(k, y))), True),
-        (f"empty@{k}", Equation(at(k, unit), unit), True))]
+        (f"binary@{k}", Equation(at(k, comb(x, y)), comb(at(k, x), at(k, y)))),
+        (f"empty@{k}", Equation(at(k, unit), unit)))]
     failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=cap)
     stats["positions"] = spec.arity
 
@@ -303,7 +291,8 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
     inequalities run as equation checks over L^X, reflexivity and
     transitivity by scanning the relation.  The dual statement is checked
     three ways: the meet convolution over L, the join convolution over the
-    order dual of L, and the interior laws themselves.
+    order dual of L, and the interior laws themselves.  A sampled validity
+    of an inequality is not held against a scan that says it should fail.
     """
     if not lat.is_distributive:
         raise NotHeyting("closure correspondence is stated for distributive lattices")
@@ -347,13 +336,13 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
     for label, algebra, eq, expect in checks:
         v = check_equation(eq, algebra, budget=budget)
         tried += v.tried
-        if v.is_valid != expect:
+        if v.decided and v.is_valid != expect:
             witness = {"biconditional": label, "equation": str(eq),
                        "equation_valid": v.is_valid,
                        "relation_scan": {"reflexive": reflexive,
                                          "transitive": transitive}}
             if v.assignment is not None:
-                witness["assignment"] = _describe_assignment(algebra, v.assignment)
+                witness["assignment"] = _describe_assignment(v.assignment)
             return Report("closure-correspondence", name, "fail",
                           witness=witness, stats={"assignments": tried})
     return Report("closure-correspondence", name, "pass",
@@ -368,11 +357,12 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
                          budget: int | None = None,
                          instance: str | None = None) -> Report:
     """Quantifier pair over the all-pairs relation: closure, interior, and
-    the three interaction axioms, all exhaustive.
+    the three interaction axioms.
 
-    Also verifies the pointwise description directly: the join convolution
-    sends a function to the constant at its join, the meet convolution to
-    the constant at its meet.
+    Also verifies the pointwise description directly, over the whole
+    carrier (BudgetExceeded beyond the budget): the join convolution sends
+    a function to the constant at its join, the meet convolution to the
+    constant at its meet.
     """
     if not lat.is_distributive:
         raise NotHeyting("monadic axioms are stated over Heyting-capable lattices")
@@ -406,20 +396,19 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
 
     x, y = Var("x"), Var("y")
     equations = [
-        ("closure/increasing", Equation(Join(x, dia(x)), dia(x)), True),
-        ("closure/idempotent", Equation(dia(dia(x)), dia(x)), True),
-        ("closure/zero", Equation(dia(Bot()), Bot()), True),
-        ("closure/additive", Equation(dia(Join(x, y)), Join(dia(x), dia(y))), True),
-        ("interior/decreasing", Equation(Meet(x, box(x)), box(x)), True),
-        ("interior/idempotent", Equation(box(box(x)), box(x)), True),
-        ("interior/one", Equation(box(Top()), Top()), True),
-        ("interior/multiplicative", Equation(box(Meet(x, y)), Meet(box(x), box(y))), True),
-        ("axiom1", Equation(box(dia(x)), dia(x)), True),
-        ("axiom2", Equation(dia(box(x)), box(x)), True),
-        ("axiom3", Equation(dia(Meet(dia(x), y)), Meet(dia(x), dia(y))), True),
+        ("closure/increasing", Equation(Join(x, dia(x)), dia(x))),
+        ("closure/idempotent", Equation(dia(dia(x)), dia(x))),
+        ("closure/zero", Equation(dia(Bot()), Bot())),
+        ("closure/additive", Equation(dia(Join(x, y)), Join(dia(x), dia(y)))),
+        ("interior/decreasing", Equation(Meet(x, box(x)), box(x))),
+        ("interior/idempotent", Equation(box(box(x)), box(x))),
+        ("interior/one", Equation(box(Top()), Top())),
+        ("interior/multiplicative", Equation(box(Meet(x, y)), Meet(box(x), box(y)))),
+        ("axiom1", Equation(box(dia(x)), dia(x))),
+        ("axiom2", Equation(dia(box(x)), box(x))),
+        ("axiom3", Equation(dia(Meet(dia(x), y)), Meet(dia(x), dia(y)))),
     ]
-    failures, stats = _eq_verdicts(algebra, equations, mode="exhaustive",
-                                   budget=budget)
+    failures, stats = _eq_verdicts(algebra, equations, budget=budget)
     status = "pass" if not failures else "fail"
     return Report("monadic", name, status,
                   witness=failures[0] if failures else None, stats=stats)
@@ -452,12 +441,12 @@ def check_nabla_equation(lat: FiniteLattice, n: int,
     if not lat.is_distributive:
         return Report("nabla-equation", name, "observed",
                       witness=None if v.is_valid
-                      else {"assignment": _describe_assignment(algebra, v.assignment)},
+                      else {"assignment": _describe_assignment(v.assignment)},
                       stats=stats)
     if v.is_valid:
         return Report("nabla-equation", name, "pass", stats=stats)
     return Report("nabla-equation", name, "fail",
-                  witness={"assignment": _describe_assignment(algebra, v.assignment)},
+                  witness={"assignment": _describe_assignment(v.assignment)},
                   stats=stats)
 
 
@@ -469,8 +458,9 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
     """Associativity of the convolved group operation iff distributivity.
 
     Both sides of the biconditional are decided independently: the
-    associativity equation exhaustively over pairs, distributivity by a
-    fresh triple scan of the tables.
+    associativity equation by check_equation, distributivity by a fresh
+    triple scan of the tables.  A sampled validity proves nothing, so it
+    is reported "observed", with the verdict in the stats.
     """
     algebra = ConvAlgebra(lat, _z2_structure())
     name = instance or f"|L|={lat.size}"
@@ -480,7 +470,7 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
 
     x, y, z = Var("x"), Var("y"), Var("z")
     eq = Equation(star(star(x, y), z), star(x, star(y, z)))
-    v = check_equation(eq, algebra, mode="exhaustive", budget=budget)
+    v = check_equation(eq, algebra, budget=budget)
     associative = v.is_valid
 
     meet, join = lat.meet_table, lat.join_table
@@ -492,7 +482,10 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
              "distributive": distributive}
     witness = None
     if not associative:
-        witness = {"assignment": _describe_assignment(algebra, v.assignment)}
+        witness = {"assignment": _describe_assignment(v.assignment)}
+    if not v.decided:
+        return Report("z2-associativity", name, "observed",
+                      stats={**stats, "verdict": v.status})
     if associative != distributive:
         return Report("z2-associativity", name, "fail",
                       witness={"associative": associative,
@@ -522,8 +515,7 @@ def _expect_group_signature(structure: RelStructure):
 
 
 def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
-                           budget: int | None = None,
-                           samples: int | None = None, seed: int = 0,
+                           budget: int | None = None, seed: int = 0,
                            instance: str | None = None) -> Report:
     """Relation-algebra style axioms for the convolved group operations.
 
@@ -533,8 +525,8 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     budget; beyond it, laws 1-6, which are linear in every variable, run
     exactly over the irreducible generators when those fit the budget
     (stats ``reduced_laws``), and the rest, law 7 and the De Morgan scans
-    among them, are seeded-sampled.  A forced ``samples`` samples every
-    law and scan.
+    among them, are seeded-sampled.  A sampled scan that finds no witness
+    to the original form does not decide that it holds.
     """
     if not lat.is_distributive:
         raise NotHeyting("the axioms use the pseudocomplement")
@@ -544,23 +536,21 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     semi, conv, unit = _group_terms()
     a, b, c = Var("a"), Var("b"), Var("c")
 
-    mode = "auto" if samples is None else "sample"
     equations = [
-        ("1:associative", Equation(semi(a, semi(b, c)), semi(semi(a, b), c)), True),
-        ("2:right-unit", Equation(semi(a, unit), a), True),
-        ("2:left-unit", Equation(semi(unit, a), a), True),
+        ("1:associative", Equation(semi(a, semi(b, c)), semi(semi(a, b), c))),
+        ("2:right-unit", Equation(semi(a, unit), a)),
+        ("2:left-unit", Equation(semi(unit, a), a)),
         ("3:left-additive", Equation(semi(Join(a, b), c),
-                                     Join(semi(a, c), semi(b, c))), True),
+                                     Join(semi(a, c), semi(b, c)))),
         ("3:right-additive", Equation(semi(a, Join(b, c)),
-                                      Join(semi(a, b), semi(a, c))), True),
-        ("4:involution", Equation(conv(conv(a)), a), True),
-        ("5:converse-join", Equation(conv(Join(a, b)), Join(conv(a), conv(b))), True),
-        ("6:converse-product", Equation(conv(semi(a, b)), semi(conv(b), conv(a))), True),
+                                      Join(semi(a, b), semi(a, c)))),
+        ("4:involution", Equation(conv(conv(a)), a)),
+        ("5:converse-join", Equation(conv(Join(a, b)), Join(conv(a), conv(b)))),
+        ("6:converse-product", Equation(conv(semi(a, b)), semi(conv(b), conv(a)))),
         ("7:triangle", Equation(Join(semi(conv(a), Neg(semi(a, b))), Neg(b)),
-                                Neg(b)), True),
+                                Neg(b))),
     ]
-    failures, stats = _eq_verdicts(algebra, equations, mode=mode,
-                                   samples=samples, seed=seed, budget=budget)
+    failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=budget)
 
     star = group.relation("*")
     converse = group.relation("conv")
@@ -582,7 +572,7 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
             one, two, three = bounds(*triple)
             return (one != two) | (two != three)
 
-        total, triples, sampling = _assignments(algebra, 3, mode, cap, samples, seed)
+        total, triples, sampling = _assignments(algebra, 3, "auto", cap, seed=seed)
         how = "sampled" if sampling else "exhaustive"
         position, found = _first_failure(total, algebra, triples, broken)
         if position is None:
@@ -596,11 +586,11 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     if witness8p is not None:
         failures.append({"law": "8':modified-de-morgan", **witness8p})
 
-    witness8, _ = triple_agreement(first_uses_negneg=False)
+    witness8, how8 = triple_agreement(first_uses_negneg=False)
     original_holds = witness8 is None
     stats["original_de_morgan_holds"] = original_holds
     stats["lattice_boolean"] = lat.is_boolean
-    if original_holds != lat.is_boolean:
+    if original_holds != lat.is_boolean and (witness8 is not None or how8 == "exhaustive"):
         failures.append({"law": "8:original-de-morgan",
                          "holds": original_holds,
                          "boolean": lat.is_boolean, "witness": witness8})
@@ -711,7 +701,8 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     pool is a list of (label, Equation) in the negation-free fragment.
     Distributive lattices must agree with the base exactly; other lattices
     are only required to transfer validity downward (valid in L^X implies
-    valid over subsets).
+    valid over subsets).  A disagreement counts only between decided
+    verdicts, not against a sampled validity.
     """
     lattices = list(lattices)
     name = instance or f"|X|={structure.carrier_size},pool={len(pool)}"
@@ -727,7 +718,7 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
         vs = check_equation(eq, subsets, budget=budget, seed=seed)
         tried += vb.tried + vs.tried
         base_verdicts[label] = vb
-        if vb.is_valid != vs.is_valid:
+        if vb.is_valid != vs.is_valid and vb.decided and vs.decided:
             failures.append({"equation": label, "lattice": "2",
                              "base": vb.status, "subsets": vs.status})
     for lat in lattices:
@@ -740,12 +731,12 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
                 agree = v.is_valid == vb.is_valid
             else:
                 agree = vb.is_valid or not v.is_valid
-            if not agree:
+            if not agree and v.decided and vb.decided:
                 item = {"equation": label, "text": str(eq),
                         "lattice_size": lat.size,
                         "over_L": v.status, "over_2": vb.status}
                 if v.assignment is not None:
-                    item["assignment"] = _describe_assignment(algebra, v.assignment)
+                    item["assignment"] = _describe_assignment(v.assignment)
                 failures.append(item)
     status = "pass" if not failures else "fail"
     return Report("equation-transfer", name, status,

@@ -25,21 +25,11 @@ from .errors import (ConvalgError, NotALattice, NotAPoset, UnknownName)
 from .lattice import FiniteLattice, lattice_from_json, lattice_to_json
 from .structures import RelStructure, structure_from_json, structure_to_json
 from .suites import SUITES, run_suite
-from .terms import (check_equation, describe_element, eval_term,
-                    parse_equation, parse_term)
+from .terms import check_equation, eval_term, parse_equation, parse_term
 
 
 def _emit(doc: dict):
     print(json.dumps(doc, sort_keys=True))
-
-
-def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("CONVALG_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
 
 
 def _load_doc(path: str):
@@ -107,8 +97,8 @@ def _cmd_eq_check(args) -> int:
     algebra = ConvAlgebra(lat, structure)
     eq = parse_equation(_load_doc(args.eq), structure.signature)
     verdict = check_equation(eq, algebra, mode=args.mode, samples=args.samples,
-                             seed=args.seed, budget=_budget(args))
-    doc = verdict.to_json(describe=lambda e: describe_element(algebra, e))
+                             seed=args.seed, budget=args.budget)
+    doc = verdict.to_json()
     doc["equation"] = str(eq)
     _emit(doc)
     return 0 if verdict.is_valid else 1
@@ -192,8 +182,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-            args.budget = _budget(args)
+        if hasattr(args, "budget") and args.budget is None:
+            env = os.environ.get("CONVALG_BUDGET")
+            args.budget = DEFAULT_BUDGET if env is None else int(env)
         return args.func(args)
     except ConvalgError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})

@@ -520,9 +520,13 @@ class SubsetAlgebra:
 
     def _draw_rows(self, rng, count: int) -> np.ndarray:
         """``count`` uniform random subsets as boolean rows, drawn as one
-        ``rng.randrange`` of their code each."""
-        q = self.space_size()
-        return self._decode(np.array([rng.randrange(q) for _ in range(count)], dtype=np.int64))
+        ``rng.randrange`` of their code each and unpacked byte by byte, as
+        a code has |X| bits, which may be more than an int64 holds."""
+        q, width = self.space_size(), (self.structure.carrier_size + 7) // 8
+        drawn = b"".join(rng.randrange(q).to_bytes(width, "little") for _ in range(count))
+        bits = np.unpackbits(np.frombuffer(drawn, dtype=np.uint8).reshape(count, width),
+                             axis=1, bitorder="little")
+        return bits[:, :self.structure.carrier_size].astype(bool)
 
     def random_element(self, rng) -> frozenset:
         return self._element(self._draw_rows(rng, 1)[0])

@@ -88,6 +88,8 @@ def suite_equation_transfer(budget=None, seed=0) -> Report:
 
 
 def suite_z2_biconditional(budget=None, seed=0) -> Report:
+    """The biconditional over the lattice pool, where M3 and N5 must be
+    found non-associative unless sampling left them undecided."""
     reports = []
     witnesses = {}
     for name, lat in catalog.lattice_pool():
@@ -95,8 +97,8 @@ def suite_z2_biconditional(budget=None, seed=0) -> Report:
         reports.append(r)
         if r.status == "pass" and not r.stats.get("associative", True):
             witnesses[name] = r.witness
-    expected_failures = {"M3", "N5"}
-    missing = expected_failures - set(witnesses)
+    undecided = {r.instance for r in reports if r.status == "observed"}
+    missing = {"M3", "N5"} - set(witnesses) - undecided
     agg = _aggregate("suite:z2-associativity", "lattice pool", reports,
                      {"non_associative": sorted(witnesses)})
     if missing and agg.status == "pass":
@@ -166,7 +168,8 @@ def suite_relation_algebra(budget=None, seed=0) -> Report:
     agg = _aggregate("suite:relation-algebra", "group convolutions", reports)
     by_name = {r.instance: r for r in reports}
     if agg.status == "pass":
-        if by_name["chain3/Z2"].stats.get("original_de_morgan_holds"):
+        over_z2 = by_name["chain3/Z2"].stats  # a sampled scan that holds decides nothing
+        if over_z2.get("original_de_morgan_holds") and over_z2["de_morgan_scan"] == "exhaustive":
             agg.status = "fail"
             agg.witness = {"expected": "original De Morgan must fail over chain3"}
         if not by_name["boolean2/Z2"].stats.get("original_de_morgan_holds"):
@@ -249,11 +252,11 @@ def suite_type2(budget=None, seed=0) -> Report:
             vs = check_equation(eq, subsets, budget=cap, seed=seed)
             tried += vc.tried + vs.tried
             conv_verdicts.append(vc)
-            if vc.is_valid != vs.is_valid:
+            if vc.is_valid != vs.is_valid and vc.decided and vs.decided:
                 item = {"equation": label, "convolution": vc.status,
                         "subsets": vs.status}
                 if vc.assignment:
-                    item["assignment"] = _describe_assignment(conv, vc.assignment)
+                    item["assignment"] = _describe_assignment(vc.assignment)
                 failures.append(item)
         reports.append(Report(
             "type2-transfer", name, "pass" if not failures else "fail",

@@ -16,13 +16,14 @@ the equation is linear in every variable (see _generators), or by seeded
 sampling; the least counterexample in enumeration order is reported, so
 failures are reproducible.
 
-After its first chunk, an exhaustive check over a convolution algebra
-runs on integer codes and the algebra's code tables (see
+An exhaustive check over a convolution algebra whose grid outgrows its
+first chunk runs on integer codes and the algebra's code tables (see
 ``convolution``) when every table the equation needs has fewer entries
-than the grid has assignments; the grid positions, and so the verdict,
-are the same either way.  A check over the generators stays on value
-rows and forms no codes.  Sampled checks draw value rows in bulk,
-bit-exactly as one ``randrange`` per point would.
+than the grid has assignments.  That is settled before the search
+starts, and the grid positions, and so the verdict, are the same either
+way.  A check over the generators stays on value rows and forms no
+codes.  Sampled checks draw value rows in bulk, bit-exactly as one
+``randrange`` per point would.
 """
 
 from __future__ import annotations
@@ -236,7 +237,8 @@ Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 
 # Chunks of assignments are sized so that no intermediate array holds more
 # than _CHUNK_ENTRIES values.  The first chunk is small, so that an early
-# counterexample costs little; later chunks grow to that limit.
+# counterexample costs little; later chunks grow to that limit.  A grid no
+# larger than the first chunk builds no code tables.
 _FIRST_ROWS = 64
 
 
@@ -462,7 +464,12 @@ class Verdict:
     def is_valid(self) -> bool:
         return self.status in ("valid_exhaustive", "valid_sampled")
 
-    def to_json(self, describe=None) -> dict:
+    @property
+    def decided(self) -> bool:
+        """False for a sampled validity, which proves nothing."""
+        return self.status != "valid_sampled"
+
+    def to_json(self) -> dict:
         out = {"status": self.status, "stats": {"assignments": self.tried}}
         if self.budget is not None:
             out["stats"]["budget"] = self.budget
@@ -473,24 +480,19 @@ class Verdict:
             out["samples"] = self.samples
             out["seed"] = self.seed
         if self.assignment is not None:
-            desc = describe if describe is not None else _default_describe
-            out["assignment"] = {k: desc(v) for k, v in sorted(self.assignment.items())}
+            out["assignment"] = {k: describe_element(v)
+                                 for k, v in sorted(self.assignment.items())}
         return out
 
 
-def _default_describe(elem):
+def describe_element(elem):
+    """JSON-friendly rendering of a carrier element: a function's labels, a
+    subset's sorted members, and a lattice index as it is."""
     if hasattr(elem, "labels") and callable(elem.labels):
         return elem.labels()
     if isinstance(elem, frozenset):
         return sorted(elem)
     return elem
-
-
-def describe_element(algebra, elem):
-    """JSON-friendly rendering of a carrier element."""
-    if isinstance(algebra, FiniteLattice):
-        return algebra.labels[elem]
-    return _default_describe(elem)
 
 
 def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
@@ -508,10 +510,14 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     Ordered algebras are sampled by drawing functions and rejecting the
     non-monotone ones, so sampling never enumerates their carrier.
 
-    Both sides are evaluated over chunks of assignments at once: the
-    exhaustive grid in ``itertools.product`` order of the carrier or of
-    the generators (so the first mismatch is the least counterexample in
-    that order), or the samples in the order they are drawn.
+    The path is chosen once, before the search: the grid over value rows;
+    the same grid over codes when it outgrows its first chunk of
+    _FIRST_ROWS assignments and _tabled holds; the grid over the
+    generators; or the samples.  Both sides are evaluated over chunks of
+    assignments at once: the exhaustive grid in ``itertools.product``
+    order of the carrier or of the generators (so the first mismatch is
+    the least counterexample in that order), or the samples in the order
+    they are drawn.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
     if cap < 1:
@@ -521,26 +527,18 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
     total, rows, sampling = _assignments(alg, len(names), mode, cap, samples, seed)
-    generators = None
+    target, generators = alg, None  # the interface the rows are given in
     if sampling and mode == "auto" and (table := _generators(alg, eq, names, cap)) is not None:
         generators, sampling = len(table), {}
         total, rows = _grid(alg, len(names), None, table)
-    target = alg  # the interface the rows of the current chunk belong to
-
-    def chunk_rows(start, stop):
-        nonlocal target, rows
-        if (start == _FIRST_ROWS and not sampling and generators is None
-                and (coded := _tabled(alg, eq, total))):
-            # The grid outlasts its first chunk and outnumbers the code
-            # tables: the rest runs on codes, at the same positions.
-            target, rows = coded, lambda start, stop, grid=rows: grid(start, stop, coded)
-        return rows(start, stop)
+    elif not sampling and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
+        target, rows = coded, lambda start, stop, grid=rows: grid(start, stop, coded)
 
     def broken(*values):
         env = dict(zip(names, values))
         return np.any(_value(eq.lhs, target, env) != _value(eq.rhs, target, env), axis=-1)
 
-    position, found = _first_failure(total, alg, chunk_rows, broken)
+    position, found = _first_failure(total, alg, rows, broken)
     if position is None:
         status = "valid_sampled" if sampling else "valid_exhaustive"
         return Verdict(status, tried=total, budget=cap, generators=generators, **sampling)

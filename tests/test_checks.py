@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_convolution import lattices, structures
 
-from convalg import checks
+from convalg import checks, suites
 from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
                              n5, structure_pool, symmetric_group_3)
 from convalg.checks import (Report, _expect_group_signature,
@@ -25,18 +25,16 @@ from convalg.checks import (Report, _expect_group_signature,
 from convalg.convolution import (ConvAlgebra, SubsetAlgebra,
                                  lift_lattice_morphism, product_iso,
                                  pullback_pmorphism)
-from convalg.errors import NotHeyting, SignatureMismatch, WrongMode
+from convalg.errors import NotHeyting, SignatureMismatch
 from convalg.structures import (JOIN, MEET, RelStructure, build_structure,
                                 from_group, full_structure, signature)
-from convalg.terms import Equation, Neg, Var, _chunks, eval_term, parse_term
+from convalg.terms import (Equation, Neg, Var, Verdict, _chunks, eval_term,
+                           parse_term)
 
 
-def test_operator_pass_and_mode_guard():
+def test_operator_pass():
     algebra = ConvAlgebra(chain(3), cyclic_group(2))
     assert check_operator(algebra, "*").status == "pass"
-    assert check_operator(algebra, "*", mode="additive").status == "pass"
-    with pytest.raises(WrongMode):
-        check_operator(algebra, "*", mode="multiplicative")
 
 
 def test_operator_nullary_vacuous():
@@ -483,6 +481,58 @@ def test_z2_biconditional_on_pool():
         assert r.stats["associative"] == lat.is_distributive == r.stats["distributive"]
 
 
+def test_z2_associativity_beyond_the_grid_runs_on_the_generators():
+    # 16**6 triples over boolean4/Z2; 1 + 4 * 2 generators per variable.
+    r = check_z2_associativity(boolean(4))
+    assert r.status == "pass"
+    assert r.stats == {"assignments": 9 ** 3, "associative": True, "distributive": True}
+
+
+def test_z2_sampled_validity_is_only_observed():
+    # One draw misses M3's counterexample, which the second draw finds.
+    r = check_z2_associativity(m3(), budget=1)
+    assert (r.status, r.witness) == ("observed", None)
+    assert r.stats == {"assignments": 1, "associative": True,
+                       "distributive": False, "verdict": "valid_sampled"}
+    assert check_z2_associativity(m3(), budget=2).status == "pass"
+    r = check_z2_associativity(boolean(2), budget=100)  # 5**3 generator triples
+    assert (r.status, r.stats["verdict"]) == ("observed", "valid_sampled")
+
+
+def test_a_sampled_validity_never_fails_a_checker():
+    # Each check below samples at so small a budget that it misses a real
+    # counterexample, and the other side of its comparison says the law
+    # fails; a sampled "valid" is not held against that, by the checkers
+    # or by the suites' own expectations.
+    frame = build_structure(3, signature(("f", 1, JOIN)), [{(0, 0), (0, 1), (1, 1), (2, 0)}])
+    r = check_closure_correspondence(chain(3), frame, budget=4)
+    assert r.status == "pass" and not r.stats["transitive"]
+    r = check_relation_algebra(chain(3), cyclic_group(2), budget=1)
+    assert r.status == "pass" and r.stats["de_morgan_scan"] == "sampled"
+    pool = dict(structure_pool())
+    for name, lattices in (("mixed2", [chain(3)]), ("binary2-partial", [])):
+        s = pool[name]
+        r = check_equation_transfer(lattices, s, default_equation_pool(s.signature), budget=1)
+        assert r.status == "pass"
+    for suite in (suites.suite_type2, suites.suite_z2_biconditional,
+                  suites.suite_relation_algebra):
+        assert suite(budget=1).status == "pass"
+
+
+def test_type2_mismatch_names_the_counterexample(monkeypatch):
+    # Subset verdicts forced valid: the chain's first counterexample is the
+    # witness, rendered as labels.
+    check_equation = suites.check_equation
+    monkeypatch.setattr(suites, "check_equation", lambda eq, algebra, **options: (
+        Verdict("valid_exhaustive", tried=1) if isinstance(algebra, SubsetAlgebra)
+        else check_equation(eq, algebra, **options)))
+    r = suites.suite_type2()
+    assert r.status == "fail"
+    assert r.witness["witness"] == {"equation": "absorption", "convolution": "counterexample",
+                                    "subsets": "valid_exhaustive",
+                                    "assignment": {"x": ["0", "1"], "y": ["0", "0"]}}
+
+
 def test_z2_witness_reevaluates():
     r = check_z2_associativity(n5())
     assert not r.stats["associative"]
@@ -515,12 +565,22 @@ def test_relation_algebra_z3_exhaustive():
     assert r.stats["de_morgan_scan"] == "exhaustive"
 
 
-def test_relation_algebra_sampled_mode():
-    r = check_relation_algebra(chain(3), symmetric_group_3(),
-                               samples=500, seed=0)
+def test_relation_algebra_sampled_by_the_budget():
+    # Over chain3/S3 at a budget of 100 only the one-variable laws 2 and 4
+    # fit the 13 generators; the other six laws and both scans sample.
+    r = check_relation_algebra(chain(3), symmetric_group_3(), budget=100)
     assert r.status == "pass"
     assert r.stats["de_morgan_scan"] == "sampled"
-    assert r.stats["sampled_laws"] == 9 and "reduced_laws" not in r.stats
+    assert (r.stats["sampled_laws"], r.stats["reduced_laws"]) == (6, 3)
+    assert r.stats["assignments"] == 3 * 13 + 6 * 100
+
+
+def test_sampled_laws_count_sampled_counterexamples():
+    comm = Equation(parse_term("(op * x y)"), parse_term("(op * y x)"))
+    algebra = ConvAlgebra(chain(3), symmetric_group_3())
+    failures, stats = checks._eq_verdicts(algebra, [("comm", comm)], budget=100)
+    assert [f["law"] for f in failures] == ["comm"]
+    assert stats == {"assignments": 3, "sampled_laws": 1}
 
 
 def test_relation_algebra_reduces_the_additive_laws():

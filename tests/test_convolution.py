@@ -204,7 +204,7 @@ def test_batched_evaluation_matches_oracles(data):
     (with neg/imp over distributive lattices): single evaluations match the
     definition-level oracle and, over two elements, the subset algebra via
     iso_phi; exhaustive and sampled verdicts match a loop over the oracle.
-    Grids past their first chunk and larger than q*q run on code tables."""
+    Grids beyond their first chunk and larger than q*q run on code tables."""
     lat = data.draw(lattices())
     structure = data.draw(structures())
     algebra = ConvAlgebra(lat, structure)
@@ -239,7 +239,7 @@ def test_batched_evaluation_matches_oracles(data):
 
     # Both sides met with x /\ y /\ z: a 3-variable law whose first
     # counterexample, if any, has no bottom-valued variable, so it tends to
-    # lie past the first chunk, on the code-table path.
+    # lie past the first chunk, deep in a grid that may run on code tables.
     below = Meet(Var("x"), Meet(Var("y"), Var("z")))
     guarded = Equation(Meet(eq.lhs, below), Meet(eq.rhs, below))
     for law in (eq, guarded):
@@ -645,6 +645,34 @@ def test_bulk_draws_match_a_randrange_loop(size, ordered):
                 expect.append(values)
         assert [tuple(r) for r in rows.tolist()] == expect
         assert bulk.random() == loop.random()
+
+
+def _point_zero_frame(n):
+    """n points and f(a)(y) = a(0) for every y."""
+    return build_structure(n, signature(("f", 1, JOIN)), [{(0, y) for y in range(n)}])
+
+
+@pytest.mark.parametrize("n", [1, 5, 63])
+def test_subset_draws_match_a_randrange_loop(n):
+    subsets = SubsetAlgebra(_point_zero_frame(n))
+    bulk, loop = random.Random(n), random.Random(n)
+    rows = subsets._draw_rows(bulk, 300)
+    codes = [loop.randrange(2 ** n) for _ in range(300)]
+    assert rows.dtype == bool and rows.shape == (300, n)
+    assert rows.tolist() == [[bool(c >> x & 1) for x in range(n)] for c in codes]
+    assert bulk.random() == loop.random()
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_sampled_subsets_beyond_int64(n):
+    # 2**n subsets, so the codes drawn need more than 63 bits; x <= f(x)
+    # fails for every x with a point other than 0 but not 0 itself.
+    s = _point_zero_frame(n)
+    eq = Equation(Join(Var("x"), RelOp("f", (Var("x"),))), RelOp("f", (Var("x"),)))
+    v = check_equation(eq, SubsetAlgebra(s))
+    assert v.status == "counterexample" and v.samples == 10_000
+    x = v.assignment["x"]
+    assert 0 not in x and x
 
 
 def test_delta_decompose_examples():

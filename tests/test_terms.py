@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from test_convolution import (lattices, oracle_glb_set, oracle_lub_set,
                               oracle_term, structures, terms)
 
+from convalg import terms as terms_module
 from convalg.catalog import boolean, chain, m3, symmetric_group_3
 from convalg.convolution import ConvAlgebra, SubsetAlgebra
 from convalg.errors import (ArityMismatch, BudgetExceeded, NotHeyting,
@@ -307,7 +308,7 @@ def test_ordered_algebra_samples_over_budget():
 
 def test_ordered_check_filters_the_carrier_once(monkeypatch):
     # One exhaustive check enumerates the ordered carrier once: for the mode
-    # choice and the grid, and also when the grid moves on to code tables
+    # choice and the grid, and also when the grid runs on code tables
     # (20**3 assignments outnumber the 64**2 table entries).
     full = {(a, b) for a in range(3) for b in range(3)}
     s = build_structure(3, signature(("f", 1, "join")), [full],
@@ -429,7 +430,7 @@ def test_reduction_forms_no_codes_beyond_int64():
 
 def test_reduction_builds_no_code_tables():
     # 5**4 reduced assignments outnumber the 16**2 entries of a table, so
-    # an ordinary grid of that size would move to code tables.
+    # an ordinary grid of that size would run on code tables.
     algebra = ConvAlgebra(boolean(2), z2())
     eq = parse_equation({"lhs": "(op * (op * (op * x y) z) w)",
                          "rhs": "(op * x (op * y (op * z w)))"}, z2().signature)
@@ -441,6 +442,43 @@ def test_reduction_builds_no_code_tables():
 def _assoc(structure):
     return parse_equation({"lhs": "(op * (op * x y) z)",
                            "rhs": "(op * x (op * y z))"}, structure.signature)
+
+
+def _first_chunk_widths(monkeypatch):
+    """Records, for each later search, the width of the rows its first
+    chunk is given in: 1 for codes, |X| for value rows."""
+    widths, first_failure = [], terms_module._first_failure
+    monkeypatch.setattr(terms_module, "_first_failure", lambda total, alg, rows, broken: widths.append(
+        rows(0, 1)[0].shape[-1]) or first_failure(total, alg, rows, broken))
+    return widths
+
+
+def test_code_tables_serve_the_whole_grid(monkeypatch):
+    # 9**3 assignments over chain3/Z2 outnumber the 81-entry tables, so the
+    # whole grid runs on codes, first chunk included, and its verdicts are
+    # those of the value grid; the second law fails at 94, past that chunk.
+    laws = [_assoc(z2()), parse_equation({"lhs": "(meet (op * x y) z)",
+                                          "rhs": "(meet (op * x z) y)"}, z2().signature)]
+    widths = _first_chunk_widths(monkeypatch)
+    algebra = ConvAlgebra(chain(3), z2())
+    coded = [check_equation(law, algebra) for law in laws]
+    assert widths == [1, 1] and 0 in algebra._tables
+    assert [(v.status, v.tried) for v in coded] == [("valid_exhaustive", 729),
+                                                    ("counterexample", 94)]
+    monkeypatch.setattr(terms_module, "_tabled", lambda alg, eq, total: None)
+    widths.clear()
+    assert [check_equation(law, ConvAlgebra(chain(3), z2())) for law in laws] == coded
+    assert widths == [2, 2]
+
+
+def test_a_grid_within_the_first_chunk_builds_no_code_tables(monkeypatch):
+    # 4**3 assignments over chain2/Z2 outnumber the 16-entry tables, but
+    # they fit in the first chunk of 64.
+    widths = _first_chunk_widths(monkeypatch)
+    algebra = ConvAlgebra(chain(2), z2())
+    v = check_equation(_assoc(z2()), algebra)
+    assert (v.status, v.tried, widths) == ("valid_exhaustive", 64, [2])
+    assert algebra._tables == {}
 
 
 def _ordered_frame():
