@@ -234,9 +234,14 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
     points = np.arange(n_car)
 
     def with_comparands(start, stop):
+        """The chunk's tuples and their comparands, drawn in tuple order
+        and shaped like the chunk."""
         args = rows(start, stop)
+        shape = np.broadcast_shapes(*(a.shape[:-1] for a in args))
         drawn = algebra._draw_rows(rng, (stop - start) * k).reshape(stop - start, k, n_car)
-        return args + [side[a, r] for a, r in zip(args, drawn.swapaxes(0, 1))]
+        return args + [side[a, r.reshape(shape + (n_car,))]
+                       for a, r in zip(args, drawn.swapaxes(0, 1))]
+    with_comparands.count = rows.count
 
     def outputs(args):
         """The output on ``args`` and the fold of the outputs on their deltas."""
@@ -292,7 +297,8 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
     transitivity by scanning the relation.  The dual statement is checked
     three ways: the meet convolution over L, the join convolution over the
     order dual of L, and the interior laws themselves.  A sampled validity
-    of an inequality is not held against a scan that says it should fail.
+    of an inequality is not held against a scan that says it should fail;
+    the biconditionals so skipped are listed in the stats as ``undecided``.
     """
     if not lat.is_distributive:
         raise NotHeyting("closure correspondence is stated for distributive lattices")
@@ -332,11 +338,13 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
         ("transitive/dual-lattice", dual_lat_conv,
          Equation(Join(f(f(x)), f(x)), f(x)), transitive),
     ]
-    tried = 0
+    tried, undecided = 0, []
     for label, algebra, eq, expect in checks:
         v = check_equation(eq, algebra, budget=budget)
         tried += v.tried
-        if v.decided and v.is_valid != expect:
+        if v.is_valid != expect and not v.decided:
+            undecided.append(label)
+        elif v.is_valid != expect:
             witness = {"biconditional": label, "equation": str(eq),
                        "equation_valid": v.is_valid,
                        "relation_scan": {"reflexive": reflexive,
@@ -345,9 +353,10 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
                 witness["assignment"] = _describe_assignment(v.assignment)
             return Report("closure-correspondence", name, "fail",
                           witness=witness, stats={"assignments": tried})
-    return Report("closure-correspondence", name, "pass",
-                  stats={"assignments": tried, "reflexive": reflexive,
-                         "transitive": transitive})
+    stats = {"assignments": tried, "reflexive": reflexive, "transitive": transitive}
+    if undecided:
+        stats["undecided"] = undecided
+    return Report("closure-correspondence", name, "pass", stats=stats)
 
 
 # -- monadic algebra -----------------------------------------------------------
@@ -360,9 +369,10 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
     the three interaction axioms.
 
     Also verifies the pointwise description directly, over the whole
-    carrier (BudgetExceeded beyond the budget): the join convolution sends
-    a function to the constant at its join, the meet convolution to the
-    constant at its meet.
+    carrier when it fits the budget and over seeded samples otherwise
+    (stats ``pointwise``: "sampled"): the join convolution sends a function
+    to the constant at its join, the meet convolution to the constant at
+    its meet.
     """
     if not lat.is_distributive:
         raise NotHeyting("monadic axioms are stated over Heyting-capable lattices")
@@ -375,17 +385,19 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
 
     def broken(rows):
         dia, box = images(rows)
-        cj = reduce(lambda acc, v: lat.join_np[acc, v], rows.T, np.full(len(rows), lat.bottom))
-        cm = reduce(lambda acc, v: lat.meet_np[acc, v], rows.T, np.full(len(rows), lat.top))
-        return ((dia != cj[:, None]) | (box != cm[:, None])).any(axis=-1)
+        points = np.moveaxis(rows, -1, 0)
+        cj = reduce(lambda acc, v: lat.join_np[acc, v], points, lat.bottom)
+        cm = reduce(lambda acc, v: lat.meet_np[acc, v], points, lat.top)
+        return ((dia != cj[..., None]) | (box != cm[..., None])).any(axis=-1)
 
     cap = DEFAULT_BUDGET if budget is None else budget
-    total, rows, _ = _assignments(algebra, 1, "exhaustive", cap)
+    total, rows, sampling = _assignments(algebra, 1, "auto", cap)
+    pointwise = {"pointwise": "sampled"} if sampling else {}
     position, found = _first_failure(total, algebra, rows, broken)
     if position is not None:
         alpha, = found
         dia, box = images(alpha)
-        return Report("monadic", name, "fail", stats={}, witness={
+        return Report("monadic", name, "fail", stats=pointwise, witness={
             "alpha": _labels(lat, alpha), "dia": _labels(lat, dia), "box": _labels(lat, box)})
 
     def dia(t):
@@ -411,7 +423,7 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
     failures, stats = _eq_verdicts(algebra, equations, budget=budget)
     status = "pass" if not failures else "fail"
     return Report("monadic", name, status,
-                  witness=failures[0] if failures else None, stats=stats)
+                  witness=failures[0] if failures else None, stats={**stats, **pointwise})
 
 
 # -- the all-pairs frame equation ----------------------------------------------
@@ -526,7 +538,8 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     exactly over the irreducible generators when those fit the budget
     (stats ``reduced_laws``), and the rest, law 7 and the De Morgan scans
     among them, are seeded-sampled.  A sampled scan that finds no witness
-    to the original form does not decide that it holds.
+    to the original form does not decide that it holds, so it reports
+    ``original_de_morgan_holds`` as None.
     """
     if not lat.is_distributive:
         raise NotHeyting("the axioms use the pseudocomplement")
@@ -587,10 +600,10 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
         failures.append({"law": "8':modified-de-morgan", **witness8p})
 
     witness8, how8 = triple_agreement(first_uses_negneg=False)
-    original_holds = witness8 is None
+    original_holds = None if witness8 is None and how8 == "sampled" else witness8 is None
     stats["original_de_morgan_holds"] = original_holds
     stats["lattice_boolean"] = lat.is_boolean
-    if original_holds != lat.is_boolean and (witness8 is not None or how8 == "exhaustive"):
+    if original_holds is not None and original_holds != lat.is_boolean:
         failures.append({"law": "8:original-de-morgan",
                          "holds": original_holds,
                          "boolean": lat.is_boolean, "witness": witness8})
@@ -618,12 +631,19 @@ def check_residuation(lat: FiniteLattice, group: RelStructure,
     unit, the double-negation identity, and that collapsing to the identity
     happens exactly for Boolean lattices.  The first failure in carrier
     order is reported, with the number of elements that passed before it.
+    A residual is a join over the whole carrier, so a carrier larger than
+    the budget leaves the laws unchecked: the report is "observed", with
+    the carrier's size and the budget in its stats.
     """
     if not lat.is_distributive:
         raise NotHeyting("residuation checks use the pseudocomplement")
     _expect_group_signature(group)
     algebra = ConvAlgebra(lat, group)
     name = instance or f"|L|={lat.size},|G|={group.carrier_size}"
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if algebra.space_size() > cap:
+        return Report("residuation", name, "observed",
+                      stats={"elements": algebra.space_size(), "budget": cap})
     codes = algebra.carrier_codes(budget)
     rows = algebra._decode(codes)
     leq = lat.leq[rows[:, None], rows[None, :]].all(axis=-1)
@@ -770,7 +790,8 @@ def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
     def first_failure(arity, holds):
         # The first code tuple where ``holds`` fails and the tuples before it.
         total, rows = _grid(coded, arity, enumeration)
-        position, codes = _first_failure(total, cod, rows, lambda *args: ~holds(*args))
+        position, codes = _first_failure(total, cod, rows, lambda *args: ~holds(
+            *(a[..., 0] for a in args)))
         if position is None:
             return None, total
         return tuple(int(c[0]) for c in codes), position

@@ -19,9 +19,12 @@ Each function also has an integer code, its mixed-radix index
 ``elements()`` decodes into LFunctions for input and output.  A
 ConvAlgebra tabulates its operations over codes on first use (meet,
 join, neg and imp, and one table of ``q^arity`` entries per relation,
-where q = |L|^|X|), building each table with the kernel above, and
-keeps them; ``coded()`` is the same batched interface over codes, used
-where a check needs more assignments than the tables have entries.
+where q = |L|^|X|), and keeps them.  Each table is one broadcast
+evaluation of the kernel above: argument j runs over the whole carrier
+on axis j (see _product_axes), in blocks of whole trailing axes, so no
+index over ``q^arity`` is split into digits.  ``coded()`` is the same
+batched interface over codes, used where a check needs at least as many
+assignments as the tables have entries.
 """
 
 from __future__ import annotations
@@ -246,17 +249,20 @@ class ConvAlgebra:
         return table
 
     def _tabulate(self, arity: int, fn) -> np.ndarray:
-        """``fn`` over every ``arity``-tuple of functions, as codes, built
-        in chunks of at most _CHUNK_ENTRIES values per array."""
+        """``fn`` over every ``arity``-tuple of functions, as codes.  Each
+        argument runs on an axis of its own (see _product_axes), in blocks
+        of whole trailing axes of at most _CHUNK_ENTRIES values per array,
+        so that one broadcast evaluation of ``fn`` fills a block."""
         q = self.space_size()
         out = np.empty(q ** arity, dtype=np.min_scalar_type(q - 1))
-        step = max(1, _CHUNK_ENTRIES // self._width)
+        limit, block = max(1, _CHUNK_ENTRIES // self._width), 1
+        while block < q ** arity and block * q <= limit:
+            block *= q
+        step = max(1, limit // block) * block
         for start in range(0, q ** arity, step):
-            idx, args = np.arange(start, min(start + step, q ** arity)), []
-            for _ in range(arity):
-                idx, digit = np.divmod(idx, q)
-                args.append(self._decode(digit))
-            out[start:start + step] = self._encode(fn(*args[::-1]))
+            stop = min(start + step, q ** arity)
+            args = _product_axes(self._decode, q, arity, start, stop)
+            out[start:stop] = self._encode(fn(*args)).reshape(-1)
         return out.reshape((q,) * arity)
 
     def coded(self) -> "_Coded":
@@ -389,6 +395,34 @@ class ConvAlgebra:
         for j in range(1, slots.shape[1]):
             out = outer[out, vals[..., slots[:, j]]]
         return out
+
+
+def _product_axes(rows_at, count: int, k: int, start: int, stop: int) -> list:
+    """The k-tuples at positions start..stop-1 of ``product(range(count),
+    repeat=k)``, one array of rows per tuple element, broadcast against
+    each other: ``rows_at(positions)`` gives the rows, shape (..., w), of
+    an array of positions.
+
+    With count**j the largest power (j <= k) dividing both ``start`` and
+    ``stop``, the last j elements each run over all rows on an axis of
+    their own, and the first k - j come from the digits of the B blocks of
+    count**j positions, with shape (B, 1, .., 1, w).  The tuples therefore
+    broadcast to shape (B, count, .., count), or (count, .., count) when
+    j = k, and flattening that in C order gives them in ``product`` order.
+    """
+    j, block = 0, 1
+    while j < k and start % (block * count) == 0 and stop % (block * count) == 0:
+        j, block = j + 1, block * count
+    idx, lead = np.arange(start // block, stop // block), []
+    for _ in range(k - j):
+        idx, digit = np.divmod(idx, count)
+        rows = rows_at(digit)
+        lead.append(rows.reshape(rows.shape[:1] + (1,) * j + rows.shape[1:]))
+    if not j:
+        return lead[::-1]
+    rows, blocks = rows_at(np.arange(count)), int(j < k)
+    return lead[::-1] + [rows.reshape((1,) * (blocks + i) + (count,) + (1,) * (j - 1 - i)
+                                      + rows.shape[1:]) for i in range(j)]
 
 
 class _Coded:

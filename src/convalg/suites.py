@@ -168,11 +168,11 @@ def suite_relation_algebra(budget=None, seed=0) -> Report:
     agg = _aggregate("suite:relation-algebra", "group convolutions", reports)
     by_name = {r.instance: r for r in reports}
     if agg.status == "pass":
-        over_z2 = by_name["chain3/Z2"].stats  # a sampled scan that holds decides nothing
-        if over_z2.get("original_de_morgan_holds") and over_z2["de_morgan_scan"] == "exhaustive":
+        # None, from a sampled scan that found no witness, decides nothing
+        if by_name["chain3/Z2"].stats.get("original_de_morgan_holds"):
             agg.status = "fail"
             agg.witness = {"expected": "original De Morgan must fail over chain3"}
-        if not by_name["boolean2/Z2"].stats.get("original_de_morgan_holds"):
+        if by_name["boolean2/Z2"].stats.get("original_de_morgan_holds") is False:
             agg.status = "fail"
             agg.witness = {"expected": "original De Morgan must hold over boolean2"}
     return agg
@@ -185,9 +185,10 @@ def suite_residuation(budget=None, seed=0) -> Report:
         check_residuation(catalog.boolean(2), z2, budget=budget, instance="boolean2/Z2"),
     ]
     agg = _aggregate("suite:residuation", "group convolutions", reports)
-    if agg.status == "pass":
-        collapse = {r.instance: r.stats.get("collapses_to_identity") for r in reports}
-        if collapse != {"chain3/Z2": False, "boolean2/Z2": True}:
+    if agg.status == "pass":  # an instance over the budget decides nothing
+        collapse = {r.instance: r.stats["collapses_to_identity"]
+                    for r in reports if r.status == "pass"}
+        if collapse.items() - {"chain3/Z2": False, "boolean2/Z2": True}.items():
             agg.status = "fail"
             agg.witness = {"collapse_pattern": collapse}
     return agg

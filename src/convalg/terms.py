@@ -16,14 +16,21 @@ the equation is linear in every variable (see _generators), or by seeded
 sampling; the least counterexample in enumeration order is reported, so
 failures are reproducible.
 
-An exhaustive check over a convolution algebra whose grid outgrows its
-first chunk runs on integer codes and the algebra's code tables (see
-``convolution``) when every table the equation needs has fewer entries
-than the grid has assignments.  That is settled before the search
-starts, and the grid positions, and so the verdict, are the same either
-way.  A check over the generators stays on value rows and forms no
-codes.  Sampled checks draw value rows in bulk, bit-exactly as one
-``randrange`` per point would.
+An exhaustive grid binds each variable to a numpy axis of its own: a
+chunk of assignments keeps its trailing variables as full axes, as many
+as the powers of the carrier size dividing its bounds allow (chunks are
+aligned to them), and takes the others from the digits of its blocks
+(see _chunks and ``convolution._product_axes``).  Each subterm then
+broadcasts over the sub-grid of its own variables only, and flattening
+the chunk in C order gives the assignments in ``itertools.product``
+order.  An exhaustive check over a convolution algebra whose grid
+outgrows its first chunk runs on integer codes and the algebra's code
+tables (see ``convolution``) when every table the equation needs has no
+more entries than the grid has assignments.  That is settled before the
+search starts, and the grid positions, and so the verdict, are the same
+either way.  A check over the generators stays on value rows and forms
+no codes.  Sampled checks stay flat and draw value rows in bulk,
+bit-exactly as one ``randrange`` per point would.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Union
 import numpy as np
 
 from .convolution import (_CHUNK_ENTRIES, DEFAULT_BUDGET, ConvAlgebra,
-                          SubsetAlgebra)
+                          SubsetAlgebra, _product_axes)
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
 from .lattice import FiniteLattice
@@ -292,39 +299,55 @@ def eval_term(t: Term, algebra: Algebra, assignment: dict):
     return to_element(_value(t, alg, env))
 
 
-def _chunks(total: int, alg):
+def _chunks(total: int, alg, count: int = 1):
     """Bounds (start, stop) covering range(total) in order: a small first
-    chunk, then growing ones of at most _CHUNK_ENTRIES values per array."""
+    chunk, then growing ones of at most _CHUNK_ENTRIES values per array.
+    Each stop is a multiple of the largest power of ``count`` that fits
+    the chunk, so that a grid over ``count`` elements (see _grid) puts
+    whole axes of later chunks on axes of their own: the first chunk's
+    stop rounds up from _FIRST_ROWS, so that it holds the first
+    _FIRST_ROWS tuples, and later ones round down.  With ``count`` 1 the
+    chunks hold _FIRST_ROWS tuples, then 8 times as many each, up to the
+    limit."""
     start, rows = 0, _FIRST_ROWS
     while start < total:
-        stop = min(total, start + rows)
-        yield start, stop
+        block = 1
+        while count > 1 and block * count <= rows:
+            block *= count
+        stop = -(-rows // block) * block if not start else (start + rows) // block * block
+        yield start, min(total, stop)
         start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // alg._width))
 
 
 def _grid(alg, k: int, enumeration, table=None):
     """(total, rows) over an ``_enumeration`` (count, codes): ``rows(start,
     stop, into=alg)`` gives one array of ``into``'s rows per position for
-    k-tuples start..stop-1 in ``itertools.product`` order.  Over an array
-    ``table`` of ``alg``'s value rows instead (``enumeration`` None), it
-    indexes them outright, so no code is formed."""
+    k-tuples start..stop-1 in ``itertools.product`` order, each variable
+    on an axis of its own where the chunk allows (see _product_axes), so a
+    subterm runs only over the sub-grid of its own variables.  A chunk
+    decodes the carrier once for its full axes, and one code per block for
+    each other variable.  Over an array ``table`` of ``alg``'s value rows
+    instead (``enumeration`` None), it indexes them outright, so no code
+    is formed.  ``rows.count`` is the number of elements, which
+    _first_failure aligns chunks to."""
     count, codes = enumeration if table is None else (len(table), None)
 
     def rows(start, stop, into=alg):
-        idx, digits = np.arange(start, stop), []
-        for _ in range(k):
-            idx, digit = np.divmod(idx, count)
-            digits.append(into._decode(codes(digit)) if table is None else table[digit])
-        return digits[::-1]
+        rows_at = (table.__getitem__ if table is not None
+                   else lambda idx: into._decode(codes(idx)))
+        return _product_axes(rows_at, count, k, start, stop)
+    rows.count = count
     return count ** k, rows
 
 
 def _samples(alg, k: int, rng):
-    """``rows`` as for _grid, over consecutive random k-tuples from ``rng``."""
+    """``rows`` as for _grid, over consecutive random k-tuples from ``rng``;
+    they come flat, shape (N, |X|), so ``rows.count`` is 1."""
     def rows(start, stop):
         drawn = alg._draw_rows(rng, (stop - start) * k)
         return list(drawn.reshape(stop - start, k, alg.structure.carrier_size)
                     .swapaxes(0, 1))
+    rows.count = 1
     return rows
 
 
@@ -358,13 +381,22 @@ def _first_failure(total: int, alg, rows, broken):
     """(position, rows) of the first of the tuples 0..total-1 of ``rows``
     (as for _grid) at which the batched predicate ``broken`` holds, with one
     row per tuple element; (None, None) when it holds at none.  Chunks are
-    sized for ``alg``'s rows."""
-    for start, stop in _chunks(total, alg):
+    sized for ``alg``'s rows and aligned to ``rows.count``.  ``broken``
+    gets a chunk's arrays as ``rows`` gives them, all with the same number
+    of axes, and answers in (a shape that broadcasts to) their broadcast
+    shape, which C order flattens into tuple order."""
+    for start, stop in _chunks(total, alg, rows.count):
         args = rows(start, stop)
-        hits = np.flatnonzero(broken(*args))
+        hit = broken(*args)
+        hits = np.flatnonzero(hit)
         if hits.size:
-            j = int(hits[0])
-            return start + j, [a[j] for a in args]
+            shape = [max(n) for n in zip(*(a.shape[:-1] for a in args))]
+            if hit.size != stop - start:  # an answer constant along some axis
+                hits = np.flatnonzero(np.broadcast_to(hit, shape))
+            at = np.unravel_index(hits[0], shape)
+            # an axis of length 1 holds one row for every position along it
+            return start + int(hits[0]), [a[tuple(i % n for i, n in zip(at, a.shape))]
+                                          for a in args]
     return None, None
 
 
@@ -426,15 +458,17 @@ def _generators(alg, eq: Equation, names: list[str], cap: int):
 def _tabled(alg, eq: Equation, total: int):
     """The code interface of a convolution algebra when each code table
     ``eq`` can need (q^2 entries for the lattice operations, q^arity for a
-    relation) has fewer entries than the ``total`` assignments, else None."""
+    relation) has no more entries than the ``total`` assignments, else
+    None: a table costs one broadcast evaluation of its operation, no more
+    than the grid, and later equations over the algebra reuse it."""
     if not isinstance(alg, ConvAlgebra):
         return None
     q = alg.space_size()
-    if q * q >= total:  # first, as it costs no walk over the terms
+    if q * q > total:  # first, as it costs no walk over the terms
         return None
     arity = {s.name: s.arity for s in alg.structure.signature.rel_specs}
     names = {s.name for t in (eq.lhs, eq.rhs) for s in _subterms(t) if isinstance(s, RelOp)}
-    if any(q ** arity.get(name, 0) >= total for name in names):
+    if any(q ** arity.get(name, 0) > total for name in names):
         return None
     return alg.coded()
 
@@ -532,7 +566,9 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
         generators, sampling = len(table), {}
         total, rows = _grid(alg, len(names), None, table)
     elif not sampling and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
-        target, rows = coded, lambda start, stop, grid=rows: grid(start, stop, coded)
+        target, count = coded, rows.count
+        rows = lambda start, stop, grid=rows: grid(start, stop, coded)
+        rows.count = count
 
     def broken(*values):
         env = dict(zip(names, values))

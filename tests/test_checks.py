@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_convolution import lattices, structures
 
 from convalg import checks, suites
+from convalg import terms as terms_module
 from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
                              n5, structure_pool, symmetric_group_3)
 from convalg.checks import (Report, _expect_group_signature,
@@ -395,6 +396,103 @@ def test_sampled_de_morgan_scans_keep_to_the_budget(monkeypatch):
     assert sum(drawn) == 3 * (100 + 64)
 
 
+def reference_de_morgan_scan(lat, group, first_uses_negneg):
+    """One De Morgan scan of the relation-algebra checker as a loop over
+    the triples of the carrier in product order: the first triple at which
+    a;b <= c' (c'' for the modified form), conv(a);-c <= -b and
+    -c;conv(b) <= -a do not all agree, with the three truth values."""
+    algebra = ConvAlgebra(lat, group)
+    for a, b, c in product(algebra.carrier_list(), repeat=3):
+        nc = algebra.neg(c)
+        bounds = [algebra.op("*", (a, b)).le(algebra.neg(nc) if first_uses_negneg else c),
+                  algebra.op("*", (algebra.op("conv", (a,)), nc)).le(algebra.neg(b)),
+                  algebra.op("*", (nc, algebra.op("conv", (b,)))).le(algebra.neg(a))]
+        if len(set(bounds)) > 1:
+            return {"a": a.labels(), "b": b.labels(), "c": c.labels(), "bounds": bounds}
+    return None
+
+
+def test_de_morgan_scans_match_the_loop_reference(monkeypatch):
+    # Z2 with its relations in every mix of modes, over a Boolean and a
+    # non-Boolean chain: the original form fails over chain3 and, with
+    # the modes mixed, the modified form fails too.
+    monkeypatch.setattr(checks, "_eq_verdicts", lambda *args, **kwargs: ([], {}))
+    group = cyclic_group(2)
+    laws = set()
+    for modes in product([JOIN, MEET], repeat=3):
+        sig = signature(*[(spec.name, spec.arity, mode) for spec, mode
+                          in zip(group.signature.rel_specs, modes)])
+        s = RelStructure(2, sig, list(group.relations))
+        for lat in (chain(2), chain(3)) if modes in {(JOIN,) * 3, (MEET, JOIN, JOIN)} \
+                else (chain(2),):
+            modified, original = (reference_de_morgan_scan(lat, s, negneg)
+                                  for negneg in (True, False))
+            failures = [] if modified is None else [{"law": "8':modified-de-morgan",
+                                                     **modified}]
+            stats = {"de_morgan_scan": "exhaustive", "lattice_boolean": lat.is_boolean,
+                     "original_de_morgan_holds": original is None}
+            if (original is None) != lat.is_boolean:
+                failures.append({"law": "8:original-de-morgan", "holds": original is None,
+                                 "boolean": lat.is_boolean, "witness": original})
+            elif original is not None:
+                stats["de_morgan_witness"] = original
+            r = check_relation_algebra(lat, s, instance="z2")
+            assert r.to_dict() == Report(
+                "relation-algebra", "z2", "fail" if failures else "pass",
+                witness=failures[0] if failures else None, stats=stats).to_dict()
+            laws.update(f["law"] for f in failures)
+    assert laws == {"8':modified-de-morgan", "8:original-de-morgan"}
+
+
+def test_grid_checkers_keep_tuple_order_under_any_chunking(monkeypatch):
+    """The checkers that search a grid give the reports they give at the
+    default chunking, which the loop references pin, when chunks hold from
+    one tuple up and end off the axes of the grid: finite-support (its
+    comparands drawn in tuple order), monadic, the De Morgan scans and the
+    homomorphism witness."""
+    rng = random.Random(5)
+    pool = dict(structure_pool())
+    calls = []
+    for lat in (chain(2), chain(3), boolean(2)):
+        for sname in ("frame2-succ", "mixed2", "min3", "z2-group"):
+            algebra = ConvAlgebra(lat, pool[sname])
+            spec = rng.choice([s for s in algebra.structure.signature.rel_specs if s.arity])
+            g = np.array([rng.randrange(lat.size) for _ in range(lat.size)])
+            algebra._eval = lambda i, args, algebra=algebra, g=g: \
+                ConvAlgebra._eval(algebra, i, [g[a] for a in args])
+            calls.append(lambda algebra=algebra, name=spec.name: check_finitely_supported(
+                algebra, name).to_dict())
+    true_frame = checks.full_structure
+    for lat, n, keep in [(chain(3), 2, 0.8), (boolean(2), 2, 1), (chain(3), 3, 0.9)]:
+        relations = [{(a, b) for a in range(n) for b in range(n) if rng.random() < keep}
+                     for _ in range(2)]
+
+        def monadic(lat=lat, n=n, relations=relations):
+            with monkeypatch.context() as m:
+                m.setattr(checks, "full_structure", lambda n, extended: RelStructure(
+                    n, signature(("dia", 1, JOIN), ("box", 1, MEET)), relations))
+                return check_monadic_axioms(lat, n).to_dict()
+        calls.append(monadic)
+    assert true_frame is checks.full_structure
+    calls += [lambda lat=lat, s=s: check_relation_algebra(lat, s).to_dict()
+              for lat, s in [(chain(3), cyclic_group(2)), (boolean(2), cyclic_group(2)),
+                             (chain(2), cyclic_group(3))]]
+    for dom, images, cod in _structural_maps():
+        bent = images.copy()
+        bent[rng.randrange(len(bent))] = [rng.randrange(cod.lattice.size)
+                                          for _ in range(bent.shape[1])]
+        for imgs in (images, bent):
+            calls.append(lambda dom=dom, imgs=imgs, cod=cod: [
+                x if not isinstance(x, tuple) else [a.tolist() for a in x]
+                for x in _homomorphism_witness(dom, imgs, cod)])
+    expect = [call() for call in calls]
+    assert any(r["status"] == "fail" for r in expect if isinstance(r, dict))
+    for first, entries in [(1, 40), (5, 700)]:
+        monkeypatch.setattr(terms_module, "_FIRST_ROWS", first)
+        monkeypatch.setattr(terms_module, "_CHUNK_ENTRIES", entries)
+        assert [call() for call in calls] == expect
+
+
 def test_closure_correspondence_cases():
     lat = chain(3)
     sig = signature(("f", 1, JOIN))
@@ -410,6 +508,16 @@ def test_closure_correspondence_cases():
     assert not empty.stats["reflexive"] and empty.stats["transitive"]
 
 
+def test_closure_correspondence_lists_the_biconditionals_it_skips():
+    # The relation is neither reflexive nor transitive.  At budget 4 the
+    # transitivity inequality is sampled and holds on its draws, which
+    # decides nothing, so it is listed rather than held against the scan.
+    frame = build_structure(3, signature(("f", 1, JOIN)), [{(0, 0), (0, 1), (1, 1), (2, 0)}])
+    r = check_closure_correspondence(chain(3), frame, budget=4)
+    assert (r.status, r.stats["undecided"]) == ("pass", ["transitive/closure"])
+    assert "undecided" not in check_closure_correspondence(chain(3), frame).stats
+
+
 def test_closure_correspondence_requires_unary_frame():
     with pytest.raises(SignatureMismatch):
         check_closure_correspondence(chain(3), cyclic_group(2))
@@ -423,6 +531,15 @@ def test_monadic_axioms():
     assert check_monadic_axioms(boolean(2), 2).status == "pass"
     with pytest.raises(NotHeyting):
         check_monadic_axioms(n5(), 2)
+
+
+def test_monadic_pointwise_search_samples_beyond_the_budget():
+    # 3**2 elements exceed a budget of 8, so the pointwise description is
+    # checked on seeded samples and the stats say so; within the budget
+    # they do not mention it.
+    r = check_monadic_axioms(chain(3), 2, budget=8)
+    assert (r.status, r.stats["pointwise"]) == ("pass", "sampled")
+    assert "pointwise" not in check_monadic_axioms(chain(3), 2).stats
 
 
 def reference_monadic_pointwise(lat, n):
@@ -575,6 +692,15 @@ def test_relation_algebra_sampled_by_the_budget():
     assert r.stats["assignments"] == 3 * 13 + 6 * 100
 
 
+def test_a_sampled_scan_without_witness_leaves_original_de_morgan_undecided():
+    # chain3 is not Boolean, so the original form fails, but one sampled
+    # triple finds no witness: that decides nothing either way.
+    r = check_relation_algebra(chain(3), cyclic_group(2), budget=1)
+    assert r.status == "pass" and r.stats["de_morgan_scan"] == "sampled"
+    assert r.stats["original_de_morgan_holds"] is None
+    assert "de_morgan_witness" not in r.stats
+
+
 def test_sampled_laws_count_sampled_counterexamples():
     comm = Equation(parse_term("(op * x y)"), parse_term("(op * y x)"))
     algebra = ConvAlgebra(chain(3), symmetric_group_3())
@@ -625,6 +751,12 @@ def test_residuation_reports():
     r = check_residuation(boolean(2), cyclic_group(2))
     assert r.status == "pass"
     assert r.stats["collapses_to_identity"] is True
+
+
+def test_residuation_over_the_budget_is_only_observed():
+    r = check_residuation(chain(3), cyclic_group(2), budget=8)
+    assert (r.status, r.stats) == ("observed", {"elements": 9, "budget": 8})
+    assert check_residuation(chain(3), cyclic_group(2), budget=9).status == "pass"
 
 
 def reference_residuation(lat, group, budget=None, instance=None):

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,3 +224,27 @@ def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
             pytest.fail(f"inner report {k} ({report['checker']} {report['instance']}) "
                         f"differs from the pin:\n  got:    {got}  pinned: {want}")
     assert inner == pinned
+
+
+def test_every_paper_core_member_reports_at_budget_one(capsys, monkeypatch):
+    # Each member samples, reduces or reports "observed" where its grid
+    # outgrows the budget, so none stops the battery, and the exit status
+    # follows the reports.
+    monkeypatch.delenv("CONVALG_BUDGET", raising=False)
+    code, out = run(capsys, "suite", "run", "paper-core", "--budget", "1")
+    docs = lines(out)
+    members = [name for name, _ in suites.SUITES["paper-core"].members]
+    assert [d["checker"] for d in docs] == [f"suite:{name}" for name in members]
+    assert len(docs) == 12
+    assert code == (1 if any(d["status"] == "fail" for d in docs) else 0)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("CONVALG_BUDGET", None)
+    done = subprocess.run([sys.executable, "-m", "convalg", "suite", "run", "quick"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [d["checker"] for d in lines(done.stdout)][0] == "suite:subset-iso"

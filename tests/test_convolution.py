@@ -9,9 +9,11 @@ implementation under test.
 import random
 from functools import lru_cache
 from itertools import product
+from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from convalg import convolution
@@ -691,6 +693,50 @@ def test_delta_join_recovers_everything():
         for d in delta_decompose(alpha):
             acc = algebra.join(acc, algebra.function(d.values))
         assert acc.values == alpha.values
+
+
+def divmod_table(algebra, arity, fn):
+    """The code table of ``fn`` as it was first built: every ``arity``-tuple
+    of codes at once, each argument decoded from the digits of the flat
+    index by ``divmod``."""
+    q = algebra.space_size()
+    idx, args = np.arange(q ** arity), []
+    for _ in range(arity):
+        idx, digit = np.divmod(idx, q)
+        args.append(algebra._decode(digit))
+    return algebra._encode(fn(*args[::-1])).reshape((q,) * arity)
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_broadcast_tables_match_the_divmod_construction(data):
+    """Random lattices and structures (arities 0-2, both modes), ordered or
+    not, and chunk limits from a few values up: every code table built by
+    broadcasting equals the flat divmod construction, entry for entry and
+    in dtype."""
+    lat = data.draw(lattices().filter(lambda lat: lat.size <= 6))
+    structure = data.draw(structures())
+    n = structure.carrier_size
+    ordered = data.draw(st.booleans())
+    if ordered:
+        structure = build_structure(n, structure.signature, [
+            {t[:-1] + (y,) for t in rel for y in range(n)} for rel in structure.relations],
+            order_pairs=[(x, x + 1) for x in range(n - 1)])
+    algebra = ConvAlgebra(lat, structure, ordered=ordered)
+    q = algebra.space_size()
+    assume(q ** 2 <= 5000)
+    keys = [("meet", 2, algebra._meet), ("join", 2, algebra._join)]
+    if lat.is_distributive:
+        keys += [("neg", 1, algebra._neg), ("imp", 2, algebra._imp)]
+    keys += [(i, spec.arity, lambda *args, i=i: algebra._eval(i, args))
+             for i, spec in enumerate(structure.signature.rel_specs)]
+    entries = data.draw(st.sampled_from([8, 100, 1 << 18]))
+    with patch.object(convolution, "_CHUNK_ENTRIES", entries):
+        for key, arity, fn in keys:
+            table, expect = algebra._table(key), divmod_table(algebra, arity, fn)
+            assert table.dtype == np.min_scalar_type(q - 1)
+            assert np.array_equal(table, expect)
 
 
 def test_ordered_algebra_images_are_monotone():

@@ -1,10 +1,13 @@
 """Parser, evaluator, and equation checking."""
 
 from itertools import product
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_checks import _with_order
 from test_convolution import (lattices, oracle_glb_set, oracle_lub_set,
                               oracle_term, structures, terms)
 
@@ -14,11 +17,12 @@ from convalg.convolution import ConvAlgebra, SubsetAlgebra
 from convalg.errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                             TermSyntaxError, UnboundVariable,
                             UnknownOperation)
-from convalg.lattice import build_lattice
+from convalg.lattice import FiniteLattice, build_lattice
 from convalg.structures import build_structure, from_group, signature
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, _generators, check_equation, eval_term,
-                           parse_equation, parse_term, to_sexpr)
+                           Var, _batch_algebra, _generators, _value,
+                           check_equation, eval_term, parse_equation,
+                           parse_term, to_sexpr)
 
 
 def z2():
@@ -580,3 +584,78 @@ def test_reduced_verdict_matches_the_grid(data):
                 return k + 1, {name: algebra.function(v) for name, v in env.items()}
         return None
     assert (verdict.tried, verdict.assignment) in [first_failure(gens) for gens in families]
+
+
+def flat_search(eq, alg, rows, to_element):
+    """(status, tried, assignment) of the search the axis grid replaced:
+    every assignment of ``rows`` (an array of ``alg``'s value rows) in
+    ``itertools.product`` order, as one flat array of rows per variable,
+    both sides evaluated at once, and the first mismatch reported."""
+    names = eq.variables()
+    combos = np.array(list(product(range(len(rows)), repeat=len(names))))
+    env = {v: rows[combos[:, i]] for i, v in enumerate(names)}
+    lhs, rhs = _value(eq.lhs, alg, env), _value(eq.rhs, alg, env)
+    bad = np.flatnonzero(np.any(np.broadcast_to(lhs != rhs, (len(combos),) + rows.shape[1:]),
+                                axis=-1))
+    if not bad.size:
+        return "valid_exhaustive", len(combos), None
+    return "counterexample", int(bad[0]) + 1, {v: to_element(env[v][bad[0]]) for v in names}
+
+
+def _as_tuple(v):
+    return v.status, v.tried, v.assignment
+
+
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(st.data())
+def test_axis_grid_matches_a_flat_search(data):
+    """Random 1-3 variable equations over unordered and ordered convolution
+    algebras, subset algebras and bare lattices: with chunks from a single
+    tuple up to the whole grid, the search over axes gives the flat
+    search's status, count and least counterexample, on value rows and on
+    codes alike, and so does the grid over the generators."""
+    kind = data.draw(st.sampled_from(["conv", "ordered", "subset", "lattice"]))
+    lat = data.draw(lattices().filter(lambda lat: lat.size <= 6))
+    structure = data.draw(structures())
+    n = structure.carrier_size
+    if kind == "ordered":
+        perm = data.draw(st.permutations(range(n)))
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                  .filter(lambda p: p[0] < p[1])))
+        structure = _with_order(structure, [(perm[a], perm[b]) for a, b in pairs])
+    algebra = {"conv": lambda: ConvAlgebra(lat, structure),
+               "ordered": lambda: ConvAlgebra(lat, structure, ordered=True),
+               "subset": lambda: SubsetAlgebra(structure), "lattice": lambda: lat}[kind]()
+    specs = () if kind == "lattice" else structure.signature.rel_specs
+    term = terms(specs, kind == "subset" or lat.is_distributive)
+    eq = Equation(data.draw(term), data.draw(term))
+    names = eq.variables()
+    assume(names)
+    alg, _, to_element = _batch_algebra(algebra)
+    if isinstance(algebra, FiniteLattice):
+        rows = np.arange(lat.size)[:, None]
+    elif isinstance(algebra, SubsetAlgebra):
+        rows = np.array([algebra._row(s) for s in algebra.elements()])
+    else:
+        rows = np.array([f.values for f in algebra.elements()])
+    total = len(rows) ** len(names)
+    assume(total <= 1500)
+    expect = flat_search(eq, alg, rows, to_element)
+
+    first = data.draw(st.sampled_from([1, 5, 64]))
+    entries = data.draw(st.sampled_from([16, 200, 1 << 18]))
+    with patch.object(terms_module, "_FIRST_ROWS", first), \
+            patch.object(terms_module, "_CHUNK_ENTRIES", entries):
+        for coded in (False, True):
+            with patch.object(terms_module, "_tabled", lambda alg, eq, total: (
+                    alg.coded() if coded and isinstance(alg, ConvAlgebra) else None)):
+                verdict = check_equation(eq, algebra, mode="exhaustive")
+            assert _as_tuple(verdict) == expect
+        if kind == "conv" and total > 1:
+            table = _generators(alg, eq, names, total - 1)
+            if table is not None:
+                verdict = check_equation(eq, algebra, budget=total - 1)
+                assert verdict.generators == len(table)
+                assert _as_tuple(verdict) == flat_search(eq, alg, table, to_element)
