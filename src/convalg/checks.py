@@ -23,10 +23,10 @@ from itertools import product
 
 import numpy as np
 
-from .convolution import (DEFAULT_BUDGET, ConvAlgebra, SubsetAlgebra,
-                          is_lattice_morphism, iso_phi,
-                          lift_lattice_morphism, product_iso,
-                          product_iso_inv, pullback_pmorphism)
+from .convolution import (ConvAlgebra, SubsetAlgebra, is_lattice_morphism,
+                          iso_phi, lift_lattice_morphism, product_iso,
+                          product_iso_inv, pullback_pmorphism,
+                          resolve_budget)
 from .errors import NotHeyting, SignatureMismatch
 from .lattice import FiniteLattice, build_lattice
 from .structures import (JOIN, MEET, RelStructure, build_structure,
@@ -44,6 +44,16 @@ class Report:
     status: str  # "pass" | "fail" | "observed"
     witness: object = None
     stats: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, checker: str, instance: str, failures: list, stats: dict,
+           asserted: bool = True) -> Report:
+        """The report on a law: "observed" when it is not asserted, else
+        "fail" when there are failures, else "pass"; the first failure,
+        if any, is the witness."""
+        status = "fail" if failures else "pass"
+        return cls(checker, instance, status if asserted else "observed",
+                   witness=failures[0] if failures else None, stats=stats)
 
     @property
     def ok(self) -> bool:
@@ -163,7 +173,7 @@ def check_operator(algebra: ConvAlgebra, rel, budget: int | None = None,
     carrier (see _complete_law), when that fits the budget; outside it
     the binary and empty laws are the whole check.
     """
-    cap = DEFAULT_BUDGET if budget is None else budget
+    cap = resolve_budget(budget)
     i = algebra.structure.relation(rel)
     spec = algebra.structure.signature.rel_specs[i]
     additive = spec.mode == JOIN
@@ -189,12 +199,9 @@ def check_operator(algebra: ConvAlgebra, rel, budget: int | None = None,
         if witness is not None:
             failures.append(witness)
 
-    status = "pass" if not failures else "fail"
     if not hypothesis:
-        status = "observed"
         stats["laws_hold"] = not failures
-    return Report("operator", name, status,
-                  witness=failures[0] if failures else None, stats=stats)
+    return Report.of("operator", name, failures, stats, asserted=hypothesis)
 
 
 # -- finite support ------------------------------------------------------------
@@ -214,7 +221,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
     must stay below (resp. above) the output; on a finite carrier, where
     every function has finite support, the general form reduces to that.
     """
-    cap = DEFAULT_BUDGET if budget is None else budget
+    cap = resolve_budget(budget)
     i = algebra.structure.relation(rel)
     spec = algebra.structure.signature.rel_specs[i]
     name = instance or f"{spec.name}:{spec.arity}"
@@ -259,7 +266,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         return (lhs != rhs).any(axis=-1) | ~sided
 
     position, found = _first_failure(total, algebra, with_comparands, broken)
-    witness = None
+    failures = []
     if position is not None:
         args, bent = found[:k], found[k:]
         lhs, rhs = outputs(args)
@@ -268,11 +275,11 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
             witness.update(output=_labels(lat, lhs), delta_fold=_labels(lat, rhs))
         else:
             witness["comparand"] = [_labels(lat, b) for b in bent]
-    status = "pass" if witness is None else "fail"
-    return Report("finite-support", name, status, witness=witness,
-                  stats={"tuples": total if position is None else position + 1,
-                         "mode": "sampled" if sampling else "exhaustive",
-                         "form": "delta-join" if joinish else "delta-meet"})
+        failures.append(witness)
+    return Report.of("finite-support", name, failures,
+                     {"tuples": total if position is None else position + 1,
+                      "mode": "sampled" if sampling else "exhaustive",
+                      "form": "delta-join" if joinish else "delta-meet"})
 
 
 # -- closure / interior correspondence ----------------------------------------
@@ -300,6 +307,7 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
     of an inequality is not held against a scan that says it should fail;
     the biconditionals so skipped are listed in the stats as ``undecided``.
     """
+    budget = resolve_budget(budget)
     if not lat.is_distributive:
         raise NotHeyting("closure correspondence is stated for distributive lattices")
     if len(frame.signature) != 1 or frame.signature.rel_specs[0].arity != 1:
@@ -374,6 +382,7 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
     to the constant at its join, the meet convolution to the constant at
     its meet.
     """
+    cap = resolve_budget(budget)
     if not lat.is_distributive:
         raise NotHeyting("monadic axioms are stated over Heyting-capable lattices")
     structure = full_structure(n, extended=True)
@@ -390,7 +399,6 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
         cm = reduce(lambda acc, v: lat.meet_np[acc, v], points, lat.top)
         return ((dia != cj[..., None]) | (box != cm[..., None])).any(axis=-1)
 
-    cap = DEFAULT_BUDGET if budget is None else budget
     total, rows, sampling = _assignments(algebra, 1, "auto", cap)
     pointwise = {"pointwise": "sampled"} if sampling else {}
     position, found = _first_failure(total, algebra, rows, broken)
@@ -420,10 +428,8 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
         ("axiom2", Equation(dia(box(x)), box(x))),
         ("axiom3", Equation(dia(Meet(dia(x), y)), Meet(dia(x), dia(y)))),
     ]
-    failures, stats = _eq_verdicts(algebra, equations, budget=budget)
-    status = "pass" if not failures else "fail"
-    return Report("monadic", name, status,
-                  witness=failures[0] if failures else None, stats={**stats, **pointwise})
+    failures, stats = _eq_verdicts(algebra, equations, budget=cap)
+    return Report.of("monadic", name, failures, {**stats, **pointwise})
 
 
 # -- the all-pairs frame equation ----------------------------------------------
@@ -439,6 +445,7 @@ def check_nabla_equation(lat: FiniteLattice, n: int,
     without assertion, since the stated equivalence concerns distributive
     lattices only.
     """
+    budget = resolve_budget(budget)
     structure = full_structure(n)
     algebra = ConvAlgebra(lat, structure)
     name = instance or f"n={n}"
@@ -449,17 +456,10 @@ def check_nabla_equation(lat: FiniteLattice, n: int,
     a, b = Var("a"), Var("b")
     eq = Equation(Meet(f(a), f(b)), f(Meet(f(a), b)))
     v = check_equation(eq, algebra, budget=budget)
-    stats = {"assignments": v.tried, "verdict": v.status}
-    if not lat.is_distributive:
-        return Report("nabla-equation", name, "observed",
-                      witness=None if v.is_valid
-                      else {"assignment": _describe_assignment(v.assignment)},
-                      stats=stats)
-    if v.is_valid:
-        return Report("nabla-equation", name, "pass", stats=stats)
-    return Report("nabla-equation", name, "fail",
-                  witness={"assignment": _describe_assignment(v.assignment)},
-                  stats=stats)
+    failures = [] if v.is_valid else [{"assignment": _describe_assignment(v.assignment)}]
+    return Report.of("nabla-equation", name, failures,
+                     {"assignments": v.tried, "verdict": v.status},
+                     asserted=lat.is_distributive)
 
 
 # -- associativity over the two-element group -----------------------------------
@@ -474,6 +474,7 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
     triple scan of the tables.  A sampled validity proves nothing, so it
     is reported "observed", with the verdict in the stats.
     """
+    budget = resolve_budget(budget)
     algebra = ConvAlgebra(lat, _z2_structure())
     name = instance or f"|L|={lat.size}"
 
@@ -541,6 +542,7 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     to the original form does not decide that it holds, so it reports
     ``original_de_morgan_holds`` as None.
     """
+    cap = resolve_budget(budget)
     if not lat.is_distributive:
         raise NotHeyting("the axioms use the pseudocomplement")
     _expect_group_signature(group)
@@ -563,12 +565,10 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
         ("7:triangle", Equation(Join(semi(conv(a), Neg(semi(a, b))), Neg(b)),
                                 Neg(b))),
     ]
-    failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=budget)
+    failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=cap)
 
     star = group.relation("*")
     converse = group.relation("conv")
-
-    cap = DEFAULT_BUDGET if budget is None else budget
 
     def triple_agreement(first_uses_negneg: bool):
         """Scan the three-way equivalence of De Morgan's inequalities."""
@@ -610,9 +610,7 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     elif witness8 is not None:
         stats["de_morgan_witness"] = witness8
 
-    status = "pass" if not failures else "fail"
-    return Report("relation-algebra", name, status,
-                  witness=failures[0] if failures else None, stats=stats)
+    return Report.of("relation-algebra", name, failures, stats)
 
 
 # -- residuation over group convolutions ----------------------------------------
@@ -635,16 +633,16 @@ def check_residuation(lat: FiniteLattice, group: RelStructure,
     the budget leaves the laws unchecked: the report is "observed", with
     the carrier's size and the budget in its stats.
     """
+    cap = resolve_budget(budget)
     if not lat.is_distributive:
         raise NotHeyting("residuation checks use the pseudocomplement")
     _expect_group_signature(group)
     algebra = ConvAlgebra(lat, group)
     name = instance or f"|L|={lat.size},|G|={group.carrier_size}"
-    cap = DEFAULT_BUDGET if budget is None else budget
     if algebra.space_size() > cap:
         return Report("residuation", name, "observed",
                       stats={"elements": algebra.space_size(), "budget": cap})
-    codes = algebra.carrier_codes(budget)
+    codes = algebra.carrier_codes(cap)
     rows = algebra._decode(codes)
     leq = lat.leq[rows[:, None], rows[None, :]].all(axis=-1)
     product_table = algebra._table(group.relation("*"))
@@ -724,6 +722,7 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     valid over subsets).  A disagreement counts only between decided
     verdicts, not against a sampled validity.
     """
+    budget = resolve_budget(budget)
     lattices = list(lattices)
     name = instance or f"|X|={structure.carrier_size},pool={len(pool)}"
     base = ConvAlgebra(_chain2(), structure)
@@ -758,11 +757,9 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
                 if v.assignment is not None:
                     item["assignment"] = _describe_assignment(v.assignment)
                 failures.append(item)
-    status = "pass" if not failures else "fail"
-    return Report("equation-transfer", name, status,
-                  witness=failures[0] if failures else None,
-                  stats={"assignments": tried, "lattices": len(lattices),
-                         "equations": len(pool)})
+    return Report.of("equation-transfer", name, failures,
+                     {"assignments": tried, "lattices": len(lattices),
+                      "equations": len(pool)})
 
 
 # -- homomorphisms between algebras ------------------------------------------------
@@ -904,17 +901,11 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
     au = ConvAlgebra(lat, union)
     ax = ConvAlgebra(lat, fx)
     ay = ConvAlgebra(lat, fy)
-    witness = None
-    if au.space_size() != ax.space_size() * ay.space_size():
-        witness = {"kind": "counting"}
-    else:
-        cut = fx.carrier_size
-        rows = au._decode(au.carrier_codes())
-        blocks = np.concatenate([ax._eval(0, [rows[:, :cut]]), ay._eval(0, [rows[:, cut:]])],
-                                axis=-1)
-        bad = np.flatnonzero((au._eval(0, [rows]) != blocks).any(axis=-1))
-        if bad.size:
-            witness = {"kind": "blockwise", "alpha": _labels(lat, rows[bad[0]])}
+    # Restriction to each block is a homomorphism; with the blocks'
+    # carriers multiplying, the pair of them is the isomorphism.
+    rows, cut = au._decode(au.carrier_codes()), fx.carrier_size
+    witness = (_homomorphism_witness(au, rows[:, :cut], ax)[0]
+               or _homomorphism_witness(au, rows[:, cut:], ay)[0])
     subchecks.append(("coproduct-to-product", witness))
 
     # Lattice morphism lift: chain3 -> chain2 collapsing the middle up.
@@ -931,20 +922,18 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
 
     # One-one/onto preservation and reflection for lifted morphisms.
     cases = [
-        ("embedding", two, chain3, [0, 2], True, False),
-        ("quotient", chain3, two, [0, 0, 1], False, True),
-        ("identity", chain3, chain3, [0, 1, 2], True, True),
-        ("collapse", chain3, chain3, [0, 0, 2], False, False),
+        ("embedding", two, chain3, [0, 2]),
+        ("quotient", chain3, two, [0, 0, 1]),
+        ("identity", chain3, chain3, [0, 1, 2]),
+        ("collapse", chain3, chain3, [0, 0, 2]),
     ]
     witness = None
-    for label, dom_lat, cod_lat, table, inj, surj in cases:
+    for label, dom_lat, cod_lat, table in cases:
         ok, w = is_lattice_morphism(table, dom_lat, cod_lat)
         if not ok:
             witness = {"kind": "validation", "case": label, "detail": w}
             break
-        if (len(set(table)) == len(table)) != inj or (set(table) == set(range(cod_lat.size))) != surj:
-            witness = {"kind": "case-setup", "case": label}
-            break
+        inj, surj = len(set(table)) == len(table), len(set(table)) == cod_lat.size
         dom = ConvAlgebra(dom_lat, z2)
         cod = ConvAlgebra(cod_lat, z2)
         images = np.unique(cod._encode(np.asarray(table)[dom._decode(dom.carrier_codes())]))
@@ -1004,10 +993,8 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
 
     failures = [{"subcheck": label, "witness": w}
                 for label, w in subchecks if w is not None]
-    status = "pass" if not failures else "fail"
-    return Report("structural-isos", name, status,
-                  witness=failures[0] if failures else None,
-                  stats={"subchecks": [label for label, _ in subchecks]})
+    return Report.of("structural-isos", name, failures,
+                     {"subchecks": [label for label, _ in subchecks]})
 
 
 def default_equation_pool(sig) -> list:

@@ -8,8 +8,10 @@ byte-identical output; exit status is 0 for pass/valid, 1 for a check
 failure or counterexample (witness printed), 2 for usage errors and
 invalid input elsewhere.  ``lattice check`` and ``structure check`` report
 an invalid document as a result, ``{"status": "invalid", ...}``, and exit
-with 1.  The environment variable CONVALG_BUDGET overrides the default
-evaluation budget of 10^6.
+with 1.  CONVALG_BUDGET overrides the default evaluation budget of 10^6
+and ``--budget`` overrides both; a budget below 1 prints one error line,
+before any report, and exits with 2.  Output cut short by its reader
+(``convalg suite run quick | head -1``) exits with 1, silently.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import sys
 
 from . import catalog
-from .convolution import DEFAULT_BUDGET, ConvAlgebra, lfunction_from_labels
+from .convolution import ConvAlgebra, lfunction_from_labels, resolve_budget
 from .errors import (ConvalgError, NotALattice, NotAPoset, UnknownName)
 from .lattice import FiniteLattice, lattice_from_json, lattice_to_json
 from .structures import RelStructure, structure_from_json, structure_to_json
@@ -182,16 +184,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if hasattr(args, "budget") and args.budget is None:
-            env = os.environ.get("CONVALG_BUDGET")
-            args.budget = DEFAULT_BUDGET if env is None else int(env)
-        return args.func(args)
-    except ConvalgError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)})
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)})
-        return 2
+        try:
+            if hasattr(args, "budget"):
+                if args.budget is None and "CONVALG_BUDGET" in os.environ:
+                    args.budget = int(os.environ["CONVALG_BUDGET"])
+                args.budget = resolve_budget(args.budget)
+            code = args.func(args)
+        except (ConvalgError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+            if isinstance(exc, BrokenPipeError):
+                raise
+            _emit({"error": type(exc).__name__, "detail": str(exc)})
+            code = 2
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:  # devnull takes the rest, so exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

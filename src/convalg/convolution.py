@@ -46,6 +46,15 @@ DEFAULT_BUDGET = 1_000_000
 _CHUNK_ENTRIES = 1 << 18
 
 
+def resolve_budget(budget: int | None) -> int:
+    """The evaluation budget: DEFAULT_BUDGET for None.  A budget below 1
+    raises ValueError, since a check of no assignments decides nothing."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if cap < 1:
+        raise ValueError(f"budget must be at least 1, got {cap}")
+    return cap
+
+
 class LFunction:
     """An element of L^X: a tuple of lattice-element indices, one per point."""
 
@@ -165,7 +174,7 @@ class ConvAlgebra:
         return self.lattice.size ** self.structure.carrier_size
 
     def _check_budget(self, budget: int | None) -> None:
-        cap = DEFAULT_BUDGET if budget is None else budget
+        cap = resolve_budget(budget)
         if self.space_size() > cap:
             raise BudgetExceeded(self.space_size(), cap)
 
@@ -533,7 +542,7 @@ class SubsetAlgebra:
         return 2 ** self.structure.carrier_size
 
     def elements(self, budget: int | None = None):
-        cap = DEFAULT_BUDGET if budget is None else budget
+        cap = resolve_budget(budget)
         if self.space_size() > cap:
             raise BudgetExceeded(self.space_size(), cap)
         n = self.structure.carrier_size

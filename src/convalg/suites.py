@@ -23,7 +23,7 @@ from .checks import (Report, check_closure_correspondence,
                      check_subset_isomorphism, check_z2_associativity,
                      default_equation_pool, _describe_assignment,
                      _law_counts)
-from .convolution import ConvAlgebra, SubsetAlgebra
+from .convolution import ConvAlgebra, SubsetAlgebra, resolve_budget
 from .errors import UnknownName
 from .structures import build_structure, signature
 from .terms import Equation, RelOp, Var, check_equation
@@ -32,12 +32,8 @@ from .terms import Equation, RelOp, Var, check_equation
 def _aggregate(name: str, instance: str, reports: list[Report],
                extra_stats: dict | None = None) -> Report:
     failures = [r.to_dict() for r in reports if r.status == "fail"]
-    stats = {"instances": len(reports),
-             "failed": len(failures)}
-    if extra_stats:
-        stats.update(extra_stats)
-    return Report(name, instance, "pass" if not failures else "fail",
-                  witness=failures[0] if failures else None, stats=stats)
+    stats = {"instances": len(reports), "failed": len(failures), **(extra_stats or {})}
+    return Report.of(name, instance, failures, stats)
 
 
 def suite_subset_iso(budget=None, seed=0) -> Report:
@@ -160,7 +156,7 @@ def suite_relation_algebra(budget=None, seed=0) -> Report:
         check_relation_algebra(chain3, catalog.cyclic_group(3), budget=budget,
                                instance="chain3/Z3"),
         check_relation_algebra(chain3, catalog.symmetric_group_3(), seed=seed,
-                               budget=10_000 if budget is None else min(budget, 10_000),
+                               budget=min(resolve_budget(budget), 10_000),
                                instance="chain3/S3"),
         check_relation_algebra(catalog.boolean(2), catalog.cyclic_group(2),
                                budget=budget, instance="boolean2/Z2"),
@@ -238,7 +234,7 @@ def suite_type2(budget=None, seed=0) -> Report:
     reports = []
     runs = [
         ("type2_2", 2, False, budget),
-        ("type2_3", 3, False, 10_000 if budget is None else min(budget, 10_000)),
+        ("type2_3", 3, False, min(resolve_budget(budget), 10_000)),
         ("type2mixed_2", 2, True, budget),
         ("type2mixed_3", 3, True, budget),
     ]
@@ -259,11 +255,10 @@ def suite_type2(budget=None, seed=0) -> Report:
                 if vc.assignment:
                     item["assignment"] = _describe_assignment(vc.assignment)
                 failures.append(item)
-        reports.append(Report(
-            "type2-transfer", name, "pass" if not failures else "fail",
-            witness=failures[0] if failures else None,
-            stats={"assignments": tried, "equations": len(type2_equation_pool()),
-                   **_law_counts(conv_verdicts), "seed": seed}))
+        reports.append(Report.of(
+            "type2-transfer", name, failures,
+            {"assignments": tried, "equations": len(type2_equation_pool()),
+             **_law_counts(conv_verdicts), "seed": seed}))
     return _aggregate("suite:type2", "grids n=2,3 (plain and mixed)", reports)
 
 
@@ -308,5 +303,6 @@ def run_suite(name: str, budget: int | None = None, seed: int = 0):
     spec = SUITES.get(name)
     if spec is None:
         raise UnknownName(f"no suite named {name!r}; try one of {sorted(SUITES)}")
+    budget = resolve_budget(budget)
     for _, func in spec.members:
         yield func(budget=budget, seed=seed)

@@ -41,8 +41,8 @@ from typing import Union
 
 import numpy as np
 
-from .convolution import (_CHUNK_ENTRIES, DEFAULT_BUDGET, ConvAlgebra,
-                          SubsetAlgebra, _product_axes)
+from .convolution import (_CHUNK_ENTRIES, ConvAlgebra, SubsetAlgebra,
+                          _product_axes, resolve_budget)
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
 from .lattice import FiniteLattice
@@ -553,9 +553,7 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     the least counterexample in that order), or the samples in the order
     they are drawn.
     """
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if cap < 1:
-        raise ValueError(f"budget must be at least 1, got {cap}")
+    cap = resolve_budget(budget)
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     alg, _, to_element = _batch_algebra(algebra)

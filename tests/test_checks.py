@@ -28,9 +28,10 @@ from convalg.convolution import (ConvAlgebra, SubsetAlgebra,
                                  pullback_pmorphism)
 from convalg.errors import NotHeyting, SignatureMismatch
 from convalg.structures import (JOIN, MEET, RelStructure, build_structure,
-                                from_group, full_structure, signature)
-from convalg.terms import (Equation, Neg, Var, Verdict, _chunks, eval_term,
-                           parse_term)
+                                disjoint_union, from_group, full_structure,
+                                signature)
+from convalg.terms import (Equation, Neg, Var, Verdict, _chunks,
+                           check_equation, eval_term, parse_term)
 
 
 def test_operator_pass():
@@ -1039,6 +1040,105 @@ def test_structural_isos_pass():
     r = check_structural_isos()
     assert r.status == "pass"
     assert len(r.stats["subchecks"]) == 6
+
+
+def test_structural_isos_fail_on_a_union_with_a_cross_tuple(monkeypatch):
+    # A tuple from the first block's point into the second block: the
+    # restriction to the second block is no longer a homomorphism.
+    def crossed(x, y):
+        union = disjoint_union(x, y)
+        return RelStructure(union.carrier_size, union.signature,
+                            [union.relations[0] | {(0, 1)}], union.order)
+    monkeypatch.setattr(checks, "disjoint_union", crossed)
+    r = check_structural_isos()
+    assert r.status == "fail"
+    assert r.witness["subcheck"] == "coproduct-to-product"
+    assert (r.witness["witness"]["kind"], r.witness["witness"]["relation"]) == ("operation", "f")
+
+
+_frame = build_structure(2, signature(("f", 1, JOIN)), [{(0, 1), (1, 1)}])
+_BUDGET_TAKERS = [
+    ("operator", lambda alg, b: check_operator(alg, "*", budget=b)),
+    ("finite-support", lambda alg, b: check_finitely_supported(alg, "*", budget=b)),
+    ("closure", lambda alg, b: check_closure_correspondence(chain(3), _frame, budget=b)),
+    ("monadic", lambda alg, b: check_monadic_axioms(chain(3), 2, budget=b)),
+    ("nabla", lambda alg, b: check_nabla_equation(chain(3), 2, budget=b)),
+    ("z2", lambda alg, b: check_z2_associativity(chain(3), budget=b)),
+    ("relation-algebra", lambda alg, b: check_relation_algebra(chain(3), cyclic_group(2),
+                                                               budget=b)),
+    ("residuation", lambda alg, b: check_residuation(chain(3), cyclic_group(2), budget=b)),
+    ("transfer", lambda alg, b: check_equation_transfer(
+        [chain(3)], cyclic_group(2), default_equation_pool(cyclic_group(2).signature),
+        budget=b)),
+    ("carrier-codes", lambda alg, b: alg.carrier_codes(b)),
+    ("check-equation", lambda alg, b: check_equation(Equation(Var("x"), Var("x")), alg,
+                                                     budget=b)),
+    ("run-suite", lambda alg, b: next(suites.run_suite("paper-core", budget=b))),
+]
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize("call", [c for _, c in _BUDGET_TAKERS],
+                         ids=[name for name, _ in _BUDGET_TAKERS])
+def test_a_budget_below_one_is_rejected_before_any_work(monkeypatch, call, budget):
+    # A check of no assignments decides nothing, so it must never come back
+    # "pass" or "observed": each budget-taker raises before it builds an
+    # algebra, searches tuples or decides an equation.
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the budget was checked")
+    for module in (checks, suites):
+        for name in ("ConvAlgebra", "SubsetAlgebra", "check_equation", "_assignments"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, work)
+    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+        call(ConvAlgebra(chain(3), cyclic_group(2)), budget)
+
+
+def _lying(monkeypatch, checker, **stats):
+    """Make ``suites`` call ``checker`` with its passing reports' stats
+    overwritten by ``stats``."""
+    original = getattr(suites, checker)
+
+    def lie(*args, **kwargs):
+        r = original(*args, **kwargs)
+        assert r.status == "pass"
+        r.stats.update(stats)
+        return r
+    monkeypatch.setattr(suites, checker, lie)
+
+
+# The suites hold expectations of their own, by instance name, apart from
+# the hypotheses (distributive, Boolean) each checker compares against; a
+# checker that passes with the wrong outcome must fail the suite.
+
+def test_suite_z2_expects_m3_and_n5_non_associative(monkeypatch):
+    _lying(monkeypatch, "check_z2_associativity", associative=True)
+    r = suites.suite_z2_biconditional()
+    assert (r.status, r.witness) == ("fail", {"expected_non_associative": ["M3", "N5"]})
+
+
+@pytest.mark.parametrize("instance,holds,expected", [
+    ("chain3/Z2", True, "original De Morgan must fail over chain3"),
+    ("boolean2/Z2", False, "original De Morgan must hold over boolean2")])
+def test_suite_relation_algebra_expects_de_morgan_by_name(monkeypatch, instance, holds,
+                                                          expected):
+    original = suites.check_relation_algebra
+
+    def lie(*args, **kwargs):
+        r = original(*args, **kwargs)
+        if r.instance == instance:
+            r.stats["original_de_morgan_holds"] = holds
+        return r
+    monkeypatch.setattr(suites, "check_relation_algebra", lie)
+    r = suites.suite_relation_algebra()
+    assert (r.status, r.witness) == ("fail", {"expected": expected})
+
+
+def test_suite_residuation_expects_the_collapse_pattern(monkeypatch):
+    _lying(monkeypatch, "check_residuation", collapses_to_identity=True)
+    r = suites.suite_residuation()
+    assert (r.status, r.witness) == (
+        "fail", {"collapse_pattern": {"chain3/Z2": True, "boolean2/Z2": True}})
 
 
 def test_reports_serialize():

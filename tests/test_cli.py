@@ -248,3 +248,54 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert [d["checker"] for d in lines(done.stdout)][0] == "suite:subset-iso"
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["suite", "run", "paper-core", "--budget", "0"], None),
+    (["suite", "run", "quick"], "0"),
+], ids=["flag", "environment"])
+def test_a_budget_below_one_stops_before_any_report(capsys, monkeypatch, argv, env):
+    monkeypatch.delenv("CONVALG_BUDGET", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CONVALG_BUDGET", env)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert lines(out) == [{"error": "ValueError",
+                           "detail": "budget must be at least 1, got 0"}]
+
+
+def _unbuffered_env(**extra):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("CONVALG_BUDGET", None)
+    return {**env, **extra}
+
+
+def test_a_reader_that_leaves_early_ends_the_run_silently():
+    # The reader closes the pipe after the first report; the later writes
+    # fail with EPIPE, which ends the run with status 1 and no traceback.
+    # paper-core runs long enough after its first report that the pipe is
+    # closed before the next one is written.
+    proc = subprocess.Popen([sys.executable, "-m", "convalg", "suite", "run", "paper-core"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_unbuffered_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=120)[1]
+    assert (proc.returncode, stderr) == (1, b"")
+    assert json.loads(first)["checker"] == "suite:subset-iso"
+
+
+def test_an_error_line_without_a_reader_ends_the_run_silently():
+    # The pipe has no reader from the start, so the error line itself
+    # fails with EPIPE.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "convalg", "suite", "run", "quick"],
+                              stdout=write, stderr=subprocess.PIPE, timeout=120,
+                              env=_unbuffered_env(CONVALG_BUDGET="0"))
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

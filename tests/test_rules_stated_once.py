@@ -1,0 +1,40 @@
+"""The budget rule and the report rule are each stated once.
+
+``convolution.resolve_budget`` is the only place that reads
+``DEFAULT_BUDGET`` for a missing budget (and rejects one below 1), and
+``checks.Report.of`` the only place that turns a list of failures into a
+status and a witness.  A hand-written copy of either rule in a checker is
+where the copies drift apart, so this test fails if one comes back.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "convalg"
+
+
+def _sources():
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def _function(text, name):
+    node = next(node for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return ast.get_source_segment(text, node)
+
+
+def test_the_budget_default_is_read_in_one_function():
+    sources = _sources()
+    copies = [name for name, text in sources.items()
+              for _ in range(text.count("DEFAULT_BUDGET if"))]
+    assert copies == ["convolution.py"]
+    assert "DEFAULT_BUDGET if" in _function(sources["convolution.py"], "resolve_budget")
+
+
+def test_the_report_rule_is_written_once():
+    sources = _sources()
+    assert not [name for name, text in sources.items() if '"pass" if not failures' in text]
+    copies = [name for name, text in sources.items()
+              for _ in range(text.count("failures[0] if failures"))]
+    assert copies == ["checks.py"]
+    assert "failures[0] if failures" in _function(sources["checks.py"], "of")
