@@ -8,8 +8,10 @@ byte-identical output; exit status is 0 for pass/valid, 1 for a check
 failure or counterexample (witness printed), 2 for usage errors and
 invalid input elsewhere.  ``lattice check`` and ``structure check`` report
 an invalid document as a result, ``{"status": "invalid", ...}``, and exit
-with 1.  CONVALG_BUDGET overrides the default evaluation budget of 10^6
-and ``--budget`` overrides both; a budget below 1 prints one error line,
+with 1; a document of the wrong shape (not an object, a side that is not
+a string, a literal that is not a label array) is invalid input, exit 2.
+CONVALG_BUDGET overrides the default evaluation budget of 10^6 and
+``--budget`` overrides both; a budget below 1 prints one error line,
 before any report, and exits with 2.  Output cut short by its reader
 (``convalg suite run quick | head -1``) exits with 1, silently.
 """
@@ -34,9 +36,17 @@ def _emit(doc: dict):
     print(json.dumps(doc, sort_keys=True))
 
 
-def _load_doc(path: str):
+def _object(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object, else ValueError: a document of
+    another shape is invalid input, like one that lacks a key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _load_doc(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _object(json.load(fh), path)
 
 
 def _resolve_lattice(spec: str) -> FiniteLattice:
@@ -85,7 +95,9 @@ def _cmd_eval(args) -> int:
     structure = _resolve_structure(args.structure)
     algebra = ConvAlgebra(lat, structure)
     term = parse_term(args.term, structure.signature)
-    raw = json.loads(args.assign)
+    raw = _object(json.loads(args.assign), "--assign")
+    if any(not isinstance(vals, list) for vals in raw.values()):
+        raise ValueError("--assign must map each variable to an array of labels")
     env = {name: algebra.function(lfunction_from_labels(vals, lat).values)
            for name, vals in raw.items()}
     result = eval_term(term, algebra, env)
@@ -97,7 +109,10 @@ def _cmd_eq_check(args) -> int:
     lat = _resolve_lattice(args.lattice)
     structure = _resolve_structure(args.structure)
     algebra = ConvAlgebra(lat, structure)
-    eq = parse_equation(_load_doc(args.eq), structure.signature)
+    sides = _load_doc(args.eq)
+    if any(not isinstance(sides[side], str) for side in ("lhs", "rhs")):
+        raise ValueError(f"{args.eq}: lhs and rhs must be strings")
+    eq = parse_equation(sides, structure.signature)
     verdict = check_equation(eq, algebra, mode=args.mode, samples=args.samples,
                              seed=args.seed, budget=args.budget)
     doc = verdict.to_json()

@@ -153,7 +153,8 @@ class ConvAlgebra:
 
     def _row(self, a: LFunction) -> np.ndarray:
         """The value array of an element, which must live in this algebra."""
-        if ((a.lattice is not self.lattice and a.lattice != self.lattice)
+        if (not isinstance(a, LFunction)
+                or (a.lattice is not self.lattice and a.lattice != self.lattice)
                 or len(a.values) != self.structure.carrier_size):
             raise UnknownElement("function does not live in this algebra")
         return a._np
@@ -526,6 +527,8 @@ class SubsetAlgebra:
         return a <= b
 
     def _row(self, a: frozenset) -> np.ndarray:
+        if not isinstance(a, (set, frozenset)):
+            raise UnknownElement(f"{a!r} is not a subset of the carrier")
         _check_subset(a, self.structure.carrier_size)
         return np.isin(np.arange(self.structure.carrier_size), list(a))
 

@@ -199,7 +199,12 @@ class FiniteLattice:
     # -- derived lattices ---------------------------------------------------
 
     def dual(self) -> "FiniteLattice":
-        """Order dual: same elements, reversed order, swapped bounds."""
+        """Order dual: same elements, reversed order, swapped bounds; built
+        on first use and kept, as lattices are immutable."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "FiniteLattice":
         return FiniteLattice(self.labels, self.leq.T)
 
     def product(self, other: "FiniteLattice") -> "FiniteLattice":

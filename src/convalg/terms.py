@@ -12,7 +12,9 @@ walks the term once per batch of assignments, each variable bound to an
 array of value rows, and calls the algebra's batched operations.
 Equations are decided by exhaustive enumeration of assignments in a
 documented order, by enumerating the irreducible generators of L^X when
-the equation is linear in every variable (see _generators), or by seeded
+the equation is linear in every variable (see _generators), by
+enumerating the assignments over one point when the equation has no
+relation and L^X is a power of L (see _power_base), or by seeded
 sampling; the least counterexample in enumeration order is reported, so
 failures are reproducible.
 
@@ -29,14 +31,17 @@ tables (see ``convolution``) when every table the equation needs has no
 more entries than the grid has assignments.  That is settled before the
 search starts, and the grid positions, and so the verdict, are the same
 either way.  A check over the generators stays on value rows and forms
-no codes.  Sampled checks stay flat and draw value rows in bulk,
-bit-exactly as one ``randrange`` per point would.
+no codes, and neither does a check over one point, whose verdict is
+mapped back to the one the whole grid gives (see _on_base).  Sampled
+checks stay flat and draw value rows in bulk, bit-exactly as one
+``randrange`` per point would.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -222,8 +227,24 @@ class Equation:
     lhs: Term
     rhs: Term
 
+    @cached_property
+    def _scan(self) -> tuple[list[str], frozenset[str]]:
+        """(sorted variable names, operation names) of both sides, from one
+        walk over them, kept with the equation."""
+        names, ops = set(), set()
+        for s in (*_subterms(self.lhs), *_subterms(self.rhs)):
+            if isinstance(s, Var):
+                names.add(s.name)
+            elif isinstance(s, RelOp):
+                ops.add(s.name)
+        return sorted(names), frozenset(ops)
+
     def variables(self) -> list[str]:
-        return sorted(term_variables(self.lhs) | term_variables(self.rhs))
+        return list(self._scan[0])
+
+    def operations(self) -> frozenset[str]:
+        """The names of the relations the equation applies."""
+        return self._scan[1]
 
     def uses_heyting(self) -> bool:
         return uses_heyting(self.lhs) or uses_heyting(self.rhs)
@@ -249,6 +270,10 @@ Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 _FIRST_ROWS = 64
 
 
+# One point and no relations: L^1 is L, and the subsets of it are 2.
+_POINT = RelStructure(1, Signature(()), [])
+
+
 def _batch_algebra(algebra):
     """(batch algebra, element -> row, row -> element) for any algebra.
 
@@ -256,7 +281,7 @@ def _batch_algebra(algebra):
     empty signature; its elements stay lattice indices.
     """
     if isinstance(algebra, FiniteLattice):
-        point = ConvAlgebra(algebra, RelStructure(1, Signature(()), []))
+        point = ConvAlgebra(algebra, _POINT)
         return (point, lambda v: np.array([algebra.check_element(v)]),
                 lambda row: int(row[0]))
     return algebra, algebra._row, algebra._element
@@ -464,13 +489,44 @@ def _tabled(alg, eq: Equation, total: int):
     if not isinstance(alg, ConvAlgebra):
         return None
     q = alg.space_size()
-    if q * q > total:  # first, as it costs no walk over the terms
+    if q * q > total:
         return None
     arity = {s.name: s.arity for s in alg.structure.signature.rel_specs}
-    names = {s.name for t in (eq.lhs, eq.rhs) for s in _subterms(t) if isinstance(s, RelOp)}
-    if any(q ** arity.get(name, 0) > total for name in names):
+    if any(q ** arity.get(name, 0) > total for name in eq.operations()):
         return None
     return alg.coded()
+
+
+def _power_base(alg, eq: Equation):
+    """(base, point) when ``eq`` holds over ``alg`` iff it holds over
+    ``base``, the algebra of the same kind and lattice over one point and
+    no relations, else None; ``point`` is the least significant point of
+    ``alg``'s codes.
+
+    Without its relations an unordered L^X is the direct power of L, and
+    the subset algebra is 2^X; a power satisfies exactly the equations of
+    its base, as every operation left acts point by point.  So the base
+    serves an equation with no ``op``.  A nullary ``op`` differs from
+    point to point, and the monotone maps of an ordered algebra form no
+    power, so neither qualifies; nor does a one-point carrier, which is
+    its own base.
+    """
+    if eq.operations() or alg.structure.carrier_size < 2:
+        return None
+    if isinstance(alg, SubsetAlgebra):
+        return SubsetAlgebra(_POINT), 0
+    if isinstance(alg, ConvAlgebra) and not alg.ordered:
+        return ConvAlgebra(alg.lattice, _POINT), alg.structure.carrier_size - 1
+    return None
+
+
+def _mismatch(eq: Equation, names: list[str], alg):
+    """The batched predicate, for _first_failure over ``alg``'s rows bound
+    to ``names``, that the two sides of ``eq`` differ."""
+    def broken(*values):
+        env = dict(zip(names, values))
+        return np.any(_value(eq.lhs, alg, env) != _value(eq.rhs, alg, env), axis=-1)
+    return broken
 
 
 # -- validity checking ---------------------------------------------------------
@@ -547,11 +603,16 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     The path is chosen once, before the search: the grid over value rows;
     the same grid over codes when it outgrows its first chunk of
     _FIRST_ROWS assignments and _tabled holds; the grid over the
-    generators; or the samples.  Both sides are evaluated over chunks of
+    generators; the grid over one point, when the grid is chosen and
+    _power_base holds (an equation with no ``op`` over an unordered L^X
+    or subset algebra of at least 2 points, a power of its one-point
+    base), whose verdict _on_base maps to the whole grid's, byte for
+    byte; or the samples.  Both sides are evaluated over chunks of
     assignments at once: the exhaustive grid in ``itertools.product``
     order of the carrier or of the generators (so the first mismatch is
     the least counterexample in that order), or the samples in the order
-    they are drawn.
+    they are drawn.  Nothing in this module calls check_equation: each
+    call from outside is one verdict.
     """
     cap = resolve_budget(budget)
     if samples is not None and samples < 1:
@@ -559,6 +620,8 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
     total, rows, sampling = _assignments(alg, len(names), mode, cap, samples, seed)
+    if not sampling and (base := _power_base(alg, eq)) is not None:
+        return _on_base(eq, names, alg, total, cap, *base)
     target, generators = alg, None  # the interface the rows are given in
     if sampling and mode == "auto" and (table := _generators(alg, eq, names, cap)) is not None:
         generators, sampling = len(table), {}
@@ -568,11 +631,7 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
         rows = lambda start, stop, grid=rows: grid(start, stop, coded)
         rows.count = count
 
-    def broken(*values):
-        env = dict(zip(names, values))
-        return np.any(_value(eq.lhs, target, env) != _value(eq.rhs, target, env), axis=-1)
-
-    position, found = _first_failure(total, alg, rows, broken)
+    position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
     if position is None:
         status = "valid_sampled" if sampling else "valid_exhaustive"
         return Verdict(status, tried=total, budget=cap, generators=generators, **sampling)
@@ -581,3 +640,30 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     return Verdict("counterexample",
                    assignment={k: to_element(v) for k, v in zip(names, found)},
                    tried=position + 1, budget=cap, generators=generators, **sampling)
+
+
+def _on_base(eq: Equation, names: list[str], alg, total: int, cap: int,
+             base, point: int) -> Verdict:
+    """check_equation's verdict over ``alg``'s grid of ``total`` tuples,
+    from the grid over ``base`` (see _power_base).
+
+    A tuple fails iff it fails at some point.  Setting every other point
+    to digit 0 (element index 0, which need not be bottom) keeps it
+    failing and makes its codes no larger; so does moving the failing
+    values to ``point``, the least significant one, where the codes are
+    the indices of the values and the grid order is the order over
+    ``base``.  So the least failing tuple over ``base``, placed at
+    ``point`` with digit 0 elsewhere, is the least over ``alg``, and its
+    position has one digit per variable in base q = |carrier|.
+    """
+    count, rows = _grid(base, len(names), base._enumeration())
+    position, found = _first_failure(count, base, rows, _mismatch(eq, names, base))
+    if position is None:
+        return Verdict("valid_exhaustive", tried=total, budget=cap)
+    q, tried, assignment = alg.space_size(), 0, {}
+    for name, value in zip(names, found):
+        row = np.zeros(alg.structure.carrier_size, dtype=value.dtype)
+        row[point] = value[0]
+        assignment[name] = alg._element(row)
+        tried = tried * q + int(value[0])
+    return Verdict("counterexample", assignment=assignment, tried=tried + 1, budget=cap)

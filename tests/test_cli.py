@@ -193,6 +193,32 @@ def test_bad_usage_exits_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("assign", ['[1,2]', '{"x": 5}', '{"x": "12"}'])
+def test_eval_rejects_an_assignment_of_the_wrong_shape(capsys, assign):
+    # a string would otherwise be read as the labels of its characters
+    code, out = run(capsys, "eval", "--lattice", "chain3", "--structure", "Z2",
+                    "--term", "x", "--assign", assign)
+    assert (code, lines(out)[0]["error"]) == (2, "ValueError")
+
+
+@pytest.mark.parametrize("doc", [["x"], {"lhs": 3, "rhs": "x"}])
+def test_eq_check_rejects_an_equation_of_the_wrong_shape(capsys, tmp_path, doc):
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "eq", "check", "--lattice", "chain3", "--structure", "Z2",
+                    "--eq", str(path))
+    assert (code, lines(out)[0]["error"]) == (2, "ValueError")
+
+
+@pytest.mark.parametrize("command", ["lattice", "structure"])
+@pytest.mark.parametrize("doc", [[1], []])
+def test_check_rejects_a_document_that_is_no_object(capsys, tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, command, "check", str(path))
+    assert (code, lines(out)[0]["error"]) == (2, "ValueError")
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -312,6 +312,17 @@ def test_dual_swaps_bounds():
     assert np.array_equal(d.leq, lat.leq.T)
 
 
+def test_dual_is_built_once():
+    for lat in (chain3(), m3(), n5()):
+        dual = lat.dual()
+        assert dual is lat.dual() and derive(lat, "dual") is dual
+        fresh = FiniteLattice(lat.labels, lat.leq.T)
+        assert dual == fresh
+        for table in ("leq", "meet_np", "join_np"):
+            assert np.array_equal(getattr(dual, table), getattr(fresh, table))
+        assert (dual.bottom, dual.top) == (fresh.bottom, fresh.top)
+
+
 def test_dual_dual_is_identity():
     for lat in (chain3(), m3(), n5()):
         dd = derive(derive(lat, "dual"), "dual")

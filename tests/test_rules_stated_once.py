@@ -5,6 +5,9 @@
 ``checks.Report.of`` the only place that turns a list of failures into a
 status and a witness.  A hand-written copy of either rule in a checker is
 where the copies drift apart, so this test fails if one comes back.
+
+``terms.check_equation`` is also the unit of a verdict: each call from
+outside is one verdict, so nothing inside ``terms.py`` calls it again.
 """
 
 import ast
@@ -38,3 +41,17 @@ def test_the_report_rule_is_written_once():
               for _ in range(text.count("failures[0] if failures"))]
     assert copies == ["checks.py"]
     assert "failures[0] if failures" in _function(sources["checks.py"], "of")
+
+
+def test_no_function_in_terms_calls_check_equation():
+    tree = ast.parse(_sources()["terms.py"])
+    callers = [(outer.name, node.lineno)
+               for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+               for node in ast.walk(outer)
+               if isinstance(node, ast.Call) and (
+                   getattr(node.func, "id", None) == "check_equation"
+                   or getattr(node.func, "attr", None) == "check_equation")]
+    assert not callers, (
+        f"check_equation is called from {callers}: each public call is one verdict to "
+        "perfbench's verdict probe and tracer, which wrap that name, so a nested call "
+        "counts a second verdict and its assignments twice")

@@ -12,16 +12,17 @@ from test_convolution import (lattices, oracle_glb_set, oracle_lub_set,
                               oracle_term, structures, terms)
 
 from convalg import terms as terms_module
-from convalg.catalog import boolean, chain, m3, symmetric_group_3
+from convalg.catalog import boolean, chain, cyclic_group, m3, symmetric_group_3
 from convalg.convolution import ConvAlgebra, SubsetAlgebra
-from convalg.errors import (ArityMismatch, BudgetExceeded, NotHeyting,
-                            TermSyntaxError, UnboundVariable,
-                            UnknownOperation)
+from convalg.errors import (ArityMismatch, BudgetExceeded, ConvalgError,
+                            NotHeyting, TermSyntaxError, UnboundVariable,
+                            UnknownElement, UnknownOperation)
 from convalg.lattice import FiniteLattice, build_lattice
-from convalg.structures import build_structure, from_group, signature
+from convalg.structures import (JOIN, MEET, build_structure, from_group,
+                                signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, _batch_algebra, _generators, _value,
-                           check_equation, eval_term, parse_equation,
+                           Var, _batch_algebra, _generators, _power_base,
+                           _value, check_equation, eval_term, parse_equation,
                            parse_term, to_sexpr)
 
 
@@ -659,3 +660,181 @@ def test_axis_grid_matches_a_flat_search(data):
                 verdict = check_equation(eq, algebra, budget=total - 1)
                 assert verdict.generators == len(table)
                 assert _as_tuple(verdict) == flat_search(eq, alg, table, to_element)
+
+
+# -- relation-free equations, decided on one point ----------------------------------
+
+
+def _full_grid():
+    """check_equation without the one-point path, so on the whole grid."""
+    return patch.object(terms_module, "_power_base", lambda alg, eq: None)
+
+
+def _outcome(eq, algebra, **options):
+    """The verdict's JSON, or the type of the error raised."""
+    try:
+        return check_equation(eq, algebra, **options).to_json()
+    except (ConvalgError, ValueError) as exc:
+        return type(exc)
+
+
+def _index_zero_not_bottom():
+    """M3, N5 and order duals, in which element index 0 is the top."""
+    return (m3(), n5(), chain(3).dual(), n5().dual(), m3().dual(), boolean(2).dual())
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(st.data())
+def test_one_point_verdict_matches_the_grid(data):
+    """Random lattices (M3, N5 and duals whose index 0 is the top among
+    them), carriers of 1-4 points with a nullary and a unary relation,
+    and 0-3 variable equations, most of them without op, with neg and imp
+    where the lattice is distributive (and some where it is not), in
+    modes auto and exhaustive at budgets on both sides of the grid: over
+    unordered and ordered convolution algebras and subset algebras, the
+    verdict's JSON, or the error raised, is the whole grid's."""
+    kind = data.draw(st.sampled_from(["conv", "conv", "ordered", "subset"]))
+    lat = data.draw(st.one_of(lattices(), st.sampled_from(_index_zero_not_bottom()))
+                    .filter(lambda lat: lat.size <= 6))
+    n = data.draw(st.integers(1, 4))
+    point = st.integers(0, n - 1)
+    structure = build_structure(
+        n, signature(("k", 0, data.draw(st.sampled_from([JOIN, MEET]))), ("f", 1, JOIN)),
+        [data.draw(st.sets(st.tuples(point), max_size=n)),
+         data.draw(st.sets(st.tuples(point, point), max_size=4))])
+    if kind == "ordered":
+        perm = data.draw(st.permutations(range(n)))
+        pairs = data.draw(st.sets(st.tuples(point, point).filter(lambda p: p[0] < p[1]),
+                                  min_size=int(n > 1)))
+        structure = _with_order(structure, [(perm[a], perm[b]) for a, b in pairs])
+    algebra = {"conv": lambda: ConvAlgebra(lat, structure),
+               "ordered": lambda: ConvAlgebra(lat, structure, ordered=True),
+               "subset": lambda: SubsetAlgebra(structure)}[kind]()
+    specs = data.draw(st.sampled_from([(), (), (), structure.signature.rel_specs]))
+    heyting = kind == "subset" or lat.is_distributive or data.draw(st.booleans())
+    term = terms(specs, heyting)
+    eq = Equation(data.draw(term), data.draw(term))
+    count = 2 ** n if kind == "subset" else algebra.carrier_count()
+    total = count ** len(eq.variables())
+    assume(total <= 3000)
+    options = {"mode": data.draw(st.sampled_from(["auto", "exhaustive"])),
+               "budget": data.draw(st.sampled_from([total - 1, total, total + 1, None])),
+               "seed": 3}
+
+    got = _outcome(eq, algebra, **options)
+    if kind == "conv" and n > 1 and not eq.operations():
+        assert algebra._tables == {}
+    with _full_grid():
+        assert got == _outcome(eq, algebra, **options)
+
+
+@pytest.mark.parametrize("algebra, expect", [
+    # index 0 of the dual chain is its top: the other points hold it
+    (lambda: ConvAlgebra(chain(3).dual(), cyclic_group(3)),
+     {"x": ["0", "0", "0"], "y": ["0", "0", "1"]}),
+    (lambda: SubsetAlgebra(cyclic_group(3)),
+     {"x": [0], "y": []}),
+])
+def test_one_point_witness_sits_at_the_least_significant_point(algebra, expect):
+    """``x <= y`` first fails at (top, the next element) over the dual
+    chain and at ({0}, {}) over subsets; the witness puts those values at
+    the point of weight 1 in the code (the last point of L^X, point 0 of a
+    subset's bits), index 0 elsewhere, which is what the grid finds."""
+    eq = parse_equation({"lhs": "(meet x y)", "rhs": "x"})
+    got = check_equation(eq, algebra())
+    assert got.to_json()["assignment"] == expect
+    with _full_grid():
+        assert check_equation(eq, algebra()).to_json() == got.to_json()
+
+
+def test_a_relation_free_check_builds_no_code_tables():
+    """Commutativity of join over chain5 on 4 points, 390,625 pairs: the
+    whole grid would build the 625 x 625 join table."""
+    structure = build_structure(4, signature(("f", 1, "join")), [{(0, 1), (2, 3)}])
+    algebra = ConvAlgebra(chain(5), structure)
+    eq = parse_equation({"lhs": "(join x y)", "rhs": "(join y x)"})
+    assert check_equation(eq, algebra).to_json() == {
+        "status": "valid_exhaustive", "stats": {"assignments": 390_625, "budget": 10 ** 6}}
+    assert algebra._tables == {}
+
+
+def _two_points():
+    """Two points, a nullary join relation at point 0, an ordered twin."""
+    sig = signature(("k", 0, "join"), ("f", 1, "join"))
+    plain = build_structure(2, sig, [{(0,)}, {(0, 1)}])
+    ordered = build_structure(2, sig, [{(0,), (1,)}, {(0, 1), (1, 1)}], order_pairs=[(0, 1)])
+    return plain, ordered
+
+
+@pytest.mark.parametrize("case", [
+    # a nullary op differs from point to point: (op k) is 1 at 0, 0 at 1
+    lambda: (ConvAlgebra(chain(2), _two_points()[0]), {"lhs": "(op k)", "rhs": "top"}),
+    lambda: (SubsetAlgebra(_two_points()[0]), {"lhs": "(join x (op k))", "rhs": "x"}),
+    # monotone maps form no power
+    lambda: (ConvAlgebra(chain(3), _two_points()[1], ordered=True),
+             {"lhs": "(meet x y)", "rhs": "x"}),
+    # one point is its own base
+    lambda: (ConvAlgebra(chain(3), cyclic_group(1)), {"lhs": "(meet x y)", "rhs": "x"}),
+    lambda: (chain(3), {"lhs": "(meet x y)", "rhs": "x"}),
+])
+def test_one_point_path_stays_within_its_gate(case):
+    algebra, doc = case()
+    structure = getattr(algebra, "structure", None)
+    eq = parse_equation(doc, structure and structure.signature)
+    assert _power_base(_batch_algebra(algebra)[0], eq) is None
+    got = _outcome(eq, algebra)
+    with _full_grid():
+        assert got == _outcome(eq, algebra)
+
+
+@pytest.mark.parametrize("eq, options, expect", [
+    # join-linear: decided on the generators
+    ({"lhs": "(join x y)", "rhs": "(join y x)"}, {"budget": 100}, "valid_exhaustive"),
+    # not linear: sampled
+    ({"lhs": "(neg (neg (neg x)))", "rhs": "(neg x)"}, {"budget": 10}, "valid_sampled"),
+    ({"lhs": "(meet x y)", "rhs": "(meet y x)"}, {"budget": 100, "mode": "exhaustive"},
+     BudgetExceeded),
+])
+def test_over_budget_relation_free_laws_keep_the_budget_rule(eq, options, expect):
+    algebra = ConvAlgebra(chain(3), cyclic_group(3))
+    eq = parse_equation(eq)
+    got = _outcome(eq, algebra, **options)
+    assert (got if isinstance(got, type) else got["status"]) == expect
+    with _full_grid():
+        assert got == _outcome(eq, algebra, **options)
+
+
+def test_the_budget_is_checked_before_the_heyting_gate():
+    algebra = ConvAlgebra(n5(), z2())
+    eq = parse_equation({"lhs": "(neg x)", "rhs": "x"})
+    with pytest.raises(BudgetExceeded):
+        check_equation(eq, algebra, mode="exhaustive", budget=24)
+    with pytest.raises(NotHeyting):
+        check_equation(eq, algebra, mode="exhaustive", budget=25)
+
+
+def test_an_equation_walks_its_terms_once(monkeypatch):
+    calls = []
+    walk = terms_module._subterms
+    monkeypatch.setattr(terms_module, "_subterms", lambda t: calls.append(t) or walk(t))
+    sig = signature(("f", 1, "join"))
+    eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"}, sig)
+    algebra = ConvAlgebra(chain(2), build_structure(2, sig, [{(0, 1)}]))
+    for _ in range(3):
+        assert eq.variables() == ["x", "y"] and eq.operations() == {"f"}
+        check_equation(eq, algebra)
+    assert calls == [eq.lhs, eq.rhs]
+
+
+@pytest.mark.parametrize("algebra, value", [
+    (lambda: ConvAlgebra(chain(2), z2()), (0, 1)),
+    (lambda: ConvAlgebra(chain(2), z2()), [0, 1]),
+    (lambda: ConvAlgebra(chain(2), z2()), None),
+    (lambda: SubsetAlgebra(z2()), 5),
+    (lambda: SubsetAlgebra(z2()), None),
+])
+def test_a_value_that_is_no_element_is_unknown(algebra, value):
+    with pytest.raises(UnknownElement):
+        eval_term(Var("x"), algebra(), {"x": value})
