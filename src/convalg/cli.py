@@ -8,8 +8,9 @@ byte-identical output; exit status is 0 for pass/valid, 1 for a check
 failure or counterexample (witness printed), 2 for usage errors and
 invalid input elsewhere.  ``lattice check`` and ``structure check`` report
 an invalid document as a result, ``{"status": "invalid", ...}``, and exit
-with 1; a document of the wrong shape (not an object, a side that is not
-a string, a literal that is not a label array) is invalid input, exit 2.
+with 1; a document of the wrong shape (not an object, a field of the
+wrong type, a side that is not a string, a literal that is not a label
+array) is invalid input, exit 2.
 CONVALG_BUDGET overrides the default evaluation budget of 10^6 and
 ``--budget`` overrides both; a budget below 1 prints one error line,
 before any report, and exits with 2.  Output cut short by its reader

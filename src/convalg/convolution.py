@@ -61,10 +61,13 @@ class LFunction:
     __slots__ = ("values", "lattice", "_np", "_hash")
 
     def __init__(self, values: Iterable[int], lattice: FiniteLattice):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
         for v in vals:
-            if not 0 <= v < lattice.size:
-                raise UnknownElement(f"value {v} outside lattice of size {lattice.size}")
+            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    or not 0 <= v < lattice.size):
+                raise UnknownElement(f"value {v!r} is not an element index of a "
+                                     f"lattice of size {lattice.size}")
+        vals = tuple(map(int, vals))
         self.values = vals
         self.lattice = lattice
         arr = np.array(vals, dtype=np.int64)

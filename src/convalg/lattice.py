@@ -135,7 +135,8 @@ class FiniteLattice:
         return f"FiniteLattice({self.size} elements, {flags})"
 
     def check_element(self, a: int) -> int:
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.size:
+        if (isinstance(a, bool) or not isinstance(a, (int, np.integer))
+                or not 0 <= a < self.size):
             raise UnknownElement(f"{a!r} is not an element index (size {self.size})")
         return int(a)
 
@@ -281,16 +282,35 @@ def build_lattice(labels: Sequence[str], order_pairs: Iterable[tuple[str, str]])
 # -- JSON interchange -------------------------------------------------------
 
 
+def _json_field(value, what: str, kind: type, item: type | None = None,
+                length: int | None = None):
+    """``value`` if its type is ``kind`` (a tuple counts as a list) and, for
+    an array, it has ``length`` entries of type ``item`` where those are
+    given; else ValueError naming ``what``.  Types match exactly, so no
+    field is coerced: not a string into its characters, nor a float or a
+    boolean into an integer."""
+    if kind is list and isinstance(value, tuple):
+        value = list(value)
+    if (type(value) is not kind or length is not None and len(value) != length
+            or item is not None and any(type(x) is not item for x in value)):
+        raise ValueError(f"{what}, got {value!r}")
+    return value
+
+
 def lattice_from_json(doc) -> FiniteLattice:
     """Load {"labels": [...], "leq": [["a","b"], ...]} and canonicalize.
 
     The result uses sorted labels and the full closed order matrix so that
-    re-serialization of equivalent documents is byte-identical.
+    re-serialization of equivalent documents is byte-identical.  A field
+    of the wrong shape raises ValueError.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    labels = sorted(str(x) for x in doc["labels"])
-    return build_lattice(labels, [(str(a), str(b)) for a, b in doc["leq"]])
+    labels = _json_field(doc["labels"], "labels must be an array of strings", list, str)
+    pairs = _json_field(doc["leq"], "leq must be an array of label pairs", list)
+    return build_lattice(sorted(labels), [
+        _json_field(p, "each leq pair must be an array of 2 labels", list, str, 2)
+        for p in pairs])
 
 
 def lattice_to_json(lat: FiniteLattice) -> dict:

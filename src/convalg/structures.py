@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ArityMismatch, IndexOutOfRange, NotAGroup, OrderNotClosed,
                      SignatureMismatch, UnknownOperation)
-from .lattice import _transitive_closure
+from .lattice import _json_field, _transitive_closure
 
 JOIN = "join"
 MEET = "meet"
@@ -292,19 +292,29 @@ def disjoint_union(x: RelStructure, y: RelStructure) -> RelStructure:
 
 
 def structure_from_json(doc) -> RelStructure:
-    """Load {"carrier": n, "relations": [...], "order": [[a,b], ...]?}."""
+    """Load {"carrier": n, "relations": [...], "order": [[a,b], ...]?}.
+
+    A field of the wrong shape raises ValueError.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    carrier = _json_field(doc["carrier"], "carrier must be an integer", int)
     specs = []
     rels = []
-    for entry in doc["relations"]:
-        specs.append((str(entry["name"]), int(entry["arity"]),
-                      str(entry.get("mode", JOIN))))
-        rels.append([tuple(t) for t in entry["tuples"]])
+    for entry in _json_field(doc["relations"], "relations must be an array of objects",
+                             list, dict):
+        specs.append((_json_field(entry["name"], "a relation name must be a string", str),
+                      _json_field(entry["arity"], "a relation arity must be an integer", int),
+                      entry.get("mode", JOIN)))
+        tuples = _json_field(entry["tuples"], "tuples must be an array", list)
+        rels.append([tuple(_json_field(t, "each tuple must be an array of integers", list, int))
+                     for t in tuples])
     order_pairs = doc.get("order")
     if order_pairs is not None:
-        order_pairs = [tuple(p) for p in order_pairs]
-    return build_structure(int(doc["carrier"]), signature(*specs), rels, order_pairs)
+        order_pairs = [
+            tuple(_json_field(p, "each order pair must be an array of 2 integers", list, int, 2))
+            for p in _json_field(order_pairs, "order must be an array of pairs", list)]
+    return build_structure(carrier, signature(*specs), rels, order_pairs)
 
 
 def structure_to_json(s: RelStructure) -> dict:

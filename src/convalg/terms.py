@@ -10,13 +10,14 @@ lattice, which is treated as L^1 over a one-point structure with no
 relations.  One evaluator serves single evaluations and equation checks: it
 walks the term once per batch of assignments, each variable bound to an
 array of value rows, and calls the algebra's batched operations.
-Equations are decided by exhaustive enumeration of assignments in a
-documented order, by enumerating the irreducible generators of L^X when
-the equation is linear in every variable (see _generators), by
-enumerating the assignments over one point when the equation has no
-relation and L^X is a power of L (see _power_base), or by seeded
-sampling; the least counterexample in enumeration order is reported, so
-failures are reproducible.
+Equations are decided on one of four paths: the exhaustive grid of
+assignments over value rows, the same grid over integer codes, the grid
+over a table of the algebra's own value rows, or seeded samples.  The
+table holds the irreducible generators of L^X when the equation is
+linear in every variable (see _generators), or the elements that are
+index 0 at every point but one when the equation has no relation (see
+_one_point_rows).  The least counterexample in enumeration order is
+reported, so failures are reproducible.
 
 An exhaustive grid binds each variable to a numpy axis of its own: a
 chunk of assignments keeps its trailing variables as full axes, as many
@@ -30,11 +31,9 @@ outgrows its first chunk runs on integer codes and the algebra's code
 tables (see ``convolution``) when every table the equation needs has no
 more entries than the grid has assignments.  That is settled before the
 search starts, and the grid positions, and so the verdict, are the same
-either way.  A check over the generators stays on value rows and forms
-no codes, and neither does a check over one point, whose verdict is
-mapped back to the one the whole grid gives (see _on_base).  Sampled
-checks stay flat and draw value rows in bulk, bit-exactly as one
-``randrange`` per point would.
+either way.  A check over a table stays on value rows and forms no
+codes.  Sampled checks stay flat and draw value rows in bulk,
+bit-exactly as one ``randrange`` per point would.
 """
 
 from __future__ import annotations
@@ -497,27 +496,27 @@ def _tabled(alg, eq: Equation, total: int):
     return alg.coded()
 
 
-def _power_base(alg, eq: Equation):
-    """(base, point) when ``eq`` holds over ``alg`` iff it holds over
-    ``base``, the algebra of the same kind and lattice over one point and
-    no relations, else None; ``point`` is the least significant point of
-    ``alg``'s codes.
+def _one_point_rows(alg, eq: Equation):
+    """The value rows, in code order, of the elements of ``alg`` that are
+    index 0 at every point but the least significant one of the codes,
+    when the least tuple on which ``eq`` fails, if any, is made of them;
+    else None.
 
-    Without its relations an unordered L^X is the direct power of L, and
-    the subset algebra is 2^X; a power satisfies exactly the equations of
-    its base, as every operation left acts point by point.  So the base
-    serves an equation with no ``op``.  A nullary ``op`` differs from
-    point to point, and the monotone maps of an ordered algebra form no
-    power, so neither qualifies; nor does a one-point carrier, which is
-    its own base.
+    Without ``op`` an equation applies only operations that act point by
+    point.  A tuple fails iff it fails at some point; moving its values
+    there to the least significant point, with index 0 (which need not be
+    bottom) elsewhere, keeps it failing and makes no code larger.  So the
+    least failing tuple of the whole grid lies in the grid over these
+    rows: the |L| elements with their value at the last point of an
+    unordered L^X, and the subsets {} and {0}.  A nullary ``op`` differs
+    from point to point, the monotone maps of an ordered algebra are not
+    closed under the move, and a one-point carrier is its own table, so
+    none of them qualifies.
     """
-    if eq.operations() or alg.structure.carrier_size < 2:
+    if (eq.operations() or alg.structure.carrier_size < 2
+            or getattr(alg, "ordered", False)):
         return None
-    if isinstance(alg, SubsetAlgebra):
-        return SubsetAlgebra(_POINT), 0
-    if isinstance(alg, ConvAlgebra) and not alg.ordered:
-        return ConvAlgebra(alg.lattice, _POINT), alg.structure.carrier_size - 1
-    return None
+    return alg._decode(np.arange(2 if isinstance(alg, SubsetAlgebra) else alg.lattice.size))
 
 
 def _mismatch(eq: Equation, names: list[str], alg):
@@ -600,17 +599,19 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     Ordered algebras are sampled by drawing functions and rejecting the
     non-monotone ones, so sampling never enumerates their carrier.
 
-    The path is chosen once, before the search: the grid over value rows;
-    the same grid over codes when it outgrows its first chunk of
-    _FIRST_ROWS assignments and _tabled holds; the grid over the
-    generators; the grid over one point, when the grid is chosen and
-    _power_base holds (an equation with no ``op`` over an unordered L^X
-    or subset algebra of at least 2 points, a power of its one-point
-    base), whose verdict _on_base maps to the whole grid's, byte for
-    byte; or the samples.  Both sides are evaluated over chunks of
+    The path is chosen once, before the search, among four: the grid
+    over value rows; the same grid over codes when it outgrows its first
+    chunk of _FIRST_ROWS assignments and _tabled holds; the grid over a
+    table of value rows; or the samples.  The table is that of
+    _one_point_rows when the grid is chosen and it applies, and that of
+    _generators when the grid is over the budget.  A position in the
+    table's grid counts in one radix per variable: the table's length
+    for the generators, and the carrier size for one point, where its
+    digits are the codes and the position and verdict are the whole
+    grid's, byte for byte.  Both sides are evaluated over chunks of
     assignments at once: the exhaustive grid in ``itertools.product``
-    order of the carrier or of the generators (so the first mismatch is
-    the least counterexample in that order), or the samples in the order
+    order of the carrier or of the table (so the first mismatch is the
+    least counterexample in that order), or the samples in the order
     they are drawn.  Nothing in this module calls check_equation: each
     call from outside is one verdict.
     """
@@ -619,13 +620,16 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
         raise ValueError(f"samples must be at least 1, got {samples}")
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
-    total, rows, sampling = _assignments(alg, len(names), mode, cap, samples, seed)
-    if not sampling and (base := _power_base(alg, eq)) is not None:
-        return _on_base(eq, names, alg, total, cap, *base)
-    target, generators = alg, None  # the interface the rows are given in
-    if sampling and mode == "auto" and (table := _generators(alg, eq, names, cap)) is not None:
-        generators, sampling = len(table), {}
-        total, rows = _grid(alg, len(names), None, table)
+    k = len(names)
+    total, rows, sampling = _assignments(alg, k, mode, cap, samples, seed)
+    target, generators, table = alg, None, None  # the interface the rows are given in
+    if not sampling:
+        table, radix = _one_point_rows(alg, eq), alg.space_size()
+    elif mode == "auto" and (table := _generators(alg, eq, names, cap)) is not None:
+        generators = radix = len(table)
+        sampling = {}
+    if table is not None:
+        total, rows = _grid(alg, k, None, table)
     elif not sampling and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
         target, count = coded, rows.count
         rows = lambda start, stop, grid=rows: grid(start, stop, coded)
@@ -634,36 +638,12 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
     if position is None:
         status = "valid_sampled" if sampling else "valid_exhaustive"
-        return Verdict(status, tried=total, budget=cap, generators=generators, **sampling)
+        tried = total if table is None else radix ** k
+        return Verdict(status, tried=tried, budget=cap, generators=generators, **sampling)
     if target is not alg:
         found = [alg._decode(code[0]) for code in found]
+    if table is not None:  # the position's k digits, read in base ``radix``
+        position = sum(position // len(table) ** j % len(table) * radix ** j for j in range(k))
     return Verdict("counterexample",
-                   assignment={k: to_element(v) for k, v in zip(names, found)},
+                   assignment={name: to_element(v) for name, v in zip(names, found)},
                    tried=position + 1, budget=cap, generators=generators, **sampling)
-
-
-def _on_base(eq: Equation, names: list[str], alg, total: int, cap: int,
-             base, point: int) -> Verdict:
-    """check_equation's verdict over ``alg``'s grid of ``total`` tuples,
-    from the grid over ``base`` (see _power_base).
-
-    A tuple fails iff it fails at some point.  Setting every other point
-    to digit 0 (element index 0, which need not be bottom) keeps it
-    failing and makes its codes no larger; so does moving the failing
-    values to ``point``, the least significant one, where the codes are
-    the indices of the values and the grid order is the order over
-    ``base``.  So the least failing tuple over ``base``, placed at
-    ``point`` with digit 0 elsewhere, is the least over ``alg``, and its
-    position has one digit per variable in base q = |carrier|.
-    """
-    count, rows = _grid(base, len(names), base._enumeration())
-    position, found = _first_failure(count, base, rows, _mismatch(eq, names, base))
-    if position is None:
-        return Verdict("valid_exhaustive", tried=total, budget=cap)
-    q, tried, assignment = alg.space_size(), 0, {}
-    for name, value in zip(names, found):
-        row = np.zeros(alg.structure.carrier_size, dtype=value.dtype)
-        row[point] = value[0]
-        assignment[name] = alg._element(row)
-        tried = tried * q + int(value[0])
-    return Verdict("counterexample", assignment=assignment, tried=tried + 1, budget=cap)

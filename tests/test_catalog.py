@@ -10,8 +10,9 @@ from convalg.catalog import (boolean, catalog_entries, chain, get_group,
                              symmetric_group_3, type2_structure)
 from convalg.convolution import ConvAlgebra
 from convalg.errors import InvalidGrid, UnknownName
-from convalg.lattice import lattice_to_json
-from convalg.structures import JOIN, MEET, structure_to_json
+from convalg.lattice import lattice_from_json, lattice_to_json
+from convalg.structures import (JOIN, MEET, structure_from_json,
+                                structure_to_json)
 
 
 def test_chain2_is_the_two_element_lattice():
@@ -161,6 +162,21 @@ def test_catalog_builds_are_deterministic():
         again = dict(structure_pool())[name]
         assert json.dumps(structure_to_json(s), sort_keys=True) == \
             json.dumps(structure_to_json(again), sort_keys=True)
+
+
+def test_catalog_documents_load_unchanged():
+    """The loaders' shape checks accept every document the catalog writes."""
+    lattices = [lat for _, lat in lattice_pool()] + [
+        get_lattice(name) for name in ("chain3", "boolean2", "M3", "N5", "chain2*chain3")]
+    for lat in lattices:
+        doc = json.loads(json.dumps(lattice_to_json(lat)))
+        assert lattice_to_json(lattice_from_json(doc)) == doc
+    structures = [s for _, s in structure_pool()] + [
+        get_structure(name) for name in ("Z2", "S3", "full2", "fullext2", "type2_3",
+                                         "type2mixed_3")]
+    for s in structures:
+        doc = json.loads(json.dumps(structure_to_json(s)))
+        assert structure_from_json(doc) == s
 
 
 def test_catalog_entries_are_json_lines():

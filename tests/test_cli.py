@@ -219,6 +219,27 @@ def test_check_rejects_a_document_that_is_no_object(capsys, tmp_path, command, d
     assert (code, lines(out)[0]["error"]) == (2, "ValueError")
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("lattice", {"labels": ["a"], "leq": [1]}),
+    ("lattice", {"labels": "ab", "leq": []}),
+    ("lattice", {"labels": ["a", "b"], "leq": ["ab"]}),
+    ("structure", {"carrier": 2, "relations": 5}),
+    ("structure", {"carrier": 2, "relations": [5]}),
+    ("structure", {"carrier": 2, "relations": [{"name": "r", "arity": 1, "tuples": 3}]}),
+    ("structure", {"carrier": 2, "relations": [], "order": 5}),
+    ("structure", {"carrier": 2.7, "relations": []}),
+    ("structure", {"carrier": True, "relations": []}),
+    ("structure", {"carrier": 2, "relations": [{"name": "r", "arity": 1.9,
+                                                "tuples": [[0, 1]]}]}),
+])
+def test_check_rejects_a_field_of_the_wrong_shape(capsys, tmp_path, command, doc):
+    # none is coerced: not "ab" into the labels a, b, nor 2.7 or true into a carrier
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, command, "check", str(path))
+    assert (code, lines(out)[0]["error"]) == (2, "ValueError")
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

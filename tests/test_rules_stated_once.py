@@ -8,6 +8,9 @@ where the copies drift apart, so this test fails if one comes back.
 
 ``terms.check_equation`` is also the unit of a verdict: each call from
 outside is one verdict, so nothing inside ``terms.py`` calls it again.
+And it searches rows of the algebra it is given: the only algebra
+``terms.py`` builds is the one-point ``L^1`` of a bare lattice, in
+``_batch_algebra``.
 """
 
 import ast
@@ -55,3 +58,17 @@ def test_no_function_in_terms_calls_check_equation():
         f"check_equation is called from {callers}: each public call is one verdict to "
         "perfbench's verdict probe and tracer, which wrap that name, so a nested call "
         "counts a second verdict and its assignments twice")
+
+
+def test_terms_builds_an_algebra_only_for_a_bare_lattice():
+    tree = ast.parse(_sources()["terms.py"])
+    allowed = {id(node) for outer in ast.walk(tree)
+               if isinstance(outer, ast.FunctionDef) and outer.name == "_batch_algebra"
+               for node in ast.walk(outer)}
+    builds = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and id(node) not in allowed
+              and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+              in ("ConvAlgebra", "SubsetAlgebra")]
+    assert not builds, (
+        f"terms.py builds an algebra on lines {builds}: a check searches tables of "
+        "the given algebra's own rows, so a per-check algebra costs a build per call")

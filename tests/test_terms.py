@@ -21,7 +21,7 @@ from convalg.lattice import FiniteLattice, build_lattice
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
                                 signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, _batch_algebra, _generators, _power_base,
+                           Var, _batch_algebra, _generators, _one_point_rows,
                            _value, check_equation, eval_term, parse_equation,
                            parse_term, to_sexpr)
 
@@ -667,7 +667,7 @@ def test_axis_grid_matches_a_flat_search(data):
 
 def _full_grid():
     """check_equation without the one-point path, so on the whole grid."""
-    return patch.object(terms_module, "_power_base", lambda alg, eq: None)
+    return patch.object(terms_module, "_one_point_rows", lambda alg, eq: None)
 
 
 def _outcome(eq, algebra, **options):
@@ -760,6 +760,29 @@ def test_a_relation_free_check_builds_no_code_tables():
     assert algebra._tables == {}
 
 
+def test_the_one_point_table_is_index_0_but_at_the_least_significant_point():
+    eq = parse_equation({"lhs": "(meet x y)", "rhs": "x"})
+    rows = _one_point_rows(ConvAlgebra(chain(3).dual(), cyclic_group(3)), eq)
+    assert rows.tolist() == [[0, 0, 0], [0, 0, 1], [0, 0, 2]]
+    rows = _one_point_rows(SubsetAlgebra(cyclic_group(3)), eq)
+    assert rows.tolist() == [[False, False, False], [True, False, False]]
+
+
+def test_a_relation_free_check_builds_no_algebra(monkeypatch):
+    """The one-point table holds rows of the algebra itself, so a check
+    over an algebra of several points builds no algebra of one point."""
+    algebras = [ConvAlgebra(chain(3), cyclic_group(3)), SubsetAlgebra(cyclic_group(3))]
+    built = []
+    for cls in (ConvAlgebra, SubsetAlgebra):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
+                            built.append(type(self)) or init(self, *args))
+    laws = [parse_equation({"lhs": "(meet x (join x y))", "rhs": "x"}),
+            parse_equation({"lhs": "(meet x y)", "rhs": "x"})]
+    verdicts = [check_equation(law, algebra).status for algebra in algebras for law in laws]
+    assert verdicts == ["valid_exhaustive", "counterexample"] * 2
+    assert built == []
+
+
 def _two_points():
     """Two points, a nullary join relation at point 0, an ordered twin."""
     sig = signature(("k", 0, "join"), ("f", 1, "join"))
@@ -783,7 +806,7 @@ def test_one_point_path_stays_within_its_gate(case):
     algebra, doc = case()
     structure = getattr(algebra, "structure", None)
     eq = parse_equation(doc, structure and structure.signature)
-    assert _power_base(_batch_algebra(algebra)[0], eq) is None
+    assert _one_point_rows(_batch_algebra(algebra)[0], eq) is None
     got = _outcome(eq, algebra)
     with _full_grid():
         assert got == _outcome(eq, algebra)
@@ -834,7 +857,26 @@ def test_an_equation_walks_its_terms_once(monkeypatch):
     (lambda: ConvAlgebra(chain(2), z2()), None),
     (lambda: SubsetAlgebra(z2()), 5),
     (lambda: SubsetAlgebra(z2()), None),
+    # a boolean or a float is no element index, even where int() would take it
+    (lambda: chain(3), True),
+    (lambda: chain(3), np.True_),
+    (lambda: chain(3), 1.0),
 ])
 def test_a_value_that_is_no_element_is_unknown(algebra, value):
     with pytest.raises(UnknownElement):
         eval_term(Var("x"), algebra(), {"x": value})
+
+
+@pytest.mark.parametrize("values", [[True, 2], [1, 2.9], [1, 2.0], [np.True_, 1],
+                                    np.array([True, False]), np.array([1.0, 2.0])])
+def test_a_function_value_must_be_an_element_index(values):
+    with pytest.raises(UnknownElement):
+        ConvAlgebra(chain(3), z2()).function(values)
+
+
+def test_numpy_integers_are_element_indices():
+    algebra = ConvAlgebra(chain(3), z2())
+    for values in ([np.int64(1), np.int32(2)], np.array([1, 2], dtype=np.uint8)):
+        f = algebra.function(values)
+        assert f.values == (1, 2) and all(type(v) is int for v in f.values)
+    assert eval_term(Var("x"), chain(3), {"x": np.int64(2)}) == 2
