@@ -37,10 +37,8 @@ def boolean(k: int) -> FiniteLattice:
     for mask in range(1 << k):
         subset = "".join(atoms[i] for i in range(k) if mask >> i & 1)
         labels.append(subset if subset else "0")
-    n = 1 << k
-    leq = np.array([[(m1 & m2) == m1 for m2 in range(n)] for m1 in range(n)],
-                   dtype=bool)
-    return FiniteLattice(labels, leq)
+    m = np.arange(1 << k)
+    return FiniteLattice(labels, (m[:, None] & m) == m[:, None])
 
 
 def m3() -> FiniteLattice:

@@ -9,7 +9,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +27,17 @@ def _transitive_closure(rel: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK = 1 << 18
+"""Entries of the largest temporary array one block of a table step builds."""
+
+
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each of at least one row and, when a
+    row has ``width`` entries, of at most ``_BLOCK`` entries otherwise."""
+    step = max(1, _BLOCK // width)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 class FiniteLattice:
     """A finite bounded lattice over elements 0..size-1.
 
@@ -36,7 +47,10 @@ class FiniteLattice:
         leq: read-only boolean matrix, ``leq[a, b]`` iff a <= b.
         meet_table, join_table: tuples of tuples of element indices.
         bottom, top: element indices of the bounds.
-        is_distributive, is_boolean: classification flags, computed at build.
+        irreducibles: (J, M), the elements with exactly one lower cover and
+            those with exactly one upper cover, as increasing index arrays.
+        is_distributive, is_boolean: classification flags.
+    All of them are computed at build.
     """
 
     def __init__(self, labels: Sequence[str], leq: np.ndarray,
@@ -44,33 +58,46 @@ class FiniteLattice:
         n = len(labels)
         if n == 0:
             raise NotALattice("a bounded lattice needs at least one element")
-        if len(set(labels)) != n:
-            raise NotAPoset(f"duplicate labels in {list(labels)}")
+        self.labels = tuple(str(x) for x in labels)
+        if len(set(self.labels)) != n:
+            raise NotAPoset(f"duplicate labels in {list(self.labels)}")
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (n, n):
             raise NotAPoset(f"order matrix must be {n}x{n}, got {leq.shape}")
 
-        self.labels = tuple(str(x) for x in labels)
         self.size = n
         self._check_poset(leq)
         leq = leq.copy()
         leq.flags.writeable = False
         self.leq = leq
-        self.meet_np = self._bound_table(leq, "lower")
-        self.join_np = self._bound_table(leq.T, "upper")
+        # below[0] is the order and below[1] its dual, so what the down-sets
+        # of one give, the up-sets of the other give dually.
+        below = np.array((leq, leq.T))
+        sizes = below.sum(axis=1)  # [k, a]: size of a's down-set in order k
+        self.meet_np, self.join_np = self._bound_tables(below, sizes)
         self.meet_table = tuple(map(tuple, self.meet_np.tolist()))
         self.join_table = tuple(map(tuple, self.join_np.tolist()))
-        self.bottom = reduce(lambda a, b: self.meet_table[a][b], range(n), 0)
-        self.top = reduce(lambda a, b: self.join_table[a][b], range(n), 0)
+        # In a lattice the bounds are the only elements whose down-set,
+        # respectively up-set, is the element alone.
+        self.bottom, self.top = sizes.argmin(axis=1).tolist()
+        # An element has exactly one lower cover iff the elements strictly
+        # below it have a greatest one, which is then an element below it
+        # whose down-set is one smaller; dually for upper covers.
+        covered = (below & (sizes[:, :, None] + 1 == sizes[:, None])).any(axis=1)
+        self.irreducibles = tuple(c.nonzero()[0] for c in covered)
         self.is_distributive = self._scan_distributive()
-        self.is_boolean = self.is_distributive and self._scan_complemented()
+        # A finite distributive lattice is Boolean iff its join-irreducibles
+        # are atoms: the down-sets of the poset J are all its subsets iff J
+        # is an antichain.
+        self.is_boolean = self.is_distributive and bool(
+            (sizes[0, self.irreducibles[0]] == 2).all())
         self.factors = factors
         self._imp_np = None
         self._hash = hash((self.labels, leq.tobytes()))
 
     def _check_poset(self, leq: np.ndarray) -> None:
         n = self.size
-        if not leq[np.diag_indices(n)].all():
+        if not leq.diagonal().all():
             raise NotAPoset("order is not reflexive")
         sym = leq & leq.T
         if sym.sum() > n:
@@ -81,40 +108,70 @@ class FiniteLattice:
         if ((~leq) & (leq @ leq)).any():
             raise NotAPoset("order is not transitive")
 
-    def _bound_table(self, below: np.ndarray, kind: str) -> np.ndarray:
-        """Glb table when ``below[c, a]`` means c <= a (pass leq.T for lubs).
+    def _bound_tables(self, below: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The glb tables of both orders in ``below``: the meet table, then
+        the join table (the glb table of the dual).
 
         The down-set of glb(a, b) is exactly the intersection of the
         down-sets of a and b, so the bound exists iff that intersection
-        holds an element whose down-set is as large.  Rows are found one a
-        at a time, and a missing bound names the first such pair (a, b).
+        holds an element whose down-set is as large.  That element is then
+        the first member of the intersection when elements are ranked by
+        down-set size, largest first.  A block of rows a is one max over
+        the rank weights common to a and each b, and one popcount of the
+        intersections; a missing bound names the first such pair (a, b),
+        glbs before lubs.
         """
         n = self.size
-        sizes = below.sum(axis=0)[:, None]
-        common = below.T.astype(np.int64) @ below  # [a, b]: how many c are below both
-        table = np.empty((n, n), dtype=np.int64)
-        for a, column in enumerate(below.T[:, :, None]):
-            table[a] = (column & below & (sizes == common[a])).argmax(axis=0)
-        found = below[table, np.arange(n)[:, None]] & below[table, np.arange(n)] \
-            & (sizes[table, 0] == common)
+        # order[k, r]: the element of rank r in order k.  ranked[k, r, a]:
+        # the weight n - r of rank r if that element is below a, else 0.
+        order = (-sizes).argsort(axis=1, kind="stable")
+        small = np.min_scalar_type(n)  # holds every weight and every count
+        weight = np.arange(n, 0, -1, dtype=small)
+        ranked = below[np.arange(2)[:, None], order] * weight[:, None]
+        downs = np.packbits(below, axis=1)  # [k, i, a]: byte i of a's down-set
+        # first[k, a, b]: the weight of the first common member of the
+        # down-sets of a and b; common[k, a, b]: how many members they share.
+        first = np.empty((2, n, n), dtype=small)
+        common = np.empty((2, n, n), dtype=small)
+        for rows in _blocks(n, 2 * n * n):
+            np.minimum(ranked[:, :, rows, None], ranked[:, :, None]).max(
+                axis=1, out=first[:, rows])
+            np.bitwise_count(downs[:, :, rows, None] & downs[:, :, None]).sum(
+                axis=1, dtype=small, out=common[:, rows])
+        # Flat indices into order and sizes.  Weight 0, no common member,
+        # picks some element, whose down-set is larger than the empty
+        # intersection.
+        offset = np.arange(0, 2 * n, n)[:, None, None]
+        tables = order.take(n - first + offset, mode="wrap")
+        found = sizes.take(tables + offset) == common
         if not found.all():
-            a, b = np.argwhere(~found)[0]
-            what = "greatest lower" if kind == "lower" else "least upper"
+            k, a, b = np.argwhere(~found)[0]
+            what = ("greatest lower", "least upper")[k]
             raise NotALattice(
                 f"no {what} bound for ({self.labels[a]}, {self.labels[b]})",
                 pair=(self.labels[a], self.labels[b]),
             )
-        table.flags.writeable = False
-        return table
+        tables.flags.writeable = False
+        return tables
 
     def _scan_distributive(self) -> bool:
-        """Whether a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c), one a at a time."""
-        join = self.join_np
-        return not any((m[join] != join[m[:, None], m]).any() for m in self.meet_np)
+        """Whether every join-irreducible j is join-prime: j <= a \\/ b iff
+        j <= a or j <= b.
 
-    def _scan_complemented(self) -> bool:
-        return bool(((self.meet_np == self.bottom)
-                     & (self.join_np == self.top)).any(axis=1).all())
+        That is Birkhoff's criterion.  A distributive lattice passes, as
+        j = (j /\\ a) \\/ (j /\\ b) forces j to equal one of the two.
+        Conversely, if every j is join-prime then a |-> {j in J : j <= a}
+        maps joins to unions and meets to intersections, and it is one to
+        one since every element is the join of the j below it, so the
+        lattice embeds in the powerset of J, which is distributive.  The
+        sets are bit sets, and a block of rows a is compared at once.
+        """
+        n, join = self.size, self.join_np
+        # ups[i, a]: byte i of the bit set {j in J : j <= a}
+        ups = np.packbits(self.leq[self.irreducibles[0]], axis=0)
+        return not any(
+            (ups[:, join[rows]] != (ups[:, rows, None] | ups[:, None])).any()
+            for rows in _blocks(n, n * n))
 
     # -- basic queries -----------------------------------------------------
 
@@ -163,14 +220,6 @@ class FiniteLattice:
             out = self.join_table[out][self.check_element(a)]
         return out
 
-    @cached_property
-    def irreducibles(self) -> tuple[np.ndarray, np.ndarray]:
-        """(J, M): the elements with exactly one lower cover, and those with
-        exactly one upper cover, as increasing index arrays."""
-        below = self.leq & ~np.eye(self.size, dtype=bool)
-        covers = below & ~(below.astype(np.int64) @ below).astype(bool)
-        return tuple(np.flatnonzero(covers.sum(axis=k) == 1) for k in (0, 1))
-
     # -- Heyting structure ---------------------------------------------------
 
     def heyting_table(self) -> np.ndarray:
@@ -178,13 +227,17 @@ class FiniteLattice:
         if not self.is_distributive:
             raise NotHeyting("relative pseudocomplement needs a distributive lattice")
         if self._imp_np is None:
-            # {c : a /\ c <= b} is a down-set, so a -> b, its greatest
-            # member, is the member whose down-set is as large; one a at a time.
-            sizes = self.leq.sum(axis=0)[:, None]
-            table = np.empty((self.size, self.size), dtype=np.int64)
-            for a, meets in enumerate(self.meet_np):
-                fits = self.leq[meets]  # [c, b]: a /\ c <= b
-                table[a] = (fits & (sizes == fits.sum(axis=0))).argmax(axis=0)
+            # {c : a /\ c <= b} is a down-set with a greatest member, a -> b,
+            # which is its first member when elements are ranked by down-set
+            # size, largest first: the member of largest weight n - r.
+            n = self.size
+            order = (-self.leq.sum(axis=0)).argsort(kind="stable")
+            weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None, None]
+            first = np.empty((n, n), dtype=weight.dtype)
+            for rows in _blocks(n, n * n):
+                fits = self.leq[self.meet_np[rows][:, order].T]  # [r, a, b]: a /\ c_r <= b
+                (fits * weight).max(axis=0, out=first[rows])
+            table = order[n - first]
             table.flags.writeable = False
             self._imp_np = table
         return self._imp_np

@@ -27,6 +27,14 @@ def test_boolean2_flags():
     assert lat.labels == ("0", "a", "b", "ab")
 
 
+def test_boolean_order_is_the_subset_order():
+    for k in range(7):
+        lat = boolean(k)
+        subsets = [set(label) - {"0"} for label in lat.labels]
+        assert lat.size == 2 ** k and lat.is_boolean
+        assert lat.leq.tolist() == [[a <= b for b in subsets] for a in subsets]
+
+
 def test_m3_n5_non_distributive():
     assert not m3().is_distributive
     assert not n5().is_distributive

@@ -6,10 +6,16 @@ tables under test.
 """
 
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from convalg import lattice as lattice_module
+from convalg.catalog import boolean, chain, lattice_pool
 from convalg.errors import (NotALattice, NotAPoset, NotHeyting,
                             UnknownElement)
 from convalg.lattice import (FiniteLattice, _transitive_closure,
@@ -58,17 +64,75 @@ def oracle_lub(lat, elems):
     return bots[0] if bots else None
 
 
-def oracle_distributive(lat):
+def oracle_tables(lat):
+    """(glb, lub) tables of every pair, by the order-matrix oracles."""
     n = lat.size
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = oracle_glb(lat, [a, oracle_lub(lat, [b, c])])
-                rhs = oracle_lub(lat, [oracle_glb(lat, [a, b]),
-                                       oracle_glb(lat, [a, c])])
-                if lhs != rhs:
-                    return False
-    return True
+    return ([[oracle_glb(lat, [a, b]) for b in range(n)] for a in range(n)],
+            [[oracle_lub(lat, [a, b]) for b in range(n)] for a in range(n)])
+
+
+def oracle_distributive(lat):
+    meet, join = oracle_tables(lat)
+    n = lat.size
+    return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def oracle_irreducibles(lat):
+    """j is join-irreducible iff it is not the lub of the elements strictly
+    below it (the empty lub is bottom), dually for meet-irreducibles."""
+    elems = range(lat.size)
+    join = [e for e in elems
+            if oracle_lub(lat, [c for c in elems if c != e and lat.leq[c, e]]) != e]
+    meet = [e for e in elems
+            if oracle_glb(lat, [c for c in elems if c != e and lat.leq[e, c]]) != e]
+    return [join, meet]
+
+
+def described(lat):
+    """Everything a build fixes, read from the lattice itself."""
+    try:
+        imp = lat.heyting_table().tolist()
+    except NotHeyting:
+        imp = None
+    return {"meet": lat.meet_np.tolist(), "join": lat.join_np.tolist(),
+            "bounds": (lat.bottom, lat.top),
+            "flags": (lat.is_distributive, lat.is_boolean),
+            "irreducibles": [a.tolist() for a in lat.irreducibles], "imp": imp}
+
+
+def oracle_described(labels, leq):
+    """What building (labels, leq) must give, from the definitions alone:
+    the error as (type, text, pair), or what ``described`` reads."""
+    labels = [str(x) for x in labels]
+    if len(set(labels)) != len(labels):
+        return ("NotAPoset", f"duplicate labels in {labels}", None)
+    missing = reference_missing_bound(labels, leq)
+    if missing is not None:
+        return ("NotALattice",) + missing
+    lat = SimpleNamespace(leq=leq, size=len(labels))
+    n = lat.size
+    meet, join = oracle_tables(lat)
+    bottom, top = oracle_lub(lat, []), oracle_glb(lat, [])
+    distributive = oracle_distributive(lat)
+    complemented = all(any(meet[a][b] == bottom and join[a][b] == top for b in range(n))
+                       for a in range(n))
+    imp = None
+    if distributive:
+        imp = [[oracle_lub(lat, [c for c in range(n) if leq[meet[a][c], b]])
+                for b in range(n)] for a in range(n)]
+    return {"meet": meet, "join": join, "bounds": (bottom, top),
+            "flags": (distributive, distributive and complemented),
+            "irreducibles": oracle_irreducibles(lat), "imp": imp}
+
+
+def built_described(labels, leq):
+    try:
+        return described(FiniteLattice(labels, leq))
+    except NotAPoset as exc:
+        return ("NotAPoset", str(exc), None)
+    except NotALattice as exc:
+        return ("NotALattice", str(exc), exc.pair)
 
 
 # -- construction --------------------------------------------------------------
@@ -115,6 +179,9 @@ def test_missing_bound_raises_not_a_lattice():
 def test_duplicate_labels_rejected():
     with pytest.raises(NotAPoset):
         build_lattice(["a", "a"], [])
+    # Labels are compared as the strings they become.
+    with pytest.raises(NotAPoset, match=r"duplicate labels in \['1', '1'\]"):
+        FiniteLattice([1, "1"], [[1, 1], [0, 1]])
 
 
 def test_order_pair_with_unknown_label():
@@ -131,23 +198,15 @@ def test_tables_match_oracle_on_pool():
 
 
 def test_irreducibles_match_oracle():
-    # j is join-irreducible iff it is not the lub of the elements strictly
-    # below it (the empty lub is bottom), dually for meet-irreducibles.
     for lat in (build_lattice(["x"], []), chain3(), m3(), n5(), b2(),
                 n5().dual(), chain3().product(b2())):
-        elems = range(lat.size)
-        join = [e for e in elems
-                if oracle_lub(lat, [c for c in elems if c != e and lat.leq[c, e]]) != e]
-        meet = [e for e in elems
-                if oracle_glb(lat, [c for c in elems if c != e and lat.leq[e, c]]) != e]
-        assert [a.tolist() for a in lat.irreducibles] == [join, meet]
+        assert [a.tolist() for a in lat.irreducibles] == oracle_irreducibles(lat)
 
 
 def test_big_lattice_tables_and_flags_match_oracle():
     # The tables of the largest catalog lattices against the order-matrix
     # oracle, their flags against a triple scan of those tables, and the
     # relative pseudocomplement against the lub of {c : a /\ c <= b}.
-    from convalg.catalog import boolean, chain
     for lat, boolean_flag in ((boolean(6), True), (chain(70), False),
                               (chain(8).product(chain(8)), False)):
         n = lat.size
@@ -200,6 +259,69 @@ def test_missing_bound_names_the_pair_a_loop_finds():
         assert got == expect
         outcomes.add(None if expect is None else expect[0].split()[1])
     assert outcomes == {None, "greatest", "least"}
+
+
+@st.composite
+def posets(draw, max_size=9):
+    """(labels, leq) of a poset on up to ``max_size`` elements, bounded or
+    not, its elements in a drawn order.  The labels are integers, and now
+    and then the last one is the string of the first, so that they are
+    distinct as given but not as strings."""
+    n = draw(st.integers(1, max_size))
+    edges = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rel = np.triu(np.array(edges, dtype=bool).reshape(n, n), 1)
+    if draw(st.booleans()):
+        rel[0, 1:] = rel[:-1, -1] = True
+    perm = draw(st.permutations(range(n)))
+    labels = list(range(n))
+    if n > 1 and draw(st.integers(0, 4)) == 2:
+        labels[-1] = str(labels[0])
+    return labels, _transitive_closure(rel)[np.ix_(perm, perm)]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(posets(), posets(max_size=4))
+def test_construction_matches_the_definitions(first, second):
+    # Tables, bounds, flags, irreducibles and the Heyting table of random
+    # posets, their duals and products, or the error and the pair it names,
+    # against oracles that read only the order matrix.
+    got = built_described(*first)
+    assert got == oracle_described(*first)
+    if isinstance(got, tuple):
+        return
+    lat = FiniteLattice(*first)
+    assert described(lat.dual()) == oracle_described(lat.labels, lat.leq.T)
+    try:
+        other = FiniteLattice(*second)
+    except (NotAPoset, NotALattice):
+        return
+    if lat.size * other.size <= 16:
+        prod = lat.product(other)
+        leq = (lat.leq[:, None, :, None] & other.leq[None, :, None, :]).reshape(
+            prod.size, prod.size)
+        assert np.array_equal(prod.leq, leq)
+        assert described(prod) == oracle_described(prod.labels, leq)
+
+
+def test_one_row_blocks_build_the_same_lattices(monkeypatch):
+    lats = [lat for _, lat in lattice_pool()] + [chain(70), boolean(6)]
+    expected = [described(lat) for lat in lats]
+    monkeypatch.setattr(lattice_module, "_BLOCK", 1)
+    for lat, want in zip(lats, expected):
+        assert len(lattice_module._blocks(lat.size, lat.size ** 2)) == lat.size
+        assert described(FiniteLattice(lat.labels, lat.leq)) == want
+
+
+def test_chain200_build_stays_within_its_blocks():
+    # An unblocked n^3 temporary would take 8 MB for 200 elements alone.
+    chain(3)  # numpy's first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        chain(200).heyting_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_absorption_and_idempotence():
@@ -285,7 +407,6 @@ def test_residuation_law_exhaustive_up_to_size_8():
     ]
     two = build_lattice(["0", "1"], [("0", "1")])
     pool += [b2(), chain3().product(two)]
-    from convalg.catalog import boolean
     pool.append(boolean(3))
     for lat in pool:
         assert lat.size <= 8
