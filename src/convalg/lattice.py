@@ -38,6 +38,25 @@ def _blocks(rows: int, width: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+"""Number of set bits of each byte value."""
+
+
+def _ranks(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank weights of the elements and the element of each weight, for
+    each order whose down-set sizes are ``sizes[..., a]``.
+
+    Elements are ranked by down-set size, largest first, ties by index,
+    and the element of rank r weighs n - 1 - r.  Among the members of a
+    down-set, its greatest element, if it has one, has the largest
+    down-set, so it is the member of largest weight.
+    """
+    element = (-sizes).argsort(axis=-1, kind="stable")[..., ::-1]
+    # weight is the inverse permutation of element
+    weight = element.argsort(axis=-1).astype(np.min_scalar_type(sizes.shape[-1]))
+    return weight, element
+
+
 class FiniteLattice:
     """A finite bounded lattice over elements 0..size-1.
 
@@ -109,41 +128,38 @@ class FiniteLattice:
             raise NotAPoset("order is not transitive")
 
     def _bound_tables(self, below: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """The glb tables of both orders in ``below``: the meet table, then
-        the join table (the glb table of the dual).
+        """The glb tables of both orders in ``below``, with down-set sizes
+        ``sizes``: the meet table, then the join table (the glb table of
+        the dual).  Both are built in the same numpy calls, so a small
+        lattice pays each call once.
 
         The down-set of glb(a, b) is exactly the intersection of the
         down-sets of a and b, so the bound exists iff that intersection
         holds an element whose down-set is as large.  That element is then
-        the first member of the intersection when elements are ranked by
-        down-set size, largest first.  A block of rows a is one max over
-        the rank weights common to a and each b, and one popcount of the
-        intersections; a missing bound names the first such pair (a, b),
-        glbs before lubs.
+        its member of largest rank weight (see ``_ranks``).  A block of
+        rows a is one max over the weights common to a and each b, and
+        one popcount of the intersections of the packed down-sets; a
+        missing bound names the first such pair (a, b), glbs before lubs.
         """
         n = self.size
-        # order[k, r]: the element of rank r in order k.  ranked[k, r, a]:
-        # the weight n - r of rank r if that element is below a, else 0.
-        order = (-sizes).argsort(axis=1, kind="stable")
-        small = np.min_scalar_type(n)  # holds every weight and every count
-        weight = np.arange(n, 0, -1, dtype=small)
-        ranked = below[np.arange(2)[:, None], order] * weight[:, None]
+        weight, element = _ranks(sizes)  # [k, a] and [k, w] in order k
+        ranked = below * weight[:, :, None]  # [k, c, a]: c's weight if c <= a, else 0
         downs = np.packbits(below, axis=1)  # [k, i, a]: byte i of a's down-set
-        # first[k, a, b]: the weight of the first common member of the
-        # down-sets of a and b; common[k, a, b]: how many members they share.
-        first = np.empty((2, n, n), dtype=small)
-        common = np.empty((2, n, n), dtype=small)
+        # first[k, a, b]: the largest weight common to the down-sets of a
+        # and b, 0 when they share no member; common[k, a, b]: how many
+        # members they share.
+        first = np.empty((2, n, n), dtype=weight.dtype)
+        common = np.empty((2, n, n), dtype=weight.dtype)
         for rows in _blocks(n, 2 * n * n):
             np.minimum(ranked[:, :, rows, None], ranked[:, :, None]).max(
                 axis=1, out=first[:, rows])
-            np.bitwise_count(downs[:, :, rows, None] & downs[:, :, None]).sum(
-                axis=1, dtype=small, out=common[:, rows])
-        # Flat indices into order and sizes.  Weight 0, no common member,
-        # picks some element, whose down-set is larger than the empty
-        # intersection.
-        offset = np.arange(0, 2 * n, n)[:, None, None]
-        tables = order.take(n - first + offset, mode="wrap")
-        found = sizes.take(tables + offset) == common
+            _POPCOUNT[downs[:, :, rows, None] & downs[:, :, None]].sum(
+                axis=1, dtype=common.dtype, out=common[:, rows])
+        # With no common member this is the element of weight 0, whose
+        # down-set is not empty, so the bound is not found.
+        k = np.arange(2)[:, None, None]
+        tables = element[k, first]
+        found = sizes[k, tables] == common
         if not found.all():
             k, a, b = np.argwhere(~found)[0]
             what = ("greatest lower", "least upper")[k]
@@ -228,16 +244,14 @@ class FiniteLattice:
             raise NotHeyting("relative pseudocomplement needs a distributive lattice")
         if self._imp_np is None:
             # {c : a /\ c <= b} is a down-set with a greatest member, a -> b,
-            # which is its first member when elements are ranked by down-set
-            # size, largest first: the member of largest weight n - r.
+            # which is its member of largest rank weight.
             n = self.size
-            order = (-self.leq.sum(axis=0)).argsort(kind="stable")
-            weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None, None]
+            weight, element = _ranks(self.leq.sum(axis=0))
             first = np.empty((n, n), dtype=weight.dtype)
             for rows in _blocks(n, n * n):
-                fits = self.leq[self.meet_np[rows][:, order].T]  # [r, a, b]: a /\ c_r <= b
-                (fits * weight).max(axis=0, out=first[rows])
-            table = order[n - first]
+                fits = self.leq[self.meet_np[rows].T]  # [c, a, b]: a /\ c <= b
+                (fits * weight[:, None, None]).max(axis=0, out=first[rows])
+            table = element[first]
             table.flags.writeable = False
             self._imp_np = table
         return self._imp_np
