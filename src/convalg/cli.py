@@ -27,7 +27,7 @@ import sys
 from . import catalog
 from .convolution import ConvAlgebra, lfunction_from_labels, resolve_budget
 from .errors import (ConvalgError, NotALattice, NotAPoset, UnknownName)
-from .lattice import FiniteLattice, lattice_from_json, lattice_to_json
+from .lattice import FiniteLattice, _json_field, lattice_from_json, lattice_to_json
 from .structures import RelStructure, structure_from_json, structure_to_json
 from .suites import SUITES, run_suite
 from .terms import check_equation, eval_term, parse_equation, parse_term
@@ -97,9 +97,9 @@ def _cmd_eval(args) -> int:
     algebra = ConvAlgebra(lat, structure)
     term = parse_term(args.term, structure.signature)
     raw = _object(json.loads(args.assign), "--assign")
-    if any(not isinstance(vals, list) for vals in raw.values()):
-        raise ValueError("--assign must map each variable to an array of labels")
-    env = {name: algebra.function(lfunction_from_labels(vals, lat).values)
+    what = "--assign must map each variable to an array of labels"
+    env = {name: algebra.function(
+               lfunction_from_labels(_json_field(vals, what, list, str), lat).values)
            for name, vals in raw.items()}
     result = eval_term(term, algebra, env)
     _emit({"result": result.labels(), "term": args.term})
@@ -111,8 +111,8 @@ def _cmd_eq_check(args) -> int:
     structure = _resolve_structure(args.structure)
     algebra = ConvAlgebra(lat, structure)
     sides = _load_doc(args.eq)
-    if any(not isinstance(sides[side], str) for side in ("lhs", "rhs")):
-        raise ValueError(f"{args.eq}: lhs and rhs must be strings")
+    for side in ("lhs", "rhs"):
+        _json_field(sides[side], f"{args.eq}: lhs and rhs must be strings", str)
     eq = parse_equation(sides, structure.signature)
     verdict = check_equation(eq, algebra, mode=args.mode, samples=args.samples,
                              seed=args.seed, budget=args.budget)

@@ -643,12 +643,14 @@ def is_lattice_morphism(phi: Sequence[int], dom: FiniteLattice, cod: FiniteLatti
         return False, {"kind": "bottom"}
     if phi[dom.top] != cod.top:
         return False, {"kind": "top"}
-    for a in range(dom.size):
-        for b in range(dom.size):
-            if phi[dom.meet_table[a][b]] != cod.meet_table[phi[a]][phi[b]]:
-                return False, {"kind": "meet", "pair": (dom.labels[a], dom.labels[b])}
-            if phi[dom.join_table[a][b]] != cod.join_table[phi[a]][phi[b]]:
-                return False, {"kind": "join", "pair": (dom.labels[a], dom.labels[b])}
+    image = np.array(phi)
+    pairs = np.ix_(image, image)
+    # [a, b, k]: whether phi fails to preserve the meet (k = 0) or join of a, b
+    bad = np.stack([image[dom.meet_np] != cod.meet_np[pairs],
+                    image[dom.join_np] != cod.join_np[pairs]], axis=-1)
+    if bad.any():
+        a, b, k = np.argwhere(bad)[0]
+        return False, {"kind": ("meet", "join")[k], "pair": (dom.labels[a], dom.labels[b])}
     return True, None
 
 

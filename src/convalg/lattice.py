@@ -1,7 +1,7 @@
 """Finite bounded lattices.
 
 A lattice is stored as a dense boolean order matrix over element indices
-0..size-1 together with precomputed binary meet/join tables, so every later
+0..size-1 together with precomputed binary meet/join arrays, so every later
 operation is a table lookup.  Labels exist for I/O only.  Instances are
 immutable after construction and safe to share between threads.
 """
@@ -64,7 +64,8 @@ class FiniteLattice:
         size: number of elements.
         labels: element names, indexable by element.
         leq: read-only boolean matrix, ``leq[a, b]`` iff a <= b.
-        meet_table, join_table: tuples of tuples of element indices.
+        meet_np, join_np: read-only integer arrays, ``meet_np[a, b]`` the
+            meet of a and b and ``join_np[a, b]`` their join.
         bottom, top: element indices of the bounds.
         irreducibles: (J, M), the elements with exactly one lower cover and
             those with exactly one upper cover, as increasing index arrays.
@@ -94,8 +95,6 @@ class FiniteLattice:
         below = np.array((leq, leq.T))
         sizes = below.sum(axis=1)  # [k, a]: size of a's down-set in order k
         self.meet_np, self.join_np = self._bound_tables(below, sizes)
-        self.meet_table = tuple(map(tuple, self.meet_np.tolist()))
-        self.join_table = tuple(map(tuple, self.join_np.tolist()))
         # In a lattice the bounds are the only elements whose down-set,
         # respectively up-set, is the element alone.
         self.bottom, self.top = sizes.argmin(axis=1).tolist()
@@ -226,15 +225,15 @@ class FiniteLattice:
         """Greatest lower bound of a (possibly empty) set; meet of {} is top."""
         out = self.top
         for a in elems:
-            out = self.meet_table[out][self.check_element(a)]
-        return out
+            out = self.meet_np[out, self.check_element(a)]
+        return int(out)
 
     def join(self, elems: Iterable[int]) -> int:
         """Least upper bound of a (possibly empty) set; join of {} is bottom."""
         out = self.bottom
         for a in elems:
-            out = self.join_table[out][self.check_element(a)]
-        return out
+            out = self.join_np[out, self.check_element(a)]
+        return int(out)
 
     # -- Heyting structure ---------------------------------------------------
 
@@ -298,18 +297,13 @@ class FiniteLattice:
         Returns (sublattice, embedding) where embedding[k] is the parent
         index of the sublattice's element k.
         """
-        current = {self.bottom, self.top}
-        current.update(self.check_element(g) for g in generators)
-        while True:
-            new = set()
-            for a in current:
-                for b in current:
-                    new.add(self.meet_table[a][b])
-                    new.add(self.join_table[a][b])
-            if new <= current:
+        elems = sorted({self.bottom, self.top, *map(self.check_element, generators)})
+        while True:  # the meets and joins of elems include elems, as a /\ a = a
+            pairs = np.ix_(elems, elems)
+            closed = np.union1d(self.meet_np[pairs], self.join_np[pairs]).tolist()
+            if len(closed) == len(elems):
                 break
-            current |= new
-        elems = sorted(current)
+            elems = closed
         labels = [self.labels[e] for e in elems]
         leq = self.leq[np.ix_(elems, elems)]
         return FiniteLattice(labels, leq), tuple(elems)

@@ -120,7 +120,7 @@ def test_type2_n2_join_formula():
     s, names = type2_structure(2)
     lat = chain(2)
     algebra = ConvAlgebra(lat, s)
-    meet, join = lat.meet_table, lat.join_table
+    meet, join = lat.meet_np.tolist(), lat.join_np.tolist()
     for a0 in range(2):
         for a1 in range(2):
             for b0 in range(2):

@@ -101,7 +101,7 @@ def loop_view(algebra, i):
     relations) and its unit, and the labels of a value tuple."""
     lat, n = algebra.lattice, algebra.structure.carrier_size
     additive = algebra.structure.signature.rel_specs[i].mode == JOIN
-    pick = lat.join_table if additive else lat.meet_table
+    pick = (lat.join_np if additive else lat.meet_np).tolist()
     unit = (lat.bottom if additive else lat.top,) * n
 
     def code(v):
@@ -653,8 +653,8 @@ def test_type2_mismatch_names_the_counterexample(monkeypatch):
 
 def test_z2_witness_reevaluates():
     r = check_z2_associativity(n5())
-    assert not r.stats["associative"]
-    witness = r.witness["assignment"]
+    assert not r.stats["associative"] and r.witness is None
+    witness = r.stats["counterexample"]["assignment"]
     lat = n5()
     algebra = ConvAlgebra(lat, cyclic_group(2))
     env = {k: algebra.function([lat.index(l) for l in v])
@@ -1132,6 +1132,19 @@ def test_suite_relation_algebra_expects_de_morgan_by_name(monkeypatch, instance,
     monkeypatch.setattr(suites, "check_relation_algebra", lie)
     r = suites.suite_relation_algebra()
     assert (r.status, r.witness) == ("fail", {"expected": expected})
+
+
+def test_suite_relation_algebra_names_the_first_broken_expectation(monkeypatch):
+    # Both De Morgan expectations broken, and no member failing: chain3's,
+    # stated first, is the witness, and no member counts as failed.
+    holds = {"chain3/Z2": True, "boolean2/Z2": False}
+    monkeypatch.setattr(suites, "check_relation_algebra", lambda lat, group, instance, **_: (
+        Report.of("relation-algebra", instance, [],
+                  {"original_de_morgan_holds": holds.get(instance)})))
+    r = suites.suite_relation_algebra()
+    assert (r.status, r.witness) == (
+        "fail", {"expected": "original De Morgan must fail over chain3"})
+    assert r.stats == {"instances": 4, "failed": 0}
 
 
 def test_suite_residuation_expects_the_collapse_pattern(monkeypatch):

@@ -193,9 +193,10 @@ def test_bad_usage_exits_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize("assign", ['[1,2]', '{"x": 5}', '{"x": "12"}'])
+@pytest.mark.parametrize("assign", ['[1,2]', '{"x": 5}', '{"x": "12"}', '{"x": [1, 2]}'])
 def test_eval_rejects_an_assignment_of_the_wrong_shape(capsys, assign):
-    # a string would otherwise be read as the labels of its characters
+    # a string would otherwise be read as the labels of its characters, and
+    # integers as the labels they spell
     code, out = run(capsys, "eval", "--lattice", "chain3", "--structure", "Z2",
                     "--term", "x", "--assign", assign)
     assert (code, lines(out)[0]["error"]) == (2, "ValueError")
@@ -255,9 +256,9 @@ def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
     monkeypatch.delenv("CONVALG_BUDGET", raising=False)
     inner, original = [], suites._aggregate
 
-    def aggregate(name, instance, reports, extra_stats=None):
+    def aggregate(name, instance, reports, *args, **kwargs):
         inner.extend(r.to_json() + "\n" for r in reports)
-        return original(name, instance, reports, extra_stats)
+        return original(name, instance, reports, *args, **kwargs)
     monkeypatch.setattr(suites, "_aggregate", aggregate)
     code, out = run(capsys, "suite", "run", "paper-core", "--seed", str(seed))
     assert code == 0

@@ -272,7 +272,7 @@ def test_z2_convolution_pair_formula():
     # join as sum, for every pair over the 3-chain.
     lat = chain3()
     algebra = ConvAlgebra(lat, z2())
-    meet, join = lat.meet_table, lat.join_table
+    meet, join = lat.meet_np.tolist(), lat.join_np.tolist()
     for a0, a1, b0, b1 in product(range(3), repeat=4):
         out = algebra.op("*", (algebra.function([a0, a1]),
                                algebra.function([b0, b1])))
@@ -433,6 +433,29 @@ def test_collapsing_map_still_validates():
     # 0,m -> 0 and 1 -> 1 preserves bounds, meets and joins on the chain.
     ok, witness = is_lattice_morphism([0, 0, 1], chain3(), chain(2))
     assert ok, witness
+
+
+def oracle_morphism_witness(phi, dom, cod):
+    """The first pair (a, b) in index order, meet before join, whose bound
+    ``phi`` fails to preserve, with bounds by the order-matrix oracle."""
+    for a in range(dom.size):
+        for b in range(dom.size):
+            for kind, bound in (("meet", oracle_glb_set), ("join", oracle_lub_set)):
+                if phi[bound(dom, [a, b])] != bound(cod, [phi[a], phi[b]]):
+                    return {"kind": kind, "pair": (dom.labels[a], dom.labels[b])}
+    return None
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_lattice_morphism_witness_matches_the_oracle(data):
+    small = catalog_lattices()[0]
+    dom, cod = data.draw(st.sampled_from(small)), data.draw(st.sampled_from(small))
+    phi = data.draw(st.lists(st.integers(0, cod.size - 1),
+                             min_size=dom.size, max_size=dom.size))
+    phi[dom.bottom], phi[dom.top] = cod.bottom, cod.top  # so the pairs decide
+    expect = oracle_morphism_witness(phi, dom, cod)
+    assert is_lattice_morphism(phi, dom, cod) == (expect is None, expect)
 
 
 def test_lift_morphism_rejects_non_morphism():

@@ -4,7 +4,9 @@
 ``DEFAULT_BUDGET`` for a missing budget (and rejects one below 1), and
 ``checks.Report.of`` the only place that turns a list of failures into a
 status and a witness.  A hand-written copy of either rule in a checker is
-where the copies drift apart, so this test fails if one comes back.
+where the copies drift apart, so this test fails if one comes back: a
+report built by calling ``Report`` itself, or a status or witness written
+into a report after it is built.
 
 ``terms.check_equation`` is also the unit of a verdict: each call from
 outside is one verdict, so nothing inside ``terms.py`` calls it again.
@@ -44,6 +46,22 @@ def test_the_report_rule_is_written_once():
               for _ in range(text.count("failures[0] if failures"))]
     assert copies == ["checks.py"]
     assert "failures[0] if failures" in _function(sources["checks.py"], "of")
+
+
+def test_every_report_is_built_by_the_report_rule():
+    sources = _sources()
+    calls = [(name, node.lineno) for name, text in sources.items()
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Report"]
+    assert not calls, f"a report is built by hand at {calls}; Report.of builds each one"
+    writes = [(name, node.lineno) for name in ("checks.py", "suites.py")
+              for node in ast.walk(ast.parse(sources[name]))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr in ("status", "witness")]
+    assert not writes, (
+        f"a report's status or witness is overwritten at {writes}; a suite's own "
+        "expectations are failures that _aggregate passes to Report.of")
 
 
 def test_no_function_in_terms_calls_check_equation():
