@@ -299,7 +299,7 @@ class ConvAlgebra:
         """
         k, n = self.lattice.size, self.structure.carrier_size
         shift = 32 - k.bit_length()
-        probe = random.Random()
+        probe = random.Random(0)  # a fixed seed, as setstate replaces it
         probe.setstate(rng.getstate())
         words, more = np.empty(0, dtype=np.uint32), 2 * n * count + 64
         while True:

@@ -4,6 +4,13 @@ A lattice is stored as a dense boolean order matrix over element indices
 0..size-1 together with precomputed binary meet/join arrays, so every later
 operation is a table lookup.  Labels exist for I/O only.  Instances are
 immutable after construction and safe to share between threads.
+
+A lattice given by its order is searched: its tables by a ranked max over
+blocks of rows, its counts (transitivity, the sizes of common down-sets,
+the closure of ``build_lattice``) by float32 matrix products, exact below
+2^24 elements.  An order dual or a product is not searched: ``dual()`` and
+``product()`` read its tables, bounds, irreducibles and flags off the
+lattices it derives from.
 """
 
 from __future__ import annotations
@@ -18,13 +25,20 @@ from .errors import NotALattice, NotAPoset, NotHeyting, UnknownElement
 
 
 def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation matrix."""
-    n = rel.shape[0]
-    out = rel.copy()
-    out[np.diag_indices(n)] = True
-    for k in range(n):
-        out |= out[:, k : k + 1] & out[k : k + 1, :]
-    return out
+    """Reflexive-transitive closure of a boolean relation matrix.
+
+    The relation is squared until it stops changing: after k squarings it
+    holds every path of up to 2^k steps.  A square is a float32 matrix
+    product whose entries count the paths of two steps, at most n, so
+    they are exact below 2^24 elements.
+    """
+    out = rel | np.eye(len(rel), dtype=bool)
+    while True:
+        paths = out.astype(np.float32)
+        step = paths @ paths > 0
+        if np.array_equal(step, out):
+            return out
+        out = step
 
 
 _BLOCK = 1 << 18
@@ -36,10 +50,6 @@ def _blocks(rows: int, width: int) -> list[slice]:
     row has ``width`` entries, of at most ``_BLOCK`` entries otherwise."""
     step = max(1, _BLOCK // width)
     return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-"""Number of set bits of each byte value."""
 
 
 def _ranks(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,52 +78,80 @@ class FiniteLattice:
             meet of a and b and ``join_np[a, b]`` their join.
         bottom, top: element indices of the bounds.
         irreducibles: (J, M), the elements with exactly one lower cover and
-            those with exactly one upper cover, as increasing index arrays.
+            those with exactly one upper cover, as read-only increasing
+            index arrays.
         is_distributive, is_boolean: classification flags.
-    All of them are computed at build.
+        factors: the two factors of a product lattice, else None.
+    All of them are fixed at build: searched for in the order of a lattice
+    given by one, or read off the lattices that an order dual or a product
+    derives from.
     """
 
-    def __init__(self, labels: Sequence[str], leq: np.ndarray,
-                 factors: tuple["FiniteLattice", "FiniteLattice"] | None = None):
-        n = len(labels)
-        if n == 0:
+    def __init__(self, labels: Sequence[str], leq: np.ndarray):
+        if len(labels) == 0:
             raise NotALattice("a bounded lattice needs at least one element")
-        self.labels = tuple(str(x) for x in labels)
-        if len(set(self.labels)) != n:
-            raise NotAPoset(f"duplicate labels in {list(self.labels)}")
+        self._label(labels)
+        n = self.size
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (n, n):
             raise NotAPoset(f"order matrix must be {n}x{n}, got {leq.shape}")
 
-        self.size = n
-        self._check_poset(leq)
-        leq = leq.copy()
-        leq.flags.writeable = False
-        self.leq = leq
+        order = leq.astype(np.float32)
+        self._check_poset(leq, order)
         # below[0] is the order and below[1] its dual, so what the down-sets
         # of one give, the up-sets of the other give dually.
         below = np.array((leq, leq.T))
         sizes = below.sum(axis=1)  # [k, a]: size of a's down-set in order k
-        self.meet_np, self.join_np = self._bound_tables(below, sizes)
+        meet, join = self._bound_tables(below, sizes, order)
         # In a lattice the bounds are the only elements whose down-set,
         # respectively up-set, is the element alone.
-        self.bottom, self.top = sizes.argmin(axis=1).tolist()
+        bounds = sizes.argmin(axis=1).tolist()
         # An element has exactly one lower cover iff the elements strictly
         # below it have a greatest one, which is then an element below it
         # whose down-set is one smaller; dually for upper covers.
         covered = (below & (sizes[:, :, None] + 1 == sizes[:, None])).any(axis=1)
-        self.irreducibles = tuple(c.nonzero()[0] for c in covered)
-        self.is_distributive = self._scan_distributive()
+        irreducibles = tuple(c.nonzero()[0] for c in covered)
+        distributive = self._scan_distributive(leq, meet, join, irreducibles[0])
         # A finite distributive lattice is Boolean iff its join-irreducibles
         # are atoms: the down-sets of the poset J are all its subsets iff J
         # is an antichain.
-        self.is_boolean = self.is_distributive and bool(
-            (sizes[0, self.irreducibles[0]] == 2).all())
+        boolean = distributive and bool((sizes[0, irreducibles[0]] == 2).all())
+        self._fill(leq.copy(), (meet, join), bounds, irreducibles,
+                   (distributive, boolean))
+
+    @classmethod
+    def _derived(cls, labels, leq, tables, bounds, irreducibles, flags,
+                 factors=None) -> "FiniteLattice":
+        """The lattice on ``labels`` whose order, (meet, join) tables,
+        (bottom, top), (J, M) and (distributive, Boolean) flags are given,
+        as read off the lattices it derives from.  Only the labels are
+        checked."""
+        self = cls.__new__(cls)
+        self._label(labels)
+        self._fill(leq, tables, bounds, irreducibles, flags, factors)
+        return self
+
+    def _label(self, labels: Sequence[str]) -> None:
+        self.labels = tuple(str(x) for x in labels)
+        self.size = len(self.labels)
+        if len(set(self.labels)) != self.size:
+            raise NotAPoset(f"duplicate labels in {list(self.labels)}")
+
+    def _fill(self, leq, tables, bounds, irreducibles, flags, factors=None) -> None:
+        for array in (leq, *tables, *irreducibles):
+            array.flags.writeable = False
+        self.leq = leq
+        self.meet_np, self.join_np = tables
+        self.bottom, self.top = bounds
+        self.irreducibles = irreducibles
+        self.is_distributive, self.is_boolean = flags
         self.factors = factors
         self._imp_np = None
         self._hash = hash((self.labels, leq.tobytes()))
 
-    def _check_poset(self, leq: np.ndarray) -> None:
+    def _check_poset(self, leq: np.ndarray, order: np.ndarray) -> None:
+        """Raise NotAPoset unless ``leq``, also given as the float32 matrix
+        ``order``, is reflexive, antisymmetric and transitive."""
         n = self.size
         if not leq.diagonal().all():
             raise NotAPoset("order is not reflexive")
@@ -123,37 +161,41 @@ class FiniteLattice:
             raise NotAPoset(
                 f"antisymmetry fails: {self.labels[a]} <= {self.labels[b]} <= {self.labels[a]}"
             )
-        if ((~leq) & (leq @ leq)).any():
+        # A reflexive relation is contained in its square, and it is
+        # transitive iff the two are equal.
+        if not np.array_equal(order @ order > 0, leq):
             raise NotAPoset("order is not transitive")
 
-    def _bound_tables(self, below: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    def _bound_tables(self, below: np.ndarray, sizes: np.ndarray,
+                      order: np.ndarray) -> np.ndarray:
         """The glb tables of both orders in ``below``, with down-set sizes
         ``sizes``: the meet table, then the join table (the glb table of
-        the dual).  Both are built in the same numpy calls, so a small
-        lattice pays each call once.
+        the dual).  ``order`` is ``below[0]`` as float32.  Both tables are
+        built in the same numpy calls, so a small lattice pays each call
+        once.
 
         The down-set of glb(a, b) is exactly the intersection of the
         down-sets of a and b, so the bound exists iff that intersection
         holds an element whose down-set is as large.  That element is then
         its member of largest rank weight (see ``_ranks``).  A block of
-        rows a is one max over the weights common to a and each b, and
-        one popcount of the intersections of the packed down-sets; a
-        missing bound names the first such pair (a, b), glbs before lubs.
+        rows a is one max over the weights common to a and each b.  The
+        sizes of the intersections are one float32 matrix product per
+        order, exact below 2^24 elements.  A missing bound names the first
+        such pair (a, b), glbs before lubs.
         """
         n = self.size
         weight, element = _ranks(sizes)  # [k, a] and [k, w] in order k
         ranked = below * weight[:, :, None]  # [k, c, a]: c's weight if c <= a, else 0
-        downs = np.packbits(below, axis=1)  # [k, i, a]: byte i of a's down-set
         # first[k, a, b]: the largest weight common to the down-sets of a
-        # and b, 0 when they share no member; common[k, a, b]: how many
-        # members they share.
+        # and b, 0 when they share no member.
         first = np.empty((2, n, n), dtype=weight.dtype)
-        common = np.empty((2, n, n), dtype=weight.dtype)
         for rows in _blocks(n, 2 * n * n):
             np.minimum(ranked[:, :, rows, None], ranked[:, :, None]).max(
                 axis=1, out=first[:, rows])
-            _POPCOUNT[downs[:, :, rows, None] & downs[:, :, None]].sum(
-                axis=1, dtype=common.dtype, out=common[:, rows])
+        # common[k, a, b]: how many members the down-sets of a and b share
+        common = np.empty((2, n, n), dtype=np.float32)
+        np.matmul(order.T, order, out=common[0])
+        np.matmul(order, order.T, out=common[1])
         # With no common member this is the element of weight 0, whose
         # down-set is not empty, so the bound is not found.
         k = np.arange(2)[:, None, None]
@@ -166,27 +208,27 @@ class FiniteLattice:
                 f"no {what} bound for ({self.labels[a]}, {self.labels[b]})",
                 pair=(self.labels[a], self.labels[b]),
             )
-        tables.flags.writeable = False
         return tables
 
-    def _scan_distributive(self) -> bool:
-        """Whether every join-irreducible j is join-prime: j <= a \\/ b iff
-        j <= a or j <= b.
+    @staticmethod
+    def _scan_distributive(leq: np.ndarray, meet: np.ndarray, join: np.ndarray,
+                           joins: np.ndarray) -> bool:
+        """Whether every join-irreducible j, of the index array ``joins``,
+        is join-prime: j <= a \\/ b iff j <= a or j <= b.
 
         That is Birkhoff's criterion.  A distributive lattice passes, as
         j = (j /\\ a) \\/ (j /\\ b) forces j to equal one of the two.
-        Conversely, if every j is join-prime then a |-> {j in J : j <= a}
-        maps joins to unions and meets to intersections, and it is one to
-        one since every element is the join of the j below it, so the
-        lattice embeds in the powerset of J, which is distributive.  The
-        sets are bit sets, and a block of rows a is compared at once.
+        Conversely, if every j is join-prime then a |-> U(a) = {j in J :
+        j <= a} maps joins to unions and meets to intersections, and it is
+        one to one since every element is the join of the j below it, so
+        the lattice embeds in the powerset of J, which is distributive.
+
+        It is tested by counts.  U(a /\\ b) is always U(a) & U(b), and
+        U(a \\/ b) always holds U(a) | U(b), so every j is join-prime iff
+        |U(a \\/ b)| = |U(a)| + |U(b)| - |U(a /\\ b)| for all a and b.
         """
-        n, join = self.size, self.join_np
-        # ups[i, a]: byte i of the bit set {j in J : j <= a}
-        ups = np.packbits(self.leq[self.irreducibles[0]], axis=0)
-        return not any(
-            (ups[:, join[rows]] != (ups[:, rows, None] | ups[:, None])).any()
-            for rows in _blocks(n, n * n))
+        counts = leq[joins].sum(axis=0)  # counts[a] = |U(a)|
+        return bool((counts[join] + counts[meet] == counts[:, None] + counts).all())
 
     # -- basic queries -----------------------------------------------------
 
@@ -266,19 +308,49 @@ class FiniteLattice:
     # -- derived lattices ---------------------------------------------------
 
     def dual(self) -> "FiniteLattice":
-        """Order dual: same elements, reversed order, swapped bounds; built
-        on first use and kept, as lattices are immutable."""
+        """Order dual: same elements, reversed order, so the meet and join
+        tables, the bounds and (J, M) swap; built on first use and kept,
+        as lattices are immutable."""
         return self._dual
 
     @cached_property
     def _dual(self) -> "FiniteLattice":
-        return FiniteLattice(self.labels, self.leq.T)
+        return FiniteLattice._derived(
+            self.labels, np.ascontiguousarray(self.leq.T),
+            (self.join_np, self.meet_np), (self.top, self.bottom),
+            self.irreducibles[::-1], (self.is_distributive, self.is_boolean))
 
     def product(self, other: "FiniteLattice") -> "FiniteLattice":
-        """Componentwise product; element (i, j) lives at index i*|other|+j."""
+        """Componentwise product; element (i, j) lives at index i*|other|+j.
+
+        Everything is read off the factors.  The order, the tables and the
+        bounds are theirs paired componentwise: (a, b) /\\ (c, d) is
+        (a /\\ c, b /\\ d).  (a, b) covers exactly the (a', b) with a
+        covering a' and the (a, b') with b covering b', so J is the (j, 0)
+        and the (0, j) for j in J of a factor, and M dually with tops.  A
+        product is distributive, or Boolean, iff both factors are: both
+        laws hold componentwise, and each factor is the image of a
+        projection, a bounded lattice homomorphism, which keeps them.
+        """
+        m = other.size
         labels = [f"{a}.{b}" for a in self.labels for b in other.labels]
-        leq = np.kron(self.leq.astype(np.uint8), other.leq.astype(np.uint8)).astype(bool)
-        return FiniteLattice(labels, leq, factors=(self, other))
+        size = self.size * m
+
+        def paired(mine, theirs):
+            return (mine[:, None, :, None] * m + theirs[None, :, None, :]).reshape(size, size)
+
+        leq = (self.leq[:, None, :, None] & other.leq[None, :, None, :]).reshape(size, size)
+        tables = (paired(self.meet_np, other.meet_np), paired(self.join_np, other.join_np))
+        irreducibles = tuple(
+            np.sort(np.concatenate((mine * m + bound_b, bound_a * m + theirs)))
+            for mine, theirs, bound_a, bound_b in zip(
+                self.irreducibles, other.irreducibles,
+                (self.bottom, self.top), (other.bottom, other.top)))
+        return FiniteLattice._derived(
+            labels, leq, tables,
+            (self.bottom * m + other.bottom, self.top * m + other.top), irreducibles,
+            (self.is_distributive and other.is_distributive,
+             self.is_boolean and other.is_boolean), factors=(self, other))
 
     def pair_index(self, i: int, j: int) -> int:
         if self.factors is None:
@@ -376,8 +448,6 @@ def lattice_from_json(doc) -> FiniteLattice:
 
 def lattice_to_json(lat: FiniteLattice) -> dict:
     """Canonical document: sorted labels, every ordered pair listed."""
-    order = sorted(
-        (lat.labels[a], lat.labels[b])
-        for a in range(lat.size) for b in range(lat.size) if lat.leq[a, b]
-    )
-    return {"labels": sorted(lat.labels), "leq": [list(p) for p in order]}
+    labels = lat.labels
+    below, above = ([labels[a] for a in side.tolist()] for side in np.nonzero(lat.leq))
+    return {"labels": sorted(labels), "leq": sorted(map(list, zip(below, above)))}

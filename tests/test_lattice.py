@@ -449,6 +449,99 @@ def test_dual_dual_is_identity():
         assert dd == lat
 
 
+def attributes(lat):
+    """Every attribute a build fixes, with the types it holds them in."""
+    try:
+        imp = lat.heyting_table()
+        imp = (imp.tolist(), imp.dtype)
+    except NotHeyting:
+        imp = None
+    arrays = {name: getattr(lat, name) for name in ("leq", "meet_np", "join_np")}
+    return {"labels": lat.labels, "size": lat.size, "imp": imp,
+            **{name: (a.tolist(), a.dtype, a.flags.writeable) for name, a in arrays.items()},
+            "bounds": [(b, type(b)) for b in (lat.bottom, lat.top)],
+            "irreducibles": [(a.tolist(), a.dtype, a.flags.writeable)
+                             for a in lat.irreducibles],
+            "flags": [(f, type(f)) for f in (lat.is_distributive, lat.is_boolean)]}
+
+
+def searched(lat):
+    """The lattice of the same labels and order, built by searching it."""
+    return FiniteLattice(lat.labels, lat.leq)
+
+
+def assert_built_as_searched(lat, factors=None):
+    fresh = searched(lat)
+    assert attributes(lat) == attributes(fresh)
+    assert lat == fresh and hash(lat) == hash(fresh)
+    assert lat.factors == factors
+
+
+def derived_pool():
+    """The pool, 1-element and 64-element lattices, and products and duals
+    among them, each with the factors it was built from, or None."""
+    pool = [lat for _, lat in lattice_pool()] + [boolean(0)]
+    two, six = chain(2), chain(2).product(chain(3))
+    out = [(a.product(b), (a, b)) for a in pool for b in pool]
+    out += [(lat.dual(), None) for lat, _ in out] + [(lat.dual(), None) for lat in pool]
+    out += [(six.product(two), (six, two)), (two.product(six), (two, six)),
+            (six.product(six).dual(), None), (six.dual().product(two), (six.dual(), two)),
+            (chain(8).product(chain(8)), (chain(8), chain(8))),
+            (boolean(6).dual(), None), (chain(70).dual(), None)]
+    return out
+
+
+def test_derived_lattices_match_the_searched_build():
+    # Duals and products are read off the lattices they derive from; they
+    # must hold exactly what searching their order gives, dtypes included.
+    for lat, factors in derived_pool():
+        assert_built_as_searched(lat, factors)
+
+
+def test_dual_swaps_its_tables_bounds_and_irreducibles():
+    lat = n5()
+    dual = lat.dual()
+    assert dual.meet_np is lat.join_np and dual.join_np is lat.meet_np
+    assert (dual.bottom, dual.top) == (lat.top, lat.bottom)
+    assert dual.irreducibles == lat.irreducibles[::-1]
+    assert_built_as_searched(dual.dual())
+
+
+def test_product_with_colliding_labels_is_rejected_as_searched():
+    # (x, y.z) and (x.y, z) are both labelled x.y.z.
+    left = build_lattice(["x", "x.y"], [("x", "x.y")])
+    right = build_lattice(["y.z", "z"], [("y.z", "z")])
+    labels = [f"{a}.{b}" for a in left.labels for b in right.labels]
+    leq = np.kron(left.leq, right.leq)
+    with pytest.raises(NotAPoset) as want:
+        FiniteLattice(labels, leq)
+    with pytest.raises(NotAPoset) as got:
+        left.product(right)
+    assert str(got.value) == str(want.value) == (
+        "duplicate labels in ['x.y.z', 'x.z', 'x.y.y.z', 'x.y.z']")
+
+
+def warshall(rel):
+    """Reflexive-transitive closure by Warshall's loop over the elements."""
+    out = rel.copy()
+    out[np.diag_indices(len(rel))] = True
+    for k in range(len(rel)):
+        out |= out[:, k:k + 1] & out[k:k + 1, :]
+    return out
+
+
+def test_closure_matches_warshall():
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(0, 14))
+        rel = rng.random((n, n)) < rng.choice([0.05, 0.15, 0.4])  # cycles too
+        got = _transitive_closure(rel)
+        assert got.dtype == bool and np.array_equal(got, warshall(rel))
+    # A path of 40 steps needs six squarings.
+    path = np.eye(41, k=1, dtype=bool)
+    assert np.array_equal(_transitive_closure(path), np.triu(np.ones((41, 41), bool)))
+
+
 def test_product_of_two_chains_is_b2():
     two = build_lattice(["0", "1"], [("0", "1")])
     prod = derive(two, "product", two)
