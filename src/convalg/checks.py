@@ -5,18 +5,18 @@ finite witness on failure.  Checkers only assert laws under their
 hypotheses (typically a distributive lattice); outside them they run the
 same computation and report status "observed" without asserting.
 
-Checkers state laws; check_equation decides how each equation is checked.
-Budgets: a check is exhaustive when its assignment space fits the budget
-(default 10^6 evaluations), an equation may then run exactly over the
-irreducible generators, and otherwise the check falls back to seeded
-sampling, recording that downgrade in its stats.  A sampled validity
-proves nothing, so no checker reports "fail" on one.
+Checkers state laws; check_equation decides each equation, and its
+verdict names the path: a check is exhaustive when its assignment space,
+or an equation's grid over generators, fits the budget (default 10^6
+evaluations), else it samples and records that in its stats.  A sampled
+validity proves nothing, so no checker reports "fail" on one.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -105,14 +105,12 @@ def _eq_verdicts(algebra, equations, seed=0, budget=None):
 
 
 def _law_counts(verdicts) -> dict:
-    """The stats counting ``sampled_laws``, the verdicts drawn from
-    samples, and ``reduced_laws``, those decided over the irreducible
-    generators, the latter only when there are any."""
-    stats = {"sampled_laws": sum(v.samples is not None for v in verdicts)}
-    reduced = sum(v.generators is not None for v in verdicts)
-    if reduced:
-        stats["reduced_laws"] = reduced
-    return stats
+    """The stats counting ``sampled_laws``, the verdicts on the samples
+    path, and ``reduced_laws``, those on the generators path, the latter
+    only when there are any."""
+    paths = Counter(v.path for v in verdicts)
+    reduced = {"reduced_laws": paths["generators"]} if paths["generators"] else {}
+    return {"sampled_laws": paths["samples"], **reduced}
 
 
 # -- operator laws (additivity / multiplicativity) ---------------------------
@@ -239,7 +237,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
 
     k = spec.arity
     rng = random.Random(seed)
-    total, rows, sampling = _assignments(algebra, k, "auto", cap, min(2000, cap), rng)
+    total, rows, path = _assignments(algebra, k, "auto", cap, min(2000, cap), rng)
     side = lat.meet_np if joinish else lat.join_np
     fill = lat.bottom if joinish else lat.top
     fold = lat.join_np if joinish else lat.meet_np
@@ -283,7 +281,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         failures.append(witness)
     return Report.of("finite-support", name, failures,
                      {"tuples": total if position is None else position + 1,
-                      "mode": "sampled" if sampling else "exhaustive",
+                      "mode": "sampled" if path == "samples" else "exhaustive",
                       "form": "delta-join" if joinish else "delta-meet"})
 
 
@@ -404,8 +402,8 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
         cm = reduce(lambda acc, v: lat.meet_np[acc, v], points, lat.top)
         return ((dia != cj[..., None]) | (box != cm[..., None])).any(axis=-1)
 
-    total, rows, sampling = _assignments(algebra, 1, "auto", cap)
-    pointwise = {"pointwise": "sampled"} if sampling else {}
+    total, rows, path = _assignments(algebra, 1, "auto", cap)
+    pointwise = {"pointwise": "sampled"} if path == "samples" else {}
     position, found = _first_failure(total, algebra, rows, broken)
     if position is not None:
         alpha, = found
@@ -591,8 +589,8 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
             one, two, three = bounds(*triple)
             return (one != two) | (two != three)
 
-        total, triples, sampling = _assignments(algebra, 3, "auto", cap, seed=seed)
-        how = "sampled" if sampling else "exhaustive"
+        total, triples, path = _assignments(algebra, 3, "auto", cap, seed=seed)
+        how = "sampled" if path == "samples" else "exhaustive"
         position, found = _first_failure(total, algebra, triples, broken)
         if position is None:
             return None, how
@@ -936,9 +934,9 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
         inj, surj = len(set(table)) == len(table), len(set(table)) == cod_lat.size
         dom = ConvAlgebra(dom_lat, z2)
         cod = ConvAlgebra(cod_lat, z2)
-        images = np.unique(cod._encode(np.asarray(table)[dom._decode(dom.carrier_codes())]))
-        lifted_inj = len(images) == dom.space_size()
-        lifted_surj = np.array_equal(images, cod.carrier_codes())
+        hits = np.bincount(cod._encode(np.asarray(table)[dom._decode(dom.carrier_codes())]),
+                           minlength=cod.space_size())
+        lifted_inj, lifted_surj = bool(hits.max() <= 1), bool(hits.all())
         if lifted_inj != inj or lifted_surj != surj:
             witness = {"kind": "one-one/onto", "case": label,
                        "lifted_one_one": lifted_inj, "lifted_onto": lifted_surj}
@@ -958,7 +956,7 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
         images = values(pullback_pmorphism(p, z4, z2r, e, validate=False)
                         for e in src.elements())
         witness = _homomorphism_witness(src, images, dst)[0]
-        if witness is None and len(np.unique(dst._encode(images))) != len(images):
+        if witness is None and np.bincount(dst._encode(images)).max() > 1:
             witness = {"kind": "onto p-morphism must pull back one-one"}
     subchecks.append(("pmorphism-pullback", witness))
 

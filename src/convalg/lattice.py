@@ -369,13 +369,13 @@ class FiniteLattice:
         Returns (sublattice, embedding) where embedding[k] is the parent
         index of the sublattice's element k.
         """
-        elems = sorted({self.bottom, self.top, *map(self.check_element, generators)})
-        while True:  # the meets and joins of elems include elems, as a /\ a = a
+        hit = np.zeros(self.size, bool)
+        hit[[self.bottom, self.top, *map(self.check_element, generators)]] = True
+        elems = []
+        while len(elems) < hit.sum():
+            elems = np.flatnonzero(hit).tolist()
             pairs = np.ix_(elems, elems)
-            closed = np.union1d(self.meet_np[pairs], self.join_np[pairs]).tolist()
-            if len(closed) == len(elems):
-                break
-            elems = closed
+            hit[self.meet_np[pairs]] = hit[self.join_np[pairs]] = True
         labels = [self.labels[e] for e in elems]
         leq = self.leq[np.ix_(elems, elems)]
         return FiniteLattice(labels, leq), tuple(elems)

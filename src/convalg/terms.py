@@ -10,14 +10,12 @@ lattice, which is treated as L^1 over a one-point structure with no
 relations.  One evaluator serves single evaluations and equation checks: it
 walks the term once per batch of assignments, each variable bound to an
 array of value rows, and calls the algebra's batched operations.
-Equations are decided on one of four paths: the exhaustive grid of
-assignments over value rows, the same grid over integer codes, the grid
-over a table of the algebra's own value rows, or seeded samples.  The
-table holds the irreducible generators of L^X when the equation is
-linear in every variable (see _generators), or the elements that are
-index 0 at every point but one when the equation has no relation (see
-_one_point_rows).  The least counterexample in enumeration order is
-reported, so failures are reproducible.
+Equations are decided on one of five paths, which the verdict names (see
+check_equation): the exhaustive grid of assignments over value rows or
+over integer codes, the grid over a table of the algebra's own value rows
+(the irreducible generators of L^X, or the elements that are index 0 at
+every point but one), or seeded samples.  The least counterexample in
+enumeration order is reported, so failures are reproducible.
 
 An exhaustive grid binds each variable to a numpy axis of its own: a
 chunk of assignments keeps its trailing variables as full axes, as many
@@ -40,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -376,12 +374,12 @@ def _samples(alg, k: int, rng):
 
 
 def _assignments(alg, k: int, mode: str, cap: int, samples: int | None = None, seed=0):
-    """(total, rows, sampling) for the k-tuples a search tries: the
-    exhaustive grid of _grid when ``mode`` is 'exhaustive' (BudgetExceeded
-    beyond ``cap``), or 'auto' and it fits ``cap``; else ``samples`` tuples,
-    min(cap, 10_000) by default, drawn from ``seed``, a seed or a generator
-    the caller also draws from.  ``sampling`` is {} for the grid, else
-    {"samples": total, "seed": seed}.  The carrier is enumerated once.
+    """(total, rows, path) for the k-tuples a search tries: path 'grid',
+    the exhaustive grid of _grid, when ``mode`` is 'exhaustive'
+    (BudgetExceeded beyond ``cap``), or 'auto' and it fits ``cap``; else
+    'samples', ``samples`` tuples, min(cap, 10_000) by default, drawn from
+    ``seed``, a seed or a generator the caller also draws from.  The
+    carrier is enumerated once.
     """
     if mode not in ("auto", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -393,12 +391,12 @@ def _assignments(alg, k: int, mode: str, cap: int, samples: int | None = None, s
                 raise
         else:
             if total <= cap:
-                return total, rows, {}
+                return total, rows, "grid"
             if mode == "exhaustive":
                 raise BudgetExceeded(total, cap)
     total = samples if samples is not None else min(cap, 10_000)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return total, _samples(alg, k, rng), {"samples": total, "seed": seed}
+    return total, _samples(alg, k, rng), "samples"
 
 
 def _first_failure(total: int, alg, rows, broken):
@@ -533,15 +531,16 @@ def _mismatch(eq: Equation, names: list[str], alg):
 
 @dataclass
 class Verdict:
-    """Outcome of an equation check.
-
-    status is one of valid_exhaustive, valid_sampled, counterexample.
-    The assignment of a counterexample re-evaluates to distinct sides.
-    ``samples`` and ``seed`` are set when assignments were drawn, and
-    ``generators`` when the grid ran over the generators of _generators.
+    """Outcome of an equation check on the path that decided it: grid,
+    codes, one-point, generators or samples (see check_equation).  Its
+    status follows: counterexample when there is an assignment, which
+    re-evaluates to distinct sides, else valid_sampled on the samples
+    path and valid_exhaustive on the others.  ``samples`` and ``seed``
+    are set on the samples path, and ``generators``, their number, on
+    the generators path.
     """
 
-    status: str
+    path: str
     assignment: dict | None = None
     tried: int = 0
     samples: int | None = None
@@ -549,9 +548,19 @@ class Verdict:
     budget: int | None = None
     generators: int | None = None
 
+    def __post_init__(self):
+        if self.path not in ("grid", "codes", "one-point", "generators", "samples"):
+            raise ValueError(f"unknown path {self.path!r}")
+
+    @property
+    def status(self) -> str:
+        if self.assignment is not None:
+            return "counterexample"
+        return "valid_sampled" if self.path == "samples" else "valid_exhaustive"
+
     @property
     def is_valid(self) -> bool:
-        return self.status in ("valid_exhaustive", "valid_sampled")
+        return self.assignment is None
 
     @property
     def decided(self) -> bool:
@@ -562,12 +571,10 @@ class Verdict:
         out = {"status": self.status, "stats": {"assignments": self.tried}}
         if self.budget is not None:
             out["stats"]["budget"] = self.budget
-        if self.generators is not None:
-            out["stats"]["path"] = "irreducibles"
-            out["stats"]["generators"] = self.generators
-        if self.samples is not None:
-            out["samples"] = self.samples
-            out["seed"] = self.seed
+        if self.path == "generators":
+            out["stats"].update(path="irreducibles", generators=self.generators)
+        if self.path == "samples":
+            out.update(samples=self.samples, seed=self.seed)
         if self.assignment is not None:
             out["assignment"] = {k: describe_element(v)
                                  for k, v in sorted(self.assignment.items())}
@@ -587,33 +594,28 @@ def describe_element(elem):
 def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
                    samples: int | None = None, seed: int = 0,
                    budget: int | None = None) -> Verdict:
-    """Decide an equation over the algebra's carrier.
+    """Decide an equation over the algebra's carrier on one path, chosen
+    once before the search and named in the verdict.
 
-    mode 'exhaustive' raises BudgetExceeded when the assignment space is
-    larger than the budget; mode 'sample' draws ``samples`` assignments
-    from a generator seeded with ``seed``; mode 'auto' picks exhaustive
-    when affordable, else the grid over the generators of _generators
-    when the equation qualifies and that grid fits the budget (an exact
-    verdict, with ``generators`` set), and otherwise samples.  Sampling
-    is sound (reported counterexamples are real) but not complete.
-    Ordered algebras are sampled by drawing functions and rejecting the
+    The grid of all assignments runs when it fits the budget, and always
+    in mode 'exhaustive', which raises BudgetExceeded beyond it: over
+    value rows ('grid'), over codes when it outgrows its first chunk of
+    _FIRST_ROWS assignments and _tabled holds ('codes'), or over the
+    table of _one_point_rows when that applies ('one-point'), where a
+    position counts in the carrier size per variable, so the position
+    and verdict are the whole grid's, byte for byte.  Over the budget,
+    mode 'auto' runs the grid over the table of _generators when the
+    equation qualifies and that grid fits ('generators'), and otherwise,
+    as mode 'sample' always does, draws ``samples`` assignments from a
+    generator seeded with ``seed`` ('samples').  Sampling is sound
+    (reported counterexamples are real) but not complete.  Ordered
+    algebras are sampled by drawing functions and rejecting the
     non-monotone ones, so sampling never enumerates their carrier.
-
-    The path is chosen once, before the search, among four: the grid
-    over value rows; the same grid over codes when it outgrows its first
-    chunk of _FIRST_ROWS assignments and _tabled holds; the grid over a
-    table of value rows; or the samples.  The table is that of
-    _one_point_rows when the grid is chosen and it applies, and that of
-    _generators when the grid is over the budget.  A position in the
-    table's grid counts in one radix per variable: the table's length
-    for the generators, and the carrier size for one point, where its
-    digits are the codes and the position and verdict are the whole
-    grid's, byte for byte.  Both sides are evaluated over chunks of
-    assignments at once: the exhaustive grid in ``itertools.product``
-    order of the carrier or of the table (so the first mismatch is the
-    least counterexample in that order), or the samples in the order
-    they are drawn.  Nothing in this module calls check_equation: each
-    call from outside is one verdict.
+    Both sides are evaluated over chunks of assignments at once: the
+    exhaustive grid in ``itertools.product`` order of the carrier or of
+    the table (so the first mismatch is the least counterexample in that
+    order), or the samples in the order they are drawn.  Nothing in this
+    module calls check_equation: each call from outside is one verdict.
     """
     cap = resolve_budget(budget)
     if samples is not None and samples < 1:
@@ -621,29 +623,29 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
     k = len(names)
-    total, rows, sampling = _assignments(alg, k, mode, cap, samples, seed)
-    target, generators, table = alg, None, None  # the interface the rows are given in
-    if not sampling:
-        table, radix = _one_point_rows(alg, eq), alg.space_size()
-    elif mode == "auto" and (table := _generators(alg, eq, names, cap)) is not None:
-        generators = radix = len(table)
-        sampling = {}
+    total, rows, path = _assignments(alg, k, mode, cap, samples, seed)
+    target, table = alg, None  # the interface the rows are given in, and a table of rows
+    if path == "grid" and (table := _one_point_rows(alg, eq)) is not None:
+        path = "one-point"
+    elif path == "samples" and mode == "auto" and (
+            table := _generators(alg, eq, names, cap)) is not None:
+        path = "generators"
+    elif path == "grid" and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
+        path, target, rows = "codes", coded, partial(rows, into=coded)
+        rows.count = rows.func.count
+    facts = {"path": path, "budget": cap,
+             "generators": len(table) if path == "generators" else None,
+             **({"samples": total, "seed": seed} if path == "samples" else {})}
     if table is not None:
         total, rows = _grid(alg, k, None, table)
-    elif not sampling and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
-        target, count = coded, rows.count
-        rows = lambda start, stop, grid=rows: grid(start, stop, coded)
-        rows.count = count
 
     position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
     if position is None:
-        status = "valid_sampled" if sampling else "valid_exhaustive"
-        tried = total if table is None else radix ** k
-        return Verdict(status, tried=tried, budget=cap, generators=generators, **sampling)
+        return Verdict(tried=alg.space_size() ** k if path == "one-point" else total, **facts)
     if target is not alg:
         found = [alg._decode(code[0]) for code in found]
-    if table is not None:  # the position's k digits, read in base ``radix``
-        position = sum(position // len(table) ** j % len(table) * radix ** j for j in range(k))
-    return Verdict("counterexample",
-                   assignment={name: to_element(v) for name, v in zip(names, found)},
-                   tried=position + 1, budget=cap, generators=generators, **sampling)
+    if path == "one-point":  # the position's k digits, read in base q
+        q, n = alg.space_size(), len(table)
+        position = sum(position // n ** j % n * q ** j for j in range(k))
+    return Verdict(assignment={name: to_element(v) for name, v in zip(names, found)},
+                   tried=position + 1, **facts)

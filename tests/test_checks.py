@@ -1,8 +1,12 @@
 """The law verifiers: expected passes, expected failures, and hypotheses."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -642,7 +646,7 @@ def test_type2_mismatch_names_the_counterexample(monkeypatch):
     # witness, rendered as labels.
     check_equation = suites.check_equation
     monkeypatch.setattr(suites, "check_equation", lambda eq, algebra, **options: (
-        Verdict("valid_exhaustive", tried=1) if isinstance(algebra, SubsetAlgebra)
+        Verdict("grid", tried=1) if isinstance(algebra, SubsetAlgebra)
         else check_equation(eq, algebra, **options)))
     r = suites.suite_type2()
     assert r.status == "fail"
@@ -1054,6 +1058,23 @@ def test_structural_isos_fail_on_a_union_with_a_cross_tuple(monkeypatch):
     assert r.status == "fail"
     assert r.witness["subcheck"] == "coproduct-to-product"
     assert (r.witness["witness"]["kind"], r.witness["witness"]["relation"]) == ("operation", "f")
+
+
+def test_structural_isos_and_sublattices_import_no_numpy_ma():
+    # np.unique and np.union1d import numpy.ma on first use, about 15 ms
+    # inside the first battery of a process; counts and masks do not.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "from convalg.catalog import n5\n"
+            "from convalg.checks import check_structural_isos\n"
+            "assert check_structural_isos().status == 'pass'\n"
+            "assert n5().generated_sublattice([1, 3])[1] == (0, 1, 3, 4)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 _frame = build_structure(2, signature(("f", 1, JOIN)), [{(0, 1), (1, 1)}])

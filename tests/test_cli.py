@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from convalg import suites
+from convalg import checks, suites
 from convalg.cli import main
 
 
@@ -273,14 +274,25 @@ def test_malformed_json_exits_two(capsys, tmp_path):
 def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
     # The report stream recorded before the batched evaluation core landed,
     # and every inner checker report behind it (witnesses, assignment
-    # counts, scan modes), recorded before the code tables landed.
+    # counts, scan modes), recorded before the code tables landed; and the
+    # number of the battery's verdicts that each path decided.
     monkeypatch.delenv("CONVALG_BUDGET", raising=False)
     inner, original = [], suites._aggregate
+    paths = Counter()
 
     def aggregate(name, instance, reports, *args, **kwargs):
         inner.extend(r.to_json() + "\n" for r in reports)
         return original(name, instance, reports, *args, **kwargs)
     monkeypatch.setattr(suites, "_aggregate", aggregate)
+
+    def counted(decide):
+        def check_equation(*args, **kwargs):
+            verdict = decide(*args, **kwargs)
+            paths[verdict.path] += 1
+            return verdict
+        return check_equation
+    for module in (checks, suites):
+        monkeypatch.setattr(module, "check_equation", counted(module.check_equation))
     code, out = run(capsys, "suite", "run", "paper-core", "--seed", str(seed))
     assert code == 0
     data = Path(__file__).parent / "data"
@@ -293,6 +305,8 @@ def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
             pytest.fail(f"inner report {k} ({report['checker']} {report['instance']}) "
                         f"differs from the pin:\n  got:    {got}  pinned: {want}")
     assert inner == pinned
+    assert paths == {"grid": 1007, "one-point": 392, "codes": 343, "generators": 7,
+                     "samples": 1}
 
 
 def test_every_paper_core_member_reports_at_budget_one(capsys, monkeypatch):

@@ -13,6 +13,11 @@ outside is one verdict, so nothing inside ``terms.py`` calls it again.
 And it searches rows of the algebra it is given: the only algebra
 ``terms.py`` builds is the one-point ``L^1`` of a bare lattice, in
 ``_batch_algebra``.
+
+The path that decides a verdict is chosen in one place too: only
+``check_equation`` builds a ``Verdict`` or names a path it refines the
+grid or the samples into, and no code infers a path from which of a
+verdict's fields are set.
 """
 
 import ast
@@ -90,3 +95,28 @@ def test_terms_builds_an_algebra_only_for_a_bare_lattice():
     assert not builds, (
         f"terms.py builds an algebra on lines {builds}: a check searches tables of "
         "the given algebra's own rows, so a per-check algebra costs a build per call")
+
+
+
+def test_the_path_of_a_verdict_is_chosen_in_check_equation():
+    trees = {name: ast.parse(text) for name, text in _sources().items()}
+    chooser = {id(node) for outer in ast.walk(trees["terms.py"])
+               if isinstance(outer, ast.FunctionDef) and outer.name == "check_equation"
+               for node in ast.walk(outer)}
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+             if id(node) not in chooser]
+    builds = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Call)
+              and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+              == "Verdict"]
+    assert not builds, f"a verdict is built at {builds}; check_equation builds each one"
+    # a path's name may be compared with, or looked up, anywhere else
+    reads = {id(sub) for _, node in nodes if isinstance(node, (ast.Compare, ast.Subscript))
+             for sub in ast.walk(node if isinstance(node, ast.Compare) else node.slice)}
+    named = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Constant)
+             and node.value in ("codes", "one-point", "generators") and id(node) not in reads]
+    assert not named, f"a path is named at {named}; check_equation refines the path"
+    inferred = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Compare)
+                and getattr(node.left, "attr", None) in ("samples", "generators")
+                and any(isinstance(op, ast.IsNot) for op in node.ops)]
+    assert not inferred, (
+        f"a path is inferred from a verdict's fields at {inferred}; read Verdict.path")

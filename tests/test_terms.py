@@ -21,9 +21,9 @@ from convalg.lattice import FiniteLattice, build_lattice
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
                                 signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, _batch_algebra, _generators, _one_point_rows,
-                           _value, check_equation, eval_term, parse_equation,
-                           parse_term, to_sexpr)
+                           Var, Verdict, _batch_algebra, _generators,
+                           _one_point_rows, _value, check_equation, eval_term,
+                           parse_equation, parse_term, to_sexpr)
 
 
 def z2():
@@ -210,7 +210,7 @@ def test_auto_mode_downgrades_to_sampling():
     algebra = ConvAlgebra(chain(3), z2())
     eq = Equation(Meet(Var("x"), Var("y")), Meet(Var("y"), Var("x")))
     v = check_equation(eq, algebra, budget=10, samples=25, seed=0)
-    assert v.status == "valid_sampled"
+    assert (v.path, v.status) == ("samples", "valid_sampled")
     assert v.samples == 25 and v.seed == 0
 
 
@@ -223,6 +223,7 @@ def test_sampled_counterexamples_are_sound():
                          "rhs": "(op * x (op * y z))"}, z2().signature)
     for seed in range(5):
         v = check_equation(eq, algebra, mode="sample", samples=400, seed=seed)
+        assert v.path == "samples"
         if v.status == "counterexample":
             assert eval_term(eq.lhs, algebra, v.assignment) != \
                 eval_term(eq.rhs, algebra, v.assignment)
@@ -270,6 +271,7 @@ def test_sampling_is_seed_deterministic():
                   RelOp("*", (Var("y"), Var("x"))))
     a = check_equation(eq, algebra, mode="sample", samples=100, seed=42)
     b = check_equation(eq, algebra, mode="sample", samples=100, seed=42)
+    assert a.path == b.path == "samples"
     assert a.status == b.status and a.assignment == b.assignment
 
 
@@ -278,8 +280,11 @@ def test_verdict_json():
     eq = Equation(RelOp("id", ()), Top())
     v = check_equation(eq, algebra)
     doc = v.to_json()
-    assert doc["status"] == "counterexample"
+    assert v.path == "grid" and doc["status"] == "counterexample"
     assert doc["stats"]["assignments"] == 1
+    # a status is no path: the path decides the status
+    with pytest.raises(ValueError, match="unknown path 'valid_exhaustive'"):
+        Verdict("valid_exhaustive")
 
 
 def test_ordered_carrier_restricts_variables():
@@ -302,10 +307,10 @@ def test_ordered_algebra_samples_over_budget():
                          s.signature)
     for mode in ("auto", "sample"):
         v = check_equation(law, algebra, mode=mode, budget=63, seed=5)
-        assert v.status == "valid_sampled" and v.tried == 63
+        assert (v.path, v.status, v.tried) == ("samples", "valid_sampled", 63)
     wrong = parse_equation({"lhs": "(op f x)", "rhs": "x"}, s.signature)
     v = check_equation(wrong, algebra, budget=63, seed=5)
-    assert v.status == "counterexample"
+    assert (v.path, v.status) == ("samples", "counterexample")
     assert algebra.is_order_preserving(v.assignment["x"])
     with pytest.raises(BudgetExceeded):
         check_equation(law, algebra, mode="exhaustive", budget=63)
@@ -395,19 +400,20 @@ def test_reduction_decides_over_budget_laws_exactly():
     assoc = parse_equation({"lhs": "(op * (op * x y) z)",
                             "rhs": "(op * x (op * y z))"}, sig)
     v = check_equation(assoc, algebra, budget=10_000)
-    assert (v.status, v.tried, v.samples, v.generators) == ("valid_exhaustive", 2197, None, 13)
+    assert (v.path, v.status, v.tried, v.samples, v.generators) == (
+        "generators", "valid_exhaustive", 2197, None, 13)
     assert v.to_json()["stats"] == {"assignments": 2197, "budget": 10_000,
                                     "path": "irreducibles", "generators": 13}
     comm = parse_equation({"lhs": "(op * x y)", "rhs": "(op * y x)"}, sig)
     v = check_equation(comm, algebra, budget=10_000)
-    assert v.status == "counterexample" and v.generators == 13
+    assert (v.path, v.status, v.generators) == ("generators", "counterexample", 13)
     assert eval_term(comm.lhs, algebra, v.assignment) != eval_term(comm.rhs, algebra, v.assignment)
     # A bare lattice runs as L^1: 8**3 assignments over boolean3, 4**3
     # over bottom and its 3 atoms.
     dist = parse_equation({"lhs": "(meet x (join y z))",
                            "rhs": "(join (meet x y) (meet x z))"})
     v = check_equation(dist, boolean(3), budget=100)
-    assert (v.status, v.tried, v.generators) == ("valid_exhaustive", 64, 4)
+    assert (v.path, v.status, v.tried, v.generators) == ("generators", "valid_exhaustive", 64, 4)
 
 
 def test_meet_linear_laws_reduce_on_meet_irreducibles():
@@ -416,7 +422,7 @@ def test_meet_linear_laws_reduce_on_meet_irreducibles():
     algebra = ConvAlgebra(chain(2), mixed())
     eq = parse_equation({"lhs": "(op g x)", "rhs": "bot"}, algebra.structure.signature)
     v = check_equation(eq, algebra, budget=3)
-    assert (v.status, v.generators) == ("counterexample", 3)
+    assert (v.path, v.status, v.generators) == ("generators", "counterexample", 3)
     assert v.assignment == {"x": algebra.top()}
 
 
@@ -429,7 +435,7 @@ def test_reduction_forms_no_codes_beyond_int64():
     algebra = ConvAlgebra(chain(2), structure)
     eq = parse_equation({"lhs": "(join (op f x) x)", "rhs": "(op f x)"}, structure.signature)
     v = check_equation(eq, algebra)
-    assert (v.status, v.generators, v.tried) == ("counterexample", 65, 2)
+    assert (v.path, v.status, v.generators, v.tried) == ("generators", "counterexample", 65, 2)
     assert v.assignment["x"].values == (0,) * (n - 1) + (1,)
 
 
@@ -440,7 +446,7 @@ def test_reduction_builds_no_code_tables():
     eq = parse_equation({"lhs": "(op * (op * (op * x y) z) w)",
                          "rhs": "(op * x (op * y (op * z w)))"}, z2().signature)
     v = check_equation(eq, algebra, budget=1000)
-    assert (v.status, v.tried, v.generators) == ("valid_exhaustive", 625, 5)
+    assert (v.path, v.status, v.tried, v.generators) == ("generators", "valid_exhaustive", 625, 5)
     assert algebra._tables == {}
 
 
@@ -461,18 +467,21 @@ def _first_chunk_widths(monkeypatch):
 def test_code_tables_serve_the_whole_grid(monkeypatch):
     # 9**3 assignments over chain3/Z2 outnumber the 81-entry tables, so the
     # whole grid runs on codes, first chunk included, and its verdicts are
-    # those of the value grid; the second law fails at 94, past that chunk.
+    # those of the value grid but for the path; the second law fails at 94,
+    # past that chunk.
     laws = [_assoc(z2()), parse_equation({"lhs": "(meet (op * x y) z)",
                                           "rhs": "(meet (op * x z) y)"}, z2().signature)]
     widths = _first_chunk_widths(monkeypatch)
     algebra = ConvAlgebra(chain(3), z2())
     coded = [check_equation(law, algebra) for law in laws]
     assert widths == [1, 1] and 0 in algebra._tables
-    assert [(v.status, v.tried) for v in coded] == [("valid_exhaustive", 729),
-                                                    ("counterexample", 94)]
+    assert [(v.path, v.status, v.tried) for v in coded] == [
+        ("codes", "valid_exhaustive", 729), ("codes", "counterexample", 94)]
     monkeypatch.setattr(terms_module, "_tabled", lambda alg, eq, total: None)
     widths.clear()
-    assert [check_equation(law, ConvAlgebra(chain(3), z2())) for law in laws] == coded
+    grid = [check_equation(law, ConvAlgebra(chain(3), z2())) for law in laws]
+    assert [v.path for v in grid] == ["grid", "grid"]
+    assert [_as_tuple(v) for v in grid] == [_as_tuple(v) for v in coded]
     assert widths == [2, 2]
 
 
@@ -482,7 +491,7 @@ def test_a_grid_within_the_first_chunk_builds_no_code_tables(monkeypatch):
     widths = _first_chunk_widths(monkeypatch)
     algebra = ConvAlgebra(chain(2), z2())
     v = check_equation(_assoc(z2()), algebra)
-    assert (v.status, v.tried, widths) == ("valid_exhaustive", 64, [2])
+    assert (v.path, v.status, v.tried, widths) == ("grid", "valid_exhaustive", 64, [2])
     assert algebra._tables == {}
 
 
@@ -514,7 +523,7 @@ def _ordered_frame():
 def test_reduction_never_runs_outside_its_gate(case):
     algebra, eq, options = case()
     v = check_equation(eq, algebra, **options)
-    assert v.samples is not None
+    assert v.path == "samples" and v.samples is not None
     assert v.generators is None and "path" not in v.to_json()["stats"]
 
 
@@ -561,8 +570,9 @@ def test_reduced_verdict_matches_the_grid(data):
     names = eq.variables()
     total = algebra.space_size() ** len(names)
     assume(2 <= total <= 50_000)
+    assume(_generators(algebra, eq, names, total - 1) is not None)
     verdict = check_equation(eq, algebra, budget=total - 1)
-    assume(verdict.generators is not None)
+    assert verdict.path == "generators"
 
     full = check_equation(eq, algebra, mode="exhaustive")
     assert verdict.is_valid == full.is_valid
@@ -654,11 +664,14 @@ def test_axis_grid_matches_a_flat_search(data):
                     alg.coded() if coded and isinstance(alg, ConvAlgebra) else None)):
                 verdict = check_equation(eq, algebra, mode="exhaustive")
             assert _as_tuple(verdict) == expect
+            assert verdict.path == (
+                "one-point" if _one_point_rows(alg, eq) is not None
+                else "codes" if coded and kind != "subset" and total > first else "grid")
         if kind == "conv" and total > 1:
             table = _generators(alg, eq, names, total - 1)
             if table is not None:
                 verdict = check_equation(eq, algebra, budget=total - 1)
-                assert verdict.generators == len(table)
+                assert (verdict.path, verdict.generators) == ("generators", len(table))
                 assert _as_tuple(verdict) == flat_search(eq, alg, table, to_element)
 
 
@@ -726,6 +739,10 @@ def test_one_point_verdict_matches_the_grid(data):
     got = _outcome(eq, algebra, **options)
     if kind == "conv" and n > 1 and not eq.operations():
         assert algebra._tables == {}
+    if isinstance(got, dict) and "samples" not in got and "path" not in got["stats"]:
+        # the grid decided it: on one point iff the one-point table applies
+        one_point = _one_point_rows(_batch_algebra(algebra)[0], eq) is not None
+        assert (check_equation(eq, algebra, **options).path == "one-point") == one_point
     with _full_grid():
         assert got == _outcome(eq, algebra, **options)
 
@@ -744,9 +761,10 @@ def test_one_point_witness_sits_at_the_least_significant_point(algebra, expect):
     subset's bits), index 0 elsewhere, which is what the grid finds."""
     eq = parse_equation({"lhs": "(meet x y)", "rhs": "x"})
     got = check_equation(eq, algebra())
-    assert got.to_json()["assignment"] == expect
+    assert got.path == "one-point" and got.to_json()["assignment"] == expect
     with _full_grid():
-        assert check_equation(eq, algebra()).to_json() == got.to_json()
+        full = check_equation(eq, algebra())
+    assert full.path in ("grid", "codes") and full.to_json() == got.to_json()
 
 
 def test_a_relation_free_check_builds_no_code_tables():
@@ -755,7 +773,8 @@ def test_a_relation_free_check_builds_no_code_tables():
     structure = build_structure(4, signature(("f", 1, "join")), [{(0, 1), (2, 3)}])
     algebra = ConvAlgebra(chain(5), structure)
     eq = parse_equation({"lhs": "(join x y)", "rhs": "(join y x)"})
-    assert check_equation(eq, algebra).to_json() == {
+    v = check_equation(eq, algebra)
+    assert v.path == "one-point" and v.to_json() == {
         "status": "valid_exhaustive", "stats": {"assignments": 390_625, "budget": 10 ** 6}}
     assert algebra._tables == {}
 
@@ -778,8 +797,9 @@ def test_a_relation_free_check_builds_no_algebra(monkeypatch):
                             built.append(type(self)) or init(self, *args))
     laws = [parse_equation({"lhs": "(meet x (join x y))", "rhs": "x"}),
             parse_equation({"lhs": "(meet x y)", "rhs": "x"})]
-    verdicts = [check_equation(law, algebra).status for algebra in algebras for law in laws]
-    assert verdicts == ["valid_exhaustive", "counterexample"] * 2
+    verdicts = [check_equation(law, algebra) for algebra in algebras for law in laws]
+    assert [(v.path, v.status) for v in verdicts] == [
+        ("one-point", "valid_exhaustive"), ("one-point", "counterexample")] * 2
     assert built == []
 
 
