@@ -30,6 +30,7 @@ assignments as the tables have entries.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,13 +38,16 @@ import numpy as np
 from .errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
                      NotAMorphism, NotAPMorphism, NotAProductLattice,
                      NotTwoElement, UnknownElement, WrongMode)
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, build_lattice
 from .structures import JOIN, MEET, RelStructure, is_p_morphism
 
 DEFAULT_BUDGET = 1_000_000
 
 # No intermediate array of a batch holds more than this many values.
 _CHUNK_ENTRIES = 1 << 18
+
+# The lattice 2 under every ConvAlgebra._two_valued.
+_TWO = build_lattice(["0", "1"], [("0", "1")])
 
 
 def resolve_budget(budget: int | None) -> int:
@@ -123,6 +127,13 @@ class ConvAlgebra:
         self._coded: _Coded | None = None
         self._bot = LFunction((lattice.bottom,) * structure.carrier_size, lattice)
         self._top = LFunction((lattice.top,) * structure.carrier_size, lattice)
+
+    @cached_property
+    def _two_valued(self) -> "ConvAlgebra":
+        """2^X over the same structure, ordered alike, built on first use
+        and kept.  Sending 0 to bottom and 1 to top embeds it in this
+        algebra."""
+        return ConvAlgebra(_TWO, self.structure, self.ordered)
 
     def _relation_tables(self, i: int):
         """(spec, cols, slots, count) for relation ``i``: ``cols[k]`` holds

@@ -10,12 +10,13 @@ lattice, which is treated as L^1 over a one-point structure with no
 relations.  One evaluator serves single evaluations and equation checks: it
 walks the term once per batch of assignments, each variable bound to an
 array of value rows, and calls the algebra's batched operations.
-Equations are decided on one of five paths, which the verdict names (see
+Equations are decided on one of six paths, which the verdict names (see
 check_equation): the exhaustive grid of assignments over value rows or
 over integer codes, the grid over a table of the algebra's own value rows
 (the irreducible generators of L^X, or the elements that are index 0 at
-every point but one), or seeded samples.  The least counterexample in
-enumeration order is reported, so failures are reproducible.
+every point but one), the grid of 2^X by the paper's variety theorem, or
+seeded samples.  The least counterexample in enumeration order is
+reported, so failures are reproducible.
 
 An exhaustive grid binds each variable to a numpy axis of its own: a
 chunk of assignments keeps its trailing variables as full axes, as many
@@ -477,6 +478,29 @@ def _generators(alg, eq: Equation, names: list[str], cap: int):
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def _two_valued(alg, eq: Equation, names: list[str], cap: int):
+    """(2^X, total, rows) for the grid of ``alg._two_valued``, else for the
+    grid over the table of its _generators, whichever first fits ``cap``,
+    or None: ``eq`` holds on those rows iff it holds on all of ``alg``.
+    None unless ``alg`` is a convolution algebra over a distributive L of
+    more than 2 elements, Boolean if ``eq`` uses neg or imp.  Then, by the
+    paper's variety theorem, the maps phi_j(a) = {x : j <= a(x)}, j in
+    J(L), are jointly injective homomorphisms from L^X to 2^X (j is
+    join-prime, and an atom when L is Boolean) that keep maps monotone,
+    and 0 -> bottom, 1 -> top embeds 2^X in L^X, monotone maps included.
+    """
+    if (not isinstance(alg, ConvAlgebra) or alg.lattice.size <= 2
+            or not alg.lattice.is_distributive
+            or (eq.uses_heyting() and not alg.lattice.is_boolean)):
+        return None
+    two = alg._two_valued
+    try:
+        return two, *_assignments(two, len(names), "exhaustive", cap)[:2]
+    except BudgetExceeded:
+        table = _generators(two, eq, names, cap)
+    return None if table is None else (two, *_grid(two, len(names), None, table))
+
+
 def _tabled(alg, eq: Equation, total: int):
     """The code interface of a convolution algebra when each code table
     ``eq`` can need (q^2 entries for the lattice operations, q^arity for a
@@ -532,12 +556,12 @@ def _mismatch(eq: Equation, names: list[str], alg):
 @dataclass
 class Verdict:
     """Outcome of an equation check on the path that decided it: grid,
-    codes, one-point, generators or samples (see check_equation).  Its
-    status follows: counterexample when there is an assignment, which
-    re-evaluates to distinct sides, else valid_sampled on the samples
-    path and valid_exhaustive on the others.  ``samples`` and ``seed``
-    are set on the samples path, and ``generators``, their number, on
-    the generators path.
+    codes, one-point, generators, two-valued or samples (see
+    check_equation).  Its status follows: counterexample when there is
+    an assignment, which re-evaluates to distinct sides, else
+    valid_sampled on the samples path and valid_exhaustive on the
+    others.  ``samples`` and ``seed`` are set on the samples path, and
+    ``generators``, their number, on the generators path.
     """
 
     path: str
@@ -549,7 +573,8 @@ class Verdict:
     generators: int | None = None
 
     def __post_init__(self):
-        if self.path not in ("grid", "codes", "one-point", "generators", "samples"):
+        if self.path not in ("grid", "codes", "one-point", "generators", "two-valued",
+                             "samples"):
             raise ValueError(f"unknown path {self.path!r}")
 
     @property
@@ -573,6 +598,8 @@ class Verdict:
             out["stats"]["budget"] = self.budget
         if self.path == "generators":
             out["stats"].update(path="irreducibles", generators=self.generators)
+        if self.path == "two-valued":
+            out["stats"]["path"] = "two-valued"
         if self.path == "samples":
             out.update(samples=self.samples, seed=self.seed)
         if self.assignment is not None:
@@ -605,12 +632,16 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     position counts in the carrier size per variable, so the position
     and verdict are the whole grid's, byte for byte.  Over the budget,
     mode 'auto' runs the grid over the table of _generators when the
-    equation qualifies and that grid fits ('generators'), and otherwise,
-    as mode 'sample' always does, draws ``samples`` assignments from a
-    generator seeded with ``seed`` ('samples').  Sampling is sound
-    (reported counterexamples are real) but not complete.  Ordered
-    algebras are sampled by drawing functions and rejecting the
-    non-monotone ones, so sampling never enumerates their carrier.
+    equation qualifies and that grid fits ('generators'), else decides it
+    on 2^X, by its grid or the table of its generators, when _two_valued
+    qualifies and one of them fits ('two-valued'); a counterexample there
+    sends 0 to bottom and 1 to top, and, like the generators', is not the
+    least of the whole grid.  Otherwise, as mode 'sample' always does, it
+    draws ``samples`` assignments from a generator seeded with ``seed``
+    ('samples').  Sampling is sound (reported counterexamples are real)
+    but not complete.  Ordered algebras are sampled by drawing functions
+    and rejecting the non-monotone ones, so sampling never enumerates
+    their carrier.
     Both sides are evaluated over chunks of assignments at once: the
     exhaustive grid in ``itertools.product`` order of the carrier or of
     the table (so the first mismatch is the least counterexample in that
@@ -630,6 +661,9 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     elif path == "samples" and mode == "auto" and (
             table := _generators(alg, eq, names, cap)) is not None:
         path = "generators"
+    elif path == "samples" and mode == "auto" and (
+            two := _two_valued(alg, eq, names, cap)) is not None:
+        path, target, total, rows = "two-valued", *two
     elif path == "grid" and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
         path, target, rows = "codes", coded, partial(rows, into=coded)
         rows.count = rows.func.count
@@ -642,7 +676,10 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
     if position is None:
         return Verdict(tried=alg.space_size() ** k if path == "one-point" else total, **facts)
-    if target is not alg:
+    if path == "two-valued":  # 0 to bottom and 1 to top
+        lat = alg.lattice
+        found = [np.where(row == target.lattice.top, lat.top, lat.bottom) for row in found]
+    elif target is not alg:
         found = [alg._decode(code[0]) for code in found]
     if path == "one-point":  # the position's k digits, read in base q
         q, n = alg.space_size(), len(table)

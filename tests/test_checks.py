@@ -514,11 +514,12 @@ def test_closure_correspondence_cases():
 
 
 def test_closure_correspondence_lists_the_biconditionals_it_skips():
-    # The relation is neither reflexive nor transitive.  At budget 4 the
-    # transitivity inequality is sampled and holds on its draws, which
-    # decides nothing, so it is listed rather than held against the scan.
+    # The relation is neither reflexive nor transitive.  At budget 3, below
+    # the 8 elements of 2^X and its 4 generators, the transitivity
+    # inequality is sampled and holds on its draws, which decides nothing,
+    # so it is listed rather than held against the scan.
     frame = build_structure(3, signature(("f", 1, JOIN)), [{(0, 0), (0, 1), (1, 1), (2, 0)}])
-    r = check_closure_correspondence(chain(3), frame, budget=4)
+    r = check_closure_correspondence(chain(3), frame, budget=3)
     assert (r.status, r.stats["undecided"]) == ("pass", ["transitive/closure"])
     assert "undecided" not in check_closure_correspondence(chain(3), frame).stats
 
@@ -688,13 +689,15 @@ def test_relation_algebra_z3_exhaustive():
 
 
 def test_relation_algebra_sampled_by_the_budget():
-    # Over chain3/S3 at a budget of 100 only the one-variable laws 2 and 4
-    # fit the 13 generators; the other six laws and both scans sample.
-    r = check_relation_algebra(chain(3), symmetric_group_3(), budget=100)
+    # Over chain3/S3 at a budget of 30 only the one-variable laws 2 and 4
+    # fit the 13 generators; the other six laws, for which 2^X's 64**2
+    # pairs and 7**2 generator pairs are over the budget too, and both
+    # scans sample.
+    r = check_relation_algebra(chain(3), symmetric_group_3(), budget=30)
     assert r.status == "pass"
     assert r.stats["de_morgan_scan"] == "sampled"
     assert (r.stats["sampled_laws"], r.stats["reduced_laws"]) == (6, 3)
-    assert r.stats["assignments"] == 3 * 13 + 6 * 100
+    assert r.stats["assignments"] == 3 * 13 + 6 * 30
 
 
 def test_a_sampled_scan_without_witness_leaves_original_de_morgan_undecided():
@@ -709,9 +712,21 @@ def test_a_sampled_scan_without_witness_leaves_original_de_morgan_undecided():
 def test_sampled_laws_count_sampled_counterexamples():
     comm = Equation(parse_term("(op * x y)"), parse_term("(op * y x)"))
     algebra = ConvAlgebra(chain(3), symmetric_group_3())
-    failures, stats = checks._eq_verdicts(algebra, [("comm", comm)], budget=100)
+    # 13**2 generator pairs of L^X and 7**2 of 2^X exceed the budget
+    failures, stats = checks._eq_verdicts(algebra, [("comm", comm)], budget=30)
     assert [f["law"] for f in failures] == ["comm"]
     assert stats == {"assignments": 3, "sampled_laws": 1}
+
+
+def test_law_counts_name_the_two_valued_laws_when_there_are_any():
+    # at budget 100, 2^X's 7**2 generator pairs decide commutativity
+    comm = Equation(parse_term("(op * x y)"), parse_term("(op * y x)"))
+    algebra = ConvAlgebra(chain(3), symmetric_group_3())
+    failures, stats = checks._eq_verdicts(algebra, [("comm", comm)], budget=100)
+    assert failures == [{"law": "comm", "equation": "(op * x y) = (op * y x)",
+                         "assignment": {"x": ["0", "0", "0", "0", "0", "2"],
+                                        "y": ["0", "0", "0", "0", "2", "0"]}}]
+    assert stats == {"assignments": 10, "sampled_laws": 0, "two_valued_laws": 1}
 
 
 def test_relation_algebra_reduces_the_additive_laws():

@@ -81,13 +81,26 @@ def test_identical_invocations_are_byte_identical(capsys, assoc_eq):
 
 
 def test_env_budget_downgrades_to_sampling(capsys, assoc_eq, monkeypatch):
-    monkeypatch.setenv("CONVALG_BUDGET", "100")
+    # 4**3 triples of 2^X and 3**3 of its generators exceed the budget
+    monkeypatch.setenv("CONVALG_BUDGET", "20")
     code, out = run(capsys, "eq", "check", "--lattice", "chain3",
                     "--structure", "Z2", "--eq", assoc_eq, "--mode", "auto")
     assert code == 0
     doc = lines(out)[0]
     assert doc["status"] == "valid_sampled"
-    assert doc["stats"]["budget"] == 100
+    assert doc["stats"]["budget"] == 20
+
+
+def test_an_over_budget_law_is_decided_on_two_values(capsys, assoc_eq):
+    # 729**3 triples over chain3/S3 and 13**3 of its generators exceed the
+    # budget; 2^X's 7**3 generator triples fit it
+    code, out = run(capsys, "eq", "check", "--lattice", "chain3",
+                    "--structure", "S3", "--eq", assoc_eq, "--budget", "500")
+    assert code == 0
+    assert lines(out) == [{"status": "valid_exhaustive",
+                           "equation": "(op * (op * x y) z) = (op * x (op * y z))",
+                           "stats": {"assignments": 343, "budget": 500,
+                                     "path": "two-valued"}}]
 
 
 def test_invalid_env_budget_is_usage_error(capsys, monkeypatch):
@@ -307,6 +320,38 @@ def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
     assert inner == pinned
     assert paths == {"grid": 1007, "one-point": 392, "codes": 343, "generators": 7,
                      "samples": 1}
+    assert "two-valued" not in paths  # the battery has no use for 2^X at this budget
+
+
+# The checks that test the variety theorem, which the two-valued path rests on.
+THEOREM_CHECKS = {"check_equation_transfer", "suite_type2", "check_z2_associativity"}
+
+
+@pytest.mark.parametrize("budget", ["1", "30"])
+def test_no_two_valued_verdict_reaches_the_theorem_checks(capsys, monkeypatch, budget):
+    # Every verdict that one of the theorem checks receives, from
+    # check_equation or from checks._without_theorem, is on another path.
+    # At budget 1 no search of the battery fits 2^X; at 30 some of those
+    # checks' equations do, and are decided again by samples.
+    monkeypatch.delenv("CONVALG_BUDGET", raising=False)
+    received, inner = Counter(), Counter()
+
+    def recorded(decide, name):
+        def wrapper(*args, **kwargs):
+            verdict = decide(*args, **kwargs)
+            caller = sys._getframe(1).f_code.co_name
+            if caller in THEOREM_CHECKS:
+                received[verdict.path] += 1
+            elif caller == "_without_theorem":
+                inner[verdict.path] += 1
+            return verdict
+        return wrapper
+    for module in (checks, suites):
+        for name in ("check_equation", "_without_theorem"):
+            monkeypatch.setattr(module, name, recorded(getattr(module, name), name))
+    run(capsys, "suite", "run", "paper-core", "--budget", budget)
+    assert received and "two-valued" not in received
+    assert bool(inner["two-valued"]) == (budget == "30")
 
 
 def test_every_paper_core_member_reports_at_budget_one(capsys, monkeypatch):

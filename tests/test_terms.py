@@ -19,7 +19,7 @@ from convalg.errors import (ArityMismatch, BudgetExceeded, ConvalgError,
                             UnknownElement, UnknownOperation)
 from convalg.lattice import FiniteLattice, build_lattice
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
-                                signature)
+                                full_structure, signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
                            Var, Verdict, _batch_algebra, _generators,
                            _one_point_rows, _value, check_equation, eval_term,
@@ -209,7 +209,8 @@ def test_budget_exceeded_in_exhaustive_mode():
 def test_auto_mode_downgrades_to_sampling():
     algebra = ConvAlgebra(chain(3), z2())
     eq = Equation(Meet(Var("x"), Var("y")), Meet(Var("y"), Var("x")))
-    v = check_equation(eq, algebra, budget=10, samples=25, seed=0)
+    # 4**2 pairs of 2^X and 3**2 of its generators exceed the budget
+    v = check_equation(eq, algebra, budget=8, samples=25, seed=0)
     assert (v.path, v.status) == ("samples", "valid_sampled")
     assert v.samples == 25 and v.seed == 0
 
@@ -297,12 +298,13 @@ def test_ordered_carrier_restricts_variables():
 
 
 def test_ordered_algebra_samples_over_budget():
-    # 4**3 = 64 functions exceed the budget of 63, so both auto and sample
-    # mode draw functions and keep the order-preserving ones.
+    # 5**3 = 125 functions exceed the budget of 63, so both auto and sample
+    # mode draw functions and keep the order-preserving ones.  M3 is not
+    # distributive, so the law is not decided on 2^X.
     full = {(a, b) for a in range(3) for b in range(3)}
     s = build_structure(3, signature(("f", 1, "join")), [full],
                         order_pairs=[(0, 1), (1, 2)])
-    algebra = ConvAlgebra(chain(4), s, ordered=True)
+    algebra = ConvAlgebra(m3(), s, ordered=True)
     law = parse_equation({"lhs": "(meet x (join x (op f x)))", "rhs": "x"},
                          s.signature)
     for mode in ("auto", "sample"):
@@ -496,12 +498,13 @@ def test_a_grid_within_the_first_chunk_builds_no_code_tables(monkeypatch):
 
 
 def _ordered_frame():
-    full = {(a, b) for a in range(3) for b in range(3)}
-    s = build_structure(3, signature(("f", 1, "join")), [full],
-                        order_pairs=[(0, 1), (1, 2)])
+    # over chain2, which is its own 2^X: 12**2 pairs of monotone maps, and
+    # 5**2 generator pairs were the algebra unordered
+    full = {(a, b) for a in range(4) for b in range(4)}
+    s = build_structure(4, signature(("f", 1, "join")), [full], order_pairs=[(0, 1)])
     law = parse_equation({"lhs": "(op f (join x y))",
                           "rhs": "(join (op f x) (op f y))"}, s.signature)
-    return ConvAlgebra(chain(4), s, ordered=True), law
+    return ConvAlgebra(chain(2), s, ordered=True), law
 
 
 @pytest.mark.parametrize("case", [
@@ -900,3 +903,119 @@ def test_numpy_integers_are_element_indices():
         f = algebra.function(values)
         assert f.values == (1, 2) and all(type(v) is int for v in f.values)
     assert eval_term(Var("x"), chain(3), {"x": np.int64(2)}) == 2
+
+
+# -- equations decided on 2^X ---------------------------------------------------------
+
+
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(st.data())
+def test_two_valued_verdict_matches_the_grid(data):
+    """Random distributive lattices of more than two elements, structures
+    of 1-3 points with relations of both modes, half of them ordered, and
+    equations with neg and imp where the lattice is Boolean, at a budget
+    below the full grid that 2^X's grid or generators fit: the verdict is
+    the full grid's, and a counterexample takes only the values bottom and
+    top and has distinct sides; on 2^X's grid it is 2^X's own least one."""
+    lat = data.draw(st.one_of(
+        lattices().filter(lambda lat: lat.is_distributive and 2 < lat.size <= 8),
+        st.sampled_from([boolean(2), boolean(3)])))
+    structure = data.draw(structures())
+    n = structure.carrier_size
+    ordered = data.draw(st.booleans())
+    if ordered:
+        perm = data.draw(st.permutations(range(n)))
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                  .filter(lambda p: p[0] < p[1])))
+        structure = _with_order(structure, [(perm[a], perm[b]) for a, b in pairs])
+    algebra = ConvAlgebra(lat, structure, ordered=ordered)
+    term = terms(structure.signature.rel_specs, lat.is_boolean)
+    eq = Equation(data.draw(term), data.draw(term))
+    names = eq.variables()
+    total = algebra.carrier_count() ** len(names)
+    assume(2 <= total <= 20_000)
+    two = algebra._two_valued
+    # an ordered carrier is enumerated within the budget from all of 2^X
+    grid = max(two.carrier_count() ** len(names), two.space_size())
+    budget = data.draw(st.sampled_from([grid, (1 + n) ** len(names)]))
+    assume(budget < total)
+    verdict = check_equation(eq, algebra, budget=budget)
+    assume(verdict.path != "generators")
+    # 2^X declines only when neither its grid nor its generators fit
+    assert verdict.path == "two-valued" or (
+        grid > budget and _generators(two, eq, names, budget) is None)
+    assume(verdict.path == "two-valued")
+
+    full = check_equation(eq, algebra, mode="exhaustive")
+    assert verdict.is_valid == full.is_valid
+    assert verdict.samples is None and verdict.tried <= budget
+    if verdict.is_valid:
+        assert verdict.status == "valid_exhaustive"
+        return
+    env = {k: f.values for k, f in verdict.assignment.items()}
+    assert {v for values in env.values() for v in values} <= {lat.bottom, lat.top}
+    assert oracle_term(eq.lhs, lat, structure, env) != oracle_term(eq.rhs, lat, structure, env)
+    if budget >= grid:
+        least = check_equation(eq, two, mode="exhaustive")
+        assert least.tried == verdict.tried
+        assert {k: [lat.top if v else lat.bottom for v in f.values]
+                for k, f in least.assignment.items()} == {
+                    k: list(values) for k, values in env.items()}
+
+
+def _distributed():
+    """f(x /\\ (y \\/ z)) = f((x /\\ y) \\/ (x /\\ z)) over the full relation
+    on two points: valid on 2^X and wherever L is distributive."""
+    frame = full_structure(2)
+    return frame, parse_equation({"lhs": "(op f (meet x (join y z)))",
+                                  "rhs": "(op f (join (meet x y) (meet x z)))"},
+                                 frame.signature)
+
+
+@pytest.mark.parametrize("lat", [m3, n5])
+def test_two_values_decide_nothing_over_a_non_distributive_lattice(lat):
+    frame, eq = _distributed()
+    assert check_equation(eq, ConvAlgebra(chain(2), frame)).status == "valid_exhaustive"
+    algebra = ConvAlgebra(lat(), frame)
+    assert check_equation(eq, algebra, mode="exhaustive").status == "counterexample"
+    # 25**3 triples exceed the budget, and 2^X's 4**3 fit it
+    v = check_equation(eq, algebra, budget=64)
+    assert v.path == "samples" and v.status != "valid_exhaustive"
+    v = check_equation(eq, ConvAlgebra(chain(3), frame), budget=64)
+    assert (v.path, v.status, v.tried) == ("two-valued", "valid_exhaustive", 64)
+
+
+def test_neg_is_decided_on_two_values_only_over_a_boolean_lattice():
+    # x \/ neg x = top holds on 2^X and over boolean2, not over chain3
+    eq = parse_equation({"lhs": "(join x (neg x))", "rhs": "top"})
+    assert check_equation(eq, ConvAlgebra(chain(2), z2())).status == "valid_exhaustive"
+    v = check_equation(eq, ConvAlgebra(boolean(2), z2()), budget=4)
+    assert (v.path, v.status, v.tried) == ("two-valued", "valid_exhaustive", 4)
+    algebra = ConvAlgebra(chain(3), z2())
+    assert check_equation(eq, algebra, mode="exhaustive").status == "counterexample"
+    v = check_equation(eq, algebra, budget=4)  # 9 elements; 2^X's 4 would fit
+    assert v.path == "samples" and v.status != "valid_exhaustive"
+
+
+def test_a_two_valued_counterexample_is_bottom_and_top():
+    # 7**2 generator pairs of 2^X fit the budget; commutativity fails on them
+    algebra = ConvAlgebra(chain(3), symmetric_group_3())
+    eq = parse_equation({"lhs": "(op * x y)", "rhs": "(op * y x)"},
+                        symmetric_group_3().signature)
+    v = check_equation(eq, algebra, budget=100)
+    assert (v.path, v.status) == ("two-valued", "counterexample") and v.tried <= 49
+    assert {label for f in v.assignment.values() for label in f.labels()} == {"0", "2"}
+    assert eval_term(eq.lhs, algebra, v.assignment) != eval_term(eq.rhs, algebra, v.assignment)
+    assert v.to_json()["stats"]["path"] == "two-valued"
+
+
+def test_a_bare_lattice_law_is_decided_on_two():
+    # distributivity over chain70: 70**3 triples, and 2**3 on the lattice 2
+    eq = parse_equation({"lhs": "(meet x (join y z))", "rhs": "(join (meet x y) (meet x z))"})
+    v = check_equation(eq, chain(70), budget=500)
+    assert (v.path, v.status, v.tried) == ("two-valued", "valid_exhaustive", 8)
+    eq = parse_equation({"lhs": "(join x y)", "rhs": "x"})
+    v = check_equation(eq, chain(70), budget=500)
+    assert (v.path, v.assignment, v.tried) == ("two-valued", {"x": 0, "y": 69}, 2)
