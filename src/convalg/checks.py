@@ -34,8 +34,8 @@ from .structures import (JOIN, MEET, RelStructure, build_structure,
                          disjoint_union, from_group, full_structure,
                          is_p_morphism, signature)
 from .terms import (Bot, Equation, Join, Meet, Neg, RelOp, Top, Var,
-                    _assignments, _first_failure, _grid, check_equation,
-                    describe_element)
+                    _assignments, _bounded_below, _chunks, _first_failure,
+                    _grid, _value, check_equation, describe_element)
 
 
 @dataclass
@@ -261,7 +261,6 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         drawn = algebra._draw_rows(rng, (stop - start) * k).reshape(stop - start, k, n_car)
         return args + [side[a, r.reshape(shape + (n_car,))]
                        for a, r in zip(args, drawn.swapaxes(0, 1))]
-    with_comparands.count = rows.count
 
     def outputs(args):
         """The output on ``args`` and the fold of the outputs on their deltas."""
@@ -278,7 +277,8 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         sided = (lat.leq[out, lhs] if joinish else lat.leq[lhs, out]).all(axis=-1)
         return (lhs != rhs).any(axis=-1) | ~sided
 
-    position, found = _first_failure(total, algebra, with_comparands, broken)
+    position, found = _first_failure(_chunks(total, algebra, rows.counts),
+                                     with_comparands, broken)
     failures = []
     if position is not None:
         args, bent = found[:k], found[k:]
@@ -414,7 +414,7 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
 
     total, rows, path = _assignments(algebra, 1, "auto", cap)
     pointwise = {"pointwise": "sampled"} if path == "samples" else {}
-    position, found = _first_failure(total, algebra, rows, broken)
+    position, found = _first_failure(_chunks(total, algebra, rows.counts), rows, broken)
     if position is not None:
         alpha, = found
         dia, box = images(alpha)
@@ -549,12 +549,17 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     Axioms 1-7 and the double-negation form of De Morgan's law must hold
     over any distributive lattice; the original De Morgan form must hold
     exactly when the lattice is Boolean.  Checks are exhaustive within
-    budget; beyond it, laws 1-6, which are linear in every variable, run
-    exactly over the irreducible generators when those fit the budget
-    (stats ``reduced_laws``), and the rest, law 7 and the De Morgan scans
-    among them, are seeded-sampled.  A sampled scan that finds no witness
-    to the original form does not decide that it holds, so it reports
-    ``original_de_morgan_holds`` as None.
+    budget.  Beyond it, check_equation decides laws 1-7 on tables of
+    irreducible generators when they fit (stats ``reduced_laws``): laws
+    1-6 are linear in every variable, and law 7, conv(a);-(a;b) v -b = -b,
+    ranges over the carrier in a and over the generators in b.  Each
+    De Morgan scan compares three bounds, each decided below a and b, so
+    it runs over generator pairs (a, b) and the carrier in c, the grid of
+    terms._bounded_below, when the whole grid does not fit; it needs
+    join-mode relations over an unordered algebra, which the checker
+    builds.  What fits in neither way is seeded-sampled, and a sampled
+    scan that finds no witness to the original form does not decide that
+    it holds, so it reports ``original_de_morgan_holds`` as None.
     """
     cap = resolve_budget(budget)
     if not lat.is_distributive:
@@ -581,32 +586,46 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     ]
     failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=cap)
 
-    star = group.relation("*")
-    converse = group.relation("conv")
+    def below(x, y):
+        """Whether x <= y at every point, for value arrays that broadcast:
+        the number of points at which y is above x, a float32 product of
+        x's up-set indicators and y's one-hot rows over (point, element)
+        pairs, is |X|; exact below 2^24 points."""
+        up = lat.leq[x].reshape(x.shape[:-1] + (-1,)).astype(np.float32)
+        hot = (y[..., None] == np.arange(lat.size)).reshape(y.shape[:-1] + (-1,))
+        return np.einsum("...k,...k->...", up, hot.astype(np.float32)) == x.shape[-1]
 
     def triple_agreement(first_uses_negneg: bool):
-        """Scan the three-way equivalence of De Morgan's inequalities."""
-        def bounds(fa, fb, fc):
-            nc = algebra._neg(fc)
-            bound = algebra._neg(nc) if first_uses_negneg else fc
-            return (lat.leq[algebra._eval(star, [fa, fb]), bound].all(axis=-1),
-                    lat.leq[algebra._eval(star, [algebra._eval(converse, [fa]), nc]),
-                            algebra._neg(fb)].all(axis=-1),
-                    lat.leq[algebra._eval(star, [nc, algebra._eval(converse, [fb])]),
-                            algebra._neg(fa)].all(axis=-1))
+        """Scan the three-way equivalence of De Morgan's inequalities
+        a;b <= c'' (c' in the original form), conv(a);-c <= -b and
+        -c;conv(b) <= -a, over the grid of _bounded_below when the full
+        one is over the budget."""
+        bounds = [(semi(a, b), Neg(Neg(c)) if first_uses_negneg else c),
+                  (semi(conv(a), Neg(c)), Neg(b)), (semi(Neg(c), conv(b)), Neg(a))]
+
+        def truths(*triple):
+            env = dict(zip(names, triple))
+            return [below(_value(x, algebra, env), _value(y, algebra, env)) for x, y in bounds]
 
         def broken(*triple):
-            one, two, three = bounds(*triple)
+            one, two, three = truths(*triple)
             return (one != two) | (two != three)
 
+        names = ["a", "b", "c"]
         total, triples, path = _assignments(algebra, 3, "auto", cap, seed=seed)
+        # over generators, c leads, so that each chunk holds whole axes of
+        # a and b, and each bound runs once over its own sub-grid
+        if path == "samples" and (
+                tables := _bounded_below(algebra, bounds, ["c", "a", "b"], cap)) is not None:
+            names, path = ["c", "a", "b"], "grid"
+            total, triples = _grid(algebra, 3, None, tables)
         how = "sampled" if path == "samples" else "exhaustive"
-        position, found = _first_failure(total, algebra, triples, broken)
+        position, found = _first_failure(_chunks(total, algebra, triples.counts), triples, broken)
         if position is None:
             return None, how
-        return {"a": _labels(lat, found[0]), "b": _labels(lat, found[1]),
-                "c": _labels(lat, found[2]),
-                "bounds": [bool(x) for x in bounds(*found)]}, how
+        found = dict(zip(names, found))
+        return {**{name: _labels(lat, found[name]) for name in "abc"},
+                "bounds": [bool(x) for x in truths(*found.values())]}, how
 
     witness8p, how8p = triple_agreement(first_uses_negneg=True)
     stats["de_morgan_scan"] = how8p
@@ -795,8 +814,8 @@ def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
     def first_failure(arity, holds):
         # The first code tuple where ``holds`` fails and the tuples before it.
         total, rows = _grid(coded, arity, enumeration)
-        position, codes = _first_failure(total, cod, rows, lambda *args: ~holds(
-            *(a[..., 0] for a in args)))
+        position, codes = _first_failure(_chunks(total, cod, rows.counts), rows,
+                                         lambda *args: ~holds(*(a[..., 0] for a in args)))
         if position is None:
             return None, total
         return tuple(int(c[0]) for c in codes), position

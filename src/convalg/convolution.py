@@ -188,11 +188,6 @@ class ConvAlgebra:
     def space_size(self) -> int:
         return self.lattice.size ** self.structure.carrier_size
 
-    def _check_budget(self, budget: int | None) -> None:
-        cap = resolve_budget(budget)
-        if self.space_size() > cap:
-            raise BudgetExceeded(self.space_size(), cap)
-
     def elements(self, budget: int | None = None):
         """All carrier elements in lexicographic, carrier-index-major order.
 
@@ -247,16 +242,45 @@ class ConvAlgebra:
 
     def carrier_codes(self, budget: int | None = None) -> np.ndarray:
         """The codes of the carrier in increasing, that is ``elements()``,
-        order; an ordered algebra filters all codes below the budget-checked
-        ``space_size()`` in chunks of at most _CHUNK_ENTRIES values."""
-        self._check_budget(budget)
-        codes = np.arange(self.space_size())
+        order; BudgetExceeded when there are more than the budget of them.
+
+        Within the budget, every code below ``space_size()`` is one, and an
+        ordered algebra keeps those of the order-preserving functions, in
+        chunks of at most _CHUNK_ENTRIES values.  Beyond it, an ordered
+        algebra builds its monotone maps one point at a time, along a
+        linear extension of the order: the maps on each prefix, a down-set,
+        are those on the one before, each with every value at the new point
+        above the join of its values at the points below.  Each extends to
+        a monotone map on the whole carrier (top elsewhere), so the budget
+        is checked at every step, and the work is bounded by it.
+        """
+        cap, q = resolve_budget(budget), self.space_size()
+        if q <= cap:
+            codes = np.arange(q)
+            if not self.ordered:
+                return codes
+            step = max(1, _CHUNK_ENTRIES // (1 + self.structure.carrier_size
+                                             + len(self._order_pairs[0])))
+            return np.concatenate([chunk[self._monotone_rows(self._decode(chunk))]
+                                   for chunk in np.split(codes, range(step, q, step))])
         if not self.ordered:
-            return codes
-        width = 1 + self.structure.carrier_size + len(self._order_pairs[0])
-        step = max(1, _CHUNK_ENTRIES // width)
-        return np.concatenate([chunk[self._monotone_rows(self._decode(chunk))]
-                               for chunk in np.split(codes, range(step, len(codes), step))])
+            raise BudgetExceeded(q, cap)
+        lat, order = self.lattice, self.structure.order
+        ups = np.argsort(~lat.leq, axis=1, kind="stable")  # row a: the elements >= a first
+        above = lat.leq.sum(axis=1)
+        points = np.argsort(order.sum(axis=0), kind="stable")  # by the size of their down-set
+        rows = np.zeros((1, 0), dtype=np.int64)
+        for i, x in enumerate(points):
+            least = np.full(len(rows), lat.bottom)  # the join of the values below x
+            for p in np.flatnonzero(order[points[:i], x]):
+                least = lat.join_np[least, rows[:, p]]
+            counts = above[least]
+            if counts.sum() > cap:  # a lower bound on the carrier's size
+                raise BudgetExceeded(int(counts.sum()), cap)
+            which = np.repeat(np.arange(len(rows)), counts)
+            rank = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
+            rows = np.column_stack([rows[which], ups[least[which], rank]])
+        return np.sort(rows @ self._radix[points])
 
     def _table(self, key) -> np.ndarray:
         """The code table of ``key``, one of "meet", "join", "neg", "imp"
@@ -285,7 +309,7 @@ class ConvAlgebra:
         step = max(1, limit // block) * block
         for start in range(0, q ** arity, step):
             stop = min(start + step, q ** arity)
-            args = _product_axes(self._decode, q, arity, start, stop)
+            args = _product_axes([self._decode] * arity, (q,) * arity, start, stop)
             out[start:stop] = self._encode(fn(*args)).reshape(-1)
         return out.reshape((q,) * arity)
 
@@ -421,32 +445,40 @@ class ConvAlgebra:
         return out
 
 
-def _product_axes(rows_at, count: int, k: int, start: int, stop: int) -> list:
-    """The k-tuples at positions start..stop-1 of ``product(range(count),
-    repeat=k)``, one array of rows per tuple element, broadcast against
-    each other: ``rows_at(positions)`` gives the rows, shape (..., w), of
-    an array of positions.
+def _product_axes(rows_at, counts, start: int, stop: int) -> list:
+    """The tuples at positions start..stop-1 of ``product(range(counts[0]),
+    .., range(counts[k-1]))``, one array of rows per tuple element,
+    broadcast against each other: ``rows_at[i](positions)`` gives the rows,
+    shape (..., w), of element i at an array of positions.
 
-    With count**j the largest power (j <= k) dividing both ``start`` and
-    ``stop``, the last j elements each run over all rows on an axis of
-    their own, and the first k - j come from the digits of the B blocks of
-    count**j positions, with shape (B, 1, .., 1, w).  The tuples therefore
-    broadcast to shape (B, count, .., count), or (count, .., count) when
+    With ``block`` the product of the last j counts, for the largest j that
+    makes it divide both ``start`` and ``stop``, the last j elements each
+    run over all their rows on an axis of their own, and the first k - j
+    come from the mixed-radix digits of the B blocks of ``block``
+    positions, with shape (B, 1, .., 1, w).  The tuples therefore broadcast
+    to shape (B, counts[k-j], .., counts[k-1]), or to ``counts`` when
     j = k, and flattening that in C order gives them in ``product`` order.
+    Consecutive elements with the same ``rows_at`` and count share their
+    rows.
     """
-    j, block = 0, 1
-    while j < k and start % (block * count) == 0 and stop % (block * count) == 0:
-        j, block = j + 1, block * count
+    k, j, block = len(counts), 0, 1
+    while j < k and not (start % (block * counts[k - 1 - j])
+                         or stop % (block * counts[k - 1 - j])):
+        j, block = j + 1, block * counts[k - 1 - j]
     idx, lead = np.arange(start // block, stop // block), []
-    for _ in range(k - j):
-        idx, digit = np.divmod(idx, count)
-        rows = rows_at(digit)
+    for i in range(k - j - 1, -1, -1):
+        idx, digit = np.divmod(idx, counts[i])
+        rows = rows_at[i](digit)
         lead.append(rows.reshape(rows.shape[:1] + (1,) * j + rows.shape[1:]))
     if not j:
         return lead[::-1]
-    rows, blocks = rows_at(np.arange(count)), int(j < k)
-    return lead[::-1] + [rows.reshape((1,) * (blocks + i) + (count,) + (1,) * (j - 1 - i)
-                                      + rows.shape[1:]) for i in range(j)]
+    axes, blocks, last = [], int(j < k), None
+    for i, m in enumerate(range(k - j, k)):
+        if (rows_at[m], counts[m]) != last:  # else the rows of the element before
+            last, rows = (rows_at[m], counts[m]), rows_at[m](np.arange(counts[m]))
+        axes.append(rows.reshape((1,) * (blocks + i) + (counts[m],) + (1,) * (j - 1 - i)
+                                 + rows.shape[1:]))
+    return lead[::-1] + axes
 
 
 class _Coded:

@@ -12,31 +12,38 @@ walks the term once per batch of assignments, each variable bound to an
 array of value rows, and calls the algebra's batched operations.
 Equations are decided on one of six paths, which the verdict names (see
 check_equation): the exhaustive grid of assignments over value rows or
-over integer codes, the grid over a table of the algebra's own value rows
-(the irreducible generators of L^X, or the elements that are index 0 at
-every point but one), the grid of 2^X by the paper's variety theorem, or
-seeded samples.  The least counterexample in enumeration order is
-reported, so failures are reproducible.
+over integer codes, the grid over tables of the algebra's own value rows
+(the elements that are index 0 at every point but one, or, per variable,
+the irreducible generators of L^X or the whole carrier), the grid of 2^X
+by the paper's variety theorem, or seeded samples.  Which variables may
+range over generators is decided from how each occurs in the equation
+(see _occurrence): free, linear, monotone, antitone or mixed; the De
+Morgan scans of the relation-algebra checker take their domains from the
+same rule (see _bounded_below).  The least counterexample in enumeration
+order is reported, so failures are reproducible.
 
 An exhaustive grid binds each variable to a numpy axis of its own: a
 chunk of assignments keeps its trailing variables as full axes, as many
-as the powers of the carrier size dividing its bounds allow (chunks are
-aligned to them), and takes the others from the digits of its blocks
-(see _chunks and ``convolution._product_axes``).  Each subterm then
-broadcasts over the sub-grid of its own variables only, and flattening
-the chunk in C order gives the assignments in ``itertools.product``
-order.  An exhaustive check over a convolution algebra whose grid
-outgrows its first chunk runs on integer codes and the algebra's code
-tables (see ``convolution``) when every table the equation needs has no
-more entries than the grid has assignments.  That is settled before the
-search starts, and the grid positions, and so the verdict, are the same
-either way.  A check over a table stays on value rows and forms no
-codes.  Sampled checks stay flat and draw value rows in bulk,
-bit-exactly as one ``randrange`` per point would.
+as the products of their domain sizes dividing its bounds allow (chunks
+are aligned to them), and takes the others from the mixed-radix digits
+of its blocks (see _chunks and ``convolution._product_axes``).  Each
+subterm then broadcasts over the sub-grid of its own variables only, and
+flattening the chunk in C order gives the assignments in
+``itertools.product`` order.  An exhaustive check over a convolution
+algebra whose grid outgrows _FIRST_ROWS assignments runs on integer
+codes and the algebra's code tables (see ``convolution``) when every
+table the equation needs has no more entries than the grid has
+assignments: from its first chunk, unless the tables the algebra lacks
+are large (see _PROBE_RATIO), in which case they are built only after a
+first chunk on value rows finds no counterexample.  The grid positions,
+and so the verdict, are the same either way.  A check over tables stays
+on value rows and forms no codes.  Sampled checks stay flat and draw
+value rows in bulk, bit-exactly as one ``randrange`` per point would.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -113,15 +120,6 @@ def _subterms(t: Term):
             todo.append(t.arg)
         elif isinstance(t, (Meet, Join, Imp)):
             todo += (t.lhs, t.rhs)
-
-
-def term_variables(t: Term) -> set[str]:
-    return {s.name for s in _subterms(t) if isinstance(s, Var)}
-
-
-def uses_heyting(t: Term) -> bool:
-    """True when the term leaves the negation-free fragment."""
-    return any(isinstance(s, (Neg, Imp)) for s in _subterms(t))
 
 
 def to_sexpr(t: Term) -> str:
@@ -226,16 +224,19 @@ class Equation:
     rhs: Term
 
     @cached_property
-    def _scan(self) -> tuple[list[str], frozenset[str]]:
-        """(sorted variable names, operation names) of both sides, from one
-        walk over them, kept with the equation."""
-        names, ops = set(), set()
+    def _scan(self) -> tuple[list[str], frozenset[str], frozenset[str]]:
+        """(sorted variable names, operation names, pointwise operations
+        among meet, join, neg and imp, named as their code tables are) of
+        both sides, from one walk over them, kept with the equation."""
+        names, ops, pointwise = set(), set(), set()
         for s in (*_subterms(self.lhs), *_subterms(self.rhs)):
             if isinstance(s, Var):
                 names.add(s.name)
             elif isinstance(s, RelOp):
                 ops.add(s.name)
-        return sorted(names), frozenset(ops)
+            elif not isinstance(s, (Bot, Top)):
+                pointwise.add(type(s).__name__.lower())
+        return sorted(names), frozenset(ops), frozenset(pointwise)
 
     def variables(self) -> list[str]:
         return list(self._scan[0])
@@ -245,7 +246,8 @@ class Equation:
         return self._scan[1]
 
     def uses_heyting(self) -> bool:
-        return uses_heyting(self.lhs) or uses_heyting(self.rhs)
+        """True when the equation leaves the negation-free fragment."""
+        return not self._scan[2].isdisjoint({"neg", "imp"})
 
     def __str__(self):
         return f"{to_sexpr(self.lhs)} = {to_sexpr(self.rhs)}"
@@ -266,6 +268,12 @@ Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 # counterexample costs little; later chunks grow to that limit.  A grid no
 # larger than the first chunk builds no code tables.
 _FIRST_ROWS = 64
+
+# A grid on codes runs its first chunk on value rows when the code tables
+# it lacks have more than this many entries per tuple of that chunk: the
+# chunk costs one evaluation of the equation, the tables one of each
+# operation per entry, and a counterexample found in it saves them.
+_PROBE_RATIO = 16
 
 
 # One point and no relations: L^1 is L, and the subsets of it are 2.
@@ -322,55 +330,62 @@ def eval_term(t: Term, algebra: Algebra, assignment: dict):
     return to_element(_value(t, alg, env))
 
 
-def _chunks(total: int, alg, count: int = 1):
+def _chunks(total: int, alg, counts=()):
     """Bounds (start, stop) covering range(total) in order: a small first
     chunk, then growing ones of at most _CHUNK_ENTRIES values per array.
-    Each stop is a multiple of the largest power of ``count`` that fits
-    the chunk, so that a grid over ``count`` elements (see _grid) puts
-    whole axes of later chunks on axes of their own: the first chunk's
-    stop rounds up from _FIRST_ROWS, so that it holds the first
-    _FIRST_ROWS tuples, and later ones round down.  With ``count`` 1 the
-    chunks hold _FIRST_ROWS tuples, then 8 times as many each, up to the
-    limit."""
+    Each stop is a multiple of the largest product of trailing ``counts``
+    that fits the chunk, so that a grid over tables of those sizes (see
+    _grid) puts whole axes of later chunks on axes of their own: the
+    first chunk's stop rounds up from _FIRST_ROWS, so that it holds the
+    first _FIRST_ROWS tuples, and later ones round down.  Without
+    ``counts`` the chunks hold _FIRST_ROWS tuples, then 8 times as many
+    each, up to the limit."""
     start, rows = 0, _FIRST_ROWS
     while start < total:
         block = 1
-        while count > 1 and block * count <= rows:
+        for count in reversed(counts):
+            if block * count > rows:
+                break
             block *= count
         stop = -(-rows // block) * block if not start else (start + rows) // block * block
         yield start, min(total, stop)
         start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // alg._width))
 
 
-def _grid(alg, k: int, enumeration, table=None):
-    """(total, rows) over an ``_enumeration`` (count, codes): ``rows(start,
-    stop, into=alg)`` gives one array of ``into``'s rows per position for
-    k-tuples start..stop-1 in ``itertools.product`` order, each variable
-    on an axis of its own where the chunk allows (see _product_axes), so a
-    subterm runs only over the sub-grid of its own variables.  A chunk
-    decodes the carrier once for its full axes, and one code per block for
-    each other variable.  Over an array ``table`` of ``alg``'s value rows
-    instead (``enumeration`` None), it indexes them outright, so no code
-    is formed.  ``rows.count`` is the number of elements, which
-    _first_failure aligns chunks to."""
-    count, codes = enumeration if table is None else (len(table), None)
+def _grid(alg, k: int, enumeration, tables=None):
+    """(total, rows) over an ``_enumeration`` (count, codes) for each of k
+    variables: ``rows(start, stop, into=alg)`` gives one array of
+    ``into``'s rows per position for k-tuples start..stop-1 in
+    ``itertools.product`` order, each variable on an axis of its own where
+    the chunk allows (see _product_axes), so a subterm runs only over the
+    sub-grid of its own variables.  A chunk decodes the carrier once for
+    its full axes, and one code per block for each other variable.  Over
+    ``tables`` instead (``enumeration`` None), one array of ``alg``'s value
+    rows per variable, of any lengths, it indexes them outright, so no code
+    is formed.  ``rows.counts`` are the sizes per variable, which
+    _first_failure's chunks align to."""
+    if tables is None:
+        count, codes = enumeration
+        counts = (count,) * k
+    else:
+        counts = tuple(map(len, tables))
+        getters = [t.__getitem__ for t in tables]
 
     def rows(start, stop, into=alg):
-        rows_at = (table.__getitem__ if table is not None
-                   else lambda idx: into._decode(codes(idx)))
-        return _product_axes(rows_at, count, k, start, stop)
-    rows.count = count
-    return count ** k, rows
+        at = getters if tables is not None else [lambda idx: into._decode(codes(idx))] * k
+        return _product_axes(at, counts, start, stop)
+    rows.counts = counts
+    return math.prod(counts), rows
 
 
 def _samples(alg, k: int, rng):
     """``rows`` as for _grid, over consecutive random k-tuples from ``rng``;
-    they come flat, shape (N, |X|), so ``rows.count`` is 1."""
+    they come flat, shape (N, |X|), so ``rows.counts`` is empty."""
     def rows(start, stop):
         drawn = alg._draw_rows(rng, (stop - start) * k)
         return list(drawn.reshape(stop - start, k, alg.structure.carrier_size)
                     .swapaxes(0, 1))
-    rows.count = 1
+    rows.counts = ()
     return rows
 
 
@@ -400,15 +415,15 @@ def _assignments(alg, k: int, mode: str, cap: int, samples: int | None = None, s
     return total, _samples(alg, k, rng), "samples"
 
 
-def _first_failure(total: int, alg, rows, broken):
-    """(position, rows) of the first of the tuples 0..total-1 of ``rows``
-    (as for _grid) at which the batched predicate ``broken`` holds, with one
-    row per tuple element; (None, None) when it holds at none.  Chunks are
-    sized for ``alg``'s rows and aligned to ``rows.count``.  ``broken``
-    gets a chunk's arrays as ``rows`` gives them, all with the same number
-    of axes, and answers in (a shape that broadcasts to) their broadcast
+def _first_failure(chunks, rows, broken):
+    """(position, rows) of the first tuple of ``rows`` (as for _grid), over
+    the bounds (start, stop) of ``chunks`` in turn (see _chunks), at which
+    the batched predicate ``broken`` holds, with one row per tuple
+    element; (None, None) when it holds at none.  ``broken`` gets a
+    chunk's arrays as ``rows`` gives them, all with the same number of
+    axes, and answers in (a shape that broadcasts to) their broadcast
     shape, which C order flattens into tuple order."""
-    for start, stop in _chunks(total, alg, rows.count):
+    for start, stop in chunks:
         args = rows(start, stop)
         hit = broken(*args)
         hits = np.flatnonzero(hit)
@@ -423,64 +438,161 @@ def _first_failure(total: int, alg, rows, broken):
     return None, None
 
 
-def _linear(t: Term, v: str, modes: dict, dual: bool) -> bool:
-    """Whether ``t`` preserves binary joins in the variable ``v`` (meets
-    when ``dual``), by the syntactic rule: a subterm without ``v`` and
-    ``v`` itself are linear; a join (meet) of linear terms is; so are a
-    meet (join) and a join-mode (meet-mode) relation when exactly one
-    argument holds ``v`` and it is linear.  The last two steps rest on L
-    being distributive."""
-    if isinstance(t, Var) or v not in term_variables(t):
-        return True
-    plus, times, mode = (Meet, Join, MEET) if dual else (Join, Meet, JOIN)
-    if isinstance(t, plus):
-        return _linear(t.lhs, v, modes, dual) and _linear(t.rhs, v, modes, dual)
-    if isinstance(t, times):
-        args = (t.lhs, t.rhs)
-    elif isinstance(t, RelOp) and modes.get(t.name) == mode:
-        args = t.args
+# How a variable occurs in a term, as _occurrence classifies it; ``neg``
+# and the antecedent of ``imp`` flip monotone and antitone.
+_FLIP = {"free": "free", "linear": "antitone", "monotone": "antitone",
+         "antitone": "monotone", "mixed": "mixed"}
+
+
+def _occurrence(t: Term, v: str, modes: dict, dual: bool = False) -> str:
+    """How ``t`` depends on the variable ``v``: 'free' of it, 'linear'
+    (preserving binary joins in ``v``; meets when ``dual``), or else
+    'monotone', 'antitone' or 'mixed'.
+
+    By the syntactic rule: ``v`` itself is linear; a join (meet) is linear
+    when its arguments are linear or free; so are a meet (join) and a
+    join-mode (meet-mode) relation when exactly one argument holds ``v``
+    and it is linear, which rests on L being distributive.  Otherwise the
+    lattice operations and the relations of either mode are monotone in
+    each argument, and ``neg`` and the antecedent of ``imp`` flip
+    monotone and antitone; linear counts as monotone there.
+    """
+    if isinstance(t, Var):
+        return "linear" if t.name == v else "free"
+    if isinstance(t, (Bot, Top)):
+        return "free"
+    if isinstance(t, Neg):
+        return _FLIP[_occurrence(t.arg, v, modes, dual)]
+    if isinstance(t, Imp):
+        parts = [_FLIP[_occurrence(t.lhs, v, modes, dual)], _occurrence(t.rhs, v, modes, dual)]
     else:
-        return False
-    holders = [a for a in args if v in term_variables(a)]
-    return len(holders) == 1 and _linear(holders[0], v, modes, dual)
+        args = (t.lhs, t.rhs) if isinstance(t, (Meet, Join)) else t.args
+        parts = [_occurrence(a, v, modes, dual) for a in args]
+    holders = [p for p in parts if p != "free"]
+    if not holders:
+        return "free"
+    plus, times, mode = (Meet, Join, MEET) if dual else (Join, Meet, JOIN)
+    if (isinstance(t, plus) and set(holders) == {"linear"}
+            or holders == ["linear"] and (isinstance(t, times) or isinstance(t, RelOp)
+                                          and modes.get(t.name) == mode)):
+        return "linear"
+    if set(holders) <= {"linear", "monotone"}:
+        return "monotone"
+    return "antitone" if set(holders) == {"antitone"} else "mixed"
+
+
+def _disjoint(eq: Equation):
+    """(t, s) when ``eq`` reads t ∨ ¬s = ¬s, either side and either
+    joinand first, else None."""
+    for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+        if isinstance(lhs, Join) and isinstance(rhs, Neg):
+            for t, neg in ((lhs.lhs, lhs.rhs), (lhs.rhs, lhs.lhs)):
+                if neg == rhs:
+                    return t, rhs.arg
+    return None
+
+
+def _domains(alg, families: list, cap: int):
+    """One array of value rows per variable, by ``families``: for False,
+    bottom and the join-irreducibles of the carrier (see
+    ConvAlgebra._generator_rows), for True top and the meet-irreducibles,
+    each sorted into code order, and for None the carrier itself; or None
+    when the grid over them has more than ``cap`` tuples.  The generator
+    rows are sorted without codes, which need not fit in int64 when the
+    grid over L^X is far beyond ``cap``."""
+    lat, n = alg.lattice, alg.structure.carrier_size
+    reduced = math.prod(1 + len(lat.irreducibles[f]) * n for f in families if f is not None)
+    if reduced > cap:
+        return None
+    tables = {}
+    for dual in set(families) - {None}:
+        unit = np.full((1, n), lat.top if dual else lat.bottom)
+        rows = np.vstack([unit, alg._generator_rows(dual)])
+        tables[dual] = rows[np.lexsort(rows.T[::-1])]
+    if None in families:
+        try:
+            tables[None] = alg._decode(alg.carrier_codes(cap // reduced))
+        except BudgetExceeded:
+            return None
+        if reduced * len(tables[None]) ** families.count(None) > cap:
+            return None
+    return [tables[f] for f in families]
 
 
 def _generators(alg, eq: Equation, names: list[str], cap: int):
-    """The value rows, in code order, of generators on which ``eq`` holds
-    iff it holds on all of L^X, or None.
+    """(tables, reduced): one array of value rows per variable of
+    ``names``, on whose grid ``eq`` holds iff it holds on all of L^X, and
+    the names of the variables whose rows are generators rather than the
+    carrier; or None.
 
-    When L is distributive every element of L^X is the join of bottom and
-    the ``j`` at one point ``x`` (bottom elsewhere) below it, j in J(L),
-    and the lattice operations and join-mode relations preserve binary
-    joins in each argument.  So an equation whose sides are join-linear in
-    every variable (see _linear) holds iff it holds on bottom and those
-    elements; dually for meet-linear sides with M(L), top and meet-mode
-    relations.  None unless ``alg`` is an unordered convolution algebra
-    over a distributive lattice, ``eq`` is linear, and the reduced grid
-    fits ``cap``.  Linearity excludes ``neg`` and ``imp`` of a variable.
-    The rows are sorted without codes, which need not fit in int64 when
-    the grid over L^X is far beyond ``cap``.
+    When L is distributive each element of the carrier is the join of
+    bottom and the ``j`` on the up-set of one point ``x`` (just ``x`` when
+    unordered), bottom elsewhere, below it, j in J(L); dually for the
+    meet of top and M(L) on down-sets.  A variable ranges over bottom and
+    those generators when, for any values of the other variables:
+    (a) both sides are linear in it (see _occurrence), so they preserve
+    the join; dually top and M(L) for meet-linear sides.  One family
+    serves case (a), the one in which more variables are linear, joins
+    on a tie, so an equation linear in every variable has one table; or
+    (b) ``eq`` reads t ∨ ¬s = ¬s, that is t ∧ s = ⊥, with t antitone in
+    it or free of it and s linear in it or free of it: for
+    v = ⊥ ∨ ⋁ j_k, t(v) ∧ s(v) ≤ (t(⊥) ∧ s(⊥)) ∨ ⋁ t(j_k) ∧ s(j_k).
+    Since either holds whatever the other variables are, the reductions
+    of several variables compose.  Every other variable ranges over the
+    carrier.  None unless ``alg`` is a convolution algebra over a
+    distributive lattice, unordered for case (b), some variable is
+    reduced, and the grid fits ``cap``.
+    """
+    if not isinstance(alg, ConvAlgebra) or not alg.lattice.is_distributive:
+        return None
+    modes = {s.name: s.mode for s in alg.structure.signature.rel_specs}
+    linear = {dual: {v for v in names if all(
+        _occurrence(t, v, modes, dual) in ("free", "linear") for t in (eq.lhs, eq.rhs))}
+        for dual in (False, True)}
+    dual = len(linear[True]) > len(linear[False])
+    disjoint = None if alg.ordered else _disjoint(eq)
+    case_b = set() if disjoint is None else {
+        v for v in names if _occurrence(disjoint[0], v, modes) in ("free", "antitone")
+        and _occurrence(disjoint[1], v, modes) in ("free", "linear")}
+    families = [dual if v in linear[dual] else False if v in case_b else None for v in names]
+    if families.count(None) == len(names):
+        return None
+    tables = _domains(alg, families, cap)
+    if tables is None:
+        return None
+    return tables, [v for v, f in zip(names, families) if f is not None]
+
+
+def _bounded_below(alg, bounds: list, names: list[str], cap: int):
+    """One array of value rows per variable of ``names`` for a scan of the
+    inequalities ``bounds``, pairs (x, y) of terms for x <= y: bottom and
+    the join-irreducibles of the carrier (see _domains) for a variable
+    that every bound decides below it, the carrier for the others; or
+    None.
+
+    A bound x <= y holds at v iff it holds at every generator below v
+    when x is join-linear in v and y free of it, as x(v) is then the join
+    of bottom and x at those generators; a bound x <= ¬s counts as
+    x ∧ s <= ⊥.  So the bounds agree at every tuple of the carrier iff
+    they agree on this grid, and a disagreement on it is one of the
+    carrier.  None unless ``alg`` is an unordered convolution algebra
+    over a distributive lattice, some variable is reduced, and the grid
+    fits ``cap``.
     """
     if (not isinstance(alg, ConvAlgebra) or alg.ordered
             or not alg.lattice.is_distributive):
         return None
     modes = {s.name: s.mode for s in alg.structure.signature.rel_specs}
-    for dual in (False, True):
-        if all(_linear(t, v, modes, dual) for t in (eq.lhs, eq.rhs) for v in names):
-            break
-    else:
-        return None
-    lat = alg.lattice
-    if (1 + len(lat.irreducibles[dual]) * alg.structure.carrier_size) ** len(names) > cap:
-        return None
-    unit = np.full((1, alg.structure.carrier_size), lat.top if dual else lat.bottom)
-    rows = np.vstack([unit, alg._generator_rows(dual)])
-    return rows[np.lexsort(rows.T[::-1])]
+    bounds = [(Meet(x, y.arg), Bot()) if isinstance(y, Neg) else (x, y) for x, y in bounds]
+    families = [False if all(_occurrence(x, v, modes) in ("free", "linear")
+                             and _occurrence(y, v, modes) == "free" for x, y in bounds)
+                else None for v in names]
+    return None if families.count(None) == len(names) else _domains(alg, families, cap)
 
 
 def _two_valued(alg, eq: Equation, names: list[str], cap: int):
     """(2^X, total, rows) for the grid of ``alg._two_valued``, else for the
-    grid over the table of its _generators, whichever first fits ``cap``,
+    grid over the tables of its _generators, whichever first fits ``cap``,
     or None: ``eq`` holds on those rows iff it holds on all of ``alg``.
     None unless ``alg`` is a convolution algebra over a distributive L of
     more than 2 elements, Boolean if ``eq`` uses neg or imp.  Then, by the
@@ -497,16 +609,18 @@ def _two_valued(alg, eq: Equation, names: list[str], cap: int):
     try:
         return two, *_assignments(two, len(names), "exhaustive", cap)[:2]
     except BudgetExceeded:
-        table = _generators(two, eq, names, cap)
-    return None if table is None else (two, *_grid(two, len(names), None, table))
+        reduction = _generators(two, eq, names, cap)
+    return None if reduction is None else (two, *_grid(two, len(names), None, reduction[0]))
 
 
 def _tabled(alg, eq: Equation, total: int):
-    """The code interface of a convolution algebra when each code table
-    ``eq`` can need (q^2 entries for the lattice operations, q^arity for a
-    relation) has no more entries than the ``total`` assignments, else
-    None: a table costs one broadcast evaluation of its operation, no more
-    than the grid, and later equations over the algebra reuse it."""
+    """(code interface, entries of the code tables ``eq`` uses that the
+    algebra does not hold yet) for a convolution algebra when each code
+    table ``eq`` can need (q^2 entries for the lattice operations,
+    q^arity for a relation) has no more entries than the ``total``
+    assignments, else None: a table costs one broadcast evaluation of its
+    operation, no more than the grid, and later equations over the
+    algebra reuse it."""
     if not isinstance(alg, ConvAlgebra):
         return None
     q = alg.space_size()
@@ -515,7 +629,9 @@ def _tabled(alg, eq: Equation, total: int):
     arity = {s.name: s.arity for s in alg.structure.signature.rel_specs}
     if any(q ** arity.get(name, 0) > total for name in eq.operations()):
         return None
-    return alg.coded()
+    sizes = {op: q if op == "neg" else q * q for op in eq._scan[2]}
+    sizes.update({alg.structure.relation(name): q ** arity[name] for name in eq.operations()})
+    return alg.coded(), sum(n for key, n in sizes.items() if key not in alg._tables)
 
 
 def _one_point_rows(alg, eq: Equation):
@@ -561,7 +677,9 @@ class Verdict:
     an assignment, which re-evaluates to distinct sides, else
     valid_sampled on the samples path and valid_exhaustive on the
     others.  ``samples`` and ``seed`` are set on the samples path, and
-    ``generators``, their number, on the generators path.
+    ``generators``, the size of a table of generators, on the generators
+    path, with ``reduced``, the variables that range over it, when the
+    others range over the carrier.
     """
 
     path: str
@@ -571,6 +689,7 @@ class Verdict:
     seed: int | None = None
     budget: int | None = None
     generators: int | None = None
+    reduced: list | None = None
 
     def __post_init__(self):
         if self.path not in ("grid", "codes", "one-point", "generators", "two-valued",
@@ -598,6 +717,8 @@ class Verdict:
             out["stats"]["budget"] = self.budget
         if self.path == "generators":
             out["stats"].update(path="irreducibles", generators=self.generators)
+        if self.reduced is not None:
+            out["stats"]["reduced"] = self.reduced
         if self.path == "two-valued":
             out["stats"]["path"] = "two-valued"
         if self.path == "samples":
@@ -626,25 +747,31 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
 
     The grid of all assignments runs when it fits the budget, and always
     in mode 'exhaustive', which raises BudgetExceeded beyond it: over
-    value rows ('grid'), over codes when it outgrows its first chunk of
-    _FIRST_ROWS assignments and _tabled holds ('codes'), or over the
-    table of _one_point_rows when that applies ('one-point'), where a
-    position counts in the carrier size per variable, so the position
-    and verdict are the whole grid's, byte for byte.  Over the budget,
-    mode 'auto' runs the grid over the table of _generators when the
-    equation qualifies and that grid fits ('generators'), else decides it
-    on 2^X, by its grid or the table of its generators, when _two_valued
-    qualifies and one of them fits ('two-valued'); a counterexample there
-    sends 0 to bottom and 1 to top, and, like the generators', is not the
-    least of the whole grid.  Otherwise, as mode 'sample' always does, it
-    draws ``samples`` assignments from a generator seeded with ``seed``
-    ('samples').  Sampling is sound (reported counterexamples are real)
-    but not complete.  Ordered algebras are sampled by drawing functions
-    and rejecting the non-monotone ones, so sampling never enumerates
-    their carrier.
+    value rows ('grid'), over the table of _one_point_rows when that
+    applies ('one-point'), where a position counts in the carrier size
+    per variable, so the position and verdict are the whole grid's, byte
+    for byte, or over codes when _tabled holds for a grid that outgrows
+    _FIRST_ROWS assignments ('codes').  When the code tables the algebra
+    lacks are large (see _PROBE_RATIO), the first chunk then runs on value
+    rows, and the tables are built only when it holds no
+    counterexample; a verdict decided within it, or a grid no larger, is
+    the 'grid' one.  Over the budget, mode 'auto' runs the grid over the
+    tables of _generators when every variable is reduced and that grid
+    fits ('generators'), else decides the equation on 2^X, by its grid or
+    the tables of its generators, when _two_valued qualifies and one of
+    them fits ('two-valued'), else runs the grid of _generators in which
+    some variables range over the carrier ('generators', with their
+    names in ``reduced``), a larger grid than 2^X's.  A counterexample on
+    2^X sends 0 to bottom and 1 to top, and, like the generators', is not
+    the least of the whole grid.  Otherwise, as mode 'sample' always
+    does, it draws ``samples`` assignments from a generator seeded with
+    ``seed`` ('samples').  Sampling is sound (reported counterexamples are
+    real) but not complete.  Ordered algebras are sampled by drawing
+    functions and rejecting the non-monotone ones, so sampling never
+    enumerates their carrier.
     Both sides are evaluated over chunks of assignments at once: the
     exhaustive grid in ``itertools.product`` order of the carrier or of
-    the table (so the first mismatch is the least counterexample in that
+    the tables (so the first mismatch is the least counterexample in that
     order), or the samples in the order they are drawn.  Nothing in this
     module calls check_equation: each call from outside is one verdict.
     """
@@ -655,25 +782,40 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     names = eq.variables()
     k = len(names)
     total, rows, path = _assignments(alg, k, mode, cap, samples, seed)
-    target, table = alg, None  # the interface the rows are given in, and a table of rows
+    reduction = (_generators(alg, eq, names, cap)
+                 if path == "samples" and mode == "auto" else None)
+    target, tables = alg, None  # the interface the rows are given in, and tables of rows
     if path == "grid" and (table := _one_point_rows(alg, eq)) is not None:
-        path = "one-point"
-    elif path == "samples" and mode == "auto" and (
-            table := _generators(alg, eq, names, cap)) is not None:
-        path = "generators"
+        path, tables = "one-point", [table] * k
+    elif reduction is not None and len(reduction[1]) == k:
+        path, tables = "generators", reduction[0]
     elif path == "samples" and mode == "auto" and (
             two := _two_valued(alg, eq, names, cap)) is not None:
         path, target, total, rows = "two-valued", *two
+    elif reduction is not None:
+        path, tables = "generators", reduction[0]
     elif path == "grid" and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
-        path, target, rows = "codes", coded, partial(rows, into=coded)
-        rows.count = rows.func.count
-    facts = {"path": path, "budget": cap,
-             "generators": len(table) if path == "generators" else None,
-             **({"samples": total, "seed": seed} if path == "samples" else {})}
-    if table is not None:
-        total, rows = _grid(alg, k, None, table)
+        path = "codes"
+    facts = {"budget": cap}
+    if path == "samples":
+        facts.update(samples=total, seed=seed)
+    if path == "generators":
+        facts.update(generators=len(tables[names.index(reduction[1][0])]),
+                     reduced=reduction[1] if len(reduction[1]) < k else None)
+    if tables is not None:
+        total, rows = _grid(alg, k, None, tables)
 
-    position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
+    chunks = list(_chunks(total, alg, rows.counts))
+    # the chunks searched on value rows; codes serve the rest
+    split = len(chunks) if path != "codes" else int(coded[1] > _PROBE_RATIO * chunks[0][1])
+    position, found = _first_failure(chunks[:split], rows, _mismatch(eq, names, target))
+    if position is None and split < len(chunks):
+        target = coded[0]
+        position, found = _first_failure(chunks[split:], partial(rows, into=target),
+                                         _mismatch(eq, names, target))
+    elif path == "codes":
+        path = "grid"
+    facts["path"] = path
     if position is None:
         return Verdict(tried=alg.space_size() ** k if path == "one-point" else total, **facts)
     if path == "two-valued":  # 0 to bottom and 1 to top

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -449,6 +450,52 @@ def test_de_morgan_scans_match_the_loop_reference(monkeypatch):
     assert laws == {"8':modified-de-morgan", "8:original-de-morgan"}
 
 
+def de_morgan_bounds(algebra, a, b, c, first_uses_negneg):
+    """The three De Morgan bounds at one triple, by single operations."""
+    nc = algebra.neg(c)
+    return [algebra.op("*", (a, b)).le(algebra.neg(nc) if first_uses_negneg else c),
+            algebra.op("*", (algebra.op("conv", (a,)), nc)).le(algebra.neg(b)),
+            algebra.op("*", (nc, algebra.op("conv", (b,)))).le(algebra.neg(a))]
+
+
+@settings(max_examples=120, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.data())
+def test_reduced_de_morgan_scans_match_the_full_ones(data):
+    """Random relations '*', 'conv' and 'id' of either mode on 1-3 points
+    over distributive lattices, at a budget one below the full grid of
+    triples: where the scans run on generator pairs (a, b), each finds a
+    disagreement iff the full scan does, and its witness is one."""
+    lat = data.draw(lattices().filter(lambda lat: lat.is_distributive and lat.size <= 4))
+    n = data.draw(st.integers(1, 3))
+    assume((lat.size ** n) ** 3 <= 30_000)
+    point = st.integers(0, n - 1)
+    rels = [data.draw(st.sets(st.tuples(*[point] * (arity + 1)), max_size=8))
+            for arity in (2, 1, 0)]
+    modes = data.draw(st.tuples(*[st.sampled_from([JOIN, MEET])] * 3))
+    sig = signature(*[(name, arity, mode) for name, arity, mode
+                      in zip(("*", "conv", "id"), (2, 1, 0), modes)])
+    group = build_structure(n, sig, rels)
+    with patch.object(checks, "_eq_verdicts", lambda *args, **kwargs: ([], {})):
+        full = check_relation_algebra(lat, group)
+        r = check_relation_algebra(lat, group, budget=(lat.size ** n) ** 3 - 1)
+    assume(r.stats["de_morgan_scan"] == "exhaustive")
+    assert modes[:2] == (JOIN, JOIN)
+    assert (r.status, r.stats["original_de_morgan_holds"]) == (
+        full.status, full.stats["original_de_morgan_holds"])
+    assert (r.witness or {}).get("law") == (full.witness or {}).get("law")
+    algebra = ConvAlgebra(lat, group)
+    witnesses = [(r.stats.get("de_morgan_witness"), False)]
+    if r.witness is not None:
+        witnesses.append((r.witness, True) if "bounds" in r.witness
+                         else (r.witness["witness"], False))
+    for witness, negneg in witnesses:
+        if witness is not None:
+            triple = [algebra.function([lat.index(v) for v in witness[k]]) for k in "abc"]
+            assert de_morgan_bounds(algebra, *triple, negneg) == witness["bounds"]
+            assert len(set(witness["bounds"])) == 2
+
+
 def test_grid_checkers_keep_tuple_order_under_any_chunking(monkeypatch):
     """The checkers that search a grid give the reports they give at the
     default chunking, which the loop references pin, when chunks hold from
@@ -732,12 +779,16 @@ def test_law_counts_name_the_two_valued_laws_when_there_are_any():
 def test_relation_algebra_reduces_the_additive_laws():
     # Over chain3/S3 at a budget of 10,000: laws 1, 3 (both sides) 5 and
     # 6 run over the 13 generators, laws 2 and 4 over the 729 elements,
-    # and law 7, which uses neg, is sampled.
+    # and law 7 over the 729 elements in a and the 13 generators in b;
+    # the scans' 13 * 13 * 729 triples are over the budget, so they sample.
     r = check_relation_algebra(chain(3), symmetric_group_3(), budget=10_000)
     assert r.status == "pass"
-    assert (r.stats["reduced_laws"], r.stats["sampled_laws"]) == (5, 1)
-    assert r.stats["assignments"] == 3 * 13 ** 3 + 2 * 13 ** 2 + 3 * 729 + 10_000
+    assert (r.stats["reduced_laws"], r.stats["sampled_laws"]) == (6, 0)
+    assert r.stats["assignments"] == 3 * 13 ** 3 + 2 * 13 ** 2 + 3 * 729 + 729 * 13
     assert r.stats["de_morgan_scan"] == "sampled"
+    r = check_relation_algebra(chain(3), symmetric_group_3(), budget=13 * 13 * 729)
+    assert (r.status, r.stats["de_morgan_scan"], r.stats["original_de_morgan_holds"]) == (
+        "pass", "exhaustive", False)
 
 
 @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])

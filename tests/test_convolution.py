@@ -579,10 +579,8 @@ def test_carrier_list_checks_budget_on_every_call():
         algebra.carrier_codes(5)
 
 
-def test_ordered_carrier_matches_a_loop_filter(monkeypatch):
-    # Random orders on 1-4 points over chain3 and M3; a small chunk limit
-    # makes the array filter run over several chunks.
-    monkeypatch.setattr(convolution, "_CHUNK_ENTRIES", 16)
+def test_ordered_carrier_matches_a_loop_filter():
+    # Random orders on 1-4 points over chain3 and M3.
     rng = random.Random(5)
     for _ in range(30):
         lat, n = rng.choice([chain3(), m3()]), rng.randrange(1, 5)
@@ -599,11 +597,13 @@ def test_ordered_carrier_matches_a_loop_filter(monkeypatch):
         assert [f.values for f in algebra.elements()] == expect
         assert [f.values for f in algebra.carrier_list()] == expect
         assert algebra.carrier_count() == len(expect)
-        small = lat.size ** n - 1
+        # the budget counts the monotone maps, not all |L|^n functions;
+        # below |L|^n they are built point by point
+        assert algebra.carrier_codes(len(expect)).tolist() == codes.tolist()
         for call in (algebra.carrier_codes, algebra.carrier_list,
                      lambda budget: list(algebra.elements(budget))):
             with pytest.raises(BudgetExceeded):
-                call(small)
+                call(len(expect) - 1)
 
 
 def test_codes_are_enumeration_positions_and_tables_match_ops():

@@ -17,7 +17,9 @@ And it searches rows of the algebra it is given: the only algebra
 The path that decides a verdict is chosen in one place too: only
 ``check_equation`` builds a ``Verdict`` or names a path it refines the
 grid or the samples into, and no code infers a path from which of a
-verdict's fields are set.
+verdict's fields are set.  And which variables of an equation, or of the
+relation-algebra checker's De Morgan scans, range over generators is
+decided in ``terms`` alone, from one classifier of how a variable occurs.
 """
 
 import ast
@@ -120,3 +122,28 @@ def test_the_path_of_a_verdict_is_chosen_in_check_equation():
                 and any(isinstance(op, ast.IsNot) for op in node.ops)]
     assert not inferred, (
         f"a path is inferred from a verdict's fields at {inferred}; read Verdict.path")
+
+
+def test_which_variables_range_over_generators_is_decided_in_terms():
+    # terms._occurrence classifies how a variable occurs in a term, and
+    # _generators (equations) and _bounded_below (the De Morgan scans)
+    # state their rules over it; the yes/no _linear it replaced is gone,
+    # and no other module classifies terms or builds generator domains.
+    sources = _sources()
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defined = {name: {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+               for name, tree in trees.items()}
+    assert not [name for name, names in defined.items() if "_linear" in names]
+    assert {"_occurrence", "_domains", "_generators", "_bounded_below"} <= defined["terms.py"]
+    used = {name: {getattr(node, "id", None) or getattr(node, "attr", None)
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+            for name, tree in trees.items() if name != "terms.py"}
+    assert not [name for name, names in used.items()
+                if names & {"_occurrence", "_domains", "_disjoint", "_generators"}]
+    # the relation-algebra checker names no generator, linearity or mode
+    # of its own: its scans take their domains from terms
+    checker = ast.parse(_function(sources["checks.py"], "check_relation_algebra"))
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(checker) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "_bounded_below" in names
+    assert not names & {"_generator_rows", "irreducibles", "JOIN", "MEET", "mode", "ordered"}

@@ -1,5 +1,6 @@
 """Parser, evaluator, and equation checking."""
 
+from functools import lru_cache
 from itertools import product
 from unittest.mock import patch
 
@@ -298,7 +299,7 @@ def test_ordered_carrier_restricts_variables():
 
 
 def test_ordered_algebra_samples_over_budget():
-    # 5**3 = 125 functions exceed the budget of 63, so both auto and sample
+    # 22 monotone maps exceed the budget of 21, so both auto and sample
     # mode draw functions and keep the order-preserving ones.  M3 is not
     # distributive, so the law is not decided on 2^X.
     full = {(a, b) for a in range(3) for b in range(3)}
@@ -308,14 +309,35 @@ def test_ordered_algebra_samples_over_budget():
     law = parse_equation({"lhs": "(meet x (join x (op f x)))", "rhs": "x"},
                          s.signature)
     for mode in ("auto", "sample"):
-        v = check_equation(law, algebra, mode=mode, budget=63, seed=5)
-        assert (v.path, v.status, v.tried) == ("samples", "valid_sampled", 63)
+        v = check_equation(law, algebra, mode=mode, budget=21, seed=5)
+        assert (v.path, v.status, v.tried) == ("samples", "valid_sampled", 21)
     wrong = parse_equation({"lhs": "(op f x)", "rhs": "x"}, s.signature)
-    v = check_equation(wrong, algebra, budget=63, seed=5)
+    v = check_equation(wrong, algebra, budget=21, seed=5)
     assert (v.path, v.status) == ("samples", "counterexample")
     assert algebra.is_order_preserving(v.assignment["x"])
     with pytest.raises(BudgetExceeded):
-        check_equation(law, algebra, mode="exhaustive", budget=63)
+        check_equation(law, algebra, mode="exhaustive", budget=21)
+    v = check_equation(law, algebra, budget=22)
+    assert (v.path, v.status, v.tried) == ("grid", "valid_exhaustive", 22)
+
+
+def test_the_ordered_budget_counts_the_monotone_maps():
+    # M3 on two points with 0 < 1 has 12 monotone maps of its 25 functions,
+    # so a budget of 20 runs their grid
+    s = build_structure(2, signature(("f", 1, "join")), [set()], order_pairs=[(0, 1)])
+    algebra = ConvAlgebra(m3(), s, ordered=True)
+    v = check_equation(parse_equation({"lhs": "(join x x)", "rhs": "x"}), algebra, budget=20)
+    assert (v.path, v.status, v.tried) == ("grid", "valid_exhaustive", 12)
+    assert algebra.carrier_count(12) == 12
+    with pytest.raises(BudgetExceeded):
+        algebra.carrier_count(11)
+    # chain70 on a 6-chain has C(75, 6) monotone maps; the search stops at
+    # the first prefix of points with more than the budget
+    chain6 = build_structure(6, signature(("f", 1, "join")), [set()],
+                             order_pairs=[(i, i + 1) for i in range(5)])
+    with pytest.raises(BudgetExceeded) as exc:
+        ConvAlgebra(chain(70), chain6, ordered=True).carrier_codes()
+    assert 10 ** 6 < exc.value.required < 70 * 10 ** 6
 
 
 def test_ordered_check_filters_the_carrier_once(monkeypatch):
@@ -362,10 +384,12 @@ def mixed():
 
 
 def family(algebra, eq):
-    """'join' or 'meet' for the generators the reduction picks, or None."""
-    rows = _generators(algebra, eq, eq.variables(), 10 ** 6)
-    if rows is None:
+    """'join' or 'meet' for the generators the reduction picks when it
+    reduces every variable, else None."""
+    reduction = _generators(algebra, eq, eq.variables(), 10 ** 6)
+    if reduction is None or reduction[1] != eq.variables():
         return None
+    rows = reduction[0][0]
     return "join" if (rows == algebra.lattice.bottom).all(axis=-1).any() else "meet"
 
 
@@ -393,6 +417,56 @@ def test_reduction_gate_follows_the_linearity_rule(lhs, rhs, expect):
     algebra = ConvAlgebra(chain(3), mixed())
     eq = parse_equation({"lhs": lhs, "rhs": rhs}, algebra.structure.signature)
     assert family(algebra, eq) == expect
+
+
+@pytest.mark.parametrize("text, dual, expect", [
+    ("y", False, "free"),
+    ("(neg top)", False, "free"),
+    ("(join x y)", False, "linear"),
+    ("(meet x (op f y))", False, "linear"),
+    ("(meet x x)", False, "monotone"),
+    ("(meet x x)", True, "linear"),
+    ("(op g x)", False, "monotone"),
+    ("(op g x)", True, "linear"),
+    ("(op r x x)", False, "monotone"),
+    ("(neg x)", False, "antitone"),
+    ("(neg (neg x))", False, "monotone"),
+    ("(op f (neg (op r x y)))", False, "antitone"),
+    ("(imp x y)", False, "antitone"),
+    ("(imp y x)", False, "monotone"),
+    ("(imp x x)", False, "mixed"),
+    ("(join x (neg x))", False, "mixed"),
+])
+def test_occurrence_classifies_how_a_variable_occurs(text, dual, expect):
+    modes = {s.name: s.mode for s in mixed().signature.rel_specs}
+    t = parse_term(text, mixed().signature)
+    assert terms_module._occurrence(t, "x", modes, dual) == expect
+
+
+def test_law_7_reduces_one_variable_by_its_disjoint_form():
+    # conv(a);-(a;b) v -b = -b over chain3/S3: antitone in b on the left of
+    # the join, b itself under the negation, so b ranges over the 13
+    # generators; mixed in a, which ranges over the 729 elements.
+    algebra = ConvAlgebra(chain(3), symmetric_group_3())
+    eq = parse_equation({"lhs": "(join (op * (op conv a) (neg (op * a b))) (neg b))",
+                         "rhs": "(neg b)"}, algebra.structure.signature)
+    v = check_equation(eq, algebra, budget=10_000)
+    assert (v.path, v.status, v.tried, v.generators, v.reduced) == (
+        "generators", "valid_exhaustive", 729 * 13, 13, ["b"])
+    assert v.to_json()["stats"] == {"assignments": 9477, "budget": 10_000,
+                                    "path": "irreducibles", "generators": 13,
+                                    "reduced": ["b"]}
+    # the same law with the joinands swapped; and a false one of the form,
+    # in which a;b is linear in b, not antitone, so only a, linear on both
+    # sides, is reduced
+    swapped = Equation(Join(eq.rhs, eq.lhs.lhs), eq.rhs)
+    assert check_equation(swapped, algebra, budget=10_000).reduced == ["b"]
+    false = parse_equation({"lhs": "(join (op * a b) (neg b))", "rhs": "(neg b)"},
+                           algebra.structure.signature)
+    v = check_equation(false, algebra, budget=10_000)
+    assert (v.path, v.status, v.reduced) == ("generators", "counterexample", ["a"])
+    assert eval_term(false.lhs, algebra, v.assignment) != eval_term(false.rhs, algebra,
+                                                                    v.assignment)
 
 
 def test_reduction_decides_over_budget_laws_exactly():
@@ -457,40 +531,67 @@ def _assoc(structure):
                            "rhs": "(op * x (op * y z))"}, structure.signature)
 
 
-def _first_chunk_widths(monkeypatch):
-    """Records, for each later search, the width of the rows its first
-    chunk is given in: 1 for codes, |X| for value rows."""
+def _chunk_widths(monkeypatch):
+    """Records, for each later run of a search over a run of chunks, the
+    width of the rows its first chunk is given in: 1 for codes, |X| for
+    value rows."""
     widths, first_failure = [], terms_module._first_failure
-    monkeypatch.setattr(terms_module, "_first_failure", lambda total, alg, rows, broken: widths.append(
-        rows(0, 1)[0].shape[-1]) or first_failure(total, alg, rows, broken))
+
+    def record(chunks, rows, broken):
+        chunks = list(chunks)
+        widths.extend(rows(*chunks[0])[0].shape[-1:] if chunks else ())
+        return first_failure(chunks, rows, broken)
+    monkeypatch.setattr(terms_module, "_first_failure", record)
     return widths
 
 
 def test_code_tables_serve_the_whole_grid(monkeypatch):
-    # 9**3 assignments over chain3/Z2 outnumber the 81-entry tables, so the
-    # whole grid runs on codes, first chunk included, and its verdicts are
-    # those of the value grid but for the path; the second law fails at 94,
-    # past that chunk.
-    laws = [_assoc(z2()), parse_equation({"lhs": "(meet (op * x y) z)",
-                                          "rhs": "(meet (op * x z) y)"}, z2().signature)]
-    widths = _first_chunk_widths(monkeypatch)
-    algebra = ConvAlgebra(chain(3), z2())
+    # 27**3 assignments over chain3/Z3 outnumber the 729-entry tables, so
+    # the grid runs on codes, and its verdicts are those of the value grid
+    # but for the path.  The first law lacks the meet and * tables, 18
+    # entries per tuple of the first chunk of 81, so that chunk runs on
+    # value rows, and the law fails at 760, past it; associativity then
+    # finds its table built and runs on codes from the start.
+    laws = [parse_equation({"lhs": "(meet (op * x y) z)", "rhs": "(meet (op * x z) y)"},
+                           cyclic_group(3).signature), _assoc(cyclic_group(3))]
+    widths = _chunk_widths(monkeypatch)
+    algebra = ConvAlgebra(chain(3), cyclic_group(3))
     coded = [check_equation(law, algebra) for law in laws]
-    assert widths == [1, 1] and 0 in algebra._tables
+    assert widths == [3, 1, 1] and 0 in algebra._tables
     assert [(v.path, v.status, v.tried) for v in coded] == [
-        ("codes", "valid_exhaustive", 729), ("codes", "counterexample", 94)]
+        ("codes", "counterexample", 760), ("codes", "valid_exhaustive", 27 ** 3)]
     monkeypatch.setattr(terms_module, "_tabled", lambda alg, eq, total: None)
     widths.clear()
-    grid = [check_equation(law, ConvAlgebra(chain(3), z2())) for law in laws]
+    grid = [check_equation(law, ConvAlgebra(chain(3), cyclic_group(3))) for law in laws]
     assert [v.path for v in grid] == ["grid", "grid"]
     assert [_as_tuple(v) for v in grid] == [_as_tuple(v) for v in coded]
-    assert widths == [2, 2]
+    assert widths == [3, 3]
+
+
+def test_a_counterexample_in_the_first_chunk_builds_no_code_tables(monkeypatch):
+    # (x * y) \/ z = x over chain3/Z3 lacks two 729-entry tables, and fails
+    # at its second assignment, within the first chunk, on value rows: that
+    # verdict is the grid's, and no table is built.  Over chain3/Z2 the
+    # 81-entry tables cost less than that chunk, so the grid runs on codes
+    # from the start.
+    law = parse_equation({"lhs": "(join (op * x y) z)", "rhs": "x"},
+                         cyclic_group(3).signature)
+    widths = _chunk_widths(monkeypatch)
+    algebra = ConvAlgebra(chain(3), cyclic_group(3))
+    v = check_equation(law, algebra)
+    assert (v.path, v.status, v.tried, widths) == ("grid", "counterexample", 2, [3])
+    assert algebra._tables == {}
+    widths.clear()
+    small = ConvAlgebra(chain(3), z2())
+    v = check_equation(law, small)
+    assert (v.path, v.status, v.tried, widths) == ("codes", "counterexample", 2, [1])
+    assert set(small._tables) == {0, "join"}
 
 
 def test_a_grid_within_the_first_chunk_builds_no_code_tables(monkeypatch):
     # 4**3 assignments over chain2/Z2 outnumber the 16-entry tables, but
     # they fit in the first chunk of 64.
-    widths = _first_chunk_widths(monkeypatch)
+    widths = _chunk_widths(monkeypatch)
     algebra = ConvAlgebra(chain(2), z2())
     v = check_equation(_assoc(z2()), algebra)
     assert (v.path, v.status, v.tried, widths) == ("grid", "valid_exhaustive", 64, [2])
@@ -499,11 +600,11 @@ def test_a_grid_within_the_first_chunk_builds_no_code_tables(monkeypatch):
 
 def _ordered_frame():
     # over chain2, which is its own 2^X: 12**2 pairs of monotone maps, and
-    # 5**2 generator pairs were the algebra unordered
+    # 5**2 generator pairs in case (b), which needs an unordered algebra
     full = {(a, b) for a in range(4) for b in range(4)}
     s = build_structure(4, signature(("f", 1, "join")), [full], order_pairs=[(0, 1)])
-    law = parse_equation({"lhs": "(op f (join x y))",
-                          "rhs": "(join (op f x) (op f y))"}, s.signature)
+    law = parse_equation({"lhs": "(join (op f (neg y)) (neg x))", "rhs": "(neg x)"},
+                         s.signature)
     return ConvAlgebra(chain(2), s, ordered=True), law
 
 
@@ -530,87 +631,161 @@ def test_reduction_never_runs_outside_its_gate(case):
     assert v.generators is None and "path" not in v.to_json()["stats"]
 
 
+def test_a_non_distributive_lattice_defeats_the_rule():
+    # Over M3 with the all-pairs join relation on two points, f(f(x) /\ k)
+    # is linear in k by the syntactic rule, yet the equation holds for k
+    # over bottom and the 6 generators, with x over all 25 elements, and
+    # fails at k = (a, b); so the rule needs a distributive lattice.
+    algebra = ConvAlgebra(m3(), full_structure(2))
+    eq = parse_equation({"lhs": "(op f (meet (op f x) k))",
+                         "rhs": "(meet (meet (op f k) (op f x)) (join x (op f top)))"},
+                        algebra.structure.signature)
+    full = check_equation(eq, algebra, mode="exhaustive")
+    assert (full.status, full.assignment["k"].labels()) == ("counterexample", ["a", "b"])
+    tables = terms_module._domains(algebra, [False, None], 10 ** 6)
+    assert flat_search(eq, algebra, tables, algebra._element)[:2] == ("valid_exhaustive", 175)
+    assert _generators(algebra, eq, eq.variables(), 624) is None
+    v = check_equation(eq, algebra, budget=624)
+    assert v.path == "samples"
+
+
 def test_exhaustive_mode_never_reduces():
     algebra = ConvAlgebra(chain(3), symmetric_group_3())
     with pytest.raises(BudgetExceeded):
         check_equation(_assoc(symmetric_group_3()), algebra, mode="exhaustive", budget=10_000)
 
 
-def reference_generators(lat, n, dual):
-    """Bottom and each join-irreducible j of L at one point (bottom elsewhere)
-    as value tuples, in code order; dually top and the meet-irreducibles.
-    An element is irreducible when the join of the elements strictly below
-    it (the meet of those strictly above) is not the element itself."""
+def reference_generators(lat, n, dual, order=None):
+    """Bottom and each join-irreducible j of L on the up-set of one point
+    (just that point without ``order``, a matrix of x <= y), bottom
+    elsewhere, as value tuples, in code order; dually top and the
+    meet-irreducibles on down-sets.  An element is irreducible when the
+    join of the elements strictly below it (the meet of those strictly
+    above) is not the element itself."""
     size, leq = lat.size, lat.leq
+    order = np.eye(n, dtype=bool) if order is None else order
     if dual:
         unit = oracle_lub_set(lat, range(size))
         irreducible = [a for a in range(size) if oracle_glb_set(
             lat, [b for b in range(size) if b != a and leq[a][b]]) != a]
+        order = np.asarray(order).T
     else:
         unit = oracle_glb_set(lat, range(size))
         irreducible = [a for a in range(size) if oracle_lub_set(
             lat, [b for b in range(size) if b != a and leq[b][a]]) != a]
-    rows = [(unit,) * n] + [tuple(j if y == x else unit for y in range(n))
+    rows = [(unit,) * n] + [tuple(j if order[x][y] else unit for y in range(n))
                             for x in range(n) for j in irreducible]
     return sorted(rows)
 
 
-@settings(max_examples=150,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
-                                 HealthCheck.data_too_large])
-@given(st.data())
-def test_reduced_verdict_matches_the_grid(data):
-    """Random distributive lattices, structures and negation-free equations
-    that the reduction accepts at a budget one below the full grid: the
-    verdict's validity is the exhaustive grid's, it runs over the
-    generators of one of the two families by a loop, and a counterexample
-    is the first in their code order and has distinct sides."""
-    lat = data.draw(lattices().filter(lambda lat: lat.is_distributive and lat.size <= 6))
-    structure = data.draw(structures())
-    algebra = ConvAlgebra(lat, structure)
-    term = terms(structure.signature.rel_specs, False)
-    eq = Equation(data.draw(term), data.draw(term))
+def disjoint_forms(t, s):
+    """t v -s = -s, with its joinands and sides in each order."""
+    return st.sampled_from([Equation(Join(t, Neg(s)), Neg(s)), Equation(Join(Neg(s), t), Neg(s)),
+                            Equation(Neg(s), Join(t, Neg(s)))])
+
+
+# one strategy per signature, so that hypothesis validates each once
+_terms = lru_cache(maxsize=None)(terms)
+
+
+def check_reduced_against_the_grid(data, ordered):
+    """Draws a lattice (any, of at most 6 elements), a structure of 1-3
+    points with relations of both modes, ordered when ``ordered``, and an
+    equation, with neg and imp over distributive lattices, half of them
+    of the form t v -s = -s; when _generators reduces it at a budget
+    one below the full grid, the verdict's validity is the exhaustive
+    grid's, it runs over the carrier for the variables it does not
+    reduce and over the generators of one of the two families for those
+    it does, and a counterexample has distinct sides by the
+    definition-level oracle and is the first of that grid by a flat
+    search."""
+    lat = data.draw(lattices().filter(lambda lat: lat.size <= 6))
+    # all-pairs relations join the values of both points, where M3 loses
+    # the linearity of a meet
+    structure = data.draw(st.one_of(structures(), st.sampled_from(
+        [full_structure(2), full_structure(2, extended=True)])))
+    n = structure.carrier_size
+    order = None
+    if ordered:
+        perm = data.draw(st.permutations(range(n)))
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                  .filter(lambda p: p[0] < p[1]), min_size=1))
+        structure = _with_order(structure, [(perm[a], perm[b]) for a, b in pairs])
+        order = structure.order.tolist()
+    algebra = ConvAlgebra(lat, structure, ordered=ordered)
+    term = _terms(structure.signature.rel_specs, lat.is_distributive)
+    t, s = data.draw(term), data.draw(term)
+    if lat.is_distributive and data.draw(st.booleans()):
+        # a /\ (-a \/ c), that is a /\ c: mixed in a variable a, and
+        # not linear in it when a /\ c is not
+        s = data.draw(st.one_of(st.just(s), st.builds(
+            lambda a, c: Meet(a, Join(Neg(a), c)), st.sampled_from([Var("x"), Var("y")]),
+            term)))
+        eq = data.draw(disjoint_forms(t, s))
+    else:
+        eq = Equation(t, s)
     names = eq.variables()
-    total = algebra.space_size() ** len(names)
-    assume(2 <= total <= 50_000)
-    assume(_generators(algebra, eq, names, total - 1) is not None)
+    carrier = [f.values for f in algebra.elements()]
+    total = len(carrier) ** len(names)
+    assume(2 <= total <= 20_000)
+    reduction = _generators(algebra, eq, names, total - 1)
+    assume(reduction is not None)
+    assert lat.is_distributive
     verdict = check_equation(eq, algebra, budget=total - 1)
-    assert verdict.path == "generators"
+    assume(verdict.path == "generators")  # not 2^X, which comes first for a partial one
 
     full = check_equation(eq, algebra, mode="exhaustive")
     assert verdict.is_valid == full.is_valid
     assert verdict.samples is None and verdict.seed is None
-    n = structure.carrier_size
-    families = [reference_generators(lat, n, dual) for dual in (False, True)]
+    tables, reduced = reduction
+    assert verdict.reduced == (reduced if reduced != names else None)
+    families = [reference_generators(lat, n, dual, order) for dual in (False, True)]
+    domains = [[tuple(row) for row in table.tolist()] for table in tables]
+    for name, domain in zip(names, domains):
+        assert domain in families if name in reduced else domain == carrier
     if verdict.is_valid:
         assert verdict.status == "valid_exhaustive"
-        assert verdict.tried in [len(gens) ** len(names) for gens in families]
+        assert verdict.tried == np.prod([len(d) for d in domains])
         return
     env = {k: f.values for k, f in verdict.assignment.items()}
     assert oracle_term(eq.lhs, lat, structure, env) != oracle_term(eq.rhs, lat, structure, env)
-
-    def first_failure(gens):
-        combos = product(gens, repeat=len(names))
-        for k, combo in zip(range(verdict.tried), combos):
-            env = dict(zip(names, combo))
-            if oracle_term(eq.lhs, lat, structure, env) != \
-                    oracle_term(eq.rhs, lat, structure, env):
-                return k + 1, {name: algebra.function(v) for name, v in env.items()}
-        return None
-    assert (verdict.tried, verdict.assignment) in [first_failure(gens) for gens in families]
+    assert _as_tuple(verdict) == flat_search(eq, algebra, [np.array(d) for d in domains],
+                                             algebra._element)
 
 
-def flat_search(eq, alg, rows, to_element):
+@settings(max_examples=300, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(st.data())
+def test_reduced_verdict_matches_the_grid(data):
+    """Unordered algebras, in which both cases (a) and (b) of _generators
+    reduce variables (see check_reduced_against_the_grid)."""
+    check_reduced_against_the_grid(data, ordered=False)
+
+
+@settings(max_examples=150, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(st.data())
+def test_ordered_reduced_verdict_matches_the_grid(data):
+    """Ordered algebras, in which case (a) reduces variables to the
+    generators on up-sets (down-sets for meets), and the others range
+    over the monotone maps (see check_reduced_against_the_grid)."""
+    check_reduced_against_the_grid(data, ordered=True)
+
+
+def flat_search(eq, alg, tables, to_element):
     """(status, tried, assignment) of the search the axis grid replaced:
-    every assignment of ``rows`` (an array of ``alg``'s value rows) in
-    ``itertools.product`` order, as one flat array of rows per variable,
-    both sides evaluated at once, and the first mismatch reported."""
+    every assignment of ``tables`` (one array of ``alg``'s value rows per
+    variable) in ``itertools.product`` order, as one flat array of rows
+    per variable, both sides evaluated at once, and the first mismatch
+    reported."""
     names = eq.variables()
-    combos = np.array(list(product(range(len(rows)), repeat=len(names))))
-    env = {v: rows[combos[:, i]] for i, v in enumerate(names)}
+    combos = np.array(list(product(*[range(len(rows)) for rows in tables])))
+    env = {v: rows[combos[:, i]] for i, (v, rows) in enumerate(zip(names, tables))}
     lhs, rhs = _value(eq.lhs, alg, env), _value(eq.rhs, alg, env)
-    bad = np.flatnonzero(np.any(np.broadcast_to(lhs != rhs, (len(combos),) + rows.shape[1:]),
-                                axis=-1))
+    shape = (len(combos),) + tables[0].shape[1:]
+    bad = np.flatnonzero(np.any(np.broadcast_to(lhs != rhs, shape), axis=-1))
     if not bad.size:
         return "valid_exhaustive", len(combos), None
     return "counterexample", int(bad[0]) + 1, {v: to_element(env[v][bad[0]]) for v in names}
@@ -656,26 +831,34 @@ def test_axis_grid_matches_a_flat_search(data):
         rows = np.array([f.values for f in algebra.elements()])
     total = len(rows) ** len(names)
     assume(total <= 1500)
-    expect = flat_search(eq, alg, rows, to_element)
+    expect = flat_search(eq, alg, [rows] * len(names), to_element)
 
     first = data.draw(st.sampled_from([1, 5, 64]))
     entries = data.draw(st.sampled_from([16, 200, 1 << 18]))
+    probe = data.draw(st.booleans())
     with patch.object(terms_module, "_FIRST_ROWS", first), \
             patch.object(terms_module, "_CHUNK_ENTRIES", entries):
+        stop = next(terms_module._chunks(total, alg, (len(rows),) * len(names)))[1]
         for coded in (False, True):
+            lacking = 10 ** 9 if probe else 0
             with patch.object(terms_module, "_tabled", lambda alg, eq, total: (
-                    alg.coded() if coded and isinstance(alg, ConvAlgebra) else None)):
+                    (alg.coded(), lacking) if coded and isinstance(alg, ConvAlgebra) else None)):
                 verdict = check_equation(eq, algebra, mode="exhaustive")
             assert _as_tuple(verdict) == expect
+            # codes run after a first chunk on value rows when the tables
+            # they lack are large, else from the start
+            later = not probe or (stop < total and (expect[2] is None or expect[1] > stop))
             assert verdict.path == (
                 "one-point" if _one_point_rows(alg, eq) is not None
-                else "codes" if coded and kind != "subset" and total > first else "grid")
+                else "codes" if coded and kind != "subset" and total > first and later
+                else "grid")
         if kind == "conv" and total > 1:
-            table = _generators(alg, eq, names, total - 1)
-            if table is not None:
+            reduction = _generators(alg, eq, names, total - 1)
+            if reduction is not None:
                 verdict = check_equation(eq, algebra, budget=total - 1)
-                assert (verdict.path, verdict.generators) == ("generators", len(table))
-                assert _as_tuple(verdict) == flat_search(eq, alg, table, to_element)
+                if verdict.path == "generators":
+                    assert _as_tuple(verdict) == flat_search(eq, alg, reduction[0],
+                                                             to_element)
 
 
 # -- relation-free equations, decided on one point ----------------------------------
