@@ -34,7 +34,7 @@ from .structures import (JOIN, MEET, RelStructure, build_structure,
                          disjoint_union, from_group, full_structure,
                          is_p_morphism, signature)
 from .terms import (Bot, Equation, Join, Meet, Neg, RelOp, Top, Var,
-                    _assignments, _bounded_below, _chunks, _first_failure,
+                    _assignments, _bounded_below, _first_failure,
                     _grid, _value, check_equation, describe_element)
 
 
@@ -261,6 +261,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         drawn = algebra._draw_rows(rng, (stop - start) * k).reshape(stop - start, k, n_car)
         return args + [side[a, r.reshape(shape + (n_car,))]
                        for a, r in zip(args, drawn.swapaxes(0, 1))]
+    with_comparands.counts = rows.counts
 
     def outputs(args):
         """The output on ``args`` and the fold of the outputs on their deltas."""
@@ -277,8 +278,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         sided = (lat.leq[out, lhs] if joinish else lat.leq[lhs, out]).all(axis=-1)
         return (lhs != rhs).any(axis=-1) | ~sided
 
-    position, found = _first_failure(_chunks(total, algebra, rows.counts),
-                                     with_comparands, broken)
+    position, found = _first_failure(total, algebra, with_comparands, broken)
     failures = []
     if position is not None:
         args, bent = found[:k], found[k:]
@@ -414,7 +414,7 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
 
     total, rows, path = _assignments(algebra, 1, "auto", cap)
     pointwise = {"pointwise": "sampled"} if path == "samples" else {}
-    position, found = _first_failure(_chunks(total, algebra, rows.counts), rows, broken)
+    position, found = _first_failure(total, algebra, rows, broken)
     if position is not None:
         alpha, = found
         dia, box = images(alpha)
@@ -620,7 +620,7 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
             names, path = ["c", "a", "b"], "grid"
             total, triples = _grid(algebra, 3, None, tables)
         how = "sampled" if path == "samples" else "exhaustive"
-        position, found = _first_failure(_chunks(total, algebra, triples.counts), triples, broken)
+        position, found = _first_failure(total, algebra, triples, broken)
         if position is None:
             return None, how
         found = dict(zip(names, found))
@@ -814,8 +814,8 @@ def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
     def first_failure(arity, holds):
         # The first code tuple where ``holds`` fails and the tuples before it.
         total, rows = _grid(coded, arity, enumeration)
-        position, codes = _first_failure(_chunks(total, cod, rows.counts), rows,
-                                         lambda *args: ~holds(*(a[..., 0] for a in args)))
+        position, codes = _first_failure(total, cod, rows, lambda *args: ~holds(
+            *(a[..., 0] for a in args)))
         if position is None:
             return None, total
         return tuple(int(c[0]) for c in codes), position

@@ -33,10 +33,8 @@ flattening the chunk in C order gives the assignments in
 algebra whose grid outgrows _FIRST_ROWS assignments runs on integer
 codes and the algebra's code tables (see ``convolution``) when every
 table the equation needs has no more entries than the grid has
-assignments: from its first chunk, unless the tables the algebra lacks
-are large (see _PROBE_RATIO), in which case they are built only after a
-first chunk on value rows finds no counterexample.  The grid positions,
-and so the verdict, are the same either way.  A check over tables stays
+assignments.  That is settled before the search starts, and the grid
+positions, and so the verdict, are the same either way.  A check over tables stays
 on value rows and forms no codes.  Sampled checks stay flat and draw
 value rows in bulk, bit-exactly as one ``randrange`` per point would.
 """
@@ -269,12 +267,6 @@ Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 # larger than the first chunk builds no code tables.
 _FIRST_ROWS = 64
 
-# A grid on codes runs its first chunk on value rows when the code tables
-# it lacks have more than this many entries per tuple of that chunk: the
-# chunk costs one evaluation of the equation, the tables one of each
-# operation per entry, and a counterexample found in it saves them.
-_PROBE_RATIO = 16
-
 
 # One point and no relations: L^1 is L, and the subsets of it are 2.
 _POINT = RelStructure(1, Signature(()), [])
@@ -415,15 +407,15 @@ def _assignments(alg, k: int, mode: str, cap: int, samples: int | None = None, s
     return total, _samples(alg, k, rng), "samples"
 
 
-def _first_failure(chunks, rows, broken):
-    """(position, rows) of the first tuple of ``rows`` (as for _grid), over
-    the bounds (start, stop) of ``chunks`` in turn (see _chunks), at which
-    the batched predicate ``broken`` holds, with one row per tuple
-    element; (None, None) when it holds at none.  ``broken`` gets a
-    chunk's arrays as ``rows`` gives them, all with the same number of
-    axes, and answers in (a shape that broadcasts to) their broadcast
-    shape, which C order flattens into tuple order."""
-    for start, stop in chunks:
+def _first_failure(total: int, alg, rows, broken):
+    """(position, rows) of the first of the tuples 0..total-1 of ``rows``
+    (as for _grid) at which the batched predicate ``broken`` holds, with one
+    row per tuple element; (None, None) when it holds at none.  Chunks are
+    sized for ``alg``'s rows and aligned to ``rows.counts`` (see _chunks).
+    ``broken`` gets a chunk's arrays as ``rows`` gives them, all with the
+    same number of axes, and answers in (a shape that broadcasts to) their
+    broadcast shape, which C order flattens into tuple order."""
+    for start, stop in _chunks(total, alg, rows.counts):
         args = rows(start, stop)
         hit = broken(*args)
         hits = np.flatnonzero(hit)
@@ -519,11 +511,12 @@ def _domains(alg, families: list, cap: int):
     return [tables[f] for f in families]
 
 
-def _generators(alg, eq: Equation, names: list[str], cap: int):
-    """(tables, reduced): one array of value rows per variable of
-    ``names``, on whose grid ``eq`` holds iff it holds on all of L^X, and
-    the names of the variables whose rows are generators rather than the
-    carrier; or None.
+def _families(alg, eq: Equation, names: list[str]):
+    """The domain of each variable of ``names`` for _domains: False for
+    bottom and the join-irreducible generators, True for top and the
+    meet-irreducible ones, None for the carrier; on the grid over them
+    ``eq`` holds iff it holds on all of L^X.  None when no variable is
+    reduced.
 
     When L is distributive each element of the carrier is the join of
     bottom and the ``j`` on the up-set of one point ``x`` (just ``x`` when
@@ -540,8 +533,7 @@ def _generators(alg, eq: Equation, names: list[str], cap: int):
     Since either holds whatever the other variables are, the reductions
     of several variables compose.  Every other variable ranges over the
     carrier.  None unless ``alg`` is a convolution algebra over a
-    distributive lattice, unordered for case (b), some variable is
-    reduced, and the grid fits ``cap``.
+    distributive lattice, unordered for case (b).
     """
     if not isinstance(alg, ConvAlgebra) or not alg.lattice.is_distributive:
         return None
@@ -555,12 +547,18 @@ def _generators(alg, eq: Equation, names: list[str], cap: int):
         v for v in names if _occurrence(disjoint[0], v, modes) in ("free", "antitone")
         and _occurrence(disjoint[1], v, modes) in ("free", "linear")}
     families = [dual if v in linear[dual] else False if v in case_b else None for v in names]
-    if families.count(None) == len(names):
-        return None
-    tables = _domains(alg, families, cap)
-    if tables is None:
-        return None
-    return tables, [v for v, f in zip(names, families) if f is not None]
+    return None if families.count(None) == len(names) else families
+
+
+def _generators(alg, eq: Equation, names: list[str], cap: int):
+    """(tables, reduced): the _domains of the _families of ``eq``, and the
+    names of the variables whose rows are generators rather than the
+    carrier; or None when no variable is reduced or the grid outgrows
+    ``cap``."""
+    families = _families(alg, eq, names)
+    tables = None if families is None else _domains(alg, families, cap)
+    return None if tables is None else (
+        tables, [v for v, f in zip(names, families) if f is not None])
 
 
 def _bounded_below(alg, bounds: list, names: list[str], cap: int):
@@ -614,13 +612,11 @@ def _two_valued(alg, eq: Equation, names: list[str], cap: int):
 
 
 def _tabled(alg, eq: Equation, total: int):
-    """(code interface, entries of the code tables ``eq`` uses that the
-    algebra does not hold yet) for a convolution algebra when each code
-    table ``eq`` can need (q^2 entries for the lattice operations,
-    q^arity for a relation) has no more entries than the ``total``
-    assignments, else None: a table costs one broadcast evaluation of its
-    operation, no more than the grid, and later equations over the
-    algebra reuse it."""
+    """The code interface of a convolution algebra when each code table
+    ``eq`` can need (q^2 entries for the lattice operations, q^arity for a
+    relation) has no more entries than the ``total`` assignments, else
+    None: a table costs one broadcast evaluation of its operation, no more
+    than the grid, and later equations over the algebra reuse it."""
     if not isinstance(alg, ConvAlgebra):
         return None
     q = alg.space_size()
@@ -629,9 +625,7 @@ def _tabled(alg, eq: Equation, total: int):
     arity = {s.name: s.arity for s in alg.structure.signature.rel_specs}
     if any(q ** arity.get(name, 0) > total for name in eq.operations()):
         return None
-    sizes = {op: q if op == "neg" else q * q for op in eq._scan[2]}
-    sizes.update({alg.structure.relation(name): q ** arity[name] for name in eq.operations()})
-    return alg.coded(), sum(n for key, n in sizes.items() if key not in alg._tables)
+    return alg.coded()
 
 
 def _one_point_rows(alg, eq: Equation):
@@ -751,24 +745,21 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     applies ('one-point'), where a position counts in the carrier size
     per variable, so the position and verdict are the whole grid's, byte
     for byte, or over codes when _tabled holds for a grid that outgrows
-    _FIRST_ROWS assignments ('codes').  When the code tables the algebra
-    lacks are large (see _PROBE_RATIO), the first chunk then runs on value
-    rows, and the tables are built only when it holds no
-    counterexample; a verdict decided within it, or a grid no larger, is
-    the 'grid' one.  Over the budget, mode 'auto' runs the grid over the
-    tables of _generators when every variable is reduced and that grid
-    fits ('generators'), else decides the equation on 2^X, by its grid or
-    the tables of its generators, when _two_valued qualifies and one of
-    them fits ('two-valued'), else runs the grid of _generators in which
-    some variables range over the carrier ('generators', with their
-    names in ``reduced``), a larger grid than 2^X's.  A counterexample on
-    2^X sends 0 to bottom and 1 to top, and, like the generators', is not
-    the least of the whole grid.  Otherwise, as mode 'sample' always
-    does, it draws ``samples`` assignments from a generator seeded with
-    ``seed`` ('samples').  Sampling is sound (reported counterexamples are
-    real) but not complete.  Ordered algebras are sampled by drawing
-    functions and rejecting the non-monotone ones, so sampling never
-    enumerates their carrier.
+    _FIRST_ROWS assignments ('codes').  Over the budget, mode 'auto'
+    runs the grid over the tables of _generators when every variable is
+    reduced and that grid fits ('generators'), else decides the equation
+    on 2^X, by its grid or the tables of its generators, when _two_valued
+    qualifies and one of them fits ('two-valued'), else runs the grid of
+    _generators in which some variables range over the carrier
+    ('generators', with their names in ``reduced``), a larger grid than
+    2^X's; the tables of such a partial reduction are built only then.
+    A counterexample on 2^X sends 0 to bottom and 1 to top, and, like the
+    generators', is not the least of the whole grid.  Otherwise, as mode
+    'sample' always does, it draws ``samples`` assignments from a
+    generator seeded with ``seed`` ('samples').  Sampling is sound
+    (reported counterexamples are real) but not complete.  Ordered
+    algebras are sampled by drawing functions and rejecting the
+    non-monotone ones, so sampling never enumerates their carrier.
     Both sides are evaluated over chunks of assignments at once: the
     exhaustive grid in ``itertools.product`` order of the carrier or of
     the tables (so the first mismatch is the least counterexample in that
@@ -782,40 +773,33 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     names = eq.variables()
     k = len(names)
     total, rows, path = _assignments(alg, k, mode, cap, samples, seed)
-    reduction = (_generators(alg, eq, names, cap)
-                 if path == "samples" and mode == "auto" else None)
+    families = _families(alg, eq, names) if path == "samples" and mode == "auto" else None
+    partial_reduction = families is not None and None in families
     target, tables = alg, None  # the interface the rows are given in, and tables of rows
     if path == "grid" and (table := _one_point_rows(alg, eq)) is not None:
         path, tables = "one-point", [table] * k
-    elif reduction is not None and len(reduction[1]) == k:
-        path, tables = "generators", reduction[0]
+    elif (families is not None and not partial_reduction
+          and (tables := _domains(alg, families, cap)) is not None):
+        path = "generators"
     elif path == "samples" and mode == "auto" and (
             two := _two_valued(alg, eq, names, cap)) is not None:
         path, target, total, rows = "two-valued", *two
-    elif reduction is not None:
-        path, tables = "generators", reduction[0]
+    elif partial_reduction and (tables := _domains(alg, families, cap)) is not None:
+        path = "generators"
     elif path == "grid" and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
-        path = "codes"
-    facts = {"budget": cap}
+        path, target, rows = "codes", coded, partial(rows, into=coded)
+        rows.counts = rows.func.counts
+    facts = {"path": path, "budget": cap}
     if path == "samples":
         facts.update(samples=total, seed=seed)
     if path == "generators":
-        facts.update(generators=len(tables[names.index(reduction[1][0])]),
-                     reduced=reduction[1] if len(reduction[1]) < k else None)
+        reduced = [v for v, f in zip(names, families) if f is not None]
+        facts.update(generators=len(tables[names.index(reduced[0])]),
+                     reduced=reduced if partial_reduction else None)
     if tables is not None:
         total, rows = _grid(alg, k, None, tables)
 
-    chunks = list(_chunks(total, alg, rows.counts))
-    # the chunks searched on value rows; codes serve the rest
-    split = len(chunks) if path != "codes" else int(coded[1] > _PROBE_RATIO * chunks[0][1])
-    position, found = _first_failure(chunks[:split], rows, _mismatch(eq, names, target))
-    if position is None and split < len(chunks):
-        target = coded[0]
-        position, found = _first_failure(chunks[split:], partial(rows, into=target),
-                                         _mismatch(eq, names, target))
-    elif path == "codes":
-        path = "grid"
-    facts["path"] = path
+    position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
     if position is None:
         return Verdict(tried=alg.space_size() ** k if path == "one-point" else total, **facts)
     if path == "two-valued":  # 0 to bottom and 1 to top

@@ -332,7 +332,7 @@ def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
             pytest.fail(f"inner report {k} ({report['checker']} {report['instance']}) "
                         f"differs from the pin:\n  got:    {got}  pinned: {want}")
     assert inner == pinned
-    assert paths == {"grid": 1009, "one-point": 392, "codes": 341, "generators": 8}
+    assert paths == {"grid": 1007, "one-point": 392, "codes": 343, "generators": 8}
     assert "two-valued" not in paths  # the battery has no use for 2^X at this budget
 
 

@@ -579,8 +579,10 @@ def test_carrier_list_checks_budget_on_every_call():
         algebra.carrier_codes(5)
 
 
-def test_ordered_carrier_matches_a_loop_filter():
-    # Random orders on 1-4 points over chain3 and M3.
+def test_ordered_carrier_matches_a_loop_filter(monkeypatch):
+    # Random orders on 1-4 points over chain3 and M3; a small chunk limit
+    # makes the array filter run over several chunks.
+    monkeypatch.setattr(convolution, "_CHUNK_ENTRIES", 16)
     rng = random.Random(5)
     for _ in range(30):
         lat, n = rng.choice([chain3(), m3()]), rng.randrange(1, 5)

@@ -126,7 +126,7 @@ def test_the_path_of_a_verdict_is_chosen_in_check_equation():
 
 def test_which_variables_range_over_generators_is_decided_in_terms():
     # terms._occurrence classifies how a variable occurs in a term, and
-    # _generators (equations) and _bounded_below (the De Morgan scans)
+    # _families (equations) and _bounded_below (the De Morgan scans)
     # state their rules over it; the yes/no _linear it replaced is gone,
     # and no other module classifies terms or builds generator domains.
     sources = _sources()
@@ -134,12 +134,14 @@ def test_which_variables_range_over_generators_is_decided_in_terms():
     defined = {name: {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
                for name, tree in trees.items()}
     assert not [name for name, names in defined.items() if "_linear" in names]
-    assert {"_occurrence", "_domains", "_generators", "_bounded_below"} <= defined["terms.py"]
+    assert ({"_occurrence", "_families", "_domains", "_generators", "_bounded_below"}
+            <= defined["terms.py"])
     used = {name: {getattr(node, "id", None) or getattr(node, "attr", None)
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
             for name, tree in trees.items() if name != "terms.py"}
     assert not [name for name, names in used.items()
-                if names & {"_occurrence", "_domains", "_disjoint", "_generators"}]
+                if names & {"_occurrence", "_families", "_domains", "_disjoint",
+                            "_generators"}]
     # the relation-algebra checker names no generator, linearity or mode
     # of its own: its scans take their domains from terms
     checker = ast.parse(_function(sources["checks.py"], "check_relation_algebra"))

@@ -531,67 +531,40 @@ def _assoc(structure):
                            "rhs": "(op * x (op * y z))"}, structure.signature)
 
 
-def _chunk_widths(monkeypatch):
-    """Records, for each later run of a search over a run of chunks, the
-    width of the rows its first chunk is given in: 1 for codes, |X| for
-    value rows."""
+def _first_chunk_widths(monkeypatch):
+    """Records, for each later search, the width of the rows its first
+    chunk is given in: 1 for codes, |X| for value rows."""
     widths, first_failure = [], terms_module._first_failure
-
-    def record(chunks, rows, broken):
-        chunks = list(chunks)
-        widths.extend(rows(*chunks[0])[0].shape[-1:] if chunks else ())
-        return first_failure(chunks, rows, broken)
-    monkeypatch.setattr(terms_module, "_first_failure", record)
+    monkeypatch.setattr(terms_module, "_first_failure", lambda total, alg, rows, broken: widths.append(
+        rows(0, 1)[0].shape[-1]) or first_failure(total, alg, rows, broken))
     return widths
 
 
 def test_code_tables_serve_the_whole_grid(monkeypatch):
-    # 27**3 assignments over chain3/Z3 outnumber the 729-entry tables, so
-    # the grid runs on codes, and its verdicts are those of the value grid
-    # but for the path.  The first law lacks the meet and * tables, 18
-    # entries per tuple of the first chunk of 81, so that chunk runs on
-    # value rows, and the law fails at 760, past it; associativity then
-    # finds its table built and runs on codes from the start.
-    laws = [parse_equation({"lhs": "(meet (op * x y) z)", "rhs": "(meet (op * x z) y)"},
-                           cyclic_group(3).signature), _assoc(cyclic_group(3))]
-    widths = _chunk_widths(monkeypatch)
-    algebra = ConvAlgebra(chain(3), cyclic_group(3))
+    # 9**3 assignments over chain3/Z2 outnumber the 81-entry tables, so the
+    # whole grid runs on codes, first chunk included, and its verdicts are
+    # those of the value grid but for the path; the second law fails at 94,
+    # past that chunk.
+    laws = [_assoc(z2()), parse_equation({"lhs": "(meet (op * x y) z)",
+                                          "rhs": "(meet (op * x z) y)"}, z2().signature)]
+    widths = _first_chunk_widths(monkeypatch)
+    algebra = ConvAlgebra(chain(3), z2())
     coded = [check_equation(law, algebra) for law in laws]
-    assert widths == [3, 1, 1] and 0 in algebra._tables
+    assert widths == [1, 1] and 0 in algebra._tables
     assert [(v.path, v.status, v.tried) for v in coded] == [
-        ("codes", "counterexample", 760), ("codes", "valid_exhaustive", 27 ** 3)]
+        ("codes", "valid_exhaustive", 729), ("codes", "counterexample", 94)]
     monkeypatch.setattr(terms_module, "_tabled", lambda alg, eq, total: None)
     widths.clear()
-    grid = [check_equation(law, ConvAlgebra(chain(3), cyclic_group(3))) for law in laws]
+    grid = [check_equation(law, ConvAlgebra(chain(3), z2())) for law in laws]
     assert [v.path for v in grid] == ["grid", "grid"]
     assert [_as_tuple(v) for v in grid] == [_as_tuple(v) for v in coded]
-    assert widths == [3, 3]
-
-
-def test_a_counterexample_in_the_first_chunk_builds_no_code_tables(monkeypatch):
-    # (x * y) \/ z = x over chain3/Z3 lacks two 729-entry tables, and fails
-    # at its second assignment, within the first chunk, on value rows: that
-    # verdict is the grid's, and no table is built.  Over chain3/Z2 the
-    # 81-entry tables cost less than that chunk, so the grid runs on codes
-    # from the start.
-    law = parse_equation({"lhs": "(join (op * x y) z)", "rhs": "x"},
-                         cyclic_group(3).signature)
-    widths = _chunk_widths(monkeypatch)
-    algebra = ConvAlgebra(chain(3), cyclic_group(3))
-    v = check_equation(law, algebra)
-    assert (v.path, v.status, v.tried, widths) == ("grid", "counterexample", 2, [3])
-    assert algebra._tables == {}
-    widths.clear()
-    small = ConvAlgebra(chain(3), z2())
-    v = check_equation(law, small)
-    assert (v.path, v.status, v.tried, widths) == ("codes", "counterexample", 2, [1])
-    assert set(small._tables) == {0, "join"}
+    assert widths == [2, 2]
 
 
 def test_a_grid_within_the_first_chunk_builds_no_code_tables(monkeypatch):
     # 4**3 assignments over chain2/Z2 outnumber the 16-entry tables, but
     # they fit in the first chunk of 64.
-    widths = _chunk_widths(monkeypatch)
+    widths = _first_chunk_widths(monkeypatch)
     algebra = ConvAlgebra(chain(2), z2())
     v = check_equation(_assoc(z2()), algebra)
     assert (v.path, v.status, v.tried, widths) == ("grid", "valid_exhaustive", 64, [2])
@@ -732,12 +705,15 @@ def check_reduced_against_the_grid(data, ordered):
     assume(reduction is not None)
     assert lat.is_distributive
     verdict = check_equation(eq, algebra, budget=total - 1)
-    assume(verdict.path == "generators")  # not 2^X, which comes first for a partial one
+    tables, reduced = reduction
+    if reduced == names:
+        assert (verdict.path, verdict.generators) == ("generators", len(tables[0]))
+    else:  # 2^X comes first for a partial reduction
+        assume(verdict.path == "generators")
 
     full = check_equation(eq, algebra, mode="exhaustive")
     assert verdict.is_valid == full.is_valid
     assert verdict.samples is None and verdict.seed is None
-    tables, reduced = reduction
     assert verdict.reduced == (reduced if reduced != names else None)
     families = [reference_generators(lat, n, dual, order) for dual in (False, True)]
     domains = [[tuple(row) for row in table.tolist()] for table in tables]
@@ -835,27 +811,23 @@ def test_axis_grid_matches_a_flat_search(data):
 
     first = data.draw(st.sampled_from([1, 5, 64]))
     entries = data.draw(st.sampled_from([16, 200, 1 << 18]))
-    probe = data.draw(st.booleans())
     with patch.object(terms_module, "_FIRST_ROWS", first), \
             patch.object(terms_module, "_CHUNK_ENTRIES", entries):
-        stop = next(terms_module._chunks(total, alg, (len(rows),) * len(names)))[1]
         for coded in (False, True):
-            lacking = 10 ** 9 if probe else 0
             with patch.object(terms_module, "_tabled", lambda alg, eq, total: (
-                    (alg.coded(), lacking) if coded and isinstance(alg, ConvAlgebra) else None)):
+                    alg.coded() if coded and isinstance(alg, ConvAlgebra) else None)):
                 verdict = check_equation(eq, algebra, mode="exhaustive")
             assert _as_tuple(verdict) == expect
-            # codes run after a first chunk on value rows when the tables
-            # they lack are large, else from the start
-            later = not probe or (stop < total and (expect[2] is None or expect[1] > stop))
             assert verdict.path == (
                 "one-point" if _one_point_rows(alg, eq) is not None
-                else "codes" if coded and kind != "subset" and total > first and later
-                else "grid")
+                else "codes" if coded and kind != "subset" and total > first else "grid")
         if kind == "conv" and total > 1:
             reduction = _generators(alg, eq, names, total - 1)
             if reduction is not None:
                 verdict = check_equation(eq, algebra, budget=total - 1)
+                if reduction[1] == names:
+                    assert (verdict.path, verdict.generators) == (
+                        "generators", len(reduction[0][0]))
                 if verdict.path == "generators":
                     assert _as_tuple(verdict) == flat_search(eq, alg, reduction[0],
                                                              to_element)
