@@ -35,7 +35,7 @@ from .structures import (JOIN, MEET, RelStructure, build_structure,
                          is_p_morphism, signature)
 from .terms import (Bot, Equation, Join, Meet, Neg, RelOp, Top, Var,
                     _assignments, _bounded_below, _first_failure,
-                    _grid, _value, check_equation, describe_element)
+                    _grid, _Plan, check_equation, describe_element)
 
 
 @dataclass
@@ -603,9 +603,11 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
         bounds = [(semi(a, b), Neg(Neg(c)) if first_uses_negneg else c),
                   (semi(conv(a), Neg(c)), Neg(b)), (semi(Neg(c), conv(b)), Neg(a))]
 
+        plan = _Plan(*(side for bound in bounds for side in bound))
+
         def truths(*triple):
-            env = dict(zip(names, triple))
-            return [below(_value(x, algebra, env), _value(y, algebra, env)) for x, y in bounds]
+            values = plan.run(algebra, dict(zip(names, triple)))
+            return [below(x, y) for x, y in zip(values[::2], values[1::2])]
 
         def broken(*triple):
             one, two, three = truths(*triple)

@@ -10,7 +10,12 @@ Operations act on batches: N functions as an (N, |X|) array of element
 indices.  A convolution meets the argument values of each relation tuple
 through the meet table and folds the tuples ending at each point through
 the join table, for every lattice size; single applications are batches of
-one.  The subset algebra uses boolean relational images instead and shares
+one.  Each point's tuples are padded to a common count by repeating its
+first tuple, which the idempotent fold absorbs, and only the points no
+tuple ends at are set to the unit.  A relation's kernel is built the
+first time the relation is applied (see ConvAlgebra._kernel), so an
+algebra pays only for the relations it uses.  The subset algebra uses
+boolean relational images instead, also built on first use, and shares
 no code with that kernel, so it stays an independent check of it.
 
 Each function also has an integer code, its mixed-radix index
@@ -116,17 +121,15 @@ class ConvAlgebra:
         self.lattice = lattice
         self.structure = structure
         self.ordered = ordered
-        self._rel = [self._relation_tables(i) for i in range(len(structure.signature))]
         self._order_pairs = (None if structure.order is None
                              else np.where(structure.order))
         n = structure.carrier_size
-        # The widest row of a batch: a relation's gathered tuples plus a unit.
+        # The widest row of a batch: a relation's gathered tuples and its points.
         self._width = n + max(map(len, structure.relations), default=0)
         self._radix = lattice.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._kernels: dict = {}
         self._tables: dict = {}
         self._coded: _Coded | None = None
-        self._bot = LFunction((lattice.bottom,) * structure.carrier_size, lattice)
-        self._top = LFunction((lattice.top,) * structure.carrier_size, lattice)
 
     @cached_property
     def _two_valued(self) -> "ConvAlgebra":
@@ -135,20 +138,45 @@ class ConvAlgebra:
         algebra."""
         return ConvAlgebra(_TWO, self.structure, self.ordered)
 
-    def _relation_tables(self, i: int):
-        """(spec, cols, slots, count) for relation ``i``: ``cols[k]`` holds
-        the k-th input point of each tuple, row x of ``slots`` the tuples
-        ending at x, padded with ``count``, the index of the unit column."""
-        spec = self.structure.signature.rel_specs[i]
-        tuples = list(self.structure.relations[i])
-        preds = [[k for k, t in enumerate(tuples) if t[-1] == x]
-                 for x in range(self.structure.carrier_size)]
-        width = max(1, *map(len, preds))
-        slots = np.array([p + [len(tuples)] * (width - len(p)) for p in preds],
-                         dtype=np.intp)
-        cols = [np.array([t[k] for t in tuples], dtype=np.intp)
-                for k in range(spec.arity)]
-        return spec, cols, slots, len(tuples)
+    @cached_property
+    def _bot(self) -> LFunction:
+        return LFunction((self.lattice.bottom,) * self.structure.carrier_size, self.lattice)
+
+    @cached_property
+    def _top(self) -> LFunction:
+        return LFunction((self.lattice.top,) * self.structure.carrier_size, self.lattice)
+
+    def _kernel(self, i: int):
+        """The kernel of relation ``i``, built on its first application and
+        kept: a constant value row when no tuple has an input (a nullary
+        relation, or one with no tuples), else (inner, outer, unit, cols,
+        slots, bare).  ``cols[k]`` holds the k-th input point of each
+        tuple, row x of ``slots`` the tuples ending at x, padded by
+        repeating the first of them, since the outer fold is idempotent,
+        and ``bare`` the points no tuple ends at, which take its unit."""
+        kernel = self._kernels.get(i)
+        if kernel is not None:
+            return kernel
+        spec, lat = self.structure.signature.rel_specs[i], self.lattice
+        if spec.mode == JOIN:
+            inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
+        else:
+            inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
+        rel = list(self.structure.relations[i])
+        preds = [[] for _ in range(self.structure.carrier_size)]
+        for k, t in enumerate(rel):
+            preds[t[-1]].append(k)
+        if not (spec.arity and rel):  # each tuple is the empty inner fold
+            kernel = np.array([mark if p else unit for p in preds], dtype=np.int64)
+        else:
+            width = max(map(len, preds))
+            slots = np.array([p + p[:1] * (width - len(p)) if p else [0] * width
+                              for p in preds], dtype=np.intp)
+            cols = np.array(list(zip(*rel))[:-1], dtype=np.intp)
+            bare = np.array([x for x, p in enumerate(preds) if not p], dtype=np.intp)
+            kernel = (inner, outer, unit, cols, slots, bare)
+        self._kernels[i] = kernel
+        return kernel
 
     # -- element plumbing ----------------------------------------------------
 
@@ -292,7 +320,8 @@ class ConvAlgebra:
                 arity, fn = {"meet": (2, self._meet), "join": (2, self._join),
                              "neg": (1, self._neg), "imp": (2, self._imp)}[key]
             else:
-                arity, fn = self._rel[key][0].arity, lambda *args: self._eval(key, args)
+                arity = self.structure.signature.rel_specs[key].arity
+                fn = lambda *args: self._eval(key, args)  # noqa: E731
             table = self._tables[key] = self._tabulate(arity, fn)
         return table
 
@@ -393,15 +422,17 @@ class ConvAlgebra:
     def conv(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Join convolution of relation ``rel`` applied to ``args``."""
         i = self.structure.relation(rel)
-        if self._rel[i][0].mode != JOIN:
-            raise WrongMode(f"relation {self._rel[i][0].name!r} is meet-convolved")
+        spec = self.structure.signature.rel_specs[i]
+        if spec.mode != JOIN:
+            raise WrongMode(f"relation {spec.name!r} is meet-convolved")
         return self._apply(i, args)
 
     def dual_conv(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Meet convolution of relation ``rel`` applied to ``args``."""
         i = self.structure.relation(rel)
-        if self._rel[i][0].mode != MEET:
-            raise WrongMode(f"relation {self._rel[i][0].name!r} is join-convolved")
+        spec = self.structure.signature.rel_specs[i]
+        if spec.mode != MEET:
+            raise WrongMode(f"relation {spec.name!r} is join-convolved")
         return self._apply(i, args)
 
     def op(self, rel, args: Sequence[LFunction]) -> LFunction:
@@ -420,28 +451,27 @@ class ConvAlgebra:
         """Relation ``i`` applied to value arrays of shape (N, |X|).
 
         Arguments broadcast against each other like numpy arrays, so a
-        single function may be passed as shape (|X|,).
+        single function may be passed as shape (|X|,).  A relation whose
+        tuples have no inputs gives its constant row, as a read-only view
+        broadcast to the arguments' batch shape.
         """
-        spec, cols, slots, count = self._rel[i]
+        spec = self.structure.signature.rel_specs[i]
         if len(args) != spec.arity:
             raise ArityMismatch(
                 f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
-        lat = self.lattice
-        if spec.mode == JOIN:
-            inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
-        else:
-            inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
-        if args:
-            vals = args[0][..., cols[0]]
-            for a, c in zip(args[1:], cols[1:]):
-                vals = inner[vals, a[..., c]]
-        else:  # every tuple contributes the empty inner fold
-            vals = np.full(count, mark, dtype=np.int64)
-        vals = np.concatenate(
-            [vals, np.full(vals.shape[:-1] + (1,), unit, dtype=vals.dtype)], axis=-1)
+        kernel = self._kernel(i)
+        if isinstance(kernel, np.ndarray):
+            return np.broadcast_to(kernel, np.broadcast_shapes(
+                *(a.shape[:-1] for a in args)) + kernel.shape)
+        inner, outer, unit, cols, slots, bare = kernel
+        vals = args[0][..., cols[0]]
+        for a, c in zip(args[1:], cols[1:]):
+            vals = inner[vals, a[..., c]]
         out = vals[..., slots[:, 0]]
         for j in range(1, slots.shape[1]):
             out = outer[out, vals[..., slots[:, j]]]
+        if bare.size:
+            out[..., bare] = unit
         return out
 
 
@@ -520,7 +550,7 @@ class _Coded:
         return self.algebra._table("imp")[x, y]
 
     def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
-        spec = self.algebra._rel[i][0]
+        spec = self.structure.signature.rel_specs[i]
         if len(args) != spec.arity:
             raise ArityMismatch(
                 f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
@@ -542,11 +572,18 @@ class SubsetAlgebra:
         n = structure.carrier_size
         self._full = frozenset(range(n))
         self._width = n + max(map(len, structure.relations), default=0)
-        # Per relation: the input points of each tuple, and its output as a row.
-        self._images = []
-        for spec, rel in zip(structure.signature.rel_specs, structure.relations):
-            tuples = np.array(sorted(rel), dtype=np.intp).reshape(len(rel), spec.arity + 1)
-            self._images.append((tuples[:, :-1].T, tuples[:, -1:] == np.arange(n)))
+        self._images: dict = {}
+
+    def _image(self, i: int):
+        """(cols, into) for relation ``i``, built on its first application
+        and kept: the input points of each tuple, and its output as a row."""
+        image = self._images.get(i)
+        if image is None:
+            rel, n = self.structure.relations[i], self.structure.carrier_size
+            arity = self.structure.signature.rel_specs[i].arity
+            tuples = np.array(sorted(rel), dtype=np.intp).reshape(len(rel), arity + 1)
+            image = self._images[i] = (tuples[:, :-1].T, tuples[:, -1:] == np.arange(n))
+        return image
 
     def bot(self) -> frozenset:
         return frozenset()
@@ -640,7 +677,7 @@ class SubsetAlgebra:
         if len(args) != spec.arity:
             raise ArityMismatch(
                 f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
-        cols, into = self._images[i]
+        cols, into = self._image(i)
         # hit[.., t]: tuple t meets every argument (join) or misses them all (meet)
         hit = np.ones(len(into), dtype=bool)
         for a, c in zip(args, cols):

@@ -7,9 +7,12 @@ spelling of a bare variable; the printer always emits the bare form.
 
 Terms evaluate over a convolution algebra, a subset algebra, or a bare
 lattice, which is treated as L^1 over a one-point structure with no
-relations.  One evaluator serves single evaluations and equation checks: it
-walks the term once per batch of assignments, each variable bound to an
-array of value rows, and calls the algebra's batched operations.
+relations.  One evaluator serves single evaluations, equation checks and
+the relation-algebra checker's De Morgan bounds: terms compile into a
+straight-line plan with one step per distinct subterm (see _Plan), which
+an Equation builds once and keeps, and the plan runs once per batch of
+assignments, each variable bound to an array of value rows, calling the
+algebra's batched operations.
 Equations are decided on one of six paths, which the verdict names (see
 check_equation): the exhaustive grid of assignments over value rows or
 over integer codes, the grid over tables of the algebra's own value rows
@@ -216,36 +219,100 @@ def parse_term(text: str, sig: Signature | None = None) -> Term:
     return _build(node, sig)
 
 
+class _Plan:
+    """Terms compiled into a straight-line program with one step per
+    distinct subterm: a step is (op, name, args), where op is one of
+    'var', 'bot', 'top', 'meet', 'join', 'neg', 'imp' and 'op', name the
+    variable's or relation's name, and args the positions of the steps
+    it reads, each before it.  Subterms are shared when they have the
+    same op, name and argument steps, so a subterm that occurs twice is
+    evaluated once.  ``roots`` are the steps of the compiled terms, and
+    ``names`` (sorted), ``operations`` and ``heyting`` record the
+    variables, the relations applied, and whether neg or imp occurs."""
+
+    __slots__ = ("steps", "roots", "names", "operations", "heyting")
+
+    def __init__(self, *terms: Term):
+        steps, index, roots = [], {}, []
+        for t in terms:
+            # reversed pre-order is post-order: a node's arguments, first
+            # to last, are the top of the stack of steps when it comes
+            stack = []
+            for node in reversed(list(_subterms(t))):
+                cls = type(node)
+                if cls is Var:
+                    key = ("var", node.name, ())
+                elif cls is RelOp:
+                    cut = len(stack) - len(node.args)
+                    key = ("op", node.name, tuple(stack[cut:]))
+                    del stack[cut:]
+                elif cls is Neg:
+                    key = ("neg", None, (stack.pop(),))
+                elif cls is Bot or cls is Top:
+                    key = (cls.__name__.lower(), None, ())
+                else:
+                    rhs = stack.pop()
+                    key = (cls.__name__.lower(), None, (stack.pop(), rhs))
+                step = index.get(key)
+                if step is None:
+                    step = index[key] = len(steps)
+                    steps.append(key)
+                stack.append(step)
+            roots.append(stack.pop())
+        self.steps, self.roots = tuple(steps), tuple(roots)
+        self.names = sorted(name for op, name, _ in steps if op == "var")
+        self.operations = frozenset(name for op, name, _ in steps if op == "op")
+        self.heyting = any(op in ("neg", "imp") for op, _, _ in steps)
+
+    def run(self, alg, env: dict) -> list:
+        """The value arrays of the roots over the batch algebra ``alg``;
+        ``env`` maps variables to arrays of rows."""
+        if self.heyting:
+            _check_heyting(alg)
+        vals = []
+        for op, name, args in self.steps:
+            if op == "var":
+                try:
+                    value = env[name]
+                except KeyError:
+                    raise UnboundVariable(f"variable {name!r} is not assigned") from None
+            elif op == "op":
+                value = alg._eval(alg.structure.relation(name), [vals[a] for a in args])
+            elif op == "join":
+                value = alg._join(vals[args[0]], vals[args[1]])
+            elif op == "meet":
+                value = alg._meet(vals[args[0]], vals[args[1]])
+            elif op == "neg":
+                value = alg._neg(vals[args[0]])
+            elif op == "imp":
+                value = alg._imp(vals[args[0]], vals[args[1]])
+            else:
+                value = alg._row(alg.bot() if op == "bot" else alg.top())
+            vals.append(value)
+        return [vals[r] for r in self.roots]
+
+
 @dataclass(frozen=True)
 class Equation:
     lhs: Term
     rhs: Term
 
     @cached_property
-    def _scan(self) -> tuple[list[str], frozenset[str], frozenset[str]]:
-        """(sorted variable names, operation names, pointwise operations
-        among meet, join, neg and imp, named as their code tables are) of
-        both sides, from one walk over them, kept with the equation."""
-        names, ops, pointwise = set(), set(), set()
-        for s in (*_subterms(self.lhs), *_subterms(self.rhs)):
-            if isinstance(s, Var):
-                names.add(s.name)
-            elif isinstance(s, RelOp):
-                ops.add(s.name)
-            elif not isinstance(s, (Bot, Top)):
-                pointwise.add(type(s).__name__.lower())
-        return sorted(names), frozenset(ops), frozenset(pointwise)
+    def _plan(self) -> _Plan:
+        """Both sides compiled together from one walk over them, kept with
+        the equation."""
+        return _Plan(self.lhs, self.rhs)
 
     def variables(self) -> list[str]:
-        return list(self._scan[0])
+        return list(self._plan.names)
 
     def operations(self) -> frozenset[str]:
         """The names of the relations the equation applies."""
-        return self._scan[1]
+        return self._plan.operations
 
     def uses_heyting(self) -> bool:
         """True when the equation leaves the negation-free fragment."""
-        return not self._scan[2].isdisjoint({"neg", "imp"})
+        return self._plan.heyting
 
     def __str__(self):
         return f"{to_sexpr(self.lhs)} = {to_sexpr(self.rhs)}"
@@ -290,36 +357,11 @@ def _check_heyting(algebra):
         raise NotHeyting("neg/imp need a distributive lattice")
 
 
-def _value(t: Term, alg, env: dict):
-    """Value array of ``t``; ``env`` maps variables to arrays of rows."""
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {t.name!r} is not assigned") from None
-    if isinstance(t, Bot):
-        return alg._row(alg.bot())
-    if isinstance(t, Top):
-        return alg._row(alg.top())
-    if isinstance(t, Meet):
-        return alg._meet(_value(t.lhs, alg, env), _value(t.rhs, alg, env))
-    if isinstance(t, Join):
-        return alg._join(_value(t.lhs, alg, env), _value(t.rhs, alg, env))
-    if isinstance(t, Neg):
-        _check_heyting(alg)
-        return alg._neg(_value(t.arg, alg, env))
-    if isinstance(t, Imp):
-        _check_heyting(alg)
-        return alg._imp(_value(t.lhs, alg, env), _value(t.rhs, alg, env))
-    return alg._eval(alg.structure.relation(t.name),
-                     [_value(x, alg, env) for x in t.args])
-
-
 def eval_term(t: Term, algebra: Algebra, assignment: dict):
     """Compositional evaluation; relation symbols dispatch by their mode."""
     alg, to_row, to_element = _batch_algebra(algebra)
     env = {name: to_row(v) for name, v in assignment.items()}
-    return to_element(_value(t, alg, env))
+    return to_element(_Plan(t).run(alg, env)[0])
 
 
 def _chunks(total: int, alg, counts=()):
@@ -654,9 +696,11 @@ def _one_point_rows(alg, eq: Equation):
 def _mismatch(eq: Equation, names: list[str], alg):
     """The batched predicate, for _first_failure over ``alg``'s rows bound
     to ``names``, that the two sides of ``eq`` differ."""
+    plan = eq._plan
+
     def broken(*values):
-        env = dict(zip(names, values))
-        return np.any(_value(eq.lhs, alg, env) != _value(eq.rhs, alg, env), axis=-1)
+        lhs, rhs = plan.run(alg, dict(zip(names, values)))
+        return (lhs != rhs).any(axis=-1)
     return broken
 
 

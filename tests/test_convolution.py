@@ -264,6 +264,59 @@ def test_batched_evaluation_matches_oracles(data):
     assert agrees(verdict, first_difference(eq, draws), "valid_sampled", 12)
 
 
+@settings(max_examples=300, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_kernel_matches_the_oracle(data):
+    """One relation of arity 0-2, of either mode, with up to 10 tuples on
+    1-4 points, so that points have uneven numbers of tuples or none,
+    and relations may be empty or nullary: ``_eval`` over arguments of
+    broadcast batch shapes equals the oracle at every position of their
+    broadcast shape.  Padding a point's tuples with another point's
+    tuple, or leaving the unit off a point with no tuples, fails here."""
+    lat = data.draw(lattices().filter(lambda lat: lat.size <= 8))
+    n, arity = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2))
+    mode = data.draw(st.sampled_from([JOIN, MEET]))
+    point = st.integers(0, n - 1)
+    rel = data.draw(st.sets(st.tuples(*[point] * (arity + 1)), max_size=10))
+    structure = build_structure(n, signature(("r", arity, mode)), [rel])
+    batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    args = []
+    for _ in range(arity):
+        # some axes of length 1, and maybe fewer leading axes
+        shape = tuple(d if data.draw(st.booleans()) else 1 for d in batch)
+        shape = shape[data.draw(st.integers(0, len(shape))):] + (n,)
+        values = data.draw(st.lists(st.integers(0, lat.size - 1), min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))
+        args.append(np.array(values, dtype=np.int64).reshape(shape))
+    got = ConvAlgebra(lat, structure)._eval(0, args)
+    shape = np.broadcast_shapes(*(a.shape[:-1] for a in args))
+    assert got.shape == shape + (n,)
+    flat = [np.broadcast_to(a, shape + (n,)).reshape(-1, n) for a in args]
+    for k, row in enumerate(got.reshape(-1, n)):
+        assert tuple(row) == oracle_conv(lat, structure, 0, [a[k] for a in flat], mode)
+
+
+def test_kernels_are_built_on_first_use():
+    # a fresh algebra has built no relation kernel and no bounds; a mode
+    # or arity error builds nothing either; an application builds its
+    # relation's kernel alone
+    algebra, subsets = ConvAlgebra(chain3(), z2()), SubsetAlgebra(z2())
+    assert algebra._kernels == {} and subsets._images == {}
+    assert not {"_bot", "_top"} & set(vars(algebra))
+    alpha = algebra.function([0, 1])
+    with pytest.raises(WrongMode):
+        algebra.dual_conv("*", (alpha, alpha))
+    with pytest.raises(ArityMismatch):
+        algebra.conv("*", (alpha,))
+    with pytest.raises(ArityMismatch):
+        algebra.coded()._eval(0, [])
+    assert algebra._kernels == {} and algebra._tables == {}
+    algebra.op("conv", (alpha,))
+    subsets.op("conv", (frozenset({0}),))
+    assert list(algebra._kernels) == list(subsets._images) == [z2().relation("conv")]
+
+
 # -- pinned examples --------------------------------------------------------------
 
 

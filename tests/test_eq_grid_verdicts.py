@@ -1,0 +1,80 @@
+"""The verdicts of the eq-grid benchmark batch are pinned.
+
+The batch's cases are built by ``perfbench/workloads.py``, which is read
+here without being changed, and each case is checked as the benchmark
+checks it.  Every verdict's ``to_json()`` line, or the name of the error
+a case raises, must match ``tests/data/eq-grid-verdicts-seed{0,1}.jsonl``
+line for line, so a change that moves a path, a count or a least
+counterexample of any of the 255 cases fails here.  When a change is
+meant to move one, rewrite the pins with
+
+    PYTHONPATH=src python tests/test_eq_grid_verdicts.py
+
+and list the lines that moved in CHANGES.md.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import convalg
+from convalg.errors import ConvalgError
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+SEEDS = (0, 1)
+
+
+def _workloads():
+    """perfbench/workloads.py as a module, imported without writing bytecode
+    next to it."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("eq_grid_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name], write = module, sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write
+        del sys.modules[spec.name]
+    return module
+
+
+def _verdict(lattices, case):
+    lat = lattices.get(case.lattice)
+    if case.kind in ("conv", "ordered"):
+        algebra = convalg.ConvAlgebra(lat, case.structure, ordered=case.kind == "ordered")
+    elif case.kind == "subset":
+        algebra = convalg.SubsetAlgebra(case.structure)
+    else:
+        algebra = lat
+    try:
+        return convalg.check_equation(case.equation, algebra, mode=case.mode,
+                                      budget=case.budget, seed=case.seed).to_json()
+    except ConvalgError as exc:
+        return {"error": type(exc).__name__}
+
+
+def verdict_lines(seed: int) -> list[str]:
+    """One JSON line per eq-grid case at ``seed``: its label and verdict."""
+    lattices, cases = _workloads().eq_grid(convalg, seed)
+    return [json.dumps({"case": case.label, "verdict": _verdict(lattices, case)},
+                       sort_keys=True) + "\n" for case in cases]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_eq_grid_verdicts_are_pinned(seed):
+    pinned = (DATA / f"eq-grid-verdicts-seed{seed}.jsonl").read_text().splitlines(True)
+    got = verdict_lines(seed)
+    assert len(got) == len(pinned) == 255
+    moved = [(i + 1, a, b) for i, (a, b) in enumerate(zip(got, pinned)) if a != b]
+    assert not moved, f"{len(moved)} verdicts moved, the first (line, got, pinned): {moved[0]}"
+
+
+if __name__ == "__main__":
+    for seed in SEEDS:
+        (DATA / f"eq-grid-verdicts-seed{seed}.jsonl").write_text("".join(verdict_lines(seed)))

@@ -20,6 +20,11 @@ grid or the samples into, and no code infers a path from which of a
 verdict's fields are set.  And which variables of an equation, or of the
 relation-algebra checker's De Morgan scans, range over generators is
 decided in ``terms`` alone, from one classifier of how a variable occurs.
+
+Terms are evaluated in one place: an equation's compiled plan
+(``terms._Plan.run``) is the only code in ``terms.py`` that applies an
+algebra's batched operations, and the relation-algebra checker's De
+Morgan bounds run such a plan rather than a term walk of their own.
 """
 
 import ast
@@ -149,3 +154,19 @@ def test_which_variables_range_over_generators_is_decided_in_terms():
              for node in ast.walk(checker) if isinstance(node, (ast.Name, ast.Attribute))}
     assert "_bounded_below" in names
     assert not names & {"_generator_rows", "irreducibles", "JOIN", "MEET", "mode", "ordered"}
+
+
+def test_terms_has_one_term_evaluator():
+    sources = _sources()
+    tree = ast.parse(sources["terms.py"])
+    batched = {"_meet", "_join", "_neg", "_imp", "_eval"}
+    callers = {outer.name for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+               for node in ast.walk(outer) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) in batched}
+    assert callers == {"run"}, (
+        f"{sorted(callers)} apply batched operations; terms are evaluated by _Plan.run")
+    defined = {node.name for text in sources.values() for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_value" not in defined
+    checker = ast.parse(_function(sources["checks.py"], "check_relation_algebra"))
+    assert "_Plan" in {getattr(node, "id", None) for node in ast.walk(checker)}
