@@ -19,8 +19,8 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import product
+from functools import cache, reduce
+from itertools import chain, product
 
 import numpy as np
 
@@ -885,112 +885,112 @@ def _reduct(structure: RelStructure, keep: list[str]) -> RelStructure:
                         [structure.relations[i] for i in idx], structure.order)
 
 
-def check_structural_isos(lattice: FiniteLattice | None = None,
-                          instance: str | None = None) -> Report:
-    """Functorial behaviour on fixed small instances.
+def _values(functions) -> np.ndarray:
+    return np.array([f.values for f in functions], dtype=np.int64)
 
-    Covers: the product-lattice split being a bijective homomorphism; the
-    algebra over a disjoint union decomposing blockwise as a product; a
-    validated lattice morphism lifting to a homomorphism that preserves
-    and reflects one-one/onto; a p-morphism pulling back to a homomorphism
-    preserving pointwise meets and joins; and order-preserving carriers
-    being closed under every operation.  The public maps are applied once
-    per carrier element; each law is then one comparison over whole
-    carriers, and a failure names the first element that breaks it.
-    """
-    lat = lattice if lattice is not None else build_lattice(
-        ["0", "m", "1"], [("0", "m"), ("m", "1")])
-    name = instance or f"|L|={lat.size}"
-    two = _chain2()
-    z2 = _z2_structure()
-    subchecks = []
 
-    def values(functions):
-        return np.array([f.values for f in functions], dtype=np.int64)
+def _claim_witness(dom: ConvAlgebra, images: np.ndarray, cod: ConvAlgebra,
+                   one_one: bool | None, onto: bool | None):
+    """The first failure of the claim that the map sending the element of
+    an unordered ``dom`` coded c to the value row ``images[c]`` of an
+    unordered ``cod`` is a homomorphism, one-one and onto where claimed
+    (True or False, or None for not claimed), or None."""
+    witness = _homomorphism_witness(dom, images, cod)[0]
+    hits = np.bincount(cod._encode(images), minlength=cod.space_size())
+    found = bool(hits.max() <= 1), bool(hits.all())
+    if witness is None and any(c not in (None, f) for c, f in zip((one_one, onto), found)):
+        return {"kind": "one-one/onto", "one_one": found[0], "onto": found[1]}
+    return witness
 
-    # Product lattice split (componentwise in the lattice coordinate).
-    prod = two.product(two)
-    ap = ConvAlgebra(prod, z2)
-    factor = ConvAlgebra(two, z2)  # both factors are two
-    carrier = ap.carrier_list()
+
+def _split_claims(algebra: ConvAlgebra, first: ConvAlgebra, second: ConvAlgebra):
+    """``product_iso`` on an algebra over ``first``'s lattice times
+    ``second``'s is a homomorphism onto each factor's algebra, one-one only
+    when the other is trivial, and ``product_iso_inv`` merges it back."""
+    carrier = algebra.carrier_list()
     split = [product_iso(alpha) for alpha in carrier]
-    merged = values(product_iso_inv(b, c, prod) for b, c in split)
-    bad = np.flatnonzero((merged != values(carrier)).any(axis=-1))
+    merged = _values(product_iso_inv(b, c, algebra.lattice) for b, c in split)
+    bad = np.flatnonzero((merged != _values(carrier)).any(axis=-1))
     witness = {"kind": "split-merge", "alpha": carrier[bad[0]].labels()} if bad.size else None
-    if witness is None:
-        witness = (_homomorphism_witness(ap, values(b for b, _ in split), factor)[0]
-                   or _homomorphism_witness(ap, values(c for _, c in split), factor)[0])
-    subchecks.append(("product-split", witness))
+    return witness, [(algebra, _values(parts[k] for parts in split), factor,
+                      algebra.space_size() == factor.space_size(), True)
+                     for k, factor in enumerate((first, second))]
 
-    # Disjoint union decomposes as a product of algebras.
+
+def _lift_claims(phi, dom: ConvAlgebra, cod: ConvAlgebra):
+    """Lifting ``phi``, a lattice morphism between the algebras' lattices,
+    is a homomorphism, one-one and onto exactly when phi is."""
+    ok, detail = is_lattice_morphism(phi, dom.lattice, cod.lattice)
+    if not ok:
+        return {"kind": "validation", "detail": detail}, []
+    images = _values(lift_lattice_morphism(phi, cod.lattice, alpha, validate=False)
+                     for alpha in dom.elements())
+    image = len(set(phi)) ** dom.structure.carrier_size  # the maps into phi's image
+    return None, [(dom, images, cod, image == dom.space_size(), image == cod.space_size())]
+
+
+def _pullback_claims(p, dom: ConvAlgebra, cod: ConvAlgebra):
+    """Pulling back along ``p``, a p-morphism from ``cod``'s structure to
+    ``dom``'s, is a homomorphism, one-one exactly when p is onto and onto
+    exactly when p is one-one (both, over a one-element lattice)."""
+    ok, detail = is_p_morphism(p, cod.structure, dom.structure)
+    if not ok:
+        return {"kind": "p-morphism validation", "detail": detail}, []
+    images = _values(pullback_pmorphism(p, cod.structure, dom.structure, beta, validate=False)
+                     for beta in dom.elements())
+    image = dom.lattice.size ** len(set(p))  # the maps constant on p's fibres
+    return None, [(dom, images, cod, image == dom.space_size(), image == cod.space_size())]
+
+
+def _structural_claims(lat: FiniteLattice) -> list:
+    """(subcheck, built) for each claim on maps of check_structural_isos
+    over ``lat``, with one algebra per (lattice, structure): ``built`` lists
+    the (witness, rows) of each map, a failure met in building it, such as
+    a failed validation, and a _claim_witness row per claimed map."""
+    two, z2 = _chain2(), _z2_structure()
+    chain3 = build_lattice(["0", "m", "1"], [("0", "m"), ("m", "1")])
+    algebra = cache(ConvAlgebra)
+
+    def lifts(*maps):
+        return [_lift_claims(phi, algebra(dom, z2), algebra(cod, z2)) for phi, dom, cod in maps]
+
     frame_sig = signature(("f", 1, JOIN))
     fx = RelStructure(1, frame_sig, [{(0, 0)}])
     fy = RelStructure(2, frame_sig, [{(0, 1), (1, 1)}])
-    union = disjoint_union(fx, fy)
-    au = ConvAlgebra(lat, union)
-    ax = ConvAlgebra(lat, fx)
-    ay = ConvAlgebra(lat, fy)
-    # Restriction to each block is a homomorphism; with the blocks'
-    # carriers multiplying, the pair of them is the isomorphism.
-    rows, cut = au._decode(au.carrier_codes()), fx.carrier_size
-    witness = (_homomorphism_witness(au, rows[:, :cut], ax)[0]
-               or _homomorphism_witness(au, rows[:, cut:], ay)[0])
-    subchecks.append(("coproduct-to-product", witness))
-
-    # Lattice morphism lift: chain3 -> chain2 collapsing the middle up.
-    chain3 = build_lattice(["0", "m", "1"], [("0", "m"), ("m", "1")])
-    phi = [0, 1, 1]
-    ok, w = is_lattice_morphism(phi, chain3, two)
-    witness = None if ok else {"kind": "validation", "detail": w}
-    if witness is None:
-        dom = ConvAlgebra(chain3, z2)
-        cod = ConvAlgebra(two, z2)
-        images = values(lift_lattice_morphism(phi, two, e, validate=False)
-                        for e in dom.elements())
-        witness = _homomorphism_witness(dom, images, cod)[0]
-    subchecks.append(("morphism-lift", witness))
-
-    # One-one/onto preservation and reflection for lifted morphisms.
-    cases = [
-        ("embedding", two, chain3, [0, 2]),
-        ("quotient", chain3, two, [0, 0, 1]),
-        ("identity", chain3, chain3, [0, 1, 2]),
-        ("collapse", chain3, chain3, [0, 0, 2]),
-    ]
-    witness = None
-    for label, dom_lat, cod_lat, table in cases:
-        ok, w = is_lattice_morphism(table, dom_lat, cod_lat)
-        if not ok:
-            witness = {"kind": "validation", "case": label, "detail": w}
-            break
-        inj, surj = len(set(table)) == len(table), len(set(table)) == cod_lat.size
-        dom = ConvAlgebra(dom_lat, z2)
-        cod = ConvAlgebra(cod_lat, z2)
-        hits = np.bincount(cod._encode(np.asarray(table)[dom._decode(dom.carrier_codes())]),
-                           minlength=cod.space_size())
-        lifted_inj, lifted_surj = bool(hits.max() <= 1), bool(hits.all())
-        if lifted_inj != inj or lifted_surj != surj:
-            witness = {"kind": "one-one/onto", "case": label,
-                       "lifted_one_one": lifted_inj, "lifted_onto": lifted_surj}
-            break
-    subchecks.append(("one-one-onto", witness))
-
-    # p-morphism pullback: the mod-2 quotient on product/converse reducts.
+    union = algebra(lat, disjoint_union(fx, fy))
+    # a function is its values on the blocks, so the pair of restrictions
+    # is one-one: the union's algebra is the product of the blocks'
+    rows, cut = union._decode(union.carrier_codes()), fx.carrier_size
     z4 = _reduct(from_group([[(a + b) % 4 for b in range(4)] for a in range(4)]),
                  ["*", "conv"])
     z2r = _reduct(z2, ["*", "conv"])
-    p = [0, 1, 0, 1]
-    ok, w = is_p_morphism(p, z4, z2r)
-    witness = None if ok else {"kind": "p-morphism validation", "detail": w}
-    if witness is None:
-        src = ConvAlgebra(lat, z2r)
-        dst = ConvAlgebra(lat, z4)
-        images = values(pullback_pmorphism(p, z4, z2r, e, validate=False)
-                        for e in src.elements())
-        witness = _homomorphism_witness(src, images, dst)[0]
-        if witness is None and np.bincount(dst._encode(images)).max() > 1:
-            witness = {"kind": "onto p-morphism must pull back one-one"}
-    subchecks.append(("pmorphism-pullback", witness))
+    return [
+        ("product-split", [_split_claims(algebra(two.product(two), z2),
+                                         algebra(two, z2), algebra(two, z2))]),
+        ("coproduct-to-product", [(None, [(union, rows[:, :cut], algebra(lat, fx), None, True),
+                                          (union, rows[:, cut:], algebra(lat, fy), None, True)])]),
+        ("morphism-lift", lifts(([0, 1, 1], chain3, two))),
+        ("one-one-onto", lifts(([0, 2], two, chain3), ([0, 0, 1], chain3, two),
+                               ([0, 1, 2], chain3, chain3), ([0, 0, 2], chain3, chain3))),
+        ("pmorphism-pullback", [_pullback_claims([0, 1, 0, 1], algebra(lat, z2r),
+                                                 algebra(lat, z4))]),
+    ]
+
+
+def check_structural_isos(lattice: FiniteLattice | None = None,
+                          instance: str | None = None) -> Report:
+    """Functorial behaviour on fixed small instances: ``_claim_witness``
+    decides each claim on a map of ``_structural_claims``, after the witness
+    met in building the map, and order-preserving carriers are closed under
+    every operation.  The tests sweep the claim builders over more maps."""
+    lat = lattice if lattice is not None else build_lattice(
+        ["0", "m", "1"], [("0", "m"), ("m", "1")])
+    name = instance or f"|L|={lat.size}"
+    subchecks = []
+    for label, built in _structural_claims(lat):
+        failures = (w for witness, rows in built
+                    for w in chain([witness], (_claim_witness(*row) for row in rows)) if w)
+        subchecks.append((label, next(failures, None)))
 
     # Ordered structures: operation images are order preserving and the
     # order-preserving carrier is closed under everything.
@@ -1001,7 +1001,6 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
     plain = ConvAlgebra(lat, ordered)
     restricted = ConvAlgebra(lat, ordered, ordered=True)
     rels = ("dia", "box")
-    witness = None
     rows = plain._decode(plain.carrier_codes())
     # [alpha, r]: whether the image of alpha under rels[r] is order preserving
     bad = np.argwhere(~np.stack([plain._monotone_rows(plain._eval(r, [rows]))
@@ -1017,8 +1016,7 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
         # [alpha, r]: whether rels[r] maps the carrier's alpha into the carrier
         bad = np.argwhere(~np.stack([np.isin(restricted._table(r)[codes], codes)
                                      for r in map(ordered.relation, rels)], axis=-1))
-        if len(bad):
-            witness = {"kind": "carrier-not-closed", "relation": rels[bad[0][1]]}
+        witness = {"kind": "carrier-not-closed", "relation": rels[bad[0][1]]} if len(bad) else None
     subchecks.append(("ordered-closure", witness))
 
     failures = [{"subcheck": label, "witness": w}

@@ -305,7 +305,8 @@ def structure_from_json(doc) -> RelStructure:
                              list, dict):
         specs.append((_json_field(entry["name"], "a relation name must be a string", str),
                       _json_field(entry["arity"], "a relation arity must be an integer", int),
-                      entry.get("mode", JOIN)))
+                      _json_field(entry.get("mode", JOIN), "a relation mode must be a string",
+                                  str)))
         tuples = _json_field(entry["tuples"], "tuples must be an array", list)
         rels.append([tuple(_json_field(t, "each tuple must be an array of integers", list, int))
                      for t in tuples])

@@ -790,11 +790,11 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     per variable, so the position and verdict are the whole grid's, byte
     for byte, or over codes when _tabled holds for a grid that outgrows
     _FIRST_ROWS assignments ('codes').  Over the budget, mode 'auto'
-    runs the grid over the tables of _generators when every variable is
-    reduced and that grid fits ('generators'), else decides the equation
+    runs the grid over the _domains of the _families when every variable
+    is reduced and that grid fits ('generators'), else decides the equation
     on 2^X, by its grid or the tables of its generators, when _two_valued
     qualifies and one of them fits ('two-valued'), else runs the grid of
-    _generators in which some variables range over the carrier
+    those domains in which some variables range over the carrier
     ('generators', with their names in ``reduced``), a larger grid than
     2^X's; the tables of such a partial reduction are built only then.
     A counterexample on 2^X sends 0 to bottom and 1 to top, and, like the

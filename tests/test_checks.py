@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from itertools import product
 from pathlib import Path
 from unittest.mock import patch
@@ -28,12 +29,11 @@ from convalg.checks import (Report, _expect_group_signature,
                             check_relation_algebra, check_residuation,
                             check_structural_isos, check_subset_isomorphism,
                             check_z2_associativity, default_equation_pool)
-from convalg.convolution import (ConvAlgebra, SubsetAlgebra,
-                                 lift_lattice_morphism, product_iso,
-                                 pullback_pmorphism)
+from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra,
+                                 is_lattice_morphism)
 from convalg.errors import NotHeyting, SignatureMismatch
 from convalg.structures import (JOIN, MEET, RelStructure, build_structure,
-                                disjoint_union, from_group, full_structure,
+                                disjoint_union, full_structure, is_p_morphism,
                                 signature)
 from convalg.terms import (Equation, Neg, Var, Verdict, _chunks,
                            check_equation, eval_term, parse_term)
@@ -1068,26 +1068,10 @@ def reference_commutes_with_ops(push, dom, cod):
 
 
 def _structural_maps():
-    """(dom, images, cod) for the maps structural-isos checks."""
-    two, z2 = chain(2), cyclic_group(2)
-    split = ConvAlgebra(two.product(two), z2)
-    z4 = from_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
-    z4r = RelStructure(4, signature(("*", 2, JOIN), ("conv", 1, JOIN)), z4.relations[:2])
-    z2r = RelStructure(2, z4r.signature, z2.relations[:2])
-    pull = ConvAlgebra(chain(3), z2r)
-    dom = ConvAlgebra(chain(3), z2)
-
-    def images(algebra, fn):
-        return np.array([fn(f).values for f in algebra.carrier_list()])
-
-    return [
-        (split, images(split, lambda f: product_iso(f)[0]), ConvAlgebra(two, z2)),
-        (split, images(split, lambda f: product_iso(f)[1]), ConvAlgebra(two, z2)),
-        (dom, images(dom, lambda f: lift_lattice_morphism([0, 1, 1], two, f)),
-         ConvAlgebra(two, z2)),
-        (pull, images(pull, lambda f: pullback_pmorphism([0, 1, 0, 1], z4r, z2r, f)),
-         ConvAlgebra(chain(3), z4r)),
-    ]
+    """(dom, images, cod) for the maps structural-isos decides, from its
+    own claim rows."""
+    return [row[:3] for _, built in checks._structural_claims(chain(3))
+            for _, rows in built for row in rows]
 
 
 def test_homomorphism_witness_matches_the_loop_reference():
@@ -1123,10 +1107,57 @@ def test_homomorphism_witness_matches_the_loop_reference():
     assert kinds == {None, "bounds", "meet", "join", "operation", "nullary operation"}
 
 
+def test_structural_claims_hold_on_generated_instances():
+    # structural-isos's claim builders over generated maps: every bounded
+    # lattice morphism among the pool lattices of at most 5 elements,
+    # lifted; every p-morphism among the pool's frames of one unary join
+    # relation, pulled back; and the split of every product of two pool
+    # lattices of at most 12 elements.  One algebra per (lattice, structure).
+    algebra = cache(ConvAlgebra)
+    small = [lat for _, lat in lattice_pool() if lat.size <= 5]
+    morphisms = [(phi, a, b) for a in small for b in small
+                 for phi in product(range(b.size), repeat=a.size)
+                 if is_lattice_morphism(phi, a, b)[0]]
+    frames = [s for _, s in structure_pool() if s.signature == signature(("f", 1, JOIN))]
+    pmorphisms = [(p, x, y) for x in frames for y in frames
+                  for p in product(range(y.carrier_size), repeat=x.carrier_size)
+                  if is_p_morphism(p, x, y)[0]]
+    pairs = [(a, b) for _, a in lattice_pool() for _, b in lattice_pool()
+             if a.size * b.size <= 12]
+    over = [s for name, s in structure_pool() if name in ("z2-group", "frame2-succ", "mixed2")]
+    built = [(("lift", phi, s), checks._lift_claims(phi, algebra(a, s), algebra(b, s)))
+             for phi, a, b in morphisms for s in over]
+    built += [(("pullback", p, lat), checks._pullback_claims(p, algebra(lat, y), algebra(lat, x)))
+              for p, x, y in pmorphisms for lat in (chain(2), chain(3), boolean(2))]
+    built += [(("split", a, b, s), checks._split_claims(algebra(a.product(b), s),
+                                                        algebra(a, s), algebra(b, s)))
+              for a, b in pairs for s in over]
+    failures = [(case, w) for case, (witness, rows) in built
+                for w in [witness, *(checks._claim_witness(*row) for row in rows)] if w]
+    assert not failures, failures[:3]
+    assert (len(morphisms), len(pmorphisms), len(pairs)) == (137, 64, 18)
+    assert sum(len(rows) for _, (_, rows) in built) == 411 + 192 + 2 * 54
+
+
 def test_structural_isos_pass():
     r = check_structural_isos()
     assert r.status == "pass"
     assert len(r.stats["subchecks"]) == 6
+
+
+def test_structural_isos_decide_the_one_one_onto_lifts_as_homomorphisms(monkeypatch):
+    # Lifts into chain3 read with the points of Z2 swapped stay one-one and
+    # onto exactly as before, but no longer commute with the convolution.
+    lift = checks.lift_lattice_morphism
+
+    def swapped(phi, cod, alpha, validate=True):
+        out = lift(phi, cod, alpha, validate)
+        return LFunction(out.values[::-1], cod) if cod.size == 3 else out
+    monkeypatch.setattr(checks, "lift_lattice_morphism", swapped)
+    r = check_structural_isos()
+    assert r.status == "fail"
+    assert r.witness["subcheck"] == "one-one-onto"
+    assert (r.witness["witness"]["kind"], r.witness["witness"]["relation"]) == ("operation", "*")
 
 
 def test_structural_isos_fail_on_a_union_with_a_cross_tuple(monkeypatch):

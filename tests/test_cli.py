@@ -281,6 +281,10 @@ def test_check_rejects_a_document_that_is_no_object(capsys, tmp_path, command, d
     ("structure", {"carrier": True, "relations": []}),
     ("structure", {"carrier": 2, "relations": [{"name": "r", "arity": 1.9,
                                                 "tuples": [[0, 1]]}]}),
+    ("structure", {"carrier": 2, "relations": [{"name": "r", "arity": 1, "mode": 5,
+                                                "tuples": [[0, 1]]}]}),
+    ("structure", {"carrier": 2, "relations": [{"name": "r", "arity": 1, "mode": None,
+                                                "tuples": [[0, 1]]}]}),
 ])
 def test_check_rejects_a_field_of_the_wrong_shape(capsys, tmp_path, command, doc):
     # none is coerced: not "ab" into the labels a, b, nor 2.7 or true into a carrier

@@ -21,6 +21,10 @@ verdict's fields are set.  And which variables of an equation, or of the
 relation-algebra checker's De Morgan scans, range over generators is
 decided in ``terms`` alone, from one classifier of how a variable occurs.
 
+Every claim structural-isos makes on a map (a homomorphism, one-one and
+onto where claimed) is decided by ``checks._claim_witness``: its checker
+and claim builders count no images and compare no operations of their own.
+
 Terms are evaluated in one place: an equation's compiled plan
 (``terms._Plan.run``) is the only code in ``terms.py`` that applies an
 algebra's batched operations, and the relation-algebra checker's De
@@ -170,3 +174,15 @@ def test_terms_has_one_term_evaluator():
     assert "_value" not in defined
     checker = ast.parse(_function(sources["checks.py"], "check_relation_algebra"))
     assert "_Plan" in {getattr(node, "id", None) for node in ast.walk(checker)}
+
+
+def test_structural_claims_are_decided_by_one_rule():
+    text = _sources()["checks.py"]
+    for name in ("check_structural_isos", "_structural_claims", "_split_claims",
+                 "_lift_claims", "_pullback_claims"):
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(ast.parse(_function(text, name)))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not names & {"bincount", "_homomorphism_witness"}, (
+            f"{name} decides a map itself; _claim_witness decides each claim row")
+        assert ("_claim_witness" in names) == (name == "check_structural_isos")
