@@ -14,9 +14,11 @@ one.  Each point's tuples are padded to a common count by repeating its
 first tuple, which the idempotent fold absorbs, and only the points no
 tuple ends at are set to the unit.  A relation's kernel is built the
 first time the relation is applied (see ConvAlgebra._kernel), so an
-algebra pays only for the relations it uses.  The subset algebra uses
-boolean relational images instead, also built on first use, and shares
-no code with that kernel, so it stays an independent check of it.
+algebra pays only for the relations it uses; its index arrays depend on
+the structure alone, which keeps them for every lattice.  The subset
+algebra uses boolean relational images instead, also built on first use
+and kept with the structure, and shares no code with that kernel, so it
+stays an independent check of it.
 
 Each function also has an integer code, its mixed-radix index
 ``sum v_i * |L|^(n-1-i)``, which is its position in the unordered
@@ -147,35 +149,20 @@ class ConvAlgebra:
         return LFunction((self.lattice.top,) * self.structure.carrier_size, self.lattice)
 
     def _kernel(self, i: int):
-        """The kernel of relation ``i``, built on its first application and
-        kept: a constant value row when no tuple has an input (a nullary
-        relation, or one with no tuples), else (inner, outer, unit, cols,
-        slots, bare).  ``cols[k]`` holds the k-th input point of each
-        tuple, row x of ``slots`` the tuples ending at x, padded by
-        repeating the first of them, since the outer fold is idempotent,
-        and ``bare`` the points no tuple ends at, which take its unit."""
+        """The kernel of relation ``i``, kept from its first application:
+        the structure's ``_kernel_index(i)`` with this lattice's half, a
+        constant value row (each tuple is the empty inner fold) or (inner,
+        outer, unit, cols, slots, bare), whose idempotent fold absorbs the
+        padding of ``slots``."""
         kernel = self._kernels.get(i)
-        if kernel is not None:
-            return kernel
-        spec, lat = self.structure.signature.rel_specs[i], self.lattice
-        if spec.mode == JOIN:
-            inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
-        else:
-            inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
-        rel = list(self.structure.relations[i])
-        preds = [[] for _ in range(self.structure.carrier_size)]
-        for k, t in enumerate(rel):
-            preds[t[-1]].append(k)
-        if not (spec.arity and rel):  # each tuple is the empty inner fold
-            kernel = np.array([mark if p else unit for p in preds], dtype=np.int64)
-        else:
-            width = max(map(len, preds))
-            slots = np.array([p + p[:1] * (width - len(p)) if p else [0] * width
-                              for p in preds], dtype=np.intp)
-            cols = np.array(list(zip(*rel))[:-1], dtype=np.intp)
-            bare = np.array([x for x, p in enumerate(preds) if not p], dtype=np.intp)
-            kernel = (inner, outer, unit, cols, slots, bare)
-        self._kernels[i] = kernel
+        if kernel is None:
+            lat, index = self.lattice, self.structure._kernel_index(i)
+            if self.structure.signature.rel_specs[i].mode == JOIN:
+                inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
+            else:
+                inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
+            kernel = self._kernels[i] = (np.where(index, mark, unit) if isinstance(
+                index, np.ndarray) else (inner, outer, unit, *index))
         return kernel
 
     # -- element plumbing ----------------------------------------------------
@@ -572,11 +559,11 @@ class SubsetAlgebra:
         n = structure.carrier_size
         self._full = frozenset(range(n))
         self._width = n + max(map(len, structure.relations), default=0)
-        self._images: dict = {}
+        self._images = structure._images
 
     def _image(self, i: int):
-        """(cols, into) for relation ``i``, built on its first application
-        and kept: the input points of each tuple, and its output as a row."""
+        """(cols, into) for relation ``i``, kept with the structure from its
+        first application: the input points of each tuple, its output row."""
         image = self._images.get(i)
         if image is None:
             rel, n = self.structure.relations[i], self.structure.carrier_size

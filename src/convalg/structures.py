@@ -106,6 +106,8 @@ class RelStructure:
         self._hash = hash((carrier_size, sig,
                            tuple(tuple(sorted(r)) for r in self.relations),
                            None if order is None else order.tobytes()))
+        # per relation on first use: its kernel's lattice-free half, its subset images
+        self._kernel_indices, self._images = {}, {}
 
     def _check_order_closure(self):
         leq = self.order
@@ -151,6 +153,30 @@ class RelStructure:
         if not 0 <= i < len(self.signature):
             raise UnknownOperation(f"no relation at index {i}")
         return i
+
+    def _kernel_index(self, i: int):
+        """The half of relation ``i``'s convolution kernel that no lattice
+        enters, built on first use and kept: when no tuple has an input, a
+        boolean row of the points some tuple ends at, else (cols, slots,
+        bare): ``cols[k]`` the k-th input point of each tuple, row x of
+        ``slots`` the tuples ending at x, padded by repeating the first,
+        and ``bare`` the points no tuple ends at."""
+        index = self._kernel_indices.get(i)
+        if index is None:
+            rel = list(self.relations[i])
+            preds = [[] for _ in range(self.carrier_size)]
+            for k, t in enumerate(rel):
+                preds[t[-1]].append(k)
+            if not (self.signature.rel_specs[i].arity and rel):
+                index = np.array([bool(p) for p in preds])
+            else:
+                width = max(map(len, preds))
+                index = (np.array(list(zip(*rel))[:-1], dtype=np.intp),
+                         np.array([p + p[:1] * (width - len(p)) if p else [0] * width
+                                   for p in preds], dtype=np.intp),
+                         np.array([x for x, p in enumerate(preds) if not p], dtype=np.intp))
+            self._kernel_indices[i] = index
+        return index
 
     def predecessors(self, i: int, x: int) -> list[tuple]:
         """Input tuples of relation i whose output coordinate is x."""

@@ -12,7 +12,8 @@ the relation-algebra checker's De Morgan bounds: terms compile into a
 straight-line plan with one step per distinct subterm (see _Plan), which
 an Equation builds once and keeps, and the plan runs once per batch of
 assignments, each variable bound to an array of value rows, calling the
-algebra's batched operations.
+algebra's batched operations; it resolves relation names once per
+signature, not per batch.
 Equations are decided on one of six paths, which the verdict names (see
 check_equation): the exhaustive grid of assignments over value rows or
 over integer codes, the grid over tables of the algebra's own value rows
@@ -20,10 +21,11 @@ over integer codes, the grid over tables of the algebra's own value rows
 the irreducible generators of L^X or the whole carrier), the grid of 2^X
 by the paper's variety theorem, or seeded samples.  Which variables may
 range over generators is decided from how each occurs in the equation
-(see _occurrence): free, linear, monotone, antitone or mixed; the De
-Morgan scans of the relation-algebra checker take their domains from the
-same rule (see _bounded_below).  The least counterexample in enumeration
-order is reported, so failures are reproducible.
+(see _Plan.occurrences, one pass over the plan's steps): free, linear,
+monotone, antitone or mixed; the De Morgan scans of the relation-algebra
+checker take their domains from the same rule (see _bounded_below).  The
+least counterexample in enumeration order is reported, so failures are
+reproducible.
 
 An exhaustive grid binds each variable to a numpy axis of its own: a
 chunk of assignments keeps its trailing variables as full axes, as many
@@ -219,6 +221,11 @@ def parse_term(text: str, sig: Signature | None = None) -> Term:
     return _build(node, sig)
 
 
+# ``neg`` and the antecedent of ``imp`` flip monotone and antitone
+_FLIP = {"linear": "antitone", "monotone": "antitone", "antitone": "monotone",
+         "mixed": "mixed"}
+
+
 class _Plan:
     """Terms compiled into a straight-line program with one step per
     distinct subterm: a step is (op, name, args), where op is one of
@@ -228,9 +235,11 @@ class _Plan:
     same op, name and argument steps, so a subterm that occurs twice is
     evaluated once.  ``roots`` are the steps of the compiled terms, and
     ``names`` (sorted), ``operations`` and ``heyting`` record the
-    variables, the relations applied, and whether neg or imp occurs."""
+    variables, the relations applied, and whether neg or imp occurs.
+    It keeps its relations' indices (see relations) and ``families``,
+    _families' answers per modes and ``ordered``; neither holds an algebra."""
 
-    __slots__ = ("steps", "roots", "names", "operations", "heyting")
+    __slots__ = ("steps", "roots", "names", "operations", "heyting", "families", "_sig", "_index")
 
     def __init__(self, *terms: Term):
         steps, index, roots = [], {}, []
@@ -263,13 +272,50 @@ class _Plan:
         self.names = sorted(name for op, name, _ in steps if op == "var")
         self.operations = frozenset(name for op, name, _ in steps if op == "op")
         self.heyting = any(op in ("neg", "imp") for op, _, _ in steps)
+        self.families, self._sig, self._index = {}, None, {}
+
+    def relations(self, sig: Signature) -> dict:
+        """The index in ``sig`` of each relation the plan applies, by name,
+        resolved once per signature in a row (UnknownOperation if absent)."""
+        if sig is not self._sig:
+            self._index, self._sig = {name: sig.index(name) for name in self.operations}, sig
+        return self._index
+
+    def occurrences(self, modes: dict) -> dict:
+        """How each step depends on each variable it is not free of, in one
+        pass over the steps: {dual: one {variable: class} per step}, given
+        the relations' ``modes`` by name.  A class is 'linear' (preserving
+        binary joins; meets when ``dual``), 'monotone', 'antitone' or
+        'mixed'.  By the syntactic rule: a variable is linear in itself; a
+        join (meet) is linear when its arguments are linear or free; so are
+        a meet (join) and a join-mode (meet-mode) relation when exactly one
+        argument holds the variable and it is linear, which rests on L
+        being distributive.  Otherwise every operation is monotone in each
+        argument, but ``neg`` and the antecedent of ``imp`` flip monotone
+        and antitone; linear counts as monotone there."""
+        out = {False: [], True: []}
+        for op, name, args in self.steps:
+            for dual, classes in out.items():
+                plus, times, mode = ("meet", "join", MEET) if dual else ("join", "meet", JOIN)
+                held = {name: ["linear"]} if op == "var" else {}
+                flip = op in ("neg", "imp")  # in the first argument
+                for k, a in enumerate(args):
+                    for v, c in classes[a].items():
+                        held.setdefault(v, []).append(_FLIP[c] if flip and k == 0 else c)
+                classes.append({v: "linear" if (
+                    op in ("var", plus) and set(h) == {"linear"} or h == ["linear"] and (
+                        op == times or op == "op" and modes.get(name) == mode))
+                    else "monotone" if set(h) <= {"linear", "monotone"}
+                    else "antitone" if set(h) == {"antitone"} else "mixed"
+                    for v, h in held.items()})
+        return out
 
     def run(self, alg, env: dict) -> list:
         """The value arrays of the roots over the batch algebra ``alg``;
         ``env`` maps variables to arrays of rows."""
         if self.heyting:
             _check_heyting(alg)
-        vals = []
+        index, vals = self.relations(alg.structure.signature), []
         for op, name, args in self.steps:
             if op == "var":
                 try:
@@ -277,7 +323,7 @@ class _Plan:
                 except KeyError:
                     raise UnboundVariable(f"variable {name!r} is not assigned") from None
             elif op == "op":
-                value = alg._eval(alg.structure.relation(name), [vals[a] for a in args])
+                value = alg._eval(index[name], [vals[a] for a in args])
             elif op == "join":
                 value = alg._join(vals[args[0]], vals[args[1]])
             elif op == "meet":
@@ -472,57 +518,13 @@ def _first_failure(total: int, alg, rows, broken):
     return None, None
 
 
-# How a variable occurs in a term, as _occurrence classifies it; ``neg``
-# and the antecedent of ``imp`` flip monotone and antitone.
-_FLIP = {"free": "free", "linear": "antitone", "monotone": "antitone",
-         "antitone": "monotone", "mixed": "mixed"}
-
-
-def _occurrence(t: Term, v: str, modes: dict, dual: bool = False) -> str:
-    """How ``t`` depends on the variable ``v``: 'free' of it, 'linear'
-    (preserving binary joins in ``v``; meets when ``dual``), or else
-    'monotone', 'antitone' or 'mixed'.
-
-    By the syntactic rule: ``v`` itself is linear; a join (meet) is linear
-    when its arguments are linear or free; so are a meet (join) and a
-    join-mode (meet-mode) relation when exactly one argument holds ``v``
-    and it is linear, which rests on L being distributive.  Otherwise the
-    lattice operations and the relations of either mode are monotone in
-    each argument, and ``neg`` and the antecedent of ``imp`` flip
-    monotone and antitone; linear counts as monotone there.
-    """
-    if isinstance(t, Var):
-        return "linear" if t.name == v else "free"
-    if isinstance(t, (Bot, Top)):
-        return "free"
-    if isinstance(t, Neg):
-        return _FLIP[_occurrence(t.arg, v, modes, dual)]
-    if isinstance(t, Imp):
-        parts = [_FLIP[_occurrence(t.lhs, v, modes, dual)], _occurrence(t.rhs, v, modes, dual)]
-    else:
-        args = (t.lhs, t.rhs) if isinstance(t, (Meet, Join)) else t.args
-        parts = [_occurrence(a, v, modes, dual) for a in args]
-    holders = [p for p in parts if p != "free"]
-    if not holders:
-        return "free"
-    plus, times, mode = (Meet, Join, MEET) if dual else (Join, Meet, JOIN)
-    if (isinstance(t, plus) and set(holders) == {"linear"}
-            or holders == ["linear"] and (isinstance(t, times) or isinstance(t, RelOp)
-                                          and modes.get(t.name) == mode)):
-        return "linear"
-    if set(holders) <= {"linear", "monotone"}:
-        return "monotone"
-    return "antitone" if set(holders) == {"antitone"} else "mixed"
-
-
-def _disjoint(eq: Equation):
-    """(t, s) when ``eq`` reads t ∨ ¬s = ¬s, either side and either
-    joinand first, else None."""
-    for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-        if isinstance(lhs, Join) and isinstance(rhs, Neg):
-            for t, neg in ((lhs.lhs, lhs.rhs), (lhs.rhs, lhs.lhs)):
-                if neg == rhs:
-                    return t, rhs.arg
+def _disjoint(plan: _Plan):
+    """The steps (t, s) when the equation of ``plan`` reads t ∨ ¬s = ¬s,
+    either side and either joinand first (¬s is one shared step), else None."""
+    for lhs, rhs in (plan.roots, plan.roots[::-1]):
+        (op, _, args), (neg, _, arg) = plan.steps[lhs], plan.steps[rhs]
+        if op == "join" and neg == "neg" and rhs in args:
+            return args[args[1] != rhs], arg[0]
     return None
 
 
@@ -553,8 +555,8 @@ def _domains(alg, families: list, cap: int):
     return [tables[f] for f in families]
 
 
-def _families(alg, eq: Equation, names: list[str]):
-    """The domain of each variable of ``names`` for _domains: False for
+def _families(alg, eq: Equation):
+    """The domain of each variable of ``eq`` for _domains: False for
     bottom and the join-irreducible generators, True for top and the
     meet-irreducible ones, None for the carrier; on the grid over them
     ``eq`` holds iff it holds on all of L^X.  None when no variable is
@@ -565,8 +567,8 @@ def _families(alg, eq: Equation, names: list[str]):
     unordered), bottom elsewhere, below it, j in J(L); dually for the
     meet of top and M(L) on down-sets.  A variable ranges over bottom and
     those generators when, for any values of the other variables:
-    (a) both sides are linear in it (see _occurrence), so they preserve
-    the join; dually top and M(L) for meet-linear sides.  One family
+    (a) both sides are linear in it (see _Plan.occurrences), so they
+    preserve the join; dually top and M(L) for meet-linear sides.  One family
     serves case (a), the one in which more variables are linear, joins
     on a tie, so an equation linear in every variable has one table; or
     (b) ``eq`` reads t ∨ ¬s = ¬s, that is t ∧ s = ⊥, with t antitone in
@@ -575,21 +577,27 @@ def _families(alg, eq: Equation, names: list[str]):
     Since either holds whatever the other variables are, the reductions
     of several variables compose.  Every other variable ranges over the
     carrier.  None unless ``alg`` is a convolution algebra over a
-    distributive lattice, unordered for case (b).
+    distributive lattice, unordered for case (b).  The plan of ``eq``
+    keeps the answer per modes of its relations and ``ordered``.
     """
     if not isinstance(alg, ConvAlgebra) or not alg.lattice.is_distributive:
         return None
-    modes = {s.name: s.mode for s in alg.structure.signature.rel_specs}
-    linear = {dual: {v for v in names if all(
-        _occurrence(t, v, modes, dual) in ("free", "linear") for t in (eq.lhs, eq.rhs))}
-        for dual in (False, True)}
-    dual = len(linear[True]) > len(linear[False])
-    disjoint = None if alg.ordered else _disjoint(eq)
-    case_b = set() if disjoint is None else {
-        v for v in names if _occurrence(disjoint[0], v, modes) in ("free", "antitone")
-        and _occurrence(disjoint[1], v, modes) in ("free", "linear")}
-    families = [dual if v in linear[dual] else False if v in case_b else None for v in names]
-    return None if families.count(None) == len(names) else families
+    plan, sig = eq._plan, alg.structure.signature
+    modes = {name: sig.rel_specs[i].mode for name, i in plan.relations(sig).items()}
+    key = (tuple(modes.values()), alg.ordered)
+    if key not in plan.families:
+        occurs, (lhs, rhs), names = plan.occurrences(modes), plan.roots, plan.names
+        linear = {dual: {v for v in names if occurs[dual][lhs].get(v) in (None, "linear")
+                         and occurs[dual][rhs].get(v) in (None, "linear")}
+                  for dual in (False, True)}
+        dual = len(linear[True]) > len(linear[False])
+        disjoint = None if alg.ordered else _disjoint(plan)
+        case_b = set() if disjoint is None else {
+            v for v in names if occurs[False][disjoint[0]].get(v) in (None, "antitone")
+            and occurs[False][disjoint[1]].get(v) in (None, "linear")}
+        families = [dual if v in linear[dual] else False if v in case_b else None for v in names]
+        plan.families[key] = None if families.count(None) == len(names) else tuple(families)
+    return plan.families[key]
 
 
 def _generators(alg, eq: Equation, names: list[str], cap: int):
@@ -597,7 +605,7 @@ def _generators(alg, eq: Equation, names: list[str], cap: int):
     names of the variables whose rows are generators rather than the
     carrier; or None when no variable is reduced or the grid outgrows
     ``cap``."""
-    families = _families(alg, eq, names)
+    families = _families(alg, eq)
     tables = None if families is None else _domains(alg, families, cap)
     return None if tables is None else (
         tables, [v for v, f in zip(names, families) if f is not None])
@@ -622,10 +630,11 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
     if (not isinstance(alg, ConvAlgebra) or alg.ordered
             or not alg.lattice.is_distributive):
         return None
-    modes = {s.name: s.mode for s in alg.structure.signature.rel_specs}
-    bounds = [(Meet(x, y.arg), Bot()) if isinstance(y, Neg) else (x, y) for x, y in bounds]
-    families = [False if all(_occurrence(x, v, modes) in ("free", "linear")
-                             and _occurrence(y, v, modes) == "free" for x, y in bounds)
+    plan = _Plan(*(side for x, y in bounds
+                   for side in ((Meet(x, y.arg), Bot()) if isinstance(y, Neg) else (x, y))))
+    occurs = plan.occurrences({s.name: s.mode for s in alg.structure.signature.rel_specs})[False]
+    families = [False if all(occurs[x].get(v) in (None, "linear") and v not in occurs[y]
+                             for x, y in zip(plan.roots[::2], plan.roots[1::2]))
                 else None for v in names]
     return None if families.count(None) == len(names) else _domains(alg, families, cap)
 
@@ -661,11 +670,9 @@ def _tabled(alg, eq: Equation, total: int):
     than the grid, and later equations over the algebra reuse it."""
     if not isinstance(alg, ConvAlgebra):
         return None
-    q = alg.space_size()
-    if q * q > total:
-        return None
-    arity = {s.name: s.arity for s in alg.structure.signature.rel_specs}
-    if any(q ** arity.get(name, 0) > total for name in eq.operations()):
+    q, sig = alg.space_size(), alg.structure.signature
+    if q * q > total or any(q ** sig.rel_specs[i].arity > total
+                            for i in eq._plan.relations(sig).values()):
         return None
     return alg.coded()
 
@@ -817,7 +824,7 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     names = eq.variables()
     k = len(names)
     total, rows, path = _assignments(alg, k, mode, cap, samples, seed)
-    families = _families(alg, eq, names) if path == "samples" and mode == "auto" else None
+    families = _families(alg, eq) if path == "samples" and mode == "auto" else None
     partial_reduction = families is not None and None in families
     target, tables = alg, None  # the interface the rows are given in, and tables of rows
     if path == "grid" and (table := _one_point_rows(alg, eq)) is not None:

@@ -134,22 +134,23 @@ def test_the_path_of_a_verdict_is_chosen_in_check_equation():
 
 
 def test_which_variables_range_over_generators_is_decided_in_terms():
-    # terms._occurrence classifies how a variable occurs in a term, and
-    # _families (equations) and _bounded_below (the De Morgan scans)
-    # state their rules over it; the yes/no _linear it replaced is gone,
-    # and no other module classifies terms or builds generator domains.
+    # terms._Plan.occurrences classifies how a variable occurs in each
+    # step of a plan, and _families (equations) and _bounded_below (the
+    # De Morgan scans) state their rules over it; the yes/no _linear and
+    # the recursive _occurrence it replaced are gone, and no other module
+    # classifies terms or builds generator domains.
     sources = _sources()
     trees = {name: ast.parse(text) for name, text in sources.items()}
     defined = {name: {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
                for name, tree in trees.items()}
-    assert not [name for name, names in defined.items() if "_linear" in names]
-    assert ({"_occurrence", "_families", "_domains", "_generators", "_bounded_below"}
+    assert not [name for name, names in defined.items() if names & {"_linear", "_occurrence"}]
+    assert ({"occurrences", "_families", "_domains", "_generators", "_bounded_below"}
             <= defined["terms.py"])
     used = {name: {getattr(node, "id", None) or getattr(node, "attr", None)
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
             for name, tree in trees.items() if name != "terms.py"}
     assert not [name for name, names in used.items()
-                if names & {"_occurrence", "_families", "_domains", "_disjoint",
+                if names & {"occurrences", "_families", "_domains", "_disjoint",
                             "_generators"}]
     # the relation-algebra checker names no generator, linearity or mode
     # of its own: its scans take their domains from terms

@@ -1,5 +1,7 @@
 """Parser, evaluator, and equation checking."""
 
+import gc
+import weakref
 from functools import lru_cache
 from itertools import product
 from unittest.mock import patch
@@ -19,8 +21,9 @@ from convalg.errors import (ArityMismatch, BudgetExceeded, ConvalgError,
                             NotHeyting, TermSyntaxError, UnboundVariable,
                             UnknownElement, UnknownOperation)
 from convalg.lattice import FiniteLattice, build_lattice
-from convalg.structures import (JOIN, MEET, build_structure, from_group,
-                                full_structure, signature)
+from convalg.structures import (JOIN, MEET, RelStructure, Signature,
+                                build_structure, from_group, full_structure,
+                                signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
                            Var, Verdict, _batch_algebra, _generators,
                            _one_point_rows, check_equation, eval_term,
@@ -438,9 +441,10 @@ def test_reduction_gate_follows_the_linearity_rule(lhs, rhs, expect):
     ("(join x (neg x))", False, "mixed"),
 ])
 def test_occurrence_classifies_how_a_variable_occurs(text, dual, expect):
+    # the class of x at the term's root step; a step free of x omits it
     modes = {s.name: s.mode for s in mixed().signature.rel_specs}
-    t = parse_term(text, mixed().signature)
-    assert terms_module._occurrence(t, "x", modes, dual) == expect
+    plan = terms_module._Plan(parse_term(text, mixed().signature))
+    assert plan.occurrences(modes)[dual][plan.roots[0]].get("x", "free") == expect
 
 
 def test_law_7_reduces_one_variable_by_its_disjoint_form():
@@ -1076,6 +1080,157 @@ def test_a_check_builds_only_the_kernels_it_applies():
     eq = parse_equation({"lhs": "(op * x y)", "rhs": "(op * y x)"}, algebra.structure.signature)
     assert check_equation(eq, algebra).status == "valid_exhaustive"
     assert list(algebra._kernels) == [algebra.structure.relation("*")]
+
+
+def test_a_plan_resolves_its_relations_once_per_signature():
+    # the two-chunk grid of the shared-subterm test: no relation name is
+    # looked up after the first chunk, and the resolved indices are kept
+    sig = signature(("f", 1, "join"))
+    structure = build_structure(8, sig, [{(a, b) for a in range(8) for b in range(a + 1, 8)}])
+    eq = parse_equation({"lhs": "(join (op f (op f x)) (op f x))", "rhs": "(op f x)"}, sig)
+    runs, lookups, resolved = [], [], []
+    run, index, relation = terms_module._Plan.run, Signature.index, RelStructure.relation
+
+    def counted_run(plan, alg, env):
+        runs.append(1)
+        values = run(plan, alg, env)
+        resolved.append(plan._index)
+        return values
+    with patch.object(terms_module._Plan, "run", counted_run), \
+            patch.object(Signature, "index", lambda s, n: lookups.append(len(runs)) or index(s, n)), \
+            patch.object(RelStructure, "relation",
+                         lambda s, n: lookups.append(len(runs)) or relation(s, n)):
+        verdict = check_equation(eq, ConvAlgebra(chain(2), structure))
+    assert (verdict.path, verdict.status, len(runs)) == ("grid", "valid_exhaustive", 2)
+    assert lookups in ([], [1])
+    assert resolved[0] == {"f": 0} and resolved[0] is resolved[1]
+
+
+def test_a_reused_plan_still_rejects_unknown_operations_and_wrong_arities():
+    # one equation over f, decided over a signature that has f, then over
+    # one without f and one in which f takes two arguments
+    x = Var("x")
+    eq = Equation(Join(RelOp("f", (x,)), x), Join(x, RelOp("f", (x,))))
+    unary = build_structure(2, signature(("f", 1, JOIN)), [{(0, 1)}])
+    assert check_equation(eq, ConvAlgebra(chain(2), unary)).status == "valid_exhaustive"
+    other = build_structure(2, signature(("g", 1, JOIN)), [{(0, 1)}])
+    binary = build_structure(2, signature(("f", 2, JOIN)), [{(0, 0, 1)}])
+    for algebra in (ConvAlgebra(chain(2), other), SubsetAlgebra(other), chain(3)):
+        with pytest.raises(UnknownOperation):
+            check_equation(eq, algebra)
+        with pytest.raises(UnknownOperation):
+            eval_term(eq.lhs, algebra, {"x": _batch_algebra(algebra)[0].bot()
+                                        if not isinstance(algebra, FiniteLattice) else 0})
+    for algebra in (ConvAlgebra(chain(2), binary), SubsetAlgebra(binary)):
+        with pytest.raises(ArityMismatch):
+            check_equation(eq, algebra)
+    assert check_equation(eq, SubsetAlgebra(unary)).status == "valid_exhaustive"
+
+
+def test_the_classifier_runs_once_per_equation():
+    # three over-budget checks of one equation, each over a fresh algebra
+    # with the same modes: the variables are classified on the first alone
+    eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
+                        full_structure(2).signature)
+    calls, occurrences = [], terms_module._Plan.occurrences
+    with patch.object(terms_module._Plan, "occurrences",
+                      lambda plan, modes: calls.append(modes) or occurrences(plan, modes)):
+        verdicts = [check_equation(eq, ConvAlgebra(chain(3), full_structure(2)), budget=80)
+                    for _ in range(3)]
+    assert {(v.path, v.status, v.tried) for v in verdicts} == {
+        ("generators", "valid_exhaustive", 25)}
+    assert calls == [{"f": JOIN}]
+
+
+def test_the_plan_caches_keep_no_algebra_alive():
+    # an equation and a structure outlive the algebras they were decided
+    # over, with their caches filled: over budget (the classification),
+    # on code tables, and over subsets (the structure's images)
+    structure = full_structure(2)
+    eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
+                        structure.signature)
+    lat = build_lattice(["0", "m", "1"], [("0", "m"), ("m", "1")])
+    algebra = ConvAlgebra(lat, structure)
+    assert check_equation(eq, algebra, budget=80).path == "generators"
+    assert check_equation(eq, algebra).path == "codes"
+    assert check_equation(eq, SubsetAlgebra(structure)).status == "valid_exhaustive"
+    refs = [weakref.ref(algebra), weakref.ref(lat), weakref.ref(algebra._table("join")),
+            weakref.ref(algebra._kernel(0)[0])]
+    del algebra, lat
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+    assert eq._plan.families and structure._kernel_indices and structure._images
+
+
+# One equation object decided over algebras in turn, each with a budget
+# one below its grid, must give each the verdict of a fresh equation.  A
+# fixed case per key the plan's cache must not drop:
+#
+# ``ordered``: f(-x) v -x = -x reduces x by case (b) over chain3 on two
+# points, unordered, but not over the monotone maps of 0 <= 1.
+_ORDER = build_structure(2, signature(("f", 1, JOIN)), [{(0, 0), (0, 1)}], [(0, 1)])
+_ORDERED_AFTER_UNORDERED = (
+    Equation(Join(RelOp("f", (Neg(Var("x")),)), Neg(Var("x"))), Neg(Var("x"))),
+    [ConvAlgebra(chain(3), _ORDER), ConvAlgebra(chain(3), _ORDER, ordered=True)])
+# the modes: f(x v y) = f(x) v f(y) over the all-pairs f on two points is
+# join-linear in both variables when f is join-convolved, meet-linear
+# when it is meet-convolved, and false then.
+_ADDITIVE = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
+                           full_structure(2).signature)
+_MODES_FLIP = (_ADDITIVE, [ConvAlgebra(chain(3), full_structure(2)), ConvAlgebra(
+    chain(3), build_structure(2, signature(("f", 1, MEET)), full_structure(2).relations))])
+# a non-distributive lattice after a distributive one reduces nothing
+_M3_AFTER_CHAIN3 = (_ADDITIVE, [ConvAlgebra(chain(3), full_structure(2)),
+                                ConvAlgebra(m3(), full_structure(2))])
+
+
+def _flipped(structure):
+    """``structure`` with the mode of every relation swapped."""
+    sig = signature(*((s.name, s.arity, MEET if s.mode == JOIN else JOIN)
+                      for s in structure.signature.rel_specs))
+    return build_structure(structure.carrier_size, sig, structure.relations)
+
+
+@st.composite
+def reused_equation_cases(draw):
+    """(equation, algebras): a structure of 1-3 points, and in a drawn
+    order, algebras over it and over a lattice of at most 6 elements:
+    unordered, ordered, with every mode flipped, and over a second
+    lattice; the equation uses neg and imp when both lattices are
+    distributive."""
+    first, second = (draw(lattices().filter(lambda lat: lat.size <= 6)) for _ in range(2))
+    structure = draw(structures())
+    n = structure.carrier_size
+    perm = draw(st.permutations(range(n)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1])))
+    algebras = [ConvAlgebra(first, structure),
+                ConvAlgebra(first, _with_order(structure, [(perm[a], perm[b]) for a, b in pairs]),
+                            ordered=True),
+                ConvAlgebra(first, _flipped(structure)), ConvAlgebra(second, structure)]
+    term = _terms(structure.signature.rel_specs,
+                  first.is_distributive and second.is_distributive)
+    return Equation(draw(term), draw(term)), draw(st.permutations(algebras))
+
+
+@settings(max_examples=100, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(reused_equation_cases())
+@example(_ORDERED_AFTER_UNORDERED)
+@example(_MODES_FLIP)
+@example(_M3_AFTER_CHAIN3)
+def test_a_reused_equation_decides_as_a_fresh_one(case):
+    eq, algebras = case
+    k = len(eq.variables())
+    for algebra in algebras:
+        total = algebra.carrier_count() ** k
+        budget = max(1, total - 1)
+        verdict = check_equation(eq, algebra, budget=budget)
+        assert verdict == check_equation(Equation(eq.lhs, eq.rhs), algebra, budget=budget)
+        if verdict.decided and total <= 20_000:
+            full = check_equation(Equation(eq.lhs, eq.rhs), algebra, mode="exhaustive")
+            assert verdict.is_valid == full.is_valid
 
 
 @pytest.mark.parametrize("algebra, value", [
