@@ -236,10 +236,9 @@ class _Plan:
     evaluated once.  ``roots`` are the steps of the compiled terms, and
     ``names`` (sorted), ``operations`` and ``heyting`` record the
     variables, the relations applied, and whether neg or imp occurs.
-    It keeps its relations' indices (see relations) and ``families``,
-    _families' answers per modes and ``ordered``; neither holds an algebra."""
+    It keeps its relations' indices in the last signature (see relations)."""
 
-    __slots__ = ("steps", "roots", "names", "operations", "heyting", "families", "_sig", "_index")
+    __slots__ = ("steps", "roots", "names", "operations", "heyting", "_sig", "_index")
 
     def __init__(self, *terms: Term):
         steps, index, roots = [], {}, []
@@ -272,13 +271,16 @@ class _Plan:
         self.names = sorted(name for op, name, _ in steps if op == "var")
         self.operations = frozenset(name for op, name, _ in steps if op == "op")
         self.heyting = any(op in ("neg", "imp") for op, _, _ in steps)
-        self.families, self._sig, self._index = {}, None, {}
+        self._sig, self._index = None, {}
 
     def relations(self, sig: Signature) -> dict:
-        """The index in ``sig`` of each relation the plan applies, by name,
-        resolved once per signature in a row (UnknownOperation if absent)."""
+        """The index in ``sig`` of each relation the plan applies that
+        ``sig`` has, by name, resolved once per signature in a row; run
+        raises UnknownOperation at the step of one it lacks."""
         if sig is not self._sig:
-            self._index, self._sig = {name: sig.index(name) for name in self.operations}, sig
+            self._index = {s.name: i for i, s in enumerate(sig.rel_specs)
+                           if s.name in self.operations}
+            self._sig = sig
         return self._index
 
     def occurrences(self, modes: dict) -> dict:
@@ -323,7 +325,8 @@ class _Plan:
                 except KeyError:
                     raise UnboundVariable(f"variable {name!r} is not assigned") from None
             elif op == "op":
-                value = alg._eval(index[name], [vals[a] for a in args])
+                value = alg._eval(index[name] if name in index else alg.structure.relation(name),
+                                  [vals[a] for a in args])
             elif op == "join":
                 value = alg._join(vals[args[0]], vals[args[1]])
             elif op == "meet":
@@ -577,27 +580,24 @@ def _families(alg, eq: Equation):
     Since either holds whatever the other variables are, the reductions
     of several variables compose.  Every other variable ranges over the
     carrier.  None unless ``alg`` is a convolution algebra over a
-    distributive lattice, unordered for case (b).  The plan of ``eq``
-    keeps the answer per modes of its relations and ``ordered``.
+    distributive lattice, unordered for case (b).
     """
     if not isinstance(alg, ConvAlgebra) or not alg.lattice.is_distributive:
         return None
     plan, sig = eq._plan, alg.structure.signature
-    modes = {name: sig.rel_specs[i].mode for name, i in plan.relations(sig).items()}
-    key = (tuple(modes.values()), alg.ordered)
-    if key not in plan.families:
-        occurs, (lhs, rhs), names = plan.occurrences(modes), plan.roots, plan.names
-        linear = {dual: {v for v in names if occurs[dual][lhs].get(v) in (None, "linear")
-                         and occurs[dual][rhs].get(v) in (None, "linear")}
-                  for dual in (False, True)}
-        dual = len(linear[True]) > len(linear[False])
-        disjoint = None if alg.ordered else _disjoint(plan)
-        case_b = set() if disjoint is None else {
-            v for v in names if occurs[False][disjoint[0]].get(v) in (None, "antitone")
-            and occurs[False][disjoint[1]].get(v) in (None, "linear")}
-        families = [dual if v in linear[dual] else False if v in case_b else None for v in names]
-        plan.families[key] = None if families.count(None) == len(names) else tuple(families)
-    return plan.families[key]
+    occurs = plan.occurrences({name: sig.rel_specs[i].mode
+                               for name, i in plan.relations(sig).items()})
+    (lhs, rhs), names = plan.roots, plan.names
+    linear = {dual: {v for v in names if occurs[dual][lhs].get(v) in (None, "linear")
+                     and occurs[dual][rhs].get(v) in (None, "linear")}
+              for dual in (False, True)}
+    dual = len(linear[True]) > len(linear[False])
+    disjoint = None if alg.ordered else _disjoint(plan)
+    case_b = set() if disjoint is None else {
+        v for v in names if occurs[False][disjoint[0]].get(v) in (None, "antitone")
+        and occurs[False][disjoint[1]].get(v) in (None, "linear")}
+    families = [dual if v in linear[dual] else False if v in case_b else None for v in names]
+    return None if families.count(None) == len(names) else families
 
 
 def _generators(alg, eq: Equation, names: list[str], cap: int):

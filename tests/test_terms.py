@@ -1127,9 +1127,9 @@ def test_a_reused_plan_still_rejects_unknown_operations_and_wrong_arities():
     assert check_equation(eq, SubsetAlgebra(unary)).status == "valid_exhaustive"
 
 
-def test_the_classifier_runs_once_per_equation():
-    # three over-budget checks of one equation, each over a fresh algebra
-    # with the same modes: the variables are classified on the first alone
+def test_the_classifier_runs_once_per_check():
+    # three over-budget checks of one equation, each over a fresh algebra:
+    # each classifies every variable in one pass over the plan's steps
     eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
                         full_structure(2).signature)
     calls, occurrences = [], terms_module._Plan.occurrences
@@ -1139,13 +1139,28 @@ def test_the_classifier_runs_once_per_equation():
                     for _ in range(3)]
     assert {(v.path, v.status, v.tried) for v in verdicts} == {
         ("generators", "valid_exhaustive", 25)}
-    assert calls == [{"f": JOIN}]
+    assert calls == [{"f": JOIN}] * 3
+
+
+@pytest.mark.parametrize("make", [lambda s: ConvAlgebra(chain(2), s), SubsetAlgebra])
+@pytest.mark.parametrize("text, bound, error", [
+    ("(join x (op g y))", {"x"}, UnboundVariable),
+    ("(join (op g x) y)", {"x"}, UnknownOperation),
+    ("(join (op f x x) (op g x))", {"x"}, ArityMismatch),
+    ("(join (op g x) (op f x x))", {"x"}, UnknownOperation),
+])
+def test_a_plan_raises_the_error_of_its_first_failing_step(make, text, bound, error):
+    # steps run in post-order, and the relation names of a plan resolve
+    # without raising, so an unknown relation raises at its own step
+    algebra = make(build_structure(2, signature(("f", 1, JOIN)), [{(0, 1)}]))
+    with pytest.raises(error):
+        eval_term(parse_term(text), algebra, {v: algebra.bot() for v in bound})
 
 
 def test_the_plan_caches_keep_no_algebra_alive():
     # an equation and a structure outlive the algebras they were decided
-    # over, with their caches filled: over budget (the classification),
-    # on code tables, and over subsets (the structure's images)
+    # over, with their caches filled: over budget, on code tables, and over
+    # subsets (the structure's images)
     structure = full_structure(2)
     eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
                         structure.signature)
@@ -1159,12 +1174,14 @@ def test_the_plan_caches_keep_no_algebra_alive():
     del algebra, lat
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4
-    assert eq._plan.families and structure._kernel_indices and structure._images
+    assert eq._plan._index and structure._kernel_indices and structure._images
 
 
 # One equation object decided over algebras in turn, each with a budget
-# one below its grid, must give each the verdict of a fresh equation.  A
-# fixed case per key the plan's cache must not drop:
+# one below its grid, must give each the verdict of a fresh equation:
+# what the plan and the structure keep from one algebra must not decide
+# for the next.  Fixed cases, each of which reduces differently over its
+# second algebra:
 #
 # ``ordered``: f(-x) v -x = -x reduces x by case (b) over chain3 on two
 # points, unordered, but not over the monotone maps of 0 <= 1.
