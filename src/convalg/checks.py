@@ -24,8 +24,10 @@ from itertools import chain, product
 
 import numpy as np
 
-from .convolution import (ConvAlgebra, SubsetAlgebra, is_lattice_morphism,
-                          iso_phi, lift_lattice_morphism, product_iso,
+from .catalog import cyclic_group
+from .convolution import (_TWO, ConvAlgebra, SubsetAlgebra,
+                          is_lattice_morphism, iso_phi,
+                          lift_lattice_morphism, product_iso,
                           product_iso_inv, pullback_pmorphism,
                           resolve_budget)
 from .errors import NotHeyting, SignatureMismatch
@@ -69,14 +71,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _chain2() -> FiniteLattice:
-    return build_lattice(["0", "1"], [("0", "1")])
-
-
-def _z2_structure() -> RelStructure:
-    return from_group([[0, 1], [1, 0]])
 
 
 def _labels(lat: FiniteLattice, row) -> list[str]:
@@ -491,7 +485,7 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
     to associativity is the stat ``counterexample``.
     """
     budget = resolve_budget(budget)
-    algebra = ConvAlgebra(lat, _z2_structure())
+    algebra = ConvAlgebra(lat, cyclic_group(2))
     name = instance or f"|L|={lat.size}"
 
     def star(u, v):
@@ -757,7 +751,7 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     budget = resolve_budget(budget)
     lattices = list(lattices)
     name = instance or f"|X|={structure.carrier_size},pool={len(pool)}"
-    base = ConvAlgebra(_chain2(), structure)
+    base = ConvAlgebra(_TWO, structure)
     subsets = SubsetAlgebra(structure)
     failures = []
     tried = 0
@@ -802,51 +796,47 @@ def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
     to the value row ``images[c]`` of ``cod`` is a homomorphism.
 
     The ``dom`` side is read from its code tables, the ``cod`` side is
-    computed by ``cod``'s own batched operations.  Bounds come first, then
-    meets and joins over pairs, then each relation over argument tuples,
-    in ``product`` order.  Returns (witness, checked, sides): the first
-    failure or None, the pairs and tuples compared up to it, and the value
-    rows of both sides of a failed operation.
+    computed by ``cod``'s own batched operations, once per operation over
+    the images broadcast on one axis per argument, so a comparison holds
+    q^arity x |X| values, q = |dom|.  Bounds come first, then meets and
+    joins over pairs, then each relation over argument tuples, in
+    ``product`` order, which is C order.  Returns (witness, checked,
+    sides): the first failure or None, the pairs and tuples compared up
+    to it, and the value rows of both sides of a failed operation.
     """
-    def same(x, y):
-        return (x == y).all(axis=-1)
+    def differ(table, value):
+        return (images[table] != value).any(axis=-1)
 
-    coded, enumeration = dom.coded(), dom._enumeration()
+    def axes(arity):
+        # the images of argument m on axis m
+        return [np.expand_dims(images, [a for a in range(arity) if a != m])
+                for m in range(arity)]
 
-    def first_failure(arity, holds):
-        # The first code tuple where ``holds`` fails and the tuples before it.
-        total, rows = _grid(coded, arity, enumeration)
-        position, codes = _first_failure(total, cod, rows, lambda *args: ~holds(
-            *(a[..., 0] for a in args)))
-        if position is None:
-            return None, total
-        return tuple(int(c[0]) for c in codes), position
+    def first(bad):
+        # The first tuple where ``bad`` holds, and the tuples up to it.
+        hits = np.flatnonzero(bad)
+        if not hits.size:
+            return None, bad.size
+        return tuple(map(int, np.unravel_index(hits[0], bad.shape))), int(hits[0]) + 1
 
     if not all(np.array_equal(images[dom._encode(dom._row(d))], cod._row(c))
                for d, c in ((dom.bot(), cod.bot()), (dom.top(), cod.top()))):
         return {"kind": "bounds"}, 0, None
-    meet, join = dom._table("meet"), dom._table("join")
-
-    def meets(a, b):
-        return same(images[meet[a, b]], cod._meet(images[a], images[b]))
-
-    pair, checked = first_failure(2, lambda a, b: meets(a, b) & same(
-        images[join[a, b]], cod._join(images[a], images[b])))
+    a, b = axes(2)
+    meets = differ(dom._table("meet"), cod._meet(a, b))
+    pair, checked = first(meets | differ(dom._table("join"), cod._join(a, b)))
     if pair is not None:
-        return ({"kind": "join" if meets(*pair) else "meet",
+        return ({"kind": "meet" if meets[pair] else "join",
                  "f": _code_labels(dom, pair[0]), "g": _code_labels(dom, pair[1])},
-                checked + 1, None)
+                checked, None)
     for i, spec in enumerate(dom.structure.signature.rel_specs):
         table, j = dom._table(i), cod.structure.relation(spec.name)
-
-        def sides(*args):
-            return images[table[args]], cod._eval(j, [images[c] for c in args])
-
-        args, count = first_failure(spec.arity, lambda *args: same(*sides(*args)))
+        args, count = first(differ(table, cod._eval(j, axes(spec.arity))))
         checked += count
         if args is not None:
             return ({"kind": "operation", "relation": spec.name,
-                     "args": [_code_labels(dom, c) for c in args]}, checked + 1, sides(*args))
+                     "args": [_code_labels(dom, c) for c in args]}, checked,
+                    (images[table[args]], cod._eval(j, [images[c] for c in args])))
     return None, checked, None
 
 
@@ -858,7 +848,7 @@ def check_subset_isomorphism(structure: RelStructure,
     over all pairs and argument tuples at once (``checked`` counts them),
     the subset side by the subset algebra's own relational images."""
     name = instance or repr(structure)
-    algebra = ConvAlgebra(_chain2(), structure)
+    algebra = ConvAlgebra(_TWO, structure)
     subsets = SubsetAlgebra(structure)
     images = [iso_phi(f) for f in algebra.elements()]
     if len(set(images)) != len(images) or set(images) != set(subsets.elements()):
@@ -947,7 +937,7 @@ def _structural_claims(lat: FiniteLattice) -> list:
     over ``lat``, with one algebra per (lattice, structure): ``built`` lists
     the (witness, rows) of each map, a failure met in building it, such as
     a failed validation, and a _claim_witness row per claimed map."""
-    two, z2 = _chain2(), _z2_structure()
+    two, z2 = _TWO, cyclic_group(2)
     chain3 = build_lattice(["0", "m", "1"], [("0", "m"), ("m", "1")])
     algebra = cache(ConvAlgebra)
 

@@ -15,7 +15,7 @@ assignments, each variable bound to an array of value rows, calling the
 algebra's batched operations; it resolves relation names once per
 signature, not per batch.
 Equations are decided on one of six paths, which the verdict names (see
-check_equation): the exhaustive grid of assignments over value rows or
+_route): the exhaustive grid of assignments over value rows or
 over integer codes, the grid over tables of the algebra's own value rows
 (the elements that are index 0 at every point but one, or, per variable,
 the irreducible generators of L^X or the whole carrier), the grid of 2^X
@@ -600,17 +600,6 @@ def _families(alg, eq: Equation):
     return None if families.count(None) == len(names) else families
 
 
-def _generators(alg, eq: Equation, names: list[str], cap: int):
-    """(tables, reduced): the _domains of the _families of ``eq``, and the
-    names of the variables whose rows are generators rather than the
-    carrier; or None when no variable is reduced or the grid outgrows
-    ``cap``."""
-    families = _families(alg, eq)
-    tables = None if families is None else _domains(alg, families, cap)
-    return None if tables is None else (
-        tables, [v for v, f in zip(names, families) if f is not None])
-
-
 def _bounded_below(alg, bounds: list, names: list[str], cap: int):
     """One array of value rows per variable of ``names`` for a scan of the
     inequalities ``bounds``, pairs (x, y) of terms for x <= y: bottom and
@@ -640,26 +629,30 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
 
 
 def _two_valued(alg, eq: Equation, names: list[str], cap: int):
-    """(2^X, total, rows) for the grid of ``alg._two_valued``, else for the
-    grid over the tables of its _generators, whichever first fits ``cap``,
-    or None: ``eq`` holds on those rows iff it holds on all of ``alg``.
-    None unless ``alg`` is a convolution algebra over a distributive L of
-    more than 2 elements, Boolean if ``eq`` uses neg or imp.  Then, by the
-    paper's variety theorem, the maps phi_j(a) = {x : j <= a(x)}, j in
-    J(L), are jointly injective homomorphisms from L^X to 2^X (j is
-    join-prime, and an atom when L is Boolean) that keep maps monotone,
-    and 0 -> bottom, 1 -> top embeds 2^X in L^X, monotone maps included.
+    """(target, total, rows, back, tried) of the _route of ``eq`` over
+    ``alg._two_valued`` in mode 'auto', unless it samples, with ``back``
+    then sending 0 to bottom and 1 to top; else None: ``eq`` holds on
+    those rows iff it holds on all of ``alg``.  None unless ``alg`` is a
+    convolution algebra over a distributive L of more than 2 elements,
+    Boolean if ``eq`` uses neg or imp.  Then, by the paper's variety
+    theorem, the maps phi_j(a) = {x : j <= a(x)}, j in J(L), are jointly
+    injective homomorphisms from L^X to 2^X (j is join-prime, and an atom
+    when L is Boolean) that keep maps monotone, and 0 -> bottom,
+    1 -> top embeds 2^X in L^X, monotone maps included.
     """
     if (not isinstance(alg, ConvAlgebra) or alg.lattice.size <= 2
             or not alg.lattice.is_distributive
             or (eq.uses_heyting() and not alg.lattice.is_boolean)):
         return None
-    two = alg._two_valued
-    try:
-        return two, *_assignments(two, len(names), "exhaustive", cap)[:2]
-    except BudgetExceeded:
-        reduction = _generators(two, eq, names, cap)
-    return None if reduction is None else (two, *_grid(two, len(names), None, reduction[0]))
+    two, lat = alg._two_valued, alg.lattice
+    path, target, total, rows, inner, facts = _route(two, eq, names, "auto", cap, None, 0)
+    if path == "samples":
+        return None
+
+    def back(position, found):
+        position, found = inner(position, found)
+        return position, [np.where(row == two.lattice.top, lat.top, lat.bottom) for row in found]
+    return target, total, rows, back, facts["tried"]
 
 
 def _tabled(alg, eq: Equation, total: int):
@@ -711,6 +704,65 @@ def _mismatch(eq: Equation, names: list[str], alg):
     return broken
 
 
+def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
+           samples: int | None, seed):
+    """(path, target, total, rows, back, facts): the path on which ``eq``
+    is decided over ``alg``, the interface ``target`` whose rows ``rows``
+    gives for the ``total`` tuples of the search (see _grid), ``back``,
+    which maps the position and rows of its first failure (see
+    _first_failure) to the whole grid's position and ``alg``'s value rows,
+    and the fields of the verdict, with ``tried`` for a valid one.  The
+    only code that picks a path, in this order.
+
+    When the grid of all assignments fits ``cap``, and always in mode
+    'exhaustive', which raises BudgetExceeded beyond it: over the table
+    of _one_point_rows when that applies ('one-point'), where a position
+    counts in the carrier size per variable; over codes when _tabled
+    holds for a grid that outgrows _FIRST_ROWS assignments ('codes');
+    else over value rows ('grid').  Over ``cap`` in mode 'auto': over the
+    _domains of the _families when every variable is reduced and that
+    grid fits ('generators'); else on 2^X, by the route that _two_valued
+    takes there ('two-valued'); else over those domains with some
+    variables over the carrier ('generators', their names in
+    ``reduced``), a larger grid than 2^X's, built only then.  Otherwise,
+    as in mode 'sample', ``samples`` assignments drawn from ``seed``
+    ('samples').
+    """
+    k, target, tables, facts = len(names), alg, None, {}
+    back = lambda position, found: (position, found)  # noqa: E731
+    total, rows, path = _assignments(alg, k, mode, cap, samples, seed)
+    if path == "grid" and (table := _one_point_rows(alg, eq)) is not None:
+        q, n = alg.space_size(), len(table)
+        path, tables, facts["tried"] = "one-point", [table] * k, q ** k
+        # the position's k digits, read in base q
+        back = lambda position, found: (  # noqa: E731
+            sum(position // n ** j % n * q ** j for j in range(k)), found)
+    elif path == "grid" and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
+        path, target, rows = "codes", coded, partial(rows, into=coded)
+        rows.counts = rows.func.counts
+        back = lambda position, found: (  # noqa: E731
+            position, [alg._decode(code[0]) for code in found])
+    elif path == "samples" and mode == "auto":
+        families = _families(alg, eq)
+        full = families is not None and None not in families
+        if full and (tables := _domains(alg, families, cap)) is not None:
+            path = "generators"
+        elif (two := _two_valued(alg, eq, names, cap)) is not None:
+            path, (target, total, rows, back, facts["tried"]) = "two-valued", two
+        elif families is not None and not full and (
+                tables := _domains(alg, families, cap)) is not None:
+            path = "generators"
+        if path == "generators":
+            reduced = [v for v, f in zip(names, families) if f is not None]
+            facts.update(generators=len(tables[names.index(reduced[0])]),
+                         reduced=None if full else reduced)
+    if path == "samples":
+        facts.update(samples=total, seed=seed)
+    if tables is not None:
+        total, rows = _grid(alg, k, None, tables)
+    return path, target, total, rows, back, {"budget": cap, "tried": total, **facts}
+
+
 # -- validity checking ---------------------------------------------------------
 
 
@@ -718,7 +770,7 @@ def _mismatch(eq: Equation, names: list[str], alg):
 class Verdict:
     """Outcome of an equation check on the path that decided it: grid,
     codes, one-point, generators, two-valued or samples (see
-    check_equation).  Its status follows: counterexample when there is
+    _route).  Its status follows: counterexample when there is
     an assignment, which re-evaluates to distinct sides, else
     valid_sampled on the samples path and valid_exhaustive on the
     others.  ``samples`` and ``seed`` are set on the samples path, and
@@ -787,79 +839,30 @@ def describe_element(elem):
 def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
                    samples: int | None = None, seed: int = 0,
                    budget: int | None = None) -> Verdict:
-    """Decide an equation over the algebra's carrier on one path, chosen
-    once before the search and named in the verdict.
+    """Decide an equation over the algebra's carrier on the path that
+    _route chooses once, before the search, and the verdict names.
 
-    The grid of all assignments runs when it fits the budget, and always
-    in mode 'exhaustive', which raises BudgetExceeded beyond it: over
-    value rows ('grid'), over the table of _one_point_rows when that
-    applies ('one-point'), where a position counts in the carrier size
-    per variable, so the position and verdict are the whole grid's, byte
-    for byte, or over codes when _tabled holds for a grid that outgrows
-    _FIRST_ROWS assignments ('codes').  Over the budget, mode 'auto'
-    runs the grid over the _domains of the _families when every variable
-    is reduced and that grid fits ('generators'), else decides the equation
-    on 2^X, by its grid or the tables of its generators, when _two_valued
-    qualifies and one of them fits ('two-valued'), else runs the grid of
-    those domains in which some variables range over the carrier
-    ('generators', with their names in ``reduced``), a larger grid than
-    2^X's; the tables of such a partial reduction are built only then.
-    A counterexample on 2^X sends 0 to bottom and 1 to top, and, like the
-    generators', is not the least of the whole grid.  Otherwise, as mode
-    'sample' always does, it draws ``samples`` assignments from a
-    generator seeded with ``seed`` ('samples').  Sampling is sound
-    (reported counterexamples are real) but not complete.  Ordered
-    algebras are sampled by drawing functions and rejecting the
-    non-monotone ones, so sampling never enumerates their carrier.
-    Both sides are evaluated over chunks of assignments at once: the
+    Both sides are evaluated over chunks of assignments at once: an
     exhaustive grid in ``itertools.product`` order of the carrier or of
     the tables (so the first mismatch is the least counterexample in that
-    order), or the samples in the order they are drawn.  Nothing in this
-    module calls check_equation: each call from outside is one verdict.
+    order, on value rows, codes or one point alike), or the samples in
+    the order they are drawn.  A counterexample on 2^X sends 0 to bottom
+    and 1 to top, and, like the generators', is not the least of the
+    whole grid.  Sampling is sound (reported counterexamples are real)
+    but not complete; ordered algebras are sampled by drawing functions
+    and rejecting the non-monotone ones, so sampling never enumerates
+    their carrier.  Nothing in this module calls check_equation: each
+    call from outside is one verdict.
     """
     cap = resolve_budget(budget)
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
-    k = len(names)
-    total, rows, path = _assignments(alg, k, mode, cap, samples, seed)
-    families = _families(alg, eq) if path == "samples" and mode == "auto" else None
-    partial_reduction = families is not None and None in families
-    target, tables = alg, None  # the interface the rows are given in, and tables of rows
-    if path == "grid" and (table := _one_point_rows(alg, eq)) is not None:
-        path, tables = "one-point", [table] * k
-    elif (families is not None and not partial_reduction
-          and (tables := _domains(alg, families, cap)) is not None):
-        path = "generators"
-    elif path == "samples" and mode == "auto" and (
-            two := _two_valued(alg, eq, names, cap)) is not None:
-        path, target, total, rows = "two-valued", *two
-    elif partial_reduction and (tables := _domains(alg, families, cap)) is not None:
-        path = "generators"
-    elif path == "grid" and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
-        path, target, rows = "codes", coded, partial(rows, into=coded)
-        rows.counts = rows.func.counts
-    facts = {"path": path, "budget": cap}
-    if path == "samples":
-        facts.update(samples=total, seed=seed)
-    if path == "generators":
-        reduced = [v for v, f in zip(names, families) if f is not None]
-        facts.update(generators=len(tables[names.index(reduced[0])]),
-                     reduced=reduced if partial_reduction else None)
-    if tables is not None:
-        total, rows = _grid(alg, k, None, tables)
-
+    path, target, total, rows, back, facts = _route(alg, eq, names, mode, cap, samples, seed)
     position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
     if position is None:
-        return Verdict(tried=alg.space_size() ** k if path == "one-point" else total, **facts)
-    if path == "two-valued":  # 0 to bottom and 1 to top
-        lat = alg.lattice
-        found = [np.where(row == target.lattice.top, lat.top, lat.bottom) for row in found]
-    elif target is not alg:
-        found = [alg._decode(code[0]) for code in found]
-    if path == "one-point":  # the position's k digits, read in base q
-        q, n = alg.space_size(), len(table)
-        position = sum(position // n ** j % n * q ** j for j in range(k))
-    return Verdict(assignment={name: to_element(v) for name, v in zip(names, found)},
-                   tried=position + 1, **facts)
+        return Verdict(path, **facts)
+    position, found = back(position, found)
+    return Verdict(path, assignment={name: to_element(v) for name, v in zip(names, found)},
+                   **{**facts, "tried": position + 1})

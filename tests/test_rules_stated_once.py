@@ -15,11 +15,15 @@ And it searches rows of the algebra it is given: the only algebra
 ``_batch_algebra``.
 
 The path that decides a verdict is chosen in one place too: only
-``check_equation`` builds a ``Verdict`` or names a path it refines the
-grid or the samples into, and no code infers a path from which of a
-verdict's fields are set.  And which variables of an equation, or of the
-relation-algebra checker's De Morgan scans, range over generators is
-decided in ``terms`` alone, from one classifier of how a variable occurs.
+``terms._route`` names a path it refines the grid or the samples into,
+or asks whether one point, code tables, ``2^X`` or generator domains
+apply (``_two_valued`` decides ``2^X`` through ``_route`` itself), and
+no code infers a path from which of a verdict's fields are set.  Only
+``check_equation`` builds a ``Verdict``, after one search, with no
+branch of its own on the path.  And which variables of an equation, or
+of the relation-algebra checker's De Morgan scans, range over generators
+is decided in ``terms`` alone, from one classifier of how a variable
+occurs.
 
 Every claim structural-isos makes on a map (a homomorphism, one-one and
 onto where claimed) is decided by ``checks._claim_witness``: its checker
@@ -111,26 +115,45 @@ def test_terms_builds_an_algebra_only_for_a_bare_lattice():
 
 def test_the_path_of_a_verdict_is_chosen_in_check_equation():
     trees = {name: ast.parse(text) for name, text in _sources().items()}
-    chooser = {id(node) for outer in ast.walk(trees["terms.py"])
-               if isinstance(outer, ast.FunctionDef) and outer.name == "check_equation"
-               for node in ast.walk(outer)}
+    functions = {outer.name: outer for outer in ast.walk(trees["terms.py"])
+                 if isinstance(outer, ast.FunctionDef)}
+
+    def within(*names):
+        return {id(node) for name in names for node in ast.walk(functions[name])}
+
+    def called(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+
+    builder, chooser, scan = within("check_equation"), within("_route"), within("_bounded_below")
+    builds = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+              if id(node) not in builder and called(node) == "Verdict"]
+    assert not builds, f"a verdict is built at {builds}; check_equation builds each one"
     nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
              if id(node) not in chooser]
-    builds = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Call)
-              and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
-              == "Verdict"]
-    assert not builds, f"a verdict is built at {builds}; check_equation builds each one"
     # a path's name may be compared with, or looked up, anywhere else
     reads = {id(sub) for _, node in nodes if isinstance(node, (ast.Compare, ast.Subscript))
              for sub in ast.walk(node if isinstance(node, ast.Compare) else node.slice)}
     named = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Constant)
              and node.value in ("codes", "one-point", "generators") and id(node) not in reads]
-    assert not named, f"a path is named at {named}; check_equation refines the path"
+    assert not named, f"a path is named at {named}; _route chooses the path"
     inferred = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Compare)
                 and getattr(node.left, "attr", None) in ("samples", "generators")
                 and any(isinstance(op, ast.IsNot) for op in node.ops)]
     assert not inferred, (
         f"a path is inferred from a verdict's fields at {inferred}; read Verdict.path")
+    # a second chooser of grid, one point, codes, 2^X or generators calls these
+    choosers = [(name, called(node), node.lineno) for name, node in nodes
+                if called(node) in ("_one_point_rows", "_tabled", "_two_valued", "_domains")
+                and not (called(node) == "_domains" and id(node) in scan)]
+    assert not choosers, f"{choosers} choose a path outside _route"
+    searches = [called(node) for node in ast.walk(functions["check_equation"])]
+    assert searches.count("_first_failure") == 1 and "_route" in searches
+    assert not {node.value for node in ast.walk(functions["check_equation"])
+                if isinstance(node, ast.Constant)} & {"grid", "codes", "one-point",
+                                                      "generators", "two-valued"}
+    assert not {"_assignments", "_grid", "_domains"} & {
+        called(node) for node in ast.walk(functions["_two_valued"])}
 
 
 def test_which_variables_range_over_generators_is_decided_in_terms():
@@ -138,13 +161,14 @@ def test_which_variables_range_over_generators_is_decided_in_terms():
     # step of a plan, and _families (equations) and _bounded_below (the
     # De Morgan scans) state their rules over it; the yes/no _linear and
     # the recursive _occurrence it replaced are gone, and no other module
-    # classifies terms or builds generator domains.
+    # classifies terms or builds generator domains (nor names _generators,
+    # the 2^X search's own chooser, which _route replaced).
     sources = _sources()
     trees = {name: ast.parse(text) for name, text in sources.items()}
     defined = {name: {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
                for name, tree in trees.items()}
     assert not [name for name, names in defined.items() if names & {"_linear", "_occurrence"}]
-    assert ({"occurrences", "_families", "_domains", "_generators", "_bounded_below"}
+    assert ({"occurrences", "_families", "_domains", "_bounded_below"}
             <= defined["terms.py"])
     used = {name: {getattr(node, "id", None) or getattr(node, "attr", None)
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}

@@ -25,9 +25,9 @@ from convalg.structures import (JOIN, MEET, RelStructure, Signature,
                                 build_structure, from_group, full_structure,
                                 signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, Verdict, _batch_algebra, _generators,
-                           _one_point_rows, check_equation, eval_term,
-                           parse_equation, parse_term, to_sexpr)
+                           Var, Verdict, _batch_algebra, _one_point_rows,
+                           check_equation, eval_term, parse_equation,
+                           parse_term, to_sexpr)
 
 
 def z2():
@@ -386,10 +386,21 @@ def mixed():
     return build_structure(2, sig, [pairs, pairs, triples, triples])
 
 
+def generators(alg, eq, names, cap):
+    """(tables, reduced): the _domains of the _families of ``eq``, and the
+    names of the variables whose rows are generators rather than the
+    carrier; or None when no variable is reduced or the grid outgrows
+    ``cap``."""
+    families = terms_module._families(alg, eq)
+    tables = None if families is None else terms_module._domains(alg, families, cap)
+    return None if tables is None else (
+        tables, [v for v, f in zip(names, families) if f is not None])
+
+
 def family(algebra, eq):
     """'join' or 'meet' for the generators the reduction picks when it
     reduces every variable, else None."""
-    reduction = _generators(algebra, eq, eq.variables(), 10 ** 6)
+    reduction = generators(algebra, eq, eq.variables(), 10 ** 6)
     if reduction is None or reduction[1] != eq.variables():
         return None
     rows = reduction[0][0]
@@ -621,7 +632,7 @@ def test_a_non_distributive_lattice_defeats_the_rule():
     assert (full.status, full.assignment["k"].labels()) == ("counterexample", ["a", "b"])
     tables = terms_module._domains(algebra, [False, None], 10 ** 6)
     assert flat_search(eq, algebra, tables, algebra._element)[:2] == ("valid_exhaustive", 175)
-    assert _generators(algebra, eq, eq.variables(), 624) is None
+    assert generators(algebra, eq, eq.variables(), 624) is None
     v = check_equation(eq, algebra, budget=624)
     assert v.path == "samples"
 
@@ -696,7 +707,7 @@ def reduced_cases(draw, ordered):
 
 
 def check_reduced_against_the_grid(algebra, eq):
-    """When _generators reduces ``eq`` at a budget one below the full
+    """When the generators reduce ``eq`` at a budget one below the full
     grid, the verdict's validity is the exhaustive grid's, it runs over
     the carrier for the variables it does not reduce and over the
     generators of one of the two families for those it does, and a
@@ -709,7 +720,7 @@ def check_reduced_against_the_grid(algebra, eq):
     carrier = [f.values for f in algebra.elements()]
     total = len(carrier) ** len(names)
     assume(2 <= total <= 20_000)
-    reduction = _generators(algebra, eq, names, total - 1)
+    reduction = generators(algebra, eq, names, total - 1)
     assume(reduction is not None)
     assert lat.is_distributive
     verdict = check_equation(eq, algebra, budget=total - 1)
@@ -763,7 +774,7 @@ _NEG_FLIPS = (ConvAlgebra(chain(2), full_structure(2)),
 @example(_CASE_B_MIXED_S)
 @example(_NEG_FLIPS)
 def test_reduced_verdict_matches_the_grid(case):
-    """Unordered algebras, in which both cases (a) and (b) of _generators
+    """Unordered algebras, in which both cases (a) and (b) of _families
     reduce variables (see check_reduced_against_the_grid)."""
     check_reduced_against_the_grid(*case)
 
@@ -851,7 +862,7 @@ def test_axis_grid_matches_a_flat_search(data):
                 "one-point" if _one_point_rows(alg, eq) is not None
                 else "codes" if coded and kind != "subset" and total > first else "grid")
         if kind == "conv" and total > 1:
-            reduction = _generators(alg, eq, names, total - 1)
+            reduction = generators(alg, eq, names, total - 1)
             if reduction is not None:
                 verdict = check_equation(eq, algebra, budget=total - 1)
                 if reduction[1] == names:
@@ -1321,7 +1332,7 @@ def test_two_valued_verdict_matches_the_grid(data):
     assume(verdict.path != "generators")
     # 2^X declines only when neither its grid nor its generators fit
     assert verdict.path == "two-valued" or (
-        grid > budget and _generators(two, eq, names, budget) is None)
+        grid > budget and generators(two, eq, names, budget) is None)
     assume(verdict.path == "two-valued")
 
     full = check_equation(eq, algebra, mode="exhaustive")
@@ -1385,6 +1396,21 @@ def test_a_two_valued_counterexample_is_bottom_and_top():
     assert {label for f in v.assignment.values() for label in f.labels()} == {"0", "2"}
     assert eval_term(eq.lhs, algebra, v.assignment) != eval_term(eq.rhs, algebra, v.assignment)
     assert v.to_json()["stats"]["path"] == "two-valued"
+
+
+def test_two_valued_runs_on_one_point_with_the_whole_grids_position():
+    # 16**2 pairs exceed the budget, 5**2 generator pairs too, and 2^X's
+    # 4**2 fit it: with no relation applied, 2^X runs on its 2 one-point
+    # rows per variable, and the failure at the third of their 4 pairs is
+    # the fifth of 2^X's grid
+    algebra = ConvAlgebra(boolean(2), RelStructure(2, signature(("r0", 0, JOIN)), [set()]))
+    eq = parse_equation({"lhs": "x", "rhs": "(meet x y)"})
+    v = check_equation(eq, algebra, budget=16)
+    assert v.to_json() == {"status": "counterexample",
+                           "stats": {"assignments": 5, "budget": 16, "path": "two-valued"},
+                           "assignment": {"x": ["0", "ab"], "y": ["0", "0"]}}
+    with _full_grid():
+        assert check_equation(eq, algebra, budget=16).to_json() == v.to_json()
 
 
 def test_a_bare_lattice_law_is_decided_on_two():
