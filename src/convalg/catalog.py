@@ -21,15 +21,26 @@ from .structures import (JOIN, MEET, RelStructure, build_structure,
 
 
 def chain(n: int) -> FiniteLattice:
-    """The n-element chain 0 < 1 < ... < n-1."""
+    """The n-element chain 0 < 1 < ... < n-1, built in closed form: its
+    order is i <= j, its meet and join are min and max, every element but
+    the bottom has one lower cover and every one but the top one upper
+    cover, and it is distributive, and Boolean iff n <= 2."""
     if n < 1:
         raise UnknownName("chains need at least one element")
-    labels = [str(i) for i in range(n)]
-    return build_lattice(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    i = np.arange(n)
+    return FiniteLattice._derived(
+        [str(k) for k in range(n)], i[:, None] <= i,
+        (np.minimum.outer(i, i), np.maximum.outer(i, i)), (0, n - 1),
+        (i[1:], i[:-1]), (True, n <= 2))
 
 
 def boolean(k: int) -> FiniteLattice:
-    """Powerset of k atoms ordered by inclusion; labels list the atoms."""
+    """Powerset of k atoms ordered by inclusion; labels list the atoms.
+
+    Built in closed form on bit masks: a <= b iff a & b == a, meet and
+    join are & and |, J holds the atoms (the single bits) and M the
+    coatoms (the top less one bit), both in increasing order.
+    """
     if not 0 <= k <= 6:
         raise UnknownName("boolean(k) supported for 0 <= k <= 6")
     atoms = "abcdef"[:k]
@@ -38,7 +49,12 @@ def boolean(k: int) -> FiniteLattice:
         subset = "".join(atoms[i] for i in range(k) if mask >> i & 1)
         labels.append(subset if subset else "0")
     m = np.arange(1 << k)
-    return FiniteLattice(labels, (m[:, None] & m) == m[:, None])
+    meet = m[:, None] & m
+    top = (1 << k) - 1
+    bits = 1 << np.arange(k)
+    return FiniteLattice._derived(
+        labels, meet == m[:, None], (meet, m[:, None] | m), (0, top),
+        (bits, top ^ bits[::-1]), (True, True))
 
 
 def m3() -> FiniteLattice:

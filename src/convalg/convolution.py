@@ -42,10 +42,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .catalog import chain
 from .errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
                      NotAMorphism, NotAPMorphism, NotAProductLattice,
                      NotTwoElement, UnknownElement, WrongMode)
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice
 from .structures import JOIN, MEET, RelStructure, is_p_morphism
 
 DEFAULT_BUDGET = 1_000_000
@@ -53,8 +54,8 @@ DEFAULT_BUDGET = 1_000_000
 # No intermediate array of a batch holds more than this many values.
 _CHUNK_ENTRIES = 1 << 18
 
-# The lattice 2 under every ConvAlgebra._two_valued.
-_TWO = build_lattice(["0", "1"], [("0", "1")])
+# The lattice 2, labelled "0" and "1", under every ConvAlgebra._two_valued.
+_TWO = chain(2)
 
 
 def resolve_budget(budget: int | None) -> int:

@@ -10,7 +10,9 @@ blocks of rows, its counts (transitivity, the sizes of common down-sets,
 the closure of ``build_lattice``) by float32 matrix products, exact below
 2^24 elements.  An order dual or a product is not searched: ``dual()`` and
 ``product()`` read its tables, bounds, irreducibles and flags off the
-lattices it derives from.
+lattices it derives from.  Nor are the catalog's chains and Boolean
+lattices, whose tables are known outright: ``catalog.chain`` and
+``catalog.boolean`` write them in closed form.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ class FiniteLattice:
         is_distributive, is_boolean: classification flags.
         factors: the two factors of a product lattice, else None.
     All of them are fixed at build: searched for in the order of a lattice
-    given by one, or read off the lattices that an order dual or a product
-    derives from.
+    given by one, read off the lattices that an order dual or a product
+    derives from, or written in closed form for a catalog chain or
+    Boolean lattice.
     """
 
     def __init__(self, labels: Sequence[str], leq: np.ndarray):
@@ -123,9 +126,12 @@ class FiniteLattice:
     def _derived(cls, labels, leq, tables, bounds, irreducibles, flags,
                  factors=None) -> "FiniteLattice":
         """The lattice on ``labels`` whose order, (meet, join) tables,
-        (bottom, top), (J, M) and (distributive, Boolean) flags are given,
-        as read off the lattices it derives from.  Only the labels are
-        checked."""
+        (bottom, top), (J, M) and (distributive, Boolean) flags are given:
+        read off the lattices an order dual or a product derives from, or
+        the closed forms of a catalog chain or Boolean lattice.  Only the
+        labels are checked, so each caller must give exactly what a search
+        of ``leq`` finds, dtypes included: tables and irreducibles of numpy's
+        index type, Python int bounds and bool flags."""
         self = cls.__new__(cls)
         self._label(labels)
         self._fill(leq, tables, bounds, irreducibles, flags, factors)

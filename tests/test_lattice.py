@@ -6,7 +6,11 @@ tables under test.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from convalg import lattice as lattice_module
-from convalg.catalog import boolean, chain, lattice_pool
+from convalg.catalog import boolean, chain, get_lattice, lattice_pool
 from convalg.errors import (NotALattice, NotAPoset, NotHeyting,
                             UnknownElement)
 from convalg.lattice import (FiniteLattice, _transitive_closure,
@@ -207,8 +211,11 @@ def test_big_lattice_tables_and_flags_match_oracle():
     # The tables of the largest catalog lattices against the order-matrix
     # oracle, their flags against a triple scan of those tables, and the
     # relative pseudocomplement against the lub of {c : a /\ c <= b}.
+    # The catalog builds boolean(6) and chain(70) in closed form, so their
+    # searched builds are checked too.
     for lat, boolean_flag in ((boolean(6), True), (chain(70), False),
-                              (chain(8).product(chain(8)), False)):
+                              (chain(8).product(chain(8)), False),
+                              (searched(boolean(6)), True), (searched(chain(70)), False)):
         n = lat.size
         meet, join = lat.meet_np.tolist(), lat.join_np.tolist()
         for a in range(n):
@@ -313,10 +320,12 @@ def test_one_row_blocks_build_the_same_lattices(monkeypatch):
 
 def test_chain200_build_stays_within_its_blocks():
     # An unblocked n^3 temporary would take 8 MB for 200 elements alone.
-    chain(3)  # numpy's first-call allocations are not the build's
+    # catalog.chain is built in closed form, so the order is searched here.
+    searched(chain(3))  # numpy's first-call allocations are not the build's
+    closed = chain(200)
     tracemalloc.start()
     try:
-        chain(200).heyting_table()
+        FiniteLattice(closed.labels, closed.leq).heyting_table()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,6 +505,56 @@ def test_derived_lattices_match_the_searched_build():
     # must hold exactly what searching their order gives, dtypes included.
     for lat, factors in derived_pool():
         assert_built_as_searched(lat, factors)
+
+
+def test_chains_and_boolean_lattices_match_the_searched_build():
+    # catalog.chain and catalog.boolean are built in closed form; they,
+    # their duals and their products with the pool must hold exactly what
+    # searching their order gives.  The closed form is one expression for
+    # every n, so products are taken for the small chains and chain(70).
+    pool = [lat for _, lat in lattice_pool()]
+    chains = [chain(n) for n in (*range(1, 71), 200)]
+    booleans = [boolean(k) for k in range(7)]
+    for lat in chains + booleans:
+        assert_built_as_searched(lat)
+        assert_built_as_searched(lat.dual())
+    for lat in [chain(n) for n in (*range(1, 9), 70)] + booleans:
+        for other in pool:
+            assert_built_as_searched(lat.product(other), (lat, other))
+
+
+def test_catalog_builds_chains_and_boolean_lattices_without_a_search(monkeypatch):
+    class Searched(Exception):
+        pass
+
+    def search(*args):
+        raise Searched
+
+    monkeypatch.setattr(FiniteLattice, "_bound_tables", search)
+    for name, size in (("chain70", 70), ("boolean6", 64), ("chain8*chain8", 64),
+                       ("chain3*boolean2", 12)):
+        lat = get_lattice(name)
+        assert (lat.size, lat.dual().top) == (size, lat.bottom)
+    for name in ("M3", "N5"):
+        with pytest.raises(Searched):
+            get_lattice(name)
+
+
+def test_importing_convalg_searches_no_lattice():
+    # convolution._TWO, the lattice 2 under every 2^X, is chain(2).
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "calls = []\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call' and\n"
+            "               frame.f_code.co_name == '_bound_tables' and calls.append(1))\n"
+            "import convalg\n"
+            "sys.setprofile(None)\n"
+            "print(len(calls), convalg.convolution._TWO.labels)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0 ('0', '1')\n"), done.stderr
 
 
 def test_dual_swaps_its_tables_bounds_and_irreducibles():

@@ -29,6 +29,11 @@ Every claim structural-isos makes on a map (a homomorphism, one-one and
 onto where claimed) is decided by ``checks._claim_witness``: its checker
 and claim builders count no images and compare no operations of their own.
 
+A lattice's tables are searched from its order, except where they are
+known outright: ``FiniteLattice._derived``, which takes them unchecked,
+is called only by the order dual and the product in ``lattice.py`` and
+by the chains and Boolean lattices of ``catalog.py``.
+
 Terms are evaluated in one place: an equation's compiled plan
 (``terms._Plan.run``) is the only code in ``terms.py`` that applies an
 algebra's batched operations, and the relation-algebra checker's De
@@ -211,3 +216,25 @@ def test_structural_claims_are_decided_by_one_rule():
         assert not names & {"bincount", "_homomorphism_witness"}, (
             f"{name} decides a map itself; _claim_witness decides each claim row")
         assert ("_claim_witness" in names) == (name == "check_structural_isos")
+
+
+def test_unchecked_lattices_are_built_in_four_places():
+    allowed = {"catalog.py": ("chain", "boolean"), "lattice.py": ("_dual", "product")}
+    outside, inside = [], []
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        within = {id(node): outer.name for outer in ast.walk(tree)
+                  if isinstance(outer, ast.FunctionDef) and outer.name in allowed.get(name, ())
+                  for node in ast.walk(outer)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_derived" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if id(node) in within:
+                    inside.append((name, within[id(node)]))
+                else:
+                    outside.append((name, node.lineno))
+    assert not outside, (
+        f"FiniteLattice._derived is called at {outside}: it checks only the labels, "
+        "so a lattice given by an order is searched through FiniteLattice(labels, leq)")
+    assert sorted(inside) == [("catalog.py", "boolean"), ("catalog.py", "chain"),
+                              ("lattice.py", "_dual"), ("lattice.py", "product")]
