@@ -43,17 +43,15 @@ def boolean(k: int) -> FiniteLattice:
     """
     if not 0 <= k <= 6:
         raise UnknownName("boolean(k) supported for 0 <= k <= 6")
-    atoms = "abcdef"[:k]
-    labels = []
-    for mask in range(1 << k):
-        subset = "".join(atoms[i] for i in range(k) if mask >> i & 1)
-        labels.append(subset if subset else "0")
+    subsets = [""]  # by mask: bit i adds the i-th atom
+    for atom in "abcdef"[:k]:
+        subsets += [s + atom for s in subsets]
     m = np.arange(1 << k)
     meet = m[:, None] & m
     top = (1 << k) - 1
     bits = 1 << np.arange(k)
     return FiniteLattice._derived(
-        labels, meet == m[:, None], (meet, m[:, None] | m), (0, top),
+        [s or "0" for s in subsets], meet == m[:, None], (meet, m[:, None] | m), (0, top),
         (bits, top ^ bits[::-1]), (True, True))
 
 

@@ -101,10 +101,12 @@ def _eq_verdicts(algebra, equations, seed=0, budget=None):
 
 def _law_counts(verdicts) -> dict:
     """The stats counting ``sampled_laws``, the verdicts on the samples
-    path, then ``reduced_laws`` and ``two_valued_laws``, those on the
-    generators and two-valued paths, each only when there are any."""
+    path, then ``reduced_laws``, ``two_valued_laws`` and ``lattice_laws``,
+    those on the generators, two-valued and lattice-law paths, each only
+    when there are any."""
     paths = Counter(v.path for v in verdicts)
-    counts = {"reduced_laws": paths["generators"], "two_valued_laws": paths["two-valued"]}
+    counts = {"reduced_laws": paths["generators"], "two_valued_laws": paths["two-valued"],
+              "lattice_laws": paths["lattice-law"]}
     return {"sampled_laws": paths["samples"], **{k: n for k, n in counts.items() if n}}
 
 

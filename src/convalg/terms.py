@@ -14,12 +14,15 @@ an Equation builds once and keeps, and the plan runs once per batch of
 assignments, each variable bound to an array of value rows, calling the
 algebra's batched operations; it resolves relation names once per
 signature, not per batch.
-Equations are decided on one of six paths, which the verdict names (see
+Equations are decided on one of seven paths, which the verdict names (see
 _route): the exhaustive grid of assignments over value rows or
 over integer codes, the grid over tables of the algebra's own value rows
 (the elements that are index 0 at every point but one, or, per variable,
 the irreducible generators of L^X or the whole carrier), the grid of 2^X
-by the paper's variety theorem, or seeded samples.  Which variables may
+by the paper's variety theorem, the one-point table of L for a law of
+lattices once each relation application is read as a variable (see
+_lattice_law; L^X is a lattice point by point whatever the relations
+are), or seeded samples.  Which variables may
 range over generators is decided from how each occurs in the equation
 (see _Plan.occurrences, one pass over the plan's steps): free, linear,
 monotone, antitone or mixed; the De Morgan scans of the relation-algebra
@@ -54,7 +57,7 @@ from typing import Union
 
 import numpy as np
 
-from .convolution import (_CHUNK_ENTRIES, ConvAlgebra, SubsetAlgebra,
+from .convolution import (_CHUNK_ENTRIES, _TWO, ConvAlgebra, SubsetAlgebra,
                           _product_axes, resolve_budget)
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
@@ -630,7 +633,8 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
 
 def _two_valued(alg, eq: Equation, names: list[str], cap: int):
     """(target, total, rows, back, tried) of the _route of ``eq`` over
-    ``alg._two_valued`` in mode 'auto', unless it samples, with ``back``
+    ``alg._two_valued`` in mode 'auto', unless it samples or reads a
+    lattice law, which _route then tries on L itself, with ``back``
     then sending 0 to bottom and 1 to top; else None: ``eq`` holds on
     those rows iff it holds on all of ``alg``.  None unless ``alg`` is a
     convolution algebra over a distributive L of more than 2 elements,
@@ -646,13 +650,65 @@ def _two_valued(alg, eq: Equation, names: list[str], cap: int):
         return None
     two, lat = alg._two_valued, alg.lattice
     path, target, total, rows, inner, facts = _route(two, eq, names, "auto", cap, None, 0)
-    if path == "samples":
+    if path in ("samples", "lattice-law"):
         return None
 
     def back(position, found):
         position, found = inner(position, found)
         return position, [np.where(row == two.lattice.top, lat.top, lat.bottom) for row in found]
     return target, total, rows, back, facts["tried"]
+
+
+def _lattice_law(alg, eq: Equation, cap: int):
+    """The number of rows of the one-point table of L (of 2 for a subset
+    algebra) when ``eq``, with each distinct relation application (one
+    step of its plan: the same relation on the same argument terms) read
+    as a fresh variable, is a lattice law that holds on all of them, at
+    most ``cap``; else None.  None too when ``eq`` uses neg or imp, or
+    applies a relation that ``alg`` lacks or at another arity, so that
+    the search it falls through to raises as before.
+
+    Meet, join, bottom and top act point by point on L^X, monotone maps
+    and subsets alike, whatever the relations are, so a law of L in those
+    operations alone holds at each point of any values, and then at the
+    values the relation applications take.  A side that is a variable
+    missing from the other side is no law of a lattice of two or more
+    elements, so such a law is rejected without a search.
+    """
+    plan = eq._plan
+    if plan.heyting:
+        return None
+    sides = []  # the steps each side reads, with its applications as variables
+    for root in plan.roots:
+        read, todo = set(), [root]
+        while todo:
+            if (step := todo.pop()) not in read:
+                read.add(step)
+                op, _, args = plan.steps[step]
+                todo += () if op == "op" else args
+        sides.append(read)
+    leaves = {step for step in sides[0] | sides[1] if plan.steps[step][0] in ("var", "op")}
+    lattice = getattr(alg, "lattice", _TWO)
+    if lattice.size ** len(leaves) > cap or any(
+            root in leaves and root not in other for root, other in zip(plan.roots, sides[::-1])):
+        return None
+    sig = alg.structure.signature
+    index = plan.relations(sig)
+    if any(op == "op" and (name not in index or sig.rel_specs[index[name]].arity != len(args))
+           for op, name, args in plan.steps):
+        return None
+    terms = {}  # a step's arguments come before it
+    for step in sorted(sides[0] | sides[1]):
+        op, _, args = plan.steps[step]
+        terms[step] = (Var(str(step)) if step in leaves else Bot() if op == "bot"
+                       else Top() if op == "top"
+                       else (Meet if op == "meet" else Join)(terms[args[0]], terms[args[1]]))
+    law = Equation(*(terms[root] for root in plan.roots))
+    names = law.variables()
+    point = _batch_algebra(lattice)[0]
+    total, rows = _grid(point, len(names), point._enumeration())
+    position, _ = _first_failure(total, point, rows, _mismatch(law, names, point))
+    return total if position is None else None
 
 
 def _tabled(alg, eq: Equation, total: int):
@@ -724,9 +780,13 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
     grid fits ('generators'); else on 2^X, by the route that _two_valued
     takes there ('two-valued'); else over those domains with some
     variables over the carrier ('generators', their names in
-    ``reduced``), a larger grid than 2^X's, built only then.  Otherwise,
-    as in mode 'sample', ``samples`` assignments drawn from ``seed``
-    ('samples').
+    ``reduced``), a larger grid than 2^X's, built only then; else, when
+    _lattice_law reads ``eq`` as a law of L that holds, valid with the
+    rows it read, and no search left ('lattice-law'): sound whatever L
+    is, as meet and join act point by point, so this path proves
+    validity only and rests on no theorem that a checker tests.
+    Otherwise, as in mode 'sample', ``samples`` assignments drawn from
+    ``seed`` ('samples').
     """
     k, target, tables, facts = len(names), alg, None, {}
     back = lambda position, found: (position, found)  # noqa: E731
@@ -752,6 +812,9 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
         elif families is not None and not full and (
                 tables := _domains(alg, families, cap)) is not None:
             path = "generators"
+        elif (tried := _lattice_law(alg, eq, cap)) is not None:
+            # decided in the search of _lattice_law; none is left
+            path, total, facts["tried"] = "lattice-law", 0, tried
         if path == "generators":
             reduced = [v for v, f in zip(names, families) if f is not None]
             facts.update(generators=len(tables[names.index(reduced[0])]),
@@ -769,7 +832,7 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
 @dataclass
 class Verdict:
     """Outcome of an equation check on the path that decided it: grid,
-    codes, one-point, generators, two-valued or samples (see
+    codes, one-point, generators, two-valued, lattice-law or samples (see
     _route).  Its status follows: counterexample when there is
     an assignment, which re-evaluates to distinct sides, else
     valid_sampled on the samples path and valid_exhaustive on the
@@ -790,7 +853,7 @@ class Verdict:
 
     def __post_init__(self):
         if self.path not in ("grid", "codes", "one-point", "generators", "two-valued",
-                             "samples"):
+                             "lattice-law", "samples"):
             raise ValueError(f"unknown path {self.path!r}")
 
     @property
@@ -816,8 +879,8 @@ class Verdict:
             out["stats"].update(path="irreducibles", generators=self.generators)
         if self.reduced is not None:
             out["stats"]["reduced"] = self.reduced
-        if self.path == "two-valued":
-            out["stats"]["path"] = "two-valued"
+        if self.path in ("two-valued", "lattice-law"):
+            out["stats"]["path"] = self.path
         if self.path == "samples":
             out.update(samples=self.samples, seed=self.seed)
         if self.assignment is not None:

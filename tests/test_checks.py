@@ -793,6 +793,16 @@ def test_law_counts_name_the_two_valued_laws_when_there_are_any():
     assert stats == {"assignments": 10, "sampled_laws": 0, "two_valued_laws": 1}
 
 
+def test_law_counts_name_the_lattice_laws_when_there_are_any():
+    # 5**6 functions of M3 on S3 exceed the budget; absorption, with x * y
+    # read as a variable, holds on M3's 25 pairs
+    absorb = Equation(parse_term("(meet x (join x (op * x y)))"), parse_term("x"))
+    algebra = ConvAlgebra(m3(), symmetric_group_3())
+    failures, stats = checks._eq_verdicts(algebra, [("absorb", absorb)], budget=100)
+    assert failures == []
+    assert stats == {"assignments": 25, "sampled_laws": 0, "lattice_laws": 1}
+
+
 def test_relation_algebra_reduces_the_additive_laws():
     # Over chain3/S3 at a budget of 10,000: laws 1, 3 (both sides) 5 and
     # 6 run over the 13 generators, laws 2 and 4 over the 729 elements,

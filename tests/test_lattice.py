@@ -52,20 +52,20 @@ def b2():
 
 
 def oracle_glb(lat, elems):
-    """Greatest lower bound by scanning the order matrix only."""
-    lower = [c for c in range(lat.size)
-             if all(lat.leq[c, e] for e in elems)]
-    tops = [g for g in lower if all(lat.leq[c, g] for c in lower)]
+    """Greatest lower bound by reading whole columns of the order matrix
+    only: the common lower bounds, then the one above all of them."""
+    lower = np.flatnonzero(lat.leq[:, list(elems)].all(axis=1))
+    tops = lower[lat.leq[np.ix_(lower, lower)].all(axis=0)]
     assert len(tops) <= 1
-    return tops[0] if tops else None
+    return int(tops[0]) if len(tops) else None
 
 
 def oracle_lub(lat, elems):
-    upper = [c for c in range(lat.size)
-             if all(lat.leq[e, c] for e in elems)]
-    bots = [g for g in upper if all(lat.leq[g, c] for c in upper)]
+    """Least upper bound by reading whole rows of the order matrix only."""
+    upper = np.flatnonzero(lat.leq[list(elems)].all(axis=0))
+    bots = upper[lat.leq[np.ix_(upper, upper)].all(axis=1)]
     assert len(bots) <= 1
-    return bots[0] if bots else None
+    return int(bots[0]) if len(bots) else None
 
 
 def oracle_tables(lat):

@@ -15,7 +15,8 @@ from test_convolution import (lattices, oracle_glb_set, oracle_lub_set,
                               oracle_term, structures, terms)
 
 from convalg import terms as terms_module
-from convalg.catalog import boolean, chain, cyclic_group, m3, symmetric_group_3
+from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
+                             symmetric_group_3)
 from convalg.convolution import ConvAlgebra, SubsetAlgebra
 from convalg.errors import (ArityMismatch, BudgetExceeded, ConvalgError,
                             NotHeyting, TermSyntaxError, UnboundVariable,
@@ -1421,3 +1422,175 @@ def test_a_bare_lattice_law_is_decided_on_two():
     eq = parse_equation({"lhs": "(join x y)", "rhs": "x"})
     v = check_equation(eq, chain(70), budget=500)
     assert (v.path, v.assignment, v.tried) == ("two-valued", {"x": 0, "y": 69}, 2)
+
+
+# -- lattice laws, decided on one point of L ------------------------------------------
+
+
+def _no_lattice_law():
+    """check_equation without the lattice-law path, so as it decided before it."""
+    return patch.object(terms_module, "_lattice_law", lambda alg, eq, cap: None)
+
+
+def _leaves(t):
+    """The variables and relation applications of a term without neg or
+    imp that lie outside any application."""
+    if isinstance(t, (Var, RelOp)):
+        return {t}
+    return _leaves(t.lhs) | _leaves(t.rhs) if isinstance(t, (Meet, Join)) else set()
+
+
+# laws of every lattice over terms a, b, c, then the modular law, which N5
+# breaks, and the distributive law, which M3 and N5 break
+_LAWS = (
+    lambda a, b, c: Equation(Meet(a, Join(a, b)), a),
+    lambda a, b, c: Equation(Join(a, Meet(b, a)), a),
+    lambda a, b, c: Equation(Join(a, b), Join(b, a)),
+    lambda a, b, c: Equation(Meet(a, Meet(b, c)), Meet(Meet(a, b), c)),
+    lambda a, b, c: Equation(Meet(a, Join(b, Top())), Join(a, Bot())),
+    lambda a, b, c: Equation(Join(Meet(a, b), Meet(a, c)), Meet(a, Join(b, Meet(a, c)))),
+    lambda a, b, c: Equation(Meet(a, Join(b, c)), Join(Meet(a, b), Meet(a, c))),
+)
+
+
+@st.composite
+def lattice_law_cases(draw):
+    """(algebra, equation, budget): a pool lattice (M3 and N5 among them)
+    under an unordered or an ordered algebra of a structure of 1-3 points
+    with relations of both modes, or that structure's subset algebra; an
+    equation without neg or imp, half of them a law of _LAWS over terms
+    with relations; and a budget below its grid."""
+    lat = draw(st.sampled_from([lat for _, lat in lattice_pool()]))
+    structure = draw(structures())
+    n = structure.carrier_size
+    kind = draw(st.sampled_from(["conv", "ordered", "subset"]))
+    if kind == "ordered":
+        perm = draw(st.permutations(range(n)))
+        pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                             .filter(lambda p: p[0] < p[1])))
+        structure = _with_order(structure, [(perm[a], perm[b]) for a, b in pairs])
+    algebra = (SubsetAlgebra(structure) if kind == "subset"
+               else ConvAlgebra(lat, structure, ordered=kind == "ordered"))
+    term = _terms(structure.signature.rel_specs, False)
+    if draw(st.booleans()):
+        eq = draw(st.sampled_from(_LAWS))(draw(term), draw(term), draw(term))
+    else:
+        eq = Equation(draw(term), draw(term))
+    total = _carrier_count(algebra) ** len(eq.variables())
+    assume(2 <= total <= 20_000)
+    return algebra, eq, draw(st.integers(1, total - 1))
+
+
+def _carrier_count(algebra):
+    return algebra.space_size() if isinstance(algebra, SubsetAlgebra) else algebra.carrier_count()
+
+
+# Fixed cases, one per mutation of the lattice-law path that the drawn
+# cases catch only through their exact draws.
+#
+# Over 2 on two points with f the identity, f(x) /\ f(y) = f(x) is
+# x /\ y = x, which fails; one variable for both applications makes it hold.
+_IDENTITY = build_structure(2, signature(("f", 1, JOIN)), [{(0, 0), (1, 1)}])
+_SHARED_APPLICATIONS = (
+    ConvAlgebra(chain(2), _IDENTITY),
+    Equation(Meet(RelOp("f", (Var("x"),)), RelOp("f", (Var("y"),))), RelOp("f", (Var("x"),))),
+    8)
+# Over M3 on two points with f(x) reading x at point 1 into point 0, the
+# distributive law with f(x) for its third term fails at x = a, y = b at
+# point 0 and x = c at point 1; on the lattice 2 it holds.
+_FX = RelOp("f", (Var("x"),))
+_TABLE_OF_L = (
+    ConvAlgebra(m3(), build_structure(2, signature(("f", 1, JOIN)), [{(1, 0)}])),
+    Equation(Meet(Var("x"), Join(Var("y"), _FX)),
+             Join(Meet(Var("x"), Var("y")), Meet(Var("x"), _FX))),
+    200)
+# Absorption holds whatever x \/ g(x) is, but over M3 on three points with
+# a unary f, the search raises for the unknown g and for f of two arguments.
+_UNARY = ConvAlgebra(m3(), build_structure(3, signature(("f", 1, JOIN)), [set()]))
+_UNKNOWN_RELATION = (_UNARY, Equation(Meet(Var("x"), Join(Var("x"), RelOp("g", (Var("x"),)))),
+                                      Var("x")), 30)
+_WRONG_ARITY = (_UNARY, Equation(
+    Meet(Var("x"), Join(Var("x"), RelOp("f", (Var("x"), Var("x"))))), Var("x")), 30)
+
+
+@settings(max_examples=300, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(lattice_law_cases())
+@example(_SHARED_APPLICATIONS)
+@example(_TABLE_OF_L)
+@example(_UNKNOWN_RELATION)
+@example(_WRONG_ARITY)
+def test_lattice_law_verdict_matches_the_grid(case):
+    """Where the lattice-law path decides an equation at a budget below
+    its grid, the grid, at a budget that fits it, finds the equation
+    valid, the search without that path samples it, and the verdict
+    counts the rows of the one-point table of L (2 for subsets), one
+    variable per leaf (see _leaves); elsewhere the verdict, or the error
+    raised, is the one without that path."""
+    algebra, eq, budget = case
+    got = _outcome(eq, algebra, budget=budget, seed=3)
+    with _no_lattice_law():
+        before = _outcome(eq, algebra, budget=budget, seed=3)
+    if not (isinstance(got, dict) and got["stats"].get("path") == "lattice-law"):
+        assert got == before
+        return
+    total = _carrier_count(algebra) ** len(eq.variables())
+    full = _outcome(eq, algebra, mode="exhaustive", budget=total)
+    assert isinstance(full, dict) and full["status"] == "valid_exhaustive"
+    assert before["status"] == "valid_sampled"
+    size = algebra.lattice.size if isinstance(algebra, ConvAlgebra) else 2
+    assert got == {"status": "valid_exhaustive", "stats": {
+        "assignments": size ** len(_leaves(eq.lhs) | _leaves(eq.rhs)), "budget": budget,
+        "path": "lattice-law"}}
+
+
+def test_an_over_budget_lattice_law_is_decided_on_one_point_of_l():
+    # 625 functions of M3 on four points exceed the budget; absorption,
+    # with f(x) read as a variable, holds on M3's 25 pairs
+    structure = build_structure(4, signature(("f", 1, JOIN)), [{(0, 1), (1, 2), (2, 3)}])
+    eq = parse_equation({"lhs": "(meet x (join x (op f x)))", "rhs": "x"},
+                        structure.signature)
+    algebra = ConvAlgebra(m3(), structure)
+    v = check_equation(eq, algebra, budget=500)
+    assert v.to_json() == {"status": "valid_exhaustive",
+                           "stats": {"assignments": 25, "budget": 500, "path": "lattice-law"}}
+    v = check_equation(eq, algebra, mode="sample", budget=500, seed=0)
+    assert (v.path, v.status, v.tried) == ("samples", "valid_sampled", 500)
+    with pytest.raises(BudgetExceeded):
+        check_equation(eq, algebra, mode="exhaustive", budget=500)
+    # a subset algebra reads the law on 2, and an ordered algebra on L
+    v = check_equation(eq, SubsetAlgebra(structure), budget=4)
+    assert (v.path, v.status, v.tried) == ("lattice-law", "valid_exhaustive", 4)
+    ordered = ConvAlgebra(m3(), _with_order(structure, [(0, 1)]), ordered=True)
+    v = check_equation(eq, ordered, budget=100)
+    assert (v.path, v.status, v.tried) == ("lattice-law", "valid_exhaustive", 25)
+
+
+@pytest.mark.parametrize("lhs, error", [
+    ("(meet x (join x (op g x)))", UnknownOperation),
+    ("(meet x (join x (op f x x)))", ArityMismatch),
+    ("(meet x (join x (neg (op f x))))", NotHeyting),
+])
+def test_an_over_budget_law_that_cannot_run_raises_as_before(lhs, error):
+    eq = parse_equation({"lhs": lhs, "rhs": "x"})
+    for mode in ("auto", "sample"):
+        with pytest.raises(error):
+            check_equation(eq, _UNARY, mode=mode, budget=30)
+    with pytest.raises(BudgetExceeded):
+        check_equation(eq, _UNARY, mode="exhaustive", budget=30)
+
+
+@pytest.mark.parametrize("doc", [
+    {"lhs": "(op * x y)", "rhs": "(op * y x)"},
+    {"lhs": "(op * x (op id))", "rhs": "x"},
+    {"lhs": "(op conv (op conv x))", "rhs": "x"},
+    {"lhs": "(op * (join x y) z)", "rhs": "(join (op * x z) (op * y z))"},
+])
+def test_a_lone_variable_side_is_no_lattice_law(doc, monkeypatch):
+    """u = v, u = x (x only inside u) and u = v \\/ w are never laws of a
+    lattice of two or more elements, so no search is made for them."""
+    s3 = symmetric_group_3()
+    eq = parse_equation(doc, s3.signature)
+    monkeypatch.setattr(terms_module, "_first_failure", None)
+    assert terms_module._lattice_law(ConvAlgebra(m3(), s3), eq, 10 ** 6) is None
