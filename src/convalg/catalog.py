@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InvalidGrid, UnknownName
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice
 from .structures import (JOIN, MEET, RelStructure, build_structure,
                          from_group, full_structure, signature)
 
@@ -55,18 +55,31 @@ def boolean(k: int) -> FiniteLattice:
         (bits, top ^ bits[::-1]), (True, True))
 
 
+def _five(pentagon: bool) -> tuple:
+    """The closed form of M3, or of N5 when ``pentagon``, as the arguments
+    of FiniteLattice._derived: 0 is below and 1 above every element of
+    0, a, b, c, 1, and N5 adds a < b.  In both, two incomparable elements
+    meet at 0 and join at 1, and a, b and c each have one lower and one
+    upper cover; neither is distributive."""
+    i = np.arange(5)
+    leq = (i[:, None] == i) | (i[:, None] == 0) | (i == 4)
+    leq[1, 2] = pentagon
+    meet = np.where(leq, i[:, None], np.where(leq.T, i, 0))
+    join = np.where(leq, i, np.where(leq.T, i[:, None], 4))
+    return (["0", "a", "b", "c", "1"], leq, (meet, join), (0, 4), (i[1:4], i[1:4]),
+            (False, False))
+
+
 def m3() -> FiniteLattice:
-    """The diamond: three incomparable atoms between the bounds."""
-    return build_lattice(["0", "a", "b", "c", "1"],
-                         [("0", "a"), ("0", "b"), ("0", "c"),
-                          ("a", "1"), ("b", "1"), ("c", "1")])
+    """The diamond: three incomparable atoms between the bounds, built in
+    closed form (see _five)."""
+    return FiniteLattice._derived(*_five(False))
 
 
 def n5() -> FiniteLattice:
-    """The pentagon: 0 < a < b < 1 with c incomparable to both."""
-    return build_lattice(["0", "a", "b", "c", "1"],
-                         [("0", "a"), ("a", "b"), ("b", "1"),
-                          ("0", "c"), ("c", "1")])
+    """The pentagon: 0 < a < b < 1 with c incomparable to both, built in
+    closed form (see _five)."""
+    return FiniteLattice._derived(*_five(True))
 
 
 def cyclic_group(n: int) -> RelStructure:

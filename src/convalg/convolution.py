@@ -238,9 +238,12 @@ class ConvAlgebra:
     def _generator_rows(self, dual: bool = False) -> np.ndarray:
         """Value rows of the join-irreducibles of the carrier, by j then x:
         j in J(L) on the up-set of the point x (just x when unordered) and
-        bottom elsewhere; dually M(L) on down-sets and top.  Over a
-        distributive L every element is the join (meet) of bottom (top)
-        and those below (above) it."""
+        bottom elsewhere; dually M(L) on down-sets and top.  Over any
+        finite L every element is the join (meet) of bottom (top) and
+        those below (above) it, since each element of L is the join of
+        the join-irreducibles below it (the meet of the meet-irreducibles
+        above it), and a monotone map's value at x is below its values on
+        the up-set of x."""
         lat, n = self.lattice, self.structure.carrier_size
         values, unit = lat.irreducibles[dual], (lat.top if dual else lat.bottom)
         order = self.structure.order if self.ordered else np.eye(n, dtype=bool)

@@ -10,9 +10,10 @@ blocks of rows, its counts (transitivity, the sizes of common down-sets,
 the closure of ``build_lattice``) by float32 matrix products, exact below
 2^24 elements.  An order dual or a product is not searched: ``dual()`` and
 ``product()`` read its tables, bounds, irreducibles and flags off the
-lattices it derives from.  Nor are the catalog's chains and Boolean
-lattices, whose tables are known outright: ``catalog.chain`` and
-``catalog.boolean`` write them in closed form.
+lattices it derives from.  Nor are the catalog's chains, Boolean
+lattices, M3 and N5, whose tables are known outright: ``catalog.chain``,
+``catalog.boolean``, ``catalog.m3`` and ``catalog.n5`` write them in
+closed form.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class FiniteLattice:
         factors: the two factors of a product lattice, else None.
     All of them are fixed at build: searched for in the order of a lattice
     given by one, read off the lattices that an order dual or a product
-    derives from, or written in closed form for a catalog chain or
-    Boolean lattice.
+    derives from, or written in closed form for a catalog chain,
+    Boolean lattice, M3 or N5.
     """
 
     def __init__(self, labels: Sequence[str], leq: np.ndarray):
@@ -128,10 +129,10 @@ class FiniteLattice:
         """The lattice on ``labels`` whose order, (meet, join) tables,
         (bottom, top), (J, M) and (distributive, Boolean) flags are given:
         read off the lattices an order dual or a product derives from, or
-        the closed forms of a catalog chain or Boolean lattice.  Only the
-        labels are checked, so each caller must give exactly what a search
-        of ``leq`` finds, dtypes included: tables and irreducibles of numpy's
-        index type, Python int bounds and bool flags."""
+        the closed forms of a catalog chain, Boolean lattice, M3 or N5.
+        Only the labels are checked, so each caller must give exactly what
+        a search of ``leq`` finds, dtypes included: tables and irreducibles
+        of numpy's index type, Python int bounds and bool flags."""
         self = cls.__new__(cls)
         self._label(labels)
         self._fill(leq, tables, bounds, irreducibles, flags, factors)

@@ -25,8 +25,13 @@ _lattice_law; L^X is a lattice point by point whatever the relations
 are), or seeded samples.  Which variables may
 range over generators is decided from how each occurs in the equation
 (see _Plan.occurrences, one pass over the plan's steps): free, linear,
-monotone, antitone or mixed; the De Morgan scans of the relation-algebra
-checker take their domains from the same rule (see _bounded_below).  The
+monotone, antitone or mixed.  A linear variable reduces over any finite
+L (see _families): a meet or a relation is linear in the one argument
+that holds the variable when the others are free of it over a
+distributive L, and ground over any other, as a ground term is bottom or
+top at each point and x ∧ ⊥, x ∧ ⊤ preserve joins in any lattice.  The
+De Morgan scans of the relation-algebra checker take their domains from
+the same rule (see _bounded_below).  The
 least counterexample in enumeration order is reported, so failures are
 reproducible.
 
@@ -286,20 +291,26 @@ class _Plan:
             self._sig = sig
         return self._index
 
-    def occurrences(self, modes: dict) -> dict:
+    def occurrences(self, modes: dict, distributive: bool) -> dict:
         """How each step depends on each variable it is not free of, in one
         pass over the steps: {dual: one {variable: class} per step}, given
-        the relations' ``modes`` by name.  A class is 'linear' (preserving
-        binary joins; meets when ``dual``), 'monotone', 'antitone' or
-        'mixed'.  By the syntactic rule: a variable is linear in itself; a
-        join (meet) is linear when its arguments are linear or free; so are
-        a meet (join) and a join-mode (meet-mode) relation when exactly one
-        argument holds the variable and it is linear, which rests on L
-        being distributive.  Otherwise every operation is monotone in each
+        the relations' ``modes`` by name and whether L is ``distributive``.
+        A class is 'linear' (preserving binary joins; meets when ``dual``),
+        'monotone', 'antitone' or 'mixed'.  By the syntactic rule: a
+        variable is linear in itself; a join (meet) is linear when its
+        arguments are linear or free; so are a meet (join) and a join-mode
+        (meet-mode) relation when exactly one argument holds the variable
+        and it is linear, and the others are free of it over a
+        distributive L, ground (no variable at all) over any other.  A
+        ground term is bottom or top at each point, and x ∧ ⊥, x ∧ ⊤ (x ∨ ⊥,
+        x ∨ ⊤) preserve joins (meets) in any lattice; a unary relation has
+        no other argument.  Otherwise every operation is monotone in each
         argument, but ``neg`` and the antecedent of ``imp`` flip monotone
         and antitone; linear counts as monotone there."""
         out = {False: [], True: []}
         for op, name, args in self.steps:
+            # or every argument but one is ground: holds no variable
+            alone = distributive or sum(1 for a in args if out[False][a]) <= 1
             for dual, classes in out.items():
                 plus, times, mode = ("meet", "join", MEET) if dual else ("join", "meet", JOIN)
                 held = {name: ["linear"]} if op == "var" else {}
@@ -308,7 +319,7 @@ class _Plan:
                     for v, c in classes[a].items():
                         held.setdefault(v, []).append(_FLIP[c] if flip and k == 0 else c)
                 classes.append({v: "linear" if (
-                    op in ("var", plus) and set(h) == {"linear"} or h == ["linear"] and (
+                    op in ("var", plus) and set(h) == {"linear"} or h == ["linear"] and alone and (
                         op == times or op == "op" and modes.get(name) == mode))
                     else "monotone" if set(h) <= {"linear", "monotone"}
                     else "antitone" if set(h) == {"antitone"} else "mixed"
@@ -568,34 +579,39 @@ def _families(alg, eq: Equation):
     ``eq`` holds iff it holds on all of L^X.  None when no variable is
     reduced.
 
-    When L is distributive each element of the carrier is the join of
-    bottom and the ``j`` on the up-set of one point ``x`` (just ``x`` when
-    unordered), bottom elsewhere, below it, j in J(L); dually for the
-    meet of top and M(L) on down-sets.  A variable ranges over bottom and
+    Over any finite L each element of the carrier is the join of bottom
+    and the ``j`` on the up-set of one point ``x`` (just ``x`` when
+    unordered), bottom elsewhere, below it, j in J(L), as each element of
+    L is the join of the join-irreducibles below it; dually for the meet
+    of top and M(L) on down-sets.  A variable ranges over bottom and
     those generators when, for any values of the other variables:
-    (a) both sides are linear in it (see _Plan.occurrences), so they
-    preserve the join; dually top and M(L) for meet-linear sides.  One family
-    serves case (a), the one in which more variables are linear, joins
-    on a tie, so an equation linear in every variable has one table; or
+    (a) both sides are linear in it (see _Plan.occurrences; over a
+    non-distributive L the other arguments of a meet or relation must be
+    ground), so they preserve the join; dually top and M(L) for
+    meet-linear sides.  One family serves case (a), the one in which more
+    variables are linear, joins on a tie, so an equation linear in every
+    variable has one table; or
     (b) ``eq`` reads t ∨ ¬s = ¬s, that is t ∧ s = ⊥, with t antitone in
     it or free of it and s linear in it or free of it: for
-    v = ⊥ ∨ ⋁ j_k, t(v) ∧ s(v) ≤ (t(⊥) ∧ s(⊥)) ∨ ⋁ t(j_k) ∧ s(j_k).
+    v = ⊥ ∨ ⋁ j_k, t(v) ∧ s(v) ≤ (t(⊥) ∧ s(⊥)) ∨ ⋁ t(j_k) ∧ s(j_k),
+    which needs L distributive.
     Since either holds whatever the other variables are, the reductions
     of several variables compose.  Every other variable ranges over the
-    carrier.  None unless ``alg`` is a convolution algebra over a
-    distributive lattice, unordered for case (b).
+    carrier.  None unless ``alg`` is a convolution algebra; case (b)
+    needs it unordered too.
     """
-    if not isinstance(alg, ConvAlgebra) or not alg.lattice.is_distributive:
+    if not isinstance(alg, ConvAlgebra):
         return None
     plan, sig = eq._plan, alg.structure.signature
     occurs = plan.occurrences({name: sig.rel_specs[i].mode
-                               for name, i in plan.relations(sig).items()})
+                               for name, i in plan.relations(sig).items()},
+                              alg.lattice.is_distributive)
     (lhs, rhs), names = plan.roots, plan.names
     linear = {dual: {v for v in names if occurs[dual][lhs].get(v) in (None, "linear")
                      and occurs[dual][rhs].get(v) in (None, "linear")}
               for dual in (False, True)}
     dual = len(linear[True]) > len(linear[False])
-    disjoint = None if alg.ordered else _disjoint(plan)
+    disjoint = None if alg.ordered or not alg.lattice.is_distributive else _disjoint(plan)
     case_b = set() if disjoint is None else {
         v for v in names if occurs[False][disjoint[0]].get(v) in (None, "antitone")
         and occurs[False][disjoint[1]].get(v) in (None, "linear")}
@@ -624,7 +640,8 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
         return None
     plan = _Plan(*(side for x, y in bounds
                    for side in ((Meet(x, y.arg), Bot()) if isinstance(y, Neg) else (x, y))))
-    occurs = plan.occurrences({s.name: s.mode for s in alg.structure.signature.rel_specs})[False]
+    occurs = plan.occurrences({s.name: s.mode for s in alg.structure.signature.rel_specs},
+                              True)[False]
     families = [False if all(occurs[x].get(v) in (None, "linear") and v not in occurs[y]
                              for x, y in zip(plan.roots[::2], plan.roots[1::2]))
                 else None for v in names]
@@ -633,9 +650,9 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
 
 def _two_valued(alg, eq: Equation, names: list[str], cap: int):
     """(target, total, rows, back, tried) of the _route of ``eq`` over
-    ``alg._two_valued`` in mode 'auto', unless it samples or reads a
-    lattice law, which _route then tries on L itself, with ``back``
-    then sending 0 to bottom and 1 to top; else None: ``eq`` holds on
+    ``alg._two_valued`` in mode 'auto' without _lattice_law, which _route
+    tries on L itself, unless it samples, with ``back`` then sending 0 to
+    bottom and 1 to top; else None: ``eq`` holds on
     those rows iff it holds on all of ``alg``.  None unless ``alg`` is a
     convolution algebra over a distributive L of more than 2 elements,
     Boolean if ``eq`` uses neg or imp.  Then, by the paper's variety
@@ -649,8 +666,9 @@ def _two_valued(alg, eq: Equation, names: list[str], cap: int):
             or (eq.uses_heyting() and not alg.lattice.is_boolean)):
         return None
     two, lat = alg._two_valued, alg.lattice
-    path, target, total, rows, inner, facts = _route(two, eq, names, "auto", cap, None, 0)
-    if path in ("samples", "lattice-law"):
+    path, target, total, rows, inner, facts = _route(two, eq, names, "auto", cap, None, 0,
+                                                     lattice_law=False)
+    if path == "samples":
         return None
 
     def back(position, found):
@@ -761,7 +779,7 @@ def _mismatch(eq: Equation, names: list[str], alg):
 
 
 def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
-           samples: int | None, seed):
+           samples: int | None, seed, lattice_law: bool = True):
     """(path, target, total, rows, back, facts): the path on which ``eq``
     is decided over ``alg``, the interface ``target`` whose rows ``rows``
     gives for the ``total`` tuples of the search (see _grid), ``back``,
@@ -784,7 +802,9 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
     _lattice_law reads ``eq`` as a law of L that holds, valid with the
     rows it read, and no search left ('lattice-law'): sound whatever L
     is, as meet and join act point by point, so this path proves
-    validity only and rests on no theorem that a checker tests.
+    validity only and rests on no theorem that a checker tests; not
+    tried when ``lattice_law`` is False, as _two_valued asks, which would
+    throw a success on 2 away.
     Otherwise, as in mode 'sample', ``samples`` assignments drawn from
     ``seed`` ('samples').
     """
@@ -812,7 +832,7 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
         elif families is not None and not full and (
                 tables := _domains(alg, families, cap)) is not None:
             path = "generators"
-        elif (tried := _lattice_law(alg, eq, cap)) is not None:
+        elif lattice_law and (tried := _lattice_law(alg, eq, cap)) is not None:
             # decided in the search of _lattice_law; none is left
             path, total, facts["tried"] = "lattice-law", 0, tried
         if path == "generators":

@@ -523,6 +523,17 @@ def test_chains_and_boolean_lattices_match_the_searched_build():
             assert_built_as_searched(lat.product(other), (lat, other))
 
 
+def test_m3_and_n5_match_the_searched_build():
+    # catalog.m3 and catalog.n5 are built in closed form too
+    pool = [lat for _, lat in lattice_pool()]
+    for lat in (get_lattice("M3"), get_lattice("N5")):
+        assert_built_as_searched(lat)
+        assert_built_as_searched(lat.dual())
+        for other in pool:
+            assert_built_as_searched(lat.product(other), (lat, other))
+            assert_built_as_searched(other.product(lat), (other, lat))
+
+
 def test_catalog_builds_chains_and_boolean_lattices_without_a_search(monkeypatch):
     class Searched(Exception):
         pass
@@ -535,9 +546,13 @@ def test_catalog_builds_chains_and_boolean_lattices_without_a_search(monkeypatch
                        ("chain3*boolean2", 12)):
         lat = get_lattice(name)
         assert (lat.size, lat.dual().top) == (size, lat.bottom)
-    for name in ("M3", "N5"):
-        with pytest.raises(Searched):
-            get_lattice(name)
+    # M3 and N5 are written out too, and a lattice given by its order is
+    # still searched
+    for name, size in (("M3", 5), ("N5", 5), ("M3*N5", 25)):
+        lat = get_lattice(name)
+        assert (lat.size, lat.dual().top, lat.is_distributive) == (size, lat.bottom, False)
+    with pytest.raises(Searched):
+        searched(get_lattice("N5"))
 
 
 def test_importing_convalg_searches_no_lattice():

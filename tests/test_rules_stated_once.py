@@ -23,7 +23,9 @@ set.  Only ``check_equation`` builds a ``Verdict``, after one search,
 with no branch of its own on the path.  And which variables of an
 equation, or of the relation-algebra checker's De Morgan scans, range
 over generators is decided in ``terms`` alone, from one classifier of
-how a variable occurs.
+how a variable occurs.  That rule holds over any finite lattice: it reads
+whether the lattice is distributive only to choose between arguments free
+of a variable and ground ones, and for the case t ∨ ¬s = ¬s.
 
 Every claim structural-isos makes on a map (a homomorphism, one-one and
 onto where claimed) is decided by ``checks._claim_witness``: its checker
@@ -32,7 +34,7 @@ and claim builders count no images and compare no operations of their own.
 A lattice's tables are searched from its order, except where they are
 known outright: ``FiniteLattice._derived``, which takes them unchecked,
 is called only by the order dual and the product in ``lattice.py`` and
-by the chains and Boolean lattices of ``catalog.py``.
+by the chains, Boolean lattices, M3 and N5 of ``catalog.py``.
 
 Terms are evaluated in one place: an equation's compiled plan
 (``terms._Plan.run``) is the only code in ``terms.py`` that applies an
@@ -194,6 +196,29 @@ def test_which_variables_range_over_generators_is_decided_in_terms():
     assert not names & {"_generator_rows", "irreducibles", "JOIN", "MEET", "mode", "ordered"}
 
 
+def test_the_generator_rule_reads_distributivity_in_two_places():
+    # _families reduces over any finite lattice: whether it is distributive
+    # is passed to occurrences (arguments free of a variable, or ground) and
+    # gates case (b), and no other part of the rule reads it, so no return
+    # of None rests on it alone
+    sources = _sources()
+    families = ast.parse(_function(sources["terms.py"], "_families"))
+    places = {}
+    for node in ast.walk(families):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "occurrences":
+            places.update({id(sub): "occurrences" for arg in node.args for sub in ast.walk(arg)})
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                              for t in node.targets] == ["disjoint"]:
+            places.update({id(sub): "case (b)" for sub in ast.walk(node.value)})
+    reads = [places.get(id(node), node.lineno) for node in ast.walk(families)
+             if isinstance(node, ast.Attribute) and node.attr == "is_distributive"]
+    assert sorted(reads, key=str) == ["case (b)", "occurrences"], (
+        f"_families reads is_distributive at {reads}")
+    for module, name in (("terms.py", "occurrences"), ("terms.py", "_domains"),
+                         ("convolution.py", "_generator_rows")):
+        assert "is_distributive" not in _function(sources[module], name)
+
+
 def test_terms_has_one_term_evaluator():
     sources = _sources()
     tree = ast.parse(sources["terms.py"])
@@ -223,7 +248,8 @@ def test_structural_claims_are_decided_by_one_rule():
 
 
 def test_unchecked_lattices_are_built_in_four_places():
-    allowed = {"catalog.py": ("chain", "boolean"), "lattice.py": ("_dual", "product")}
+    allowed = {"catalog.py": ("chain", "boolean", "m3", "n5"),
+               "lattice.py": ("_dual", "product")}
     outside, inside = [], []
     for name, text in _sources().items():
         tree = ast.parse(text)
@@ -241,4 +267,5 @@ def test_unchecked_lattices_are_built_in_four_places():
         f"FiniteLattice._derived is called at {outside}: it checks only the labels, "
         "so a lattice given by an order is searched through FiniteLattice(labels, leq)")
     assert sorted(inside) == [("catalog.py", "boolean"), ("catalog.py", "chain"),
+                              ("catalog.py", "m3"), ("catalog.py", "n5"),
                               ("lattice.py", "_dual"), ("lattice.py", "product")]

@@ -220,6 +220,20 @@ def test_auto_mode_downgrades_to_sampling():
     assert v.samples == 25 and v.seed == 0
 
 
+def test_two_valued_tries_no_lattice_law_on_two():
+    # _route tries the law on L itself, 3**2 rows over the budget, and the
+    # search on 2^X before it does not try it on 2, whose success it would
+    # throw away
+    algebra = ConvAlgebra(chain(3), z2())
+    eq = Equation(Meet(Var("x"), Var("y")), Meet(Var("y"), Var("x")))
+    calls, lattice_law = [], terms_module._lattice_law
+    with patch.object(terms_module, "_lattice_law", lambda alg, eq, cap: calls.append(
+            alg.lattice) or lattice_law(alg, eq, cap)):
+        v = check_equation(eq, algebra, budget=8, samples=25, seed=0)
+    assert (v.path, v.status) == ("samples", "valid_sampled")
+    assert calls == [algebra.lattice]
+
+
 def test_sampled_counterexamples_are_sound():
     # Any counterexample a sampled run reports must re-evaluate to a
     # violation, and the exhaustive verdict must agree on invalidity.
@@ -305,7 +319,9 @@ def test_ordered_carrier_restricts_variables():
 def test_ordered_algebra_samples_over_budget():
     # 22 monotone maps exceed the budget of 21, so both auto and sample
     # mode draw functions and keep the order-preserving ones.  M3 is not
-    # distributive, so the law is not decided on 2^X.
+    # distributive, so the law is not decided on 2^X; a unary relation is
+    # linear over any lattice, so f(x) = x is decided on bottom and the
+    # 3 atoms of M3 on the up-sets of the 3 points.
     full = {(a, b) for a in range(3) for b in range(3)}
     s = build_structure(3, signature(("f", 1, "join")), [full],
                         order_pairs=[(0, 1), (1, 2)])
@@ -317,6 +333,10 @@ def test_ordered_algebra_samples_over_budget():
         assert (v.path, v.status, v.tried) == ("samples", "valid_sampled", 21)
     wrong = parse_equation({"lhs": "(op f x)", "rhs": "x"}, s.signature)
     v = check_equation(wrong, algebra, budget=21, seed=5)
+    assert (v.path, v.status, v.generators) == ("generators", "counterexample", 10)
+    assert algebra.is_order_preserving(v.assignment["x"])
+    assert eval_term(wrong.lhs, algebra, v.assignment) != v.assignment["x"]
+    v = check_equation(wrong, algebra, mode="sample", budget=21, seed=5)
     assert (v.path, v.status) == ("samples", "counterexample")
     assert algebra.is_order_preserving(v.assignment["x"])
     with pytest.raises(BudgetExceeded):
@@ -456,7 +476,31 @@ def test_occurrence_classifies_how_a_variable_occurs(text, dual, expect):
     # the class of x at the term's root step; a step free of x omits it
     modes = {s.name: s.mode for s in mixed().signature.rel_specs}
     plan = terms_module._Plan(parse_term(text, mixed().signature))
-    assert plan.occurrences(modes)[dual][plan.roots[0]].get("x", "free") == expect
+    assert plan.occurrences(modes, True)[dual][plan.roots[0]].get("x", "free") == expect
+
+
+@pytest.mark.parametrize("text, dual, expect", [
+    ("(meet x (op f y))", False, "monotone"),
+    ("(meet x (join top (op f bot)))", False, "linear"),
+    ("(meet (op f x) (op f top))", False, "linear"),
+    ("(op f x)", False, "linear"),
+    ("(op g x)", True, "linear"),
+    ("(op r x y)", False, "monotone"),
+    ("(op r (op f x) top)", False, "linear"),
+    ("(op h bot x)", True, "linear"),
+    ("(op h x y)", True, "monotone"),
+    ("(join x (op f y))", False, "linear"),
+    ("(meet (join x y) bot)", False, "linear"),
+])
+def test_over_any_lattice_the_other_arguments_are_ground(text, dual, expect):
+    # over a lattice that is not distributive, a meet (join) or a join-mode
+    # (meet-mode) relation is linear in x only when its other arguments hold
+    # no variable at all; over a distributive one, free of x is enough
+    modes = {s.name: s.mode for s in mixed().signature.rel_specs}
+    plan = terms_module._Plan(parse_term(text, mixed().signature))
+    for distributive in (False, True):
+        got = plan.occurrences(modes, distributive)[dual][plan.roots[0]]["x"]
+        assert got == ("linear" if distributive else expect)
 
 
 def test_law_7_reduces_one_variable_by_its_disjoint_form():
@@ -667,6 +711,19 @@ def reference_generators(lat, n, dual, order=None):
     return sorted(rows)
 
 
+def assert_generated(lat, carrier, table, dual):
+    """Each row of ``carrier`` is the join of the rows of the generator
+    ``table`` below it, point by point, or, when ``dual``, the meet of
+    those above it, as over any finite lattice: each element of L is the
+    join of the join-irreducibles below it."""
+    leq, op = (lat.leq.T, lat.meet_np) if dual else (lat.leq, lat.join_np)
+    under = leq[table[None], carrier[:, None]].all(axis=-1)  # [element, generator]
+    acc = np.full_like(carrier, lat.top if dual else lat.bottom)
+    for k, row in enumerate(table):
+        acc = np.where(under[:, k, None], op[acc, row], acc)
+    assert np.array_equal(acc, carrier)
+
+
 def disjoint_forms(t, s):
     """t v -s = -s, with its joinands and sides in each order."""
     return st.sampled_from([Equation(Join(t, Neg(s)), Neg(s)), Equation(Join(Neg(s), t), Neg(s)),
@@ -678,12 +735,12 @@ _terms = lru_cache(maxsize=None)(terms)
 
 
 @st.composite
-def reduced_cases(draw, ordered):
-    """(algebra, equation): a lattice (any, of at most 6 elements), a
-    structure of 1-3 points with relations of both modes, ordered when
-    ``ordered``, and an equation, with neg and imp over distributive
-    lattices, half of them of the form t v -s = -s."""
-    lat = draw(lattices().filter(lambda lat: lat.size <= 6))
+def reduced_cases(draw, ordered, lattices=lattices().filter(lambda lat: lat.size <= 6)):
+    """(algebra, equation): a lattice (any, of at most 6 elements, by
+    default), a structure of 1-3 points with relations of both modes,
+    ordered when ``ordered``, and an equation, with neg and imp over
+    distributive lattices, half of them of the form t v -s = -s."""
+    lat = draw(lattices)
     # all-pairs relations join the values of both points, where M3 loses
     # the linearity of a meet
     structure = draw(st.one_of(structures(), st.sampled_from(
@@ -723,9 +780,11 @@ def check_reduced_against_the_grid(algebra, eq):
     assume(2 <= total <= 20_000)
     reduction = generators(algebra, eq, names, total - 1)
     assume(reduction is not None)
-    assert lat.is_distributive
     verdict = check_equation(eq, algebra, budget=total - 1)
     tables, reduced = reduction
+    for dual, table in zip(terms_module._families(algebra, eq), tables):
+        if dual is not None:
+            assert_generated(lat, np.array(carrier), table, dual)
     if reduced == names:
         assert (verdict.path, verdict.generators) == ("generators", len(tables[0]))
     else:  # 2^X comes first for a partial reduction
@@ -768,15 +827,54 @@ _NEG_FLIPS = (ConvAlgebra(chain(2), full_structure(2)),
               Equation(Meet(RelOp("f", (Neg(Var("x")),)), Var("y")), Var("y")))
 
 
+# Over M3 or N5 on two points, with f relating every pair and g the swap,
+# f(x) /\ y = (x /\ y) \/ (g(x) /\ y) holds on bottom and the 6 generators
+# for each of x and y, 49 rows, but fails at x = (a, b), y = (0, c): the
+# meet with f(x), free of y but not ground, is not linear in y there.  The
+# second law fails there too through h, which reads h(u, v) at a point as
+# u /\ v there, so a relation's other arguments must be ground as well.
+_SWAP = build_structure(2, signature(("f", 1, JOIN), ("g", 1, JOIN), ("h", 2, JOIN)),
+                        [set(product(range(2), repeat=2)), {(0, 1), (1, 0)},
+                         {(0, 0, 0), (1, 1, 1)}])
+_X, _Y = Var("x"), Var("y")
+_FX, _GX = RelOp("f", (_X,)), RelOp("g", (_X,))
+_GROUND_MEET = Equation(Meet(_FX, _Y), Join(Meet(_X, _Y), Meet(_GX, _Y)))
+_GROUND_RELATION = Equation(
+    RelOp("h", (_FX, _Y)), Join(RelOp("h", (_X, _Y)), RelOp("h", (_GX, _Y))))
+
+
+def non_distributive():
+    """M3, N5, N5's dual, and the hexagon 0 < a < b < 1, 0 < c < d < 1."""
+    hexagon = build_lattice(["0", "a", "b", "c", "d", "1"],
+                            [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "d"),
+                             ("d", "1")])
+    return [m3(), n5(), n5().dual(), hexagon]
+
+
 @settings(max_examples=300, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
                                  HealthCheck.data_too_large])
 @given(reduced_cases(ordered=False))
 @example(_CASE_B_MIXED_S)
 @example(_NEG_FLIPS)
+@example((ConvAlgebra(m3(), _SWAP), _GROUND_MEET))
+@example((ConvAlgebra(n5(), _SWAP), _GROUND_MEET))
+@example((ConvAlgebra(m3(), _SWAP), _GROUND_RELATION))
+@example((ConvAlgebra(n5(), _SWAP), _GROUND_RELATION))
 def test_reduced_verdict_matches_the_grid(case):
     """Unordered algebras, in which both cases (a) and (b) of _families
     reduce variables (see check_reduced_against_the_grid)."""
+    check_reduced_against_the_grid(*case)
+
+
+@settings(max_examples=150, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(reduced_cases(ordered=False, lattices=st.sampled_from(non_distributive())))
+def test_reduced_verdict_over_a_non_distributive_lattice_matches_the_grid(case):
+    """Case (a) over lattices that are not distributive, in which a meet or
+    a relation is linear only beside ground arguments (see
+    check_reduced_against_the_grid)."""
     check_reduced_against_the_grid(*case)
 
 
@@ -1145,13 +1243,13 @@ def test_the_classifier_runs_once_per_check():
     eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
                         full_structure(2).signature)
     calls, occurrences = [], terms_module._Plan.occurrences
-    with patch.object(terms_module._Plan, "occurrences",
-                      lambda plan, modes: calls.append(modes) or occurrences(plan, modes)):
+    with patch.object(terms_module._Plan, "occurrences", lambda plan, modes, distributive: (
+            calls.append((modes, distributive)) or occurrences(plan, modes, distributive))):
         verdicts = [check_equation(eq, ConvAlgebra(chain(3), full_structure(2)), budget=80)
                     for _ in range(3)]
     assert {(v.path, v.status, v.tried) for v in verdicts} == {
         ("generators", "valid_exhaustive", 25)}
-    assert calls == [{"f": JOIN}] * 3
+    assert calls == [({"f": JOIN}, True)] * 3
 
 
 @pytest.mark.parametrize("make", [lambda s: ConvAlgebra(chain(2), s), SubsetAlgebra])
@@ -1498,7 +1596,6 @@ _SHARED_APPLICATIONS = (
 # Over M3 on two points with f(x) reading x at point 1 into point 0, the
 # distributive law with f(x) for its third term fails at x = a, y = b at
 # point 0 and x = c at point 1; on the lattice 2 it holds.
-_FX = RelOp("f", (Var("x"),))
 _TABLE_OF_L = (
     ConvAlgebra(m3(), build_structure(2, signature(("f", 1, JOIN)), [{(1, 0)}])),
     Equation(Meet(Var("x"), Join(Var("y"), _FX)),
