@@ -7,10 +7,10 @@ same computation and report status "observed" without asserting.
 
 Checkers state laws; check_equation decides each equation, and its
 verdict names the path: a check is exhaustive when its assignment space,
-or an equation's grid over generators or over 2^X, fits the budget
-(default 10^6 evaluations), else it samples and records that in its
-stats.  A sampled validity proves nothing, so no checker reports "fail"
-on one.
+or an equation's grid over generators or over 2^X, or its polynomials in
+the free lattice fit the budget (default 10^6), else it samples and
+records that in its stats.  A sampled validity proves nothing, so no
+checker reports "fail" on one.
 """
 
 from __future__ import annotations
@@ -101,22 +101,13 @@ def _eq_verdicts(algebra, equations, seed=0, budget=None):
 
 def _law_counts(verdicts) -> dict:
     """The stats counting ``sampled_laws``, the verdicts on the samples
-    path, then ``reduced_laws``, ``two_valued_laws`` and ``lattice_laws``,
-    those on the generators, two-valued and lattice-law paths, each only
-    when there are any."""
+    path, then ``reduced_laws``, ``two_valued_laws`` and ``free_laws``,
+    those on the generators, two-valued and free paths, each only when
+    there are any."""
     paths = Counter(v.path for v in verdicts)
     counts = {"reduced_laws": paths["generators"], "two_valued_laws": paths["two-valued"],
-              "lattice_laws": paths["lattice-law"]}
+              "free_laws": paths["free"]}
     return {"sampled_laws": paths["samples"], **{k: n for k, n in counts.items() if n}}
-
-
-def _without_theorem(eq: Equation, algebra, **options):
-    """check_equation's verdict, except that one on the two-valued path,
-    which rests on the variety theorem, is decided again by sampling with
-    the same options, as it would be without that path.  The checks that
-    test the theorem decide their equations through this."""
-    v = check_equation(eq, algebra, **options)
-    return check_equation(eq, algebra, mode="sample", **options) if v.path == "two-valued" else v
 
 
 # -- operator laws (additivity / multiplicativity) ---------------------------
@@ -480,7 +471,7 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
     """Associativity of the convolved group operation iff distributivity.
 
     Both sides of the biconditional are decided independently: the
-    associativity equation by _without_theorem, distributivity by a fresh
+    associativity equation without 2^X, distributivity by a fresh
     triple scan of the tables.  A sampled validity proves nothing, so it
     is reported "observed", with the verdict in the stats.  A pass carries
     no witness: when a non-distributive lattice passes, its counterexample
@@ -495,7 +486,7 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
 
     x, y, z = Var("x"), Var("y"), Var("z")
     eq = Equation(star(star(x, y), z), star(x, star(y, z)))
-    v = _without_theorem(eq, algebra, budget=budget)
+    v = check_equation(eq, algebra, budget=budget, two_valued=False)
     associative = v.is_valid
 
     meet, join = lat.meet_np, lat.join_np
@@ -746,7 +737,7 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     pool is a list of (label, Equation) in the negation-free fragment.
     Distributive lattices must agree with the base exactly; other lattices
     are only required to transfer validity downward (valid in L^X implies
-    valid over subsets).  Verdicts over L^X come from _without_theorem.  A
+    valid over subsets).  Verdicts over L^X are not decided on 2^X.  A
     disagreement counts only between decided verdicts, not against a
     sampled validity.
     """
@@ -771,7 +762,7 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     for lat in lattices:
         algebra = ConvAlgebra(lat, structure)
         for label, eq in pool:
-            v = _without_theorem(eq, algebra, budget=budget, seed=seed)
+            v = check_equation(eq, algebra, budget=budget, seed=seed, two_valued=False)
             tried += v.tried
             vb = base_verdicts[label]
             if lat.is_distributive:

@@ -15,25 +15,16 @@ assignments, each variable bound to an array of value rows, calling the
 algebra's batched operations; it resolves relation names once per
 signature, not per batch.
 Equations are decided on one of seven paths, which the verdict names (see
-_route): the exhaustive grid of assignments over value rows or
-over integer codes, the grid over tables of the algebra's own value rows
-(the elements that are index 0 at every point but one, or, per variable,
-the irreducible generators of L^X or the whole carrier), the grid of 2^X
-by the paper's variety theorem, the one-point table of L for a law of
-lattices once each relation application is read as a variable (see
-_lattice_law; L^X is a lattice point by point whatever the relations
-are), or seeded samples.  Which variables may
-range over generators is decided from how each occurs in the equation
-(see _Plan.occurrences, one pass over the plan's steps): free, linear,
-monotone, antitone or mixed.  A linear variable reduces over any finite
-L (see _families): a meet or a relation is linear in the one argument
-that holds the variable when the others are free of it over a
-distributive L, and ground over any other, as a ground term is bottom or
-top at each point and x ∧ ⊥, x ∧ ⊤ preserve joins in any lattice.  The
-De Morgan scans of the relation-algebra checker take their domains from
-the same rule (see _bounded_below).  The
-least counterexample in enumeration order is reported, so failures are
-reproducible.
+_route): the exhaustive grid of assignments over value rows or over
+integer codes, the grid over tables of the algebra's own value rows (the
+elements that are index 0 at every point but one, or, per variable, the
+irreducible generators of L^X or the whole carrier), the grid of 2^X, the
+free lattice at each point (see _free), or seeded samples.  Which
+variables range over generators follows from how each occurs in the
+equation (see _Plan.occurrences and _families), and the De Morgan scans
+of the relation-algebra checker take their domains from the same rule
+(see _bounded_below).  The least counterexample in enumeration order is
+reported, so failures are reproducible.
 
 An exhaustive grid binds each variable to a numpy axis of its own: a
 chunk of assignments keeps its trailing variables as full axes, as many
@@ -57,13 +48,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Union
 
 import numpy as np
 
-from .convolution import (_CHUNK_ENTRIES, _TWO, ConvAlgebra, SubsetAlgebra,
-                          _product_axes, resolve_budget)
+from .convolution import (_CHUNK_ENTRIES, ConvAlgebra, SubsetAlgebra, _product_axes,
+                          resolve_budget)
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
 from .lattice import FiniteLattice
@@ -649,84 +640,103 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
 
 
 def _two_valued(alg, eq: Equation, names: list[str], cap: int):
-    """(target, total, rows, back, tried) of the _route of ``eq`` over
-    ``alg._two_valued`` in mode 'auto' without _lattice_law, which _route
-    tries on L itself, unless it samples, with ``back`` then sending 0 to
-    bottom and 1 to top; else None: ``eq`` holds on
-    those rows iff it holds on all of ``alg``.  None unless ``alg`` is a
-    convolution algebra over a distributive L of more than 2 elements,
-    Boolean if ``eq`` uses neg or imp.  Then, by the paper's variety
-    theorem, the maps phi_j(a) = {x : j <= a(x)}, j in J(L), are jointly
-    injective homomorphisms from L^X to 2^X (j is join-prime, and an atom
-    when L is Boolean) that keep maps monotone, and 0 -> bottom,
-    1 -> top embeds 2^X in L^X, monotone maps included.
+    """The _route of ``eq`` over ``alg._two_valued`` in mode 'auto': as it
+    searches, with ``back`` sending 0 to bottom and 1 to top, or as it is
+    when it reaches _free, which holds for every L; else None.  None
+    unless ``alg`` is a convolution algebra over an L of more than 2
+    elements, Boolean if ``eq`` uses neg or imp.  0 -> bottom, 1 -> top
+    embeds 2^X in L^X, monotone maps included, so a counterexample on 2^X
+    is one on L^X; over an L that is not distributive only a refutation,
+    searched for here, is returned, to be found again in its first
+    position + 1 tuples.  Over a distributive L validity carries over too,
+    by the paper's variety theorem: the maps phi_j(a) = {x : j <= a(x)},
+    j in J(L), are jointly injective homomorphisms from L^X to 2^X (j is
+    join-prime, and an atom when L is Boolean) that keep maps monotone.
     """
     if (not isinstance(alg, ConvAlgebra) or alg.lattice.size <= 2
-            or not alg.lattice.is_distributive
             or (eq.uses_heyting() and not alg.lattice.is_boolean)):
         return None
     two, lat = alg._two_valued, alg.lattice
-    path, target, total, rows, inner, facts = _route(two, eq, names, "auto", cap, None, 0,
-                                                     lattice_law=False)
-    if path == "samples":
-        return None
+    route = path, target, total, rows, inner, facts = _route(two, eq, names, "auto", cap, None, 0)
+    if path in ("samples", "free"):
+        return None if path == "samples" else route
+    if not lat.is_distributive:
+        position, _ = _first_failure(total, two, rows, _mismatch(eq, names, target))
+        if position is None:
+            return None
+        total = position + 1
 
     def back(position, found):
         position, found = inner(position, found)
         return position, [np.where(row == two.lattice.top, lat.top, lat.bottom) for row in found]
-    return target, total, rows, back, facts["tried"]
+    return path, target, total, rows, back, {"tried": facts["tried"]}
 
 
-def _lattice_law(alg, eq: Equation, cap: int):
-    """The number of rows of the one-point table of L (of 2 for a subset
-    algebra) when ``eq``, with each distinct relation application (one
-    step of its plan: the same relation on the same argument terms) read
-    as a fresh variable, is a lattice law that holds on all of them, at
-    most ``cap``; else None.  None too when ``eq`` uses neg or imp, or
-    applies a relation that ``alg`` lacks or at another arity, so that
-    the search it falls through to raises as before.
-
-    Meet, join, bottom and top act point by point on L^X, monotone maps
-    and subsets alike, whatever the relations are, so a law of L in those
-    operations alone holds at each point of any values, and then at the
-    values the relation applications take.  A side that is a variable
-    missing from the other side is no law of a lattice of two or more
-    elements, so such a law is rejected without a search.
+def _free(alg, eq: Equation, cap: int):
+    """|X|, the number of points compared, when the sides of ``eq`` are
+    equal in the free bounded lattice at each point, so in L^X for every
+    L, monotone maps and subsets alike; else None, also when ``eq`` uses
+    neg or imp, applies a relation ``alg`` lacks or at another arity (its
+    search raises then), or outgrows ``cap`` nodes and arguments.  By the
+    definition of convolution a term is at a point x a lattice polynomial
+    in its variables' values: a join-mode relation the join over its
+    tuples (y_1..y_n, x) of the meet of its arguments at y_1..y_n, a
+    meet-mode one the dual.  A node (kind, arguments) is hash-consed; a
+    join or a meet holds a set of arguments of other kinds, with bottom
+    and top, the empty join and meet, absorbed.  p <= q by Whitman's
+    solution of the word problem for free lattices (Ann. Math. 1941).
     """
-    plan = eq._plan
-    if plan.heyting:
-        return None
-    sides = []  # the steps each side reads, with its applications as variables
-    for root in plan.roots:
-        read, todo = set(), [root]
-        while todo:
-            if (step := todo.pop()) not in read:
-                read.add(step)
-                op, _, args = plan.steps[step]
-                todo += () if op == "op" else args
-        sides.append(read)
-    leaves = {step for step in sides[0] | sides[1] if plan.steps[step][0] in ("var", "op")}
-    lattice = getattr(alg, "lattice", _TWO)
-    if lattice.size ** len(leaves) > cap or any(
-            root in leaves and root not in other for root, other in zip(plan.roots, sides[::-1])):
-        return None
-    sig = alg.structure.signature
+    plan, structure = eq._plan, alg.structure
+    sig, n = structure.signature, structure.carrier_size
     index = plan.relations(sig)
-    if any(op == "op" and (name not in index or sig.rel_specs[index[name]].arity != len(args))
-           for op, name, args in plan.steps):
+    if plan.heyting or any(op == "op" and (
+            name not in index or sig.rel_specs[index[name]].arity != len(args))
+            for op, name, args in plan.steps):
         return None
-    terms = {}  # a step's arguments come before it
-    for step in sorted(sides[0] | sides[1]):
-        op, _, args = plan.steps[step]
-        terms[step] = (Var(str(step)) if step in leaves else Bot() if op == "bot"
-                       else Top() if op == "top"
-                       else (Meet if op == "meet" else Join)(terms[args[0]], terms[args[1]]))
-    law = Equation(*(terms[root] for root in plan.roots))
-    names = law.variables()
-    point = _batch_algebra(lattice)[0]
-    total, rows = _grid(point, len(names), point._enumeration())
-    position, _ = _first_failure(total, point, rows, _mismatch(law, names, point))
-    return total if position is None else None
+    nodes, size = {}, 0
+
+    def node(kind, args):
+        nonlocal size
+        if (kind, args) not in nodes:
+            nodes[kind, args], size = (kind, args), size + 1 + len(args)
+        return nodes[kind, args]
+    bot, top = node("join", frozenset()), node("meet", frozenset())
+
+    def fold(kind, parts):
+        zero, flat = top if kind == "join" else bot, set()
+        for p in parts:
+            if p is zero:
+                return zero
+            flat |= p[1] if p[0] == kind else {p}  # the unit is the empty fold
+        return flat.pop() if len(flat) == 1 else node(kind, frozenset(flat))
+
+    @cache
+    def leq(p, q):
+        (pk, ps), (qk, qs) = p, q
+        return p is q or (all(leq(a, q) for a in ps) if pk == "join"
+                          else all(leq(p, b) for b in qs) if qk == "meet"
+                          else pk == "meet" and any(leq(a, q) for a in ps)
+                          or qk == "join" and any(leq(p, b) for b in qs))
+
+    vals = []  # one polynomial per point for each step
+    for op, name, args in plan.steps:
+        if op == "var":
+            row = [node((name, x), ()) for x in range(n)]
+        elif op != "op":  # bottom and top are the empty join and meet
+            kind = {"bot": "join", "top": "meet"}.get(op, op)
+            row = [fold(kind, [vals[a][x] for a in args]) for x in range(n)]
+        else:
+            i = index[name]
+            plus, times = ("join", "meet") if sig.rel_specs[i].mode == JOIN else ("meet", "join")
+            ending = [[] for _ in range(n)]
+            for t in structure.relations[i]:
+                ending[t[-1]].append(fold(times, [vals[a][y] for a, y in zip(args, t)]))
+            row = [fold(plus, parts) for parts in ending]
+        vals.append(row)
+        if size > cap:
+            return None
+    lhs, rhs = (vals[root] for root in plan.roots)
+    return n if all(leq(p, q) and leq(q, p) for p, q in zip(lhs, rhs)) else None
 
 
 def _tabled(alg, eq: Equation, total: int):
@@ -779,7 +789,7 @@ def _mismatch(eq: Equation, names: list[str], alg):
 
 
 def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
-           samples: int | None, seed, lattice_law: bool = True):
+           samples: int | None, seed, two_valued: bool = True):
     """(path, target, total, rows, back, facts): the path on which ``eq``
     is decided over ``alg``, the interface ``target`` whose rows ``rows``
     gives for the ``total`` tuples of the search (see _grid), ``back``,
@@ -795,18 +805,13 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
     holds for a grid that outgrows _FIRST_ROWS assignments ('codes');
     else over value rows ('grid').  Over ``cap`` in mode 'auto': over the
     _domains of the _families when every variable is reduced and that
-    grid fits ('generators'); else on 2^X, by the route that _two_valued
-    takes there ('two-valued'); else over those domains with some
-    variables over the carrier ('generators', their names in
-    ``reduced``), a larger grid than 2^X's, built only then; else, when
-    _lattice_law reads ``eq`` as a law of L that holds, valid with the
-    rows it read, and no search left ('lattice-law'): sound whatever L
-    is, as meet and join act point by point, so this path proves
-    validity only and rests on no theorem that a checker tests; not
-    tried when ``lattice_law`` is False, as _two_valued asks, which would
-    throw a success on 2 away.
-    Otherwise, as in mode 'sample', ``samples`` assignments drawn from
-    ``seed`` ('samples').
+    grid fits ('generators'); else on 2^X by _two_valued ('two-valued', or
+    'free' as it is), unless ``two_valued`` is False; else over those
+    domains with some variables over the carrier ('generators', their
+    names in ``reduced``), a larger grid than 2^X's; else valid with no
+    search left when _free holds ('free'), which rests on no theorem that
+    a checker tests.  Otherwise, as in mode 'sample', ``samples``
+    assignments drawn from ``seed`` ('samples').
     """
     k, target, tables, facts = len(names), alg, None, {}
     back = lambda position, found: (position, found)  # noqa: E731
@@ -827,14 +832,14 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
         full = families is not None and None not in families
         if full and (tables := _domains(alg, families, cap)) is not None:
             path = "generators"
-        elif (two := _two_valued(alg, eq, names, cap)) is not None:
-            path, (target, total, rows, back, facts["tried"]) = "two-valued", two
+        elif two_valued and (two := _two_valued(alg, eq, names, cap)) is not None:
+            path, target, total, rows, back, facts = two
+            path = "free" if path == "free" else "two-valued"
         elif families is not None and not full and (
                 tables := _domains(alg, families, cap)) is not None:
             path = "generators"
-        elif lattice_law and (tried := _lattice_law(alg, eq, cap)) is not None:
-            # decided in the search of _lattice_law; none is left
-            path, total, facts["tried"] = "lattice-law", 0, tried
+        elif (tried := _free(alg, eq, cap)) is not None:
+            path, total, facts["tried"] = "free", 0, tried
         if path == "generators":
             reduced = [v for v, f in zip(names, families) if f is not None]
             facts.update(generators=len(tables[names.index(reduced[0])]),
@@ -852,11 +857,12 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
 @dataclass
 class Verdict:
     """Outcome of an equation check on the path that decided it: grid,
-    codes, one-point, generators, two-valued, lattice-law or samples (see
-    _route).  Its status follows: counterexample when there is
-    an assignment, which re-evaluates to distinct sides, else
-    valid_sampled on the samples path and valid_exhaustive on the
-    others.  ``samples`` and ``seed`` are set on the samples path, and
+    codes, one-point, generators, two-valued, free or samples (see
+    _route).  Its status follows: counterexample when there is an
+    assignment, which re-evaluates to distinct sides, else valid_sampled
+    on the samples path and valid_exhaustive on the others.  ``tried``
+    counts the assignments searched, or the points compared on the free
+    path.  ``samples`` and ``seed`` are set on the samples path, and
     ``generators``, the size of a table of generators, on the generators
     path, with ``reduced``, the variables that range over it, when the
     others range over the carrier.
@@ -873,7 +879,7 @@ class Verdict:
 
     def __post_init__(self):
         if self.path not in ("grid", "codes", "one-point", "generators", "two-valued",
-                             "lattice-law", "samples"):
+                             "free", "samples"):
             raise ValueError(f"unknown path {self.path!r}")
 
     @property
@@ -899,7 +905,7 @@ class Verdict:
             out["stats"].update(path="irreducibles", generators=self.generators)
         if self.reduced is not None:
             out["stats"]["reduced"] = self.reduced
-        if self.path in ("two-valued", "lattice-law"):
+        if self.path in ("two-valued", "free"):
             out["stats"]["path"] = self.path
         if self.path == "samples":
             out.update(samples=self.samples, seed=self.seed)
@@ -921,7 +927,7 @@ def describe_element(elem):
 
 def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
                    samples: int | None = None, seed: int = 0,
-                   budget: int | None = None) -> Verdict:
+                   budget: int | None = None, two_valued: bool = True) -> Verdict:
     """Decide an equation over the algebra's carrier on the path that
     _route chooses once, before the search, and the verdict names.
 
@@ -934,15 +940,18 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     whole grid.  Sampling is sound (reported counterexamples are real)
     but not complete; ordered algebras are sampled by drawing functions
     and rejecting the non-monotone ones, so sampling never enumerates
-    their carrier.  Nothing in this module calls check_equation: each
-    call from outside is one verdict.
+    their carrier.  With ``two_valued`` False no verdict is decided on
+    2^X, which the checks that test the variety theorem ask for.  Nothing
+    in this module calls check_equation: each call from outside is one
+    verdict.
     """
     cap = resolve_budget(budget)
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     alg, _, to_element = _batch_algebra(algebra)
     names = eq.variables()
-    path, target, total, rows, back, facts = _route(alg, eq, names, mode, cap, samples, seed)
+    path, target, total, rows, back, facts = _route(alg, eq, names, mode, cap, samples, seed,
+                                                    two_valued)
     position, found = _first_failure(total, alg, rows, _mismatch(eq, names, target))
     if position is None:
         return Verdict(path, **facts)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from convalg import checks, suites
+from convalg import checks, suites, terms
 from convalg.cli import main
 
 
@@ -364,35 +364,48 @@ def test_paper_core_depends_on_the_seed_only_through_its_drawn_relations(capsys,
             assert a == b
 
 
-# The checks that test the variety theorem, which the two-valued path rests on.
+# The checks that test the variety theorem, which a valid two-valued verdict
+# rests on, or compare L^X with 2^X, which a refutation on 2^X is.
 THEOREM_CHECKS = {"check_equation_transfer", "suite_type2", "check_z2_associativity"}
+
+
+def _theorem_check(frame):
+    """The theorem check that ``frame`` runs on behalf of, if any."""
+    while frame is not None and frame.f_code.co_name not in THEOREM_CHECKS:
+        frame = frame.f_back
+    return frame and frame.f_code.co_name
 
 
 @pytest.mark.parametrize("budget", ["1", "30"])
 def test_no_two_valued_verdict_reaches_the_theorem_checks(capsys, monkeypatch, budget):
-    # Every verdict that one of the theorem checks receives, from
-    # check_equation or from checks._without_theorem, is on another path.
-    # At budget 1 no search of the battery fits 2^X; at 30 some of those
-    # checks' equations do, and are decided again by samples.
+    # Every verdict that one of the theorem checks receives from
+    # check_equation is on another path, and no route of 2^X is searched
+    # on their behalf, where its verdict would be thrown away, though the
+    # other members route laws through 2^X at both budgets.  At budget 30
+    # the free lattice decides 162 of the theorem checks' laws.
     monkeypatch.delenv("CONVALG_BUDGET", raising=False)
-    received, inner = Counter(), Counter()
+    received, searched = Counter(), Counter()
 
-    def recorded(decide, name):
-        def wrapper(*args, **kwargs):
+    def recorded(decide):
+        def check_equation(*args, **kwargs):
             verdict = decide(*args, **kwargs)
-            caller = sys._getframe(1).f_code.co_name
-            if caller in THEOREM_CHECKS:
+            if sys._getframe(1).f_code.co_name in THEOREM_CHECKS:
                 received[verdict.path] += 1
-            elif caller == "_without_theorem":
-                inner[verdict.path] += 1
             return verdict
-        return wrapper
+        return check_equation
     for module in (checks, suites):
-        for name in ("check_equation", "_without_theorem"):
-            monkeypatch.setattr(module, name, recorded(getattr(module, name), name))
+        monkeypatch.setattr(module, "check_equation", recorded(module.check_equation))
+    route = terms._route
+
+    def routed(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_two_valued":
+            searched[_theorem_check(sys._getframe(1))] += 1
+        return route(*args, **kwargs)
+    monkeypatch.setattr(terms, "_route", routed)
     run(capsys, "suite", "run", "paper-core", "--budget", budget)
     assert received and "two-valued" not in received
-    assert bool(inner["two-valued"]) == (budget == "30")
+    assert list(searched) == [None]
+    assert received["free"] == (162 if budget == "30" else 0)
 
 
 def test_every_paper_core_member_reports_at_budget_one(capsys, monkeypatch):

@@ -102,6 +102,31 @@ def test_generator_verdicts_over_m3_and_n5_match_the_whole_grid(seed):
     assert moved == MOVED
 
 
+# the cases that the free lattice decides at both seeds: absorption with a
+# relation over M3 and N5, and commutativity of the Z3 convolution over
+# them, each on at most 15,625 rows of the whole grid
+FREE = {"rand/M3/n4/absorb1", "rand/M3/n6/absorb1", "rand/N5/n4/absorb1",
+        "rand/N5/n5/absorb1", "rand/N5/n6/absorb1", "group/M3/Z3/comm2", "group/N5/Z3/comm2"}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_free_verdicts_match_the_whole_grid(seed):
+    lattices, cases = _workloads().eq_grid(convalg, seed)
+    free = set()
+    for case in cases:
+        if case.kind != "conv":
+            continue
+        algebra = convalg.ConvAlgebra(lattices.get(case.lattice), case.structure)
+        v = convalg.check_equation(case.equation, algebra, mode=case.mode,
+                                   budget=case.budget, seed=case.seed)
+        if v.path == "free":
+            free.add(case.label)
+            full = convalg.check_equation(case.equation, algebra, mode="exhaustive",
+                                          budget=15_625)
+            assert full.status == v.status, case.label
+    assert free == FREE
+
+
 if __name__ == "__main__":
     for seed in SEEDS:
         (DATA / f"eq-grid-verdicts-seed{seed}.jsonl").write_text("".join(verdict_lines(seed)))

@@ -17,8 +17,8 @@ And it searches rows of the algebra it is given: the only algebra
 The path that decides a verdict is chosen in one place too: only
 ``terms._route`` names a path it refines the grid or the samples into,
 or asks whether one point, code tables, ``2^X``, generator domains or
-a lattice law apply (``_two_valued`` decides ``2^X`` through ``_route``
-itself), and no code infers a path from which of a verdict's fields are
+the free lattice apply (``_two_valued`` decides ``2^X`` through
+``_route`` itself), and no code infers a path from which of a verdict's fields are
 set.  Only ``check_equation`` builds a ``Verdict``, after one search,
 with no branch of its own on the path.  And which variables of an
 equation, or of the relation-algebra checker's De Morgan scans, range
@@ -142,7 +142,7 @@ def test_the_path_of_a_verdict_is_chosen_in_check_equation():
     reads = {id(sub) for _, node in nodes if isinstance(node, (ast.Compare, ast.Subscript))
              for sub in ast.walk(node if isinstance(node, ast.Compare) else node.slice)}
     named = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Constant)
-             and node.value in ("codes", "one-point", "generators", "lattice-law")
+             and node.value in ("codes", "one-point", "generators", "free")
              and id(node) not in reads]
     assert not named, f"a path is named at {named}; _route chooses the path"
     inferred = [(name, node.lineno) for name, node in nodes if isinstance(node, ast.Compare)
@@ -150,11 +150,11 @@ def test_the_path_of_a_verdict_is_chosen_in_check_equation():
                 and any(isinstance(op, ast.IsNot) for op in node.ops)]
     assert not inferred, (
         f"a path is inferred from a verdict's fields at {inferred}; read Verdict.path")
-    # a second chooser of grid, one point, codes, 2^X, generators or a
-    # lattice law calls these
+    # a second chooser of grid, one point, codes, 2^X, generators or the
+    # free lattice calls these
     choosers = [(name, called(node), node.lineno) for name, node in nodes
                 if called(node) in ("_one_point_rows", "_tabled", "_two_valued", "_domains",
-                                    "_lattice_law")
+                                    "_free")
                 and not (called(node) == "_domains" and id(node) in scan)]
     assert not choosers, f"{choosers} choose a path outside _route"
     searches = [called(node) for node in ast.walk(functions["check_equation"])]
@@ -162,7 +162,7 @@ def test_the_path_of_a_verdict_is_chosen_in_check_equation():
     assert not {node.value for node in ast.walk(functions["check_equation"])
                 if isinstance(node, ast.Constant)} & {"grid", "codes", "one-point",
                                                       "generators", "two-valued",
-                                                      "lattice-law"}
+                                                      "free"}
     assert not {"_assignments", "_grid", "_domains"} & {
         called(node) for node in ast.walk(functions["_two_valued"])}
 

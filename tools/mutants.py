@@ -1,0 +1,131 @@
+"""Mutation checks kept with the repository.
+
+Each row of MUTANTS is one deliberate fault: the file it goes into, the
+exact text it replaces, which occurs there once, the text put in its
+place, the tests of which at least one must fail with it, and the rule
+it breaks.  Run
+
+    python tools/mutants.py [ID ...]
+
+to apply each row (or the rows named) to a fresh copy of the repository
+in a temporary directory, run only its tests there, with hypothesis
+derandomized as in tier-1, and print whether the mutant was killed (a
+named test failed) or survived, with the time taken.  The exit status is
+1 when a mutant survives.  Tier-1 runs none of them; it checks only that
+each row's old text still occurs exactly once (tests/test_mutants.py), so
+a change to the code updates the table instead of orphaning a row.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TERMS = "src/convalg/terms.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    origin: str
+
+
+_FREE = "tests/test_terms.py::test_free_verdict_matches_the_grid"
+# the derandomized draws alone, with no fixed example
+_DRAWN_OVER_M3 = ("tests/test_terms.py::"
+                  "test_reduced_verdict_over_a_non_distributive_lattice_matches_the_grid")
+_GROUND = '''h == ["linear"] and alone and (
+                        op == times or op == "op" and modes.get(name) == mode))'''
+
+MUTANTS = (
+    Mutant("whitman-meet-join-and", TERMS,
+           '''                          or qk == "join" and any(leq(p, b) for b in qs))''',
+           '''                          and qk == "join" and any(leq(p, b) for b in qs))''',
+           ("tests/test_terms.py::test_laws_of_every_lattice_hold_in_the_free_lattice",
+            "tests/test_terms.py::test_an_over_budget_lattice_law_is_decided_in_the_free_lattice"),
+           "free lattice: Whitman's meet <= join case"),
+    Mutant("meet-top-absorbs", TERMS,
+           '''            if p is zero:
+                return zero''',
+           '''            if p in (zero, top):
+                return p''',
+           (_FREE,), "free lattice: x /\\ top is x"),
+    Mutant("meet-mode-as-join", TERMS,
+           '''("join", "meet") if sig.rel_specs[i].mode == JOIN else ("meet", "join")''',
+           '''("join", "meet")''',
+           (_FREE,), "free lattice: a meet-mode relation is a meet of joins"),
+    Mutant("bare-point-top", TERMS,
+           '''            row = [fold(plus, parts) for parts in ending]''',
+           '''            row = [fold(plus, parts) if parts else top for parts in ending]''',
+           (_FREE,), "free lattice: an empty join is bottom"),
+    Mutant("two-valued-valid-over-m3", TERMS,
+           '''    if not lat.is_distributive:
+        position, _ = _first_failure(''',
+           '''    if False:
+        position, _ = _first_failure(''',
+           (_FREE, "tests/test_terms.py::"
+            "test_modularity_is_given_up_and_distributivity_not_refuted_on_two"),
+           "2^X: validity only over a distributive L"),
+    Mutant("two-valued-into-equation-transfer", "src/convalg/checks.py",
+           "seed=seed, two_valued=False)", "seed=seed, two_valued=not lat.is_distributive)",
+           ("tests/test_cli.py::test_no_two_valued_verdict_reaches_the_theorem_checks",),
+           "2^X: no refutation in a check that compares L^X with 2^X"),
+    Mutant("ground-dropped-for-meets", TERMS, _GROUND,
+           _GROUND.replace("and alone and (", "and (").replace(
+               'op == "op" and', 'alone and op == "op" and'),
+           (_DRAWN_OVER_M3,), "generators: a meet's other arguments are ground over M3"),
+    Mutant("ground-dropped-for-relations", TERMS, _GROUND,
+           _GROUND.replace("and alone and (", "and (").replace(
+               "op == times", "alone and op == times"),
+           (_DRAWN_OVER_M3,), "generators: a relation's other arguments are ground over M3"),
+)
+
+
+def run(mutant: Mutant) -> tuple[bool, float]:
+    """(killed, seconds) for ``mutant`` on a fresh copy of the repository."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "results"))
+        target = copy / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.id}: the old text does not occur exactly once")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               *mutant.tests], cwd=copy, capture_output=True, text=True)
+    if done.returncode not in (0, 1):  # 1: a test failed; else none ran to its end
+        raise SystemExit(f"{mutant.id}: pytest stopped with status {done.returncode}\n"
+                         f"{done.stdout[-2000:]}")
+    return done.returncode == 1, time.perf_counter() - start
+
+
+def main(ids: list[str]) -> int:
+    rows = [m for m in MUTANTS if not ids or m.id in ids]
+    unknown = set(ids) - {m.id for m in rows}
+    if unknown:
+        raise SystemExit(f"no mutant named {sorted(unknown)}")
+    survived, total = 0, 0.0
+    for mutant in rows:
+        killed, seconds = run(mutant)
+        survived += not killed
+        total += seconds
+        print(f"{mutant.id:36} {'killed' if killed else 'SURVIVED':8} {seconds:6.1f} s",
+              flush=True)
+    print(f"{len(rows) - survived} of {len(rows)} killed in {total:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
