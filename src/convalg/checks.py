@@ -73,6 +73,11 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _op(name: str):
+    """The term builder of the relation ``name``: its arguments to its application."""
+    return lambda *args: RelOp(name, args)
+
+
 def _labels(lat: FiniteLattice, row) -> list[str]:
     return [lat.labels[v] for v in row]
 
@@ -162,6 +167,20 @@ def _complete_law(algebra: ConvAlgebra, i: int, cap: int):
     return "exhaustive", None
 
 
+@cache
+def _operator_laws(name: str, arity: int, mode: str) -> tuple:
+    """(label, Equation) of the binary and the empty law at each argument
+    of a relation ``name`` of ``arity`` and ``mode``, built once per process."""
+    comb, unit = (Join, Bot()) if mode == JOIN else (Meet, Top())
+
+    def at(k, arg):  # the operation with argument k set to ``arg``, z_j elsewhere
+        return RelOp(name, tuple(arg if j == k else Var(f"z{j}") for j in range(arity)))
+    x, y = Var("x"), Var("y")
+    return tuple(law for k in range(arity) for law in (
+        (f"binary@{k}", Equation(at(k, comb(x, y)), comb(at(k, x), at(k, y)))),
+        (f"empty@{k}", Equation(at(k, unit), unit))))
+
+
 def check_operator(algebra: ConvAlgebra, rel, budget: int | None = None,
                    seed: int = 0, instance: str | None = None) -> Report:
     """Additivity (join relations) or multiplicativity (meet relations).
@@ -179,17 +198,8 @@ def check_operator(algebra: ConvAlgebra, rel, budget: int | None = None,
     additive = spec.mode == JOIN
     name = instance or f"{spec.name}:{spec.arity}{'+' if additive else '-'}"
     hypothesis = algebra.lattice.is_distributive
-
-    comb, unit = (Join, Bot()) if additive else (Meet, Top())
-
-    def at(k, arg):  # the operation with argument k set to ``arg``, z_j elsewhere
-        return RelOp(spec.name, tuple(arg if j == k else Var(f"z{j}")
-                                      for j in range(spec.arity)))
-    x, y = Var("x"), Var("y")
-    equations = [law for k in range(spec.arity) for law in (
-        (f"binary@{k}", Equation(at(k, comb(x, y)), comb(at(k, x), at(k, y)))),
-        (f"empty@{k}", Equation(at(k, unit), unit)))]
-    failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=cap)
+    failures, stats = _eq_verdicts(algebra, _operator_laws(spec.name, spec.arity, spec.mode),
+                                   seed=seed, budget=cap)
     stats["positions"] = spec.arity
 
     if spec.arity == 0:
@@ -220,6 +230,9 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
     met (resp. joined) with a seeded random element, and the output there
     must stay below (resp. above) the output; on a finite carrier, where
     every function has finite support, the general form reduces to that.
+    One predicate over the batched operations decides it, on codes for
+    an exhaustive scan when no code table is larger than the budget or
+    the scan's applications: the tuples, draws and chunks are the same.
     """
     cap = resolve_budget(budget)
     i = algebra.structure.relation(rel)
@@ -232,49 +245,53 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         return Report.of("finite-support", name, [],
                          {"note": "nullary operation, no arguments"})
 
-    k = spec.arity
+    k, q = spec.arity, algebra.space_size()
     rng = random.Random(seed)
     total, rows, path = _assignments(algebra, k, "auto", cap, min(2000, cap), rng)
-    side = lat.meet_np if joinish else lat.join_np
+    coded = path == "grid" and max(q * q, q ** k) <= min(cap, total * n_car ** k)
+    target = algebra.coded() if coded else algebra
+    into = lambda r: algebra._encode(r)[..., None] if coded else r  # noqa: E731
+    values = lambda r: algebra._decode(r[0]) if coded else r  # noqa: E731
+    fold, side = (target._join, target._meet) if joinish else (target._meet, target._join)
     fill = lat.bottom if joinish else lat.top
-    fold = lat.join_np if joinish else lat.meet_np
-    points = np.arange(n_car)
+    # row x: top (bottom) at x and fill elsewhere, so side(a, keep[x]) is a's restriction to x
+    keep = into(np.where(np.eye(n_car, dtype=bool), lat.top if joinish else lat.bottom, fill))
+    unit = into(np.full(n_car, fill))
 
     def with_comparands(start, stop):
         """The chunk's tuples and their comparands, drawn in tuple order
         and shaped like the chunk."""
-        args = rows(start, stop)
+        args = rows(start, stop, into=target) if coded else rows(start, stop)
         shape = np.broadcast_shapes(*(a.shape[:-1] for a in args))
         drawn = algebra._draw_rows(rng, (stop - start) * k).reshape(stop - start, k, n_car)
-        return args + [side[a, r.reshape(shape + (n_car,))]
+        return args + [side(a, into(r.reshape(shape + (n_car,))))
                        for a, r in zip(args, drawn.swapaxes(0, 1))]
     with_comparands.counts = rows.counts
 
     def outputs(args):
         """The output on ``args`` and the fold of the outputs on their deltas."""
-        lhs = algebra._eval(i, args)
-        rhs = np.full_like(lhs, fill)
+        rhs = unit
         for xs in product(range(n_car), repeat=k):
-            deltas = [np.where(points == x, a, fill) for a, x in zip(args, xs)]
-            rhs = fold[rhs, algebra._eval(i, deltas)]
-        return lhs, rhs
+            rhs = fold(rhs, target._eval(i, [side(a, keep[x]) for a, x in zip(args, xs)]))
+        return target._eval(i, args), rhs
 
     def broken(*args_and_comparands):
         lhs, rhs = outputs(args_and_comparands[:k])
-        out = algebra._eval(i, args_and_comparands[k:])
-        sided = (lat.leq[out, lhs] if joinish else lat.leq[lhs, out]).all(axis=-1)
-        return (lhs != rhs).any(axis=-1) | ~sided
+        out = target._eval(i, args_and_comparands[k:])
+        low = out if joinish else lhs
+        return ((lhs != rhs) | (target._meet(out, lhs) != low)).any(axis=-1)
 
+    # chunked as over value rows, whichever interface runs the scan
     position, found = _first_failure(total, algebra, with_comparands, broken)
     failures = []
     if position is not None:
         args, bent = found[:k], found[k:]
         lhs, rhs = outputs(args)
-        witness = {"args": [_labels(lat, a) for a in args]}
+        witness = {"args": [_labels(lat, values(a)) for a in args]}
         if (lhs != rhs).any():
-            witness.update(output=_labels(lat, lhs), delta_fold=_labels(lat, rhs))
+            witness.update(output=_labels(lat, values(lhs)), delta_fold=_labels(lat, values(rhs)))
         else:
-            witness["comparand"] = [_labels(lat, b) for b in bent]
+            witness["comparand"] = [_labels(lat, values(b)) for b in bent]
         failures.append(witness)
     return Report.of("finite-support", name, failures,
                      {"tuples": total if position is None else position + 1,
@@ -292,6 +309,28 @@ def _relation_scan(structure: RelStructure, i: int = 0):
     transitive = all((a, c) in rel
                      for (a, b) in rel for (b2, c) in rel if b == b2)
     return reflexive, transitive
+
+
+@cache
+def _closure_laws(rname: str) -> tuple:
+    """(label, algebra, Equation, scan) rows of check_closure_correspondence
+    for a relation named ``rname``, built once per name: the law is
+    decided over the join convolution (0), the meet one (1) or the join
+    one over the dual lattice (2), and must be valid iff the scan says
+    the relation is reflexive or transitive, or always for None; x <= y
+    is x v y = y."""
+    f, x, y = _op(rname), Var("x"), Var("y")
+    increasing, idempotent = Equation(Join(x, f(x)), f(x)), Equation(Join(f(f(x)), f(x)), f(x))
+    return (("reflexive/closure", 0, increasing, "reflexive"),
+            ("transitive/closure", 0, idempotent, "transitive"),
+            ("operator/join", 0, Equation(f(Join(x, y)), Join(f(x), f(y))), None),
+            ("operator/zero", 0, Equation(f(Bot()), Bot()), None),
+            ("reflexive/interior", 1, Equation(Meet(x, f(x)), f(x)), "reflexive"),
+            ("transitive/interior", 1, Equation(Meet(f(x), f(f(x))), f(x)), "transitive"),
+            ("dual-operator/meet", 1, Equation(f(Meet(x, y)), Meet(f(x), f(y))), None),
+            ("dual-operator/one", 1, Equation(f(Top()), Top()), None),
+            ("reflexive/dual-lattice", 2, increasing, "reflexive"),
+            ("transitive/dual-lattice", 2, idempotent, "transitive"))
 
 
 def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
@@ -316,39 +355,16 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
     reflexive, transitive = _relation_scan(frame)
     name = instance or f"|X|={frame.carrier_size},R({len(frame.relations[0])})"
 
-    def f(t):
-        return RelOp(rname, (t,))
-
-    x = Var("x")
     join_frame = RelStructure(frame.carrier_size,
                               signature((rname, 1, JOIN)), [frame.relations[0]])
     meet_frame = RelStructure(frame.carrier_size,
                               signature((rname, 1, MEET)), [frame.relations[0]])
-    conv = ConvAlgebra(lat, join_frame)
-    dual_conv = ConvAlgebra(lat, meet_frame)
-    dual_lat_conv = ConvAlgebra(lat.dual(), join_frame)
-
-    # a <= f(a)  /  f(f(a)) <= f(a), with x <= y encoded as x v y = y.
-    checks = [
-        ("reflexive/closure", conv, Equation(Join(x, f(x)), f(x)), reflexive),
-        ("transitive/closure", conv, Equation(Join(f(f(x)), f(x)), f(x)), transitive),
-        ("operator/join", conv,
-         Equation(f(Join(x, Var("y"))), Join(f(x), f(Var("y")))), True),
-        ("operator/zero", conv, Equation(f(Bot()), Bot()), True),
-        ("reflexive/interior", dual_conv, Equation(Meet(x, f(x)), f(x)), reflexive),
-        ("transitive/interior", dual_conv,
-         Equation(Meet(f(x), f(f(x))), f(x)), transitive),
-        ("dual-operator/meet", dual_conv,
-         Equation(f(Meet(x, Var("y"))), Meet(f(x), f(Var("y")))), True),
-        ("dual-operator/one", dual_conv, Equation(f(Top()), Top()), True),
-        ("reflexive/dual-lattice", dual_lat_conv,
-         Equation(Join(x, f(x)), f(x)), reflexive),
-        ("transitive/dual-lattice", dual_lat_conv,
-         Equation(Join(f(f(x)), f(x)), f(x)), transitive),
-    ]
+    algebras = (ConvAlgebra(lat, join_frame), ConvAlgebra(lat, meet_frame),
+                ConvAlgebra(lat.dual(), join_frame))
+    scans = {"reflexive": reflexive, "transitive": transitive, None: True}
     tried, undecided = 0, []
-    for label, algebra, eq, expect in checks:
-        v = check_equation(eq, algebra, budget=budget)
+    for label, which, eq, scan in _closure_laws(rname):
+        v, expect = check_equation(eq, algebras[which], budget=budget), scans[scan]
         tried += v.tried
         if v.is_valid != expect and not v.decided:
             undecided.append(label)
@@ -368,6 +384,25 @@ def check_closure_correspondence(lat: FiniteLattice, frame: RelStructure,
 
 
 # -- monadic algebra -----------------------------------------------------------
+
+
+@cache
+def _monadic_laws() -> tuple:
+    """(label, Equation) of the monadic axioms, built once per process."""
+    dia, box, x, y = _op("dia"), _op("box"), Var("x"), Var("y")
+    return (
+        ("closure/increasing", Equation(Join(x, dia(x)), dia(x))),
+        ("closure/idempotent", Equation(dia(dia(x)), dia(x))),
+        ("closure/zero", Equation(dia(Bot()), Bot())),
+        ("closure/additive", Equation(dia(Join(x, y)), Join(dia(x), dia(y)))),
+        ("interior/decreasing", Equation(Meet(x, box(x)), box(x))),
+        ("interior/idempotent", Equation(box(box(x)), box(x))),
+        ("interior/one", Equation(box(Top()), Top())),
+        ("interior/multiplicative", Equation(box(Meet(x, y)), Meet(box(x), box(y)))),
+        ("axiom1", Equation(box(dia(x)), dia(x))),
+        ("axiom2", Equation(dia(box(x)), box(x))),
+        ("axiom3", Equation(dia(Meet(dia(x), y)), Meet(dia(x), dia(y)))),
+    )
 
 
 def check_monadic_axioms(lat: FiniteLattice, n: int,
@@ -409,31 +444,18 @@ def check_monadic_axioms(lat: FiniteLattice, n: int,
             "alpha": _labels(lat, alpha), "dia": _labels(lat, dia), "box": _labels(lat, box)}],
             pointwise)
 
-    def dia(t):
-        return RelOp("dia", (t,))
-
-    def box(t):
-        return RelOp("box", (t,))
-
-    x, y = Var("x"), Var("y")
-    equations = [
-        ("closure/increasing", Equation(Join(x, dia(x)), dia(x))),
-        ("closure/idempotent", Equation(dia(dia(x)), dia(x))),
-        ("closure/zero", Equation(dia(Bot()), Bot())),
-        ("closure/additive", Equation(dia(Join(x, y)), Join(dia(x), dia(y)))),
-        ("interior/decreasing", Equation(Meet(x, box(x)), box(x))),
-        ("interior/idempotent", Equation(box(box(x)), box(x))),
-        ("interior/one", Equation(box(Top()), Top())),
-        ("interior/multiplicative", Equation(box(Meet(x, y)), Meet(box(x), box(y)))),
-        ("axiom1", Equation(box(dia(x)), dia(x))),
-        ("axiom2", Equation(dia(box(x)), box(x))),
-        ("axiom3", Equation(dia(Meet(dia(x), y)), Meet(dia(x), dia(y)))),
-    ]
-    failures, stats = _eq_verdicts(algebra, equations, budget=cap)
+    failures, stats = _eq_verdicts(algebra, _monadic_laws(), budget=cap)
     return Report.of("monadic", name, failures, {**stats, **pointwise})
 
 
 # -- the all-pairs frame equation ----------------------------------------------
+
+
+@cache
+def _nabla_law() -> Equation:
+    """f(a) /\\ f(b) = f(f(a) /\\ b), built once per process."""
+    f, a, b = _op("f"), Var("a"), Var("b")
+    return Equation(Meet(f(a), f(b)), f(Meet(f(a), b)))
 
 
 def check_nabla_equation(lat: FiniteLattice, n: int,
@@ -451,12 +473,7 @@ def check_nabla_equation(lat: FiniteLattice, n: int,
     algebra = ConvAlgebra(lat, structure)
     name = instance or f"n={n}"
 
-    def f(t):
-        return RelOp("f", (t,))
-
-    a, b = Var("a"), Var("b")
-    eq = Equation(Meet(f(a), f(b)), f(Meet(f(a), b)))
-    v = check_equation(eq, algebra, budget=budget)
+    v = check_equation(_nabla_law(), algebra, budget=budget)
     failures = [] if v.is_valid else [{"assignment": _describe_assignment(v.assignment)}]
     return Report.of("nabla-equation", name, failures,
                      {"assignments": v.tried, "verdict": v.status},
@@ -464,6 +481,13 @@ def check_nabla_equation(lat: FiniteLattice, n: int,
 
 
 # -- associativity over the two-element group -----------------------------------
+
+
+@cache
+def _associativity_law() -> Equation:
+    """(x * y) * z = x * (y * z), built once per process."""
+    star, x, y, z = _op("*"), Var("x"), Var("y"), Var("z")
+    return Equation(star(star(x, y), z), star(x, star(y, z)))
 
 
 def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
@@ -481,12 +505,7 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
     algebra = ConvAlgebra(lat, cyclic_group(2))
     name = instance or f"|L|={lat.size}"
 
-    def star(u, v):
-        return RelOp("*", (u, v))
-
-    x, y, z = Var("x"), Var("y"), Var("z")
-    eq = Equation(star(star(x, y), z), star(x, star(y, z)))
-    v = check_equation(eq, algebra, budget=budget, two_valued=False)
+    v = check_equation(_associativity_law(), algebra, budget=budget, two_valued=False)
     associative = v.is_valid
 
     meet, join = lat.meet_np, lat.join_np
@@ -511,14 +530,30 @@ def check_z2_associativity(lat: FiniteLattice, budget: int | None = None,
 # -- relation-algebra axioms over group convolutions ----------------------------
 
 
-def _group_terms():
-    def semi(u, v):
-        return RelOp("*", (u, v))
-
-    def conv(u):
-        return RelOp("conv", (u,))
-
-    return semi, conv, RelOp("id", ())
+@cache
+def _relation_algebra_laws() -> tuple:
+    """(label, Equation) of axioms 1-7, and the three bounds (x, y), x <= y,
+    of each De Morgan scan, by whether the first uses c'' (else c'), with
+    one plan of their sides; built once per process."""
+    semi, conv, unit = _op("*"), _op("conv"), RelOp("id", ())
+    a, b, c = Var("a"), Var("b"), Var("c")
+    equations = (
+        ("1:associative", Equation(semi(a, semi(b, c)), semi(semi(a, b), c))),
+        ("2:right-unit", Equation(semi(a, unit), a)),
+        ("2:left-unit", Equation(semi(unit, a), a)),
+        ("3:left-additive", Equation(semi(Join(a, b), c), Join(semi(a, c), semi(b, c)))),
+        ("3:right-additive", Equation(semi(a, Join(b, c)), Join(semi(a, b), semi(a, c)))),
+        ("4:involution", Equation(conv(conv(a)), a)),
+        ("5:converse-join", Equation(conv(Join(a, b)), Join(conv(a), conv(b)))),
+        ("6:converse-product", Equation(conv(semi(a, b)), semi(conv(b), conv(a)))),
+        ("7:triangle", Equation(Join(semi(conv(a), Neg(semi(a, b))), Neg(b)), Neg(b))),
+    )
+    scans = []
+    for negneg in (False, True):
+        bounds = ((semi(a, b), Neg(Neg(c)) if negneg else c),
+                  (semi(conv(a), Neg(c)), Neg(b)), (semi(Neg(c), conv(b)), Neg(a)))
+        scans.append((bounds, _Plan(*(side for bound in bounds for side in bound))))
+    return equations, tuple(scans)
 
 
 def _expect_group_signature(structure: RelStructure):
@@ -554,23 +589,7 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
     _expect_group_signature(group)
     algebra = ConvAlgebra(lat, group)
     name = instance or f"|L|={lat.size},|G|={group.carrier_size}"
-    semi, conv, unit = _group_terms()
-    a, b, c = Var("a"), Var("b"), Var("c")
-
-    equations = [
-        ("1:associative", Equation(semi(a, semi(b, c)), semi(semi(a, b), c))),
-        ("2:right-unit", Equation(semi(a, unit), a)),
-        ("2:left-unit", Equation(semi(unit, a), a)),
-        ("3:left-additive", Equation(semi(Join(a, b), c),
-                                     Join(semi(a, c), semi(b, c)))),
-        ("3:right-additive", Equation(semi(a, Join(b, c)),
-                                      Join(semi(a, b), semi(a, c)))),
-        ("4:involution", Equation(conv(conv(a)), a)),
-        ("5:converse-join", Equation(conv(Join(a, b)), Join(conv(a), conv(b)))),
-        ("6:converse-product", Equation(conv(semi(a, b)), semi(conv(b), conv(a)))),
-        ("7:triangle", Equation(Join(semi(conv(a), Neg(semi(a, b))), Neg(b)),
-                                Neg(b))),
-    ]
+    equations, scans = _relation_algebra_laws()
     failures, stats = _eq_verdicts(algebra, equations, seed=seed, budget=cap)
 
     def below(x, y):
@@ -587,10 +606,7 @@ def check_relation_algebra(lat: FiniteLattice, group: RelStructure,
         a;b <= c'' (c' in the original form), conv(a);-c <= -b and
         -c;conv(b) <= -a, over the grid of _bounded_below when the full
         one is over the budget."""
-        bounds = [(semi(a, b), Neg(Neg(c)) if first_uses_negneg else c),
-                  (semi(conv(a), Neg(c)), Neg(b)), (semi(Neg(c), conv(b)), Neg(a))]
-
-        plan = _Plan(*(side for bound in bounds for side in bound))
+        bounds, plan = scans[first_uses_negneg]
 
         def truths(*triple):
             values = plan.run(algebra, dict(zip(names, triple)))
@@ -1009,60 +1025,66 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
 
 
 def default_equation_pool(sig) -> list:
-    """Negation-free candidate equations (valid and invalid) for a signature."""
+    """Negation-free candidate equations (valid and invalid) for a signature:
+    the lattice laws, then each relation's, built once per process."""
+    return [law for key in [(None, 0, None), *((s.name, s.arity, s.mode) for s in sig.rel_specs)]
+            for law in _pool_laws(*key)]
+
+
+@cache
+def _pool_laws(f: str | None, arity: int, mode: str | None) -> tuple:
+    """The (label, Equation) pairs of default_equation_pool for a relation
+    ``f`` of ``arity`` and ``mode``, or for the lattice when ``f`` is None."""
     x, y = Var("x"), Var("y")
-    pool = [
-        ("meet-commutes", Equation(Meet(x, y), Meet(y, x))),
-        ("join-commutes", Equation(Join(x, y), Join(y, x))),
-        ("absorb-mj", Equation(Meet(x, Join(x, y)), x)),
-        ("absorb-jm", Equation(Join(x, Meet(x, y)), x)),
-        ("meet-idem", Equation(Meet(x, x), x)),
-        ("join-idem", Equation(Join(x, x), x)),
-        ("meet-top", Equation(Meet(x, Top()), x)),
-        ("join-bot", Equation(Join(x, Bot()), x)),
-    ]
-    for spec in sig.rel_specs:
-        f = spec.name
+    if f is None:
+        return (
+            ("meet-commutes", Equation(Meet(x, y), Meet(y, x))),
+            ("join-commutes", Equation(Join(x, y), Join(y, x))),
+            ("absorb-mj", Equation(Meet(x, Join(x, y)), x)),
+            ("absorb-jm", Equation(Join(x, Meet(x, y)), x)),
+            ("meet-idem", Equation(Meet(x, x), x)),
+            ("join-idem", Equation(Join(x, x), x)),
+            ("meet-top", Equation(Meet(x, Top()), x)),
+            ("join-bot", Equation(Join(x, Bot()), x)),
+        )
 
-        def op(*args, _f=f):
-            return RelOp(_f, tuple(args))
-
-        if spec.arity == 1 and spec.mode == JOIN:
-            pool += [
-                (f"{f}-additive", Equation(op(Join(x, y)), Join(op(x), op(y)))),
-                (f"{f}-zero", Equation(op(Bot()), Bot())),
-                (f"{f}-meet-hom", Equation(op(Meet(x, y)), Meet(op(x), op(y)))),
-                (f"{f}-increasing", Equation(Join(x, op(x)), op(x))),
-                (f"{f}-idempotent", Equation(op(op(x)), op(x))),
-            ]
-        elif spec.arity == 1 and spec.mode == MEET:
-            pool += [
-                (f"{f}-multiplicative", Equation(op(Meet(x, y)), Meet(op(x), op(y)))),
-                (f"{f}-one", Equation(op(Top()), Top())),
-                (f"{f}-join-hom", Equation(op(Join(x, y)), Join(op(x), op(y)))),
-                (f"{f}-decreasing", Equation(Meet(x, op(x)), op(x))),
-            ]
-        elif spec.arity == 2 and spec.mode == JOIN:
-            pool += [
-                (f"{f}-left-additive",
-                 Equation(op(Join(x, y), y), Join(op(x, y), op(y, y)))),
-                (f"{f}-left-zero", Equation(op(Bot(), x), Bot())),
-                (f"{f}-right-zero", Equation(op(x, Bot()), Bot())),
-                (f"{f}-commutes", Equation(op(x, y), op(y, x))),
-                (f"{f}-left-meet-hom",
-                 Equation(op(Meet(x, y), y), Meet(op(x, y), op(y, y)))),
-            ]
-        elif spec.arity == 2 and spec.mode == MEET:
-            pool += [
-                (f"{f}-left-multiplicative",
-                 Equation(op(Meet(x, y), y), Meet(op(x, y), op(y, y)))),
-                (f"{f}-left-one", Equation(op(Top(), x), Top())),
-                (f"{f}-commutes", Equation(op(x, y), op(y, x))),
-            ]
-        elif spec.arity == 0:
-            mark = op()
-            pool += [
-                (f"{f}-join-idem", Equation(Join(mark, mark), mark)),
-                (f"{f}-meet-top", Equation(Meet(mark, Top()), mark)),
-            ]
-    return pool
+    op = _op(f)
+    if arity == 1 and mode == JOIN:
+        return (
+            (f"{f}-additive", Equation(op(Join(x, y)), Join(op(x), op(y)))),
+            (f"{f}-zero", Equation(op(Bot()), Bot())),
+            (f"{f}-meet-hom", Equation(op(Meet(x, y)), Meet(op(x), op(y)))),
+            (f"{f}-increasing", Equation(Join(x, op(x)), op(x))),
+            (f"{f}-idempotent", Equation(op(op(x)), op(x))),
+        )
+    if arity == 1 and mode == MEET:
+        return (
+            (f"{f}-multiplicative", Equation(op(Meet(x, y)), Meet(op(x), op(y)))),
+            (f"{f}-one", Equation(op(Top()), Top())),
+            (f"{f}-join-hom", Equation(op(Join(x, y)), Join(op(x), op(y)))),
+            (f"{f}-decreasing", Equation(Meet(x, op(x)), op(x))),
+        )
+    if arity == 2 and mode == JOIN:
+        return (
+            (f"{f}-left-additive",
+             Equation(op(Join(x, y), y), Join(op(x, y), op(y, y)))),
+            (f"{f}-left-zero", Equation(op(Bot(), x), Bot())),
+            (f"{f}-right-zero", Equation(op(x, Bot()), Bot())),
+            (f"{f}-commutes", Equation(op(x, y), op(y, x))),
+            (f"{f}-left-meet-hom",
+             Equation(op(Meet(x, y), y), Meet(op(x, y), op(y, y)))),
+        )
+    if arity == 2 and mode == MEET:
+        return (
+            (f"{f}-left-multiplicative",
+             Equation(op(Meet(x, y), y), Meet(op(x, y), op(y, y)))),
+            (f"{f}-left-one", Equation(op(Top(), x), Top())),
+            (f"{f}-commutes", Equation(op(x, y), op(y, x))),
+        )
+    if arity == 0:
+        mark = op()
+        return (
+            (f"{f}-join-idem", Equation(Join(mark, mark), mark)),
+            (f"{f}-meet-top", Equation(Meet(mark, Top()), mark)),
+        )
+    return ()

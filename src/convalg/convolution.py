@@ -23,15 +23,16 @@ stays an independent check of it.
 Each function also has an integer code, its mixed-radix index
 ``sum v_i * |L|^(n-1-i)``, which is its position in the unordered
 ``elements()`` order; a carrier is an array of codes, which
-``elements()`` decodes into LFunctions for input and output.  A
-ConvAlgebra tabulates its operations over codes on first use (meet,
-join, neg and imp, and one table of ``q^arity`` entries per relation,
-where q = |L|^|X|), and keeps them.  Each table is one broadcast
-evaluation of the kernel above: argument j runs over the whole carrier
-on axis j (see _product_axes), in blocks of whole trailing axes, so no
-index over ``q^arity`` is split into digits.  ``coded()`` is the same
-batched interface over codes, used where a check needs at least as many
-assignments as the tables have entries.
+``elements()`` decodes into LFunctions for input and output.  The code
+tables of meet, join, neg and imp are the lattice's, built in closed
+form once per |X| (see FiniteLattice.power_table).  A ConvAlgebra
+tabulates each relation over codes on first use, one table of
+``q^arity`` entries, where q = |L|^|X|, and keeps it.  Each relation
+table is one broadcast evaluation of the kernel above: argument j runs
+over the whole carrier on axis j (see _product_axes), in blocks of whole
+trailing axes, so no index over ``q^arity`` is split into digits.
+``coded()`` is the same batched interface over codes, used where a check
+needs at least as many assignments as the tables have entries.
 """
 
 from __future__ import annotations
@@ -304,24 +305,23 @@ class ConvAlgebra:
     def _table(self, key) -> np.ndarray:
         """The code table of ``key``, one of "meet", "join", "neg", "imp"
         or a relation index: entry [c1, .., ck] is the code of the result
-        on the arguments coded c1..ck.  Built on first use and kept."""
+        on the arguments coded c1..ck.  The lattice operations' tables
+        are the lattice's, shared by every algebra over it with as many
+        points (see FiniteLattice.power_table); a relation's is built on
+        first use and kept."""
+        if isinstance(key, str):
+            return self.lattice.power_table(key, self.structure.carrier_size)
         table = self._tables.get(key)
         if table is None:
-            if isinstance(key, str):
-                arity, fn = {"meet": (2, self._meet), "join": (2, self._join),
-                             "neg": (1, self._neg), "imp": (2, self._imp)}[key]
-            else:
-                arity = self.structure.signature.rel_specs[key].arity
-                fn = lambda *args: self._eval(key, args)  # noqa: E731
-            table = self._tables[key] = self._tabulate(arity, fn)
+            table = self._tables[key] = self._tabulate(key)
         return table
 
-    def _tabulate(self, arity: int, fn) -> np.ndarray:
-        """``fn`` over every ``arity``-tuple of functions, as codes.  Each
+    def _tabulate(self, i: int) -> np.ndarray:
+        """Relation ``i`` over every tuple of functions, as codes.  Each
         argument runs on an axis of its own (see _product_axes), in blocks
         of whole trailing axes of at most _CHUNK_ENTRIES values per array,
-        so that one broadcast evaluation of ``fn`` fills a block."""
-        q = self.space_size()
+        so that one broadcast evaluation of the kernel fills a block."""
+        q, arity = self.space_size(), self.structure.signature.rel_specs[i].arity
         out = np.empty(q ** arity, dtype=np.min_scalar_type(q - 1))
         limit, block = max(1, _CHUNK_ENTRIES // self._width), 1
         while block < q ** arity and block * q <= limit:
@@ -330,7 +330,7 @@ class ConvAlgebra:
         for start in range(0, q ** arity, step):
             stop = min(start + step, q ** arity)
             args = _product_axes([self._decode] * arity, (q,) * arity, start, stop)
-            out[start:stop] = self._encode(fn(*args)).reshape(-1)
+            out[start:stop] = self._encode(self._eval(i, args)).reshape(-1)
         return out.reshape((q,) * arity)
 
     def coded(self) -> "_Coded":

@@ -88,7 +88,8 @@ class FiniteLattice:
     All of them are fixed at build: searched for in the order of a lattice
     given by one, read off the lattices that an order dual or a product
     derives from, or written in closed form for a catalog chain,
-    Boolean lattice, M3 or N5.
+    Boolean lattice, M3 or N5.  The Heyting table and the code tables of
+    power lattices (``power_table``) are built on first use and kept.
     """
 
     def __init__(self, labels: Sequence[str], leq: np.ndarray):
@@ -154,6 +155,7 @@ class FiniteLattice:
         self.is_distributive, self.is_boolean = flags
         self.factors = factors
         self._imp_np = None
+        self._powers = {}
         self._hash = hash((self.labels, leq.tobytes()))
 
     def _check_poset(self, leq: np.ndarray, order: np.ndarray) -> None:
@@ -311,6 +313,28 @@ class FiniteLattice:
 
     def pseudocomplement(self, a: int) -> int:
         return self.heyting_implies(a, self.bottom)
+
+    def power_table(self, key: str, n: int) -> np.ndarray:
+        """Read-only table of the pointwise "meet", "join", "neg" or "imp"
+        on the codes ``sum v_x * |L|^(n-1-x)`` of L^X, |X| = ``n``, kept per
+        (key, n) for every algebra over this lattice.  Built one point at a
+        time: a new point is a new last digit of every code, so the table
+        on m points is |L| times that on m - 1, each code on its axis before
+        its new digit, plus the lattice's own table on the new digits."""
+        table = self._powers.get((key, n))
+        if table is None:
+            op = {"meet": lambda: self.meet_np, "join": lambda: self.join_np,
+                  "neg": lambda: self.heyting_table()[:, self.bottom],
+                  "imp": self.heyting_table}[key]()
+            k, axes = self.size, op.ndim
+            codes, digit = (slice(None), None) * axes, (None, slice(None)) * axes
+            op = op.astype(np.min_scalar_type(k ** n - 1))
+            table = op if n else np.zeros((1,) * axes, op.dtype)
+            for m in range(2, n + 1):
+                table = ((table * k)[codes] + op[digit]).reshape((k ** m,) * axes)
+            table.flags.writeable = False
+            self._powers[key, n] = table
+        return table
 
     # -- derived lattices ---------------------------------------------------
 

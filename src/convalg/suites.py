@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import catalog
 from .checks import (Report, check_closure_correspondence,
@@ -22,7 +23,7 @@ from .checks import (Report, check_closure_correspondence,
                      check_residuation, check_structural_isos,
                      check_subset_isomorphism, check_z2_associativity,
                      default_equation_pool, _describe_assignment,
-                     _law_counts)
+                     _law_counts, _op)
 from .convolution import ConvAlgebra, SubsetAlgebra, resolve_budget
 from .errors import UnknownName
 from .structures import build_structure, signature
@@ -189,21 +190,14 @@ def suite_structural(budget=None, seed=0) -> Report:
     return _aggregate("suite:structural-isos", "default instances", reports)
 
 
-def type2_equation_pool():
+@cache
+def type2_equation_pool() -> tuple:
+    """The (label, Equation) pairs of the truth-value grid laws, built once
+    per process."""
     x, y, z = Var("x"), Var("y"), Var("z")
-
-    def cap(*args):
-        return RelOp("min", tuple(args))
-
-    def cup(*args):
-        return RelOp("max", tuple(args))
-
-    def star(t):
-        return RelOp("neg", (t,))
-
-    one0 = RelOp("c0", ())
-    one1 = RelOp("c1", ())
-    return [
+    cap, cup, star = _op("min"), _op("max"), _op("neg")
+    one0, one1 = RelOp("c0", ()), RelOp("c1", ())
+    return (
         ("cap-commutes", Equation(cap(x, y), cap(y, x))),
         ("cup-commutes", Equation(cup(x, y), cup(y, x))),
         ("cap-assoc", Equation(cap(cap(x, y), z), cap(x, cap(y, z)))),
@@ -216,7 +210,7 @@ def type2_equation_pool():
         ("cap-unit", Equation(cap(x, one1), x)),
         ("absorption", Equation(cap(x, cup(x, y)), x)),
         ("cap-absorbing", Equation(cap(x, one0), one0)),
-    ]
+    )
 
 
 def suite_type2(budget=None, seed=0) -> Report:

@@ -610,6 +610,14 @@ def _families(alg, eq: Equation):
     return None if families.count(None) == len(names) else families
 
 
+@cache
+def _bounds_plan(bounds: tuple) -> _Plan:
+    """One plan of the sides of ``bounds`` for _bounded_below, x <= ¬s
+    read as x ∧ s <= ⊥, compiled once per process."""
+    return _Plan(*(side for x, y in bounds
+                   for side in ((Meet(x, y.arg), Bot()) if isinstance(y, Neg) else (x, y))))
+
+
 def _bounded_below(alg, bounds: list, names: list[str], cap: int):
     """One array of value rows per variable of ``names`` for a scan of the
     inequalities ``bounds``, pairs (x, y) of terms for x <= y: bottom and
@@ -629,8 +637,7 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
     if (not isinstance(alg, ConvAlgebra) or alg.ordered
             or not alg.lattice.is_distributive):
         return None
-    plan = _Plan(*(side for x, y in bounds
-                   for side in ((Meet(x, y.arg), Bot()) if isinstance(y, Neg) else (x, y))))
+    plan = _bounds_plan(tuple(bounds))
     occurs = plan.occurrences({s.name: s.mode for s in alg.structure.signature.rel_specs},
                               True)[False]
     families = [False if all(occurs[x].get(v) in (None, "linear") and v not in occurs[y]
@@ -647,8 +654,8 @@ def _two_valued(alg, eq: Equation, names: list[str], cap: int):
     elements, Boolean if ``eq`` uses neg or imp.  0 -> bottom, 1 -> top
     embeds 2^X in L^X, monotone maps included, so a counterexample on 2^X
     is one on L^X; over an L that is not distributive only a refutation,
-    searched for here, is returned, to be found again in its first
-    position + 1 tuples.  Over a distributive L validity carries over too,
+    searched for here, is returned, as one tuple, its rows, to be
+    evaluated once more.  Over a distributive L validity carries over too,
     by the paper's variety theorem: the maps phi_j(a) = {x : j <= a(x)},
     j in J(L), are jointly injective homomorphisms from L^X to 2^X (j is
     join-prime, and an atom when L is Boolean) that keep maps monotone.
@@ -661,10 +668,13 @@ def _two_valued(alg, eq: Equation, names: list[str], cap: int):
     if path in ("samples", "free"):
         return None if path == "samples" else route
     if not lat.is_distributive:
-        position, _ = _first_failure(total, two, rows, _mismatch(eq, names, target))
+        position, found = _first_failure(total, two, rows, _mismatch(eq, names, target))
         if position is None:
             return None
-        total = position + 1
+        # the refutation's rows are the one tuple the search evaluates again
+        total, inner = 1, lambda _, rows, inner=inner: inner(position, rows)
+        rows = lambda start, stop: [row[None] for row in found]  # noqa: E731
+        rows.counts = ()
 
     def back(position, found):
         position, found = inner(position, found)

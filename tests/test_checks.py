@@ -298,6 +298,8 @@ def test_finite_support_pass_and_dual_form():
     algebra = ConvAlgebra(chain(3), cyclic_group(2))
     r = check_finitely_supported(algebra, "*")
     assert r.status == "pass" and r.stats["form"] == "delta-join"
+    # the exhaustive scan ran on codes, through the relation's code table
+    assert algebra.structure.relation("*") in algebra._tables
     s = build_structure(2, signature(("g", 1, MEET)),
                         [{(a, b) for a in range(2) for b in range(2)}])
     r = check_finitely_supported(ConvAlgebra(chain(3), s), "g")

@@ -481,3 +481,37 @@ def test_an_error_line_without_a_reader_ends_the_run_silently():
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+_COUNT_BUILDS = """
+import contextlib, io, sys
+from convalg import cli, convolution, terms
+plans, tabulated = [0], []
+compile_plan, tabulate = terms._Plan.__init__, convolution.ConvAlgebra._tabulate
+def counted(self, *terms_):
+    plans[0] += 1
+    compile_plan(self, *terms_)
+def logged(self, key):
+    tabulated.append(key)
+    return tabulate(self, key)
+terms._Plan.__init__, convolution.ConvAlgebra._tabulate = counted, logged
+for battery in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["suite", "run", "paper-core"])
+    print(plans[0], sorted({type(key).__name__ for key in tabulated}))
+    plans[0] = 0
+"""
+
+
+def test_a_battery_compiles_each_law_once_and_tabulates_only_relations():
+    # Every checker builds its laws once per process, so a fresh process
+    # compiles 121 plans for one paper-core battery (1,094 when each call
+    # built its own), and a second battery compiles none.  The lattice
+    # operations' code tables are the lattice's: _tabulate builds only
+    # relation tables, keyed by their index.
+    done = subprocess.run([sys.executable, "-c", _COUNT_BUILDS], capture_output=True,
+                          text=True, env=_unbuffered_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    first, second = (line.split(" ", 1) for line in done.stdout.splitlines())
+    assert int(first[0]) <= 121 and int(second[0]) == 0
+    assert first[1] == second[1] == "['int']"

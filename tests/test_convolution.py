@@ -26,7 +26,7 @@ from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra,
                                  pullback_pmorphism)
 from convalg.errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
                             NotAMorphism, NotAPMorphism, NotAProductLattice,
-                            NotTwoElement, UnknownElement, WrongMode)
+                            NotHeyting, NotTwoElement, UnknownElement, WrongMode)
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
                                 full_structure, signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
@@ -854,6 +854,38 @@ def test_broadcast_tables_match_the_divmod_construction(data):
             table, expect = algebra._table(key), divmod_table(algebra, arity, fn)
             assert table.dtype == np.min_scalar_type(q - 1)
             assert np.array_equal(table, expect)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain(2), lambda: chain(3), lambda: chain(4), lambda: boolean(2),
+    lambda: boolean(3), m3, n5, lambda: chain(3).dual(), lambda: chain(4).dual(),
+    lambda: boolean(2).dual(), lambda: boolean(3).dual(), lambda: m3().dual(),
+    lambda: n5().dual(), lambda: convolution._TWO])
+def test_closed_form_lattice_tables_match_the_divmod_construction(make):
+    """The lattice's code tables of L^X, built one point at a time, equal
+    the flat divmod construction over the algebra's own pointwise
+    operations, on every key and 1 to 3 points, in dtype too, and are
+    read-only; algebras over the same lattice and number of points share
+    them, whatever their structure and order."""
+    lat = make()
+    keys = ["meet", "join"] + (["neg", "imp"] if lat.is_distributive else [])
+    for n in (1, 2, 3):
+        algebra = ConvAlgebra(lat, full_structure(n))
+        q = algebra.space_size()
+        chained = build_structure(n, signature(("g", 2, MEET)), [{(0, 0, 0)}],
+                                  order_pairs=[(x, x + 1) for x in range(n - 1)])
+        others = [ConvAlgebra(lat, chained), ConvAlgebra(lat, chained, ordered=True)]
+        for key in keys:
+            fn = getattr(algebra, "_" + key)
+            arity = 1 if key == "neg" else 2
+            table = algebra._table(key)
+            assert table.dtype == np.min_scalar_type(q - 1) and table.shape == (q,) * arity
+            assert not table.flags.writeable
+            assert np.array_equal(table, divmod_table(algebra, arity, fn))
+            assert all(other._table(key) is table for other in others)
+    if not lat.is_distributive:
+        with pytest.raises(NotHeyting):
+            ConvAlgebra(lat, full_structure(2))._table("neg")
 
 
 def test_ordered_algebra_images_are_monotone():

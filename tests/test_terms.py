@@ -749,10 +749,11 @@ _MENU = (("f", 1, frozenset(product(range(2), repeat=2))), ("g", 1, frozenset({(
 
 
 @st.composite
-def menu_structures(draw):
-    """Two points with the relations of _MENU, each of either mode."""
+def menu_structures(draw, n=2):
+    """``n`` points, two or more, with the relations of _MENU on the first
+    two, each of either mode."""
     modes = draw(st.lists(st.sampled_from([JOIN, MEET]), min_size=3, max_size=3))
-    return build_structure(2, signature(*((name, arity, mode) for (name, arity, _), mode
+    return build_structure(n, signature(*((name, arity, mode) for (name, arity, _), mode
                                           in zip(_MENU, modes))), [r for *_, r in _MENU])
 
 
@@ -779,13 +780,20 @@ def distributed(draw, specs):
 def reduced_cases(draw, ordered, lattices=lattices().filter(lambda lat: lat.size <= 6)):
     """(algebra, equation): a lattice (any, of at most 6 elements, by
     default), a structure of 1-3 points with relations of both modes, or
-    of two points with those of _MENU, ordered when ``ordered``, and an
+    of two points (three when ordered) with those of _MENU, ordered when
+    ``ordered``, and an
     equation, with neg and imp over distributive lattices, half of them
     of the form t v -s = -s there, and half of them distributed over the
     other lattices and a structure of _MENU."""
     lat = draw(lattices)
     menu = draw(st.booleans())
-    structure = draw(menu_structures() if menu else structures())
+    # Ordered, the menu gets a third point, which its relations do not
+    # touch, so that the order can leave the first two incomparable.  On
+    # two points every order is a chain, and with the menu's relations
+    # closed along it (see _with_order) no drawn law told a term free of a
+    # variable from a ground one: the draws passed with the ground
+    # condition dropped, and without the closure they failed.
+    structure = draw(menu_structures(3 if ordered else 2) if menu else structures())
     n = structure.carrier_size
     if ordered:
         perm = draw(st.permutations(range(n)))
@@ -1539,6 +1547,28 @@ def test_a_two_valued_counterexample_is_bottom_and_top():
     assert {label for f in v.assignment.values() for label in f.labels()} == {"0", "2"}
     assert eval_term(eq.lhs, algebra, v.assignment) != eval_term(eq.rhs, algebra, v.assignment)
     assert v.to_json()["stats"]["path"] == "two-valued"
+
+
+@pytest.mark.parametrize("lat", [m3, n5])
+def test_a_refutation_on_two_values_is_evaluated_once_not_searched_again(lat, monkeypatch):
+    # Over a non-distributive L only a refutation on 2^X carries over.  Its
+    # search evaluates the 7**2 generator pairs of 2^X in one chunk and
+    # finds commutativity failing at the tenth; the verdict then evaluates
+    # that one pair again, not the first ten pairs.
+    evaluated = []
+    run = terms_module._Plan.run
+
+    def counted(self, alg, env):
+        evaluated.append(int(np.prod(np.broadcast_shapes(*(v.shape[:-1] for v in env.values())))))
+        return run(self, alg, env)
+    monkeypatch.setattr(terms_module._Plan, "run", counted)
+    eq = parse_equation({"lhs": "(op * x y)", "rhs": "(op * y x)"},
+                        symmetric_group_3().signature)
+    v = check_equation(eq, ConvAlgebra(lat(), symmetric_group_3()), budget=500)
+    assert (v.path, v.status, v.tried) == ("two-valued", "counterexample", 10)
+    assert v.to_json()["assignment"] == {"x": ["0", "0", "0", "0", "0", "1"],
+                                         "y": ["0", "0", "0", "0", "1", "0"]}
+    assert evaluated == [49, 1]
 
 
 def test_two_valued_runs_on_one_point_with_the_whole_grids_position():

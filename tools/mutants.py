@@ -44,6 +44,8 @@ _FREE = "tests/test_terms.py::test_free_verdict_matches_the_grid"
 # the derandomized draws alone, with no fixed example
 _DRAWN_OVER_M3 = ("tests/test_terms.py::"
                   "test_reduced_verdict_over_a_non_distributive_lattice_matches_the_grid")
+_ORDERED = "tests/test_terms.py::test_ordered_reduced_verdict_matches_the_grid"
+_REDUCED = "tests/test_terms.py::test_reduced_verdict_matches_the_grid"
 _GROUND = '''h == ["linear"] and alone and (
                         op == times or op == "op" and modes.get(name) == mode))'''
 
@@ -70,9 +72,9 @@ MUTANTS = (
            (_FREE,), "free lattice: an empty join is bottom"),
     Mutant("two-valued-valid-over-m3", TERMS,
            '''    if not lat.is_distributive:
-        position, _ = _first_failure(''',
+        position, found = _first_failure(''',
            '''    if False:
-        position, _ = _first_failure(''',
+        position, found = _first_failure(''',
            (_FREE, "tests/test_terms.py::"
             "test_modularity_is_given_up_and_distributivity_not_refuted_on_two"),
            "2^X: validity only over a distributive L"),
@@ -88,6 +90,39 @@ MUTANTS = (
            _GROUND.replace("and alone and (", "and (").replace(
                "op == times", "alone and op == times"),
            (_DRAWN_OVER_M3,), "generators: a relation's other arguments are ground over M3"),
+    Mutant("ground-dropped-for-meets-ordered", TERMS, _GROUND,
+           _GROUND.replace("and alone and (", "and (").replace(
+               'op == "op" and', 'alone and op == "op" and'),
+           (_ORDERED,), "generators: the same, over monotone maps"),
+    Mutant("ground-dropped-for-relations-ordered", TERMS, _GROUND,
+           _GROUND.replace("and alone and (", "and (").replace(
+               "op == times", "alone and op == times"),
+           (_ORDERED,), "generators: the same, over monotone maps"),
+    Mutant("case-b-lets-mixed-s-through", TERMS,
+           '''and occurs[False][disjoint[1]].get(v) in (None, "linear")}''',
+           '''and occurs[False][disjoint[1]].get(v) in (None, "linear", "mixed")}''',
+           (_REDUCED,), "generators: case (b) needs s linear in the variable or free of it"),
+    Mutant("neg-does-not-flip", TERMS,
+           "held.setdefault(v, []).append(_FLIP[c] if flip and k == 0 else c)",
+           "held.setdefault(v, []).append(c)",
+           # nothing is then antitone, so it only loses case (b)'s
+           # reductions: every verdict stays sound, and only the
+           # classifier's and the paths' own tests see it
+           ("tests/test_terms.py::test_occurrence_classifies_how_a_variable_occurs",
+            "tests/test_terms.py::test_law_7_reduces_one_variable_by_its_disjoint_form"),
+           "generators: neg turns monotone into antitone"),
+    Mutant("power-table-points-reversed", "src/convalg/lattice.py",
+           "table = ((table * k)[codes] + op[digit])",
+           "table = ((table * k)[digit] + op[codes])",
+           ("tests/test_convolution.py::"
+            "test_closed_form_lattice_tables_match_the_divmod_construction",),
+           "code tables: a new point is the least significant digit of argument and result"),
+    Mutant("finite-support-fold-side-swapped", "src/convalg/checks.py",
+           "fold, side = (target._join, target._meet) if joinish else (target._meet, target._join)",
+           "fold, side = (target._meet, target._join) if joinish else (target._join, target._meet)",
+           ("tests/test_checks.py::test_finite_support_pass_and_dual_form",
+            "tests/test_checks.py::test_finite_support_witness_matches_the_loop_reference"),
+           "finite support: deltas are meets, folded by joins, for join relations"),
 )
 
 
