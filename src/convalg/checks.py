@@ -193,8 +193,7 @@ def check_operator(algebra: ConvAlgebra, rel, budget: int | None = None,
     the binary and empty laws are the whole check.
     """
     cap = resolve_budget(budget)
-    i = algebra.structure.relation(rel)
-    spec = algebra.structure.signature.rel_specs[i]
+    i, spec = algebra.structure.spec(rel)
     additive = spec.mode == JOIN
     name = instance or f"{spec.name}:{spec.arity}{'+' if additive else '-'}"
     hypothesis = algebra.lattice.is_distributive
@@ -235,8 +234,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
     the scan's applications: the tuples, draws and chunks are the same.
     """
     cap = resolve_budget(budget)
-    i = algebra.structure.relation(rel)
-    spec = algebra.structure.signature.rel_specs[i]
+    i, spec = algebra.structure.spec(rel)
     name = instance or f"{spec.name}:{spec.arity}"
     lat = algebra.lattice
     n_car = algebra.structure.carrier_size

@@ -46,7 +46,7 @@ import numpy as np
 from .catalog import chain
 from .errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
                      NotAMorphism, NotAPMorphism, NotAProductLattice,
-                     NotTwoElement, UnknownElement, WrongMode)
+                     NotTwoElement, UnknownElement)
 from .lattice import FiniteLattice
 from .structures import JOIN, MEET, RelStructure, is_p_morphism
 
@@ -125,11 +125,8 @@ class ConvAlgebra:
         self.lattice = lattice
         self.structure = structure
         self.ordered = ordered
-        self._order_pairs = (None if structure.order is None
-                             else np.where(structure.order))
+        self._width = structure._width
         n = structure.carrier_size
-        # The widest row of a batch: a relation's gathered tuples and its points.
-        self._width = n + max(map(len, structure.relations), default=0)
         self._radix = lattice.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self._kernels: dict = {}
         self._tables: dict = {}
@@ -194,12 +191,12 @@ class ConvAlgebra:
         return LFunction(row, self.lattice)
 
     def is_order_preserving(self, a: LFunction) -> bool:
-        return self._order_pairs is None or bool(self._monotone_rows(a._np[None])[0])
+        return self.structure.order is None or bool(self._monotone_rows(a._np[None])[0])
 
     def _monotone_rows(self, rows: np.ndarray):
         """Per value row of ``rows`` (shape (N, |X|)), whether it is order
         preserving; the structure must carry an order."""
-        xs, ys = self._order_pairs
+        xs, ys = self.structure._order_pairs
         return self.lattice.leq[rows[:, xs], rows[:, ys]].all(axis=-1)
 
     def space_size(self) -> int:
@@ -280,7 +277,7 @@ class ConvAlgebra:
             if not self.ordered:
                 return codes
             step = max(1, _CHUNK_ENTRIES // (1 + self.structure.carrier_size
-                                             + len(self._order_pairs[0])))
+                                             + len(self.structure._order_pairs[0])))
             return np.concatenate([chunk[self._monotone_rows(self._decode(chunk))]
                                    for chunk in np.split(codes, range(step, q, step))])
         if not self.ordered:
@@ -412,19 +409,11 @@ class ConvAlgebra:
 
     def conv(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Join convolution of relation ``rel`` applied to ``args``."""
-        i = self.structure.relation(rel)
-        spec = self.structure.signature.rel_specs[i]
-        if spec.mode != JOIN:
-            raise WrongMode(f"relation {spec.name!r} is meet-convolved")
-        return self._apply(i, args)
+        return self._apply(self.structure.spec(rel, mode=JOIN)[0], args)
 
     def dual_conv(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Meet convolution of relation ``rel`` applied to ``args``."""
-        i = self.structure.relation(rel)
-        spec = self.structure.signature.rel_specs[i]
-        if spec.mode != MEET:
-            raise WrongMode(f"relation {spec.name!r} is join-convolved")
-        return self._apply(i, args)
+        return self._apply(self.structure.spec(rel, mode=MEET)[0], args)
 
     def op(self, rel, args: Sequence[LFunction]) -> LFunction:
         """Apply a relation's operation, dispatching on its declared mode."""
@@ -436,7 +425,8 @@ class ConvAlgebra:
         return lambda args: self._apply(i, args)
 
     def _apply(self, i: int, args: Sequence[LFunction]) -> LFunction:
-        return self._element(self._eval(i, [self._row(a) for a in args]))
+        rows = [self._row(a) for a in args]
+        return self._element(self._eval(self.structure.spec(i, rows)[0], rows))
 
     def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
         """Relation ``i`` applied to value arrays of shape (N, |X|).
@@ -444,12 +434,9 @@ class ConvAlgebra:
         Arguments broadcast against each other like numpy arrays, so a
         single function may be passed as shape (|X|,).  A relation whose
         tuples have no inputs gives its constant row, as a read-only view
-        broadcast to the arguments' batch shape.
+        broadcast to the arguments' batch shape.  ``i`` and the arity of
+        ``args`` are the structure's (see RelStructure.spec).
         """
-        spec = self.structure.signature.rel_specs[i]
-        if len(args) != spec.arity:
-            raise ArityMismatch(
-                f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
         kernel = self._kernel(i)
         if isinstance(kernel, np.ndarray):
             return np.broadcast_to(kernel, np.broadcast_shapes(
@@ -541,10 +528,6 @@ class _Coded:
         return self.algebra._table("imp")[x, y]
 
     def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
-        spec = self.structure.signature.rel_specs[i]
-        if len(args) != spec.arity:
-            raise ArityMismatch(
-                f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
         table = self.algebra._table(i)
         return table[tuple(args)] if args else table.reshape(1)
 
@@ -560,9 +543,8 @@ class SubsetAlgebra:
 
     def __init__(self, structure: RelStructure):
         self.structure = structure
-        n = structure.carrier_size
-        self._full = frozenset(range(n))
-        self._width = n + max(map(len, structure.relations), default=0)
+        self._full = frozenset(range(structure.carrier_size))
+        self._width = structure._width
         self._images = structure._images
 
     def _image(self, i: int):
@@ -660,21 +642,19 @@ class SubsetAlgebra:
         return lambda args: self._apply(i, args)
 
     def _apply(self, i: int, args: Sequence[frozenset]) -> frozenset:
-        return self._element(self._eval(i, [self._row(a) for a in args]))
+        rows = [self._row(a) for a in args]
+        return self._element(self._eval(self.structure.spec(i, rows)[0], rows))
 
     def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
         """Relational image of boolean argument arrays of shape (N, |X|)."""
-        spec = self.structure.signature.rel_specs[i]
-        if len(args) != spec.arity:
-            raise ArityMismatch(
-                f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
+        join = self.structure.signature.rel_specs[i].mode == JOIN
         cols, into = self._image(i)
         # hit[.., t]: tuple t meets every argument (join) or misses them all (meet)
         hit = np.ones(len(into), dtype=bool)
         for a, c in zip(args, cols):
-            hit = hit & (a[..., c] if spec.mode == JOIN else ~a[..., c])
+            hit = hit & (a[..., c] if join else ~a[..., c])
         reached = hit @ into
-        return reached if spec.mode == JOIN else ~reached
+        return reached if join else ~reached
 
 
 # -- canonical isomorphisms ---------------------------------------------------

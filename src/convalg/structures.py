@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (ArityMismatch, IndexOutOfRange, NotAGroup, OrderNotClosed,
-                     SignatureMismatch, UnknownOperation)
+                     SignatureMismatch, UnknownOperation, WrongMode)
 from .lattice import _json_field, _transitive_closure
 
 JOIN = "join"
@@ -67,7 +67,9 @@ class RelStructure:
     relations[i] is a frozenset of (arity+1)-tuples of carrier indices.
     When an order is present, join relations must be up-closed and meet
     relations down-closed in the last coordinate; this is validated at
-    build time.
+    build time.  No lattice changes a relation's name, arity or mode, so
+    ``spec`` resolves every application of one, for every algebra over
+    the structure.
     """
 
     def __init__(self, carrier_size: int, sig: Signature,
@@ -103,6 +105,9 @@ class RelStructure:
         self.order = order
         if order is not None:
             self._check_order_closure()
+        self._order_pairs = None if order is None else np.where(order)
+        # The widest row of a batch: a relation's gathered tuples and its points.
+        self._width = carrier_size + max(map(len, self.relations), default=0)
         self._hash = hash((carrier_size, sig,
                            tuple(tuple(sorted(r)) for r in self.relations),
                            None if order is None else order.tobytes()))
@@ -153,6 +158,20 @@ class RelStructure:
         if not 0 <= i < len(self.signature):
             raise UnknownOperation(f"no relation at index {i}")
         return i
+
+    def spec(self, rel, args=None, mode=None):
+        """(index, RelSpec) of the relation ``rel``, a name or an index:
+        UnknownOperation when there is none, WrongMode when it is not
+        convolved in ``mode``, if given, and ArityMismatch when ``args``,
+        if given, are not as many as its arity."""
+        i = self.relation(rel)
+        spec = self.signature.rel_specs[i]
+        if mode is not None and spec.mode != mode:
+            raise WrongMode(f"relation {spec.name!r} is {spec.mode}-convolved")
+        if args is not None and len(args) != spec.arity:
+            raise ArityMismatch(
+                f"relation {spec.name!r} expects {spec.arity} arguments, got {len(args)}")
+        return i, spec
 
     def _kernel_index(self, i: int):
         """The half of relation ``i``'s convolution kernel that no lattice

@@ -12,8 +12,8 @@ the relation-algebra checker's De Morgan bounds: terms compile into a
 straight-line plan with one step per distinct subterm (see _Plan), which
 an Equation builds once and keeps, and the plan runs once per batch of
 assignments, each variable bound to an array of value rows, calling the
-algebra's batched operations; it resolves relation names once per
-signature, not per batch.
+algebra's batched operations; the structure resolves each relation
+application at its step (see RelStructure.spec).
 Equations are decided on one of seven paths, which the verdict names (see
 _route): the exhaustive grid of assignments over value rows or over
 integer codes, the grid over tables of the algebra's own value rows (the
@@ -234,10 +234,9 @@ class _Plan:
     same op, name and argument steps, so a subterm that occurs twice is
     evaluated once.  ``roots`` are the steps of the compiled terms, and
     ``names`` (sorted), ``operations`` and ``heyting`` record the
-    variables, the relations applied, and whether neg or imp occurs.
-    It keeps its relations' indices in the last signature (see relations)."""
+    variables, the relations applied, and whether neg or imp occurs."""
 
-    __slots__ = ("steps", "roots", "names", "operations", "heyting", "_sig", "_index")
+    __slots__ = ("steps", "roots", "names", "operations", "heyting")
 
     def __init__(self, *terms: Term):
         steps, index, roots = [], {}, []
@@ -270,17 +269,6 @@ class _Plan:
         self.names = sorted(name for op, name, _ in steps if op == "var")
         self.operations = frozenset(name for op, name, _ in steps if op == "op")
         self.heyting = any(op in ("neg", "imp") for op, _, _ in steps)
-        self._sig, self._index = None, {}
-
-    def relations(self, sig: Signature) -> dict:
-        """The index in ``sig`` of each relation the plan applies that
-        ``sig`` has, by name, resolved once per signature in a row; run
-        raises UnknownOperation at the step of one it lacks."""
-        if sig is not self._sig:
-            self._index = {s.name: i for i, s in enumerate(sig.rel_specs)
-                           if s.name in self.operations}
-            self._sig = sig
-        return self._index
 
     def occurrences(self, modes: dict, distributive: bool) -> dict:
         """How each step depends on each variable it is not free of, in one
@@ -322,7 +310,7 @@ class _Plan:
         ``env`` maps variables to arrays of rows."""
         if self.heyting:
             _check_heyting(alg)
-        index, vals = self.relations(alg.structure.signature), []
+        vals = []
         for op, name, args in self.steps:
             if op == "var":
                 try:
@@ -330,8 +318,7 @@ class _Plan:
                 except KeyError:
                     raise UnboundVariable(f"variable {name!r} is not assigned") from None
             elif op == "op":
-                value = alg._eval(index[name] if name in index else alg.structure.relation(name),
-                                  [vals[a] for a in args])
+                value = alg._eval(alg.structure.spec(name, args)[0], [vals[a] for a in args])
             elif op == "join":
                 value = alg._join(vals[args[0]], vals[args[1]])
             elif op == "meet":
@@ -593,9 +580,8 @@ def _families(alg, eq: Equation):
     """
     if not isinstance(alg, ConvAlgebra):
         return None
-    plan, sig = eq._plan, alg.structure.signature
-    occurs = plan.occurrences({name: sig.rel_specs[i].mode
-                               for name, i in plan.relations(sig).items()},
+    plan = eq._plan
+    occurs = plan.occurrences({s.name: s.mode for s in alg.structure.signature.rel_specs},
                               alg.lattice.is_distributive)
     (lhs, rhs), names = plan.roots, plan.names
     linear = {dual: {v for v in names if occurs[dual][lhs].get(v) in (None, "linear")
@@ -697,13 +683,9 @@ def _free(alg, eq: Equation, cap: int):
     solution of the word problem for free lattices (Ann. Math. 1941).
     """
     plan, structure = eq._plan, alg.structure
-    sig, n = structure.signature, structure.carrier_size
-    index = plan.relations(sig)
-    if plan.heyting or any(op == "op" and (
-            name not in index or sig.rel_specs[index[name]].arity != len(args))
-            for op, name, args in plan.steps):
+    if plan.heyting:
         return None
-    nodes, size = {}, 0
+    nodes, size, n = {}, 0, structure.carrier_size
 
     def node(kind, args):
         nonlocal size
@@ -736,8 +718,11 @@ def _free(alg, eq: Equation, cap: int):
             kind = {"bot": "join", "top": "meet"}.get(op, op)
             row = [fold(kind, [vals[a][x] for a in args]) for x in range(n)]
         else:
-            i = index[name]
-            plus, times = ("join", "meet") if sig.rel_specs[i].mode == JOIN else ("meet", "join")
+            try:
+                i, spec = structure.spec(name, args)
+            except (UnknownOperation, ArityMismatch):
+                return None
+            plus, times = ("join", "meet") if spec.mode == JOIN else ("meet", "join")
             ending = [[] for _ in range(n)]
             for t in structure.relations[i]:
                 ending[t[-1]].append(fold(times, [vals[a][y] for a, y in zip(args, t)]))
@@ -757,9 +742,9 @@ def _tabled(alg, eq: Equation, total: int):
     than the grid, and later equations over the algebra reuse it."""
     if not isinstance(alg, ConvAlgebra):
         return None
-    q, sig = alg.space_size(), alg.structure.signature
-    if q * q > total or any(q ** sig.rel_specs[i].arity > total
-                            for i in eq._plan.relations(sig).values()):
+    q = alg.space_size()
+    if q * q > total or any(q ** s.arity > total for s in alg.structure.signature.rel_specs
+                            if s.name in eq.operations()):
         return None
     return alg.coded()
 

@@ -309,8 +309,11 @@ def test_kernels_are_built_on_first_use():
         algebra.dual_conv("*", (alpha, alpha))
     with pytest.raises(ArityMismatch):
         algebra.conv("*", (alpha,))
+    # the code interface (81 assignments) raises at the wrong-arity step
+    eq = Equation(Join(RelOp("*", (Var("x"),)), Var("y")), Var("x"))
     with pytest.raises(ArityMismatch):
-        algebra.coded()._eval(0, [])
+        check_equation(eq, algebra)
+    assert algebra._coded is not None
     assert algebra._kernels == {} and algebra._tables == {}
     algebra.op("conv", (alpha,))
     subsets.op("conv", (frozenset({0}),))

@@ -22,9 +22,8 @@ from convalg.errors import (ArityMismatch, BudgetExceeded, ConvalgError,
                             NotHeyting, TermSyntaxError, UnboundVariable,
                             UnknownElement, UnknownOperation)
 from convalg.lattice import FiniteLattice, build_lattice
-from convalg.structures import (JOIN, MEET, RelStructure, Signature,
-                                build_structure, from_group, full_structure,
-                                signature)
+from convalg.structures import (JOIN, MEET, RelStructure, build_structure,
+                                from_group, full_structure, signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
                            Var, Verdict, _batch_algebra, _one_point_rows,
                            check_equation, eval_term, parse_equation,
@@ -1243,30 +1242,6 @@ def test_a_check_builds_only_the_kernels_it_applies():
     assert list(algebra._kernels) == [algebra.structure.relation("*")]
 
 
-def test_a_plan_resolves_its_relations_once_per_signature():
-    # the two-chunk grid of the shared-subterm test: no relation name is
-    # looked up after the first chunk, and the resolved indices are kept
-    sig = signature(("f", 1, "join"))
-    structure = build_structure(8, sig, [{(a, b) for a in range(8) for b in range(a + 1, 8)}])
-    eq = parse_equation({"lhs": "(join (op f (op f x)) (op f x))", "rhs": "(op f x)"}, sig)
-    runs, lookups, resolved = [], [], []
-    run, index, relation = terms_module._Plan.run, Signature.index, RelStructure.relation
-
-    def counted_run(plan, alg, env):
-        runs.append(1)
-        values = run(plan, alg, env)
-        resolved.append(plan._index)
-        return values
-    with patch.object(terms_module._Plan, "run", counted_run), \
-            patch.object(Signature, "index", lambda s, n: lookups.append(len(runs)) or index(s, n)), \
-            patch.object(RelStructure, "relation",
-                         lambda s, n: lookups.append(len(runs)) or relation(s, n)):
-        verdict = check_equation(eq, ConvAlgebra(chain(2), structure))
-    assert (verdict.path, verdict.status, len(runs)) == ("grid", "valid_exhaustive", 2)
-    assert lookups in ([], [1])
-    assert resolved[0] == {"f": 0} and resolved[0] is resolved[1]
-
-
 def test_a_reused_plan_still_rejects_unknown_operations_and_wrong_arities():
     # one equation over f, decided over a signature that has f, then over
     # one without f and one in which f takes two arguments
@@ -1335,7 +1310,7 @@ def test_the_plan_caches_keep_no_algebra_alive():
     del algebra, lat
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4
-    assert eq._plan._index and structure._kernel_indices and structure._images
+    assert structure._kernel_indices and structure._images
 
 
 # One equation object decided over algebras in turn, each with a budget

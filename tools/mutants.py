@@ -63,7 +63,7 @@ MUTANTS = (
                 return p''',
            (_FREE,), "free lattice: x /\\ top is x"),
     Mutant("meet-mode-as-join", TERMS,
-           '''("join", "meet") if sig.rel_specs[i].mode == JOIN else ("meet", "join")''',
+           '''("join", "meet") if spec.mode == JOIN else ("meet", "join")''',
            '''("join", "meet")''',
            (_FREE,), "free lattice: a meet-mode relation is a meet of joins"),
     Mutant("bare-point-top", TERMS,
