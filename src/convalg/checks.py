@@ -261,7 +261,7 @@ def check_finitely_supported(algebra: ConvAlgebra, rel,
         and shaped like the chunk."""
         args = rows(start, stop, into=target) if coded else rows(start, stop)
         shape = np.broadcast_shapes(*(a.shape[:-1] for a in args))
-        drawn = algebra._draw_rows(rng, (stop - start) * k).reshape(stop - start, k, n_car)
+        drawn = algebra._draw_rows(rng, (stop - start) * k, cap).reshape(stop - start, k, n_car)
         return args + [side(a, into(r.reshape(shape + (n_car,))))
                        for a, r in zip(args, drawn.swapaxes(0, 1))]
     with_comparands.counts = rows.counts

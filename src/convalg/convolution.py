@@ -269,7 +269,9 @@ class ConvAlgebra:
         are those on the one before, each with every value at the new point
         above the join of its values at the points below.  Each extends to
         a monotone map on the whole carrier (top elsewhere), so the budget
-        is checked at every step, and the work is bounded by it.
+        is checked at every step, and the work is bounded by it.  Codes
+        are int64, so a space of more than 2^63 functions raises
+        BudgetExceeded whatever the budget.
         """
         cap, q = resolve_budget(budget), self.space_size()
         if q <= cap:
@@ -280,7 +282,7 @@ class ConvAlgebra:
                                              + len(self.structure._order_pairs[0])))
             return np.concatenate([chunk[self._monotone_rows(self._decode(chunk))]
                                    for chunk in np.split(codes, range(step, q, step))])
-        if not self.ordered:
+        if not self.ordered or q > 1 << 63:  # else the largest code wraps
             raise BudgetExceeded(q, cap)
         lat, order = self.lattice, self.structure.order
         ups = np.argsort(~lat.leq, axis=1, kind="stable")  # row a: the elements >= a first
@@ -338,39 +340,50 @@ class ConvAlgebra:
 
     # -- random elements -----------------------------------------------------
 
-    def _draw_rows(self, rng, count: int) -> np.ndarray:
+    def _draw_rows(self, rng, count: int, budget: int | None = None) -> np.ndarray:
         """``count`` uniform random carrier elements as value rows: the same
         rows, leaving ``rng`` in the same state, as drawing one
         ``rng.randrange(|L|)`` per point, row after row, and rejecting the
         rows that are not order preserving when the algebra is ordered.
+        BudgetExceeded once the rows drawn outnumber ``budget`` times one
+        more than the rows kept, as then fewer than about one row in
+        ``budget`` is order preserving: the rejections are bounded by the
+        budget, and a sparse carrier is refused, not searched for.
 
         ``randrange(k)`` keeps the top ``k.bit_length()`` bits of one 32-bit
         word of the generator and rejects values >= k, so the words are
-        read in bulk from a copy of the generator, and the generator is
+        read in bulk from a copy of the generator, in draws of at most
+        _CHUNK_ENTRIES values and order comparisons, and the generator is
         then advanced by exactly the words used.
         """
-        k, n = self.lattice.size, self.structure.carrier_size
-        shift = 32 - k.bit_length()
+        k, n, cap = self.lattice.size, self.structure.carrier_size, resolve_budget(budget)
+        pairs = len(self.structure._order_pairs[0]) if self.ordered else 0
+        shift, step = 32 - k.bit_length(), max(1, _CHUNK_ENTRIES // (n + pairs)) * n
         probe = random.Random(0)  # a fixed seed, as setstate replaces it
         probe.setstate(rng.getstate())
-        words, more = np.empty(0, dtype=np.uint32), 2 * n * count + 64
-        while True:
-            words = np.concatenate([words, np.frombuffer(
-                probe.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")])
-            values = words >> shift
-            kept = np.flatnonzero(values < k)  # the word behind each value
-            whole = len(kept) // n * n
-            rows = values[kept[:whole]].reshape(-1, n)
-            ends = kept[n - 1:whole:n]  # the last word of each row
+        # per draw, the rows kept and the last word of each; the values of a row begun
+        found, ends = [np.empty((0, n), dtype=np.uint32)], [np.empty(0, dtype=np.intp)]
+        rest, more, used, drawn, kept = found[0].reshape(-1), 2 * n * count + 64, 0, 0, 0
+        while kept < count:
+            if drawn > cap * (kept + 1):
+                raise BudgetExceeded(drawn, cap * (kept + 1))
+            more = min(more, step)
+            values = np.frombuffer(probe.getrandbits(32 * more).to_bytes(4 * more, "little"),
+                                   dtype="<u4") >> shift
+            at = np.flatnonzero(values < k)  # the word behind each value
+            values, begun = np.concatenate([rest, values[at]]), len(rest)
+            whole = len(values) // n * n
+            rows, rest, drawn = values[:whole].reshape(-1, n), values[whole:], drawn + whole // n
+            last = used + at[n - 1 - begun:whole - begun:n]  # the last word of each row
             if self.ordered:
                 monotone = self._monotone_rows(rows)
-                rows, ends = rows[monotone], ends[monotone]
-            if len(rows) >= count:
-                break
-            more = len(words)
+                rows, last = rows[monotone], last[monotone]
+            found.append(rows)
+            ends.append(last)
+            used, kept, more = used + more, kept + len(rows), 2 * more
         if count:
-            rng.getrandbits(32 * (int(ends[count - 1]) + 1))
-        return rows[:count].astype(np.int64)
+            rng.getrandbits(32 * (int(np.concatenate(ends)[count - 1]) + 1))
+        return np.concatenate(found)[:count].astype(np.int64)
 
     def random_element(self, rng) -> LFunction:
         return LFunction(self._draw_rows(rng, 1)[0], self.lattice)
@@ -620,10 +633,11 @@ class SubsetAlgebra:
         """Boolean rows of an array of subset codes."""
         return (masks[..., None] >> np.arange(self.structure.carrier_size) & 1).astype(bool)
 
-    def _draw_rows(self, rng, count: int) -> np.ndarray:
+    def _draw_rows(self, rng, count: int, budget: int | None = None) -> np.ndarray:
         """``count`` uniform random subsets as boolean rows, drawn as one
         ``rng.randrange`` of their code each and unpacked byte by byte, as
-        a code has |X| bits, which may be more than an int64 holds."""
+        a code has |X| bits, which may be more than an int64 holds; none
+        is rejected, so no budget applies."""
         q, width = self.space_size(), (self.structure.carrier_size + 7) // 8
         drawn = b"".join(rng.randrange(q).to_bytes(width, "little") for _ in range(count))
         bits = np.unpackbits(np.frombuffer(drawn, dtype=np.uint8).reshape(count, width),

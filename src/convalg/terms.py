@@ -453,11 +453,12 @@ def _grid(alg, k: int, enumeration, tables=None):
     return math.prod(counts), rows
 
 
-def _samples(alg, k: int, rng):
-    """``rows`` as for _grid, over consecutive random k-tuples from ``rng``;
-    they come flat, shape (N, |X|), so ``rows.counts`` is empty."""
+def _samples(alg, k: int, rng, cap: int):
+    """``rows`` as for _grid, over consecutive random k-tuples from ``rng``
+    (drawn within ``cap``, see ConvAlgebra._draw_rows); they come flat,
+    shape (N, |X|), so ``rows.counts`` is empty."""
     def rows(start, stop):
-        drawn = alg._draw_rows(rng, (stop - start) * k)
+        drawn = alg._draw_rows(rng, (stop - start) * k, cap)
         return list(drawn.reshape(stop - start, k, alg.structure.carrier_size)
                     .swapaxes(0, 1))
     rows.counts = ()
@@ -487,7 +488,7 @@ def _assignments(alg, k: int, mode: str, cap: int, samples: int | None = None, s
                 raise BudgetExceeded(total, cap)
     total = samples if samples is not None else min(cap, 10_000)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return total, _samples(alg, k, rng), "samples"
+    return total, _samples(alg, k, rng, cap), "samples"
 
 
 def _first_failure(total: int, alg, rows, broken):
@@ -935,9 +936,11 @@ def check_equation(eq: Equation, algebra: Algebra, mode: str = "auto",
     whole grid.  Sampling is sound (reported counterexamples are real)
     but not complete; ordered algebras are sampled by drawing functions
     and rejecting the non-monotone ones, so sampling never enumerates
-    their carrier.  With ``two_valued`` False no verdict is decided on
-    2^X, which the checks that test the variety theorem ask for.  Nothing
-    in this module calls check_equation: each call from outside is one
+    their carrier; BudgetExceeded, as for a grid over the budget in mode
+    'exhaustive', when fewer than about one function drawn in ``budget``
+    is monotone.  With ``two_valued`` False no verdict is decided on 2^X,
+    which the checks that test the variety theorem ask for.  Nothing in
+    this module calls check_equation: each call from outside is one
     verdict.
     """
     cap = resolve_budget(budget)

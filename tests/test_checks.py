@@ -396,7 +396,8 @@ def test_sampled_de_morgan_scans_keep_to_the_budget(monkeypatch):
     drawn = []
     draw_rows = ConvAlgebra._draw_rows
     monkeypatch.setattr(ConvAlgebra, "_draw_rows",
-                        lambda self, rng, count: drawn.append(count) or draw_rows(self, rng, count))
+                        lambda self, rng, count, cap: drawn.append(count)
+                        or draw_rows(self, rng, count, cap))
     monkeypatch.setattr(checks, "_eq_verdicts", lambda *args, **kwargs: ([], {}))
     r = check_relation_algebra(chain(3), cyclic_group(2), budget=100)
     assert r.status == "pass" and r.stats["de_morgan_scan"] == "sampled"

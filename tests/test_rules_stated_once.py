@@ -40,6 +40,12 @@ Terms are evaluated in one place: an equation's compiled plan
 (``terms._Plan.run``) is the only code in ``terms.py`` that applies an
 algebra's batched operations, and the relation-algebra checker's De
 Morgan bounds run such a plan rather than a term walk of their own.
+
+A relation's name, arity and mode are facts about the structure, which
+no lattice changes: ``RelStructure.spec`` is the only code that raises
+WrongMode or ArityMismatch for a relation application, no plan keeps
+relation indices of its own, and the algebras read a structure's order
+pairs and batch width from it instead of computing them.
 """
 
 import ast
@@ -271,3 +277,37 @@ def test_unchecked_lattices_are_built_in_four_places():
     assert sorted(inside) == [("catalog.py", "boolean"), ("catalog.py", "chain"),
                               ("catalog.py", "m3"), ("catalog.py", "n5"),
                               ("lattice.py", "_dual"), ("lattice.py", "product")]
+
+
+def test_a_relation_application_is_resolved_on_the_structure():
+    raised = []
+    for name, text in _sources().items():
+        def visit(node, within):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.append((node.exc.func.id, name, within))
+            for child in ast.iter_child_nodes(node):
+                visit(child, child.name if isinstance(child, ast.FunctionDef) else within)
+        visit(ast.parse(text), None)
+    # the others declare a relation (its spec, its tuples), parse a term
+    # against a signature, or pair two component functions
+    assert sorted(r for r in raised if r[0] in ("ArityMismatch", "WrongMode")) == [
+        ("ArityMismatch", "convolution.py", "product_iso_inv"),
+        ("ArityMismatch", "structures.py", "__init__"),
+        ("ArityMismatch", "structures.py", "__post_init__"),
+        ("ArityMismatch", "structures.py", "__post_init__"),
+        ("ArityMismatch", "structures.py", "spec"),
+        ("ArityMismatch", "terms.py", "_build"),
+        ("WrongMode", "structures.py", "spec")]
+    plan = next(node for node in ast.walk(ast.parse(_sources()["terms.py"]))
+                if isinstance(node, ast.ClassDef) and node.name == "_Plan")
+    assert not {"_sig", "_index"} & {getattr(node, "attr", None) or getattr(node, "value", None)
+                                     for node in ast.walk(plan)}
+    # an algebra may keep the structure's width, but computes neither fact
+    for cls in ("ConvAlgebra", "SubsetAlgebra"):
+        init = next(node for node in ast.walk(ast.parse(_sources()["convolution.py"]))
+                    if isinstance(node, ast.ClassDef) and node.name == cls).body
+        init = next(node for node in init if getattr(node, "name", None) == "__init__")
+        stores = [(node.targets[0].attr, ast.unparse(node.value)) for node in ast.walk(init)
+                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "attr", None)
+                  in ("_width", "_order_pairs")]
+        assert stores in ([], [("_width", "structure._width")]), f"{cls}.__init__: {stores}"

@@ -1,6 +1,7 @@
 """Parser, evaluator, and equation checking."""
 
 import gc
+import tracemalloc
 import weakref
 from functools import lru_cache
 from itertools import product
@@ -368,6 +369,76 @@ def test_the_ordered_budget_counts_the_monotone_maps():
     with pytest.raises(BudgetExceeded) as exc:
         ConvAlgebra(chain(70), chain6, ordered=True).carrier_codes()
     assert 10 ** 6 < exc.value.required < 70 * 10 ** 6
+
+
+def _chain_algebra(lat, n):
+    """The monotone maps from an n-point chain to ``lat``, with the
+    join-convolved f = {(i, j) : i <= j}, which sends each of them to
+    itself."""
+    s = build_structure(n, signature(("f", 1, "join")),
+                        [{(i, j) for i in range(n) for j in range(i, n)}],
+                        order_pairs=[(i, i + 1) for i in range(n - 1)])
+    return ConvAlgebra(lat, s, ordered=True)
+
+
+@pytest.mark.parametrize("size, n, path, tried", [
+    (3, 39, "grid", 820), (3, 41, "generators", 83),
+    (2, 63, "grid", 64), (2, 64, "generators", 65), (2, 65, "generators", 66)])
+def test_wide_ordered_carriers_form_no_code_beyond_int64(size, n, path, tried):
+    # |L|^n codes fit in an int64 up to 3^39 and 2^63; beyond, the monotone
+    # maps would wrap (a counterexample that is no monotone map, rows that
+    # are not monotone, or a division by zero), so they are not enumerated
+    # and f(x) = x is decided on the generators instead
+    algebra = _chain_algebra(chain(size), n)
+    eq = parse_equation({"lhs": "(op f x)", "rhs": "x"}, algebra.structure.signature)
+    v = check_equation(eq, algebra, budget=1000)
+    assert (v.path, v.status, v.tried) == (path, "valid_exhaustive", tried)
+    if path == "grid":
+        rows = algebra._decode(algebra.carrier_codes(1000))
+        assert len(rows) == tried and algebra._monotone_rows(rows).all()
+    else:
+        with pytest.raises(BudgetExceeded):
+            algebra.carrier_codes(1000)
+        with pytest.raises(BudgetExceeded):
+            check_equation(eq, algebra, mode="exhaustive", budget=1000)
+
+
+@pytest.mark.parametrize("size, n, mode", [(3, 3, "auto"), (3, 3, "sample"), (3, 39, "auto"),
+                                           (3, 41, "auto"), (2, 64, "auto"), (2, 65, "auto")])
+@pytest.mark.parametrize("law", [("(op f x)", "bot"), ("(op f (meet x y))", "x"),
+                                 ("(meet x (op f y))", "y")])
+def test_every_ordered_counterexample_is_order_preserving(size, n, mode, law):
+    # on the grid, the generators or the samples of the monotone maps
+    algebra = _chain_algebra(chain(size), n)
+    eq = parse_equation({"lhs": law[0], "rhs": law[1]}, algebra.structure.signature)
+    v = check_equation(eq, algebra, mode=mode, budget=10_000)
+    assert v.status == "counterexample"
+    assert all(map(algebra.is_order_preserving, v.assignment.values()))
+    assert eval_term(eq.lhs, algebra, v.assignment) != eval_term(eq.rhs, algebra, v.assignment)
+
+
+@pytest.mark.parametrize("mode", ["auto", "sample"])
+def test_sampling_a_sparse_ordered_carrier_keeps_to_the_budget(mode):
+    # 12 of the 2^11 maps from an 11-point chain to 2 are monotone, fewer
+    # than one in 143; at budget 143 neither the 12^2 grid nor the 12^2
+    # generators fit, so the check samples, and refuses once it has drawn
+    # 143 rows per row kept; drawing until 128 rows are kept would take
+    # about 22,000 rows
+    algebra = _chain_algebra(chain(2), 11)
+    eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
+                        algebra.structure.signature)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            check_equation(eq, algebra, mode=mode, budget=143)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # a denser carrier keeps to the same budget: 1 in 4 of chain4's maps on
+    # a 3-chain are monotone
+    v = check_equation(eq, _chain_algebra(chain(4), 3), mode="sample", budget=143)
+    assert (v.path, v.status, v.tried) == ("samples", "valid_sampled", 143)
 
 
 def test_ordered_check_filters_the_carrier_once(monkeypatch):

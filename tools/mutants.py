@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TERMS = "src/convalg/terms.py"
+CONVOLUTION = "src/convalg/convolution.py"
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,21 @@ MUTANTS = (
            ("tests/test_checks.py::test_finite_support_pass_and_dual_form",
             "tests/test_checks.py::test_finite_support_witness_matches_the_loop_reference"),
            "finite support: deltas are meets, folded by joins, for join relations"),
+    Mutant("int64-guard-removed", CONVOLUTION,
+           "if not self.ordered or q > 1 << 63:", "if not self.ordered:",
+           ("tests/test_terms.py::test_wide_ordered_carriers_form_no_code_beyond_int64",),
+           "codes: no carrier is enumerated by codes that wrap in an int64"),
+    Mutant("sampling-bound-removed", CONVOLUTION,
+           "            if drawn > cap * (kept + 1):",
+           "            if False:",
+           ("tests/test_terms.py::test_sampling_a_sparse_ordered_carrier_keeps_to_the_budget",),
+           "samples: the rows rejected are bounded by the budget"),
+    Mutant("arity-check-dropped", "src/convalg/structures.py",
+           "        if args is not None and len(args) != spec.arity:",
+           "        if False:",
+           ("tests/test_terms.py::"
+            "test_a_reused_plan_still_rejects_unknown_operations_and_wrong_arities",),
+           "resolver: an application has as many arguments as its relation's arity"),
 )
 
 
