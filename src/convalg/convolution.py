@@ -261,45 +261,37 @@ class ConvAlgebra:
         """The codes of the carrier in increasing, that is ``elements()``,
         order; BudgetExceeded when there are more than the budget of them.
 
-        Within the budget, every code below ``space_size()`` is one, and an
-        ordered algebra keeps those of the order-preserving functions, in
-        chunks of at most _CHUNK_ENTRIES values.  Beyond it, an ordered
-        algebra builds its monotone maps one point at a time, along a
-        linear extension of the order: the maps on each prefix, a down-set,
-        are those on the one before, each with every value at the new point
-        above the join of its values at the points below.  Each extends to
-        a monotone map on the whole carrier (top elsewhere), so the budget
-        is checked at every step, and the work is bounded by it.  Codes
-        are int64, so a space of more than 2^63 functions raises
-        BudgetExceeded whatever the budget.
+        Unordered, every code below ``space_size()`` is one.  An ordered
+        algebra builds the codes of its monotone maps one point at a time,
+        along a linear extension of the order: the maps on each prefix, a
+        down-set, are those on the one before, each with every value at the
+        new point above the join of its values at the points below, read
+        back from its code.  Each extends to a monotone map on the whole
+        carrier (top elsewhere), so the budget is checked before every
+        step, and the work and memory are bounded by it.  Codes are int64,
+        so a space of more than 2^63 functions raises BudgetExceeded
+        whatever the budget.
         """
         cap, q = resolve_budget(budget), self.space_size()
-        if q <= cap:
-            codes = np.arange(q)
-            if not self.ordered:
-                return codes
-            step = max(1, _CHUNK_ENTRIES // (1 + self.structure.carrier_size
-                                             + len(self.structure._order_pairs[0])))
-            return np.concatenate([chunk[self._monotone_rows(self._decode(chunk))]
-                                   for chunk in np.split(codes, range(step, q, step))])
-        if not self.ordered or q > 1 << 63:  # else the largest code wraps
+        if not self.ordered:
+            if q > cap:
+                raise BudgetExceeded(q, cap)
+            return np.arange(q)
+        if q > 1 << 63:  # else the largest code wraps
             raise BudgetExceeded(q, cap)
-        lat, order = self.lattice, self.structure.order
-        ups = np.argsort(~lat.leq, axis=1, kind="stable")  # row a: the elements >= a first
-        above = lat.leq.sum(axis=1)
+        lat, order, radix = self.lattice, self.structure.order, self._radix
         points = np.argsort(order.sum(axis=0), kind="stable")  # by the size of their down-set
-        rows = np.zeros((1, 0), dtype=np.int64)
+        codes = np.zeros(1, dtype=np.int64)
         for i, x in enumerate(points):
-            least = np.full(len(rows), lat.bottom)  # the join of the values below x
-            for p in np.flatnonzero(order[points[:i], x]):
-                least = lat.join_np[least, rows[:, p]]
-            counts = above[least]
-            if counts.sum() > cap:  # a lower bound on the carrier's size
-                raise BudgetExceeded(int(counts.sum()), cap)
-            which = np.repeat(np.arange(len(rows)), counts)
-            rank = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
-            rows = np.column_stack([rows[which], ups[least[which], rank]])
-        return np.sort(rows @ self._radix[points])
+            least = np.full(len(codes), lat.bottom)  # the join of the values below x
+            for y in points[:i][order[points[:i], x]]:
+                least = lat.join_np[least, codes // radix[y] % lat.size]
+            above = lat.leq[least]
+            if above.sum() > cap:  # a lower bound on the carrier's size
+                raise BudgetExceeded(int(above.sum()), cap)
+            which, values = np.nonzero(above)
+            codes = codes[which] + values * radix[x]
+        return np.sort(codes)
 
     def _table(self, key) -> np.ndarray:
         """The code table of ``key``, one of "meet", "join", "neg", "imp"

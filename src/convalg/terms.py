@@ -634,18 +634,20 @@ def _bounded_below(alg, bounds: list, names: list[str], cap: int):
 
 
 def _two_valued(alg, eq: Equation, names: list[str], cap: int):
-    """The _route of ``eq`` over ``alg._two_valued`` in mode 'auto': as it
-    searches, with ``back`` sending 0 to bottom and 1 to top, or as it is
-    when it reaches _free, which holds for every L; else None.  None
-    unless ``alg`` is a convolution algebra over an L of more than 2
-    elements, Boolean if ``eq`` uses neg or imp.  0 -> bottom, 1 -> top
-    embeds 2^X in L^X, monotone maps included, so a counterexample on 2^X
-    is one on L^X; over an L that is not distributive only a refutation,
-    searched for here, is returned, as one tuple, its rows, to be
-    evaluated once more.  Over a distributive L validity carries over too,
-    by the paper's variety theorem: the maps phi_j(a) = {x : j <= a(x)},
-    j in J(L), are jointly injective homomorphisms from L^X to 2^X (j is
-    join-prime, and an atom when L is Boolean) that keep maps monotone.
+    """The route of ``eq`` on 'two-valued', searched on 2^X
+    (``alg._two_valued``) by 2^X's own _route in mode 'auto': a
+    refutation is one tuple, the rows found, evaluated there once more,
+    with ``back`` composed with 0 -> bottom, 1 -> top; a valid search is
+    no tuple, with 2^X's ``tried``, and stands only over a distributive
+    L.  A route on 'free' is returned as it is, as that verdict holds for
+    every L.  None otherwise, and unless ``alg`` is a convolution algebra
+    over an L of more than 2 elements, Boolean if ``eq`` uses neg or imp.
+    0 -> bottom, 1 -> top embeds 2^X in L^X, monotone maps included, so
+    a counterexample on 2^X is one on L^X.  Validity carries over by the
+    paper's variety theorem: the maps phi_j(a) = {x : j <= a(x)}, j in
+    J(L), are jointly injective homomorphisms from L^X to 2^X over a
+    distributive L (j is join-prime, and an atom when L is Boolean) that
+    keep maps monotone.
     """
     if (not isinstance(alg, ConvAlgebra) or alg.lattice.size <= 2
             or (eq.uses_heyting() and not alg.lattice.is_boolean)):
@@ -654,19 +656,16 @@ def _two_valued(alg, eq: Equation, names: list[str], cap: int):
     route = path, target, total, rows, inner, facts = _route(two, eq, names, "auto", cap, None, 0)
     if path in ("samples", "free"):
         return None if path == "samples" else route
-    if not lat.is_distributive:
-        position, found = _first_failure(total, two, rows, _mismatch(eq, names, target))
-        if position is None:
-            return None
-        # the refutation's rows are the one tuple the search evaluates again
-        total, inner = 1, lambda _, rows, inner=inner: inner(position, rows)
-        rows = lambda start, stop: [row[None] for row in found]  # noqa: E731
-        rows.counts = ()
+    position, found = _first_failure(total, two, rows, _mismatch(eq, names, target))
+    if position is None and not lat.is_distributive:
+        return None
+    one = lambda start, stop: [row[None] for row in found]  # noqa: E731
+    one.counts = ()
 
-    def back(position, found):
-        position, found = inner(position, found)
-        return position, [np.where(row == two.lattice.top, lat.top, lat.bottom) for row in found]
-    return path, target, total, rows, back, {"tried": facts["tried"]}
+    def back(_, rows):
+        at, rows = inner(position, rows)
+        return at, [np.where(row == two.lattice.top, lat.top, lat.bottom) for row in rows]
+    return "two-valued", target, int(position is not None), one, back, {"tried": facts["tried"]}
 
 
 def _free(alg, eq: Equation, cap: int):
@@ -830,7 +829,6 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
             path = "generators"
         elif two_valued and (two := _two_valued(alg, eq, names, cap)) is not None:
             path, target, total, rows, back, facts = two
-            path = "free" if path == "free" else "two-valued"
         elif families is not None and not full and (
                 tables := _domains(alg, families, cap)) is not None:
             path = "generators"

@@ -7,6 +7,7 @@ implementation under test.
 """
 
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 from unittest.mock import patch
@@ -676,7 +677,7 @@ def test_carrier_list_checks_budget_on_every_call():
 
 def test_ordered_carrier_matches_a_loop_filter(monkeypatch):
     # Random orders on 1-4 points over chain3 and M3; a small chunk limit
-    # makes the array filter run over several chunks.
+    # makes elements() decode the carrier over several chunks.
     monkeypatch.setattr(convolution, "_CHUNK_ENTRIES", 16)
     rng = random.Random(5)
     for _ in range(30):
@@ -694,13 +695,28 @@ def test_ordered_carrier_matches_a_loop_filter(monkeypatch):
         assert [f.values for f in algebra.elements()] == expect
         assert [f.values for f in algebra.carrier_list()] == expect
         assert algebra.carrier_count() == len(expect)
-        # the budget counts the monotone maps, not all |L|^n functions;
-        # below |L|^n they are built point by point
+        # the budget counts the monotone maps, not all |L|^n functions
         assert algebra.carrier_codes(len(expect)).tolist() == codes.tolist()
         for call in (algebra.carrier_codes, algebra.carrier_list,
                      lambda budget: list(algebra.elements(budget))):
             with pytest.raises(BudgetExceeded):
                 call(len(expect) - 1)
+
+
+def test_an_ordered_carrier_over_the_budget_holds_no_more_than_the_budget():
+    # 2^16 maps of a 16-point antichain to chain2 outgrow a budget of
+    # 60,000 at the last point; the 2^15 codes built by then take 256 kB
+    s = build_structure(16, signature(("f", 1, JOIN)), [set()], order_pairs=[])
+    algebra = ConvAlgebra(chain(2), s, ordered=True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            algebra.carrier_codes(60_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.required, exc.value.budget) == (65_536, 60_000)
+    assert peak < 4 << 20
 
 
 def test_codes_are_enumeration_positions_and_tables_match_ops():

@@ -72,13 +72,17 @@ MUTANTS = (
            '''            row = [fold(plus, parts) if parts else top for parts in ending]''',
            (_FREE,), "free lattice: an empty join is bottom"),
     Mutant("two-valued-valid-over-m3", TERMS,
-           '''    if not lat.is_distributive:
-        position, found = _first_failure(''',
-           '''    if False:
-        position, found = _first_failure(''',
+           "    if position is None and not lat.is_distributive:",
+           "    if False:",
            (_FREE, "tests/test_terms.py::"
             "test_modularity_is_given_up_and_distributivity_not_refuted_on_two"),
            "2^X: validity only over a distributive L"),
+    Mutant("two-valued-refutation-unmapped", TERMS,
+           "return at, [np.where(row == two.lattice.top, lat.top, lat.bottom) for row in rows]",
+           "return at, rows",
+           ("tests/test_terms.py::test_a_two_valued_counterexample_is_bottom_and_top",
+            "tests/test_terms.py::test_two_valued_verdict_matches_the_grid"),
+           "2^X: a refutation is sent to L^X by 0 -> bottom, 1 -> top"),
     Mutant("two-valued-into-equation-transfer", "src/convalg/checks.py",
            "seed=seed, two_valued=False)", "seed=seed, two_valued=not lat.is_distributive)",
            ("tests/test_cli.py::test_no_two_valued_verdict_reaches_the_theorem_checks",),
@@ -125,9 +129,13 @@ MUTANTS = (
             "tests/test_checks.py::test_finite_support_witness_matches_the_loop_reference"),
            "finite support: deltas are meets, folded by joins, for join relations"),
     Mutant("int64-guard-removed", CONVOLUTION,
-           "if not self.ordered or q > 1 << 63:", "if not self.ordered:",
+           "if q > 1 << 63:  # else the largest code wraps", "if False:",
            ("tests/test_terms.py::test_wide_ordered_carriers_form_no_code_beyond_int64",),
            "codes: no carrier is enumerated by codes that wrap in an int64"),
+    Mutant("ordered-build-ignores-points-below", CONVOLUTION,
+           "least = lat.join_np[least, codes // radix[y] % lat.size]", "least = least",
+           ("tests/test_convolution.py::test_ordered_carrier_matches_a_loop_filter",),
+           "codes: a monotone map's value at a point is above its values below it"),
     Mutant("sampling-bound-removed", CONVOLUTION,
            "            if drawn > cap * (kept + 1):",
            "            if False:",
