@@ -265,12 +265,12 @@ class ConvAlgebra:
         algebra builds the codes of its monotone maps one point at a time,
         along a linear extension of the order: the maps on each prefix, a
         down-set, are those on the one before, each with every value at the
-        new point above the join of its values at the points below, read
-        back from its code.  Each extends to a monotone map on the whole
-        carrier (top elsewhere), so the budget is checked before every
-        step, and the work and memory are bounded by it.  Codes are int64,
-        so a space of more than 2^63 functions raises BudgetExceeded
-        whatever the budget.
+        new point above the join of its values at the points below (those
+        it covers decide it), read back from its code.  Each extends to a
+        monotone map on the whole carrier (top elsewhere), so the budget is
+        checked before every step, and the work and memory are bounded by
+        it.  Codes are int64, so a space of more than 2^63 functions raises
+        BudgetExceeded whatever the budget.
         """
         cap, q = resolve_budget(budget), self.space_size()
         if not self.ordered:
@@ -278,17 +278,19 @@ class ConvAlgebra:
                 raise BudgetExceeded(q, cap)
             return np.arange(q)
         if q > 1 << 63:  # else the largest code wraps
-            raise BudgetExceeded(q, cap)
-        lat, order, radix = self.lattice, self.structure.order, self._radix
-        points = np.argsort(order.sum(axis=0), kind="stable")  # by the size of their down-set
+            raise BudgetExceeded(q, cap, f"{q} functions have codes beyond int64, "
+                                         f"whatever the budget ({cap})")
+        lat, (below, xs), radix = self.lattice, self.structure._order_pairs, self._radix
+        points = np.argsort(self.structure.order.sum(axis=0), kind="stable")  # by down-set size
         codes = np.zeros(1, dtype=np.int64)
-        for i, x in enumerate(points):
+        for x in points:
             least = np.full(len(codes), lat.bottom)  # the join of the values below x
-            for y in points[:i][order[points[:i], x]]:
+            for y in below[xs == x]:  # the points x covers
                 least = lat.join_np[least, codes // radix[y] % lat.size]
             above = lat.leq[least]
-            if above.sum() > cap:  # a lower bound on the carrier's size
-                raise BudgetExceeded(int(above.sum()), cap)
+            if (count := np.count_nonzero(above)) > cap:  # a lower bound on the carrier's size
+                raise BudgetExceeded(count, cap, f"the ordered carrier has at least {count} "
+                                                 f"functions, budget is {cap}")
             which, values = np.nonzero(above)
             codes = codes[which] + values * radix[x]
         return np.sort(codes)
@@ -358,7 +360,8 @@ class ConvAlgebra:
         rest, more, used, drawn, kept = found[0].reshape(-1), 2 * n * count + 64, 0, 0, 0
         while kept < count:
             if drawn > cap * (kept + 1):
-                raise BudgetExceeded(drawn, cap * (kept + 1))
+                raise BudgetExceeded(drawn, cap, f"sampling drew {drawn} functions to keep {kept} "
+                                     f"monotone ones, over {cap} draws per one kept and one more")
             more = min(more, step)
             values = np.frombuffer(probe.getrandbits(32 * more).to_bytes(4 * more, "little"),
                                    dtype="<u4") >> shift

@@ -81,12 +81,12 @@ class NotAProductLattice(ConvalgError):
 
 
 class BudgetExceeded(ConvalgError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """A search would exceed the ``budget``: it needs ``required``
+    evaluations, unless ``message`` names another limit that ran out."""
 
-    def __init__(self, required, budget):
+    def __init__(self, required, budget, message=None):
         super().__init__(
-            f"exhaustive check needs {required} evaluations, budget is {budget}"
-        )
+            message or f"exhaustive check needs {required} evaluations, budget is {budget}")
         self.required = required
         self.budget = budget
 

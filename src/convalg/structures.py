@@ -34,7 +34,7 @@ class RelSpec:
         if self.arity < 0:
             raise ArityMismatch(f"relation {self.name!r}: negative arity")
         if self.mode not in (JOIN, MEET):
-            raise ArityMismatch(f"relation {self.name!r}: mode must be join or meet")
+            raise WrongMode(f"relation {self.name!r}: mode must be join or meet")
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,14 @@ class RelStructure:
                 clean.add(t)
             rels.append(frozenset(clean))
         self.relations = tuple(rels)
+        self.order = self._order_pairs = None
         if order is not None:
-            order = np.asarray(order, dtype=bool).copy()
+            self.order = order = np.asarray(order, dtype=bool).copy()
             order.flags.writeable = False
-        self.order = order
-        if order is not None:
             self._check_order_closure()
-        self._order_pairs = None if order is None else np.where(order)
+            # the covering pairs x < y, with nothing between, whose chains make up the order
+            strict = order & ~np.eye(carrier_size, dtype=bool)
+            self._order_pairs = np.where(strict & ~(strict @ strict))
         # The widest row of a batch: a relation's gathered tuples and its points.
         self._width = carrier_size + max(map(len, self.relations), default=0)
         self._hash = hash((carrier_size, sig,

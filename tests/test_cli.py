@@ -215,6 +215,23 @@ def test_structure_check(capsys, tmp_path):
     assert code == 1
 
 
+def test_a_relation_mode_that_is_neither_join_nor_meet_is_a_wrong_mode(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "carrier": 2,
+        "relations": [{"name": "r", "arity": 1, "mode": "sideways", "tuples": [[0, 1]]}]}))
+    code, out = run(capsys, "structure", "check", str(path))
+    assert (code, lines(out)[0]["error"]) == (1, "WrongMode")
+    assert lines(out)[0]["detail"] == "relation 'r': mode must be join or meet"
+
+
+def test_eq_check_over_the_budget_says_how_many_evaluations_it_needs(capsys, assoc_eq):
+    code, out = run(capsys, "eq", "check", "--lattice", "chain3", "--structure", "Z2",
+                    "--eq", assoc_eq, "--mode", "exhaustive", "--budget", "700")
+    assert (code, lines(out)) == (2, [{"error": "BudgetExceeded", "detail":
+                                       "exhaustive check needs 729 evaluations, budget is 700"}])
+
+
 def test_catalog_list(capsys):
     code, out = run(capsys, "catalog", "list")
     assert code == 0

@@ -703,6 +703,26 @@ def test_ordered_carrier_matches_a_loop_filter(monkeypatch):
                 call(len(expect) - 1)
 
 
+def test_monotone_rows_test_the_covering_pairs_as_all_order_pairs():
+    # Random orders on 1-8 points over chain3, M3 and N5, and random rows,
+    # monotone ones among them
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        lat, n = [chain3(), m3(), n5()][rng.integers(3)], int(rng.integers(1, 9))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
+        perm = rng.permutation(n)
+        s = build_structure(n, signature(("f", 1, JOIN)), [set()],
+                            order_pairs=[(perm[a], perm[b]) for a, b in pairs])
+        algebra = ConvAlgebra(lat, s, ordered=True)
+        rows = np.vstack([rng.integers(lat.size, size=(200, n)),
+                          algebra._decode(algebra.carrier_codes())])
+        xs, ys = np.nonzero(s.order)
+        expect = lat.leq[rows[:, xs], rows[:, ys]].all(axis=1)
+        assert algebra._monotone_rows(rows).tolist() == expect.tolist()
+    chain40 = build_structure(40, signature(), [], order_pairs=[(i, i + 1) for i in range(39)])
+    assert len(chain40._order_pairs[0]) == 39
+
+
 def test_an_ordered_carrier_over_the_budget_holds_no_more_than_the_budget():
     # 2^16 maps of a 16-point antichain to chain2 outgrow a budget of
     # 60,000 at the last point; the 2^15 codes built by then take 256 kB

@@ -294,9 +294,9 @@ def test_a_relation_application_is_resolved_on_the_structure():
         ("ArityMismatch", "convolution.py", "product_iso_inv"),
         ("ArityMismatch", "structures.py", "__init__"),
         ("ArityMismatch", "structures.py", "__post_init__"),
-        ("ArityMismatch", "structures.py", "__post_init__"),
         ("ArityMismatch", "structures.py", "spec"),
         ("ArityMismatch", "terms.py", "_build"),
+        ("WrongMode", "structures.py", "__post_init__"),
         ("WrongMode", "structures.py", "spec")]
     plan = next(node for node in ast.walk(ast.parse(_sources()["terms.py"]))
                 if isinstance(node, ast.ClassDef) and node.name == "_Plan")

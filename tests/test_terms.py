@@ -1,6 +1,7 @@
 """Parser, evaluator, and equation checking."""
 
 import gc
+import re
 import tracemalloc
 import weakref
 from functools import lru_cache
@@ -439,6 +440,34 @@ def test_sampling_a_sparse_ordered_carrier_keeps_to_the_budget(mode):
     # a 3-chain are monotone
     v = check_equation(eq, _chain_algebra(chain(4), 3), mode="sample", budget=143)
     assert (v.path, v.status, v.tried) == ("samples", "valid_sampled", 143)
+
+
+def test_budget_exceeded_names_the_limit_that_ran_out():
+    def raised(call):
+        with pytest.raises(BudgetExceeded) as exc:
+            call()
+        return str(exc.value), exc.value.required, exc.value.budget
+    # an exhaustive grid of 9**2 pairs
+    eq = parse_equation({"lhs": "(join x y)", "rhs": "(join y x)"})
+    assert raised(lambda: check_equation(eq, ConvAlgebra(chain(3), cyclic_group(2)),
+                                         mode="exhaustive", budget=80)) == (
+        "exhaustive check needs 81 evaluations, budget is 80", 81, 80)
+    # codes of 2^64 functions, whatever the budget
+    assert raised(lambda: _chain_algebra(chain(2), 64).carrier_codes(1000)) == (
+        f"{2 ** 64} functions have codes beyond int64, whatever the budget (1000)", 2 ** 64, 1000)
+    # the 12 monotone maps of an 11-point chain to 2, all built at the last point
+    algebra = _chain_algebra(chain(2), 11)
+    assert raised(lambda: algebra.carrier_codes(11)) == (
+        "the ordered carrier has at least 12 functions, budget is 11", 12, 11)
+    # the rejections of sampling, bounded by 143 draws per row kept and one more
+    eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
+                        algebra.structure.signature)
+    message, required, budget = raised(
+        lambda: check_equation(eq, algebra, mode="sample", budget=143))
+    drawn, kept = map(int, re.fullmatch(
+        r"sampling drew (\d+) functions to keep (\d+) monotone ones, "
+        r"over 143 draws per one kept and one more", message).groups())
+    assert (required, budget) == (drawn, 143) and drawn > 143 * (kept + 1)
 
 
 def test_ordered_check_filters_the_carrier_once(monkeypatch):
