@@ -287,13 +287,18 @@ class ConvAlgebra:
             least = np.full(len(codes), lat.bottom)  # the join of the values below x
             for y in below[xs == x]:  # the points x covers
                 least = lat.join_np[least, codes // radix[y] % lat.size]
-            above = lat.leq[least]
-            if (count := np.count_nonzero(above)) > cap:  # a lower bound on the carrier's size
+            # each code times the values above its least: a lower bound on the carrier's size
+            if (count := int(np.bincount(least, minlength=lat.size) @ lat.leq.sum(axis=1))) > cap:
                 raise BudgetExceeded(count, cap, f"the ordered carrier has at least {count} "
                                                  f"functions, budget is {cap}")
-            which, values = np.nonzero(above)
-            codes = codes[which] + values * radix[x]
-        return np.sort(codes)
+            codes, old, at = np.empty(count, dtype=np.int64), codes, 0
+            for value in range(lat.size):  # into place, a value at a time: no index arrays
+                keep = lat.leq[least, value]
+                stop = at + np.count_nonzero(keep)
+                np.add(old[keep], value * radix[x], out=codes[at:stop])
+                at = stop
+        codes.sort()
+        return codes
 
     def _table(self, key) -> np.ndarray:
         """The code table of ``key``, one of "meet", "join", "neg", "imp"
@@ -523,21 +528,29 @@ class _Coded:
     def _decode(self, codes: np.ndarray) -> np.ndarray:
         return codes[..., None]
 
+    def _lookup(self, key, *args) -> np.ndarray:
+        """``key``'s code table (see ConvAlgebra._table) at the broadcast
+        arguments, read flat at the mixed-radix index of each tuple of
+        codes, formed in intp: a code from a uint8 table times q wraps."""
+        index, q = args[0].astype(np.intp), self.algebra.space_size()
+        for a in args[1:]:
+            index = index * q + a
+        return self.algebra._table(key).reshape(-1).take(index)
+
     def _meet(self, x, y):
-        return self.algebra._table("meet")[x, y]
+        return self._lookup("meet", x, y)
 
     def _join(self, x, y):
-        return self.algebra._table("join")[x, y]
+        return self._lookup("join", x, y)
 
     def _neg(self, x):
         return self.algebra._table("neg")[x]
 
     def _imp(self, x, y):
-        return self.algebra._table("imp")[x, y]
+        return self._lookup("imp", x, y)
 
     def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
-        table = self.algebra._table(i)
-        return table[tuple(args)] if args else table.reshape(1)
+        return self._lookup(i, *args) if args else self.algebra._table(i).reshape(1)
 
 
 class SubsetAlgebra:

@@ -103,6 +103,10 @@ class RelStructure:
         if order is not None:
             self.order = order = np.asarray(order, dtype=bool).copy()
             order.flags.writeable = False
+            if order.shape != (carrier_size, carrier_size) or not np.array_equal(
+                    order, _transitive_closure(order)) or (order & order.T).sum() > carrier_size:
+                raise OrderNotClosed("carrier order is not a partial order: it must be "
+                                     "reflexive, transitive and antisymmetric")
             self._check_order_closure()
             # the covering pairs x < y, with nothing between, whose chains make up the order
             strict = order & ~np.eye(carrier_size, dtype=bool)

@@ -34,7 +34,7 @@ of its blocks (see _chunks and ``convolution._product_axes``).  Each
 subterm then broadcasts over the sub-grid of its own variables only, and
 flattening the chunk in C order gives the assignments in
 ``itertools.product`` order.  An exhaustive check over a convolution
-algebra whose grid outgrows _FIRST_ROWS assignments runs on integer
+algebra whose grid outgrows _TABLE_MIN assignments runs on integer
 codes and the algebra's code tables (see ``convolution``) when every
 table the equation needs has no more entries than the grid has
 assignments.  That is settled before the search starts, and the grid
@@ -370,10 +370,12 @@ def parse_equation(doc, sig: Signature | None = None) -> Equation:
 Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 
 # Chunks of assignments are sized so that no intermediate array holds more
-# than _CHUNK_ENTRIES values.  The first chunk is small, so that an early
-# counterexample costs little; later chunks grow to that limit.  A grid no
-# larger than the first chunk builds no code tables.
-_FIRST_ROWS = 64
+# than _CHUNK_ENTRIES values (see _chunks).  Samples start at 64 tuples:
+# finite-support interleaves its draws per chunk, so these bounds fix them.
+_FIRST_SAMPLES = 64
+# A grid of at most this many assignments costs less on value rows than
+# the code tables would.
+_TABLE_MIN = 256
 
 
 # One point and no relations: L^1 is L, and the subsets of it are 2.
@@ -406,25 +408,24 @@ def eval_term(t: Term, algebra: Algebra, assignment: dict):
 
 
 def _chunks(total: int, alg, counts=()):
-    """Bounds (start, stop) covering range(total) in order: a small first
-    chunk, then growing ones of at most _CHUNK_ENTRIES values per array.
-    Each stop is a multiple of the largest product of trailing ``counts``
-    that fits the chunk, so that a grid over tables of those sizes (see
-    _grid) puts whole axes of later chunks on axes of their own: the
-    first chunk's stop rounds up from _FIRST_ROWS, so that it holds the
-    first _FIRST_ROWS tuples, and later ones round down.  Without
-    ``counts`` the chunks hold _FIRST_ROWS tuples, then 8 times as many
+    """Bounds (start, stop) covering range(total) in order.  A grid (non-
+    empty ``counts``) runs in chunks of at most _CHUNK_ENTRIES values per
+    array, each stop rounded down to a multiple of the largest product of
+    trailing ``counts`` that fits the chunk, so that a grid over tables of
+    those sizes (see _grid) puts whole axes on axes of their own.  Samples
+    (no ``counts``) come _FIRST_SAMPLES tuples first, then 8 times as many
     each, up to the limit."""
-    start, rows = 0, _FIRST_ROWS
+    limit = max(1, _CHUNK_ENTRIES // alg._width)
+    start, rows = 0, limit if counts else _FIRST_SAMPLES
     while start < total:
         block = 1
         for count in reversed(counts):
             if block * count > rows:
                 break
             block *= count
-        stop = -(-rows // block) * block if not start else (start + rows) // block * block
+        stop = (start + rows) // block * block
         yield start, min(total, stop)
-        start, rows = stop, min(rows * 8, max(1, _CHUNK_ENTRIES // alg._width))
+        start, rows = stop, min(rows * 8, limit)
 
 
 def _grid(alg, k: int, enumeration, tables=None):
@@ -797,7 +798,7 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
     'exhaustive', which raises BudgetExceeded beyond it: over the table
     of _one_point_rows when that applies ('one-point'), where a position
     counts in the carrier size per variable; over codes when _tabled
-    holds for a grid that outgrows _FIRST_ROWS assignments ('codes');
+    holds for a grid that outgrows _TABLE_MIN assignments ('codes');
     else over value rows ('grid').  Over ``cap`` in mode 'auto': over the
     _domains of the _families when every variable is reduced and that
     grid fits ('generators'); else on 2^X by _two_valued ('two-valued', or
@@ -817,7 +818,7 @@ def _route(alg, eq: Equation, names: list[str], mode: str, cap: int,
         # the position's k digits, read in base q
         back = lambda position, found: (  # noqa: E731
             sum(position // n ** j % n * q ** j for j in range(k)), found)
-    elif path == "grid" and total > _FIRST_ROWS and (coded := _tabled(alg, eq, total)):
+    elif path == "grid" and total > _TABLE_MIN and (coded := _tabled(alg, eq, total)):
         path, target, rows = "codes", coded, partial(rows, into=coded)
         rows.counts = rows.func.counts
         back = lambda position, found: (  # noqa: E731

@@ -31,7 +31,7 @@ from convalg.errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
 from convalg.structures import (JOIN, MEET, build_structure, from_group,
                                 full_structure, signature)
 from convalg.terms import (Bot, Equation, Imp, Join, Meet, Neg, RelOp, Top,
-                           Var, check_equation, eval_term, parse_term)
+                           Var, _Plan, check_equation, eval_term, parse_term)
 
 
 def chain3():
@@ -207,7 +207,7 @@ def test_batched_evaluation_matches_oracles(data):
     (with neg/imp over distributive lattices): single evaluations match the
     definition-level oracle and, over two elements, the subset algebra via
     iso_phi; exhaustive and sampled verdicts match a loop over the oracle.
-    Grids beyond their first chunk and larger than q*q run on code tables."""
+    Grids of more than 256 assignments and at least q*q run on code tables."""
     lat = data.draw(lattices())
     structure = data.draw(structures())
     algebra = ConvAlgebra(lat, structure)
@@ -265,6 +265,30 @@ def test_batched_evaluation_matches_oracles(data):
     assert agrees(verdict, first_difference(eq, draws), "valid_sampled", 12)
 
 
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_code_table_lookups_match_value_rows(data):
+    """Random terms over algebras of up to 400 functions, each variable
+    bound to the whole carrier in an order of its own: the code interface
+    gives the codes of the value rows' results.  Its lookups index each
+    flat table by the mixed-radix index of a tuple of codes, first code
+    most significant, and inner results come as uint8 or uint16 codes, so
+    a lattice of 3 or more elements on 3 points already needs an index
+    wider than the codes."""
+    lat, structure = data.draw(lattices()), data.draw(structures())
+    algebra = ConvAlgebra(lat, structure)
+    q = algebra.space_size()
+    assume(q <= 400)
+    term = data.draw(terms(structure.signature.rel_specs, lat.is_distributive))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    codes = {v: rng.permutation(q) for v in "xyz"}
+    rows = _Plan(term).run(algebra, {v: algebra._decode(c) for v, c in codes.items()})[0]
+    coded = _Plan(term).run(algebra.coded(), {v: c[:, None] for v, c in codes.items()})[0]
+    assert (np.broadcast_to(coded[..., 0], (q,))
+            == np.broadcast_to(algebra._encode(rows), (q,))).all()
+
+
 @settings(max_examples=300, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.data())
@@ -310,8 +334,8 @@ def test_kernels_are_built_on_first_use():
         algebra.dual_conv("*", (alpha, alpha))
     with pytest.raises(ArityMismatch):
         algebra.conv("*", (alpha,))
-    # the code interface (81 assignments) raises at the wrong-arity step
-    eq = Equation(Join(RelOp("*", (Var("x"),)), Var("y")), Var("x"))
+    # the code interface (729 assignments) raises at the wrong-arity step
+    eq = Equation(Join(RelOp("*", (Var("x"),)), Meet(Var("y"), Var("z"))), Var("x"))
     with pytest.raises(ArityMismatch):
         check_equation(eq, algebra)
     assert algebra._coded is not None
@@ -737,6 +761,22 @@ def test_an_ordered_carrier_over_the_budget_holds_no_more_than_the_budget():
         tracemalloc.stop()
     assert (exc.value.required, exc.value.budget) == (65_536, 60_000)
     assert peak < 4 << 20
+
+
+def test_an_ordered_carrier_within_the_budget_is_built_in_place():
+    # the 2^19 maps of a 19-point antichain to chain2 take 4 MB of codes;
+    # the last point doubles 2^18 codes into them, a value at a time, with
+    # no index arrays of |L| entries per code beside them
+    s = build_structure(19, signature(("f", 1, JOIN)), [set()], order_pairs=[])
+    algebra = ConvAlgebra(chain(2), s, ordered=True)
+    tracemalloc.start()
+    try:
+        codes = algebra.carrier_codes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(codes, np.arange(1 << 19))
+    assert peak <= 12 << 20
 
 
 def test_codes_are_enumeration_positions_and_tables_match_ops():

@@ -1,5 +1,6 @@
 """Relational structures: validation, groups, p-morphisms, unions."""
 
+import numpy as np
 import pytest
 
 from convalg.errors import (ArityMismatch, IndexOutOfRange, NotAGroup,
@@ -80,6 +81,23 @@ def test_meet_relation_must_be_down_closed():
 def test_order_cycle_rejected():
     with pytest.raises(OrderNotClosed):
         build_structure(2, signature(), [], order_pairs=[(0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize("order", [
+    np.ones((3, 3), dtype=bool),  # every pair: no antisymmetry
+    np.zeros((3, 3), dtype=bool),  # not reflexive
+    np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool),  # 0 <= 1 <= 2 without 0 <= 2
+    np.eye(2, dtype=bool),  # not a relation on 3 points
+])
+def test_a_structure_refuses_an_order_that_is_not_a_partial_order(order):
+    # ordered carriers and samples assume a partial order: the all-pairs
+    # relation has no covering pairs, so over chain2 all 8 maps passed as
+    # monotone, not only the 2 constant ones
+    sig = signature(("f", 1, JOIN))
+    with pytest.raises(OrderNotClosed, match="not a partial order"):
+        RelStructure(3, sig, [set()], order=order)
+    chain3 = build_structure(3, sig, [set()], order_pairs=[(0, 1), (1, 2)])
+    assert RelStructure(3, sig, [set()], order=chain3.order) == chain3
 
 
 # -- groups ------------------------------------------------------------------------

@@ -1067,9 +1067,10 @@ def _as_tuple(v):
 def test_axis_grid_matches_a_flat_search(data):
     """Random 1-3 variable equations over unordered and ordered convolution
     algebras, subset algebras and bare lattices: with chunks from a single
-    tuple up to the whole grid, the search over axes gives the flat
-    search's status, count and least counterexample, on value rows and on
-    codes alike, and so does the grid over the generators."""
+    tuple up to the whole grid, and codes from grids of 2 assignments or of
+    more than 256, the search over axes gives the flat search's status,
+    count and least counterexample, on value rows and on codes alike, and
+    so does the grid over the generators."""
     kind = data.draw(st.sampled_from(["conv", "ordered", "subset", "lattice"]))
     lat = data.draw(lattices().filter(lambda lat: lat.size <= 6))
     structure = data.draw(structures())
@@ -1098,9 +1099,9 @@ def test_axis_grid_matches_a_flat_search(data):
     assume(total <= 1500)
     expect = flat_search(eq, alg, [rows] * len(names), to_element)
 
-    first = data.draw(st.sampled_from([1, 5, 64]))
+    least = data.draw(st.sampled_from([1, 5, 256]))
     entries = data.draw(st.sampled_from([16, 200, 1 << 18]))
-    with patch.object(terms_module, "_FIRST_ROWS", first), \
+    with patch.object(terms_module, "_TABLE_MIN", least), \
             patch.object(terms_module, "_CHUNK_ENTRIES", entries):
         for coded in (False, True):
             with patch.object(terms_module, "_tabled", lambda alg, eq, total: (
@@ -1109,7 +1110,7 @@ def test_axis_grid_matches_a_flat_search(data):
             assert _as_tuple(verdict) == expect
             assert verdict.path == (
                 "one-point" if _one_point_rows(alg, eq) is not None
-                else "codes" if coded and kind != "subset" and total > first else "grid")
+                else "codes" if coded and kind != "subset" and total > least else "grid")
         if kind == "conv" and total > 1:
             reduction = generators(alg, eq, names, total - 1)
             if reduction is not None:
@@ -1322,16 +1323,17 @@ def test_a_shared_subterm_is_evaluated_once_per_chunk():
     # f(x) occurs twice in f(f(x)) v f(x) = f(x) and is one step of the
     # equation's plan, so each chunk applies f twice, not four times; a
     # strict order is transitive, so f(f(x)) <= f(x) and the whole grid
-    # of 2^8 functions runs, in two chunks
+    # of 2^8 functions runs, in two chunks when a chunk holds 128 of them
     sig = signature(("f", 1, "join"))
     structure = build_structure(8, sig, [{(a, b) for a in range(8) for b in range(a + 1, 8)}])
     algebra = ConvAlgebra(chain(2), structure)
     eq = parse_equation({"lhs": "(join (op f (op f x)) (op f x))", "rhs": "(op f x)"}, sig)
     calls, kernel = [], algebra._eval
-    with patch.object(algebra, "_eval", lambda i, args: calls.append(i) or kernel(i, args)):
+    with patch.object(algebra, "_eval", lambda i, args: calls.append(i) or kernel(i, args)), \
+            patch.object(terms_module, "_CHUNK_ENTRIES", 128 * algebra._width):
         verdict = check_equation(eq, algebra)
+        assert len(list(terms_module._chunks(256, algebra, (256,)))) == 2
     assert (verdict.path, verdict.status, verdict.tried) == ("grid", "valid_exhaustive", 256)
-    assert len(list(terms_module._chunks(256, algebra, (256,)))) == 2
     assert calls == [0] * 4
 
 
@@ -1396,8 +1398,8 @@ def test_a_plan_raises_the_error_of_its_first_failing_step(make, text, bound, er
 def test_the_plan_caches_keep_no_algebra_alive():
     # an equation and a structure outlive the algebras they were decided
     # over, with their caches filled: over budget, on code tables, and over
-    # subsets (the structure's images)
-    structure = full_structure(2)
+    # subsets (the structure's images); 27^2 pairs outgrow _TABLE_MIN
+    structure = full_structure(3)
     eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
                         structure.signature)
     lat = build_lattice(["0", "m", "1"], [("0", "m"), ("m", "1")])

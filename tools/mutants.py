@@ -47,6 +47,8 @@ _DRAWN_OVER_M3 = ("tests/test_terms.py::"
                   "test_reduced_verdict_over_a_non_distributive_lattice_matches_the_grid")
 _ORDERED = "tests/test_terms.py::test_ordered_reduced_verdict_matches_the_grid"
 _REDUCED = "tests/test_terms.py::test_reduced_verdict_matches_the_grid"
+_LOOKUPS = "tests/test_convolution.py::test_code_table_lookups_match_value_rows"
+_AXES = "tests/test_terms.py::test_axis_grid_matches_a_flat_search"
 _GROUND = '''h == ["linear"] and alone and (
                         op == times or op == "op" and modes.get(name) == mode))'''
 
@@ -128,6 +130,16 @@ MUTANTS = (
            ("tests/test_checks.py::test_finite_support_pass_and_dual_form",
             "tests/test_checks.py::test_finite_support_witness_matches_the_loop_reference"),
            "finite support: deltas are meets, folded by joins, for join relations"),
+    Mutant("code-lookup-operands-swapped", CONVOLUTION,
+           "            index = index * q + a",
+           "            index = a * q + index",
+           (_LOOKUPS, _AXES),
+           "codes: a tuple's first code is the most significant digit of its table index"),
+    Mutant("code-lookup-intp-cast-dropped", CONVOLUTION,
+           "index, q = args[0].astype(np.intp), self.algebra.space_size()",
+           "index, q = args[0], self.algebra.space_size()",
+           (_LOOKUPS, _AXES),
+           "codes: a table index is formed in intp, as uint8 or uint16 codes wrap"),
     Mutant("int64-guard-removed", CONVOLUTION,
            "if q > 1 << 63:  # else the largest code wraps", "if False:",
            ("tests/test_terms.py::test_wide_ordered_carriers_form_no_code_beyond_int64",),
