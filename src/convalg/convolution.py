@@ -10,15 +10,16 @@ Operations act on batches: N functions as an (N, |X|) array of element
 indices.  A convolution meets the argument values of each relation tuple
 through the meet table and folds the tuples ending at each point through
 the join table, for every lattice size; single applications are batches of
-one.  Each point's tuples are padded to a common count by repeating its
-first tuple, which the idempotent fold absorbs, and only the points no
-tuple ends at are set to the unit.  A relation's kernel is built the
-first time the relation is applied (see ConvAlgebra._kernel), so an
-algebra pays only for the relations it uses; its index arrays depend on
-the structure alone, which keeps them for every lattice.  The subset
-algebra uses boolean relational images instead, also built on first use
-and kept with the structure, and shares no code with that kernel, so it
-stays an independent check of it.
+one.  Each argument is gathered once, at the inputs of the j-th tuple
+ending at every point for each j, and the fold runs over those |X|-wide
+slices; a point with fewer tuples repeats its first, which the idempotent
+fold absorbs, and only the points no tuple ends at are set to the unit.
+That index is the whole kernel and depends on the structure alone, which
+builds it when a relation is first applied and keeps it for every
+lattice (see RelStructure._kernel_index).  The subset algebra uses
+boolean relational images instead, also built on first use and kept with
+the structure, and shares no code with that kernel, so it stays an
+independent check of it.
 
 Each function also has an integer code, its mixed-radix index
 ``sum v_i * |L|^(n-1-i)``, which is its position in the unordered
@@ -128,7 +129,6 @@ class ConvAlgebra:
         self._width = structure._width
         n = structure.carrier_size
         self._radix = lattice.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self._kernels: dict = {}
         self._tables: dict = {}
         self._coded: _Coded | None = None
 
@@ -146,23 +146,6 @@ class ConvAlgebra:
     @cached_property
     def _top(self) -> LFunction:
         return LFunction((self.lattice.top,) * self.structure.carrier_size, self.lattice)
-
-    def _kernel(self, i: int):
-        """The kernel of relation ``i``, kept from its first application:
-        the structure's ``_kernel_index(i)`` with this lattice's half, a
-        constant value row (each tuple is the empty inner fold) or (inner,
-        outer, unit, cols, slots, bare), whose idempotent fold absorbs the
-        padding of ``slots``."""
-        kernel = self._kernels.get(i)
-        if kernel is None:
-            lat, index = self.lattice, self.structure._kernel_index(i)
-            if self.structure.signature.rel_specs[i].mode == JOIN:
-                inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
-            else:
-                inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
-            kernel = self._kernels[i] = (np.where(index, mark, unit) if isinstance(
-                index, np.ndarray) else (inner, outer, unit, *index))
-        return kernel
 
     # -- element plumbing ----------------------------------------------------
 
@@ -444,23 +427,29 @@ class ConvAlgebra:
     def _eval(self, i: int, args: Sequence[np.ndarray]) -> np.ndarray:
         """Relation ``i`` applied to value arrays of shape (N, |X|).
 
-        Arguments broadcast against each other like numpy arrays, so a
-        single function may be passed as shape (|X|,).  A relation whose
-        tuples have no inputs gives its constant row, as a read-only view
-        broadcast to the arguments' batch shape.  ``i`` and the arity of
-        ``args`` are the structure's (see RelStructure.spec).
+        The arguments are gathered at the structure's kernel index (see
+        RelStructure._kernel_index) and combined through the tables of the
+        relation's mode.  Arguments broadcast against each other like numpy
+        arrays, so a single function may be passed as shape (|X|,).  A
+        relation whose tuples have no inputs gives its constant row, as a
+        read-only view broadcast to the arguments' batch shape.  ``i`` and
+        the arity of ``args`` are the structure's (see RelStructure.spec).
         """
-        kernel = self._kernel(i)
-        if isinstance(kernel, np.ndarray):
-            return np.broadcast_to(kernel, np.broadcast_shapes(
-                *(a.shape[:-1] for a in args)) + kernel.shape)
-        inner, outer, unit, cols, slots, bare = kernel
+        lat, index, n = self.lattice, self.structure._kernel_index(i), self.structure.carrier_size
+        if self.structure.signature.rel_specs[i].mode == JOIN:
+            inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
+        else:
+            inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
+        if isinstance(index, np.ndarray):
+            return np.broadcast_to(np.where(index, mark, unit), np.broadcast_shapes(
+                *(a.shape[:-1] for a in args)) + (n,))
+        cols, bare = index
         vals = args[0][..., cols[0]]
         for a, c in zip(args[1:], cols[1:]):
             vals = inner[vals, a[..., c]]
-        out = vals[..., slots[:, 0]]
-        for j in range(1, slots.shape[1]):
-            out = outer[out, vals[..., slots[:, j]]]
+        out = vals[..., :n]
+        for j in range(n, vals.shape[-1], n):
+            out = outer[out, vals[..., j:j + n]]
         if bare.size:
             out[..., bare] = unit
         return out
@@ -607,7 +596,9 @@ class SubsetAlgebra:
         if not isinstance(a, (set, frozenset)):
             raise UnknownElement(f"{a!r} is not a subset of the carrier")
         _check_subset(a, self.structure.carrier_size)
-        return np.isin(np.arange(self.structure.carrier_size), list(a))
+        row = np.zeros(self.structure.carrier_size, dtype=bool)
+        row[np.fromiter(a, dtype=np.intp, count=len(a))] = True
+        return row
 
     def _element(self, row) -> frozenset:
         return frozenset(x for x, bit in enumerate(row) if bit)

@@ -82,10 +82,10 @@ class RelStructure:
                 f"{len(sig)} relation specs but {len(relations)} relation sets")
         self.carrier_size = carrier_size
         self.signature = sig
-        rels = []
+        rels, most = [], 0
         for spec, tuples in zip(sig.rel_specs, relations):
             want = spec.arity + 1
-            clean = set()
+            clean, ends = set(), [0] * carrier_size
             for t in tuples:
                 t = tuple(int(v) for v in t)
                 if len(t) != want:
@@ -96,8 +96,10 @@ class RelStructure:
                     raise IndexOutOfRange(
                         f"relation {spec.name!r}: tuple {t} leaves the carrier "
                         f"0..{carrier_size - 1}")
+                ends[t[-1]] += t not in clean
                 clean.add(t)
             rels.append(frozenset(clean))
+            most = max(most, *ends)
         self.relations = tuple(rels)
         self.order = self._order_pairs = None
         if order is not None:
@@ -111,12 +113,14 @@ class RelStructure:
             # the covering pairs x < y, with nothing between, whose chains make up the order
             strict = order & ~np.eye(carrier_size, dtype=bool)
             self._order_pairs = np.where(strict & ~(strict @ strict))
-        # The widest row of a batch: a relation's gathered tuples and its points.
-        self._width = carrier_size + max(map(len, self.relations), default=0)
+        # The widest row of a batch: a relation's padded gather (see
+        # _kernel_index), |X| per tuple ending at its busiest point, and its
+        # |X| points.
+        self._width = carrier_size * (1 + most)
         self._hash = hash((carrier_size, sig,
                            tuple(tuple(sorted(r)) for r in self.relations),
                            None if order is None else order.tobytes()))
-        # per relation on first use: its kernel's lattice-free half, its subset images
+        # per relation on first use: its convolution kernel, its subset images
         self._kernel_indices, self._images = {}, {}
 
     def _check_order_closure(self):
@@ -179,25 +183,25 @@ class RelStructure:
         return i, spec
 
     def _kernel_index(self, i: int):
-        """The half of relation ``i``'s convolution kernel that no lattice
-        enters, built on first use and kept: when no tuple has an input, a
-        boolean row of the points some tuple ends at, else (cols, slots,
-        bare): ``cols[k]`` the k-th input point of each tuple, row x of
-        ``slots`` the tuples ending at x, padded by repeating the first,
-        and ``bare`` the points no tuple ends at."""
+        """Relation ``i``'s convolution kernel, which no lattice enters,
+        built on first use and kept: when no tuple has an input, a boolean
+        row of the points some tuple ends at, else (cols, bare), where
+        ``cols[k][j * |X| + x]`` is the k-th input of the j-th tuple ending
+        at x, a point's first tuple repeated where it has fewer, and ``bare``
+        the points no tuple ends at, whose entries the unit replaces."""
         index = self._kernel_indices.get(i)
         if index is None:
-            rel = list(self.relations[i])
+            rel, arity = list(self.relations[i]), self.signature.rel_specs[i].arity
             preds = [[] for _ in range(self.carrier_size)]
-            for k, t in enumerate(rel):
-                preds[t[-1]].append(k)
-            if not (self.signature.rel_specs[i].arity and rel):
+            for t in rel:
+                preds[t[-1]].append(t[:-1])
+            if not (arity and rel):
                 index = np.array([bool(p) for p in preds])
             else:
                 width = max(map(len, preds))
-                index = (np.array(list(zip(*rel))[:-1], dtype=np.intp),
-                         np.array([p + p[:1] * (width - len(p)) if p else [0] * width
-                                   for p in preds], dtype=np.intp),
+                padded = [p + p[:1] * (width - len(p)) if p else [rel[0][:-1]] * width
+                          for p in preds]
+                index = (np.array(padded, dtype=np.intp).transpose(2, 1, 0).reshape(arity, -1),
                          np.array([x for x, p in enumerate(preds) if not p], dtype=np.intp))
             self._kernel_indices[i] = index
         return index

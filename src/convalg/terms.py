@@ -455,10 +455,13 @@ def _grid(alg, k: int, enumeration, tables=None):
 
 
 def _samples(alg, k: int, rng, cap: int):
-    """``rows`` as for _grid, over consecutive random k-tuples from ``rng``
-    (drawn within ``cap``, see ConvAlgebra._draw_rows); they come flat,
-    shape (N, |X|), so ``rows.counts`` is empty."""
+    """``rows`` as for _grid, over consecutive random k-tuples drawn within
+    ``cap`` (see ConvAlgebra._draw_rows) from ``rng``, or from a generator
+    seeded by it at the first draw, flat, shape (N, |X|), so ``rows.counts``
+    is empty."""
     def rows(start, stop):
+        nonlocal rng
+        rng = rng if isinstance(rng, random.Random) else random.Random(rng)
         drawn = alg._draw_rows(rng, (stop - start) * k, cap)
         return list(drawn.reshape(stop - start, k, alg.structure.carrier_size)
                     .swapaxes(0, 1))
@@ -488,8 +491,7 @@ def _assignments(alg, k: int, mode: str, cap: int, samples: int | None = None, s
             if mode == "exhaustive":
                 raise BudgetExceeded(total, cap)
     total = samples if samples is not None else min(cap, 10_000)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return total, _samples(alg, k, rng, cap), "samples"
+    return total, _samples(alg, k, seed, cap), "samples"
 
 
 def _first_failure(total: int, alg, rows, broken):

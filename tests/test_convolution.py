@@ -323,11 +323,12 @@ def test_kernel_matches_the_oracle(data):
 
 
 def test_kernels_are_built_on_first_use():
-    # a fresh algebra has built no relation kernel and no bounds; a mode
-    # or arity error builds nothing either; an application builds its
-    # relation's kernel alone
-    algebra, subsets = ConvAlgebra(chain3(), z2()), SubsetAlgebra(z2())
-    assert algebra._kernels == {} and subsets._images == {}
+    # a fresh structure has built no relation kernel and a fresh algebra no
+    # bounds; a mode or arity error builds nothing either; an application
+    # builds its relation's kernel alone, kept with the structure
+    structure = z2()
+    algebra, subsets = ConvAlgebra(chain3(), structure), SubsetAlgebra(structure)
+    assert structure._kernel_indices == {} and structure._images == {}
     assert not {"_bot", "_top"} & set(vars(algebra))
     alpha = algebra.function([0, 1])
     with pytest.raises(WrongMode):
@@ -339,10 +340,11 @@ def test_kernels_are_built_on_first_use():
     with pytest.raises(ArityMismatch):
         check_equation(eq, algebra)
     assert algebra._coded is not None
-    assert algebra._kernels == {} and algebra._tables == {}
+    assert structure._kernel_indices == {} and algebra._tables == {}
     algebra.op("conv", (alpha,))
     subsets.op("conv", (frozenset({0}),))
-    assert list(algebra._kernels) == list(subsets._images) == [z2().relation("conv")]
+    assert list(structure._kernel_indices) == list(structure._images) == [
+        structure.relation("conv")]
 
 
 def _shared_structure():

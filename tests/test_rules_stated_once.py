@@ -45,7 +45,12 @@ A relation's name, arity and mode are facts about the structure, which
 no lattice changes: ``RelStructure.spec`` is the only code that raises
 WrongMode or ArityMismatch for a relation application, no plan keeps
 relation indices of its own, and the algebras read a structure's order
-pairs and batch width from it instead of computing them.
+pairs and batch width from it instead of computing them.  So is which
+tuples end where: ``RelStructure._kernel_index`` is a relation's whole
+convolution kernel, the only code that groups its tuples by the point
+they end at for evaluation besides the subset algebra's own images and
+``terms._free``'s unfolding into lattice polynomials, and an algebra
+keeps nothing per relation but its code tables.
 """
 
 import ast
@@ -311,3 +316,28 @@ def test_a_relation_application_is_resolved_on_the_structure():
                   if isinstance(node, ast.Assign) and getattr(node.targets[0], "attr", None)
                   in ("_width", "_order_pairs")]
         assert stores in ([], [("_width", "structure._width")]), f"{cls}.__init__: {stores}"
+    # the functions that read a relation's tuples at their last point: the
+    # kernel, the subset images, the free unfolding, and the structure's
+    # own validation, batch width and predecessor queries
+    grouping = []
+    for name, text in _sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(n, "attr", None) == "relations" for n in ast.walk(node)) and any(
+                    isinstance(n, ast.Subscript) and "-1" in ast.unparse(n.slice)
+                    for n in ast.walk(node)):
+                grouping.append((name, node.name))
+    assert sorted(grouping) == [
+        ("convolution.py", "_image"), ("structures.py", "__init__"),
+        ("structures.py", "_check_order_closure"), ("structures.py", "_kernel_index"),
+        ("structures.py", "is_p_morphism"), ("structures.py", "predecessors"),
+        ("terms.py", "_free")]
+    # an algebra builds no kernel of its own, and its only dict is its code tables
+    conv = next(node for node in ast.walk(ast.parse(_sources()["convolution.py"]))
+                if isinstance(node, ast.ClassDef) and node.name == "ConvAlgebra")
+    assert not {"_kernel", "_kernels"} & {getattr(node, "name", None) or getattr(
+        node, "attr", None) for node in ast.walk(conv)}
+    init = next(node for node in conv.body if getattr(node, "name", None) == "__init__")
+    assert [ast.unparse(node.target if isinstance(node, ast.AnnAssign) else node.targets[0])
+            for node in ast.walk(init) if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Dict)] == ["self._tables"]

@@ -1,6 +1,7 @@
 """Parser, evaluator, and equation checking."""
 
 import gc
+import random
 import re
 import tracemalloc
 import weakref
@@ -299,6 +300,29 @@ def test_sampling_is_seed_deterministic():
     b = check_equation(eq, algebra, mode="sample", samples=100, seed=42)
     assert a.path == b.path == "samples"
     assert a.status == b.status and a.assignment == b.assignment
+
+
+def test_a_generator_is_seeded_only_when_a_search_samples(monkeypatch):
+    # over the budget, a law decided on generators draws nothing, so no
+    # generator is built; a sampled search builds its own at its first
+    # draw, from its seed, and finds the same counterexample as before
+    seeds = []
+
+    class Counted(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+    monkeypatch.setattr(random, "Random", Counted)
+    s = full_structure(2)
+    eq = parse_equation({"lhs": "(op f (join x y))", "rhs": "(join (op f x) (op f y))"},
+                        s.signature)
+    v = check_equation(eq, ConvAlgebra(chain(3), s), budget=80, seed=7)
+    assert (v.path, v.status, seeds) == ("generators", "valid_exhaustive", [])
+    wrong = parse_equation({"lhs": "(op f (meet x y))", "rhs": "(meet (op f x) (op f y))"},
+                           s.signature)
+    v = check_equation(wrong, ConvAlgebra(chain(3), s), mode="sample", budget=80, seed=7)
+    assert (v.path, v.status, v.tried, seeds[0]) == ("samples", "counterexample", 6, 7)
+    assert {k: a.values for k, a in v.assignment.items()} == {"x": (2, 1), "y": (0, 2)}
 
 
 def test_verdict_json():
@@ -1338,10 +1362,10 @@ def test_a_shared_subterm_is_evaluated_once_per_chunk():
 
 
 def test_a_check_builds_only_the_kernels_it_applies():
-    algebra = ConvAlgebra(chain(2), cyclic_group(3))
-    eq = parse_equation({"lhs": "(op * x y)", "rhs": "(op * y x)"}, algebra.structure.signature)
-    assert check_equation(eq, algebra).status == "valid_exhaustive"
-    assert list(algebra._kernels) == [algebra.structure.relation("*")]
+    structure = cyclic_group(3)  # built afresh, as the kernels are kept with it
+    eq = parse_equation({"lhs": "(op * x y)", "rhs": "(op * y x)"}, structure.signature)
+    assert check_equation(eq, ConvAlgebra(chain(2), structure)).status == "valid_exhaustive"
+    assert list(structure._kernel_indices) == [structure.relation("*")]
 
 
 def test_a_reused_plan_still_rejects_unknown_operations_and_wrong_arities():
@@ -1408,7 +1432,7 @@ def test_the_plan_caches_keep_no_algebra_alive():
     assert check_equation(eq, algebra).path == "codes"
     assert check_equation(eq, SubsetAlgebra(structure)).status == "valid_exhaustive"
     refs = [weakref.ref(algebra), weakref.ref(lat), weakref.ref(algebra._table("join")),
-            weakref.ref(algebra._kernel(0)[0])]
+            weakref.ref(lat.meet_np)]
     del algebra, lat
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4

@@ -49,6 +49,7 @@ _ORDERED = "tests/test_terms.py::test_ordered_reduced_verdict_matches_the_grid"
 _REDUCED = "tests/test_terms.py::test_reduced_verdict_matches_the_grid"
 _LOOKUPS = "tests/test_convolution.py::test_code_table_lookups_match_value_rows"
 _AXES = "tests/test_terms.py::test_axis_grid_matches_a_flat_search"
+_KERNEL = "tests/test_convolution.py::test_kernel_matches_the_oracle"
 _GROUND = '''h == ["linear"] and alone and (
                         op == times or op == "op" and modes.get(name) == mode))'''
 
@@ -140,6 +141,16 @@ MUTANTS = (
            "index, q = args[0], self.algebra.space_size()",
            (_LOOKUPS, _AXES),
            "codes: a table index is formed in intp, as uint8 or uint16 codes wrap"),
+    Mutant("kernel-fold-skips-last-slot", CONVOLUTION,
+           "        for j in range(n, vals.shape[-1], n):",
+           "        for j in range(n, vals.shape[-1] - n, n):",
+           (_KERNEL,), "kernel: the fold runs over every tuple ending at a point"),
+    Mutant("kernel-pads-with-tuple-0", "src/convalg/structures.py",
+           "p + p[:1] * (width - len(p))", "p + [rel[0][:-1]] * (width - len(p))",
+           (_KERNEL,), "kernel: a point's tuples are padded with its own first tuple"),
+    Mutant("kernel-bare-points-kept", CONVOLUTION,
+           "        if bare.size:", "        if False:",
+           (_KERNEL,), "kernel: a point no tuple ends at takes the unit, the empty fold"),
     Mutant("int64-guard-removed", CONVOLUTION,
            "if q > 1 << 63:  # else the largest code wraps", "if False:",
            ("tests/test_terms.py::test_wide_ordered_carriers_form_no_code_beyond_int64",),
