@@ -32,9 +32,8 @@ from .convolution import (_TWO, ConvAlgebra, SubsetAlgebra,
                           resolve_budget)
 from .errors import NotHeyting, SignatureMismatch
 from .lattice import FiniteLattice, _blocks, build_lattice
-from .structures import (JOIN, MEET, RelStructure, build_structure,
-                         disjoint_union, from_group, full_structure,
-                         is_p_morphism, signature)
+from .structures import (JOIN, MEET, RelStructure, Signature, build_structure,
+                         disjoint_union, full_structure, is_p_morphism, signature)
 from .terms import (Bot, Equation, Join, Meet, Neg, RelOp, Top, Var,
                     _assignments, _bounded_below, _first_failure,
                     _grid, _Plan, check_equation, describe_element)
@@ -814,9 +813,8 @@ def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
     def differ(table, value):
         return (images[table] != value).any(axis=-1)
 
-    def axes(arity):
-        # the images of argument m on axis m
-        return [np.expand_dims(images, [a for a in range(arity) if a != m])
+    def axes(arity):  # the images of argument m on axis m
+        return [images.reshape((1,) * m + (-1,) + (1,) * (arity - 1 - m) + images.shape[1:])
                 for m in range(arity)]
 
     def first(bad):
@@ -850,54 +848,45 @@ def _homomorphism_witness(dom: ConvAlgebra, images: np.ndarray, cod):
 def check_subset_isomorphism(structure: RelStructure,
                              instance: str | None = None) -> Report:
     """The top-set map is a bijective homomorphism from the two-element
-    convolution algebra onto the subset algebra, for every relation mode.
-    ``iso_phi`` is applied once per element, then the laws are compared
-    over all pairs and argument tuples at once (``checked`` counts them),
-    the subset side by the subset algebra's own relational images."""
+    convolution algebra onto the subset algebra, for every relation mode,
+    as one claim row of _claim_witness: ``iso_phi`` once per element, each
+    image coded by its members' bits, the subset side by the subset
+    algebra's own relational images (``checked`` counts the comparisons)."""
     name = instance or repr(structure)
-    algebra = ConvAlgebra(_TWO, structure)
-    subsets = SubsetAlgebra(structure)
-    images = [iso_phi(f) for f in algebra.elements()]
-    if len(set(images)) != len(images) or set(images) != set(subsets.elements()):
-        return Report.of("subset-iso", name, [{"kind": "not a bijection"}], {})
-    witness, checked, sides = _homomorphism_witness(
-        algebra, np.array([subsets._row(s) for s in images]), subsets)
+    algebra, subsets = ConvAlgebra(_TWO, structure), SubsetAlgebra(structure)
+    codes = np.array([sum(1 << x for x in iso_phi(f)) for f in algebra.elements()])
+    witness, checked, sides = _claim_witness(algebra, codes, subsets, True, True)
     if sides is not None:
         witness["function_side"], witness["subset_side"] = (
             np.flatnonzero(side).tolist() for side in sides)
-    failed_early = witness is not None and sides is None  # bounds, meet or join
-    return Report.of("subset-iso", name, [] if witness is None else [witness],
-                     {} if failed_early else {"checked": checked})
+    elif witness is not None:  # bijectivity, bounds, meet or join, with no count
+        return Report.of("subset-iso", name, [
+            {"kind": "not a bijection"} if witness["kind"] == "one-one/onto" else witness], {})
+    return Report.of("subset-iso", name, [witness] if witness else [], {"checked": checked})
 
 
 # -- functorial behaviour ----------------------------------------------------------
 
 
-def _reduct(structure: RelStructure, keep: list[str]) -> RelStructure:
-    idx = [structure.signature.index(n) for n in keep]
-    sig = signature(*((structure.signature.rel_specs[i].name,
-                       structure.signature.rel_specs[i].arity,
-                       structure.signature.rel_specs[i].mode) for i in idx))
-    return RelStructure(structure.carrier_size, sig,
-                        [structure.relations[i] for i in idx], structure.order)
+def _codes(algebra: ConvAlgebra, functions) -> np.ndarray:
+    """The codes in ``algebra`` of LFunctions over its lattice."""
+    return algebra._encode(np.array([f.values for f in functions], dtype=np.int64))
 
 
-def _values(functions) -> np.ndarray:
-    return np.array([f.values for f in functions], dtype=np.int64)
-
-
-def _claim_witness(dom: ConvAlgebra, images: np.ndarray, cod: ConvAlgebra,
+def _claim_witness(dom: ConvAlgebra, codes: np.ndarray, cod: ConvAlgebra | SubsetAlgebra,
                    one_one: bool | None, onto: bool | None):
     """The first failure of the claim that the map sending the element of
-    an unordered ``dom`` coded c to the value row ``images[c]`` of an
-    unordered ``cod`` is a homomorphism, one-one and onto where claimed
-    (True or False, or None for not claimed), or None."""
-    witness = _homomorphism_witness(dom, images, cod)[0]
-    hits = np.bincount(cod._encode(images), minlength=cod.space_size())
+    an unordered ``dom`` coded c to the one of ``cod``, an unordered
+    convolution or subset algebra, coded ``codes[c]`` is one-one and onto
+    where claimed (True or False, or None for not claimed), decided first
+    from the counts of the codes (a code past ``cod``'s last leaves one at
+    zero), and a homomorphism: (witness, checked, sides), as from
+    _homomorphism_witness, or nothing checked before a one-one/onto one."""
+    hits = np.bincount(codes, minlength=cod.space_size())
     found = bool(hits.max() <= 1), bool(hits.all())
-    if witness is None and any(c not in (None, f) for c, f in zip((one_one, onto), found)):
-        return {"kind": "one-one/onto", "one_one": found[0], "onto": found[1]}
-    return witness
+    if any(c not in (None, f) for c, f in zip((one_one, onto), found)):
+        return {"kind": "one-one/onto", "one_one": found[0], "onto": found[1]}, 0, None
+    return _homomorphism_witness(dom, cod._decode(codes), cod)
 
 
 def _split_claims(algebra: ConvAlgebra, first: ConvAlgebra, second: ConvAlgebra):
@@ -906,10 +895,10 @@ def _split_claims(algebra: ConvAlgebra, first: ConvAlgebra, second: ConvAlgebra)
     when the other is trivial, and ``product_iso_inv`` merges it back."""
     carrier = algebra.carrier_list()
     split = [product_iso(alpha) for alpha in carrier]
-    merged = _values(product_iso_inv(b, c, algebra.lattice) for b, c in split)
-    bad = np.flatnonzero((merged != _values(carrier)).any(axis=-1))
+    merged = _codes(algebra, (product_iso_inv(b, c, algebra.lattice) for b, c in split))
+    bad = np.flatnonzero(merged != algebra.carrier_codes())
     witness = {"kind": "split-merge", "alpha": carrier[bad[0]].labels()} if bad.size else None
-    return witness, [(algebra, _values(parts[k] for parts in split), factor,
+    return witness, [(algebra, _codes(factor, (parts[k] for parts in split)), factor,
                       algebra.space_size() == factor.space_size(), True)
                      for k, factor in enumerate((first, second))]
 
@@ -920,10 +909,10 @@ def _lift_claims(phi, dom: ConvAlgebra, cod: ConvAlgebra):
     ok, detail = is_lattice_morphism(phi, dom.lattice, cod.lattice)
     if not ok:
         return {"kind": "validation", "detail": detail}, []
-    images = _values(lift_lattice_morphism(phi, cod.lattice, alpha, validate=False)
-                     for alpha in dom.elements())
+    codes = _codes(cod, (lift_lattice_morphism(phi, cod.lattice, alpha, validate=False)
+                         for alpha in dom.elements()))
     image = len(set(phi)) ** dom.structure.carrier_size  # the maps into phi's image
-    return None, [(dom, images, cod, image == dom.space_size(), image == cod.space_size())]
+    return None, [(dom, codes, cod, image == dom.space_size(), image == cod.space_size())]
 
 
 def _pullback_claims(p, dom: ConvAlgebra, cod: ConvAlgebra):
@@ -933,68 +922,79 @@ def _pullback_claims(p, dom: ConvAlgebra, cod: ConvAlgebra):
     ok, detail = is_p_morphism(p, cod.structure, dom.structure)
     if not ok:
         return {"kind": "p-morphism validation", "detail": detail}, []
-    images = _values(pullback_pmorphism(p, cod.structure, dom.structure, beta, validate=False)
-                     for beta in dom.elements())
+    codes = _codes(cod, (pullback_pmorphism(p, cod.structure, dom.structure, beta, validate=False)
+                         for beta in dom.elements()))
     image = dom.lattice.size ** len(set(p))  # the maps constant on p's fibres
-    return None, [(dom, images, cod, image == dom.space_size(), image == cod.space_size())]
+    return None, [(dom, codes, cod, image == dom.space_size(), image == cod.space_size())]
 
 
-def _structural_claims(lat: FiniteLattice) -> list:
-    """(subcheck, built) for each claim on maps of check_structural_isos
-    over ``lat``, with one algebra per (lattice, structure): ``built`` lists
-    the (witness, rows) of each map, a failure met in building it, such as
-    a failed validation, and a _claim_witness row per claimed map."""
-    two, z2 = _TWO, cyclic_group(2)
+def _decided(claims: list) -> dict:
+    """{subcheck: witness} for the (subcheck, built) pairs of ``claims``,
+    ``built`` listing a (witness, rows) per map: the first witness met in
+    building a map, such as a failed validation, or found by _claim_witness
+    on one of its claim rows; None when there is none."""
+    return {label: next((w for witness, rows in built for w in chain(
+        [witness], (_claim_witness(*row)[0] for row in rows)) if w), None)
+        for label, built in claims}
+
+
+def _fixed_claims() -> list:
+    """(subcheck, built) of the claims of check_structural_isos that read
+    no lattice given to it, with one algebra per (lattice, structure)."""
+    two, z2, algebra = _TWO, cyclic_group(2), cache(ConvAlgebra)
     chain3 = build_lattice(["0", "m", "1"], [("0", "m"), ("m", "1")])
-    algebra = cache(ConvAlgebra)
 
     def lifts(*maps):
         return [_lift_claims(phi, algebra(dom, z2), algebra(cod, z2)) for phi, dom, cod in maps]
+    return [("product-split", [_split_claims(algebra(two.product(two), z2),
+                                             algebra(two, z2), algebra(two, z2))]),
+            ("morphism-lift", lifts(([0, 1, 1], chain3, two))),
+            ("one-one-onto", lifts(([0, 2], two, chain3), ([0, 0, 1], chain3, two),
+                                   ([0, 1, 2], chain3, chain3), ([0, 0, 2], chain3, chain3)))]
 
+
+@cache
+def _fixed_witnesses() -> dict:
+    """_decided on _fixed_claims, built and decided once per process."""
+    return _decided(_fixed_claims())
+
+
+def _lattice_claims(lat: FiniteLattice) -> list:
+    """(subcheck, built) of the claims of check_structural_isos over ``lat``."""
     frame_sig = signature(("f", 1, JOIN))
     fx = RelStructure(1, frame_sig, [{(0, 0)}])
     fy = RelStructure(2, frame_sig, [{(0, 1), (1, 1)}])
-    union = algebra(lat, disjoint_union(fx, fy))
+    union = ConvAlgebra(lat, disjoint_union(fx, fy))
     # a function is its values on the blocks, so the pair of restrictions
     # is one-one: the union's algebra is the product of the blocks'
     rows, cut = union._decode(union.carrier_codes()), fx.carrier_size
-    z4 = _reduct(from_group([[(a + b) % 4 for b in range(4)] for a in range(4)]),
-                 ["*", "conv"])
-    z2r = _reduct(z2, ["*", "conv"])
-    return [
-        ("product-split", [_split_claims(algebra(two.product(two), z2),
-                                         algebra(two, z2), algebra(two, z2))]),
-        ("coproduct-to-product", [(None, [(union, rows[:, :cut], algebra(lat, fx), None, True),
-                                          (union, rows[:, cut:], algebra(lat, fy), None, True)])]),
-        ("morphism-lift", lifts(([0, 1, 1], chain3, two))),
-        ("one-one-onto", lifts(([0, 2], two, chain3), ([0, 0, 1], chain3, two),
-                               ([0, 1, 2], chain3, chain3), ([0, 0, 2], chain3, chain3))),
-        ("pmorphism-pullback", [_pullback_claims([0, 1, 0, 1], algebra(lat, z2r),
-                                                 algebra(lat, z4))]),
-    ]
+    blocks = [(ConvAlgebra(lat, fx), rows[:, :cut]), (ConvAlgebra(lat, fy), rows[:, cut:])]
+    z4, z2 = (RelStructure(g.carrier_size, Signature(g.signature.rel_specs[:2]), g.relations[:2])
+              for g in map(cyclic_group, (4, 2)))  # their * and conv
+    return [("coproduct-to-product", [(None, [(union, block._encode(part), block, None, True)
+                                              for block, part in blocks])]),
+            ("pmorphism-pullback", [_pullback_claims([0, 1, 0, 1], ConvAlgebra(lat, z2),
+                                                     ConvAlgebra(lat, z4))])]
 
 
 def check_structural_isos(lattice: FiniteLattice | None = None,
                           instance: str | None = None) -> Report:
-    """Functorial behaviour on fixed small instances: ``_claim_witness``
-    decides each claim on a map of ``_structural_claims``, after the witness
-    met in building the map, and order-preserving carriers are closed under
-    every operation.  The tests sweep the claim builders over more maps."""
+    """Functorial behaviour on fixed small instances: each claim on a map
+    is decided as _decided says, those of _fixed_claims once per process,
+    and order-preserving carriers are closed under every operation.  The
+    tests sweep the claim builders over more maps."""
     lat = lattice if lattice is not None else build_lattice(
         ["0", "m", "1"], [("0", "m"), ("m", "1")])
     name = instance or f"|L|={lat.size}"
-    subchecks = []
-    for label, built in _structural_claims(lat):
-        failures = (w for witness, rows in built
-                    for w in chain([witness], (_claim_witness(*row) for row in rows)) if w)
-        subchecks.append((label, next(failures, None)))
+    found = {**_fixed_witnesses(), **_decided(_lattice_claims(lat))}
+    subchecks = {label: found[label] for label in (
+        "product-split", "coproduct-to-product", "morphism-lift", "one-one-onto",
+        "pmorphism-pullback")}
 
     # Ordered structures: operation images are order preserving and the
     # order-preserving carrier is closed under everything.
-    up = {(0, 0), (0, 1), (1, 1)}
-    down = {(0, 0), (1, 0), (1, 1)}
-    ordered = build_structure(2, signature(("dia", 1, JOIN), ("box", 1, MEET)),
-                              [up, down], order_pairs=[(0, 1)])
+    ordered = build_structure(2, signature(("dia", 1, JOIN), ("box", 1, MEET)), [
+        {(0, 0), (0, 1), (1, 1)}, {(0, 0), (1, 0), (1, 1)}], order_pairs=[(0, 1)])  # up, down
     plain = ConvAlgebra(lat, ordered)
     restricted = ConvAlgebra(lat, ordered, ordered=True)
     rels = ("dia", "box")
@@ -1003,23 +1003,22 @@ def check_structural_isos(lattice: FiniteLattice | None = None,
     bad = np.argwhere(~np.stack([plain._monotone_rows(plain._eval(r, [rows]))
                                  for r in map(ordered.relation, rels)], axis=-1))
     codes = restricted.carrier_codes()
-    pairs = np.ix_(codes, codes)
     if len(bad):
         witness = {"kind": "image-not-monotone", "relation": rels[bad[0][1]],
                    "alpha": _labels(lat, rows[bad[0][0]])}
-    elif not all(np.isin(restricted._table(op)[pairs], codes).all() for op in ("meet", "join")):
+    elif not all(np.isin(restricted._table(op)[np.ix_(codes, codes)], codes).all()
+                 for op in ("meet", "join")):
         witness = {"kind": "carrier-not-closed"}
     else:
         # [alpha, r]: whether rels[r] maps the carrier's alpha into the carrier
         bad = np.argwhere(~np.stack([np.isin(restricted._table(r)[codes], codes)
                                      for r in map(ordered.relation, rels)], axis=-1))
         witness = {"kind": "carrier-not-closed", "relation": rels[bad[0][1]]} if len(bad) else None
-    subchecks.append(("ordered-closure", witness))
+    subchecks["ordered-closure"] = witness
 
     failures = [{"subcheck": label, "witness": w}
-                for label, w in subchecks if w is not None]
-    return Report.of("structural-isos", name, failures,
-                     {"subchecks": [label for label, _ in subchecks]})
+                for label, w in subchecks.items() if w is not None]
+    return Report.of("structural-isos", name, failures, {"subchecks": list(subchecks)})
 
 
 def default_equation_pool(sig) -> list:

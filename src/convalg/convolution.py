@@ -30,8 +30,9 @@ form once per |X| (see FiniteLattice.power_table).  A ConvAlgebra
 tabulates each relation over codes on first use, one table of
 ``q^arity`` entries, where q = |L|^|X|, and keeps it.  Each relation
 table is one broadcast evaluation of the kernel above: argument j runs
-over the whole carrier on axis j (see _product_axes), in blocks of whole
-trailing axes, so no index over ``q^arity`` is split into digits.
+over the whole carrier on axis j (see _product_axes), in the chunks of
+any grid (see _chunks), which keep whole trailing axes, so no index over
+``q^arity`` is split into digits.
 ``coded()`` is the same batched interface over codes, used where a check
 needs at least as many assignments as the tables have entries.
 """
@@ -49,12 +50,15 @@ from .errors import (ArityMismatch, BudgetExceeded, IndexOutOfRange,
                      NotAMorphism, NotAPMorphism, NotAProductLattice,
                      NotTwoElement, UnknownElement)
 from .lattice import FiniteLattice
-from .structures import JOIN, MEET, RelStructure, is_p_morphism
+from .structures import JOIN, MEET, RelStructure, _is_index, is_p_morphism
 
 DEFAULT_BUDGET = 1_000_000
 
-# No intermediate array of a batch holds more than this many values.
+# No intermediate array of a batch holds more than this many values (see
+# _chunks).  Samples start at 64 tuples: finite-support interleaves its
+# draws per chunk, so these bounds fix them.
 _CHUNK_ENTRIES = 1 << 18
+_FIRST_SAMPLES = 64
 
 # The lattice 2, labelled "0" and "1", under every ConvAlgebra._two_valued.
 _TWO = chain(2)
@@ -299,17 +303,12 @@ class ConvAlgebra:
 
     def _tabulate(self, i: int) -> np.ndarray:
         """Relation ``i`` over every tuple of functions, as codes.  Each
-        argument runs on an axis of its own (see _product_axes), in blocks
-        of whole trailing axes of at most _CHUNK_ENTRIES values per array,
-        so that one broadcast evaluation of the kernel fills a block."""
+        argument runs on an axis of its own (see _product_axes), in the
+        chunks of a grid (see _chunks), so that one broadcast evaluation of
+        the kernel fills a chunk."""
         q, arity = self.space_size(), self.structure.signature.rel_specs[i].arity
         out = np.empty(q ** arity, dtype=np.min_scalar_type(q - 1))
-        limit, block = max(1, _CHUNK_ENTRIES // self._width), 1
-        while block < q ** arity and block * q <= limit:
-            block *= q
-        step = max(1, limit // block) * block
-        for start in range(0, q ** arity, step):
-            stop = min(start + step, q ** arity)
+        for start, stop in _chunks(q ** arity, self, (q,) * arity):
             args = _product_axes([self._decode] * arity, (q,) * arity, start, stop)
             out[start:stop] = self._encode(self._eval(i, args)).reshape(-1)
         return out.reshape((q,) * arity)
@@ -453,6 +452,27 @@ class ConvAlgebra:
         if bare.size:
             out[..., bare] = unit
         return out
+
+
+def _chunks(total: int, alg, counts=()):
+    """Bounds (start, stop) covering range(total) in order.  A grid (non-
+    empty ``counts``) runs in chunks of at most _CHUNK_ENTRIES values per
+    array, each stop rounded down to a multiple of the largest product of
+    trailing ``counts`` that fits the chunk, so that a grid over tables of
+    those sizes (see terms._grid) puts whole axes on axes of their own.
+    Samples (no ``counts``) come _FIRST_SAMPLES tuples first, then 8 times
+    as many each, up to the limit."""
+    limit = max(1, _CHUNK_ENTRIES // alg._width)
+    start, rows = 0, limit if counts else _FIRST_SAMPLES
+    while start < total:
+        block = 1
+        for count in reversed(counts):
+            if block * count > rows:
+                break
+            block *= count
+        stop = (start + rows) // block * block
+        yield start, min(total, stop)
+        start, rows = stop, min(rows * 8, limit)
 
 
 def _product_axes(rows_at, counts, start: int, stop: int) -> list:
@@ -674,8 +694,8 @@ class SubsetAlgebra:
 
 
 def _check_subset(subset, carrier_size: int) -> None:
-    if not frozenset(range(carrier_size)).issuperset(subset):
-        raise IndexOutOfRange(f"{sorted(subset)} leaves the carrier 0..{carrier_size - 1}")
+    if not all(_is_index(x, carrier_size) for x in subset):
+        raise IndexOutOfRange(f"{set(subset)} leaves the integer carrier 0..{carrier_size - 1}")
 
 
 def _require_two_element(lat: FiniteLattice):

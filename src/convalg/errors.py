@@ -35,7 +35,8 @@ class ArityMismatch(ConvalgError):
 
 
 class IndexOutOfRange(ConvalgError):
-    """A carrier index lies outside the declared carrier."""
+    """A carrier index is not an integer (a bool, float or str is not one)
+    or lies outside the declared carrier."""
 
 
 class OrderNotClosed(ConvalgError):

@@ -56,6 +56,12 @@ class Signature:
         return len(self.rel_specs)
 
 
+def _is_index(v, n: int) -> bool:
+    """Whether ``v`` is a point of a carrier of ``n`` points: an integer in
+    0..n-1, a numpy one included, but no bool, float or str."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
+
+
 def signature(*specs: tuple) -> Signature:
     """Build a signature from (name, arity[, mode]) triples."""
     return Signature(tuple(RelSpec(*s) for s in specs))
@@ -86,16 +92,16 @@ class RelStructure:
         for spec, tuples in zip(sig.rel_specs, relations):
             want = spec.arity + 1
             clean, ends = set(), [0] * carrier_size
-            for t in tuples:
-                t = tuple(int(v) for v in t)
+            for t in map(tuple, tuples):
                 if len(t) != want:
                     raise ArityMismatch(
                         f"relation {spec.name!r}: tuple {t} has length "
                         f"{len(t)}, expected {want}")
-                if any(not 0 <= v < carrier_size for v in t):
+                if not all(_is_index(v, carrier_size) for v in t):
                     raise IndexOutOfRange(
-                        f"relation {spec.name!r}: tuple {t} leaves the carrier "
+                        f"relation {spec.name!r}: tuple {t} leaves the integer carrier "
                         f"0..{carrier_size - 1}")
+                t = tuple(map(int, t))
                 ends[t[-1]] += t not in clean
                 clean.add(t)
             rels.append(frozenset(clean))
@@ -219,8 +225,8 @@ def build_structure(carrier_size: int, sig: Signature,
     if order_pairs is not None:
         rel = np.zeros((carrier_size, carrier_size), dtype=bool)
         for a, b in order_pairs:
-            if not (0 <= a < carrier_size and 0 <= b < carrier_size):
-                raise IndexOutOfRange(f"order pair ({a}, {b}) leaves the carrier")
+            if not (_is_index(a, carrier_size) and _is_index(b, carrier_size)):
+                raise IndexOutOfRange(f"order pair ({a}, {b}) leaves the integer carrier")
             rel[a, b] = True
         order = _transitive_closure(rel)
         sym = order & order.T

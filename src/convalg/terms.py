@@ -30,7 +30,7 @@ An exhaustive grid binds each variable to a numpy axis of its own: a
 chunk of assignments keeps its trailing variables as full axes, as many
 as the products of their domain sizes dividing its bounds allow (chunks
 are aligned to them), and takes the others from the mixed-radix digits
-of its blocks (see _chunks and ``convolution._product_axes``).  Each
+of its blocks (see ``convolution._chunks`` and ``_product_axes``).  Each
 subterm then broadcasts over the sub-grid of its own variables only, and
 flattening the chunk in C order gives the assignments in
 ``itertools.product`` order.  An exhaustive check over a convolution
@@ -53,7 +53,7 @@ from typing import Union
 
 import numpy as np
 
-from .convolution import (_CHUNK_ENTRIES, ConvAlgebra, SubsetAlgebra, _product_axes,
+from .convolution import (ConvAlgebra, SubsetAlgebra, _chunks, _product_axes,
                           resolve_budget)
 from .errors import (ArityMismatch, BudgetExceeded, NotHeyting,
                      TermSyntaxError, UnboundVariable, UnknownOperation)
@@ -369,10 +369,6 @@ def parse_equation(doc, sig: Signature | None = None) -> Equation:
 
 Algebra = Union[ConvAlgebra, SubsetAlgebra, FiniteLattice]
 
-# Chunks of assignments are sized so that no intermediate array holds more
-# than _CHUNK_ENTRIES values (see _chunks).  Samples start at 64 tuples:
-# finite-support interleaves its draws per chunk, so these bounds fix them.
-_FIRST_SAMPLES = 64
 # A grid of at most this many assignments costs less on value rows than
 # the code tables would.
 _TABLE_MIN = 256
@@ -405,27 +401,6 @@ def eval_term(t: Term, algebra: Algebra, assignment: dict):
     alg, to_row, to_element = _batch_algebra(algebra)
     env = {name: to_row(v) for name, v in assignment.items()}
     return to_element(_Plan(t).run(alg, env)[0])
-
-
-def _chunks(total: int, alg, counts=()):
-    """Bounds (start, stop) covering range(total) in order.  A grid (non-
-    empty ``counts``) runs in chunks of at most _CHUNK_ENTRIES values per
-    array, each stop rounded down to a multiple of the largest product of
-    trailing ``counts`` that fits the chunk, so that a grid over tables of
-    those sizes (see _grid) puts whole axes on axes of their own.  Samples
-    (no ``counts``) come _FIRST_SAMPLES tuples first, then 8 times as many
-    each, up to the limit."""
-    limit = max(1, _CHUNK_ENTRIES // alg._width)
-    start, rows = 0, limit if counts else _FIRST_SAMPLES
-    while start < total:
-        block = 1
-        for count in reversed(counts):
-            if block * count > rows:
-                break
-            block *= count
-        stop = (start + rows) // block * block
-        yield start, min(total, stop)
-        start, rows = stop, min(rows * 8, limit)
 
 
 def _grid(alg, k: int, enumeration, tables=None):

@@ -16,8 +16,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from test_convolution import lattices, structures
 
-from convalg import checks, suites
-from convalg import terms as terms_module
+from convalg import checks, convolution, suites
 from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
                              n5, structure_pool, symmetric_group_3)
 from convalg.checks import (Report, _expect_group_signature,
@@ -29,14 +28,14 @@ from convalg.checks import (Report, _expect_group_signature,
                             check_relation_algebra, check_residuation,
                             check_structural_isos, check_subset_isomorphism,
                             check_z2_associativity, default_equation_pool)
-from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra,
+from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra, _chunks,
                                  is_lattice_morphism)
 from convalg.errors import NotHeyting, SignatureMismatch
 from convalg.structures import (JOIN, MEET, RelStructure, build_structure,
                                 disjoint_union, full_structure, is_p_morphism,
                                 signature)
-from convalg.terms import (Equation, Neg, Var, Verdict, _chunks,
-                           check_equation, eval_term, parse_term)
+from convalg.terms import (Equation, Neg, Var, Verdict, check_equation, eval_term,
+                           parse_term)
 
 
 def test_operator_pass():
@@ -560,7 +559,7 @@ def test_grid_checkers_keep_tuple_order_under_any_chunking(monkeypatch):
     expect = [call() for call in calls]
     assert any(r["status"] == "fail" for r in expect if isinstance(r, dict))
     for entries in (1, 40, 700):
-        monkeypatch.setattr(terms_module, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(convolution, "_CHUNK_ENTRIES", entries)
         assert [call() for call in calls] == expect
 
 
@@ -1083,8 +1082,9 @@ def reference_commutes_with_ops(push, dom, cod):
 def _structural_maps():
     """(dom, images, cod) for the maps structural-isos decides, from its
     own claim rows."""
-    return [row[:3] for _, built in checks._structural_claims(chain(3))
-            for _, rows in built for row in rows]
+    return [(dom, cod._decode(codes), cod)
+            for _, built in checks._fixed_claims() + checks._lattice_claims(chain(3))
+            for _, rows in built for dom, codes, cod, *_ in rows]
 
 
 def test_homomorphism_witness_matches_the_loop_reference():
@@ -1146,7 +1146,7 @@ def test_structural_claims_hold_on_generated_instances():
                                                         algebra(a, s), algebra(b, s)))
               for a, b in pairs for s in over]
     failures = [(case, w) for case, (witness, rows) in built
-                for w in [witness, *(checks._claim_witness(*row) for row in rows)] if w]
+                for w in [witness, *(checks._claim_witness(*row)[0] for row in rows)] if w]
     assert not failures, failures[:3]
     assert (len(morphisms), len(pmorphisms), len(pairs)) == (137, 64, 18)
     assert sum(len(rows) for _, (_, rows) in built) == 411 + 192 + 2 * 54
@@ -1158,6 +1158,20 @@ def test_structural_isos_pass():
     assert len(r.stats["subchecks"]) == 6
 
 
+def test_a_second_structural_isos_decides_only_the_claims_over_its_lattice(monkeypatch):
+    # product-split, morphism-lift and one-one-onto read no lattice given to
+    # the checker, so their 7 rows are decided once per process; after that
+    # only the 2 coproduct-to-product rows and the pullback row over the
+    # given lattice reach _claim_witness
+    assert check_structural_isos().status == "pass"
+    rows, claim = [], checks._claim_witness
+    monkeypatch.setattr(checks, "_claim_witness", lambda *row: rows.append(row) or claim(*row))
+    lat = boolean(2)
+    r = check_structural_isos(lat)
+    assert (r.status, len(r.stats["subchecks"])) == ("pass", 6)
+    assert len(rows) == 3 and all(dom.lattice is lat for dom, *_ in rows)
+
+
 def test_structural_isos_decide_the_one_one_onto_lifts_as_homomorphisms(monkeypatch):
     # Lifts into chain3 read with the points of Z2 swapped stay one-one and
     # onto exactly as before, but no longer commute with the convolution.
@@ -1167,6 +1181,9 @@ def test_structural_isos_decide_the_one_one_onto_lifts_as_homomorphisms(monkeypa
         out = lift(phi, cod, alpha, validate)
         return LFunction(out.values[::-1], cod) if cod.size == 3 else out
     monkeypatch.setattr(checks, "lift_lattice_morphism", swapped)
+    # the claims that read no lattice are decided again, into a cache of
+    # this test's own, as they are cached per process
+    monkeypatch.setattr(checks, "_fixed_witnesses", cache(checks._fixed_witnesses.__wrapped__))
     r = check_structural_isos()
     assert r.status == "fail"
     assert r.witness["subcheck"] == "one-one-onto"
@@ -1181,6 +1198,7 @@ def test_structural_isos_fail_on_a_union_with_a_cross_tuple(monkeypatch):
         return RelStructure(union.carrier_size, union.signature,
                             [union.relations[0] | {(0, 1)}], union.order)
     monkeypatch.setattr(checks, "disjoint_union", crossed)
+    monkeypatch.setattr(checks, "_fixed_witnesses", cache(checks._fixed_witnesses.__wrapped__))
     r = check_structural_isos()
     assert r.status == "fail"
     assert r.witness["subcheck"] == "coproduct-to-product"

@@ -490,6 +490,16 @@ def test_complex_algebra_rejects_points_outside_the_carrier():
         s.op("conv", [frozenset({-1})])
 
 
+def test_complex_algebra_rejects_points_that_are_not_integers():
+    s = SubsetAlgebra(z2())
+    for bad in [{True}, {1.0}, {"1"}, {np.bool_(True)}]:
+        with pytest.raises(IndexOutOfRange):
+            s.op("conv", [frozenset(bad)])
+        with pytest.raises(IndexOutOfRange):
+            iso_phi_inv(frozenset(bad), chain(2), 2)
+    assert s.op("conv", [frozenset({np.int64(1)})]) == frozenset({1})
+
+
 def test_complex_meet_mode_nabla():
     structure = build_structure(2, signature(("g", 1, MEET)),
                                 [{(a, b) for a in range(2) for b in range(2)}])

@@ -27,9 +27,11 @@ how a variable occurs.  That rule holds over any finite lattice: it reads
 whether the lattice is distributive only to choose between arguments free
 of a variable and ground ones, and for the case t ∨ ¬s = ¬s.
 
-Every claim structural-isos makes on a map (a homomorphism, one-one and
-onto where claimed) is decided by ``checks._claim_witness``: its checker
-and claim builders count no images and compare no operations of their own.
+Every claim subset-iso or structural-isos makes on a map (a homomorphism,
+one-one and onto where claimed) is decided by ``checks._claim_witness``,
+structural-isos's lattice-free claims once per process: the checkers and
+claim builders count no images, compare no sets of them and no operations
+of their own.
 
 A lattice's tables are searched from its order, except where they are
 known outright: ``FiniteLattice._derived``, which takes them unchecked,
@@ -250,14 +252,30 @@ def test_terms_has_one_term_evaluator():
 
 def test_structural_claims_are_decided_by_one_rule():
     text = _sources()["checks.py"]
-    for name in ("check_structural_isos", "_structural_claims", "_split_claims",
+    named = {}
+    for name in ("check_subset_isomorphism", "check_structural_isos", "_decided",
+                 "_fixed_witnesses", "_fixed_claims", "_lattice_claims", "_split_claims",
                  "_lift_claims", "_pullback_claims"):
-        names = {getattr(node, "id", None) or getattr(node, "attr", None)
-                 for node in ast.walk(ast.parse(_function(text, name)))
-                 if isinstance(node, (ast.Name, ast.Attribute))}
-        assert not names & {"bincount", "_homomorphism_witness"}, (
+        tree = ast.parse(_function(text, name))
+        named[name] = {getattr(node, "id", None) or getattr(node, "attr", None)
+                       for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not named[name] & {"bincount", "_homomorphism_witness"}, (
             f"{name} decides a map itself; _claim_witness decides each claim row")
-        assert ("_claim_witness" in names) == (name == "check_structural_isos")
+        # no comparison of sets, such as set(images) != set(subsets.elements())
+        compared = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                    and any(getattr(call.func, "id", None) in ("set", "frozenset")
+                            for operand in [node.left, *node.comparators]
+                            for call in ast.walk(operand) if isinstance(call, ast.Call))]
+        assert not compared, f"{name} compares sets of images: {compared}"
+    # subset-iso's one claim row and each structural-isos row, those cached
+    # per process included, go through _claim_witness
+    assert {name for name, names in named.items() if "_claim_witness" in names} == {
+        "check_subset_isomorphism", "_decided"}
+    assert {name for name, names in named.items() if "_decided" in names} == {
+        "check_structural_isos", "_fixed_witnesses"}
+    cached = next(node for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_fixed_witnesses")
+    assert [ast.unparse(d) for d in cached.decorator_list] == ["cache"]
 
 
 def test_unchecked_lattices_are_built_in_four_places():

@@ -59,6 +59,21 @@ def test_index_out_of_range():
         build_structure(0, signature(), [])
 
 
+def test_carrier_indices_are_integers():
+    # int() would make a point of a bool, a float or a numeral string;
+    # none is one, while numpy integers are
+    sig = signature(("f", 1, JOIN))
+    for bad in [(0, 1.7), (True, 1), ("1", 0), (np.float64(1), 0), (np.bool_(True), 0)]:
+        with pytest.raises(IndexOutOfRange):
+            RelStructure(2, sig, [{bad}])
+    for pair in [(True, 1), (0.0, 1), (0, "1")]:
+        with pytest.raises(IndexOutOfRange):
+            build_structure(2, sig, [set()], order_pairs=[pair])
+    assert RelStructure(2, sig, [{(np.int64(0), np.int32(1))}]).relations == (
+        frozenset({(0, 1)}),)
+    assert build_structure(2, sig, [set()], order_pairs=[(np.int64(0), 1)]).order[0, 1]
+
+
 def test_order_not_closed_names_witness():
     # (0,0) present and 0 <= 1 demands (0,1) for an up-closed join relation.
     with pytest.raises(OrderNotClosed) as exc:

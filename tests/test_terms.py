@@ -17,6 +17,7 @@ from test_checks import _with_order
 from test_convolution import (lattices, oracle_glb_set, oracle_lub_set,
                               oracle_term, structures, terms)
 
+from convalg import convolution
 from convalg import terms as terms_module
 from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
                              symmetric_group_3)
@@ -1126,7 +1127,7 @@ def test_axis_grid_matches_a_flat_search(data):
     least = data.draw(st.sampled_from([1, 5, 256]))
     entries = data.draw(st.sampled_from([16, 200, 1 << 18]))
     with patch.object(terms_module, "_TABLE_MIN", least), \
-            patch.object(terms_module, "_CHUNK_ENTRIES", entries):
+            patch.object(convolution, "_CHUNK_ENTRIES", entries):
         for coded in (False, True):
             with patch.object(terms_module, "_tabled", lambda alg, eq, total: (
                     alg.coded() if coded and isinstance(alg, ConvAlgebra) else None)):
@@ -1354,9 +1355,9 @@ def test_a_shared_subterm_is_evaluated_once_per_chunk():
     eq = parse_equation({"lhs": "(join (op f (op f x)) (op f x))", "rhs": "(op f x)"}, sig)
     calls, kernel = [], algebra._eval
     with patch.object(algebra, "_eval", lambda i, args: calls.append(i) or kernel(i, args)), \
-            patch.object(terms_module, "_CHUNK_ENTRIES", 128 * algebra._width):
+            patch.object(convolution, "_CHUNK_ENTRIES", 128 * algebra._width):
         verdict = check_equation(eq, algebra)
-        assert len(list(terms_module._chunks(256, algebra, (256,)))) == 2
+        assert len(list(convolution._chunks(256, algebra, (256,)))) == 2
     assert (verdict.path, verdict.status, verdict.tried) == ("grid", "valid_exhaustive", 256)
     assert calls == [0] * 4
 

@@ -50,6 +50,10 @@ _REDUCED = "tests/test_terms.py::test_reduced_verdict_matches_the_grid"
 _LOOKUPS = "tests/test_convolution.py::test_code_table_lookups_match_value_rows"
 _AXES = "tests/test_terms.py::test_axis_grid_matches_a_flat_search"
 _KERNEL = "tests/test_convolution.py::test_kernel_matches_the_oracle"
+_CLAIMS = "src/convalg/checks.py"
+# structural-isos's own maps: the lifts [0, 2] into chain3 (one-one, not
+# onto) and [0, 0, 1] out of it (onto, not one-one)
+_STRUCTURAL = "tests/test_checks.py::test_structural_isos_pass"
 _GROUND = '''h == ["linear"] and alone and (
                         op == times or op == "op" and modes.get(name) == mode))'''
 
@@ -164,6 +168,25 @@ MUTANTS = (
            "            if False:",
            ("tests/test_terms.py::test_sampling_a_sparse_ordered_carrier_keeps_to_the_budget",),
            "samples: the rows rejected are bounded by the budget"),
+    Mutant("claim-onto-count-ignored", _CLAIMS,
+           "found = bool(hits.max() <= 1), bool(hits.all())",
+           "found = bool(hits.max() <= 1), True",
+           (_STRUCTURAL,), "claims: a map is onto only when every code is hit"),
+    Mutant("claim-one-one-count-ignored", _CLAIMS,
+           "found = bool(hits.max() <= 1), bool(hits.all())",
+           "found = True, bool(hits.all())",
+           (_STRUCTURAL,), "claims: a map is one-one only when no code is hit twice"),
+    Mutant("claim-laws-before-bijectivity", _CLAIMS,
+           """    if any(c not in (None, f) for c, f in zip((one_one, onto), found)):
+        return {"kind": "one-one/onto", "one_one": found[0], "onto": found[1]}, 0, None
+    return _homomorphism_witness(dom, cod._decode(codes), cod)""",
+           """    laws = _homomorphism_witness(dom, cod._decode(codes), cod)
+    if laws[0] is None and any(c not in (None, f) for c, f in zip((one_one, onto), found)):
+        return {"kind": "one-one/onto", "one_one": found[0], "onto": found[1]}, 0, None
+    return laws""",
+           # the reference's constant map is no bijection, and sends top to bottom
+           ("tests/test_checks.py::test_subset_isomorphism_matches_the_loop_reference",),
+           "claims: one-one and onto are decided before the laws, as subset-iso reports"),
     Mutant("arity-check-dropped", "src/convalg/structures.py",
            "        if args is not None and len(args) != spec.arity:",
            "        if False:",
