@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -146,11 +147,13 @@ def lattice_pool() -> list[tuple[str, FiniteLattice]]:
     ]
 
 
-def structure_pool() -> list[tuple[str, RelStructure]]:
+@cache
+def structure_pool() -> tuple[tuple[str, RelStructure], ...]:
     """Small structures (carrier <= 3, operation arity <= 2, mixed modes,
-    nullary included) used by the isomorphism and operator suites."""
+    nullary included) used by the isomorphism and operator suites, built
+    once per process."""
     nabla3 = {(a, b) for a in range(3) for b in range(3)}
-    pool = [
+    return (
         ("frame1-loop", build_structure(1, signature(("f", 1, JOIN)), [{(0, 0)}])),
         ("frame1-empty", build_structure(1, signature(("f", 1, JOIN)), [set()])),
         ("frame2-full", full_structure(2)),
@@ -188,8 +191,7 @@ def structure_pool() -> list[tuple[str, RelStructure]]:
         ("binary2-meet", build_structure(2, signature(("h", 2, MEET)),
                                          [{(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)}])),
         ("empty-binary3", build_structure(3, signature(("f", 1, JOIN)), [set()])),
-    ]
-    return pool
+    )
 
 
 # -- name resolution ------------------------------------------------------------

@@ -16,6 +16,7 @@ checker reports "fail" on one.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -742,6 +743,22 @@ def check_residuation(lat: FiniteLattice, group: RelStructure,
 # -- equation transfer -----------------------------------------------------------
 
 
+def _transfer(algebra, pool, budget, seed, reference=(), agree=None):
+    """Decide each law of ``pool`` over ``algebra``, never on 2^X.  Returns
+    the verdicts, the assignments they tried, and (label, equation,
+    verdict, reference verdict, counterexample) for each law on which
+    ``agree(valid, valid in reference)`` fails; that counts only between
+    decided verdicts, not against a sampled validity.  The counterexample
+    is {"assignment": ...} when the verdict refutes the law, else {}."""
+    verdicts = [check_equation(eq, algebra, budget=budget, seed=seed, two_valued=False)
+                for _, eq in pool]
+    broken = [(label, eq, v, r, {} if v.is_valid else
+               {"assignment": _describe_assignment(v.assignment)})
+              for (label, eq), v, r in zip(pool, verdicts, reference)
+              if v.decided and r.decided and not agree(v.is_valid, r.is_valid)]
+    return verdicts, sum(v.tried for v in verdicts), broken
+
+
 def check_equation_transfer(lattices, structure: RelStructure, pool,
                             budget: int | None = None, seed: int = 0,
                             instance: str | None = None) -> Report:
@@ -750,48 +767,47 @@ def check_equation_transfer(lattices, structure: RelStructure, pool,
     pool is a list of (label, Equation) in the negation-free fragment.
     Distributive lattices must agree with the base exactly; other lattices
     are only required to transfer validity downward (valid in L^X implies
-    valid over subsets).  Verdicts over L^X are not decided on 2^X.  A
-    disagreement counts only between decided verdicts, not against a
-    sampled validity.
+    valid over subsets).  Each comparison is one _transfer.
     """
     budget = resolve_budget(budget)
     lattices = list(lattices)
     name = instance or f"|X|={structure.carrier_size},pool={len(pool)}"
-    base = ConvAlgebra(_TWO, structure)
-    subsets = SubsetAlgebra(structure)
-    failures = []
-    tried = 0
-    base_verdicts = {}
     for label, eq in pool:
         if eq.uses_heyting():
             raise NotHeyting(f"equation {label!r} leaves the negation-free fragment")
-        vb = check_equation(eq, base, budget=budget, seed=seed)
-        vs = check_equation(eq, subsets, budget=budget, seed=seed)
-        tried += vb.tried + vs.tried
-        base_verdicts[label] = vb
-        if vb.is_valid != vs.is_valid and vb.decided and vs.decided:
-            failures.append({"equation": label, "lattice": "2",
-                             "base": vb.status, "subsets": vs.status})
+    subsets, tried, _ = _transfer(SubsetAlgebra(structure), pool, budget, seed)
+    base, n, broken = _transfer(ConvAlgebra(_TWO, structure), pool, budget, seed,
+                                subsets, operator.eq)
+    tried += n
+    failures = [{"equation": label, "lattice": "2", "base": v.status, "subsets": r.status}
+                for label, _, v, r, _ in broken]
     for lat in lattices:
-        algebra = ConvAlgebra(lat, structure)
-        for label, eq in pool:
-            v = check_equation(eq, algebra, budget=budget, seed=seed, two_valued=False)
-            tried += v.tried
-            vb = base_verdicts[label]
-            if lat.is_distributive:
-                agree = v.is_valid == vb.is_valid
-            else:
-                agree = vb.is_valid or not v.is_valid
-            if not agree and v.decided and vb.decided:
-                item = {"equation": label, "text": str(eq),
-                        "lattice_size": lat.size,
-                        "over_L": v.status, "over_2": vb.status}
-                if v.assignment is not None:
-                    item["assignment"] = _describe_assignment(v.assignment)
-                failures.append(item)
+        _, n, broken = _transfer(ConvAlgebra(lat, structure), pool, budget, seed, base,
+                                 operator.eq if lat.is_distributive else operator.le)
+        tried += n
+        failures += [{"equation": label, "text": str(eq), "lattice_size": lat.size,
+                      "over_L": v.status, "over_2": r.status, **witness}
+                     for label, eq, v, r, witness in broken]
     return Report.of("equation-transfer", name, failures,
                      {"assignments": tried, "lattices": len(lattices),
                       "equations": len(pool)})
+
+
+def check_type2_transfer(lattice: FiniteLattice, structure: RelStructure, pool,
+                         budget: int | None = None, seed: int = 0,
+                         instance: str | None = None) -> Report:
+    """Verdicts over L^X against the subset algebra, which must agree
+    exactly, in one _transfer: pool is a list of (label, Equation)."""
+    budget = resolve_budget(budget)
+    name = instance or f"|L|={lattice.size},|X|={structure.carrier_size}"
+    subsets, tried, _ = _transfer(SubsetAlgebra(structure), pool, budget, seed)
+    verdicts, n, broken = _transfer(ConvAlgebra(lattice, structure), pool, budget, seed,
+                                    subsets, operator.eq)
+    failures = [{"equation": label, "convolution": v.status, "subsets": r.status, **witness}
+                for label, _, v, r, witness in broken]
+    return Report.of("type2-transfer", name, failures,
+                     {"assignments": tried + n, "equations": len(pool),
+                      **_law_counts(verdicts), "seed": seed})
 
 
 # -- homomorphisms between algebras ------------------------------------------------
@@ -1085,3 +1101,26 @@ def _pool_laws(f: str | None, arity: int, mode: str | None) -> tuple:
             (f"{f}-meet-top", Equation(Meet(mark, Top()), mark)),
         )
     return ()
+
+
+@cache
+def type2_equation_pool() -> tuple:
+    """The (label, Equation) pairs of the truth-value grid laws, built once
+    per process."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    cap, cup, star = _op("min"), _op("max"), _op("neg")
+    one0, one1 = RelOp("c0", ()), RelOp("c1", ())
+    return (
+        ("cap-commutes", Equation(cap(x, y), cap(y, x))),
+        ("cup-commutes", Equation(cup(x, y), cup(y, x))),
+        ("cap-assoc", Equation(cap(cap(x, y), z), cap(x, cap(y, z)))),
+        ("cup-assoc", Equation(cup(cup(x, y), z), cup(x, cup(y, z)))),
+        ("cap-idem", Equation(cap(x, x), x)),
+        ("cup-idem", Equation(cup(x, x), x)),
+        ("star-involution", Equation(star(star(x)), x)),
+        ("de-morgan", Equation(star(cap(x, y)), cup(star(x), star(y)))),
+        ("cup-unit", Equation(cup(x, one0), x)),
+        ("cap-unit", Equation(cap(x, one1), x)),
+        ("absorption", Equation(cap(x, cup(x, y)), x)),
+        ("cap-absorbing", Equation(cap(x, one0), one0)),
+    )

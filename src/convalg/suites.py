@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
 
 from . import catalog
 from .checks import (Report, check_closure_correspondence,
@@ -21,13 +20,12 @@ from .checks import (Report, check_closure_correspondence,
                      check_monadic_axioms, check_nabla_equation,
                      check_operator, check_relation_algebra,
                      check_residuation, check_structural_isos,
-                     check_subset_isomorphism, check_z2_associativity,
-                     default_equation_pool, _describe_assignment,
-                     _law_counts, _op)
-from .convolution import ConvAlgebra, SubsetAlgebra, resolve_budget
+                     check_subset_isomorphism, check_type2_transfer,
+                     check_z2_associativity, default_equation_pool,
+                     type2_equation_pool)
+from .convolution import ConvAlgebra, resolve_budget
 from .errors import UnknownName
 from .structures import build_structure, signature
-from .terms import Equation, RelOp, Var, check_equation
 
 
 def _aggregate(name: str, instance: str, reports: list[Report],
@@ -190,62 +188,21 @@ def suite_structural(budget=None, seed=0) -> Report:
     return _aggregate("suite:structural-isos", "default instances", reports)
 
 
-@cache
-def type2_equation_pool() -> tuple:
-    """The (label, Equation) pairs of the truth-value grid laws, built once
-    per process."""
-    x, y, z = Var("x"), Var("y"), Var("z")
-    cap, cup, star = _op("min"), _op("max"), _op("neg")
-    one0, one1 = RelOp("c0", ()), RelOp("c1", ())
-    return (
-        ("cap-commutes", Equation(cap(x, y), cap(y, x))),
-        ("cup-commutes", Equation(cup(x, y), cup(y, x))),
-        ("cap-assoc", Equation(cap(cap(x, y), z), cap(x, cap(y, z)))),
-        ("cup-assoc", Equation(cup(cup(x, y), z), cup(x, cup(y, z)))),
-        ("cap-idem", Equation(cap(x, x), x)),
-        ("cup-idem", Equation(cup(x, x), x)),
-        ("star-involution", Equation(star(star(x)), x)),
-        ("de-morgan", Equation(star(cap(x, y)), cup(star(x), star(y)))),
-        ("cup-unit", Equation(cup(x, one0), x)),
-        ("cap-unit", Equation(cap(x, one1), x)),
-        ("absorption", Equation(cap(x, cup(x, y)), x)),
-        ("cap-absorbing", Equation(cap(x, one0), one0)),
-    )
-
-
 def suite_type2(budget=None, seed=0) -> Report:
     """Truth-value grids: verdicts agree between the chain convolution and
     the subset algebra; n=2 exhaustive, n=3 under a budget of 10,000, so
     that over the chain the two associativity laws exceed the grid and run
     on the irreducible generators instead (``reduced_laws``)."""
-    reports = []
     runs = [
         ("type2_2", 2, False, budget),
         ("type2_3", 3, False, min(resolve_budget(budget), 10_000)),
         ("type2mixed_2", 2, True, budget),
         ("type2mixed_3", 3, True, budget),
     ]
-    for name, n, mixed, cap in runs:
-        structure, _ = catalog.type2_structure(n, mixed=mixed)
-        conv = ConvAlgebra(catalog.chain(n), structure)
-        subsets = SubsetAlgebra(structure)
-        failures, conv_verdicts = [], []
-        tried = 0
-        for label, eq in type2_equation_pool():
-            vc = check_equation(eq, conv, budget=cap, seed=seed, two_valued=False)
-            vs = check_equation(eq, subsets, budget=cap, seed=seed)
-            tried += vc.tried + vs.tried
-            conv_verdicts.append(vc)
-            if vc.is_valid != vs.is_valid and vc.decided and vs.decided:
-                item = {"equation": label, "convolution": vc.status,
-                        "subsets": vs.status}
-                if vc.assignment:
-                    item["assignment"] = _describe_assignment(vc.assignment)
-                failures.append(item)
-        reports.append(Report.of(
-            "type2-transfer", name, failures,
-            {"assignments": tried, "equations": len(type2_equation_pool()),
-             **_law_counts(conv_verdicts), "seed": seed}))
+    reports = [check_type2_transfer(catalog.chain(n), catalog.type2_structure(n, mixed=mixed)[0],
+                                    type2_equation_pool(), budget=cap, seed=seed,
+                                    instance=name)
+               for name, n, mixed, cap in runs]
     return _aggregate("suite:type2", "grids n=2,3 (plain and mixed)", reports)
 
 
@@ -278,7 +235,7 @@ SUITES = {
         _PAPER_CORE),
     "quick": SuiteSpec(
         "quick",
-        "fast subset: isomorphism, correspondence, associativity",
+        "fast subset: subset isomorphism, Z2 associativity, monadic axioms",
         (("subset-iso", suite_subset_iso),
          ("z2-associativity", suite_z2_biconditional),
          ("monadic", suite_monadic))),

@@ -166,10 +166,18 @@ def test_catalog_builds_are_deterministic():
         again = dict(lattice_pool())[name]
         assert json.dumps(lattice_to_json(lat), sort_keys=True) == \
             json.dumps(lattice_to_json(again), sort_keys=True)
+    fresh = dict(structure_pool.__wrapped__())  # past the per-process cache
     for name, s in structure_pool():
-        again = dict(structure_pool())[name]
+        again = fresh[name]
         assert json.dumps(structure_to_json(s), sort_keys=True) == \
             json.dumps(structure_to_json(again), sort_keys=True)
+
+
+def test_the_structure_pool_is_built_once_per_process():
+    # a structure keeps its kernel indices and subset images, which a
+    # rebuilt pool would drop and validate again on every call
+    first, second = structure_pool(), structure_pool()
+    assert all(a is b for (_, a), (_, b) in zip(first, second, strict=True))
 
 
 def test_catalog_documents_load_unchanged():

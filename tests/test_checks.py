@@ -18,7 +18,8 @@ from test_convolution import lattices, structures
 
 from convalg import checks, convolution, suites
 from convalg.catalog import (boolean, chain, cyclic_group, lattice_pool, m3,
-                             n5, structure_pool, symmetric_group_3)
+                             n5, structure_pool, symmetric_group_3,
+                             type2_structure)
 from convalg.checks import (Report, _expect_group_signature,
                             _homomorphism_witness,
                             check_closure_correspondence,
@@ -27,7 +28,8 @@ from convalg.checks import (Report, _expect_group_signature,
                             check_nabla_equation, check_operator,
                             check_relation_algebra, check_residuation,
                             check_structural_isos, check_subset_isomorphism,
-                            check_z2_associativity, default_equation_pool)
+                            check_type2_transfer, check_z2_associativity,
+                            default_equation_pool, type2_equation_pool)
 from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra, _chunks,
                                  is_lattice_morphism)
 from convalg.errors import NotHeyting, SignatureMismatch
@@ -710,8 +712,8 @@ def test_a_sampled_validity_never_fails_a_checker():
 def test_type2_mismatch_names_the_counterexample(monkeypatch):
     # Subset verdicts forced valid: the chain's first counterexample is the
     # witness, rendered as labels.
-    check_equation = suites.check_equation
-    monkeypatch.setattr(suites, "check_equation", lambda eq, algebra, **options: (
+    check_equation = checks.check_equation
+    monkeypatch.setattr(checks, "check_equation", lambda eq, algebra, **options: (
         Verdict("grid", tried=1) if isinstance(algebra, SubsetAlgebra)
         else check_equation(eq, algebra, **options)))
     r = suites.suite_type2()
@@ -1236,6 +1238,8 @@ _BUDGET_TAKERS = [
     ("transfer", lambda alg, b: check_equation_transfer(
         [chain(3)], cyclic_group(2), default_equation_pool(cyclic_group(2).signature),
         budget=b)),
+    ("type2-transfer", lambda alg, b: check_type2_transfer(
+        chain(2), type2_structure(2)[0], type2_equation_pool(), budget=b)),
     ("carrier-codes", lambda alg, b: alg.carrier_codes(b)),
     ("check-equation", lambda alg, b: check_equation(Equation(Var("x"), Var("x")), alg,
                                                      budget=b)),

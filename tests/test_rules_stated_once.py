@@ -33,6 +33,13 @@ structural-isos's lattice-free claims once per process: the checkers and
 claim builders count no images, compare no sets of them and no operations
 of their own.
 
+Every transfer comparison, 2^X against the subset algebra and L^X
+against 2^X in equation-transfer and the chain against the subset
+algebra in ``check_type2_transfer``, is decided by ``checks._transfer``:
+only it and the associativity side of ``check_z2_associativity`` pass
+``two_valued=False``, only it asks whether two verdicts are decided, and
+``suites.py`` decides no verdict of its own.
+
 A lattice's tables are searched from its order, except where they are
 known outright: ``FiniteLattice._derived``, which takes them unchecked,
 is called only by the order dual and the product in ``lattice.py`` and
@@ -359,3 +366,34 @@ def test_a_relation_application_is_resolved_on_the_structure():
     assert [ast.unparse(node.target if isinstance(node, ast.AnnAssign) else node.targets[0])
             for node in ast.walk(init) if isinstance(node, (ast.Assign, ast.AnnAssign))
             and isinstance(node.value, ast.Dict)] == ["self._tables"]
+
+
+def test_each_transfer_comparison_is_decided_by_one_rule():
+    sources = _sources()
+    suites = ast.parse(sources["suites.py"])
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(suites) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert not names & {"check_equation", "SubsetAlgebra"}, (
+        "suites.py decides a verdict itself; the checkers in checks.py decide each one")
+    private = [alias.name for node in ast.walk(suites)
+               if isinstance(node, ast.ImportFrom) and node.module == "checks"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"suites.py imports {private}, private to checks.py"
+
+    def within(found):
+        # the innermost function around each node that ``found`` accepts
+        out = {}
+        for name, text in sources.items():
+            for outer in ast.walk(ast.parse(text)):
+                if isinstance(outer, ast.FunctionDef):
+                    out |= {id(node): (name, outer.name) for node in ast.walk(outer) if found(node)}
+        return set(out.values())
+
+    def decided(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return getattr(node, "attr", None) == "decided"
+    assert within(lambda node: isinstance(node, ast.keyword) and node.arg == "two_valued"
+                  and getattr(node.value, "value", None) is False) == {
+        ("checks.py", "_transfer"), ("checks.py", "check_z2_associativity")}
+    assert within(lambda node: isinstance(node, ast.BoolOp)
+                  and sum(map(decided, node.values)) >= 2) == {("checks.py", "_transfer")}

@@ -91,9 +91,14 @@ MUTANTS = (
             "tests/test_terms.py::test_two_valued_verdict_matches_the_grid"),
            "2^X: a refutation is sent to L^X by 0 -> bottom, 1 -> top"),
     Mutant("two-valued-into-equation-transfer", "src/convalg/checks.py",
-           "seed=seed, two_valued=False)", "seed=seed, two_valued=not lat.is_distributive)",
+           "seed=seed, two_valued=False)",
+           'seed=seed, two_valued=not getattr(algebra, "lattice", _TWO).is_distributive)',
            ("tests/test_cli.py::test_no_two_valued_verdict_reaches_the_theorem_checks",),
            "2^X: no refutation in a check that compares L^X with 2^X"),
+    Mutant("transfer-either-decided", "src/convalg/checks.py",
+           "if v.decided and r.decided and", "if (v.decided or r.decided) and",
+           ("tests/test_checks.py::test_a_sampled_validity_never_fails_a_checker",),
+           "transfer: a disagreement counts only between two decided verdicts"),
     Mutant("ground-dropped-for-meets", TERMS, _GROUND,
            _GROUND.replace("and alone and (", "and (").replace(
                'op == "op" and', 'alone and op == "op" and'),
