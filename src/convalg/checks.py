@@ -185,29 +185,29 @@ def check_operator(algebra: ConvAlgebra, rel, budget: int | None = None,
                    seed: int = 0, instance: str | None = None) -> Report:
     """Additivity (join relations) or multiplicativity (meet relations).
 
-    For each argument position the binary law and the empty-family law are
-    checked over all assignments; on a finite lattice those two together
-    give complete additivity.  Over a distributive lattice the complete
-    law is also decided exhaustively from the join-irreducibles of the
-    carrier (see _complete_law), when that fits the budget; outside it
-    the binary and empty laws are the whole check.
+    Over a distributive lattice, when it fits the budget, the complete law
+    is decided exhaustively from the join-irreducibles of the carrier (see
+    _complete_law), and that alone decides.  Elsewhere the binary law and
+    the empty-family law at each argument position are decided as
+    equations; on a finite lattice those two together give complete
+    additivity.
     """
     cap = resolve_budget(budget)
     i, spec = algebra.structure.spec(rel)
     additive = spec.mode == JOIN
     name = instance or f"{spec.name}:{spec.arity}{'+' if additive else '-'}"
     hypothesis = algebra.lattice.is_distributive
-    failures, stats = _eq_verdicts(algebra, _operator_laws(spec.name, spec.arity, spec.mode),
-                                   seed=seed, budget=cap)
+    law, witness = _complete_law(algebra, i, cap) if hypothesis and spec.arity else (None, None)
+    if law == "exhaustive":
+        failures, stats = [witness] if witness else [], {"complete_law": law}
+    else:
+        failures, stats = _eq_verdicts(algebra, _operator_laws(spec.name, spec.arity, spec.mode),
+                                       seed=seed, budget=cap)
+        if law:
+            stats["complete_law"] = law
     stats["positions"] = spec.arity
-
     if spec.arity == 0:
         stats["note"] = "nullary operation, laws hold vacuously"
-    elif hypothesis:
-        stats["complete_law"], witness = _complete_law(algebra, i, cap)
-        if witness is not None:
-            failures.append(witness)
-
     if not hypothesis:
         stats["laws_hold"] = not failures
     return Report.of("operator", name, failures, stats, asserted=hypothesis)

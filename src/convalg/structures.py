@@ -229,9 +229,6 @@ def build_structure(carrier_size: int, sig: Signature,
                 raise IndexOutOfRange(f"order pair ({a}, {b}) leaves the integer carrier")
             rel[a, b] = True
         order = _transitive_closure(rel)
-        sym = order & order.T
-        if sym.sum() > carrier_size:
-            raise OrderNotClosed("carrier order has a cycle")
     return RelStructure(carrier_size, sig, relations, order)
 
 

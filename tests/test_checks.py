@@ -66,12 +66,32 @@ def test_operator_observed_outside_hypotheses():
     assert "laws_hold" in r.stats
 
 
-def test_operator_decides_the_complete_law_exhaustively():
-    # boolean2 over Z2 used to be sampled, and chain3 over Z3 skipped.
+def test_operator_decides_the_complete_law_exhaustively(monkeypatch):
+    # boolean2 over Z2 used to be sampled, and chain3 over Z3 skipped.  The
+    # certificate alone decides them: no binary or empty law is checked.
+    decide = checks.check_equation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an equation was checked")
+    monkeypatch.setattr(checks, "check_equation", refuse)
     for lat, s in ((chain(2), cyclic_group(2)), (boolean(2), cyclic_group(2)),
                    (chain(3), cyclic_group(3))):
         r = check_operator(ConvAlgebra(lat, s), "*")
-        assert (r.status, r.stats["complete_law"]) == ("pass", "exhaustive")
+        assert (r.status, r.stats) == ("pass", {"complete_law": "exhaustive", "positions": 2})
+
+    # over budget, or over a lattice that is not distributive, the laws decide
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+    monkeypatch.setattr(checks, "check_equation", counted)
+    r = check_operator(ConvAlgebra(chain(3), cyclic_group(2)), "*", budget=323)
+    assert (r.status, r.stats["complete_law"], len(calls)) == ("pass", "over budget", 4)
+    for lat in (m3(), n5()):
+        calls.clear()
+        r = check_operator(ConvAlgebra(lat, cyclic_group(2)), "*")
+        assert (r.status, r.stats["laws_hold"], len(calls)) == ("observed", False, 4)
 
 
 def test_operator_certificate_never_runs_outside_distributive_lattices(monkeypatch):

@@ -353,7 +353,7 @@ def test_paper_core_report_is_pinned(capsys, monkeypatch, seed):
                         f"differs from the pin:\n  got:    {got}  pinned: {want}")
     assert inner == pinned
     # a grid of at most terms._TABLE_MIN (256) assignments stays on value rows
-    assert paths == {"grid": 1100, "one-point": 392, "codes": 250, "generators": 8}
+    assert paths == {"grid": 966, "one-point": 392, "codes": 204, "generators": 8}
     assert "two-valued" not in paths  # the battery has no use for 2^X at this budget
 
 

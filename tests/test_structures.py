@@ -94,7 +94,7 @@ def test_meet_relation_must_be_down_closed():
 
 
 def test_order_cycle_rejected():
-    with pytest.raises(OrderNotClosed):
+    with pytest.raises(OrderNotClosed, match="not a partial order"):
         build_structure(2, signature(), [], order_pairs=[(0, 1), (1, 0)])
 
 

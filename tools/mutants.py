@@ -51,6 +51,8 @@ _LOOKUPS = "tests/test_convolution.py::test_code_table_lookups_match_value_rows"
 _AXES = "tests/test_terms.py::test_axis_grid_matches_a_flat_search"
 _KERNEL = "tests/test_convolution.py::test_kernel_matches_the_oracle"
 _CLAIMS = "src/convalg/checks.py"
+# the derandomized draws alone, with no fixed example
+_CERTIFICATE = "tests/test_checks.py::test_certificate_matches_the_binary_and_empty_laws"
 # structural-isos's own maps: the lifts [0, 2] into chain3 (one-one, not
 # onto) and [0, 0, 1] out of it (onto, not one-one)
 _STRUCTURAL = "tests/test_checks.py::test_structural_isos_pass"
@@ -134,6 +136,14 @@ MUTANTS = (
            ("tests/test_convolution.py::"
             "test_closed_form_lattice_tables_match_the_divmod_construction",),
            "code tables: a new point is the least significant digit of argument and result"),
+    Mutant("certificate-first-argument-only", "src/convalg/checks.py",
+           "    for k in range(spec.arity):",
+           "    for k in range(1):",
+           (_CERTIFICATE,), "operator: the complete law is decided at every argument"),
+    Mutant("certificate-below-reversed", "src/convalg/checks.py",
+           "pairs = (gens[:, None], rows) if join else (rows, gens[:, None])",
+           "pairs = (rows, gens[:, None]) if join else (gens[:, None], rows)",
+           (_CERTIFICATE,), "operator: a join relation folds the generators below each argument"),
     Mutant("finite-support-fold-side-swapped", "src/convalg/checks.py",
            "fold, side = (target._join, target._meet) if joinish else (target._meet, target._join)",
            "fold, side = (target._meet, target._join) if joinish else (target._join, target._meet)",
