@@ -9,17 +9,29 @@ the nullary conventions.
 Operations act on batches: N functions as an (N, |X|) array of element
 indices.  A convolution meets the argument values of each relation tuple
 through the meet table and folds the tuples ending at each point through
-the join table, for every lattice size; single applications are batches of
-one.  Each argument is gathered once, at the inputs of the j-th tuple
-ending at every point for each j, and the fold runs over those |X|-wide
-slices; a point with fewer tuples repeats its first, which the idempotent
-fold absorbs, and only the points no tuple ends at are set to the unit.
-That index is the whole kernel and depends on the structure alone, which
-builds it when a relation is first applied and keeps it for every
-lattice (see RelStructure._kernel_index).  The subset algebra uses
-boolean relational images instead, also built on first use and kept with
-the structure, and shares no code with that kernel, so it stays an
-independent check of it.
+the join table; single applications are batches of one.  Each argument is
+gathered once, at the inputs of the j-th tuple ending at every point for
+each j, and the fold runs over those |X|-wide slices; a point with fewer
+tuples repeats its first, which the idempotent fold absorbs, and only the
+points no tuple ends at are set to the unit.  That index is the whole
+kernel and depends on the structure alone, which builds it when a
+relation is first applied and keeps it for every lattice (see
+RelStructure._kernel_index).
+
+A wide call runs the same gather and fold on bytes: when L has at most 8
+join-irreducibles, each value enters as the uint8 mask of those below it,
+a tuple meets by AND, a point's slots fold by OR, and one lookup decodes
+each output point (see FiniteLattice.byte_masks; meet mode is the dual,
+over the meet-irreducibles).  Its arrays are an eighth of the table
+fold's.  The call takes it when the product of its arguments' batches
+times the gather width reaches _BYTES_MIN, read off their sizes in O(1).
+Small calls keep the table fold, as the masks' lookups and their first
+build cost as much as the bytes save there, and so do lattices with more
+than 8 irreducibles of the mode's kind.
+
+The subset algebra uses boolean relational images instead, also built on
+first use and kept with the structure, and shares no code with that
+kernel, so it stays an independent check of it.
 
 Each function also has an integer code, its mixed-radix index
 ``sum v_i * |L|^(n-1-i)``, which is its position in the unordered
@@ -60,6 +72,12 @@ DEFAULT_BUDGET = 1_000_000
 _CHUNK_ENTRIES = 1 << 18
 _FIRST_SAMPLES = 64
 
+# A convolution folds bytes (see FiniteLattice.byte_masks) from this many
+# gathered values on.  Below it the masks' lookups, and their first build on
+# a fresh lattice, cost as much as the bytes save, so single applications
+# and small batches fold tables.
+_BYTES_MIN = 8192
+
 # The lattice 2, labelled "0" and "1", under every ConvAlgebra._two_valued.
 _TWO = chain(2)
 
@@ -92,6 +110,21 @@ class LFunction:
         arr.flags.writeable = False
         self._np = arr
         self._hash = hash((lattice, vals))
+
+    @classmethod
+    def _known(cls, values: tuple, lattice: FiniteLattice) -> "LFunction":
+        """The function of ``values``, a tuple of Python ints that are
+        element indices of ``lattice`` by construction (decoded from a
+        carrier code), so they are not checked again; as ``__init__``
+        without its checks, which every other construction keeps."""
+        self = cls.__new__(cls)
+        self.values = values
+        self.lattice = lattice
+        arr = np.array(values, dtype=np.int64)
+        arr.flags.writeable = False
+        self._np = arr
+        self._hash = hash((lattice, values))
+        return self
 
     def __eq__(self, other):
         return (isinstance(other, LFunction)
@@ -200,7 +233,7 @@ class ConvAlgebra:
         step = max(1, _CHUNK_ENTRIES // max(1, self.structure.carrier_size))
         for start in range(0, len(codes), step):
             for values in self._decode(codes[start:start + step]).tolist():
-                yield LFunction(values, self.lattice)
+                yield LFunction._known(tuple(values), self.lattice)
 
     def carrier_list(self, budget: int | None = None) -> list[LFunction]:
         """The carrier in ``elements()`` order, as a fresh list; the budget
@@ -428,27 +461,45 @@ class ConvAlgebra:
 
         The arguments are gathered at the structure's kernel index (see
         RelStructure._kernel_index) and combined through the tables of the
-        relation's mode.  Arguments broadcast against each other like numpy
-        arrays, so a single function may be passed as shape (|X|,).  A
+        relation's mode or, in a call of at least _BYTES_MIN gathered
+        values, as the lattice's byte masks for that mode where it has them
+        (see FiniteLattice.byte_masks).  Arguments broadcast against each
+        other like numpy arrays, so a single function may be passed as shape
+        (|X|,).  A
         relation whose tuples have no inputs gives its constant row, as a
         read-only view broadcast to the arguments' batch shape.  ``i`` and
         the arity of ``args`` are the structure's (see RelStructure.spec).
         """
         lat, index, n = self.lattice, self.structure._kernel_index(i), self.structure.carrier_size
         if self.structure.signature.rel_specs[i].mode == JOIN:
-            inner, outer, unit, mark = lat.meet_np, lat.join_np, lat.bottom, lat.top
+            inner, outer, unit, mark, dual = lat.meet_np, lat.join_np, lat.bottom, lat.top, False
         else:
-            inner, outer, unit, mark = lat.join_np, lat.meet_np, lat.top, lat.bottom
+            inner, outer, unit, mark, dual = lat.join_np, lat.meet_np, lat.top, lat.bottom, True
         if isinstance(index, np.ndarray):
             return np.broadcast_to(np.where(index, mark, unit), np.broadcast_shapes(
                 *(a.shape[:-1] for a in args)) + (n,))
         cols, bare = index
-        vals = args[0][..., cols[0]]
-        for a, c in zip(args[1:], cols[1:]):
-            vals = inner[vals, a[..., c]]
-        out = vals[..., :n]
-        for j in range(n, vals.shape[-1], n):
-            out = outer[out, vals[..., j:j + n]]
+        # the broadcast batch times the gather width, estimated as the product of
+        # the arguments' batches: exact on product axes, more where they share one
+        size = cols.shape[1]
+        for a in args:
+            size *= a.size // n
+        if size < _BYTES_MIN or (masks := lat.byte_masks(dual)) is None:
+            vals = args[0][..., cols[0]]
+            for a, c in zip(args[1:], cols[1:]):
+                vals = inner[vals, a[..., c]]
+            out = vals[..., :n]
+            for j in range(n, vals.shape[-1], n):
+                out = outer[out, vals[..., j:j + n]]
+        else:
+            bits, decode = masks
+            vals = bits[args[0]][..., cols[0]]
+            for a, c in zip(args[1:], cols[1:]):
+                vals = vals & bits[a][..., c]
+            out = vals[..., :n]
+            for j in range(n, vals.shape[-1], n):
+                out |= vals[..., j:j + n]
+            out = decode[out]
         if bare.size:
             out[..., bare] = unit
         return out

@@ -88,8 +88,9 @@ class FiniteLattice:
     All of them are fixed at build: searched for in the order of a lattice
     given by one, read off the lattices that an order dual or a product
     derives from, or written in closed form for a catalog chain,
-    Boolean lattice, M3 or N5.  The Heyting table and the code tables of
-    power lattices (``power_table``) are built on first use and kept.
+    Boolean lattice, M3 or N5.  The Heyting table, the code tables of
+    power lattices (``power_table``) and the byte masks of the
+    irreducibles (``byte_masks``) are built on first use and kept.
     """
 
     def __init__(self, labels: Sequence[str], leq: np.ndarray):
@@ -155,7 +156,7 @@ class FiniteLattice:
         self.is_distributive, self.is_boolean = flags
         self.factors = factors
         self._imp_np = None
-        self._powers = {}
+        self._kept = {}  # what power_table and byte_masks build, by key
         self._hash = hash((self.labels, leq.tobytes()))
 
     def _check_poset(self, leq: np.ndarray, order: np.ndarray) -> None:
@@ -321,7 +322,7 @@ class FiniteLattice:
         time: a new point is a new last digit of every code, so the table
         on m points is |L| times that on m - 1, each code on its axis before
         its new digit, plus the lattice's own table on the new digits."""
-        table = self._powers.get((key, n))
+        table = self._kept.get((key, n))
         if table is None:
             op = {"meet": lambda: self.meet_np, "join": lambda: self.join_np,
                   "neg": lambda: self.heyting_table()[:, self.bottom],
@@ -333,8 +334,43 @@ class FiniteLattice:
             for m in range(2, n + 1):
                 table = ((table * k)[codes] + op[digit]).reshape((k ** m,) * axes)
             table.flags.writeable = False
-            self._powers[key, n] = table
+            self._kept[key, n] = table
         return table
+
+    def byte_masks(self, dual: bool = False):
+        """(bits, decode) over the join-irreducibles J, or the
+        meet-irreducibles M when ``dual``, if there are at most 8 of them,
+        else None; read-only, built on first use and kept per mode.
+
+        ``bits[a]`` is the uint8 mask of the J below a (the M above a):
+        bit i is set iff J[i] <= a.  ``decode[m]`` is the join of the J in
+        the mask m (the meet of those M).  In every finite lattice
+        j <= a /\\ b iff j <= a and j <= b, so bits[a /\\ b] is
+        bits[a] & bits[b], and every element is the join of the J below
+        it, so a \\/ b is decode[bits[a] | bits[b]].  Over a distributive
+        L such an OR is again the mask of an element, as each j is
+        join-prime (see ``_scan_distributive``), so decode is the inverse
+        of bits; any other L folds the irreducibles of each mask."""
+        if ("masks", dual) not in self._kept:
+            irreducibles, masks = self.irreducibles[dual], None
+            if len(irreducibles) <= 8:
+                # [i, a]: the irreducible i is below a (above a when dual); one
+                # row of bytes, or none on the one-element lattice, which has
+                # no irreducibles
+                side = (self.leq.T if dual else self.leq)[irreducibles]
+                bits = np.packbits(side, axis=0, bitorder="little").max(axis=0, initial=0)
+                if self.is_distributive:
+                    decode = np.zeros(1 << len(irreducibles), dtype=np.intp)
+                    decode[bits] = np.arange(self.size)
+                else:  # masks 2^i..2^(i+1)-1 are those below 2^i, each with irreducible i
+                    fold = self.meet_np if dual else self.join_np
+                    decode = np.full(1, self.top if dual else self.bottom, dtype=np.intp)
+                    for j in irreducibles:
+                        decode = np.concatenate((decode, fold[decode, j]))
+                bits.flags.writeable = decode.flags.writeable = False
+                masks = bits, decode
+            self._kept["masks", dual] = masks
+        return self._kept["masks", dual]
 
     # -- derived lattices ---------------------------------------------------
 

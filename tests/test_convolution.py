@@ -290,36 +290,46 @@ def test_code_table_lookups_match_value_rows(data):
 
 
 @settings(max_examples=300, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large,
+                                 HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_kernel_matches_the_oracle(data):
+def test_kernel_matches_the_oracle(monkeypatch, data):
     """One relation of arity 0-2, of either mode, with up to 10 tuples on
     1-4 points, so that points have uneven numbers of tuples or none,
     and relations may be empty or nullary: ``_eval`` over arguments of
     broadcast batch shapes equals the oracle at every position of their
-    broadcast shape.  Padding a point's tuples with another point's
-    tuple, or leaving the unit off a point with no tuples, fails here."""
-    lat = data.draw(lattices().filter(lambda lat: lat.size <= 8))
+    broadcast shape, on both of its paths: the byte fold, taken from the
+    first gathered value on, and the table fold, taken below a bound no
+    draw reaches and over the lattices of more than 8 irreducibles drawn
+    here.  Padding a point's tuples with another point's tuple, or
+    leaving the unit off a point with no tuples, fails here."""
+    # half the draws over two lattices of more than 8 irreducibles, M3 and N5
+    lat = data.draw(lattices().filter(lambda lat: lat.size <= 8) | st.sampled_from(
+        [chain(10), chain(3).product(chain(8)), m3(), n5()]))
     n, arity = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2))
     mode = data.draw(st.sampled_from([JOIN, MEET]))
     point = st.integers(0, n - 1)
     rel = data.draw(st.sets(st.tuples(*[point] * (arity + 1)), max_size=10))
     structure = build_structure(n, signature(("r", arity, mode)), [rel])
     batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    # uniform values, not shrunk towards bottom, so that a point of M3 or
+    # N5 often joins two incomparable irreducibles
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     args = []
     for _ in range(arity):
         # some axes of length 1, and maybe fewer leading axes
         shape = tuple(d if data.draw(st.booleans()) else 1 for d in batch)
         shape = shape[data.draw(st.integers(0, len(shape))):] + (n,)
-        values = data.draw(st.lists(st.integers(0, lat.size - 1), min_size=int(np.prod(shape)),
-                                    max_size=int(np.prod(shape))))
-        args.append(np.array(values, dtype=np.int64).reshape(shape))
-    got = ConvAlgebra(lat, structure)._eval(0, args)
+        args.append(rng.integers(0, lat.size, shape))
     shape = np.broadcast_shapes(*(a.shape[:-1] for a in args))
-    assert got.shape == shape + (n,)
     flat = [np.broadcast_to(a, shape + (n,)).reshape(-1, n) for a in args]
-    for k, row in enumerate(got.reshape(-1, n)):
-        assert tuple(row) == oracle_conv(lat, structure, 0, [a[k] for a in flat], mode)
+    want = [oracle_conv(lat, structure, 0, [a[k] for a in flat], mode)
+            for k in range(int(np.prod(shape)))]
+    for least in (0, 1 << 62):
+        monkeypatch.setattr(convolution, "_BYTES_MIN", least)
+        got = ConvAlgebra(lat, structure)._eval(0, args)
+        assert got.shape == shape + (n,)
+        assert [tuple(row) for row in got.reshape(-1, n).tolist()] == want
 
 
 def test_kernels_are_built_on_first_use():

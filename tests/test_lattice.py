@@ -426,6 +426,30 @@ def test_residuation_law_exhaustive_up_to_size_8():
                     assert bool(lat.leq[meets, b_]) == bool(lat.leq[c, imp])
 
 
+def test_byte_masks_meet_and_join_every_pair():
+    """Over every catalog lattice of at most 8 irreducibles, its dual, and
+    M3 and N5 as searched, in both modes: the AND of two masks decodes to
+    the meet of their elements and the OR to their join (the other way
+    round over M), and each mask decodes to its element.  A lattice of
+    more than 8 irreducibles of a kind has no masks for it."""
+    pool = [lat for _, lat in lattice_pool()] + [
+        chain(1), chain(9), boolean(3).product(chain(2)), m3(), n5(),
+        chain(10), chain(3).product(chain(8))]
+    for lat in pool + [lat.dual() for lat in pool]:
+        for dual in (False, True):
+            masks = lat.byte_masks(dual)
+            if len(lat.irreducibles[dual]) > 8:
+                assert masks is None
+                continue
+            bits, decode = masks
+            assert bits.dtype == np.uint8 and not bits.flags.writeable
+            assert decode[bits].tolist() == list(range(lat.size))
+            both, either = bits[:, None] & bits, bits[:, None] | bits
+            meet, join = (decode[either], decode[both]) if dual else (decode[both], decode[either])
+            assert (meet == lat.meet_np).all() and (join == lat.join_np).all()
+            assert lat.byte_masks(dual) is masks
+
+
 def test_non_distributive_heyting_raises():
     with pytest.raises(NotHeyting):
         n5().heyting_implies(0, 1)

@@ -12,8 +12,11 @@ has not compiled.  From the JSON object on the last line of each run it
 prints, per pair, the ratio change/base of every end-to-end metric that
 BENCHMARK.json names, and of the unscaled times of the ``# raw`` lines;
 then, per metric, each side's median and quartiles, the median of the
-ratios and the number of pairs the change wins (ties count for neither
-side) by the metric's ``better`` direction.
+ratios, the number of pairs the change wins (ties count for neither
+side) by the metric's ``better`` direction, and whether a gain in it may
+be claimed: the change wins at least nine tenths of the pairs, and its
+median is better than the base's by more than the distance between the
+base's quartiles.
 The exported tree is removed at the end; nothing under perfbench/ is
 changed.  The exit status is 1 when a run fails or reports an incorrect
 result.
@@ -69,6 +72,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, mid, high
 
 
+def wins(base: list[float], change: list[float], lower: bool) -> int:
+    """The pairs ``(base[k], change[k])`` in which the change is better;
+    ties count for neither side."""
+    return sum((y < x) if lower else (y > x) for x, y in zip(base, change))
+
+
+def claim_met(base: list[float], change: list[float], lower: bool) -> bool:
+    """Whether a gain in a metric may be claimed from paired runs of it:
+    the change wins at least nine tenths of the pairs, and its median is
+    better than the base's by more than the base's quartile spread."""
+    (b1, bm, b3), (_, cm, _) = quartiles(base), quartiles(change)
+    return (10 * wins(base, change, lower) >= 9 * len(base)
+            and (bm - cm if lower else cm - bm) > b3 - b1)
+
+
 def report(metrics: list[dict], base: list[dict], change: list[dict]) -> None:
     names = [m["name"] for m in metrics]
     print("pair first  " + "  ".join(f"{name:>18}" for name in names))
@@ -77,17 +95,17 @@ def report(metrics: list[dict], base: list[dict], change: list[dict]) -> None:
         print(f"{k:4} {first:6}" + "  ".join(
             f"{c[n] / b[n] - 1:>+18.1%}" if b.get(n) else f"{'-':>18}" for n in names))
     print(f"\n{'metric':>20} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32} "
-          f"{'ratio':>8} {'wins':>6}")
+          f"{'ratio':>8} {'wins':>6}  claim")
     for m in metrics:
         n, lower = m["name"], m["better"] == "lower"
         b, c = [r.get(n, 0.0) for r in base], [r.get(n, 0.0) for r in change]
         ratios = [y / x for x, y in zip(b, c) if x]
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
         (b1, bm, b3), (c1, cm, c3) = quartiles(b), quartiles(c)
         ratio = f"{statistics.median(ratios) - 1:+.1%}" if ratios else "-"
         print(f"{n:>20} {bm:>12.4g} [{b1:.4g}, {b3:.4g}]".ljust(54)
               + f"{cm:>12.4g} [{c1:.4g}, {c3:.4g}]".ljust(33)
-              + f"{ratio:>8} {wins:>3}/{len(b)}")
+              + f"{ratio:>8} {wins(b, c, lower):>3}/{len(b)}  "
+              + ("met" if claim_met(b, c, lower) else "not met"))
 
 
 def main(argv=None) -> int:

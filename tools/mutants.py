@@ -51,6 +51,11 @@ _LOOKUPS = "tests/test_convolution.py::test_code_table_lookups_match_value_rows"
 _AXES = "tests/test_terms.py::test_axis_grid_matches_a_flat_search"
 _KERNEL = "tests/test_convolution.py::test_kernel_matches_the_oracle"
 _CLAIMS = "src/convalg/checks.py"
+# the table fold and the byte fold of ConvAlgebra._eval
+_TABLE_FOLD = '''            for j in range(n, vals.shape[-1], n):
+                out = outer[out, vals[..., j:j + n]]'''
+_BYTE_FOLD = '''            for j in range(n, vals.shape[-1], n):
+                out |= vals[..., j:j + n]'''
 # the derandomized draws alone, with no fixed example
 _CERTIFICATE = "tests/test_checks.py::test_certificate_matches_the_binary_and_empty_laws"
 # structural-isos's own maps: the lifts [0, 2] into chain3 (one-one, not
@@ -160,10 +165,24 @@ MUTANTS = (
            "index, q = args[0], self.algebra.space_size()",
            (_LOOKUPS, _AXES),
            "codes: a table index is formed in intp, as uint8 or uint16 codes wrap"),
-    Mutant("kernel-fold-skips-last-slot", CONVOLUTION,
-           "        for j in range(n, vals.shape[-1], n):",
-           "        for j in range(n, vals.shape[-1] - n, n):",
+    Mutant("kernel-fold-skips-last-slot", CONVOLUTION, _TABLE_FOLD,
+           _TABLE_FOLD.replace("vals.shape[-1], n)", "vals.shape[-1] - n, n)"),
            (_KERNEL,), "kernel: the fold runs over every tuple ending at a point"),
+    Mutant("kernel-byte-fold-skips-last-slot", CONVOLUTION, _BYTE_FOLD,
+           _BYTE_FOLD.replace("vals.shape[-1], n)", "vals.shape[-1] - n, n)"),
+           (_KERNEL,), "kernel: the byte fold runs over every tuple ending at a point"),
+    Mutant("kernel-byte-tuple-meet-as-or", CONVOLUTION,
+           "vals = vals & bits[a][..., c]", "vals = vals | bits[a][..., c]",
+           (_KERNEL,), "kernel: a tuple's masks meet by AND, the mask of their meet"),
+    Mutant("kernel-byte-fold-as-and", CONVOLUTION,
+           "out |= vals[..., j:j + n]", "out &= vals[..., j:j + n]",
+           (_KERNEL,), "kernel: a point's masks fold by OR, decoded to their join"),
+    Mutant("kernel-meet-mode-reads-j", CONVOLUTION,
+           "lat.top, lat.bottom, True", "lat.top, lat.bottom, False",
+           (_KERNEL,), "kernel: meet mode folds the masks of the meet-irreducibles above"),
+    Mutant("byte-decode-distributive-everywhere", "src/convalg/lattice.py",
+           "                if self.is_distributive:", "                if True:",
+           (_KERNEL,), "byte masks: only over a distributive L is an OR of masks an element's"),
     Mutant("kernel-pads-with-tuple-0", "src/convalg/structures.py",
            "p + p[:1] * (width - len(p))", "p + [rel[0][:-1]] * (width - len(p))",
            (_KERNEL,), "kernel: a point's tuples are padded with its own first tuple"),
