@@ -665,9 +665,9 @@ def check_residuation(lat: FiniteLattice, group: RelStructure,
     unit, the double-negation identity, and that collapsing to the identity
     happens exactly for Boolean lattices.  The first failure in carrier
     order is reported, with the number of elements that passed before it.
-    A residual is a join over the whole carrier, so a carrier larger than
-    the budget leaves the laws unchecked: the report is "observed", with
-    the carrier's size and the budget in its stats.
+    The residuals and the law compare every triple of the carrier, so a
+    carrier of q elements with q^3 over the budget leaves the laws
+    unchecked: the report is "observed", with q and the budget in its stats.
     """
     cap = resolve_budget(budget)
     if not lat.is_distributive:
@@ -675,7 +675,7 @@ def check_residuation(lat: FiniteLattice, group: RelStructure,
     _expect_group_signature(group)
     algebra = ConvAlgebra(lat, group)
     name = instance or f"|L|={lat.size},|G|={group.carrier_size}"
-    if algebra.space_size() > cap:
+    if algebra.space_size() ** 3 > cap:
         return Report.of("residuation", name, [],
                          {"elements": algebra.space_size(), "budget": cap}, asserted=False)
     codes = algebra.carrier_codes(cap)

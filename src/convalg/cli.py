@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import catalog
-from .convolution import ConvAlgebra, lfunction_from_labels, resolve_budget
+from .convolution import ConvAlgebra, resolve_budget
 from .errors import (ConvalgError, NotALattice, NotAPoset, UnknownName)
 from .lattice import FiniteLattice, _json_field, lattice_from_json, lattice_to_json
 from .structures import RelStructure, structure_from_json, structure_to_json
@@ -98,8 +98,7 @@ def _cmd_eval(args) -> int:
     term = parse_term(args.term, structure.signature)
     raw = _object(json.loads(args.assign), "--assign")
     what = "--assign must map each variable to an array of labels"
-    env = {name: algebra.function(
-               lfunction_from_labels(_json_field(vals, what, list, str), lat).values)
+    env = {name: algebra.function([lat.index(x) for x in _json_field(vals, what, list, str)])
            for name, vals in raw.items()}
     result = eval_term(term, algebra, env)
     _emit({"result": result.labels(), "term": args.term})

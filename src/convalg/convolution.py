@@ -97,34 +97,22 @@ class LFunction:
     __slots__ = ("values", "lattice", "_np", "_hash")
 
     def __init__(self, values: Iterable[int], lattice: FiniteLattice):
-        vals = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-        for v in vals:
-            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                    or not 0 <= v < lattice.size):
-                raise UnknownElement(f"value {v!r} is not an element index of a "
-                                     f"lattice of size {lattice.size}")
-        vals = tuple(map(int, vals))
-        self.values = vals
-        self.lattice = lattice
-        arr = np.array(vals, dtype=np.int64)
-        arr.flags.writeable = False
-        self._np = arr
-        self._hash = hash((lattice, vals))
+        """The function of ``values``, each checked by ``lattice.check_element``."""
+        self._fill(tuple(map(lattice.check_element, values)), lattice)
 
     @classmethod
     def _known(cls, values: tuple, lattice: FiniteLattice) -> "LFunction":
-        """The function of ``values``, a tuple of Python ints that are
-        element indices of ``lattice`` by construction (decoded from a
-        carrier code), so they are not checked again; as ``__init__``
-        without its checks, which every other construction keeps."""
+        """The function of ``values``, Python ints computed from checked
+        elements or decoded from codes, so not checked again."""
         self = cls.__new__(cls)
-        self.values = values
-        self.lattice = lattice
-        arr = np.array(values, dtype=np.int64)
-        arr.flags.writeable = False
-        self._np = arr
-        self._hash = hash((lattice, values))
+        self._fill(values, lattice)
         return self
+
+    def _fill(self, values: tuple, lattice: FiniteLattice) -> None:
+        self.values, self.lattice = values, lattice
+        self._np = np.array(values, dtype=np.int64)
+        self._np.flags.writeable = False
+        self._hash = hash((lattice, values))
 
     def __eq__(self, other):
         return (isinstance(other, LFunction)
@@ -141,7 +129,16 @@ class LFunction:
         return [self.lattice.labels[v] for v in self.values]
 
     def le(self, other: "LFunction") -> bool:
-        return bool(self.lattice.leq[self._np, other._np].all())
+        other = _values(other, self.lattice, len(self.values))
+        return bool(self.lattice.leq[self._np, other].all())
+
+
+def _values(a, lattice: FiniteLattice, n: int) -> np.ndarray:
+    """The value array of ``a``, a function of ``n`` points into ``lattice``."""
+    if (not isinstance(a, LFunction) or (a.lattice is not lattice and a.lattice != lattice)
+            or len(a.values) != n):
+        raise UnknownElement(f"{a!r} is not a function of {n} points into this lattice")
+    return a._np
 
 
 def lfunction_from_labels(labels: Sequence[str], lattice: FiniteLattice) -> LFunction:
@@ -178,11 +175,11 @@ class ConvAlgebra:
 
     @cached_property
     def _bot(self) -> LFunction:
-        return LFunction((self.lattice.bottom,) * self.structure.carrier_size, self.lattice)
+        return LFunction._known((self.lattice.bottom,) * self.structure.carrier_size, self.lattice)
 
     @cached_property
     def _top(self) -> LFunction:
-        return LFunction((self.lattice.top,) * self.structure.carrier_size, self.lattice)
+        return LFunction._known((self.lattice.top,) * self.structure.carrier_size, self.lattice)
 
     # -- element plumbing ----------------------------------------------------
 
@@ -201,17 +198,15 @@ class ConvAlgebra:
 
     def _row(self, a: LFunction) -> np.ndarray:
         """The value array of an element, which must live in this algebra."""
-        if (not isinstance(a, LFunction)
-                or (a.lattice is not self.lattice and a.lattice != self.lattice)
-                or len(a.values) != self.structure.carrier_size):
-            raise UnknownElement("function does not live in this algebra")
-        return a._np
+        return _values(a, self.lattice, self.structure.carrier_size)
 
-    def _element(self, row) -> LFunction:
-        return LFunction(row, self.lattice)
+    def _element(self, row: np.ndarray) -> LFunction:
+        """The element of a value row computed from this algebra's rows."""
+        return LFunction._known(tuple(row.tolist()), self.lattice)
 
     def is_order_preserving(self, a: LFunction) -> bool:
-        return self.structure.order is None or bool(self._monotone_rows(a._np[None])[0])
+        row = self._row(a)
+        return self.structure.order is None or bool(self._monotone_rows(row[None])[0])
 
     def _monotone_rows(self, rows: np.ndarray):
         """Per value row of ``rows`` (shape (N, |X|)), whether it is order
@@ -401,7 +396,7 @@ class ConvAlgebra:
         return np.concatenate(found)[:count].astype(np.int64)
 
     def random_element(self, rng) -> LFunction:
-        return LFunction(self._draw_rows(rng, 1)[0], self.lattice)
+        return self._element(self._draw_rows(rng, 1)[0])
 
     # -- pointwise lattice structure ------------------------------------------
     # The underscored forms act on value arrays of any batch shape.
@@ -419,19 +414,19 @@ class ConvAlgebra:
         return self.lattice.heyting_table()[x, y]
 
     def meet(self, a: LFunction, b: LFunction) -> LFunction:
-        return self._element(self._meet(a._np, b._np))
+        return self._element(self._meet(self._row(a), self._row(b)))
 
     def join(self, a: LFunction, b: LFunction) -> LFunction:
-        return self._element(self._join(a._np, b._np))
+        return self._element(self._join(self._row(a), self._row(b)))
 
     def neg(self, a: LFunction) -> LFunction:
-        return self._element(self._neg(a._np))
+        return self._element(self._neg(self._row(a)))
 
     def imp(self, a: LFunction, b: LFunction) -> LFunction:
-        return self._element(self._imp(a._np, b._np))
+        return self._element(self._imp(self._row(a), self._row(b)))
 
     def le(self, a: LFunction, b: LFunction) -> bool:
-        return a.le(b)
+        return bool(self.lattice.leq[self._row(a), self._row(b)].all())
 
     # -- convolution operations ------------------------------------------------
 
@@ -646,33 +641,40 @@ class SubsetAlgebra:
         return self._full
 
     def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
+        return self._subset(a) & self._subset(b)
 
     def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
-
-    # The same operators meet and join boolean arrays of rows.
-    _meet, _join = meet, join
+        return self._subset(a) | self._subset(b)
 
     def neg(self, a: frozenset) -> frozenset:
-        return self._full - a
+        return self._full - self._subset(a)
 
     def imp(self, a: frozenset, b: frozenset) -> frozenset:
-        return (self._full - a) | b
+        return (self._full - self._subset(a)) | self._subset(b)
 
     def le(self, a: frozenset, b: frozenset) -> bool:
-        return a <= b
+        return self._subset(a) <= self._subset(b)
 
-    def _row(self, a: frozenset) -> np.ndarray:
+    def _subset(self, a: frozenset) -> frozenset:
+        """``a``, which must be a set of carrier points."""
         if not isinstance(a, (set, frozenset)):
             raise UnknownElement(f"{a!r} is not a subset of the carrier")
         _check_subset(a, self.structure.carrier_size)
-        row = np.zeros(self.structure.carrier_size, dtype=bool)
+        return a
+
+    def _row(self, a: frozenset) -> np.ndarray:
+        a, row = self._subset(a), np.zeros(self.structure.carrier_size, dtype=bool)
         row[np.fromiter(a, dtype=np.intp, count=len(a))] = True
         return row
 
     def _element(self, row) -> frozenset:
         return frozenset(x for x, bit in enumerate(row) if bit)
+
+    def _meet(self, x, y):
+        return x & y
+
+    def _join(self, x, y):
+        return x | y
 
     def _neg(self, x):
         return ~x
@@ -764,8 +766,8 @@ def iso_phi(alpha: LFunction) -> frozenset:
 def iso_phi_inv(subset: frozenset, lattice: FiniteLattice, carrier_size: int) -> LFunction:
     _require_two_element(lattice)
     _check_subset(subset, carrier_size)
-    return LFunction(
-        [lattice.top if x in subset else lattice.bottom for x in range(carrier_size)],
+    return LFunction._known(
+        tuple(lattice.top if x in subset else lattice.bottom for x in range(carrier_size)),
         lattice)
 
 
@@ -822,8 +824,8 @@ def product_iso(alpha: LFunction) -> tuple[LFunction, LFunction]:
         raise NotAProductLattice("function's lattice was not built as a product")
     first, second = lat.factors
     pairs = [lat.unpair_index(v) for v in alpha.values]
-    return (LFunction([i for i, _ in pairs], first),
-            LFunction([j for _, j in pairs], second))
+    return (LFunction._known(tuple(i for i, _ in pairs), first),
+            LFunction._known(tuple(j for _, j in pairs), second))
 
 
 def product_iso_inv(beta: LFunction, gamma: LFunction,
@@ -835,8 +837,8 @@ def product_iso_inv(beta: LFunction, gamma: LFunction,
         raise NotAProductLattice("component lattices do not match the product factors")
     if len(beta.values) != len(gamma.values):
         raise ArityMismatch("component functions have different carriers")
-    return LFunction([prod.pair_index(i, j)
-                      for i, j in zip(beta.values, gamma.values)], prod)
+    return LFunction._known(tuple(prod.pair_index(i, j)
+                                  for i, j in zip(beta.values, gamma.values)), prod)
 
 
 def enumerate_functions(algebra: ConvAlgebra, budget: int | None = None):
@@ -846,11 +848,6 @@ def enumerate_functions(algebra: ConvAlgebra, budget: int | None = None):
 
 def delta_decompose(alpha: LFunction) -> list[LFunction]:
     """One-point functions below alpha whose join recovers alpha."""
-    lat = alpha.lattice
-    out = []
-    for x, v in enumerate(alpha.values):
-        if v != lat.bottom:
-            vals = [lat.bottom] * len(alpha.values)
-            vals[x] = v
-            out.append(LFunction(vals, lat))
-    return out
+    lat, n = alpha.lattice, len(alpha.values)
+    return [LFunction._known((lat.bottom,) * x + (v,) + (lat.bottom,) * (n - 1 - x), lat)
+            for x, v in enumerate(alpha.values) if v != lat.bottom]

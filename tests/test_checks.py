@@ -878,7 +878,17 @@ def test_residuation_reports():
 def test_residuation_over_the_budget_is_only_observed():
     r = check_residuation(chain(3), cyclic_group(2), budget=8)
     assert (r.status, r.stats) == ("observed", {"elements": 9, "budget": 8})
-    assert check_residuation(chain(3), cyclic_group(2), budget=9).status == "pass"
+    r = check_residuation(chain(3), cyclic_group(2), budget=728)
+    assert (r.status, r.stats) == ("observed", {"elements": 9, "budget": 728})
+    assert check_residuation(chain(3), cyclic_group(2), budget=729).status == "pass"
+
+
+def test_residuation_counts_its_triples_against_the_budget():
+    # the residuals and the law compare every triple of the q = 27 elements
+    # of chain3/Z3: 19,683 of them, over a budget of 1,000
+    r = check_residuation(chain(3), cyclic_group(3), budget=1000)
+    assert (r.status, r.stats) == ("observed", {"elements": 27, "budget": 1000})
+    assert check_residuation(chain(3), cyclic_group(3), budget=27 ** 3).status == "pass"
 
 
 def reference_residuation(lat, group, budget=None, instance=None):

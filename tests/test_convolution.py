@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from convalg import convolution
-from convalg.catalog import boolean, chain, m3, n5, structure_pool
+from convalg.catalog import boolean, chain, cyclic_group, m3, n5, structure_pool
 from convalg.convolution import (ConvAlgebra, LFunction, SubsetAlgebra,
                                  delta_decompose, enumerate_functions,
                                  is_lattice_morphism, iso_phi, iso_phi_inv,
@@ -1012,5 +1012,97 @@ def test_lfunction_labels_and_json_literal():
     assert f.labels() == ["1", "2"]
     with pytest.raises(UnknownElement):
         lfunction_from_labels(["zz"], lat)
+    for values in ([9], [0, -1], [True], [1.0], np.array([True, False]), [[0]]):
+        with pytest.raises(UnknownElement):
+            LFunction(values, lat)
+    f = LFunction(np.array([2, 0], dtype=np.uint8), lat)
+    assert f.values == (2, 0) and all(type(v) is int for v in f.values)
+    assert f == LFunction([2, 0], lat) and hash(f) == hash(LFunction((2, 0), lat))
+
+
+# -- where elements are checked ------------------------------------------------
+# A function enters through the checked LFunction constructor and is checked
+# against an algebra by its _row; what an algebra computes from checked
+# elements comes back unchecked.
+
+
+def _strangers():
+    """Values that are no element of ConvAlgebra(chain3, Z3): a function of
+    one point, one over another lattice, one of four points, and a tuple."""
+    return [LFunction([0], chain3()), LFunction([0, 3], boolean(2)),
+            LFunction([2, 2, 2, 2], chain3()), (0, 1, 2)]
+
+
+def test_conv_element_methods_refuse_a_function_of_another_algebra():
+    algebra = ConvAlgebra(chain3(), cyclic_group(3))
+    top = algebra.top()
+    for stranger in _strangers():
+        for call in (lambda: algebra.meet(stranger, top), lambda: algebra.meet(top, stranger),
+                     lambda: algebra.meet(stranger, stranger),
+                     lambda: algebra.join(top, stranger), lambda: algebra.neg(stranger),
+                     lambda: algebra.imp(stranger, top), lambda: algebra.imp(top, stranger),
+                     lambda: algebra.le(stranger, top), lambda: algebra.le(top, stranger),
+                     lambda: algebra.is_order_preserving(stranger),
+                     lambda: algebra.op("*", (stranger, top))):
+            with pytest.raises(UnknownElement):
+                call()
+    assert algebra.meet(top, algebra.bot()) == algebra.bot()
+    assert algebra.le(algebra.bot(), top) and not algebra.le(top, algebra.bot())
+
+
+def test_subset_element_methods_refuse_a_set_off_the_carrier():
+    algebra = SubsetAlgebra(cyclic_group(2))
+    for stranger in ({5}, {7, 0}, {-1}):
+        for call in (lambda: algebra.meet(stranger, {0}), lambda: algebra.meet({0}, stranger),
+                     lambda: algebra.join(stranger, {0}), lambda: algebra.join({0}, stranger),
+                     lambda: algebra.neg(stranger), lambda: algebra.imp(stranger, {0}),
+                     lambda: algebra.imp({0}, stranger), lambda: algebra.le(stranger, {0}),
+                     lambda: algebra.le({0}, stranger), lambda: algebra.op("*", (stranger, {0}))):
+            with pytest.raises(IndexOutOfRange):
+                call()
+    for call in (lambda: algebra.meet([1], {0}), lambda: algebra.neg((0,)),
+                 lambda: algebra.le({0}, 1)):
+        with pytest.raises(UnknownElement):
+            call()
+    assert algebra.meet({0, 1}, frozenset({1})) == {1}
+    assert algebra.imp({0}, set()) == {1} and algebra.le(set(), {1})
+
+
+def test_lfunction_le_refuses_another_lattice_or_length():
+    lat = chain3()
+    low, high = LFunction([0, 1, 2], lat), LFunction([2, 2, 2], lat)
+    assert low.le(high) and not high.le(low)
+    for stranger in (LFunction([2], lat), LFunction([2, 2, 2, 2], lat),
+                     LFunction([1, 1, 1], boolean(2)), (2, 2, 2)):
+        with pytest.raises(UnknownElement):
+            low.le(stranger)
     with pytest.raises(UnknownElement):
-        LFunction([9], lat)
+        LFunction([0], lat).le(high)
+
+
+def test_computed_elements_make_no_checked_construction():
+    lat, prod = chain3(), chain3().product(chain(2))
+    z3 = cyclic_group(3)
+    algebra, two = ConvAlgebra(lat, z3), ConvAlgebra(chain(2), z3)
+    a, b = algebra.function([0, 1, 2]), algebra.function([2, 2, 1])
+    p = LFunction([5, 1, 0], prod)
+    made = []
+    checked = LFunction.__init__
+
+    def counting(self, values, lattice):
+        made.append(values)
+        checked(self, values, lattice)
+    with patch.object(LFunction, "__init__", counting):
+        out = [algebra.op("*", (a, b)), algebra.conv("*", (b, a)), algebra.op("conv", (a,)),
+               algebra.bot(), algebra.top(), algebra.random_element(random.Random(0)),
+               algebra.meet(a, b), algebra.join(a, b), algebra.neg(a), algebra.imp(a, b),
+               eval_term(parse_term("(op * x x)", z3.signature), algebra, {"x": a}),
+               iso_phi_inv(frozenset({1}), chain(2), 3), *product_iso(p),
+               product_iso_inv(*product_iso(p), prod), *delta_decompose(b),
+               *algebra.elements(), two.random_element(random.Random(1))]
+        verdict = check_equation(Equation(Var("x"), Neg(Var("x"))), algebra)
+    assert made == []
+    assert verdict.assignment["x"] == algebra.bot()
+    for f in out:
+        assert f == LFunction(f.values, f.lattice)
+        assert all(type(v) is int for v in f.values)

@@ -221,6 +221,16 @@ MUTANTS = (
            # the reference's constant map is no bijection, and sends top to bottom
            ("tests/test_checks.py::test_subset_isomorphism_matches_the_loop_reference",),
            "claims: one-one and onto are decided before the laws, as subset-iso reports"),
+    Mutant("conv-element-op-reads-raw-row", CONVOLUTION,
+           "return self._element(self._meet(self._row(a), self._row(b)))",
+           "return self._element(self._meet(a._np, b._np))",
+           ("tests/test_convolution.py::"
+            "test_conv_element_methods_refuse_a_function_of_another_algebra",),
+           "elements: every argument of an element method goes through _row"),
+    Mutant("subset-element-op-unchecked", CONVOLUTION,
+           "return self._subset(a) & self._subset(b)", "return a & b",
+           ("tests/test_convolution.py::test_subset_element_methods_refuse_a_set_off_the_carrier",),
+           "elements: a subset's meet checks its arguments as _row does"),
     Mutant("arity-check-dropped", "src/convalg/structures.py",
            "        if args is not None and len(args) != spec.arity:",
            "        if False:",
